@@ -29,21 +29,19 @@ from .tensor import read_tvec, write_tvec
 from .trainer import ablate_lambda, train
 
 
-def _common_flags(p):
+def _config_flags(p):
     p.add_argument("--config", help="run configuration JSON")
     p.add_argument("--seed", type=int, default=None, help="override train.seed")
-    p.add_argument("--threads", type=int, default=1,
-                   help="reserved for kernel parallelism; execution is single-threaded")
 
 
-def _resolved_config(args, mask_seed=None):
-    cfg = load_run_config(args.config) if args.config else RunConfig()
+def _resolved_config(args, default=RunConfig):
+    """The --config document, or default() without one, with the --seed
+    and --mask-seed overrides applied; validated."""
+    cfg = load_run_config(args.config) if args.config else default()
     if args.seed is not None:
         cfg = replace(cfg, train=replace(cfg.train, seed=args.seed))
-    if mask_seed is not None:
-        cfg = replace(cfg, mask=replace(cfg.mask, seed=mask_seed))
-    if args.threads < 1:
-        raise ConfigError("--threads must be at least 1")
+    if getattr(args, "mask_seed", None) is not None:
+        cfg = replace(cfg, mask=replace(cfg.mask, seed=args.mask_seed))
     cfg.validate()
     return cfg
 
@@ -56,7 +54,7 @@ def _load_image_dir(path, cfg):
 
 
 def cmd_pretrain(args):
-    cfg = _resolved_config(args, mask_seed=args.mask_seed)
+    cfg = _resolved_config(args)
     images = _load_image_dir(args.images, cfg)
     os.makedirs(args.out, exist_ok=True)
     save_run_config(cfg, os.path.join(args.out, "config.json"))
@@ -132,9 +130,7 @@ def cmd_pca(args):
 
 
 def cmd_grad_check(args):
-    cfg = load_run_config(args.config) if args.config else tiny_run_config()
-    cfg.validate()
-    report = grad_check(cfg, h=args.h)
+    report = grad_check(_resolved_config(args, default=tiny_run_config), h=args.h)
     if args.out:
         with open(args.out, "w") as f:
             json.dump({"max_rel_err": report.max_rel_err,
@@ -165,14 +161,14 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("pretrain", help="run the pretraining loop")
-    _common_flags(p)
+    _config_flags(p)
     p.add_argument("--images", required=True, help="directory of .pgm/.ppm images")
     p.add_argument("--out", required=True, help="run directory")
     p.add_argument("--mask-seed", type=int, default=None, help="override mask.seed")
     p.set_defaults(func=cmd_pretrain)
 
     p = sub.add_parser("dump-features", help="extract teacher features to files")
-    _common_flags(p)
+    _config_flags(p)
     p.add_argument("--images", required=True)
     p.add_argument("--out", required=True, help="feature directory")
     p.add_argument("--teacher", choices=["procedural", "procedural-conv"],
@@ -184,34 +180,31 @@ def build_parser():
     p.set_defaults(func=cmd_dump_features)
 
     p = sub.add_parser("diversity", help="token-diversity report for a feature dump")
-    _common_flags(p)
     p.add_argument("--features", required=True, help="feature directory with manifest.json")
     p.add_argument("--out", required=True, help="report JSON path")
     p.set_defaults(func=cmd_diversity)
 
     p = sub.add_parser("heatmap", help="query-patch similarity heat-map")
-    _common_flags(p)
     p.add_argument("--features", required=True, help="single .tvec token file")
     p.add_argument("--query", type=int, required=True, help="query patch index")
     p.add_argument("--out", required=True, help="output PGM path")
     p.set_defaults(func=cmd_heatmap)
 
     p = sub.add_parser("pca", help="reduce token dimensionality")
-    _common_flags(p)
     p.add_argument("--features", required=True, help="feature directory with manifest.json")
     p.add_argument("--components", type=int, required=True)
     p.add_argument("--out", required=True, help="output .tvec path")
     p.set_defaults(func=cmd_pca)
 
     p = sub.add_parser("grad-check", help="verify analytic gradients end to end")
-    _common_flags(p)
+    _config_flags(p)
     p.add_argument("--out", help="optional report JSON path")
     p.add_argument("--tolerance", type=float, default=1e-4)
     p.add_argument("--h", type=float, default=1e-5, help="finite-difference step")
     p.set_defaults(func=cmd_grad_check)
 
     p = sub.add_parser("ablate-lambda", help="sweep the global loss weight")
-    _common_flags(p)
+    _config_flags(p)
     p.add_argument("--images", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--lambdas", required=True, help="comma-separated weights, e.g. 0,0.5,1")

@@ -6,7 +6,6 @@ consistency) before any command does work.
 """
 
 import json
-import math
 from dataclasses import asdict, dataclass, field, fields
 
 from .errors import ConfigError, DataError
@@ -65,7 +64,7 @@ class RunConfig:
                 raise ConfigError(
                     f"teacher.downsample_rate {self.teacher.downsample_rate} not "
                     f"divisible by patch_side {self.model.patch_side}: grids cannot align")
-        n_masked_blocks = math.floor(self.mask.mask_ratio * self.mask.n_blocks + 0.5)
+        n_masked_blocks = self.mask.n_masked_blocks
         if n_masked_blocks < 1:
             raise ConfigError(
                 f"mask_ratio {self.mask.mask_ratio} rounds to zero masked blocks "

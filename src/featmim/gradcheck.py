@@ -11,12 +11,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .losses import global_loss, patch_loss, total_loss
 from .masking import generate_mask
-from .model import BoundParams, forward, init_params
+from .model import BoundParams, init_params
 from .synth import synthetic_image
 from .teacher import align_input, make_teacher
 from .tensor import Tape, backward
+from .trainer import step_losses
 
 
 @dataclass(frozen=True)
@@ -52,7 +52,11 @@ def tiny_run_config():
 
 def grad_check(cfg=None, h=1e-5, floor=1e-6, in_channels=3):
     """Compare analytic and numeric gradients of the total loss, parameter
-    by parameter, element by element. Everything runs in float64."""
+    by parameter, element by element. Everything runs in float64.
+
+    The loss is the trainer's own step on a one-image batch, so the check
+    covers exactly the composition that training differentiates.
+    """
     if cfg is None:
         cfg = tiny_run_config()
     cfg.validate()
@@ -68,18 +72,13 @@ def grad_check(cfg=None, h=1e-5, floor=1e-6, in_channels=3):
 
     params = init_params(cfg.model, cfg.mask.image_side, in_channels,
                          seed=cfg.train.seed, dtype=np.float64)
-
-    def loss_of(bp):
-        out = forward(image, mask, bp)
-        lp = patch_loss(out.z, feats, mask, cfg.loss.beta, cfg.loss.channel_reduce)
-        lg = global_loss(out.p_visible, feats, mask, cfg.loss.beta, cfg.loss.channel_reduce)
-        return total_loss(lp, lg, cfg.loss.lam)
+    batch = [(image, mask, feats, cfg.loss)]
 
     tape = Tape()
-    analytic = backward(tape, loss_of(BoundParams(params, tape)))
+    analytic = backward(tape, step_losses(BoundParams(params, tape), batch)[0])
 
     def loss_value():
-        return float(loss_of(BoundParams(params)).data)
+        return float(step_losses(BoundParams(params), batch)[0].data)
 
     per_param = {}
     n_elements = 0

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DegenerateMaskError
-from .tensor import write_tvec
 
 _MASK64 = (1 << 64) - 1
 
@@ -33,6 +32,15 @@ class SplitMix64:
     def next_below(self, n):
         """Uniform integer in [0, n) by modulo reduction (documented rule)."""
         return self.next_u64() % n
+
+    def permutation(self, n):
+        """range(n) shuffled by Fisher-Yates from the top: one next_below
+        draw per position n-1 .. 1, so n-1 draws in all."""
+        order = list(range(n))
+        for i in range(n - 1, 0, -1):
+            j = self.next_below(i + 1)
+            order[i], order[j] = order[j], order[i]
+        return order
 
 
 @dataclass(frozen=True)
@@ -75,6 +83,11 @@ class MaskSpec:
     def patches_per_block_side(self):
         return self.block_side // self.patch_side
 
+    @property
+    def n_masked_blocks(self):
+        """round-half-up(mask_ratio * n_blocks)."""
+        return math.floor(self.mask_ratio * self.n_blocks + 0.5)
+
 
 @dataclass(frozen=True)
 class PatchMask:
@@ -91,27 +104,18 @@ class PatchMask:
         return self.grid.shape[0]
 
 
-def _round_half_up(x):
-    return int(math.floor(x + 0.5))
-
-
 def generate_mask(spec: MaskSpec) -> PatchMask:
     """Sample a block-wise mask; deterministic for a given (spec, seed)."""
     spec.validate()
     n_blocks = spec.n_blocks
-    n_masked_blocks = _round_half_up(spec.mask_ratio * n_blocks)
+    n_masked_blocks = spec.n_masked_blocks
     if n_masked_blocks >= n_blocks:
         raise DegenerateMaskError(
             f"mask_ratio {spec.mask_ratio} rounds to all {n_blocks} blocks masked; "
             "the encoder needs at least one visible token")
 
-    # Partial Fisher-Yates over block indices, driven by SplitMix64.
-    rng = SplitMix64(spec.seed)
-    order = list(range(n_blocks))
-    for i in range(n_blocks - 1, 0, -1):
-        j = rng.next_below(i + 1)
-        order[i], order[j] = order[j], order[i]
-    chosen = order[:n_masked_blocks]
+    # the first n_masked_blocks of a full shuffle of the block indices
+    chosen = SplitMix64(spec.seed).permutation(n_blocks)[:n_masked_blocks]
 
     g = spec.grid_side
     bpp = spec.patches_per_block_side
@@ -130,8 +134,3 @@ def generate_mask(spec: MaskSpec) -> PatchMask:
 
 def mask_ratio_actual(mask: PatchMask) -> float:
     return len(mask.masked_idx) / mask.n_patches
-
-
-def export_mask(mask: PatchMask, path):
-    """Debug dump: the patch grid as 0/1 floats in the tensor file format."""
-    write_tvec(path, mask.grid.astype(np.float32))

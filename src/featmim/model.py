@@ -79,10 +79,6 @@ class ModelParams:
     enc_pos: np.ndarray = None  # [N, embed_dim], constant
     dec_pos: np.ndarray = None  # [N, dec_width], constant
 
-    @property
-    def grid_side(self):
-        return int(round(np.sqrt(self.n_patches)))
-
 
 def _xavier(rng, shape, dtype):
     limit = np.sqrt(6.0 / (shape[0] + shape[1]))
@@ -174,10 +170,8 @@ class StudentOutput:
     """Per-layer visible tokens plus everything derived from them."""
 
     layers: list  # encoder block outputs, visible patch tokens only, each [V, d]
-    cls_layers: Optional[list] = None  # per-layer CLS rows, each [1, d]
     h: Optional[Tensor] = None  # aggregated visible tokens [V, d]
     z: Optional[Tensor] = None  # decoder predictions [N, target_dim]
-    p_visible: Optional[Tensor] = None  # projected last-layer visible tokens [V, target_dim]
 
     @property
     def last_visible(self):
@@ -249,16 +243,12 @@ def encode_visible(tokens, mask, bp: BoundParams):
     x = tn.gather_rows(tokens, mask.visible_idx)
     if cfg.use_cls:
         x = tn.concat([tn.reshape(bp["cls_token"], (1, cfg.embed_dim)), x], axis=0)
-    layers, cls_layers = [], ([] if cfg.use_cls else None)
+    layers = []
     patch_rows = np.arange(1, n_vis + 1) if cfg.use_cls else None
     for layer in range(cfg.enc_depth):
         x = _transformer_block(x, bp, f"enc{layer}", cfg.enc_heads)
-        if cfg.use_cls:
-            layers.append(tn.gather_rows(x, patch_rows))
-            cls_layers.append(tn.gather_rows(x, np.array([0])))
-        else:
-            layers.append(x)
-    return StudentOutput(layers=layers, cls_layers=cls_layers)
+        layers.append(tn.gather_rows(x, patch_rows) if cfg.use_cls else x)
+    return StudentOutput(layers=layers)
 
 
 def aggregate_multi_block(output: StudentOutput, config: ModelConfig):
@@ -302,16 +292,17 @@ def project_global(h_visible, bp: BoundParams):
 
 
 def forward(image, mask, bp: BoundParams):
-    """Full student pass: embed, encode visible, aggregate, decode, project.
+    """Student pass up to the patch predictions: embed, encode visible,
+    aggregate, decode.
 
-    The decoder consumes the aggregated tokens; the global head consumes the
-    last encoder block's visible tokens.
+    The decoder consumes the aggregated tokens. The global head is not run
+    here: callers that weight the global loss pass `last_visible` to
+    project_global themselves.
     """
     tokens = patch_embed(image, bp)
     out = encode_visible(tokens, mask, bp)
     out.h = aggregate_multi_block(out, bp.config)
     out.z = decode(out.h, mask, bp)
-    out.p_visible = project_global(out.last_visible, bp)
     return out
 
 

@@ -87,8 +87,11 @@ def align_input(image, student_patch_side, teacher_downsample):
     """Resize so the teacher's token grid matches the student's patch grid.
 
     The scale factor teacher_downsample / student_patch_side must be a
-    positive integer; factor 1 returns the image untouched.
+    positive integer; factor 1 returns the image untouched, and so does a
+    teacher without a downsample rate (a file teacher replays stored tokens).
     """
+    if teacher_downsample is None:
+        return image
     if teacher_downsample % student_patch_side != 0:
         raise ConfigError(
             f"teacher downsample {teacher_downsample} is not divisible by "
@@ -211,14 +214,13 @@ def make_teacher(spec: TeacherSpec, in_channels=3):
 def dump_features(teacher, images, out_dir, student_patch_side):
     """Extract and write one tvec per image plus a manifest.
 
-    images: [(id, [C, H, W] array)]. Returns the manifest dict. File
-    teachers replay as-is; procedural teachers get grid-aligned inputs.
+    images: [(id, [C, H, W] array)]. Returns the manifest dict. Inputs are
+    grid-aligned first (a no-op for file teachers, which replay as-is).
     """
     os.makedirs(out_dir, exist_ok=True)
     entries = []
     for image_id, image in images:
-        if teacher.downsample_rate is not None:
-            image = align_input(image, student_patch_side, teacher.downsample_rate)
+        image = align_input(image, student_patch_side, teacher.downsample_rate)
         feats = teacher.features(image, image_id)
         write_tvec(os.path.join(out_dir, f"{image_id}.tvec"),
                    feats.tokens.astype(np.float32))

@@ -194,10 +194,6 @@ def _unbroadcast(g, shape):
     return g.reshape(shape)
 
 
-def constant(data, dtype=None):
-    return Tensor(np.asarray(data, dtype=dtype))
-
-
 def zeros(shape, dtype=np.float32):
     return Tensor(np.zeros(shape, dtype=dtype))
 

@@ -7,9 +7,10 @@ Everything is deterministic for a fixed seed: masks come from a SplitMix64
 stream, the epoch shuffle from another, and gradients apply in a fixed
 parameter order.
 
-When the global loss weight is zero and multi-block aggregation is off, the
-step dispatches to a reduced implementation that contains neither code path,
-so that configuration is exactly the plain feature-regression baseline.
+One step function serves every configuration. The global head and loss run
+only when the global loss weight is nonzero, so with lam=0 and multi-block
+aggregation off the step records exactly the plain feature-regression
+graph: last encoder block into the decoder, patch loss only.
 """
 
 import math
@@ -22,8 +23,8 @@ from . import tensor as tn
 from .errors import ConfigError
 from .losses import global_loss, patch_loss, total_loss
 from .masking import MaskSpec, SplitMix64, generate_mask
-from .model import (BoundParams, decode, encode_visible, forward, init_params,
-                    patch_embed, save_checkpoint)
+from .model import (BoundParams, forward, init_params, project_global,
+                    save_checkpoint)
 from .teacher import align_input, make_teacher
 from .tensor import Tape, backward
 
@@ -114,9 +115,12 @@ def adamw_step(params, grads, state: OptimizerState, lr, *,
         p -= lr * (m_hat / (np.sqrt(v_hat) + eps) + weight_decay * p)
 
 
-def step_losses_full(bp, batch):
-    """Batch-mean losses on the tape: patch + lambda * global, multi-block
+def step_losses(bp, batch):
+    """Batch-mean losses on the tape: patch + lam * global, multi-block
     aggregation per config. batch: [(image, mask, feats, loss_cfg)].
+
+    The global head and loss are recorded only when lam != 0; at lam == 0
+    they could move no parameter, and L_global logs 0.0.
 
     Returns (loss tensor, logged L_patch, L_global, L_total); the logged
     values are float64 means of the per-image scalars so the three CSV
@@ -126,33 +130,20 @@ def step_losses_full(bp, batch):
     lp_vals, lg_vals, lt_vals = [], [], []
     for image, mask, feats, loss_cfg in batch:
         out = forward(image, mask, bp)
-        lp = patch_loss(out.z, feats, mask, loss_cfg.beta, loss_cfg.channel_reduce)
-        lg = global_loss(out.p_visible, feats, mask, loss_cfg.beta, loss_cfg.channel_reduce)
-        lt = total_loss(lp, lg, loss_cfg.lam)
+        lp = lt = patch_loss(out.z, feats, mask, loss_cfg.beta, loss_cfg.channel_reduce)
+        lg_val = 0.0
+        if loss_cfg.lam != 0.0:
+            lg = global_loss(project_global(out.last_visible, bp), feats, mask,
+                             loss_cfg.beta, loss_cfg.channel_reduce)
+            lt = total_loss(lp, lg, loss_cfg.lam)
+            lg_val = float(lg.data)
         lt_sum = lt if lt_sum is None else tn.add(lt_sum, lt)
         lp_vals.append(float(lp.data))
-        lg_vals.append(float(lg.data))
+        lg_vals.append(lg_val)
         lt_vals.append(float(lt.data))
     n = len(batch)
     return (tn.mul(lt_sum, 1.0 / n), math.fsum(lp_vals) / n,
             math.fsum(lg_vals) / n, math.fsum(lt_vals) / n)
-
-
-def step_losses_baseline(bp, batch):
-    """The plain feature-regression step: last encoder block straight into
-    the decoder, patch loss only. No global head, no block aggregation."""
-    lp_sum = None
-    lp_vals = []
-    for image, mask, feats, loss_cfg in batch:
-        tokens = patch_embed(image, bp)
-        out = encode_visible(tokens, mask, bp)
-        z = decode(out.layers[-1], mask, bp)
-        lp = patch_loss(z, feats, mask, loss_cfg.beta, loss_cfg.channel_reduce)
-        lp_sum = lp if lp_sum is None else tn.add(lp_sum, lp)
-        lp_vals.append(float(lp.data))
-    n = len(batch)
-    mean_lp = math.fsum(lp_vals) / n
-    return tn.mul(lp_sum, 1.0 / n), mean_lp, 0.0, mean_lp
 
 
 @dataclass
@@ -176,29 +167,18 @@ class FeatureCache:
 
     def get(self, image_id, image):
         if image_id not in self._store:
-            if self.teacher.downsample_rate is not None:
-                image = align_input(image, self.patch_side, self.teacher.downsample_rate)
+            image = align_input(image, self.patch_side, self.teacher.downsample_rate)
             self._store[image_id] = self.teacher.features(image, image_id)
         return self._store[image_id]
-
-
-def _shuffled(ids, stream: SplitMix64):
-    order = list(ids)
-    for i in range(len(order) - 1, 0, -1):
-        j = stream.next_below(i + 1)
-        order[i], order[j] = order[j], order[i]
-    return order
 
 
 def _format_row(step, epoch, lr, lp, lg, lt):
     return f"{step},{epoch!r},{lr!r},{lp!r},{lg!r},{lt!r}\n"
 
 
-def train(cfg, images, out_dir, step_variant=None):
+def train(cfg, images, out_dir):
     """Pretrain on a list of (image_id, [C, H, W]) arrays.
 
-    step_variant: None picks automatically ("baseline" when lam == 0 and
-    multi_block is off, else "full"); pass explicitly to force one.
     Writes metrics.csv and ckpt_<step>.bin files under out_dir.
     """
     cfg.validate()
@@ -225,13 +205,6 @@ def train(cfg, images, out_dir, step_variant=None):
             f"teacher target_dim {teacher.target_dim} != model target_dim "
             f"{cfg.model.target_dim}")
 
-    if step_variant is None:
-        reduced = cfg.loss.lam == 0.0 and not cfg.model.multi_block
-        step_variant = "baseline" if reduced else "full"
-    if step_variant not in ("full", "baseline"):
-        raise ConfigError(f"unknown step variant {step_variant!r}")
-    step_fn = step_losses_baseline if step_variant == "baseline" else step_losses_full
-
     os.makedirs(out_dir, exist_ok=True)
     params = init_params(cfg.model, mask_spec.image_side, in_channels, tc.seed)
     opt = OptimizerState()
@@ -257,7 +230,7 @@ def train(cfg, images, out_dir, step_variant=None):
         order = []
         for step in range(total_steps):
             if step % steps_per_epoch == 0:
-                order = _shuffled(ids, shuffle_stream)
+                order = [ids[k] for k in shuffle_stream.permutation(len(ids))]
             lo = (step % steps_per_epoch) * tc.batch_size
             batch_ids = order[lo:lo + tc.batch_size]
 
@@ -273,7 +246,7 @@ def train(cfg, images, out_dir, step_variant=None):
             lr = lr_at(t_epoch, tc)
             tape = Tape()
             bp = BoundParams(params, tape)
-            loss, lp, lg, lt = step_fn(bp, batch)
+            loss, lp, lg, lt = step_losses(bp, batch)
             grads = backward(tape, loss)
             adamw_step(params.weights, grads, opt, lr,
                        beta1=tc.beta1, beta2=tc.beta2, weight_decay=tc.weight_decay)

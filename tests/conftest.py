@@ -1,10 +1,19 @@
 """Shared oracles for the test suite.
 
 The finite-difference oracle is the independent reference for every
-analytic gradient; it never calls the tape.
+analytic gradient; it never calls the tape. The step oracles are the two
+loss compositions the trainer's single step must reproduce: plain feature
+regression, and patch + lam * global with the global branch always taped.
 """
 
+import math
+
 import numpy as np
+
+from featmim import tensor as tn
+from featmim.losses import global_loss, patch_loss, total_loss
+from featmim.model import (decode, encode_visible, forward, patch_embed,
+                           project_global)
 
 
 def fd_grad(f, x, h=1e-5):
@@ -30,3 +39,51 @@ def rel_err(a, n, floor=1e-6):
     n = np.asarray(n, dtype=np.float64)
     denom = np.maximum(np.maximum(np.abs(a), np.abs(n)), floor)
     return float(np.max(np.abs(a - n) / denom)) if a.size else 0.0
+
+
+def inline_shuffle(items, stream):
+    """Fisher-Yates over a copy of items, swapping in place from the top
+    with one stream.next_below draw per position."""
+    order = list(items)
+    for i in range(len(order) - 1, 0, -1):
+        j = stream.next_below(i + 1)
+        order[i], order[j] = order[j], order[i]
+    return order
+
+
+def plain_regression_step(bp, batch):
+    """The plain feature-regression step: last encoder block straight into
+    the decoder, patch loss only. No global head, no block aggregation.
+    Same signature and return value as featmim.trainer.step_losses."""
+    lp_sum = None
+    lp_vals = []
+    for image, mask, feats, loss_cfg in batch:
+        tokens = patch_embed(image, bp)
+        out = encode_visible(tokens, mask, bp)
+        z = decode(out.layers[-1], mask, bp)
+        lp = patch_loss(z, feats, mask, loss_cfg.beta, loss_cfg.channel_reduce)
+        lp_sum = lp if lp_sum is None else tn.add(lp_sum, lp)
+        lp_vals.append(float(lp.data))
+    n = len(batch)
+    mean_lp = math.fsum(lp_vals) / n
+    return tn.mul(lp_sum, 1.0 / n), mean_lp, 0.0, mean_lp
+
+
+def full_composition_step(bp, batch):
+    """patch + lam * global with the global head and loss taped at every
+    lam, zero included; L_global logs the unweighted global loss."""
+    lt_sum = None
+    lp_vals, lg_vals, lt_vals = [], [], []
+    for image, mask, feats, loss_cfg in batch:
+        out = forward(image, mask, bp)
+        lp = patch_loss(out.z, feats, mask, loss_cfg.beta, loss_cfg.channel_reduce)
+        lg = global_loss(project_global(out.last_visible, bp), feats, mask,
+                         loss_cfg.beta, loss_cfg.channel_reduce)
+        lt = total_loss(lp, lg, loss_cfg.lam)
+        lt_sum = lt if lt_sum is None else tn.add(lt_sum, lt)
+        lp_vals.append(float(lp.data))
+        lg_vals.append(float(lg.data))
+        lt_vals.append(float(lt.data))
+    n = len(batch)
+    return (tn.mul(lt_sum, 1.0 / n), math.fsum(lp_vals) / n,
+            math.fsum(lg_vals) / n, math.fsum(lt_vals) / n)

@@ -26,6 +26,7 @@ from featmim.teacher import (ProceduralConvTeacher, TeacherFeatures,
 from featmim.tensor import Tensor
 from featmim.trainer import TrainConfig, lr_at, scaled_lr, train
 
+from conftest import plain_regression_step
 from test_diversity import oracle_diversity
 
 
@@ -173,39 +174,42 @@ def test_overfit_convergence():
             f"({100 * last / first:.2f}% of step 0) in {elapsed:.0f}s / 500 steps")
 
 
-def test_config_reduction_is_bitwise():
-    # lam=0 + multi_block=off must reproduce, step for step, a build whose
-    # training step contains no global-loss or aggregation code
+def test_config_reduction_is_bitwise(monkeypatch):
+    # lam=0 + multi_block=off must reproduce, byte for byte and tape op for
+    # tape op, the plain feature-regression step, which contains no
+    # global-loss or aggregation code (conftest.plain_regression_step)
     import tempfile
+    import featmim.trainer
     cfg = replace(RunConfig(),
                   train=TrainConfig(base_lr=0.02, batch_size=4, warmup_epochs=2.0,
                                     total_epochs=10.0, seed=3),
                   loss=replace(RunConfig().loss, lam=0.0),
                   model=replace(RunConfig().model, multi_block=False)).validate()
     images = [(f"img{i}", synthetic_image(32, 3, seed=i)) for i in range(4)]
+    real_backward = featmim.trainer.backward
 
-    def run(variant):
+    def run():
+        ops_per_step = []
+
+        def counting_backward(tape, loss):
+            ops_per_step.append(len(tape._ops))
+            return real_backward(tape, loss)
+
+        monkeypatch.setattr(featmim.trainer, "backward", counting_backward)
         with tempfile.TemporaryDirectory() as d:
-            r = train(cfg, images, d, step_variant=variant)
-            return pathlib.Path(r.metrics_csv).read_text()
+            r = train(cfg, images, d)
+            return (pathlib.Path(r.metrics_csv).read_bytes(),
+                    pathlib.Path(r.final_checkpoint).read_bytes(), ops_per_step)
 
-    via_config = run(None)  # dispatches on the config
-    reduced_build = run("baseline")  # the step with the code paths absent
-    assert via_config == reduced_build
-
-    # the full step at lam=0 walks the same trajectory: the global branch
-    # contributes exactly-zero gradients
-    full_build = run("full")
-
-    def columns(text, *names):
-        rows = list(csv.DictReader(io.StringIO(text)))
-        return [[r[n] for r in rows] for n in names]
-
-    assert (columns(full_build, "L_patch", "L_total")
-            == columns(reduced_build, "L_patch", "L_total"))
+    csv_step, ckpt_step, ops_step = run()
+    monkeypatch.setattr(featmim.trainer, "step_losses", plain_regression_step)
+    csv_plain, ckpt_plain, ops_plain = run()
+    assert csv_step == csv_plain
+    assert ckpt_step == ckpt_plain
+    assert ops_step == ops_plain and len(ops_step) == 10
     _passed("config reduction",
-            "lam=0 + multi_block=off is byte-identical to the reduced build; "
-            "full step matches it step for step")
+            f"lam=0 + multi_block=off matches the plain-regression step: "
+            f"metrics.csv, final checkpoint and {ops_step[0]} tape ops per step")
 
 
 def test_schedule_criteria():

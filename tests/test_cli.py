@@ -1,13 +1,24 @@
 import json
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from featmim.cli import main
+from featmim.config import run_config_from_dict
+from featmim.gradcheck import grad_check
 from featmim.imageio import read_pnm, write_ppm
 from featmim.synth import synthetic_image
 from featmim.tensor import read_tvec, write_tvec
+
+# the smallest legal geometry: a grad-check on it takes about two seconds
+NANO_GRAD_CHECK = {
+    "mask": {"image_side": 8, "patch_side": 4, "block_side": 4, "mask_ratio": 0.5, "seed": 1},
+    "model": {"patch_side": 4, "embed_dim": 4, "enc_depth": 1, "enc_heads": 2,
+              "dec_depth": 1, "dec_width": 4, "dec_heads": 2, "target_dim": 4},
+    "teacher": {"downsample_rate": 4, "target_dim": 4, "seed": 2},
+}
 
 
 @pytest.fixture()
@@ -180,6 +191,43 @@ def test_grad_check_command(tmp_path):
     assert report["n_parameters"] > 0
 
 
+def test_grad_check_seed_flag(tmp_path):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(NANO_GRAD_CHECK))
+    report_path = tmp_path / "report.json"
+    assert main(["grad-check", "--config", str(cfg_path), "--seed", "3",
+                 "--out", str(report_path)]) == 0
+    cfg = run_config_from_dict(NANO_GRAD_CHECK)
+    direct = grad_check(replace(cfg, train=replace(cfg.train, seed=3)))
+    assert json.loads(report_path.read_text()) == {
+        "max_rel_err": direct.max_rel_err, "worst_param": direct.worst_param,
+        "n_parameters": direct.n_parameters, "per_param": direct.per_param}
+
+
+def test_grad_check_with_file_teacher(tmp_path):
+    # the check replays the dumped tokens stored under the id "gradcheck"
+    doc = dict(NANO_GRAD_CHECK, teacher={"kind": "file", "features_dir": str(tmp_path / "feats")})
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(doc))
+    for name, code in (("other", 3), ("gradcheck", 0)):
+        images = tmp_path / name
+        images.mkdir()
+        write_ppm(images / f"{name}.ppm", synthetic_image(8, 3, seed=0))
+        assert main(["dump-features", "--images", str(images), "--out", str(tmp_path / "feats"),
+                     "--downsample", "4", "--patch-side", "4", "--target-dim", "4"]) == 0
+        assert main(["grad-check", "--config", str(cfg_path)]) == code
+
+
+def test_config_flags_only_where_read(tmp_path):
+    for argv in (["diversity", "--features", "f", "--out", "o"],
+                 ["heatmap", "--features", "f.tvec", "--query", "0", "--out", "o"],
+                 ["pca", "--features", "f", "--components", "2", "--out", "o"]):
+        for flag in (["--config", str(tmp_path / "nope.json")], ["--seed", "3"]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv + flag)
+            assert exc.value.code == 2
+
+
 def test_ablate_lambda_command(tmp_path, image_dir):
     cfg = write_config(tmp_path)
     out = tmp_path / "sweep"
@@ -196,12 +244,6 @@ def test_ablate_lambda_command(tmp_path, image_dir):
 def test_ablate_lambda_single_value_exits_2(tmp_path, image_dir):
     code = main(["ablate-lambda", "--images", str(image_dir),
                  "--out", str(tmp_path / "sweep"), "--lambdas", "0.5"])
-    assert code == 2
-
-
-def test_threads_flag_validated(tmp_path, image_dir):
-    code = main(["pretrain", "--images", str(image_dir),
-                 "--out", str(tmp_path / "run"), "--threads", "0"])
     assert code == 2
 
 

@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from conftest import inline_shuffle
 from featmim.errors import ConfigError, DegenerateMaskError
-from featmim.masking import (MaskSpec, PatchMask, SplitMix64, export_mask,
-                             generate_mask, mask_ratio_actual)
-from featmim.tensor import read_tvec
+from featmim.masking import (MaskSpec, PatchMask, SplitMix64, generate_mask,
+                             mask_ratio_actual)
 
 PAPER_GEOMETRY = MaskSpec(image_side=224, patch_side=16, block_side=32, mask_ratio=0.6, seed=0)
 
@@ -128,9 +128,19 @@ def test_splitmix64_known_stream():
     assert [rng2.next_u64() for _ in range(3)] == first
 
 
-def test_export_mask_round_trip(tmp_path):
-    mask = generate_mask(MaskSpec(64, 16, 32, 0.5, seed=3))
-    p = tmp_path / "mask.tvec"
-    export_mask(mask, p)
-    grid = read_tvec(p)
-    np.testing.assert_array_equal(grid, mask.grid.astype(np.float32))
+@given(n=st.integers(1, 64), seed=st.integers(0, 2**64 - 1))
+@settings(max_examples=200, deadline=None)
+def test_permutation_matches_inline_shuffle(n, seed):
+    assert SplitMix64(seed).permutation(n) == inline_shuffle(range(n), SplitMix64(seed))
+
+
+@given(blocks_per_side=st.integers(2, 8), ratio=st.floats(0.05, 0.9),
+       seed=st.integers(0, 2**64 - 1))
+@settings(max_examples=100, deadline=None)
+def test_masked_blocks_match_inline_shuffle(blocks_per_side, ratio, seed):
+    # one patch per block, so the patch grid is the block grid (4..64 blocks)
+    spec = MaskSpec(8 * blocks_per_side, 8, 8, ratio, seed)
+    assume(spec.n_masked_blocks < spec.n_blocks)
+    expected = np.zeros(spec.n_blocks, dtype=bool)
+    expected[inline_shuffle(range(spec.n_blocks), SplitMix64(seed))[:spec.n_masked_blocks]] = True
+    np.testing.assert_array_equal(generate_mask(spec).grid.reshape(-1), expected)

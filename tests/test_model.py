@@ -69,7 +69,6 @@ def test_encode_single_visible_token():
     tokens = patch_embed(synthetic_image(32, 3, seed=1), bp)
     out = encode_visible(tokens, mask, bp)
     assert all(layer.shape == (1, 8) for layer in out.layers)
-    assert all(c.shape == (1, 8) for c in out.cls_layers)
 
 
 def test_encode_full_visible():
@@ -106,11 +105,14 @@ def test_masked_content_never_reaches_the_model():
         r, c = divmod(int(idx), 4)
         perturbed[:, r * 8:(r + 1) * 8, c * 8:(c + 1) * 8] += 7.25
 
-    out_a = forward(img, mask, BoundParams(params))
-    out_b = forward(perturbed, mask, BoundParams(params))
+    bp = BoundParams(params)
+    out_a = forward(img, mask, bp)
+    out_b = forward(perturbed, mask, bp)
     assert out_a.h.data.tobytes() == out_b.h.data.tobytes()
     assert out_a.z.data.tobytes() == out_b.z.data.tobytes()
-    assert out_a.p_visible.data.tobytes() == out_b.p_visible.data.tobytes()
+    p_a = project_global(out_a.last_visible, bp)
+    p_b = project_global(out_b.last_visible, bp)
+    assert p_a.data.tobytes() == p_b.data.tobytes()
 
 
 def test_aggregate_mean_and_sum():
@@ -192,13 +194,13 @@ def test_project_global_per_token_and_dim():
 
 
 def test_forward_shapes():
-    params = tiny_params()
+    bp = BoundParams(tiny_params())
     mask = tiny_mask(seed=7)
-    out = forward(synthetic_image(32, 3, seed=6), mask, BoundParams(params))
+    out = forward(synthetic_image(32, 3, seed=6), mask, bp)
     v = len(mask.visible_idx)
     assert out.h.shape == (v, 8)
     assert out.z.shape == (16, TINY.target_dim)
-    assert out.p_visible.shape == (v, TINY.target_dim)
+    assert project_global(out.last_visible, bp).shape == (v, TINY.target_dim)
     assert len(out.layers) == TINY.enc_depth
 
 
@@ -262,5 +264,5 @@ def test_no_cls_config_runs():
     params = init_params(cfg, 32, 3, seed=0)
     mask = tiny_mask(seed=9)
     out = forward(synthetic_image(32, 3, seed=8), mask, BoundParams(params))
-    assert out.cls_layers is None
+    assert out.last_visible.shape == (len(mask.visible_idx), 8)  # no CLS row
     assert out.z.shape == (16, 4)

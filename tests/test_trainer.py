@@ -7,10 +7,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import featmim.trainer
+from conftest import full_composition_step, inline_shuffle
 from featmim.config import RunConfig
 from featmim.errors import ConfigError
 from featmim.losses import patch_loss, total_loss
-from featmim.masking import generate_mask
+from featmim.masking import SplitMix64, generate_mask
 from featmim.model import BoundParams, forward, init_params, load_checkpoint
 from featmim.synth import synthetic_image
 from featmim.teacher import ProceduralConvTeacher
@@ -204,37 +206,47 @@ def test_train_rejects_teacher_dim_mismatch(tmp_path):
         cfg.validate()
 
 
-def test_reduction_dispatch_matches_baseline_build(tmp_path):
-    # lam = 0 and multi_block off must reproduce, byte for byte, a run whose
-    # step contains no global-loss or aggregation code at all
-    cfg = small_cfg()
-    cfg = replace(cfg, loss=replace(cfg.loss, lam=0.0),
-                  model=replace(cfg.model, multi_block=False))
-    images = small_images()
-    auto = train(cfg, images, tmp_path / "auto")  # dispatches to the reduced step
-    forced = train(cfg, images, tmp_path / "forced", step_variant="baseline")
-    assert (pathlib.Path(auto.metrics_csv).read_bytes()
-            == pathlib.Path(forced.metrics_csv).read_bytes())
-
-
-def test_full_step_at_lambda_zero_matches_baseline_losses(tmp_path):
-    # even without the dispatch, the full step at lam=0 follows the same
-    # parameter trajectory: zero-weighted global gradients are exact zeros
+def test_full_step_at_lambda_zero_matches_baseline_losses(tmp_path, monkeypatch):
+    # at lam=0 the step leaves the global branch off the tape; the full
+    # composition lp + 0 * lg follows the same parameter trajectory because
+    # zero-weighted global gradients are exact zeros. Multi-block stays on,
+    # as in the lam=0 row of a lambda sweep: only L_global differs.
     cfg = small_cfg(total_epochs=5.0)
-    cfg = replace(cfg, loss=replace(cfg.loss, lam=0.0),
-                  model=replace(cfg.model, multi_block=False))
+    cfg = replace(cfg, loss=replace(cfg.loss, lam=0.0))
     images = small_images()
-    full = train(cfg, images, tmp_path / "full", step_variant="full")
-    base = train(cfg, images, tmp_path / "base", step_variant="baseline")
+    step = train(cfg, images, tmp_path / "step")
+    monkeypatch.setattr(featmim.trainer, "step_losses", full_composition_step)
+    full = train(cfg, images, tmp_path / "full")
 
     def cols(path, *names):
         rows = list(csv.DictReader(io.StringIO(pathlib.Path(path).read_text())))
         return [[r[n] for r in rows] for n in names]
 
-    full_lp, full_lt = cols(full.metrics_csv, "L_patch", "L_total")
-    base_lp, base_lt = cols(base.metrics_csv, "L_patch", "L_total")
-    assert full_lp == base_lp
-    assert full_lt == base_lt
+    assert (cols(step.metrics_csv, "L_patch", "L_total")
+            == cols(full.metrics_csv, "L_patch", "L_total"))
+    (step_lg,), (full_lg,) = cols(step.metrics_csv, "L_global"), cols(full.metrics_csv, "L_global")
+    assert set(step_lg) == {"0.0"}
+    assert all(float(v) > 0.0 for v in full_lg)
+    assert (pathlib.Path(step.final_checkpoint).read_bytes()
+            == pathlib.Path(full.final_checkpoint).read_bytes())
+
+
+def test_epoch_order_matches_inline_shuffle(tmp_path, monkeypatch):
+    # every epoch visits the images in the order of a fresh Fisher-Yates
+    # shuffle drawn from the train-seed stream
+    seen = []
+    real_get = FeatureCache.get
+
+    def recording_get(self, image_id, image):
+        seen.append(image_id)
+        return real_get(self, image_id, image)
+
+    monkeypatch.setattr(FeatureCache, "get", recording_get)
+    images = small_images(5)
+    train(small_cfg(batch_size=1, total_epochs=3.0, seed=7), images, tmp_path)
+    ids = [image_id for image_id, _ in images]
+    stream = SplitMix64(7 ^ featmim.trainer._SHUFFLE_STREAM_TAG)
+    assert seen == [i for _ in range(3) for i in inline_shuffle(ids, stream)]
 
 
 def test_ablate_lambda_sweep(tmp_path):
