@@ -64,19 +64,30 @@ def cmd_pretrain(args):
     return 0
 
 
+# dump-features teacher flags and their values when not given. With
+# --config the config's teacher section decides, and giving one is an error.
+TEACHER_FLAG_DEFAULTS = {"teacher": "procedural", "seed": 0, "downsample": 8,
+                         "target_dim": 16, "patch_side": 8, "l2_normalize": False}
+
+
 def cmd_dump_features(args):
+    given = {k: getattr(args, k) for k in TEACHER_FLAG_DEFAULTS if getattr(args, k) is not None}
     if args.config:
+        if given:
+            flags = ", ".join("--" + k.replace("_", "-") for k in given)
+            raise ConfigError(f"{flags} cannot be combined with --config, "
+                              "whose teacher section sets the teacher")
         cfg = _resolved_config(args)
         spec, patch_side = cfg.teacher, cfg.model.patch_side
         norm = (cfg.data.norm_mean, cfg.data.norm_std)
     else:
-        kind = "procedural-conv" if args.teacher == "procedural" else args.teacher
-        spec = TeacherSpec(kind=kind, downsample_rate=args.downsample,
-                           target_dim=args.target_dim,
-                           seed=args.seed if args.seed is not None else 0,
-                           l2_normalize=args.l2_normalize)
+        f = {**TEACHER_FLAG_DEFAULTS, **given}
+        kind = "procedural-conv" if f["teacher"] == "procedural" else f["teacher"]
+        spec = TeacherSpec(kind=kind, downsample_rate=f["downsample"],
+                           target_dim=f["target_dim"], seed=f["seed"],
+                           l2_normalize=f["l2_normalize"])
         spec.validate()
-        patch_side, norm = args.patch_side, (0.5, 0.5)
+        patch_side, norm = f["patch_side"], (0.5, 0.5)
     images = load_images(args.images, *norm)
     if not images:
         raise DataError(f"no .pgm/.ppm images found in {args.images}")
@@ -168,15 +179,16 @@ def build_parser():
     p.set_defaults(func=cmd_pretrain)
 
     p = sub.add_parser("dump-features", help="extract teacher features to files")
-    _config_flags(p)
+    p.add_argument("--config", help="run configuration JSON; replaces the teacher flags below")
     p.add_argument("--images", required=True)
     p.add_argument("--out", required=True, help="feature directory")
     p.add_argument("--teacher", choices=["procedural", "procedural-conv"],
-                   default="procedural")
-    p.add_argument("--target-dim", type=int, default=16)
-    p.add_argument("--downsample", type=int, default=8)
-    p.add_argument("--patch-side", type=int, default=8)
-    p.add_argument("--l2-normalize", action="store_true")
+                   help="default procedural")
+    p.add_argument("--seed", type=int, help="teacher seed, default 0")
+    p.add_argument("--target-dim", type=int, help="default 16")
+    p.add_argument("--downsample", type=int, help="default 8")
+    p.add_argument("--patch-side", type=int, help="default 8")
+    p.add_argument("--l2-normalize", action="store_true", default=None)
     p.set_defaults(func=cmd_dump_features)
 
     p = sub.add_parser("diversity", help="token-diversity report for a feature dump")

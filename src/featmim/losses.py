@@ -8,8 +8,6 @@ invariant to shifting both sides by the same constant.
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import tensor as tn
 from .errors import ConfigError, DegenerateMaskError, ShapeError
 from .tensor import Tensor
@@ -30,20 +28,6 @@ class LossConfig:
             raise ConfigError(f"unknown channel_reduce {self.channel_reduce!r}")
 
 
-def smooth_l1(x, beta):
-    """Elementwise 0.5*x^2/beta for |x| < beta, |x| - 0.5*beta otherwise.
-
-    Continuous and C1 at |x| = beta.
-    """
-    if beta <= 0:
-        raise ConfigError("smooth-L1 beta must be positive")
-    x = x if isinstance(x, Tensor) else Tensor(x)
-    inside = np.abs(x.data) < beta
-    quad = tn.mul(tn.square(x), 0.5 / beta)
-    lin = tn.sub(tn.absolute(x), 0.5 * beta)
-    return tn.where(inside, quad, lin)
-
-
 def _reduce_rows(elem, n_rows, channel_reduce):
     # mean over rows always; channels reduced per config
     if channel_reduce == "mean":
@@ -61,7 +45,7 @@ def patch_loss(z, teacher, mask, beta, channel_reduce="mean"):
             f"{(teacher.n_tokens, teacher.dim)}")
     z_m = tn.gather_rows(z, mask.masked_idx)
     y_m = Tensor(teacher.tokens[mask.masked_idx])
-    elem = smooth_l1(tn.sub(y_m, z_m), beta)
+    elem = tn.smooth_l1(tn.sub(y_m, z_m), beta)
     return _reduce_rows(elem, len(mask.masked_idx), channel_reduce)
 
 
@@ -77,7 +61,7 @@ def global_loss(p_h, teacher, mask, beta, channel_reduce="mean"):
         raise ShapeError(f"projection dim {p_h.shape[1]} != teacher dim {teacher.dim}")
     student_mean = p_h.mean(axis=0)
     teacher_mean = Tensor(teacher.tokens.mean(axis=0))
-    elem = smooth_l1(tn.sub(teacher_mean, student_mean), beta)
+    elem = tn.smooth_l1(tn.sub(teacher_mean, student_mean), beta)
     return elem.mean() if channel_reduce == "mean" else elem.sum()
 
 

@@ -1,8 +1,11 @@
 """The student network.
 
 Asymmetric design: the encoder runs only on visible patch tokens (plus an
-optional CLS token), the decoder rebuilds the full patch grid by inserting a
-learnable mask token at masked slots and regresses teacher features. Encoder
+optional CLS token), the decoder rebuilds the full patch grid and regresses
+teacher features. It places tokens with one gather over [visible tokens;
+mask token] by a restore index, so every masked slot reads the learnable
+mask token (MAE's ids_restore unshuffle). Attention is the single fused
+tape op tensor.attention between the q/k/v and output projections. Encoder
 block outputs can be aggregated (mean or literal sum) before decoding; a
 2-layer MLP head projects last-layer visible tokens to the teacher dimension
 for the global loss.
@@ -202,20 +205,10 @@ def patch_embed(image, bp: BoundParams):
 
 
 def _attention(x, bp, prefix, heads):
-    t, d = x.shape
-    dh = d // heads
     q = tn.add(tn.matmul(x, bp[f"{prefix}_q_w"]), bp[f"{prefix}_q_b"])
     k = tn.add(tn.matmul(x, bp[f"{prefix}_k_w"]), bp[f"{prefix}_k_b"])
     v = tn.add(tn.matmul(x, bp[f"{prefix}_v_w"]), bp[f"{prefix}_v_b"])
-
-    def heads_first(a):
-        return tn.transpose(tn.reshape(a, (t, heads, dh)), (1, 0, 2))
-
-    q, k, v = heads_first(q), heads_first(k), heads_first(v)
-    att = tn.mul(tn.matmul(q, tn.transpose(k, (0, 2, 1))), 1.0 / np.sqrt(dh))
-    att = tn.softmax(att, axis=-1)
-    y = tn.matmul(att, v)  # [heads, T, dh]
-    y = tn.reshape(tn.transpose(y, (1, 0, 2)), (t, d))
+    y = tn.attention(q, k, v, heads)
     return tn.add(tn.matmul(y, bp[f"{prefix}_attn_out_w"]), bp[f"{prefix}_attn_out_b"])
 
 
@@ -267,15 +260,13 @@ def aggregate_multi_block(output: StudentOutput, config: ModelConfig):
 def decode(h_visible, mask, bp: BoundParams):
     """Rebuild the full grid with mask tokens and predict teacher features."""
     cfg = bp.config
-    n = bp.meta.n_patches
-    dtype = bp.meta.weights["mask_token"].dtype
+    n_vis = len(mask.visible_idx)
     vis = tn.add(tn.matmul(h_visible, bp["enc2dec_w"]), bp["enc2dec_b"])
-    placed = tn.scatter_rows(vis, mask.visible_idx, n)
-    if len(mask.masked_idx):
-        mask_rows = tn.add(tn.zeros((len(mask.masked_idx), cfg.dec_width), dtype=dtype),
-                           bp["mask_token"])
-        placed = tn.add(placed, tn.scatter_rows(mask_rows, mask.masked_idx, n))
-    x = tn.add(placed, bp.dec_pos)
+    rows = tn.concat([vis, tn.reshape(bp["mask_token"], (1, cfg.dec_width))], axis=0)
+    # grid position -> row of [visible tokens; mask token]
+    restore_idx = np.full(bp.meta.n_patches, n_vis, dtype=np.int64)
+    restore_idx[mask.visible_idx] = np.arange(n_vis)
+    x = tn.add(tn.gather_rows(rows, restore_idx), bp.dec_pos)
     for layer in range(cfg.dec_depth):
         x = _transformer_block(x, bp, f"dec{layer}", cfg.dec_heads)
     return tn.add(tn.matmul(x, bp["dec_pred_w"]), bp["dec_pred_b"])
@@ -338,7 +329,11 @@ def load_checkpoint(path):
         raise DataError(f"cannot read checkpoint {path}: {e}") from None
     if blob[:4] != CHECKPOINT_MAGIC:
         raise DataError(f"{path}: not a featmim checkpoint")
-    (hlen,) = struct.unpack("<I", blob[4:8])
+    if len(blob) < 8:
+        raise DataError(f"{path}: truncated before the header length")
+    (hlen,) = struct.unpack_from("<I", blob, 4)
+    if 8 + hlen > len(blob):
+        raise DataError(f"{path}: header length {hlen} runs past the end of the file")
     try:
         header = json.loads(blob[8:8 + hlen])
         config = ModelConfig(**header["config"])
@@ -348,9 +343,17 @@ def load_checkpoint(path):
     off = 8 + hlen
     weights = {}
     while off < len(blob):
-        (nlen,) = struct.unpack("<I", blob[off:off + 4])
-        name = blob[off + 4:off + 4 + nlen].decode()
-        arr, off = tvec_from_bytes(blob, label=f"{path}:{name}", offset=off + 4 + nlen)
+        if off + 4 > len(blob):
+            raise DataError(f"{path}: truncated parameter name length at byte {off}")
+        (nlen,) = struct.unpack_from("<I", blob, off)
+        end = off + 4 + nlen
+        if end > len(blob):
+            raise DataError(f"{path}: truncated parameter name at byte {off}")
+        try:
+            name = blob[off + 4:end].decode()
+        except UnicodeDecodeError:
+            raise DataError(f"{path}: parameter name at byte {off} is not UTF-8") from None
+        arr, off = tvec_from_bytes(blob, label=f"{path}:{name}", offset=end)
         weights[name] = arr
     grid = int(round(np.sqrt(n_patches)))
     reference = init_params(config, grid * config.patch_side, in_channels, seed=0)

@@ -178,15 +178,26 @@ class FileTeacher:
         manifest_path = os.path.join(features_dir, "manifest.json")
         try:
             with open(manifest_path) as f:
-                self._manifest = json.load(f)
+                manifest = json.load(f)
         except OSError as e:
             raise DataError(f"cannot read feature manifest: {e}") from None
-        self._grid_by_id = {e["id"]: e["grid_side"] for e in self._manifest["entries"]}
-        self.target_dim = self._manifest["target_dim"]
-
-    @property
-    def ids(self):
-        return [e["id"] for e in self._manifest["entries"]]
+        except ValueError as e:
+            raise DataError(f"{manifest_path}: not JSON: {e}") from None
+        try:
+            self.target_dim = manifest["target_dim"]
+            entries = [(e["id"], e["grid_side"]) for e in manifest["entries"]]
+        except (KeyError, TypeError) as e:
+            raise DataError(f"{manifest_path}: malformed manifest: {e!r}") from None
+        for image_id, grid in entries:
+            # ids name files inside features_dir and nothing outside it
+            if (not isinstance(image_id, str) or image_id in ("", ".", "..")
+                    or os.path.basename(image_id) != image_id):
+                raise DataError(f"{manifest_path}: feature id {image_id!r} is not a plain file name")
+            if not isinstance(grid, int) or grid < 1:
+                raise DataError(f"{manifest_path}: grid_side {grid!r} of {image_id!r} "
+                                "is not a positive integer")
+        self.ids = [image_id for image_id, _ in entries]
+        self._grid_by_id = dict(entries)
 
     def features(self, image, source_id):
         if source_id not in self._grid_by_id:

@@ -5,6 +5,11 @@ rebuilt every step (define-by-run). Tensors created outside a tape carry no
 node and behave as constants. float32 is the training dtype; every op is
 dtype-preserving, so the same graph runs in float64 for gradient checks.
 
+The op vocabulary is what the student and its losses use: elementwise add,
+sub, mul, relu, gelu; 2-d matmul, reshape, concat, gather_rows, sum, mean;
+and the fused layer_norm, attention and smooth_l1, each one tape node with
+an analytic backward.
+
 Single-threaded: one tape must not be shared across threads during a step.
 """
 
@@ -12,7 +17,7 @@ import struct
 
 import numpy as np
 
-from .errors import DataError, NumericError, ShapeError
+from .errors import ConfigError, DataError, NumericError, ShapeError
 
 GELU_C = float(np.sqrt(2.0 / np.pi))
 GELU_A = 0.044715
@@ -49,40 +54,9 @@ class Tensor:
     def ndim(self):
         return self.data.ndim
 
-    def item(self):
-        return self.data.item()
-
     def __repr__(self):
         tag = "taped" if self.node is not None else "const"
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}, {tag})"
-
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def reshape(self, shape):
-        return reshape(self, shape)
-
-    def transpose(self, axes=None):
-        return transpose(self, axes)
 
     def sum(self, axis=None, keepdims=False):
         return tsum(self, axis, keepdims)
@@ -115,10 +89,6 @@ class Tape:
         t = Tensor(np.asarray(data), Node(self, self._new_idx()))
         self._params[name] = t
         return t
-
-    @property
-    def parameters(self):
-        return dict(self._params)
 
 
 def backward(tape, loss):
@@ -194,10 +164,6 @@ def _unbroadcast(g, shape):
     return g.reshape(shape)
 
 
-def zeros(shape, dtype=np.float32):
-    return Tensor(np.zeros(shape, dtype=dtype))
-
-
 # --- elementwise and broadcast ops ---
 
 
@@ -231,30 +197,6 @@ def mul(a, b):
     ])
 
 
-def neg(a):
-    return _emit(-a.data, [(a, lambda g: -g)])
-
-
-def square(a):
-    return _emit(a.data * a.data, [(a, lambda g: 2.0 * a.data * g)])
-
-
-def absolute(a):
-    return _emit(np.abs(a.data), [(a, lambda g: np.sign(a.data) * g)])
-
-
-def where(cond, a, b):
-    """Select elementwise by a constant boolean array (no gradient via cond)."""
-    cond = np.asarray(cond, dtype=bool)
-    a = _as_tensor(a, like=b if isinstance(b, Tensor) else None)
-    b = _as_tensor(b, like=a)
-    out = np.where(cond, a.data, b.data)
-    return _emit(out, [
-        (a, lambda g: _unbroadcast(np.where(cond, g, 0.0), a.data.shape)),
-        (b, lambda g: _unbroadcast(np.where(cond, 0.0, g), b.data.shape)),
-    ])
-
-
 def relu(a):
     mask = a.data > 0
     return _emit(np.where(mask, a.data, 0.0), [(a, lambda g: np.where(mask, g, 0.0))])
@@ -279,27 +221,14 @@ def gelu(a):
 
 def matmul(a, b):
     a, b = _as_tensor(a), _as_tensor(b)
-    if a.ndim not in (2, 3) or a.ndim != b.ndim:
-        raise ShapeError(f"matmul needs matching 2-d or 3-d operands, got {a.shape} @ {b.shape}")
-    if a.data.shape[-1] != b.data.shape[-2]:
+    if a.ndim != 2 or b.ndim != 2:
+        raise ShapeError(f"matmul needs 2-d operands, got {a.shape} @ {b.shape}")
+    if a.data.shape[1] != b.data.shape[0]:
         raise ShapeError(f"matmul inner extents disagree: {a.shape} @ {b.shape}")
-    if a.ndim == 3 and a.data.shape[0] != b.data.shape[0]:
-        raise ShapeError(f"matmul batch extents disagree: {a.shape} @ {b.shape}")
-    out = a.data @ b.data
-
-    def swap(x):
-        return np.swapaxes(x, -1, -2)
-
-    return _emit(out, [
-        (a, lambda g: g @ swap(b.data)),
-        (b, lambda g: swap(a.data) @ g),
+    return _emit(a.data @ b.data, [
+        (a, lambda g: g @ b.data.T),
+        (b, lambda g: a.data.T @ g),
     ])
-
-
-def transpose(a, axes=None):
-    ax = tuple(range(a.ndim))[::-1] if axes is None else tuple(axes)
-    inv = tuple(np.argsort(ax))
-    return _emit(np.transpose(a.data, ax), [(a, lambda g: np.transpose(g, inv))])
 
 
 def reshape(a, shape):
@@ -337,19 +266,6 @@ def gather_rows(a, idx):
     return _emit(a.data[idx], [(a, fn)])
 
 
-def scatter_rows(src, idx, n_rows):
-    """Place rows of `src` at positions `idx` of a zero [n_rows, ...] tensor.
-
-    idx must be unique; duplicate targets are a contract violation.
-    """
-    idx = np.asarray(idx, dtype=np.int64)
-    if len(np.unique(idx)) != len(idx):
-        raise ShapeError("scatter_rows requires unique row indices")
-    out = np.zeros((n_rows,) + src.data.shape[1:], dtype=src.data.dtype)
-    out[idx] = src.data
-    return _emit(out, [(src, lambda g: g[idx])])
-
-
 def tsum(a, axis=None, keepdims=False):
     out = a.data.sum(axis=axis, keepdims=keepdims)
 
@@ -374,22 +290,73 @@ def tmean(a, axis=None, keepdims=False):
     return mul(s, 1.0 / count)
 
 
-# --- normalisation and activation with fused backward ---
+# --- fused ops with analytic backward ---
 
 
-def softmax(a, axis=-1):
-    """Numerically stable softmax (max-subtraction). Rows sum to 1."""
-    x = a.data
-    if not np.isfinite(x).all():
-        raise NumericError("softmax input contains non-finite values")
-    shifted = x - x.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    y = e / e.sum(axis=axis, keepdims=True)
+def attention(q, k, v, heads):
+    """Multi-head scaled dot-product attention over [T, d] q, k and v.
 
-    def fn(g):
-        return (g - (g * y).sum(axis=axis, keepdims=True)) * y
+    d splits into `heads` heads of dh = d // heads channels. Each head takes
+    the max-shifted softmax P of q k^T / sqrt(dh) over keys and returns P v;
+    the heads are concatenated back to [T, d]. Backward uses the analytic
+    softmax gradient dS = P * (dP - rowsum(dP * P)) and keeps only P.
+    """
+    q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
+    if q.ndim != 2 or k.shape != q.shape or v.shape != q.shape:
+        raise ShapeError(f"attention needs equal [T, d] q, k, v, got {q.shape}, {k.shape}, {v.shape}")
+    t, d = q.shape
+    if heads < 1 or d % heads:
+        raise ShapeError(f"attention width {d} does not split into {heads} heads")
+    dh = d // heads
+    scale = q.dtype.type(1.0 / np.sqrt(dh))
 
-    return _emit(y, [(a, fn)])
+    def split(x):  # [T, d] -> [heads, T, dh]
+        return x.reshape(t, heads, dh).transpose(1, 0, 2)
+
+    def merge(x):  # [heads, T, dh] -> [T, d]
+        return x.transpose(1, 0, 2).reshape(t, d)
+
+    qh, kh, vh = split(q.data), split(k.data), split(v.data)
+    s = (qh @ kh.transpose(0, 2, 1)) * scale
+    if not np.isfinite(s).all():
+        raise NumericError("attention scores contain non-finite values")
+    e = np.exp(s - s.max(axis=-1, keepdims=True))
+    p = e / e.sum(axis=-1, keepdims=True)
+    cache = {}  # input gradients of one backward pass, each popped by its grad fn
+
+    def grad_of(name):
+        def fn(g):
+            if not cache:
+                gh = split(g)
+                gp = gh @ vh.transpose(0, 2, 1)
+                gs = (gp - (gp * p).sum(axis=-1, keepdims=True)) * p * scale
+                # dK as (q^T dS)^T: dS^T q rounds differently in float32
+                # and would change the bytes of trained checkpoints
+                grads = (merge(gs @ kh),
+                         merge((qh.transpose(0, 2, 1) @ gs).transpose(0, 2, 1)),
+                         merge(p.transpose(0, 2, 1) @ gh))
+                cache.update((n, gx) for n, x, gx in zip("qkv", (q, k, v), grads)
+                             if x.node is not None)
+            return cache.pop(name)
+
+        return fn
+
+    return _emit(merge(p @ vh), [(q, grad_of("q")), (k, grad_of("k")), (v, grad_of("v"))])
+
+
+def smooth_l1(x, beta):
+    """Elementwise 0.5*x^2/beta for |x| < beta, |x| - 0.5*beta otherwise.
+
+    Continuous and C1 at |x| = beta.
+    """
+    if beta <= 0:
+        raise ConfigError("smooth-L1 beta must be positive")
+    x = _as_tensor(x)
+    a = x.data
+    inside = np.abs(a) < beta
+    c = 0.5 / beta
+    out = np.where(inside, a * a * c, np.abs(a) - 0.5 * beta)
+    return _emit(out, [(x, lambda g: np.where(inside, 2.0 * a * (g * c), np.sign(a) * g))])
 
 
 def layer_norm(x, gain, bias, eps=1e-6):

@@ -17,13 +17,13 @@ from featmim.config import RunConfig
 from featmim.diversity import corpus_diversity
 from featmim.gradcheck import grad_check, tiny_run_config
 from featmim.imageio import write_ppm
-from featmim.losses import global_loss, patch_loss, smooth_l1
+from featmim.losses import global_loss, patch_loss
 from featmim.masking import MaskSpec, generate_mask, mask_ratio_actual
 from featmim.model import BoundParams, forward, init_params, load_checkpoint
 from featmim.synth import synthetic_image
 from featmim.teacher import (ProceduralConvTeacher, TeacherFeatures,
                              dump_features, load_feature_dir)
-from featmim.tensor import Tensor
+from featmim.tensor import Tensor, smooth_l1
 from featmim.trainer import TrainConfig, lr_at, scaled_lr, train
 
 from conftest import plain_regression_step

@@ -130,6 +130,55 @@ def test_dump_features_deterministic(tmp_path, image_dir):
     assert blobs[0] == blobs[1]
 
 
+@pytest.mark.parametrize("flag", [["--seed", "3"], ["--teacher", "procedural"],
+                                  ["--downsample", "32"], ["--target-dim", "8"],
+                                  ["--patch-side", "4"], ["--l2-normalize"]],
+                         ids=lambda f: f[0])
+def test_dump_features_teacher_flag_with_config_exits_2(tmp_path, image_dir, capsys, flag):
+    cfg = write_config(tmp_path)
+    feats = tmp_path / "feats"
+    code = main(["dump-features", "--config", str(cfg), "--images", str(image_dir),
+                 "--out", str(feats)] + flag)
+    assert code == 2
+    assert flag[0] in capsys.readouterr().err
+    assert not feats.exists()
+
+
+def test_dump_features_config_alone(tmp_path, image_dir):
+    feats = tmp_path / "feats"
+    assert main(["dump-features", "--config", str(write_config(tmp_path)),
+                 "--images", str(image_dir), "--out", str(feats)]) == 0
+    assert len(json.loads((feats / "manifest.json").read_text())["entries"]) == 4
+
+
+GOOD_ENTRY = {"id": "a", "grid_side": 2}
+
+
+@pytest.mark.parametrize("manifest", [
+    "{not json",
+    "[]",
+    json.dumps({"entries": [GOOD_ENTRY]}),
+    json.dumps({"target_dim": 4}),
+    json.dumps({"target_dim": 4, "entries": [{"grid_side": 2}]}),
+    json.dumps({"target_dim": 4, "entries": [{"id": "a"}]}),
+    json.dumps({"target_dim": 4, "entries": [{"id": "../c", "grid_side": 2}]}),
+    json.dumps({"target_dim": 4, "entries": [{"id": "a/b", "grid_side": 2}]}),
+    json.dumps({"target_dim": 4, "entries": [{"id": "TMP/c", "grid_side": 2}]}),
+    json.dumps({"target_dim": 4, "entries": [{"id": "a", "grid_side": "2"}]}),
+], ids=["not_json", "not_object", "no_target_dim", "no_entries", "entry_no_id",
+        "entry_no_grid_side", "id_parent", "id_subdir", "id_absolute", "grid_side_string"])
+def test_malformed_feature_manifest_exits_3(tmp_path, manifest):
+    # every file a bad id could name exists, so only the id check can refuse it
+    feats = tmp_path / "feats"
+    (feats / "a").mkdir(parents=True)
+    (feats / "manifest.json").write_text(manifest.replace("TMP", str(tmp_path)))
+    for path in (feats / "a.tvec", feats / "a" / "b.tvec", tmp_path / "c.tvec"):
+        write_tvec(path, np.ones((4, 4), dtype=np.float32))
+    assert main(["diversity", "--features", str(feats), "--out", str(tmp_path / "r.json")]) == 3
+    assert main(["pca", "--features", str(feats), "--components", "2",
+                 "--out", str(tmp_path / "p.tvec")]) == 3
+
+
 def test_heatmap_command(tmp_path, image_dir):
     feats = tmp_path / "feats"
     assert main(["dump-features", "--images", str(image_dir), "--out", str(feats)]) == 0

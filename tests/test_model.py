@@ -1,14 +1,16 @@
+import struct
+
 import numpy as np
 import pytest
 
-from featmim.errors import ConfigError, DegenerateMaskError
+from featmim.errors import ConfigError, DataError, DegenerateMaskError
 from featmim.masking import MaskSpec, PatchMask, generate_mask
 from featmim.model import (BoundParams, ModelConfig, aggregate_multi_block,
                            decode, encode_visible, forward, init_params,
                            load_checkpoint, patch_embed, patchify,
                            project_global, save_checkpoint, sincos_pos_embed)
 from featmim.synth import synthetic_image
-from featmim.tensor import Tensor
+from featmim.tensor import Tensor, tvec_bytes
 
 TINY = ModelConfig(patch_side=8, embed_dim=8, enc_depth=2, enc_heads=2,
                    dec_depth=1, dec_width=8, dec_heads=2, target_dim=6,
@@ -250,11 +252,39 @@ def test_checkpoint_round_trip_bitwise(tmp_path):
 
 
 def test_checkpoint_rejects_garbage(tmp_path):
-    from featmim.errors import DataError
     p = tmp_path / "bad.bin"
     p.write_bytes(b"JUNKJUNKJUNK")
     with pytest.raises(DataError):
         load_checkpoint(p)
+
+
+def _checkpoint_with(valid, case):
+    """Checkpoint bytes corrupted in one way, built from valid bytes."""
+    (hlen,) = struct.unpack_from("<I", valid, 4)
+    header = valid[:8 + hlen]
+    return {
+        "shorter_than_8_bytes": valid[:6],
+        "header_past_end": valid[:4] + struct.pack("<I", hlen + 10) + valid[8:8 + hlen],
+        "truncated_name_length": header + b"\x05\x00",
+        "truncated_name": header + struct.pack("<I", 10) + b"enc",
+        "name_not_utf8": header + struct.pack("<I", 2) + b"\xff\xfe" + tvec_bytes(np.zeros(1)),
+    }[case]
+
+
+@pytest.mark.parametrize("case,message", [
+    ("shorter_than_8_bytes", "truncated before the header length"),
+    ("header_past_end", "runs past the end"),
+    ("truncated_name_length", "truncated parameter name length"),
+    ("truncated_name", "truncated parameter name at"),
+    ("name_not_utf8", "not UTF-8"),
+])
+def test_checkpoint_rejects_malformed_layout(tmp_path, case, message):
+    good = tmp_path / "good.bin"
+    save_checkpoint(good, tiny_params())
+    bad = tmp_path / "bad.bin"
+    bad.write_bytes(_checkpoint_with(good.read_bytes(), case))
+    with pytest.raises(DataError, match=message):
+        load_checkpoint(bad)
 
 
 def test_no_cls_config_runs():

@@ -45,23 +45,93 @@ def test_matmul_grad_matches_finite_differences():
     assert rel_err(grads["a"], fd_grad(loss_a, a0)) < 1e-4
 
 
-def test_softmax_symmetry_and_saturation():
-    y = tn.softmax(Tensor(np.zeros(3))).data
-    np.testing.assert_allclose(y, np.full(3, 1 / 3), atol=1e-12)
-    y = tn.softmax(Tensor(np.array([1000.0, 0.0, 0.0]))).data
-    np.testing.assert_allclose(y, [1.0, 0.0, 0.0], atol=1e-6)
+def attention_reference(q, k, v, heads):
+    """Per-head loops over plain numpy: softmax(q k^T / sqrt(dh)) v."""
+    t, d = q.shape
+    dh = d // heads
+    out = np.zeros_like(q)
+    for h in range(heads):
+        cols = slice(h * dh, (h + 1) * dh)
+        for i in range(t):
+            scores = np.array([q[i, cols] @ k[j, cols] for j in range(t)]) / np.sqrt(dh)
+            w = np.exp(scores - scores.max())
+            w /= w.sum()
+            out[i, cols] = sum(w[j] * v[j, cols] for j in range(t))
+    return out
 
 
-def test_softmax_rows_sum_to_one():
+def smooth_l1_reference(x, beta):
+    return np.array([0.5 * u * u / beta if abs(u) < beta else abs(u) - 0.5 * beta
+                     for u in np.ravel(x)]).reshape(np.shape(x))
+
+
+@pytest.mark.parametrize("heads", [1, 2])
+def test_attention_matches_numpy_reference(heads):
+    rng = np.random.default_rng(heads)
+    q, k, v = (rng.normal(size=(5, 4)) for _ in range(3))
+    out = tn.attention(Tensor(q), Tensor(k), Tensor(v), heads).data
+    np.testing.assert_allclose(out, attention_reference(q, k, v, heads), rtol=0, atol=1e-12)
+
+
+def test_smooth_l1_matches_numpy_reference():
+    rng = np.random.default_rng(4)
+    for beta in (0.5, 1.0, 2.0):
+        x = rng.normal(size=(6, 3)) * 2
+        np.testing.assert_allclose(tn.smooth_l1(Tensor(x), beta).data,
+                                   smooth_l1_reference(x, beta), rtol=0, atol=1e-12)
+
+
+def test_attention_uniform_and_saturated_weights():
+    v = np.arange(6.0).reshape(3, 2)
+    # equal scores weigh every value row alike
+    out = tn.attention(Tensor(np.zeros((3, 2))), Tensor(np.ones((3, 2))), Tensor(v), 1).data
+    np.testing.assert_allclose(out, np.tile(v.mean(axis=0), (3, 1)), atol=1e-12)
+    # one dominant key takes all the weight despite the huge score
+    k = np.array([[1000.0, 0.0], [0.0, 0.0], [0.0, 0.0]])
+    out = tn.attention(Tensor(np.full((3, 2), 1.0)), Tensor(k), Tensor(v), 1).data
+    np.testing.assert_allclose(out, np.tile(v[0], (3, 1)), atol=1e-6)
+
+
+def test_attention_weights_sum_to_one():
     rng = np.random.default_rng(1)
-    x = rng.normal(size=(5, 7))
-    y = tn.softmax(Tensor(x), axis=-1).data
-    np.testing.assert_allclose(y.sum(axis=-1), np.ones(5), atol=1e-6)
+    q, k = rng.normal(size=(5, 4)), rng.normal(size=(5, 4))
+    out = tn.attention(Tensor(q), Tensor(k), Tensor(np.ones((5, 4))), 2).data
+    np.testing.assert_allclose(out, np.ones((5, 4)), atol=1e-6)
 
 
-def test_softmax_rejects_non_finite():
+def test_attention_rejects_non_finite():
+    q = np.ones((2, 2))
+    q[0, 1] = np.nan
     with pytest.raises(NumericError):
-        tn.softmax(Tensor(np.array([1.0, np.nan])))
+        tn.attention(Tensor(q), Tensor(np.ones((2, 2))), Tensor(np.ones((2, 2))), 1)
+
+
+def test_attention_rejects_bad_shapes():
+    x = Tensor(np.ones((3, 4)))
+    with pytest.raises(ShapeError):
+        tn.attention(x, x, x, 3)
+    with pytest.raises(ShapeError):
+        tn.attention(x, Tensor(np.ones((2, 4))), x, 2)
+
+
+def test_fused_ops_record_one_node():
+    tape = Tape()
+    x = taped(tape, "x", np.ones((3, 4)))
+    tn.attention(x, x, x, 2)
+    tn.smooth_l1(x, 1.0)
+    assert len(tape._ops) == 2
+
+
+def test_attention_backward_leaves_no_cached_gradients():
+    # each grad fn takes its own input's gradient out of the shared cache,
+    # so nothing is left after backward; v is a constant here
+    tape = Tape()
+    x = taped(tape, "x", np.random.default_rng(5).normal(size=(3, 4)))
+    backward(tape, tn.attention(x, x, Tensor(np.ones((3, 4))), 2).sum())
+    (_, inputs), = [op for op in tape._ops if len(op[1]) == 2]
+    caches = [c.cell_contents for _, fn in inputs for c in fn.__closure__
+              if isinstance(c.cell_contents, dict)]
+    assert caches and all(c == {} for c in caches)
 
 
 def test_layer_norm_constant_row():
@@ -85,7 +155,7 @@ def test_backward_sum_gives_ones():
 def test_backward_sum_of_squares():
     tape = Tape()
     w = taped(tape, "w", [1.0, 2.0])
-    grads = backward(tape, tn.square(w).sum())
+    grads = backward(tape, tn.mul(w, w).sum())
     np.testing.assert_allclose(grads["w"], [2.0, 4.0])
 
 
@@ -93,7 +163,7 @@ def test_backward_rejects_non_scalar_loss():
     tape = Tape()
     w = taped(tape, "w", [1.0, 2.0])
     with pytest.raises(ShapeError):
-        backward(tape, tn.square(w))
+        backward(tape, tn.mul(w, w))
 
 
 def test_backward_unused_parameter_gets_zeros():
@@ -115,8 +185,8 @@ def test_gradient_accumulation_matches_separate_passes():
         x = taped(tape, "x", x0)
         return backward(tape, build(x))["x"]
 
-    joint = run(lambda x: tn.add(tn.square(x).sum(), tn.gelu(x).sum()))
-    sep = run(lambda x: tn.square(x).sum()) + run(lambda x: tn.gelu(x).sum())
+    joint = run(lambda x: tn.add(tn.mul(x, x).sum(), tn.gelu(x).sum()))
+    sep = run(lambda x: tn.mul(x, x).sum()) + run(lambda x: tn.gelu(x).sum())
     np.testing.assert_allclose(joint, sep, rtol=1e-12)
 
 
@@ -134,13 +204,13 @@ def test_forward_determinism_bitwise():
 
     def run():
         t = tn.gelu(tn.matmul(Tensor(x), Tensor(w)))
-        return tn.softmax(t, axis=-1).data.tobytes()
+        return tn.attention(t, t, t, 2).data.tobytes()
 
     assert run() == run()
 
 
 # every differentiable op: analytic vs central finite differences, 100 random
-# instances each, in float64. relu/absolute are sampled away from their kink.
+# instances each, in float64. relu/smooth_l1 are sampled away from their kink.
 # each factory freezes its constants so the oracle sees a fixed function.
 
 def _normal(rng, shape=5):
@@ -150,6 +220,17 @@ def _normal(rng, shape=5):
 def _away_from_zero(rng, shape=5):
     v = rng.normal(size=shape)
     return np.sign(v) * (np.abs(v) + 0.5)
+
+
+def _away_from_kink(rng, beta, shape=6):
+    # half the entries inside |x| < beta, half outside, none within 0.2 of it
+    mag = np.concatenate([rng.uniform(0.0, 0.8, shape // 2),
+                          rng.uniform(1.2, 3.0, shape - shape // 2)]) * beta
+    return np.where(rng.integers(0, 2, shape).astype(bool), mag, -mag)
+
+
+def _sq(t):
+    return tn.mul(t, t)
 
 
 def _op_factories():
@@ -169,59 +250,46 @@ def _op_factories():
         c = _normal(rng)
         return _normal(rng), lambda x: tn.mul(x, Tensor(c)).sum()
 
-    def neg_(rng):
-        return _normal(rng), lambda x: tn.square(tn.neg(x)).sum()
-
-    def square_(rng):
-        return _normal(rng), lambda x: tn.square(x).sum()
-
-    def absolute_(rng):
-        return _away_from_zero(rng), lambda x: tn.absolute(x).sum()
-
     def relu_(rng):
         return _away_from_zero(rng), lambda x: tn.relu(x).sum()
 
     def gelu_(rng):
         return _normal(rng), lambda x: tn.gelu(x).sum()
 
-    def where_(rng):
-        cond = rng.integers(0, 2, size=5).astype(bool)
-        return _normal(rng), lambda x: tn.where(cond, tn.square(x), x).sum()
-
-    def matmul2d(rng):
+    def matmul_(rng):
         c = _normal(rng, (5, 2))
-        return _normal(rng), lambda x: tn.square(tn.matmul(tn.reshape(x, (1, 5)), Tensor(c))).sum()
-
-    def matmul3d(rng):
-        c = _normal(rng, (2, 5, 2))
-        return (_normal(rng, (2, 1, 5)),
-                lambda x: tn.square(tn.matmul(x, Tensor(c))).sum())
-
-    def transpose_(rng):
-        c = _normal(rng, (5, 2))
-        return _normal(rng, (2, 5)), lambda x: tn.mul(tn.transpose(x), Tensor(c)).sum()
+        return _normal(rng), lambda x: _sq(tn.matmul(tn.reshape(x, (1, 5)), Tensor(c))).sum()
 
     def concat_(rng):
         c = _normal(rng, (10,))
-        return _normal(rng), lambda x: tn.mul(tn.concat([x, tn.square(x)], axis=0), Tensor(c)).sum()
+        return _normal(rng), lambda x: tn.mul(tn.concat([x, _sq(x)], axis=0), Tensor(c)).sum()
 
     def gather_(rng):
-        return _normal(rng), lambda x: tn.square(tn.gather_rows(x, [0, 2, 2])).sum()
-
-    def scatter_(rng):
-        c = _normal(rng, (10, 1))
-        return (_normal(rng, (5, 1)),
-                lambda x: tn.mul(tn.scatter_rows(x, [1, 3, 5, 7, 9], 10), Tensor(c)).sum())
+        return _normal(rng), lambda x: _sq(tn.gather_rows(x, [0, 2, 2])).sum()
 
     def sum_axis(rng):
-        return _normal(rng, (3, 5)), lambda x: tn.square(x.sum(axis=0)).sum()
+        return _normal(rng, (3, 5)), lambda x: _sq(x.sum(axis=0)).sum()
 
     def mean_axis(rng):
-        return _normal(rng, (3, 5)), lambda x: tn.square(x.mean(axis=1)).sum()
+        return _normal(rng, (3, 5)), lambda x: _sq(x.mean(axis=1)).sum()
 
-    def softmax_(rng):
-        c = _normal(rng)
-        return _normal(rng), lambda x: tn.mul(tn.softmax(x), Tensor(c)).sum()
+    def attention_1head(rng):
+        # x feeds q, k and v, so all three input gradients are checked
+        ck, cv, c = _normal(rng, (3, 4)), _normal(rng, (3, 4)), _normal(rng, (3, 4))
+        return (_normal(rng, (3, 4)),
+                lambda x: tn.mul(tn.attention(x, tn.mul(x, Tensor(ck)), tn.add(x, Tensor(cv)), 1),
+                                 Tensor(c)).sum())
+
+    def attention_2heads(rng):
+        # constant q: the k and v gradients alone
+        cq, cv, c = _normal(rng, (3, 4)), _normal(rng, (3, 4)), _normal(rng, (3, 4))
+        return (_normal(rng, (3, 4)),
+                lambda x: tn.mul(tn.attention(Tensor(cq), x, tn.mul(x, Tensor(cv)), 2),
+                                 Tensor(c)).sum())
+
+    def smooth_l1_(rng):
+        beta = float(rng.choice([0.5, 2.0]))
+        return _away_from_kink(rng, beta), lambda x: tn.smooth_l1(x, beta).sum()
 
     def layer_norm_x(rng):
         c = _normal(rng)
@@ -230,9 +298,8 @@ def _op_factories():
         return (_normal(rng),
                 lambda x: tn.mul(tn.layer_norm(x, Tensor(g), Tensor(b)), Tensor(c)).sum())
 
-    fns = [add_, add_broadcast, sub_, mul_, neg_, square_, absolute_, relu_, gelu_,
-           where_, matmul2d, matmul3d, transpose_, concat_, gather_, scatter_,
-           sum_axis, mean_axis, softmax_, layer_norm_x]
+    fns = [add_, add_broadcast, sub_, mul_, relu_, gelu_, matmul_, concat_, gather_,
+           sum_axis, mean_axis, attention_1head, attention_2heads, smooth_l1_, layer_norm_x]
     return [(f.__name__.rstrip("_"), f) for f in fns]
 
 

@@ -231,6 +231,24 @@ def test_full_step_at_lambda_zero_matches_baseline_losses(tmp_path, monkeypatch)
             == pathlib.Path(full.final_checkpoint).read_bytes())
 
 
+def test_default_step_op_budget(tmp_path, monkeypatch):
+    # one default-recipe step (batch 8) records 91 tape ops per image:
+    # attention and smooth-L1 are one op each and mask tokens are placed by
+    # one gather, so an unfused path coming back raises the count
+    cfg = RunConfig()
+    cfg = replace(cfg, train=replace(cfg.train, total_epochs=1.0, warmup_epochs=0.5)).validate()
+    ops_per_step = []
+    real_backward = featmim.trainer.backward
+
+    def counting_backward(tape, loss):
+        ops_per_step.append(len(tape._ops))
+        return real_backward(tape, loss)
+
+    monkeypatch.setattr(featmim.trainer, "backward", counting_backward)
+    train(cfg, small_images(cfg.train.batch_size), tmp_path)
+    assert ops_per_step == [91 * cfg.train.batch_size]
+
+
 def test_epoch_order_matches_inline_shuffle(tmp_path, monkeypatch):
     # every epoch visits the images in the order of a fresh Fisher-Yates
     # shuffle drawn from the train-seed stream
