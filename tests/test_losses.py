@@ -61,6 +61,21 @@ def test_smooth_l1_even(x, beta):
     assert a >= 0.0
 
 
+def test_smooth_l1_gradient():
+    rng = np.random.default_rng(0)
+    for beta in (0.5, 2.0):
+        x0 = rng.normal(size=8) * 3
+        x0 = x0[np.abs(np.abs(x0) - beta) > 1e-3]  # keep FD away from the joint
+
+        def f(x):
+            return float(smooth_l1(Tensor(x), beta).sum().data)
+
+        tape = Tape()
+        x = tape.parameter("x", x0.copy())
+        grads = backward(tape, smooth_l1(x, beta).sum())
+        assert rel_err(grads["x"], fd_grad(f, x0)) < 1e-4
+
+
 def test_patch_loss_zero_when_exact():
     y = feats(np.arange(8).reshape(4, 2) + 1.0)
     mask = make_mask(4, [0, 2])

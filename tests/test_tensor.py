@@ -81,7 +81,10 @@ def test_smooth_l1_matches_numpy_reference():
                                    smooth_l1_reference(x, beta), rtol=0, atol=1e-12)
 
 
-def test_attention_uniform_and_saturated_weights():
+# the softmax over keys inside attention: symmetric on equal scores, saturating
+# without overflow, rows summing to one, non-finite scores rejected
+
+def test_softmax_symmetry_and_saturation():
     v = np.arange(6.0).reshape(3, 2)
     # equal scores weigh every value row alike
     out = tn.attention(Tensor(np.zeros((3, 2))), Tensor(np.ones((3, 2))), Tensor(v), 1).data
@@ -92,14 +95,14 @@ def test_attention_uniform_and_saturated_weights():
     np.testing.assert_allclose(out, np.tile(v[0], (3, 1)), atol=1e-6)
 
 
-def test_attention_weights_sum_to_one():
+def test_softmax_rows_sum_to_one():
     rng = np.random.default_rng(1)
     q, k = rng.normal(size=(5, 4)), rng.normal(size=(5, 4))
     out = tn.attention(Tensor(q), Tensor(k), Tensor(np.ones((5, 4))), 2).data
     np.testing.assert_allclose(out, np.ones((5, 4)), atol=1e-6)
 
 
-def test_attention_rejects_non_finite():
+def test_softmax_rejects_non_finite():
     q = np.ones((2, 2))
     q[0, 1] = np.nan
     with pytest.raises(NumericError):
@@ -256,7 +259,11 @@ def _op_factories():
     def gelu_(rng):
         return _normal(rng), lambda x: tn.gelu(x).sum()
 
-    def matmul_(rng):
+    def square_(rng):
+        # one tensor in both operand slots: the gradient accumulates from each
+        return _normal(rng), lambda x: tn.mul(x, x).sum()
+
+    def matmul2d(rng):
         c = _normal(rng, (5, 2))
         return _normal(rng), lambda x: _sq(tn.matmul(tn.reshape(x, (1, 5)), Tensor(c))).sum()
 
@@ -267,11 +274,27 @@ def _op_factories():
     def gather_(rng):
         return _normal(rng), lambda x: _sq(tn.gather_rows(x, [0, 2, 2])).sum()
 
+    def scatter_(rng):
+        # rows placed at 1, 3, 5, 7, 9 of 10 by one gather over [rows; filler],
+        # as decode places visible tokens among mask tokens
+        c = _normal(rng, (10, 1))
+        restore = [5, 0, 5, 1, 5, 2, 5, 3, 5, 4]
+        return (_normal(rng, (5, 1)),
+                lambda x: tn.mul(tn.gather_rows(tn.concat([x, Tensor(np.zeros((1, 1)))], axis=0),
+                                                restore), Tensor(c)).sum())
+
     def sum_axis(rng):
         return _normal(rng, (3, 5)), lambda x: _sq(x.sum(axis=0)).sum()
 
     def mean_axis(rng):
         return _normal(rng, (3, 5)), lambda x: _sq(x.mean(axis=1)).sum()
+
+    def softmax_(rng):
+        # with k = sqrt(4) I and v = I, attention returns the row softmax of q
+        c = _normal(rng, (4, 4))
+        return (_normal(rng, (4, 4)),
+                lambda x: tn.mul(tn.attention(x, Tensor(2.0 * np.eye(4)), Tensor(np.eye(4)), 1),
+                                 Tensor(c)).sum())
 
     def attention_1head(rng):
         # x feeds q, k and v, so all three input gradients are checked
@@ -298,8 +321,9 @@ def _op_factories():
         return (_normal(rng),
                 lambda x: tn.mul(tn.layer_norm(x, Tensor(g), Tensor(b)), Tensor(c)).sum())
 
-    fns = [add_, add_broadcast, sub_, mul_, relu_, gelu_, matmul_, concat_, gather_,
-           sum_axis, mean_axis, attention_1head, attention_2heads, smooth_l1_, layer_norm_x]
+    fns = [add_, add_broadcast, sub_, mul_, square_, relu_, gelu_, matmul2d, concat_, gather_,
+           scatter_, sum_axis, mean_axis, softmax_, attention_1head, attention_2heads, smooth_l1_,
+           layer_norm_x]
     return [(f.__name__.rstrip("_"), f) for f in fns]
 
 
