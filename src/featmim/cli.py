@@ -102,6 +102,8 @@ def cmd_dump_features(args):
 
 def cmd_diversity(args):
     samples = load_feature_dir(args.features)
+    if not samples:
+        raise DataError(f"no feature samples in {args.features}")
     report = corpus_diversity(samples)
     with open(args.out, "w") as f:
         json.dump({"n": report.n_samples, "k": report.tokens_per_sample,

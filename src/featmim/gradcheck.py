@@ -6,7 +6,7 @@ differences. Relative error uses max(|analytic|, |numeric|, floor) in the
 denominator so near-zero gradients do not blow up the ratio.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -50,12 +50,14 @@ def tiny_run_config():
     )
 
 
-def grad_check(cfg=None, h=1e-5, floor=1e-6, in_channels=3):
+def grad_check(cfg=None, h=1e-5, floor=1e-6, in_channels=3, batch_size=1):
     """Compare analytic and numeric gradients of the total loss, parameter
     by parameter, element by element. Everything runs in float64.
 
-    The loss is the trainer's own step on a one-image batch, so the check
-    covers exactly the composition that training differentiates.
+    The loss is the trainer's own step on a batch of `batch_size` synthetic
+    images, so the check covers exactly the batched composition that
+    training differentiates. Image and mask seeds count up from the
+    config's; a file teacher serves the ids "gradcheck", "gradcheck1", ...
     """
     if cfg is None:
         cfg = tiny_run_config()
@@ -63,22 +65,22 @@ def grad_check(cfg=None, h=1e-5, floor=1e-6, in_channels=3):
     if cfg.model.embed_dim > 16:
         raise ConfigError("grad_check expects a tiny model (embed_dim <= 16)")
 
-    mask = generate_mask(cfg.mask)
-    image = synthetic_image(cfg.mask.image_side, in_channels,
-                            seed=cfg.train.seed, dtype=np.float64)
     teacher = make_teacher(cfg.teacher, in_channels=in_channels)
-    aligned = align_input(image, cfg.model.patch_side, teacher.downsample_rate)
-    feats = teacher.features(aligned, "gradcheck")
+    batch = []
+    for b in range(batch_size):
+        image = synthetic_image(cfg.mask.image_side, in_channels,
+                                seed=cfg.train.seed + b, dtype=np.float64)
+        aligned = align_input(image, cfg.model.patch_side, teacher.downsample_rate)
+        batch.append((image, generate_mask(replace(cfg.mask, seed=cfg.mask.seed + b)),
+                      teacher.features(aligned, f"gradcheck{b}" if b else "gradcheck")))
 
     params = init_params(cfg.model, cfg.mask.image_side, in_channels,
                          seed=cfg.train.seed, dtype=np.float64)
-    batch = [(image, mask, feats, cfg.loss)]
-
     tape = Tape()
-    analytic = backward(tape, step_losses(BoundParams(params, tape), batch)[0])
+    analytic = backward(tape, step_losses(BoundParams(params, tape), batch, cfg.loss)[0])
 
     def loss_value():
-        return float(step_losses(BoundParams(params), batch)[0].data)
+        return float(step_losses(BoundParams(params), batch, cfg.loss)[0].data)
 
     per_param = {}
     n_elements = 0

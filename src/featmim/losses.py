@@ -4,12 +4,19 @@ Both losses are smooth-L1 regressions against frozen teacher tokens. The
 patch loss covers masked positions only; the global loss compares the mean
 projected visible token with the mean of all teacher tokens, so it is
 invariant to shifting both sides by the same constant.
+
+Each loss takes a batch of images at once and returns the taped batch mean
+together with the per-image losses it averages.
 """
 
 from dataclasses import dataclass
+from typing import NamedTuple
+
+import numpy as np
 
 from . import tensor as tn
 from .errors import ConfigError, DegenerateMaskError, ShapeError
+from .masking import batch_rows
 from .tensor import Tensor
 
 
@@ -28,41 +35,66 @@ class LossConfig:
             raise ConfigError(f"unknown channel_reduce {self.channel_reduce!r}")
 
 
-def _reduce_rows(elem, n_rows, channel_reduce):
-    # mean over rows always; channels reduced per config
-    if channel_reduce == "mean":
-        return elem.mean()
-    return tn.mul(elem.sum(), 1.0 / n_rows)
+class BatchLoss(NamedTuple):
+    loss: Tensor  # taped scalar, the mean of the per-image losses
+    per_image: np.ndarray  # [B] untaped, in the loss dtype
 
 
-def patch_loss(z, teacher, mask, beta, channel_reduce="mean"):
-    """Smooth-L1 between teacher tokens and predictions, masked slots only."""
-    if len(mask.masked_idx) == 0:
+def _reduce(elem, batch, channel_reduce):
+    # mean over each image's rows, channels reduced per config. Images have
+    # equal row counts, so the batch mean is one sum over all rows; the
+    # per-image losses repeat the arithmetic of a one-image batch.
+    rows = elem.shape[0] // batch
+    count = rows * elem.shape[1] if channel_reduce == "mean" else rows
+    per_image = elem.data.reshape(batch, -1).sum(axis=1) * elem.dtype.type(1.0 / count)
+    return BatchLoss(tn.mul(elem.sum(), 1.0 / (batch * count)), per_image)
+
+
+def _token_shape(teachers):
+    shapes = {t.tokens.shape for t in teachers}
+    if len(shapes) != 1:
+        raise ShapeError(f"teacher token grids differ within one batch: {sorted(shapes)}")
+    return shapes.pop()
+
+
+def patch_loss(z, teachers, masks, beta, channel_reduce="mean"):
+    """Smooth-L1 between teacher tokens and predictions, masked slots only.
+
+    z is [B*N, D], the predictions of B images stacked image by image;
+    teachers and masks hold one entry per image.
+    """
+    n, dim = _token_shape(teachers)
+    rows = batch_rows(masks, "masked_idx", n).reshape(-1)
+    if len(rows) == 0:
         raise DegenerateMaskError("patch loss needs at least one masked patch")
-    if z.shape != (teacher.n_tokens, teacher.dim):
+    if z.shape != (len(masks) * n, dim):
         raise ShapeError(
-            f"predictions {z.shape} do not match teacher tokens "
-            f"{(teacher.n_tokens, teacher.dim)}")
-    z_m = tn.gather_rows(z, mask.masked_idx)
-    y_m = Tensor(teacher.tokens[mask.masked_idx])
-    elem = tn.smooth_l1(tn.sub(y_m, z_m), beta)
-    return _reduce_rows(elem, len(mask.masked_idx), channel_reduce)
+            f"predictions {z.shape} do not match {len(masks)} x teacher tokens {(n, dim)}")
+    y_m = Tensor(np.concatenate([t.tokens for t in teachers])[rows])
+    elem = tn.smooth_l1(tn.sub(y_m, tn.gather_rows(z, rows)), beta)
+    return _reduce(elem, len(masks), channel_reduce)
 
 
-def global_loss(p_h, teacher, mask, beta, channel_reduce="mean"):
-    """Smooth-L1 between the mean projected visible token and the mean
-    teacher token (the teacher mean runs over all K tokens)."""
-    if len(mask.visible_idx) == 0:
+def global_loss(p_h, teachers, masks, beta, channel_reduce="mean"):
+    """Smooth-L1 between each image's mean projected visible token and its
+    mean teacher token (the teacher mean runs over all K tokens).
+
+    p_h is [B*V, D], the projected visible tokens of B images stacked
+    image by image.
+    """
+    n, dim = _token_shape(teachers)
+    b, n_vis = batch_rows(masks, "visible_idx", n).shape
+    if n_vis == 0:
         raise DegenerateMaskError("global loss needs at least one visible patch")
-    if p_h.shape[0] != len(mask.visible_idx):
+    if p_h.shape[0] != b * n_vis:
         raise ShapeError(
-            f"projected tokens {p_h.shape} do not match {len(mask.visible_idx)} visible patches")
-    if p_h.shape[1] != teacher.dim:
-        raise ShapeError(f"projection dim {p_h.shape[1]} != teacher dim {teacher.dim}")
-    student_mean = p_h.mean(axis=0)
-    teacher_mean = Tensor(teacher.tokens.mean(axis=0))
+            f"projected tokens {p_h.shape} do not match {b} x {n_vis} visible patches")
+    if p_h.shape[1] != dim:
+        raise ShapeError(f"projection dim {p_h.shape[1]} != teacher dim {dim}")
+    student_mean = tn.reshape(p_h, (b, n_vis, dim)).mean(axis=1)
+    teacher_mean = Tensor(np.stack([t.tokens.mean(axis=0) for t in teachers]))
     elem = tn.smooth_l1(tn.sub(teacher_mean, student_mean), beta)
-    return elem.mean() if channel_reduce == "mean" else elem.sum()
+    return _reduce(elem, b, channel_reduce)
 
 
 def total_loss(l_patch, l_global, lam):

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateMaskError
+from .errors import ConfigError, DegenerateMaskError, ShapeError
 
 _MASK64 = (1 << 64) - 1
 
@@ -134,3 +134,18 @@ def generate_mask(spec: MaskSpec) -> PatchMask:
 
 def mask_ratio_actual(mask: PatchMask) -> float:
     return len(mask.masked_idx) / mask.n_patches
+
+
+def batch_rows(masks, field, n_patches):
+    """One mask index field ("visible_idx" or "masked_idx") per image,
+    stacked to [B, count] and offset to b * n_patches + idx: rows of the
+    batch's patch tokens stacked image by image. A batch runs as one graph
+    only if every mask has the same count, as all masks of one MaskSpec do."""
+    arrays = [getattr(mask, field) for mask in masks]
+    count = len(arrays[0])
+    for a in arrays[1:]:
+        if len(a) != count:
+            raise ShapeError(f"masks in one batch disagree on the "
+                             f"{field.removesuffix('_idx')} count: {count} and {len(a)}")
+    offsets = n_patches * np.arange(len(arrays), dtype=np.int64)[:, None]
+    return np.array(arrays, dtype=np.int64).reshape(len(arrays), count) + offsets

@@ -15,6 +15,7 @@ linear weights are Xavier-uniform; CLS and mask tokens draw from N(0, 0.02).
 """
 
 import json
+import math
 import struct
 from dataclasses import asdict, dataclass, field
 from typing import Optional
@@ -23,6 +24,7 @@ import numpy as np
 
 from . import tensor as tn
 from .errors import ConfigError, DataError, DegenerateMaskError, ShapeError
+from .masking import batch_rows
 from .tensor import Tensor, tvec_bytes, tvec_from_bytes
 
 CHECKPOINT_MAGIC = b"FMCK"
@@ -45,6 +47,8 @@ class ModelConfig:
     def validate(self):
         if self.enc_depth < 1 or self.dec_depth < 1:
             raise ConfigError("encoder and decoder need at least one block")
+        if self.enc_heads < 1 or self.dec_heads < 1:
+            raise ConfigError("encoder and decoder attention need at least one head")
         if self.embed_dim % self.enc_heads:
             raise ConfigError(f"embed_dim {self.embed_dim} not divisible by {self.enc_heads} heads")
         if self.dec_width % self.dec_heads:
@@ -161,8 +165,6 @@ class BoundParams:
             self.t = {k: Tensor(v) for k, v in params.weights.items()}
         else:
             self.t = {k: tape.parameter(k, v) for k, v in params.weights.items()}
-        self.enc_pos = Tensor(params.enc_pos)
-        self.dec_pos = Tensor(params.dec_pos)
 
     def __getitem__(self, name):
         return self.t[name]
@@ -170,11 +172,12 @@ class BoundParams:
 
 @dataclass
 class StudentOutput:
-    """Per-layer visible tokens plus everything derived from them."""
+    """Per-layer visible tokens plus everything derived from them, for a
+    batch of B images whose tokens are stacked image by image."""
 
-    layers: list  # encoder block outputs, visible patch tokens only, each [V, d]
-    h: Optional[Tensor] = None  # aggregated visible tokens [V, d]
-    z: Optional[Tensor] = None  # decoder predictions [N, target_dim]
+    layers: list  # encoder block outputs, visible patch tokens only, each [B*V, d]
+    h: Optional[Tensor] = None  # aggregated visible tokens [B*V, d]
+    z: Optional[Tensor] = None  # decoder predictions [B*N, target_dim]
 
     @property
     def last_visible(self):
@@ -191,24 +194,26 @@ def patchify(image, patch_side):
     return x.transpose(1, 3, 0, 2, 4).reshape(gh * gw, c * patch_side**2)
 
 
-def patch_embed(image, bp: BoundParams):
-    """Linear projection of flattened patches plus position embeddings."""
-    flat = patchify(np.asarray(image), bp.config.patch_side)
-    if flat.shape[0] != bp.meta.n_patches:
-        raise ConfigError(
-            f"image yields {flat.shape[0]} patches, model was built for {bp.meta.n_patches}")
-    if flat.shape[1] != bp.meta.in_channels * bp.config.patch_side**2:
-        raise ConfigError("image channel count does not match the model")
-    tokens = tn.add(tn.matmul(Tensor(flat.astype(bp.meta.weights["patch_proj_w"].dtype)),
-                              bp["patch_proj_w"]), bp["patch_proj_b"])
-    return tn.add(tokens, bp.enc_pos)
+def patch_embed(images, bp: BoundParams):
+    """Linear projection of the flattened patches of B images, stacked to
+    [B*N, d], plus position embeddings."""
+    flats = [patchify(np.asarray(image), bp.config.patch_side) for image in images]
+    for flat in flats:
+        if flat.shape[0] != bp.meta.n_patches:
+            raise ConfigError(
+                f"image yields {flat.shape[0]} patches, model was built for {bp.meta.n_patches}")
+        if flat.shape[1] != bp.meta.in_channels * bp.config.patch_side**2:
+            raise ConfigError("image channel count does not match the model")
+    flat = np.concatenate(flats).astype(bp.meta.weights["patch_proj_w"].dtype)
+    tokens = tn.add(tn.matmul(Tensor(flat), bp["patch_proj_w"]), bp["patch_proj_b"])
+    return tn.add(tokens, Tensor(np.tile(bp.meta.enc_pos, (len(flats), 1))))
 
 
-def _attention(x, bp, prefix, heads):
+def _attention(x, bp, prefix, heads, batch):
     q = tn.add(tn.matmul(x, bp[f"{prefix}_q_w"]), bp[f"{prefix}_q_b"])
     k = tn.add(tn.matmul(x, bp[f"{prefix}_k_w"]), bp[f"{prefix}_k_b"])
     v = tn.add(tn.matmul(x, bp[f"{prefix}_v_w"]), bp[f"{prefix}_v_b"])
-    y = tn.attention(q, k, v, heads)
+    y = tn.attention(q, k, v, heads, batch)
     return tn.add(tn.matmul(y, bp[f"{prefix}_attn_out_w"]), bp[f"{prefix}_attn_out_b"])
 
 
@@ -218,28 +223,39 @@ def _mlp(x, bp, prefix):
     return tn.add(tn.matmul(h, bp[f"{prefix}_mlp_fc2_w"]), bp[f"{prefix}_mlp_fc2_b"])
 
 
-def _transformer_block(x, bp, prefix, heads):
-    # pre-norm: x + Attn(LN(x)), then x + MLP(LN(x))
-    a = _attention(tn.layer_norm(x, bp[f"{prefix}_ln1_g"], bp[f"{prefix}_ln1_b"]), bp, prefix, heads)
+def _transformer_block(x, bp, prefix, heads, batch):
+    # pre-norm: x + Attn(LN(x)), then x + MLP(LN(x)); attention stays
+    # within each of the batch's sequences, everything else is row-wise
+    a = _attention(tn.layer_norm(x, bp[f"{prefix}_ln1_g"], bp[f"{prefix}_ln1_b"]),
+                   bp, prefix, heads, batch)
     x = tn.add(x, a)
     m = _mlp(tn.layer_norm(x, bp[f"{prefix}_ln2_g"], bp[f"{prefix}_ln2_b"]), bp, prefix)
     return tn.add(x, m)
 
 
-def encode_visible(tokens, mask, bp: BoundParams):
-    """Run only visible tokens (and CLS) through the encoder blocks,
-    keeping every block's output."""
+def encode_visible(tokens, masks, bp: BoundParams):
+    """Run only the visible tokens of each image (and its CLS) through the
+    encoder blocks, keeping every block's output.
+
+    tokens is [B*N, d] from patch_embed, masks one PatchMask per image.
+    """
     cfg = bp.config
-    n_vis = len(mask.visible_idx)
-    if n_vis == 0:
+    b, n = len(masks), bp.meta.n_patches
+    if tokens.shape[0] != b * n:
+        raise ShapeError(f"{tokens.shape[0]} token rows for {b} masks of {n} patches")
+    rows = batch_rows(masks, "visible_idx", n)  # [B, V]
+    if rows.shape[1] == 0:
         raise DegenerateMaskError("encoder needs at least one visible token")
-    x = tn.gather_rows(tokens, mask.visible_idx)
     if cfg.use_cls:
-        x = tn.concat([tn.reshape(bp["cls_token"], (1, cfg.embed_dim)), x], axis=0)
+        # one gather over [all patch tokens; CLS] puts CLS ahead of each image's tokens
+        rows = np.concatenate([np.full((b, 1), b * n), rows], axis=1)
+        tokens = tn.concat([tokens, tn.reshape(bp["cls_token"], (1, cfg.embed_dim))], axis=0)
+    x = tn.gather_rows(tokens, rows.reshape(-1))
+    seq = rows.shape[1]
+    patch_rows = (seq * np.arange(b)[:, None] + np.arange(1, seq)).reshape(-1)
     layers = []
-    patch_rows = np.arange(1, n_vis + 1) if cfg.use_cls else None
     for layer in range(cfg.enc_depth):
-        x = _transformer_block(x, bp, f"enc{layer}", cfg.enc_heads)
+        x = _transformer_block(x, bp, f"enc{layer}", cfg.enc_heads, b)
         layers.append(tn.gather_rows(x, patch_rows) if cfg.use_cls else x)
     return StudentOutput(layers=layers)
 
@@ -257,18 +273,20 @@ def aggregate_multi_block(output: StudentOutput, config: ModelConfig):
     return acc
 
 
-def decode(h_visible, mask, bp: BoundParams):
-    """Rebuild the full grid with mask tokens and predict teacher features."""
+def decode(h_visible, masks, bp: BoundParams):
+    """Rebuild each image's full grid with mask tokens and predict teacher
+    features: [B*V, d] visible tokens -> [B*N, target_dim]."""
     cfg = bp.config
-    n_vis = len(mask.visible_idx)
-    vis = tn.add(tn.matmul(h_visible, bp["enc2dec_w"]), bp["enc2dec_b"])
-    rows = tn.concat([vis, tn.reshape(bp["mask_token"], (1, cfg.dec_width))], axis=0)
-    # grid position -> row of [visible tokens; mask token]
-    restore_idx = np.full(bp.meta.n_patches, n_vis, dtype=np.int64)
-    restore_idx[mask.visible_idx] = np.arange(n_vis)
-    x = tn.add(tn.gather_rows(rows, restore_idx), bp.dec_pos)
+    b, n = len(masks), bp.meta.n_patches
+    vis_rows = batch_rows(masks, "visible_idx", n).reshape(-1)
+    h = tn.add(tn.matmul(h_visible, bp["enc2dec_w"]), bp["enc2dec_b"])
+    rows = tn.concat([h, tn.reshape(bp["mask_token"], (1, cfg.dec_width))], axis=0)
+    # grid row -> row of [all visible tokens; mask token]
+    restore_idx = np.full(b * n, len(vis_rows), dtype=np.int64)
+    restore_idx[vis_rows] = np.arange(len(vis_rows))
+    x = tn.add(tn.gather_rows(rows, restore_idx), Tensor(np.tile(bp.meta.dec_pos, (b, 1))))
     for layer in range(cfg.dec_depth):
-        x = _transformer_block(x, bp, f"dec{layer}", cfg.dec_heads)
+        x = _transformer_block(x, bp, f"dec{layer}", cfg.dec_heads, b)
     return tn.add(tn.matmul(x, bp["dec_pred_w"]), bp["dec_pred_b"])
 
 
@@ -282,18 +300,19 @@ def project_global(h_visible, bp: BoundParams):
     return tn.add(tn.matmul(h, bp["proj_fc2_w"]), bp["proj_fc2_b"])
 
 
-def forward(image, mask, bp: BoundParams):
-    """Student pass up to the patch predictions: embed, encode visible,
-    aggregate, decode.
+def forward(images, masks, bp: BoundParams):
+    """Student pass over a batch up to the patch predictions: embed,
+    encode visible, aggregate, decode. images and masks pair up one to one;
+    every mask must leave the same number of patches visible.
 
     The decoder consumes the aggregated tokens. The global head is not run
     here: callers that weight the global loss pass `last_visible` to
     project_global themselves.
     """
-    tokens = patch_embed(image, bp)
-    out = encode_visible(tokens, mask, bp)
+    tokens = patch_embed(images, bp)
+    out = encode_visible(tokens, masks, bp)
     out.h = aggregate_multi_block(out, bp.config)
-    out.z = decode(out.h, mask, bp)
+    out.z = decode(out.h, masks, bp)
     return out
 
 
@@ -340,6 +359,16 @@ def load_checkpoint(path):
         n_patches, in_channels = header["n_patches"], header["in_channels"]
     except (ValueError, KeyError, TypeError) as e:
         raise DataError(f"{path}: malformed checkpoint header: {e}") from None
+    for key, value in (("n_patches", n_patches), ("in_channels", in_channels)):
+        if type(value) is not int or value < 1:
+            raise DataError(f"{path}: header {key} {value!r} is not a positive integer")
+    grid = math.isqrt(n_patches)
+    if grid * grid != n_patches:
+        raise DataError(f"{path}: header n_patches {n_patches} is not a square grid")
+    try:
+        config.validate()
+    except (ConfigError, TypeError) as e:
+        raise DataError(f"{path}: checkpoint config is invalid: {e}") from None
     off = 8 + hlen
     weights = {}
     while off < len(blob):
@@ -355,7 +384,6 @@ def load_checkpoint(path):
             raise DataError(f"{path}: parameter name at byte {off} is not UTF-8") from None
         arr, off = tvec_from_bytes(blob, label=f"{path}:{name}", offset=end)
         weights[name] = arr
-    grid = int(round(np.sqrt(n_patches)))
     reference = init_params(config, grid * config.patch_side, in_channels, seed=0)
     if set(weights) != set(reference.weights):
         raise DataError(f"{path}: checkpoint parameter names do not match the config")

@@ -68,8 +68,8 @@ class Tensor:
 class Tape:
     """Ordered record of operations plus a registry of named parameters.
 
-    backward() replays the record in exact reverse order; gradients for
-    shared inputs accumulate additively.
+    backward() replays the record in exact reverse order, releasing each
+    entry as it goes; gradients for shared inputs accumulate additively.
     """
 
     def __init__(self):
@@ -95,16 +95,24 @@ def backward(tape, loss):
     """Gradients of a scalar `loss` for every parameter registered on `tape`.
 
     Returns {name: ndarray} with each gradient shaped like its parameter;
-    parameters the loss does not depend on get zeros.
+    parameters the loss does not depend on get zeros. The replay consumes
+    the tape's records, so a tape supports one backward.
     """
     if loss.node is None or loss.node.tape is not tape:
         raise ShapeError("loss is not a tensor recorded on this tape")
     if loss.data.shape != ():
         raise ShapeError(f"loss must be scalar, got shape {loss.data.shape}")
+    if tape._ops is None:
+        raise RuntimeError("tape already replayed by backward; record a new tape per step")
     grads = [None] * tape._n_nodes
     grads[loss.node.idx] = np.ones((), dtype=loss.data.dtype)
-    for out_idx, inputs in reversed(tape._ops):
+    # pop each record as it is replayed: its grad fns, and the activations
+    # they hold, are freed by reference counting, not left to the cyclic GC
+    ops, tape._ops = tape._ops, None
+    while ops:
+        out_idx, inputs = ops.pop()
         g = grads[out_idx]
+        grads[out_idx] = None  # op outputs are never parameters
         if g is None:
             continue
         for in_idx, fn in inputs:
@@ -202,18 +210,21 @@ def relu(a):
     return _emit(np.where(mask, a.data, 0.0), [(a, lambda g: np.where(mask, g, 0.0))])
 
 
-def gelu_grad(x):
-    """Derivative of the tanh-approximated GELU (module-level for testability)."""
-    u = GELU_C * (x + GELU_A * x**3)
-    t = np.tanh(u)
+def gelu_grad(x, t):
+    """Derivative of the tanh-approximated GELU at x, given the forward
+    pass's t = tanh(sqrt(2/pi)*(x + 0.044715*x^3)) (module-level for
+    testability)."""
     return 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * GELU_C * (1.0 + 3.0 * GELU_A * x * x)
 
 
 def gelu(a):
-    """GELU, tanh approximation: 0.5*x*(1 + tanh(sqrt(2/pi)*(x + 0.044715*x^3)))."""
+    """GELU, tanh approximation: 0.5*x*(1 + tanh(sqrt(2/pi)*(x + 0.044715*x^3))).
+
+    x^3 is x*x*x: numpy's generic float32 pow is about 100x slower.
+    """
     x = a.data
-    out = 0.5 * x * (1.0 + np.tanh(GELU_C * (x + GELU_A * x**3)))
-    return _emit(out, [(a, lambda g: gelu_grad(x) * g)])
+    t = np.tanh(GELU_C * (x + GELU_A * (x * x * x)))
+    return _emit(0.5 * x * (1.0 + t), [(a, lambda g: gelu_grad(x, t) * g)])
 
 
 # --- linear algebra and structure ops ---
@@ -293,31 +304,38 @@ def tmean(a, axis=None, keepdims=False):
 # --- fused ops with analytic backward ---
 
 
-def attention(q, k, v, heads):
-    """Multi-head scaled dot-product attention over [T, d] q, k and v.
+def attention(q, k, v, heads, batch=1):
+    """Multi-head scaled dot-product attention over [B*T, d] q, k and v.
 
-    d splits into `heads` heads of dh = d // heads channels. Each head takes
-    the max-shifted softmax P of q k^T / sqrt(dh) over keys and returns P v;
-    the heads are concatenated back to [T, d]. Backward uses the analytic
-    softmax gradient dS = P * (dP - rowsum(dP * P)) and keeps only P.
+    Rows are `batch` sequences of T tokens each, and no token attends
+    across sequences. d splits into `heads` heads of dh = d // heads
+    channels. Each head takes the max-shifted softmax P of q k^T / sqrt(dh)
+    over keys and returns P v; the heads are concatenated back to [B*T, d].
+    Backward uses the analytic softmax gradient dS = P * (dP - rowsum(dP * P))
+    and keeps only P.
     """
     q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
     if q.ndim != 2 or k.shape != q.shape or v.shape != q.shape:
-        raise ShapeError(f"attention needs equal [T, d] q, k, v, got {q.shape}, {k.shape}, {v.shape}")
-    t, d = q.shape
+        raise ShapeError(f"attention needs equal [B*T, d] q, k, v, got {q.shape}, {k.shape}, {v.shape}")
+    rows, d = q.shape
+    if batch < 1 or rows % batch:
+        raise ShapeError(f"attention rows {rows} do not split into {batch} sequences")
     if heads < 1 or d % heads:
         raise ShapeError(f"attention width {d} does not split into {heads} heads")
-    dh = d // heads
+    t, dh = rows // batch, d // heads
     scale = q.dtype.type(1.0 / np.sqrt(dh))
 
-    def split(x):  # [T, d] -> [heads, T, dh]
-        return x.reshape(t, heads, dh).transpose(1, 0, 2)
+    def split(x):  # [B*T, d] -> [B, heads, T, dh]
+        return x.reshape(batch, t, heads, dh).transpose(0, 2, 1, 3)
 
-    def merge(x):  # [heads, T, dh] -> [T, d]
-        return x.transpose(1, 0, 2).reshape(t, d)
+    def merge(x):  # [B, heads, T, dh] -> [B*T, d]
+        return x.transpose(0, 2, 1, 3).reshape(rows, d)
+
+    def swap(x):  # transpose the last two axes
+        return x.transpose(0, 1, 3, 2)
 
     qh, kh, vh = split(q.data), split(k.data), split(v.data)
-    s = (qh @ kh.transpose(0, 2, 1)) * scale
+    s = (qh @ swap(kh)) * scale
     if not np.isfinite(s).all():
         raise NumericError("attention scores contain non-finite values")
     e = np.exp(s - s.max(axis=-1, keepdims=True))
@@ -328,13 +346,9 @@ def attention(q, k, v, heads):
         def fn(g):
             if not cache:
                 gh = split(g)
-                gp = gh @ vh.transpose(0, 2, 1)
+                gp = gh @ swap(vh)
                 gs = (gp - (gp * p).sum(axis=-1, keepdims=True)) * p * scale
-                # dK as (q^T dS)^T: dS^T q rounds differently in float32
-                # and would change the bytes of trained checkpoints
-                grads = (merge(gs @ kh),
-                         merge((qh.transpose(0, 2, 1) @ gs).transpose(0, 2, 1)),
-                         merge(p.transpose(0, 2, 1) @ gh))
+                grads = merge(gs @ kh), merge(swap(gs) @ qh), merge(swap(p) @ gh)
                 cache.update((n, gx) for n, x, gx in zip("qkv", (q, k, v), grads)
                              if x.node is not None)
             return cache.pop(name)

@@ -19,7 +19,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import tensor as tn
 from .errors import ConfigError
 from .losses import global_loss, patch_loss, total_loss
 from .masking import MaskSpec, SplitMix64, generate_mask
@@ -115,35 +114,29 @@ def adamw_step(params, grads, state: OptimizerState, lr, *,
         p -= lr * (m_hat / (np.sqrt(v_hat) + eps) + weight_decay * p)
 
 
-def step_losses(bp, batch):
-    """Batch-mean losses on the tape: patch + lam * global, multi-block
-    aggregation per config. batch: [(image, mask, feats, loss_cfg)].
+def step_losses(bp, batch, loss_cfg):
+    """Batch-mean losses as one taped graph: patch + lam * global,
+    multi-block aggregation per config. batch: [(image, mask, feats)].
 
     The global head and loss are recorded only when lam != 0; at lam == 0
     they could move no parameter, and L_global logs 0.0.
 
     Returns (loss tensor, logged L_patch, L_global, L_total); the logged
-    values are float64 means of the per-image scalars so the three CSV
-    columns share one reduction.
+    values are float64 fsum means of the per-image losses, computed in the
+    training dtype as one-image batches would, so the three CSV columns
+    share one reduction.
     """
-    lt_sum = None
-    lp_vals, lg_vals, lt_vals = [], [], []
-    for image, mask, feats, loss_cfg in batch:
-        out = forward(image, mask, bp)
-        lp = lt = patch_loss(out.z, feats, mask, loss_cfg.beta, loss_cfg.channel_reduce)
-        lg_val = 0.0
-        if loss_cfg.lam != 0.0:
-            lg = global_loss(project_global(out.last_visible, bp), feats, mask,
-                             loss_cfg.beta, loss_cfg.channel_reduce)
-            lt = total_loss(lp, lg, loss_cfg.lam)
-            lg_val = float(lg.data)
-        lt_sum = lt if lt_sum is None else tn.add(lt_sum, lt)
-        lp_vals.append(float(lp.data))
-        lg_vals.append(lg_val)
-        lt_vals.append(float(lt.data))
+    images, masks, feats = zip(*batch)
+    out = forward(images, masks, bp)
+    loss, lp = patch_loss(out.z, feats, masks, loss_cfg.beta, loss_cfg.channel_reduce)
+    lg = np.zeros_like(lp)
+    if loss_cfg.lam != 0.0:
+        l_global, lg = global_loss(project_global(out.last_visible, bp), feats, masks,
+                                   loss_cfg.beta, loss_cfg.channel_reduce)
+        loss = total_loss(loss, l_global, loss_cfg.lam)
+    lt = lp + lg * lp.dtype.type(loss_cfg.lam)
     n = len(batch)
-    return (tn.mul(lt_sum, 1.0 / n), math.fsum(lp_vals) / n,
-            math.fsum(lg_vals) / n, math.fsum(lt_vals) / n)
+    return loss, math.fsum(lp) / n, math.fsum(lg) / n, math.fsum(lt) / n
 
 
 @dataclass
@@ -240,13 +233,13 @@ def train(cfg, images, out_dir):
                 spec = MaskSpec(mask_spec.image_side, mask_spec.patch_side,
                                 mask_spec.block_side, mask_spec.mask_ratio,
                                 seed=mask_stream.next_u64())
-                batch.append((img, generate_mask(spec), cache.get(image_id, img), cfg.loss))
+                batch.append((img, generate_mask(spec), cache.get(image_id, img)))
 
             t_epoch = step / steps_per_epoch
             lr = lr_at(t_epoch, tc)
             tape = Tape()
             bp = BoundParams(params, tape)
-            loss, lp, lg, lt = step_losses(bp, batch)
+            loss, lp, lg, lt = step_losses(bp, batch, cfg.loss)
             grads = backward(tape, loss)
             adamw_step(params.weights, grads, opt, lr,
                        beta1=tc.beta1, beta2=tc.beta2, weight_decay=tc.weight_decay)

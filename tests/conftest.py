@@ -10,7 +10,6 @@ import math
 
 import numpy as np
 
-from featmim import tensor as tn
 from featmim.losses import global_loss, patch_loss, total_loss
 from featmim.model import (decode, encode_visible, forward, patch_embed,
                            project_global)
@@ -51,39 +50,27 @@ def inline_shuffle(items, stream):
     return order
 
 
-def plain_regression_step(bp, batch):
+def plain_regression_step(bp, batch, loss_cfg):
     """The plain feature-regression step: last encoder block straight into
     the decoder, patch loss only. No global head, no block aggregation.
     Same signature and return value as featmim.trainer.step_losses."""
-    lp_sum = None
-    lp_vals = []
-    for image, mask, feats, loss_cfg in batch:
-        tokens = patch_embed(image, bp)
-        out = encode_visible(tokens, mask, bp)
-        z = decode(out.layers[-1], mask, bp)
-        lp = patch_loss(z, feats, mask, loss_cfg.beta, loss_cfg.channel_reduce)
-        lp_sum = lp if lp_sum is None else tn.add(lp_sum, lp)
-        lp_vals.append(float(lp.data))
-    n = len(batch)
-    mean_lp = math.fsum(lp_vals) / n
-    return tn.mul(lp_sum, 1.0 / n), mean_lp, 0.0, mean_lp
+    images, masks, feats = zip(*batch)
+    out = encode_visible(patch_embed(images, bp), masks, bp)
+    z = decode(out.layers[-1], masks, bp)
+    lp, per_image = patch_loss(z, feats, masks, loss_cfg.beta, loss_cfg.channel_reduce)
+    mean_lp = math.fsum(per_image) / len(batch)
+    return lp, mean_lp, 0.0, mean_lp
 
 
-def full_composition_step(bp, batch):
+def full_composition_step(bp, batch, loss_cfg):
     """patch + lam * global with the global head and loss taped at every
     lam, zero included; L_global logs the unweighted global loss."""
-    lt_sum = None
-    lp_vals, lg_vals, lt_vals = [], [], []
-    for image, mask, feats, loss_cfg in batch:
-        out = forward(image, mask, bp)
-        lp = patch_loss(out.z, feats, mask, loss_cfg.beta, loss_cfg.channel_reduce)
-        lg = global_loss(project_global(out.last_visible, bp), feats, mask,
-                         loss_cfg.beta, loss_cfg.channel_reduce)
-        lt = total_loss(lp, lg, loss_cfg.lam)
-        lt_sum = lt if lt_sum is None else tn.add(lt_sum, lt)
-        lp_vals.append(float(lp.data))
-        lg_vals.append(float(lg.data))
-        lt_vals.append(float(lt.data))
+    images, masks, feats = zip(*batch)
+    out = forward(images, masks, bp)
+    lp, lp_vals = patch_loss(out.z, feats, masks, loss_cfg.beta, loss_cfg.channel_reduce)
+    lg, lg_vals = global_loss(project_global(out.last_visible, bp), feats, masks,
+                              loss_cfg.beta, loss_cfg.channel_reduce)
+    lt_vals = lp_vals + lg_vals * lp_vals.dtype.type(loss_cfg.lam)
     n = len(batch)
-    return (tn.mul(lt_sum, 1.0 / n), math.fsum(lp_vals) / n,
+    return (total_loss(lp, lg, loss_cfg.lam), math.fsum(lp_vals) / n,
             math.fsum(lg_vals) / n, math.fsum(lt_vals) / n)

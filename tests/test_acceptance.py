@@ -125,15 +125,15 @@ def test_loss_contracts():
     z0 = rng.normal(size=(16, 4))
     z1 = z0.copy()
     z1[mask.visible_idx] += rng.normal(size=(len(mask.visible_idx), 4)) * 1e6
-    a = float(patch_loss(Tensor(z0), y, mask, 2.0).data)
-    b = float(patch_loss(Tensor(z1), y, mask, 2.0).data)
+    a = float(patch_loss(Tensor(z0), [y], [mask], 2.0).loss.data)
+    b = float(patch_loss(Tensor(z1), [y], [mask], 2.0).loss.data)
     assert a == b
 
     p0 = rng.normal(size=(len(mask.visible_idx), 4))
     shift = rng.normal(size=4)
-    ga = float(global_loss(Tensor(p0), y, mask, 2.0).data)
+    ga = float(global_loss(Tensor(p0), [y], [mask], 2.0).loss.data)
     gb = float(global_loss(Tensor(p0 + shift),
-                           feats(y.tokens + shift), mask, 2.0).data)
+                           [feats(y.tokens + shift)], [mask], 2.0).loss.data)
     assert abs(ga - gb) <= 1e-12
 
     for beta in (0.5, 1.0, 2.0):
@@ -252,10 +252,10 @@ def test_persistence_round_trips(tmp_path):
     params = init_params(cfg.model, 32, 3, seed=5)
     mask = generate_mask(replace(cfg.mask, seed=9))
     img = synthetic_image(32, 3, seed=4)
-    before = forward(img, mask, BoundParams(params)).z.data.tobytes()
+    before = forward([img], [mask], BoundParams(params)).z.data.tobytes()
     from featmim.model import save_checkpoint
     save_checkpoint(tmp_path / "c.bin", params)
-    after = forward(img, mask, BoundParams(load_checkpoint(tmp_path / "c.bin"))).z.data.tobytes()
+    after = forward([img], [mask], BoundParams(load_checkpoint(tmp_path / "c.bin"))).z.data.tobytes()
     assert before == after
 
     # feature dump: write -> read -> rewrite must be byte identical

@@ -179,6 +179,16 @@ def test_malformed_feature_manifest_exits_3(tmp_path, manifest):
                  "--out", str(tmp_path / "p.tvec")]) == 3
 
 
+def test_empty_feature_dump_exits_3(tmp_path):
+    # a dump with no entries is a data error for diversity and pca alike
+    feats = tmp_path / "feats"
+    feats.mkdir()
+    (feats / "manifest.json").write_text(json.dumps({"target_dim": 4, "entries": []}))
+    assert main(["diversity", "--features", str(feats), "--out", str(tmp_path / "r.json")]) == 3
+    assert main(["pca", "--features", str(feats), "--components", "2",
+                 "--out", str(tmp_path / "p.tvec")]) == 3
+
+
 def test_heatmap_command(tmp_path, image_dir):
     feats = tmp_path / "feats"
     assert main(["dump-features", "--images", str(image_dir), "--out", str(feats)]) == 0

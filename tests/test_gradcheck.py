@@ -33,6 +33,13 @@ def test_micro_model_gradients_pass():
     assert report.n_parameters > 100
 
 
+def test_batched_gradients_pass():
+    # two images in one graph: stacked rows, per-sequence attention and the
+    # per-image loss reductions all differentiate correctly
+    report = grad_check(micro_config(), in_channels=1, batch_size=2)
+    assert report.max_rel_err < 1e-4
+
+
 def test_lambda_zero_isolates_patch_path():
     report = grad_check(micro_config(lam=0.0), in_channels=1)
     assert report.max_rel_err < 1e-4
@@ -47,7 +54,7 @@ def test_corrupted_backward_is_detected(monkeypatch):
     # sanity check on the checker itself: a 5% error planted in one
     # analytic derivative must surface as a large reported error
     true_grad = featmim.tensor.gelu_grad
-    monkeypatch.setattr(featmim.tensor, "gelu_grad", lambda x: 1.05 * true_grad(x))
+    monkeypatch.setattr(featmim.tensor, "gelu_grad", lambda x, t: 1.05 * true_grad(x, t))
     report = grad_check(micro_config(), in_channels=1)
     assert report.max_rel_err > 1e-2
 

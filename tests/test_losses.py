@@ -80,7 +80,7 @@ def test_patch_loss_zero_when_exact():
     y = feats(np.arange(8).reshape(4, 2) + 1.0)
     mask = make_mask(4, [0, 2])
     z = Tensor(y.tokens.copy())
-    assert float(patch_loss(z, y, mask, beta=2.0).data) == 0.0
+    assert float(patch_loss(z, [y], [mask], beta=2.0).loss.data) == 0.0
 
 
 def test_patch_loss_single_token_hand_value():
@@ -88,7 +88,7 @@ def test_patch_loss_single_token_hand_value():
     mask = make_mask(4, [0])
     z = Tensor(np.zeros((4, 1)))
     # one masked token, D_t = 1, residual 1, beta 2 -> 0.25
-    assert float(patch_loss(z, y, mask, beta=2.0).data) == 0.25
+    assert float(patch_loss(z, [y], [mask], beta=2.0).loss.data) == 0.25
 
 
 def test_patch_loss_ignores_visible_slots():
@@ -98,29 +98,29 @@ def test_patch_loss_ignores_visible_slots():
     z0 = rng.normal(size=(9, 3))
     z1 = z0.copy()
     z1[mask.visible_idx] += rng.normal(size=(6, 3)) * 100
-    a = float(patch_loss(Tensor(z0), y, mask, 2.0).data)
-    b = float(patch_loss(Tensor(z1), y, mask, 2.0).data)
+    a = float(patch_loss(Tensor(z0), [y], [mask], 2.0).loss.data)
+    b = float(patch_loss(Tensor(z1), [y], [mask], 2.0).loss.data)
     assert a == b
 
 
 def test_patch_loss_empty_mask_rejected():
     y = feats(np.zeros((4, 2)))
     with pytest.raises(DegenerateMaskError):
-        patch_loss(Tensor(np.zeros((4, 2))), y, make_mask(4, []), 2.0)
+        patch_loss(Tensor(np.zeros((4, 2))), [y], [make_mask(4, [])], 2.0)
 
 
 def test_patch_loss_shape_mismatch():
     y = feats(np.zeros((4, 2)))
     with pytest.raises(ShapeError):
-        patch_loss(Tensor(np.zeros((4, 3))), y, make_mask(4, [0]), 2.0)
+        patch_loss(Tensor(np.zeros((4, 3))), [y], [make_mask(4, [0])], 2.0)
 
 
 def test_patch_loss_permutation_invariant_over_masked():
     rng = np.random.default_rng(2)
     y = feats(rng.normal(size=(9, 4)))
     z = Tensor(rng.normal(size=(9, 4)))
-    a = float(patch_loss(z, y, make_mask(9, [0, 3, 5]), 2.0).data)
-    b = float(patch_loss(z, y, make_mask(9, [5, 0, 3]), 2.0).data)
+    a = float(patch_loss(z, [y], [make_mask(9, [0, 3, 5])], 2.0).loss.data)
+    b = float(patch_loss(z, [y], [make_mask(9, [5, 0, 3])], 2.0).loss.data)
     assert a == b
 
 
@@ -132,7 +132,7 @@ def test_patch_loss_monotone_in_residual_scale():
     losses = []
     for c in (1.0, 1.5, 2.0, 4.0):
         z = y_tok - c * base  # residual y - z = c * base
-        losses.append(float(patch_loss(Tensor(z), feats(y_tok), mask, 2.0).data))
+        losses.append(float(patch_loss(Tensor(z), [feats(y_tok)], [mask], 2.0).loss.data))
     assert all(b >= a for a, b in zip(losses, losses[1:]))
 
 
@@ -140,8 +140,8 @@ def test_patch_loss_channel_sum_mode():
     y = feats([[1.0, 1.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]])
     mask = make_mask(4, [0])
     z = Tensor(np.zeros((4, 2)))
-    mean_mode = float(patch_loss(z, y, mask, 2.0, "mean").data)
-    sum_mode = float(patch_loss(z, y, mask, 2.0, "sum").data)
+    mean_mode = float(patch_loss(z, [y], [mask], 2.0, "mean").loss.data)
+    sum_mode = float(patch_loss(z, [y], [mask], 2.0, "sum").loss.data)
     assert mean_mode == 0.25
     assert sum_mode == 0.5
 
@@ -151,7 +151,7 @@ def test_global_loss_zero_when_means_match():
     y = feats(rng.normal(size=(4, 3)))
     mask = make_mask(4, [0])
     p_h = Tensor(np.tile(y.tokens.mean(axis=0), (3, 1)))
-    assert abs(float(global_loss(p_h, y, mask, 2.0).data)) < 1e-12
+    assert abs(float(global_loss(p_h, [y], [mask], 2.0).loss.data)) < 1e-12
 
 
 def test_global_loss_linear_branch_hand_value():
@@ -159,7 +159,7 @@ def test_global_loss_linear_branch_hand_value():
     y = feats([[3.0], [3.0], [3.0], [3.0]])
     mask = make_mask(4, [0, 1])
     p_h = Tensor(np.zeros((2, 1)))
-    assert float(global_loss(p_h, y, mask, 2.0).data) == 2.0
+    assert float(global_loss(p_h, [y], [mask], 2.0).loss.data) == 2.0
 
 
 def test_global_loss_constant_shift_invariant():
@@ -168,8 +168,8 @@ def test_global_loss_constant_shift_invariant():
     mask = make_mask(4, [3])
     p0 = rng.normal(size=(3, 3))
     shift = rng.normal(size=3)
-    a = float(global_loss(Tensor(p0), feats(y_tok), mask, 2.0).data)
-    b = float(global_loss(Tensor(p0 + shift), feats(y_tok + shift), mask, 2.0).data)
+    a = float(global_loss(Tensor(p0), [feats(y_tok)], [mask], 2.0).loss.data)
+    b = float(global_loss(Tensor(p0 + shift), [feats(y_tok + shift)], [mask], 2.0).loss.data)
     assert abs(a - b) < 1e-12
 
 
@@ -178,8 +178,8 @@ def test_global_loss_permutation_invariant():
     y_tok = rng.normal(size=(4, 3))
     mask = make_mask(4, [0])
     p0 = rng.normal(size=(3, 3))
-    a = float(global_loss(Tensor(p0), feats(y_tok), mask, 2.0).data)
-    b = float(global_loss(Tensor(p0[::-1].copy()), feats(y_tok[::-1].copy()), mask, 2.0).data)
+    a = float(global_loss(Tensor(p0), [feats(y_tok)], [mask], 2.0).loss.data)
+    b = float(global_loss(Tensor(p0[::-1].copy()), [feats(y_tok[::-1].copy())], [mask], 2.0).loss.data)
     assert abs(a - b) < 1e-12
 
 
@@ -187,7 +187,7 @@ def test_global_loss_empty_visible_rejected():
     y = feats(np.zeros((4, 2)))
     mask = make_mask(4, [0, 1, 2, 3])
     with pytest.raises(DegenerateMaskError):
-        global_loss(Tensor(np.zeros((0, 2))), y, mask, 2.0)
+        global_loss(Tensor(np.zeros((0, 2))), [y], [mask], 2.0)
 
 
 def test_total_loss_arithmetic():
@@ -204,15 +204,16 @@ def test_loss_gradients_match_finite_differences():
     p0 = rng.normal(size=(7, 4))
 
     def f_patch(z):
-        return float(patch_loss(Tensor(z), y, mask, 2.0).data)
+        return float(patch_loss(Tensor(z), [y], [mask], 2.0).loss.data)
 
     def f_global(p):
-        return float(global_loss(Tensor(p), y, mask, 2.0).data)
+        return float(global_loss(Tensor(p), [y], [mask], 2.0).loss.data)
 
     tape = Tape()
     z = tape.parameter("z", z0.copy())
     p = tape.parameter("p", p0.copy())
-    loss = total_loss(patch_loss(z, y, mask, 2.0), global_loss(p, y, mask, 2.0), 0.5)
+    loss = total_loss(patch_loss(z, [y], [mask], 2.0).loss,
+                      global_loss(p, [y], [mask], 2.0).loss, 0.5)
     grads = backward(tape, loss)
     assert rel_err(grads["z"], fd_grad(f_patch, z0)) < 1e-4
     assert rel_err(grads["p"], 0.5 * fd_grad(f_global, p0)) < 1e-4

@@ -73,6 +73,24 @@ def test_attention_matches_numpy_reference(heads):
     np.testing.assert_allclose(out, attention_reference(q, k, v, heads), rtol=0, atol=1e-12)
 
 
+def test_attention_keeps_batch_sequences_apart():
+    # each of the two sequences attends only to itself: perturbing sample 0
+    # leaves sample 1's output bitwise unchanged, and each equals its own
+    # one-sequence reference
+    rng = np.random.default_rng(6)
+    q, k, v = (rng.normal(size=(6, 4)) for _ in range(3))
+    out = tn.attention(Tensor(q), Tensor(k), Tensor(v), 2, batch=2).data
+    for half in (slice(0, 3), slice(3, 6)):
+        np.testing.assert_allclose(out[half], attention_reference(q[half], k[half], v[half], 2),
+                                   rtol=0, atol=1e-12)
+    q2, k2, v2 = (x.copy() for x in (q, k, v))
+    for x in (q2, k2, v2):
+        x[:3] += rng.normal(size=(3, 4))
+    out2 = tn.attention(Tensor(q2), Tensor(k2), Tensor(v2), 2, batch=2).data
+    assert out2[3:].tobytes() == out[3:].tobytes()
+    assert not np.allclose(out2[:3], out[:3])
+
+
 def test_smooth_l1_matches_numpy_reference():
     rng = np.random.default_rng(4)
     for beta in (0.5, 1.0, 2.0):
@@ -115,6 +133,8 @@ def test_attention_rejects_bad_shapes():
         tn.attention(x, x, x, 3)
     with pytest.raises(ShapeError):
         tn.attention(x, Tensor(np.ones((2, 4))), x, 2)
+    with pytest.raises(ShapeError):
+        tn.attention(x, x, x, 2, batch=2)  # 3 rows do not split into 2 sequences
 
 
 def test_fused_ops_record_one_node():
@@ -130,8 +150,9 @@ def test_attention_backward_leaves_no_cached_gradients():
     # so nothing is left after backward; v is a constant here
     tape = Tape()
     x = taped(tape, "x", np.random.default_rng(5).normal(size=(3, 4)))
-    backward(tape, tn.attention(x, x, Tensor(np.ones((3, 4))), 2).sum())
+    loss = tn.attention(x, x, Tensor(np.ones((3, 4))), 2).sum()
     (_, inputs), = [op for op in tape._ops if len(op[1]) == 2]
+    backward(tape, loss)
     caches = [c.cell_contents for _, fn in inputs for c in fn.__closure__
               if isinstance(c.cell_contents, dict)]
     assert caches and all(c == {} for c in caches)
@@ -167,6 +188,15 @@ def test_backward_rejects_non_scalar_loss():
     w = taped(tape, "w", [1.0, 2.0])
     with pytest.raises(ShapeError):
         backward(tape, tn.mul(w, w))
+
+
+def test_backward_consumes_the_tape():
+    tape = Tape()
+    w = taped(tape, "w", np.ones(3))
+    loss = tn.mul(w, w).sum()
+    backward(tape, loss)
+    with pytest.raises(RuntimeError, match="already replayed"):
+        backward(tape, loss)
 
 
 def test_backward_unused_parameter_gets_zeros():
@@ -310,6 +340,14 @@ def _op_factories():
                 lambda x: tn.mul(tn.attention(Tensor(cq), x, tn.mul(x, Tensor(cv)), 2),
                                  Tensor(c)).sum())
 
+    def attention_batched(rng):
+        # two sequences of three tokens each, x feeding q, k and v
+        ck, cv, c = _normal(rng, (6, 4)), _normal(rng, (6, 4)), _normal(rng, (6, 4))
+        return (_normal(rng, (6, 4)),
+                lambda x: tn.mul(tn.attention(x, tn.mul(x, Tensor(ck)), tn.add(x, Tensor(cv)), 2,
+                                              batch=2),
+                                 Tensor(c)).sum())
+
     def smooth_l1_(rng):
         beta = float(rng.choice([0.5, 2.0]))
         return _away_from_kink(rng, beta), lambda x: tn.smooth_l1(x, beta).sum()
@@ -322,8 +360,8 @@ def _op_factories():
                 lambda x: tn.mul(tn.layer_norm(x, Tensor(g), Tensor(b)), Tensor(c)).sum())
 
     fns = [add_, add_broadcast, sub_, mul_, square_, relu_, gelu_, matmul2d, concat_, gather_,
-           scatter_, sum_axis, mean_axis, softmax_, attention_1head, attention_2heads, smooth_l1_,
-           layer_norm_x]
+           scatter_, sum_axis, mean_axis, softmax_, attention_1head, attention_2heads,
+           attention_batched, smooth_l1_, layer_norm_x]
     return [(f.__name__.rstrip("_"), f) for f in fns]
 
 

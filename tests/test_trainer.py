@@ -1,7 +1,9 @@
 import csv
+import gc
 import io
 import math
 import pathlib
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -16,8 +18,10 @@ from featmim.masking import SplitMix64, generate_mask
 from featmim.model import BoundParams, forward, init_params, load_checkpoint
 from featmim.synth import synthetic_image
 from featmim.teacher import ProceduralConvTeacher
+from featmim.tensor import Tape, backward
 from featmim.trainer import (FeatureCache, OptimizerState, TrainConfig,
-                             ablate_lambda, adamw_step, lr_at, scaled_lr, train)
+                             ablate_lambda, adamw_step, lr_at, scaled_lr,
+                             step_losses, train)
 
 CFG10 = TrainConfig(base_lr=1.5e-4, batch_size=4096, warmup_epochs=40, total_epochs=1600)
 
@@ -123,9 +127,9 @@ def test_loss_finite_at_init_across_seeds():
     feats = teacher.features(image)
     for seed in range(100):
         params = init_params(cfg.model, 32, 3, seed=seed)
-        out = forward(image, mask, BoundParams(params))
-        lt = total_loss(patch_loss(out.z, feats, mask, 2.0),
-                        patch_loss(out.z, feats, mask, 2.0), 0.5)
+        out = forward([image], [mask], BoundParams(params))
+        lt = total_loss(patch_loss(out.z, [feats], [mask], 2.0).loss,
+                        patch_loss(out.z, [feats], [mask], 2.0).loss, 0.5)
         assert np.isfinite(float(lt.data))
 
 
@@ -172,7 +176,7 @@ def test_final_checkpoint_matches_live_params(tmp_path):
     result = train(cfg, images, tmp_path)
     loaded = load_checkpoint(result.final_checkpoint)
     mask = generate_mask(cfg.mask)
-    out = forward(images[0][1], mask, BoundParams(loaded))
+    out = forward([images[0][1]], [mask], BoundParams(loaded))
     assert np.isfinite(out.z.data).all()
 
 
@@ -232,21 +236,87 @@ def test_full_step_at_lambda_zero_matches_baseline_losses(tmp_path, monkeypatch)
 
 
 def test_default_step_op_budget(tmp_path, monkeypatch):
-    # one default-recipe step (batch 8) records 91 tape ops per image:
-    # attention and smooth-L1 are one op each and mask tokens are placed by
-    # one gather, so an unfused path coming back raises the count
-    cfg = RunConfig()
-    cfg = replace(cfg, train=replace(cfg.train, total_epochs=1.0, warmup_epochs=0.5)).validate()
-    ops_per_step = []
+    # one default-recipe step records 91 tape ops at batch 1 and at batch 8:
+    # the minibatch is one graph, attention and smooth-L1 are one op each and
+    # mask tokens are placed by one gather, so a per-image loop or an
+    # unfused path coming back raises the count
     real_backward = featmim.trainer.backward
+    for batch_size in (1, 8):
+        cfg = RunConfig()
+        cfg = replace(cfg, train=replace(cfg.train, batch_size=batch_size, total_epochs=1.0,
+                                         warmup_epochs=0.5)).validate()
+        ops_per_step = []
 
-    def counting_backward(tape, loss):
-        ops_per_step.append(len(tape._ops))
-        return real_backward(tape, loss)
+        def counting_backward(tape, loss):
+            ops_per_step.append(len(tape._ops))
+            return real_backward(tape, loss)
 
-    monkeypatch.setattr(featmim.trainer, "backward", counting_backward)
-    train(cfg, small_images(cfg.train.batch_size), tmp_path)
-    assert ops_per_step == [91 * cfg.train.batch_size]
+        monkeypatch.setattr(featmim.trainer, "backward", counting_backward)
+        train(cfg, small_images(batch_size), tmp_path / f"b{batch_size}")
+        assert ops_per_step == [91], batch_size
+
+
+def _step_batch(cfg, n, dtype):
+    teacher = ProceduralConvTeacher(target_dim=16, downsample_rate=8, seed=0)
+    batch = []
+    for i in range(n):
+        image = synthetic_image(32, 3, seed=i, dtype=dtype)
+        batch.append((image, generate_mask(replace(cfg.mask, seed=i)), teacher.features(image)))
+    return batch
+
+
+@pytest.mark.parametrize("channel_reduce", ["mean", "sum"])
+def test_batched_step_is_the_mean_of_one_image_steps(channel_reduce):
+    # float64 oracle: one taped graph over four images gives the mean loss,
+    # logged values and gradient of four one-image steps, to 1e-12
+    cfg = RunConfig()
+    loss_cfg = replace(cfg.loss, channel_reduce=channel_reduce)
+    params = init_params(cfg.model, 32, 3, seed=0, dtype=np.float64)
+    batch = _step_batch(cfg, 4, np.float64)
+
+    def step(items):
+        tape = Tape()
+        loss, *logged = step_losses(BoundParams(params, tape), items, loss_cfg)
+        return float(loss.data), logged, backward(tape, loss)
+
+    loss, logged, grads = step(batch)
+    singles = [step([item]) for item in batch]
+    assert abs(loss - np.mean([s[0] for s in singles])) <= 1e-12
+    # the logged L_total is the loss that was differentiated
+    for step_loss, (_, _, logged_total), _ in [(loss, logged, grads), *singles]:
+        assert abs(logged_total - step_loss) <= 1e-12
+    np.testing.assert_allclose(logged, np.mean([s[1] for s in singles], axis=0),
+                               rtol=0, atol=1e-12)
+    for name, g in grads.items():
+        np.testing.assert_allclose(g, np.mean([s[2][name] for s in singles], axis=0),
+                                   rtol=0, atol=1e-12, err_msg=name)
+
+
+def test_step_activations_are_freed_by_backward(monkeypatch):
+    # backward releases the tape's records, so the step's activations go
+    # by reference counting alone, without waiting for the cyclic GC
+    cfg = RunConfig()
+    params = init_params(cfg.model, 32, 3, seed=0)
+    batch = _step_batch(cfg, 2, np.float32)
+    refs = []
+    real_forward = featmim.trainer.forward
+
+    def recording_forward(images, masks, bp):
+        out = real_forward(images, masks, bp)
+        refs.extend(weakref.ref(t.data) for t in (*out.layers, out.h, out.z))
+        return out
+
+    monkeypatch.setattr(featmim.trainer, "forward", recording_forward)
+    gc.collect()
+    gc.disable()
+    try:
+        tape = Tape()
+        loss = step_losses(BoundParams(params, tape), batch, cfg.loss)[0]
+        assert refs and all(r() is not None for r in refs)
+        backward(tape, loss)
+        assert all(r() is None for r in refs)
+    finally:
+        gc.enable()
 
 
 def test_epoch_order_matches_inline_shuffle(tmp_path, monkeypatch):
