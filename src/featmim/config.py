@@ -8,7 +8,7 @@ consistency) before any command does work.
 import json
 from dataclasses import asdict, dataclass, field, fields
 
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, check_field_types, finite_number
 from .losses import LossConfig
 from .masking import MaskSpec
 from .model import ModelConfig
@@ -24,8 +24,8 @@ class DataConfig:
     def validate(self):
         for name, v in (("norm_mean", self.norm_mean), ("norm_std", self.norm_std)):
             vals = v if isinstance(v, (list, tuple)) else [v]
-            if not all(isinstance(x, (int, float)) for x in vals):
-                raise ConfigError(f"data.{name} must be a number or list of numbers")
+            if not all(finite_number(x) for x in vals):
+                raise ConfigError(f"data.{name} must be a finite number or list of them")
         stds = self.norm_std if isinstance(self.norm_std, (list, tuple)) else [self.norm_std]
         if any(s == 0 for s in stds):
             raise ConfigError("data.norm_std must be nonzero")
@@ -86,11 +86,9 @@ def _build_section(name, default, payload):
     unknown = set(payload) - known
     if unknown:
         raise ConfigError(f"unknown field(s) in section {name!r}: {sorted(unknown)}")
-    merged = {**asdict(default), **payload}
-    try:
-        return type(default)(**merged)
-    except TypeError as e:
-        raise ConfigError(f"bad value in section {name!r}: {e}") from None
+    section = type(default)(**{**asdict(default), **payload})
+    check_field_types(section, name)
+    return section
 
 
 def run_config_from_dict(doc):
@@ -112,7 +110,7 @@ def load_run_config(path):
             doc = json.load(f)
     except OSError as e:
         raise DataError(f"cannot read config {path}: {e}") from None
-    except json.JSONDecodeError as e:
+    except ValueError as e:  # also non-UTF-8 bytes and over-long integers
         raise ConfigError(f"config {path} is not valid JSON: {e}") from None
     return run_config_from_dict(doc)
 

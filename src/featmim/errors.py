@@ -1,8 +1,13 @@
-"""Exception hierarchy shared by all featmim modules.
+"""Exception hierarchy shared by all featmim modules, and the field type
+check every config dataclass read from a file goes through.
 
 The CLI maps these onto exit codes: ConfigError -> 2, DataError -> 3,
 NumericError -> 4. Anything else is a bug and propagates as a traceback.
 """
+
+import sys
+from dataclasses import fields
+from typing import get_args
 
 
 class FeatmimError(Exception):
@@ -27,3 +32,30 @@ class DataError(FeatmimError):
 
 class NumericError(FeatmimError):
     """Numerically undefined request: non-finite inputs, zero-norm tokens."""
+
+
+def finite_number(value):
+    """An int or float (not a bool) that is finite as a float."""
+    return type(value) in (int, float) and abs(value) <= sys.float_info.max
+
+
+_FIELD_RULES = {
+    bool: ("true or false", lambda v: type(v) is bool),
+    int: ("an integer", lambda v: type(v) is int),
+    float: ("a finite number", finite_number),
+    str: ("a string", lambda v: type(v) is str),
+    type(None): ("null", lambda v: v is None),
+}
+
+
+def check_field_types(obj, where):
+    """Raise ConfigError naming where.field when a field of the dataclass obj
+    does not hold its annotated type. An int field takes an int but not a
+    bool, a float field an int or a finite float, an Optional field also
+    None; other annotations (`object`) are left to the validate methods."""
+    for f in fields(obj):
+        kinds = [k for k in get_args(f.type) or (f.type,) if k in _FIELD_RULES]
+        value = getattr(obj, f.name)
+        if kinds and not any(_FIELD_RULES[k][1](value) for k in kinds):
+            wanted = " or ".join(_FIELD_RULES[k][0] for k in kinds)
+            raise ConfigError(f"{where}.{f.name} must be {wanted}, got {value!r}")

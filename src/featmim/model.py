@@ -23,7 +23,8 @@ from typing import Optional
 import numpy as np
 
 from . import tensor as tn
-from .errors import ConfigError, DataError, DegenerateMaskError, ShapeError
+from .errors import (ConfigError, DataError, DegenerateMaskError, ShapeError,
+                     check_field_types)
 from .masking import batch_rows
 from .tensor import Tensor, tvec_bytes, tvec_from_bytes
 
@@ -366,8 +367,9 @@ def load_checkpoint(path):
     if grid * grid != n_patches:
         raise DataError(f"{path}: header n_patches {n_patches} is not a square grid")
     try:
+        check_field_types(config, "config")
         config.validate()
-    except (ConfigError, TypeError) as e:
+    except ConfigError as e:
         raise DataError(f"{path}: checkpoint config is invalid: {e}") from None
     off = 8 + hlen
     weights = {}

@@ -59,7 +59,9 @@ def bilinear_resize(image, out_h, out_w):
     """Separable bilinear resampling, align-corners=false convention.
 
     Output pixel j samples the input at (j + 0.5) * in/out - 0.5, clamped
-    to the valid range.
+    to the valid range. Columns are blended first, on the input rows, and
+    the blended rows second: every output pixel gets the same multiplies and
+    adds, in the same order, as a blend of its four corners.
     """
     c, h, w = image.shape
 
@@ -72,15 +74,11 @@ def bilinear_resize(image, out_h, out_w):
 
     r0, r1, wr = coords(h, out_h)
     c0, c1, wc = coords(w, out_w)
-    wr = wr[None, :, None]
-    wc = wc[None, None, :]
-    tl = image[:, r0[:, None], c0[None, :]]
-    tr = image[:, r0[:, None], c1[None, :]]
-    bl = image[:, r1[:, None], c0[None, :]]
-    br = image[:, r1[:, None], c1[None, :]]
-    top = tl * (1 - wc) + tr * wc
-    bot = bl * (1 - wc) + br * wc
-    return top * (1 - wr) + bot * wr
+    # np.take gathers into C order; image[:, :, idx] puts the indexed axis
+    # outermost in memory and makes every later pass strided
+    rows = np.take(image, c0, axis=2) * (1 - wc) + np.take(image, c1, axis=2) * wc
+    wr = wr[:, None]
+    return np.take(rows, r0, axis=1) * (1 - wr) + np.take(rows, r1, axis=1) * wr
 
 
 def align_input(image, student_patch_side, teacher_downsample):
@@ -104,14 +102,26 @@ def align_input(image, student_patch_side, teacher_downsample):
 
 
 def _conv2d_stride2(x, weight, bias):
-    """3x3 convolution, stride 2, padding 1. x: [C, H, W] with even H, W."""
+    """3x3 convolution, stride 2, padding 1. x: [C, H, W] with even H, W.
+
+    im2col: nine strided slices of x fill a channel-major [C, 3, 3, H/2, W/2]
+    buffer (taps that fall on the padding keep its zeros), and one transpose
+    copy makes it the C-contiguous [H/2 * W/2, C * 9] GEMM operand, K in the
+    (c, i, j) order of the weights. The GEMM must not read the transposed
+    view: that goes to another BLAS kernel, whose sums round differently on
+    small grids.
+    """
     c, h, w = x.shape
     out_c = weight.shape[0]
-    padded = np.pad(x, ((0, 0), (1, 1), (1, 1)))
-    win = np.lib.stride_tricks.sliding_window_view(padded, (3, 3), axis=(1, 2))
-    win = win[:, ::2, ::2]  # [C, H/2, W/2, 3, 3]
-    oh, ow = win.shape[1], win.shape[2]
-    cols = win.transpose(1, 2, 0, 3, 4).reshape(oh * ow, c * 9)
+    oh, ow = h // 2, w // 2
+    cols = np.zeros((c, 3, 3, oh, ow), dtype=x.dtype)
+    for i in range(3):
+        for j in range(3):
+            # tap (i, j) of output (r, s) reads x[2r + i - 1, 2s + j - 1]
+            r, s = int(i == 0), int(j == 0)  # the first row / column reads padding
+            cols[:, i, j, r:, s:] = x[:, 2 * r + i - 1:2 * oh + i - 1:2,
+                                      2 * s + j - 1:2 * ow + j - 1:2]
+    cols = np.ascontiguousarray(cols.reshape(c * 9, oh * ow).T)
     out = cols @ weight.reshape(out_c, c * 9).T + bias
     return out.T.reshape(out_c, oh, ow)
 

@@ -4,6 +4,8 @@ The finite-difference oracle is the independent reference for every
 analytic gradient; it never calls the tape. The step oracles are the two
 loss compositions the trainer's single step must reproduce: plain feature
 regression, and patch + lam * global with the global branch always taped.
+The resize, convolution and similarity oracles are the direct forms of
+the teacher and diversity code, which must match them bit for bit.
 """
 
 import math
@@ -74,3 +76,57 @@ def full_composition_step(bp, batch, loss_cfg):
     n = len(batch)
     return (total_loss(lp, lg, loss_cfg.lam), math.fsum(lp_vals) / n,
             math.fsum(lg_vals) / n, math.fsum(lt_vals) / n)
+
+
+def four_corner_resize(image, out_h, out_w):
+    """Bilinear resampling (align-corners=false) that gathers the four
+    corners of every output pixel at output size and blends them: columns
+    within the top and bottom rows first, then the two rows."""
+    c, h, w = image.shape
+
+    def coords(n_in, n_out):
+        src = (np.arange(n_out) + 0.5) * (n_in / n_out) - 0.5
+        src = np.clip(src, 0.0, n_in - 1)
+        i0 = np.floor(src).astype(np.int64)
+        i1 = np.minimum(i0 + 1, n_in - 1)
+        return i0, i1, (src - i0).astype(image.dtype)
+
+    r0, r1, wr = coords(h, out_h)
+    c0, c1, wc = coords(w, out_w)
+    wr = wr[None, :, None]
+    wc = wc[None, None, :]
+    tl = image[:, r0[:, None], c0[None, :]]
+    tr = image[:, r0[:, None], c1[None, :]]
+    bl = image[:, r1[:, None], c0[None, :]]
+    br = image[:, r1[:, None], c1[None, :]]
+    top = tl * (1 - wc) + tr * wc
+    bot = bl * (1 - wc) + br * wc
+    return top * (1 - wr) + bot * wr
+
+
+def window_conv2d_stride2(x, weight, bias):
+    """3x3 stride-2 pad-1 convolution through sliding_window_view: the
+    windows reshaped to [H/2 * W/2, C * 9] in (c, i, j) order, one GEMM."""
+    c, h, w = x.shape
+    out_c = weight.shape[0]
+    padded = np.pad(x, ((0, 0), (1, 1), (1, 1)))
+    win = np.lib.stride_tricks.sliding_window_view(padded, (3, 3), axis=(1, 2))
+    win = win[:, ::2, ::2]  # [C, H/2, W/2, 3, 3]
+    oh, ow = win.shape[1], win.shape[2]
+    cols = win.transpose(1, 2, 0, 3, 4).reshape(oh * ow, c * 9)
+    out = cols @ weight.reshape(out_c, c * 9).T + bias
+    return out.T.reshape(out_c, oh, ow)
+
+
+def ordered_pair_similarity(y):
+    """Mean min-max-normalized cosine over all K(K-1) ordered token pairs,
+    summed exactly; the degenerate rule as in featmim.diversity."""
+    u = np.asarray(y, dtype=np.float64)
+    u = u / np.linalg.norm(u, axis=1)[:, None]
+    c = u @ u.T
+    off = c[~np.eye(len(c), dtype=bool)]
+    lo, hi = off.min(), off.max()
+    if hi == lo:
+        return min(max(float(lo), 0.0), 1.0)
+    normed = (off - lo) / (hi - lo)
+    return math.fsum(normed) / len(normed)

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 from dataclasses import replace
 
@@ -80,6 +81,32 @@ def test_invalid_config_exits_2_without_side_effects(tmp_path, image_dir):
     code = main(["pretrain", "--config", str(cfg), "--images", str(image_dir),
                  "--out", str(out)])
     assert code == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("field,value", [
+    ("teacher.downsample_rate", 8.0),
+    ("train.batch_size", "8"),
+    ("mask.mask_ratio", None),
+    ("model.embed_dim", 32.0),
+    ("model.use_cls", 1),
+    ("train.seed", True),
+    ("teacher.features_dir", 5),
+    # non-finite floats would train into a NaN checkpoint
+    ("train.base_lr", math.inf),
+    ("data.norm_std", math.nan),
+])
+def test_wrongly_typed_config_field_exits_2(tmp_path, image_dir, capsys, field, value):
+    section, name = field.split(".")
+    cfg = write_config(tmp_path)
+    doc = json.loads(cfg.read_text())
+    doc.setdefault(section, {})[name] = value
+    cfg.write_text(json.dumps(doc))
+    out = tmp_path / "run"
+    code = main(["pretrain", "--config", str(cfg), "--images", str(image_dir),
+                 "--out", str(out)])
+    assert code == 2
+    assert field in capsys.readouterr().err
     assert not out.exists()
 
 

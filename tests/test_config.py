@@ -79,6 +79,17 @@ def test_malformed_json_rejected(tmp_path):
         load_run_config(p)
 
 
+@pytest.mark.parametrize("raw", [
+    b'{"train": {"seed": ' + b"1" * 5000 + b"}}",  # past the int-parsing digit limit
+    b'{"train": {"seed": "\xff"}}',
+], ids=["long_int", "not_utf8"])
+def test_undecodable_json_rejected(tmp_path, raw):
+    p = tmp_path / "cfg.json"
+    p.write_bytes(raw)
+    with pytest.raises(ConfigError, match="not valid JSON"):
+        load_run_config(p)
+
+
 def test_non_object_document_rejected(tmp_path):
     p = tmp_path / "cfg.json"
     p.write_text(json.dumps([1, 2, 3]))

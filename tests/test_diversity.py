@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from conftest import ordered_pair_similarity
 from featmim.diversity import corpus_diversity, pairwise_cosine, sample_similarity
 from featmim.errors import ConfigError, NumericError
 from featmim.teacher import TeacherFeatures
@@ -63,7 +64,7 @@ def test_pairwise_symmetric_unit_diagonal():
     rng = np.random.default_rng(0)
     y = rng.normal(size=(6, 4))
     c = pairwise_cosine(y)
-    np.testing.assert_allclose(c, c.T, atol=1e-15)
+    assert np.array_equal(c, c.T)
     np.testing.assert_allclose(np.diag(c), 1.0, atol=1e-6)
 
 
@@ -188,6 +189,12 @@ def test_permutation_invariance(y, seed):
     rng = np.random.default_rng(seed)
     perm = rng.permutation(y.shape[0])
     assert sample_similarity(y[perm]) == sample_similarity(y)
+
+
+@given(_tokens(st.tuples(st.integers(2, 40), st.integers(1, 9))))
+@settings(max_examples=100, deadline=None)
+def test_unordered_mean_equals_ordered_mean_exactly(y):
+    assert sample_similarity(y) == ordered_pair_similarity(y)
 
 
 @given(tokens_any)

@@ -306,6 +306,10 @@ def _checkpoint_with_header(valid, edit):
     ("n_patches", 15, "not a square grid"),
     ("in_channels", 0, "in_channels 0 is not a positive integer"),
     ("enc_heads", 0, "at least one head"),
+    ("embed_dim", 32.0, "config.embed_dim must be an integer"),
+    ("patch_side", 8.0, "config.patch_side must be an integer"),
+    ("target_dim", True, "config.target_dim must be an integer"),
+    ("use_cls", 1, "config.use_cls must be true or false"),
 ])
 def test_checkpoint_rejects_bad_header_values(tmp_path, key, value, message):
     good = tmp_path / "good.bin"

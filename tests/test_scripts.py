@@ -1,0 +1,34 @@
+"""The desk-scale scripts run end to end at their smallest sizes."""
+
+import subprocess
+import sys
+from pathlib import Path
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def run_script(name, *args, cwd):
+    proc = subprocess.run([sys.executable, str(SCRIPTS / name), *args], cwd=cwd,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_make_toy_images(tmp_path):
+    out = run_script("make_toy_images.py", "--out", "toy", "--count", "3", "--side", "16",
+                     cwd=tmp_path)
+    assert "wrote 3 16x16 images" in out
+    assert sorted(p.name for p in (tmp_path / "toy").iterdir()) == [
+        "img000.ppm", "img001.ppm", "img002.ppm"]
+
+
+def test_compare_teachers(tmp_path):
+    out = run_script("compare_teachers.py", "--out", "study", "--steps", "3",
+                     "--n-images", "2", cwd=tmp_path)
+    rows = out.splitlines()[1:]
+    assert [r.split()[0] for r in rows] == [f"conv(seed={s})" for s in (0, 1, 2)]
+    for seed in (0, 1, 2):
+        tdir = tmp_path / "study" / f"teacher_{seed}"
+        assert (tdir / "features" / "manifest.json").exists()
+        assert (tdir / "heatmap_q5.pgm").exists()
+        assert (tdir / "run" / "ckpt_3.bin").exists()

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
+from conftest import four_corner_resize, window_conv2d_stride2
 from featmim.errors import ConfigError, DataError
 from featmim.synth import synthetic_image
 from featmim.teacher import (FileTeacher, ProceduralConvTeacher, TeacherSpec,
-                             align_input, bilinear_resize, dump_features,
-                             load_feature_dir, make_teacher)
+                             _conv2d_stride2, align_input, bilinear_resize,
+                             dump_features, load_feature_dir, make_teacher)
 
 
 def test_align_reference_geometry():
@@ -207,3 +208,35 @@ def test_bilinear_preserves_linear_ramp_interior():
     cols = (np.arange(2 * w) + 0.5) * 0.5 - 0.5
     interior = slice(2, 2 * w - 2)
     np.testing.assert_allclose(out[0, 4, interior], cols[interior], atol=1e-12)
+
+
+@pytest.mark.parametrize("factor", [2, 4])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("channels", [1, 3, 8])
+def test_bilinear_matches_four_corner_oracle_bitwise(factor, dtype, channels):
+    # non-square on purpose: rows and columns get different weights
+    img = np.random.default_rng(channels).uniform(size=(channels, 12, 20)).astype(dtype)
+    out = bilinear_resize(img, 12 * factor, 20 * factor)
+    want = four_corner_resize(img, 12 * factor, 20 * factor)
+    assert out.dtype == want.dtype and out.shape == want.shape
+    assert out.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("target_dim,rate,side", [
+    (128, 16, 256),  # the 128x128 corpus aligned 2x for 8-pixel patches
+    (128, 16, 32),
+    (16, 8, 32),  # the default teacher on the default training images
+    (16, 8, 64),
+    (16, 8, 8),  # down to a 1x1 grid, where every tap but the centre reads padding
+])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_conv_stages_match_window_oracle_bitwise(target_dim, rate, side, dtype):
+    teacher = ProceduralConvTeacher(target_dim=target_dim, downsample_rate=rate, seed=4)
+    x = synthetic_image(side, 3, seed=side).astype(dtype)
+    for weight, bias in teacher._stages:
+        weight, bias = weight.astype(dtype), bias.astype(dtype)
+        want = window_conv2d_stride2(x, weight, bias)
+        got = _conv2d_stride2(x, weight, bias)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+        x = np.tanh(want)
