@@ -12,6 +12,7 @@ import numpy as np
 
 from .diversity import _unit_rows
 from .errors import ConfigError
+from .imageio import write_pgm
 
 
 @dataclass(frozen=True)
@@ -35,16 +36,10 @@ def render_pgm(hmap: HeatMap, path):
     brighter means more similar. A constant map renders mid-gray (128).
     The query cell goes to a `<path>.json` sidecar.
     """
-    v = np.asarray(hmap.values, dtype=np.float64)
-    lo, hi = v.min(), v.max()
-    if hi == lo:
-        pix = np.full(v.shape, 128, dtype=np.uint8)
-    else:
-        pix = np.floor((v - lo) / (hi - lo) * 255.0 + 0.5).astype(np.uint8)
     g = hmap.grid_side
-    with open(path, "wb") as f:
-        f.write(f"P5\n{g} {g}\n255\n".encode())
-        f.write(pix.reshape(g, g).tobytes())
+    v = np.asarray(hmap.values, dtype=np.float64).reshape(g, g)
+    lo, hi = v.min(), v.max()
+    write_pgm(path, np.full(v.shape, 0.5) if hi == lo else (v - lo) / (hi - lo))
     with open(f"{path}.json", "w") as f:
         json.dump({"query_index": hmap.query_index, "grid_side": g,
                    "value_min": float(lo), "value_max": float(hi)},

@@ -118,6 +118,8 @@ def cmd_heatmap(args):
     tokens = read_tvec(args.features)
     if tokens.ndim != 2:
         raise DataError(f"{args.features}: expected a 2-d token file, got rank {tokens.ndim}")
+    if not np.isfinite(tokens).all():
+        raise DataError(f"{args.features}: token file contains non-finite values")
     grid = math.isqrt(tokens.shape[0])
     if grid * grid != tokens.shape[0]:
         raise DataError(f"{args.features}: {tokens.shape[0]} tokens is not a square grid")

@@ -9,7 +9,7 @@ import os
 
 import numpy as np
 
-from .errors import DataError
+from .errors import ConfigError, DataError
 
 
 def _tokens(blob, count):
@@ -100,9 +100,15 @@ def write_ppm(path, array):
 
 
 def normalize(image, mean=0.5, std=0.5):
-    """Per-channel (x - mean) / std; mean/std may be scalars or per-channel."""
+    """Per-channel (x - mean) / std. mean and std, the run config's
+    data.norm_mean and data.norm_std, hold one value or one per channel."""
     mean = np.asarray(mean, dtype=np.float32).reshape(-1, 1, 1)
     std = np.asarray(std, dtype=np.float32).reshape(-1, 1, 1)
+    c = image.shape[0]
+    for name, v in (("norm_mean", mean), ("norm_std", std)):
+        if len(v) not in (1, c):
+            raise ConfigError(f"data.{name} holds {len(v)} values for {c}-channel images; "
+                              f"it needs 1 or {c}")
     if np.any(std == 0):
         raise DataError("normalization std must be nonzero")
     return (image - mean) / std

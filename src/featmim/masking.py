@@ -99,10 +99,6 @@ class PatchMask:
     def n_patches(self):
         return self.grid.size
 
-    @property
-    def grid_side(self):
-        return self.grid.shape[0]
-
 
 def generate_mask(spec: MaskSpec) -> PatchMask:
     """Sample a block-wise mask; deterministic for a given (spec, seed)."""
@@ -130,10 +126,6 @@ def generate_mask(spec: MaskSpec) -> PatchMask:
     if len(visible) == 0:
         raise DegenerateMaskError("mask left no visible patches")
     return PatchMask(grid=grid, masked_idx=masked, visible_idx=visible)
-
-
-def mask_ratio_actual(mask: PatchMask) -> float:
-    return len(mask.masked_idx) / mask.n_patches
 
 
 def batch_rows(masks, field, n_patches):

@@ -4,8 +4,9 @@ Asymmetric design: the encoder runs only on visible patch tokens (plus an
 optional CLS token), the decoder rebuilds the full patch grid and regresses
 teacher features. It places tokens with one gather over [visible tokens;
 mask token] by a restore index, so every masked slot reads the learnable
-mask token (MAE's ids_restore unshuffle). Attention is the single fused
-tape op tensor.attention between the q/k/v and output projections. Encoder
+mask token (MAE's ids_restore unshuffle). Each dense layer, x @ W + b, is
+one tensor.linear tape node; attention is the single fused tape op
+tensor.attention between the q/k/v and output projections. Encoder
 block outputs can be aggregated (mean or literal sum) before decoding; a
 2-layer MLP head projects last-layer visible tokens to the teacher dimension
 for the global loss.
@@ -206,22 +207,22 @@ def patch_embed(images, bp: BoundParams):
         if flat.shape[1] != bp.meta.in_channels * bp.config.patch_side**2:
             raise ConfigError("image channel count does not match the model")
     flat = np.concatenate(flats).astype(bp.meta.weights["patch_proj_w"].dtype)
-    tokens = tn.add(tn.matmul(Tensor(flat), bp["patch_proj_w"]), bp["patch_proj_b"])
+    tokens = tn.linear(Tensor(flat), bp["patch_proj_w"], bp["patch_proj_b"])
     return tn.add(tokens, Tensor(np.tile(bp.meta.enc_pos, (len(flats), 1))))
 
 
 def _attention(x, bp, prefix, heads, batch):
-    q = tn.add(tn.matmul(x, bp[f"{prefix}_q_w"]), bp[f"{prefix}_q_b"])
-    k = tn.add(tn.matmul(x, bp[f"{prefix}_k_w"]), bp[f"{prefix}_k_b"])
-    v = tn.add(tn.matmul(x, bp[f"{prefix}_v_w"]), bp[f"{prefix}_v_b"])
+    q = tn.linear(x, bp[f"{prefix}_q_w"], bp[f"{prefix}_q_b"])
+    k = tn.linear(x, bp[f"{prefix}_k_w"], bp[f"{prefix}_k_b"])
+    v = tn.linear(x, bp[f"{prefix}_v_w"], bp[f"{prefix}_v_b"])
     y = tn.attention(q, k, v, heads, batch)
-    return tn.add(tn.matmul(y, bp[f"{prefix}_attn_out_w"]), bp[f"{prefix}_attn_out_b"])
+    return tn.linear(y, bp[f"{prefix}_attn_out_w"], bp[f"{prefix}_attn_out_b"])
 
 
 def _mlp(x, bp, prefix):
-    h = tn.add(tn.matmul(x, bp[f"{prefix}_mlp_fc1_w"]), bp[f"{prefix}_mlp_fc1_b"])
+    h = tn.linear(x, bp[f"{prefix}_mlp_fc1_w"], bp[f"{prefix}_mlp_fc1_b"])
     h = tn.gelu(h)
-    return tn.add(tn.matmul(h, bp[f"{prefix}_mlp_fc2_w"]), bp[f"{prefix}_mlp_fc2_b"])
+    return tn.linear(h, bp[f"{prefix}_mlp_fc2_w"], bp[f"{prefix}_mlp_fc2_b"])
 
 
 def _transformer_block(x, bp, prefix, heads, batch):
@@ -280,7 +281,7 @@ def decode(h_visible, masks, bp: BoundParams):
     cfg = bp.config
     b, n = len(masks), bp.meta.n_patches
     vis_rows = batch_rows(masks, "visible_idx", n).reshape(-1)
-    h = tn.add(tn.matmul(h_visible, bp["enc2dec_w"]), bp["enc2dec_b"])
+    h = tn.linear(h_visible, bp["enc2dec_w"], bp["enc2dec_b"])
     rows = tn.concat([h, tn.reshape(bp["mask_token"], (1, cfg.dec_width))], axis=0)
     # grid row -> row of [all visible tokens; mask token]
     restore_idx = np.full(b * n, len(vis_rows), dtype=np.int64)
@@ -288,7 +289,7 @@ def decode(h_visible, masks, bp: BoundParams):
     x = tn.add(tn.gather_rows(rows, restore_idx), Tensor(np.tile(bp.meta.dec_pos, (b, 1))))
     for layer in range(cfg.dec_depth):
         x = _transformer_block(x, bp, f"dec{layer}", cfg.dec_heads, b)
-    return tn.add(tn.matmul(x, bp["dec_pred_w"]), bp["dec_pred_b"])
+    return tn.linear(x, bp["dec_pred_w"], bp["dec_pred_b"])
 
 
 def project_global(h_visible, bp: BoundParams):
@@ -296,9 +297,9 @@ def project_global(h_visible, bp: BoundParams):
 
     CLS never reaches this head; callers pass patch tokens only.
     """
-    h = tn.add(tn.matmul(h_visible, bp["proj_fc1_w"]), bp["proj_fc1_b"])
+    h = tn.linear(h_visible, bp["proj_fc1_w"], bp["proj_fc1_b"])
     h = tn.relu(h)
-    return tn.add(tn.matmul(h, bp["proj_fc2_w"]), bp["proj_fc2_b"])
+    return tn.linear(h, bp["proj_fc2_w"], bp["proj_fc2_b"])
 
 
 def forward(images, masks, bp: BoundParams):

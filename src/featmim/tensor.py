@@ -6,9 +6,11 @@ node and behave as constants. float32 is the training dtype; every op is
 dtype-preserving, so the same graph runs in float64 for gradient checks.
 
 The op vocabulary is what the student and its losses use: elementwise add,
-sub, mul, relu, gelu; 2-d matmul, reshape, concat, gather_rows, sum, mean;
-and the fused layer_norm, attention and smooth_l1, each one tape node with
-an analytic backward.
+sub, mul, relu, gelu; reshape, concat, gather_rows, sum, mean; and the
+fused linear (x @ w + b), layer_norm, attention and smooth_l1, each one
+tape node with an analytic backward. add, sub and mul take operands of
+equal shape; only a constant, such as a Python scalar factor, may
+broadcast against a taped operand.
 
 Single-threaded: one tape must not be shared across threads during a step.
 """
@@ -161,48 +163,37 @@ def _emit(out_data, pairs):
     return out
 
 
-def _unbroadcast(g, shape):
-    """Reduce a broadcast gradient back to `shape`."""
-    extra = g.ndim - len(shape)
-    if extra > 0:
-        g = g.sum(axis=tuple(range(extra)))
-    axes = tuple(i for i, s in enumerate(shape) if s == 1 and g.shape[i] != 1)
-    if axes:
-        g = g.sum(axis=axes, keepdims=True)
-    return g.reshape(shape)
+# --- elementwise ops ---
 
 
-# --- elementwise and broadcast ops ---
+def _operands(a, b):
+    """Both operands of an elementwise op as tensors. Only a constant may
+    broadcast: a taped operand has the result's shape, so its gradient
+    needs no reduction."""
+    a = _as_tensor(a, like=b if isinstance(b, Tensor) else None)
+    b = _as_tensor(b, like=a)
+    if a.data.shape != b.data.shape:
+        shape = np.broadcast_shapes(a.data.shape, b.data.shape)
+        if any(t.node is not None and t.data.shape != shape for t in (a, b)):
+            raise ShapeError(f"a taped operand must have the result shape {shape}, "
+                             f"got {a.shape} and {b.shape}")
+    return a, b
 
 
 def add(a, b):
-    a = _as_tensor(a, like=b if isinstance(b, Tensor) else None)
-    b = _as_tensor(b, like=a)
-    out = a.data + b.data
-    return _emit(out, [
-        (a, lambda g: _unbroadcast(g, a.data.shape)),
-        (b, lambda g: _unbroadcast(g, b.data.shape)),
-    ])
+    a, b = _operands(a, b)
+    return _emit(a.data + b.data, [(a, lambda g: g), (b, lambda g: g)])
 
 
 def sub(a, b):
-    a = _as_tensor(a, like=b if isinstance(b, Tensor) else None)
-    b = _as_tensor(b, like=a)
-    out = a.data - b.data
-    return _emit(out, [
-        (a, lambda g: _unbroadcast(g, a.data.shape)),
-        (b, lambda g: _unbroadcast(-g, b.data.shape)),
-    ])
+    a, b = _operands(a, b)
+    return _emit(a.data - b.data, [(a, lambda g: g), (b, lambda g: -g)])
 
 
 def mul(a, b):
-    a = _as_tensor(a, like=b if isinstance(b, Tensor) else None)
-    b = _as_tensor(b, like=a)
-    out = a.data * b.data
-    return _emit(out, [
-        (a, lambda g: _unbroadcast(g * b.data, a.data.shape)),
-        (b, lambda g: _unbroadcast(g * a.data, b.data.shape)),
-    ])
+    a, b = _operands(a, b)
+    x, y = a.data, b.data
+    return _emit(x * y, [(a, lambda g: g * y), (b, lambda g: g * x)])
 
 
 def relu(a):
@@ -230,15 +221,16 @@ def gelu(a):
 # --- linear algebra and structure ops ---
 
 
-def matmul(a, b):
-    a, b = _as_tensor(a), _as_tensor(b)
-    if a.ndim != 2 or b.ndim != 2:
-        raise ShapeError(f"matmul needs 2-d operands, got {a.shape} @ {b.shape}")
-    if a.data.shape[1] != b.data.shape[0]:
-        raise ShapeError(f"matmul inner extents disagree: {a.shape} @ {b.shape}")
-    return _emit(a.data @ b.data, [
-        (a, lambda g: g @ b.data.T),
-        (b, lambda g: a.data.T @ g),
+def linear(x, w, b):
+    """Dense layer x @ w + b over 2-d x [R, i], w [i, o] and b [o]; one tape node."""
+    x, w, b = _as_tensor(x), _as_tensor(w), _as_tensor(b)
+    if x.ndim != 2 or w.ndim != 2 or x.shape[1] != w.shape[0] or b.shape != w.shape[1:]:
+        raise ShapeError(f"linear needs x [R, i], w [i, o], b [o], "
+                         f"got {x.shape}, {w.shape}, {b.shape}")
+    return _emit(x.data @ w.data + b.data, [
+        (x, lambda g: g @ w.data.T),
+        (w, lambda g: x.data.T @ g),
+        (b, lambda g: g.sum(axis=0)),
     ])
 
 

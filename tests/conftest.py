@@ -8,10 +8,14 @@ The resize, convolution and similarity oracles are the direct forms of
 the teacher and diversity code, which must match them bit for bit.
 """
 
+import json
 import math
+import time
 
 import numpy as np
+import pytest
 
+from featmim.cli import main
 from featmim.losses import global_loss, patch_loss, total_loss
 from featmim.model import (decode, encode_visible, forward, patch_embed,
                            project_global)
@@ -40,6 +44,18 @@ def rel_err(a, n, floor=1e-6):
     n = np.asarray(n, dtype=np.float64)
     denom = np.maximum(np.maximum(np.abs(a), np.abs(n)), floor)
     return float(np.max(np.abs(a - n) / denom)) if a.size else 0.0
+
+
+@pytest.fixture(scope="session")
+def default_grad_check(tmp_path_factory):
+    """One default `featmim grad-check --out` run per session, shared by the
+    CLI test and the gradient fidelity acceptance test: (exit code, report
+    JSON, wall seconds). h and the tolerance are pinned to their defaults."""
+    path = tmp_path_factory.mktemp("grad_check") / "report.json"
+    t0 = time.monotonic()
+    code = main(["grad-check", "--h", "1e-5", "--tolerance", "1e-4", "--out", str(path)])
+    elapsed = time.monotonic() - t0
+    return code, json.loads(path.read_text()), elapsed
 
 
 def inline_shuffle(items, stream):

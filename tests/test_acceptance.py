@@ -15,10 +15,9 @@ from featmim.analysis import pca_reduce
 from featmim.cli import main
 from featmim.config import RunConfig
 from featmim.diversity import corpus_diversity
-from featmim.gradcheck import grad_check, tiny_run_config
 from featmim.imageio import write_ppm
 from featmim.losses import global_loss, patch_loss
-from featmim.masking import MaskSpec, generate_mask, mask_ratio_actual
+from featmim.masking import MaskSpec, generate_mask
 from featmim.model import BoundParams, forward, init_params, load_checkpoint
 from featmim.synth import synthetic_image
 from featmim.teacher import (ProceduralConvTeacher, TeacherFeatures,
@@ -39,16 +38,15 @@ def feats(tokens):
     return TeacherFeatures(tokens=tokens, grid_side=1, source_id="t")
 
 
-def test_gradient_fidelity():
+def test_gradient_fidelity(default_grad_check):
     # tiny config (embed 8, L=2, dec_depth 1, heads 2, D_t 16), float64,
     # central differences h=1e-5, max rel err < 1e-4, under 60 s
-    t0 = time.monotonic()
-    report = grad_check(tiny_run_config(), h=1e-5)
-    elapsed = time.monotonic() - t0
-    assert report.max_rel_err < 1e-4
+    code, report, elapsed = default_grad_check
+    assert code == 0
+    assert report["max_rel_err"] < 1e-4
     assert elapsed < 60.0
     _passed("gradient fidelity",
-            f"max rel err {report.max_rel_err:.2e} over {report.n_parameters} "
+            f"max rel err {report['max_rel_err']:.2e} over {report['n_parameters']} "
             f"parameters in {elapsed:.1f}s")
 
 
@@ -105,7 +103,7 @@ def test_mask_geometry():
             continue
         m = generate_mask(spec)
         per_block = spec.patches_per_block_side**2
-        assert abs(mask_ratio_actual(m) - ratio) <= per_block / spec.n_patches
+        assert abs(len(m.masked_idx) / m.n_patches - ratio) <= per_block / spec.n_patches
         bpp = spec.patches_per_block_side
         g = m.grid
         for br in range(spec.blocks_per_side):

@@ -110,6 +110,21 @@ def test_wrongly_typed_config_field_exits_2(tmp_path, image_dir, capsys, field, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize("field", ["norm_mean", "norm_std"])
+@pytest.mark.parametrize("length", [0, 2, 4])
+def test_norm_list_of_wrong_length_exits_2(tmp_path, image_dir, capsys, field, length):
+    # a per-channel list holds one value or one per image channel (3 here)
+    cfg = write_config(tmp_path, data={field: [0.5] * length})
+    for command in ("pretrain", "dump-features"):
+        out = tmp_path / command
+        code = main([command, "--config", str(cfg), "--images", str(image_dir),
+                     "--out", str(out)])
+        assert code == 2, command
+        err = capsys.readouterr().err
+        assert f"data.{field}" in err and "3-channel" in err
+        assert not out.exists()
+
+
 def test_missing_images_exits_3(tmp_path):
     empty = tmp_path / "empty"
     empty.mkdir()
@@ -247,6 +262,18 @@ def test_heatmap_non_square_exits_3(tmp_path):
     assert code == 3
 
 
+def test_heatmap_non_finite_tokens_exit_3(tmp_path, capsys):
+    bad = tmp_path / "bad.tvec"
+    tokens = np.ones((16, 8), dtype=np.float32)
+    tokens[3, 2] = np.nan
+    write_tvec(bad, tokens)
+    out = tmp_path / "m.pgm"
+    code = main(["heatmap", "--features", str(bad), "--query", "0", "--out", str(out)])
+    assert code == 3
+    assert str(bad) in capsys.readouterr().err
+    assert not out.exists() and not (tmp_path / "m.pgm.json").exists()
+
+
 def test_pca_command(tmp_path, image_dir):
     feats = tmp_path / "feats"
     assert main(["dump-features", "--images", str(image_dir), "--out", str(feats)]) == 0
@@ -268,11 +295,9 @@ def test_pca_bad_components_exits_2(tmp_path, image_dir):
     assert code == 2
 
 
-def test_grad_check_command(tmp_path):
-    report_path = tmp_path / "report.json"
-    code = main(["grad-check", "--out", str(report_path)])
+def test_grad_check_command(default_grad_check):
+    code, report, _ = default_grad_check
     assert code == 0
-    report = json.loads(report_path.read_text())
     assert report["max_rel_err"] < 1e-4
     assert report["n_parameters"] > 0
 

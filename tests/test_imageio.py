@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from featmim.errors import DataError
+from featmim.errors import ConfigError, DataError
 from featmim.imageio import load_images, normalize, read_pnm, write_pgm, write_ppm
 
 
@@ -84,6 +84,14 @@ def test_normalize_per_channel():
     img = np.ones((2, 1, 1), dtype=np.float32)
     out = normalize(img, mean=[1.0, 0.0], std=[1.0, 2.0])
     np.testing.assert_allclose(out[:, 0, 0], [0.0, 0.5], rtol=1e-6)
+
+
+def test_normalize_rejects_a_list_per_wrong_channel_count():
+    img = np.ones((3, 1, 1), dtype=np.float32)
+    np.testing.assert_allclose(normalize(img, mean=[1.0], std=[0.5])[:, 0, 0], 0.0)
+    for mean, std in (([0.5, 0.5], 0.5), ([], 0.5), (0.5, [1.0] * 4)):
+        with pytest.raises(ConfigError, match="3-channel"):
+            normalize(img, mean, std)
 
 
 def test_load_images_sorted_ids(tmp_path):

@@ -5,8 +5,7 @@ from hypothesis import strategies as st
 
 from conftest import inline_shuffle
 from featmim.errors import ConfigError, DegenerateMaskError
-from featmim.masking import (MaskSpec, PatchMask, SplitMix64, generate_mask,
-                             mask_ratio_actual)
+from featmim.masking import MaskSpec, SplitMix64, generate_mask
 
 PAPER_GEOMETRY = MaskSpec(image_side=224, patch_side=16, block_side=32, mask_ratio=0.6, seed=0)
 
@@ -18,7 +17,7 @@ def test_reference_geometry_counts():
     assert PAPER_GEOMETRY.n_blocks == 49
     assert len(mask.masked_idx) == 116
     assert len(mask.visible_idx) == 80
-    assert abs(mask_ratio_actual(mask) - 116 / 196) < 1e-15
+    assert abs(len(mask.masked_idx) / mask.n_patches - 116 / 196) < 1e-15
 
 
 def test_same_seed_reproduces_bitwise():
@@ -50,16 +49,6 @@ def test_ratio_bounds_rejected():
     for r in (0.0, 1.0, -0.1, 1.5):
         with pytest.raises(ConfigError):
             generate_mask(MaskSpec(64, 16, 32, r, 0))
-
-
-def test_mask_ratio_actual_extremes():
-    grid = np.zeros((4, 4), dtype=bool)
-    empty = PatchMask(grid=grid, masked_idx=np.array([], dtype=np.int64),
-                      visible_idx=np.arange(16, dtype=np.int64))
-    assert mask_ratio_actual(empty) == 0.0
-    full = PatchMask(grid=~grid, masked_idx=np.arange(16, dtype=np.int64),
-                     visible_idx=np.array([], dtype=np.int64))
-    assert mask_ratio_actual(full) == 1.0
 
 
 def test_index_sets_partition_patch_range():
@@ -104,7 +93,7 @@ def test_actual_ratio_within_one_block(spec):
         return
     patches_per_block = spec.patches_per_block_side**2
     tol = patches_per_block / spec.n_patches
-    assert abs(mask_ratio_actual(mask) - spec.mask_ratio) <= tol
+    assert abs(len(mask.masked_idx) / mask.n_patches - spec.mask_ratio) <= tol
 
 
 def test_block_marginal_frequency_binomial():

@@ -14,35 +14,59 @@ def taped(tape, name, arr):
 
 
 def test_matmul_identity():
+    # matmul is the dense layer tn.linear, x @ w + b, here with a zero bias
     a = Tensor(np.eye(2))
     b = Tensor(np.array([[1.0, 2.0], [3.0, 4.0]]))
-    np.testing.assert_array_equal(tn.matmul(a, b).data, b.data)
+    np.testing.assert_array_equal(tn.linear(a, b, Tensor(np.zeros(2))).data, b.data)
 
 
 def test_matmul_hand():
     a = Tensor(np.array([[1.0, 2.0]]))
     b = Tensor(np.array([[3.0], [4.0]]))
-    np.testing.assert_array_equal(tn.matmul(a, b).data, [[11.0]])
+    np.testing.assert_array_equal(tn.linear(a, b, Tensor(np.array([0.5]))).data, [[11.5]])
 
 
 def test_matmul_shape_mismatch():
     with pytest.raises(ShapeError):
-        tn.matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 3))))
+        tn.linear(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 3))), Tensor(np.zeros(3)))
+    with pytest.raises(ShapeError):  # the bias must match the output width
+        tn.linear(Tensor(np.zeros((2, 3))), Tensor(np.zeros((3, 2))), Tensor(np.zeros(3)))
+    with pytest.raises(ShapeError):  # 2-d inputs only
+        tn.linear(Tensor(np.zeros(3)), Tensor(np.zeros((3, 2))), Tensor(np.zeros(2)))
 
 
 def test_matmul_grad_matches_finite_differences():
+    # the x, w and b gradients of one linear node
     rng = np.random.default_rng(0)
-    a0 = rng.normal(size=(3, 3))
-    b0 = rng.normal(size=(3, 3))
+    x0, w0, b0 = rng.normal(size=(4, 3)), rng.normal(size=(3, 2)), rng.normal(size=2)
+    c = rng.normal(size=(4, 2))
 
-    def loss_a(a):
-        return float((a @ b0).sum())
+    def loss(x, w, b):
+        return float(((x @ w + b) ** 2 * c).sum())
 
     tape = Tape()
-    a = taped(tape, "a", a0)
-    loss = tn.matmul(a, Tensor(b0)).sum()
-    grads = backward(tape, loss)
-    assert rel_err(grads["a"], fd_grad(loss_a, a0)) < 1e-4
+    x, w, b = taped(tape, "x", x0), taped(tape, "w", w0), taped(tape, "b", b0)
+    y = tn.linear(x, w, b)
+    grads = backward(tape, tn.mul(tn.mul(y, y), Tensor(c)).sum())
+    assert rel_err(grads["x"], fd_grad(lambda v: loss(v, w0, b0), x0)) < 1e-4
+    assert rel_err(grads["w"], fd_grad(lambda v: loss(x0, v, b0), w0)) < 1e-4
+    assert rel_err(grads["b"], fd_grad(lambda v: loss(x0, w0, v), b0)) < 1e-4
+
+
+def test_elementwise_ops_reject_broadcasting_a_taped_operand():
+    tape = Tape()
+    row = taped(tape, "row", np.ones((1, 5)))
+    for op in (tn.add, tn.sub, tn.mul):
+        with pytest.raises(ShapeError):
+            op(row, Tensor(np.ones((3, 5))))
+        with pytest.raises(ShapeError):
+            op(Tensor(np.ones((3, 5))), row)
+    # a constant may still broadcast against a taped operand of the result shape
+    out = tn.mul(row, 0.5)
+    assert out.shape == (1, 5) and out.dtype == np.float64
+    np.testing.assert_array_equal(tn.add(row, Tensor(np.ones(5))).data, np.full((1, 5), 2.0))
+    grads = backward(tape, tn.sub(tn.mul(row, 3.0), Tensor(np.ones(5))).sum())
+    np.testing.assert_array_equal(grads["row"], np.full((1, 5), 3.0))
 
 
 def attention_reference(q, k, v, heads):
@@ -234,9 +258,10 @@ def test_forward_determinism_bitwise():
     rng = np.random.default_rng(3)
     x = rng.normal(size=(4, 4)).astype(np.float32)
     w = rng.normal(size=(4, 4)).astype(np.float32)
+    b = rng.normal(size=4).astype(np.float32)
 
     def run():
-        t = tn.gelu(tn.matmul(Tensor(x), Tensor(w)))
+        t = tn.gelu(tn.linear(Tensor(x), Tensor(w), Tensor(b)))
         return tn.attention(t, t, t, 2).data.tobytes()
 
     assert run() == run()
@@ -271,10 +296,6 @@ def _op_factories():
         c = _normal(rng)
         return _normal(rng), lambda x: tn.add(x, Tensor(c)).sum()
 
-    def add_broadcast(rng):
-        c = _normal(rng, (3, 5))
-        return _normal(rng), lambda x: tn.add(tn.reshape(x, (1, 5)), Tensor(c)).sum()
-
     def sub_(rng):
         c = _normal(rng)
         return _normal(rng), lambda x: tn.sub(Tensor(c), x).sum()
@@ -294,8 +315,10 @@ def _op_factories():
         return _normal(rng), lambda x: tn.mul(x, x).sum()
 
     def matmul2d(rng):
-        c = _normal(rng, (5, 2))
-        return _normal(rng), lambda x: _sq(tn.matmul(tn.reshape(x, (1, 5)), Tensor(c))).sum()
+        # x as the input rows of a linear node
+        c, bias = _normal(rng, (5, 2)), _normal(rng, (2,))
+        return (_normal(rng, (3, 5)),
+                lambda x: _sq(tn.linear(x, Tensor(c), Tensor(bias))).sum())
 
     def concat_(rng):
         c = _normal(rng, (10,))
@@ -359,7 +382,7 @@ def _op_factories():
         return (_normal(rng),
                 lambda x: tn.mul(tn.layer_norm(x, Tensor(g), Tensor(b)), Tensor(c)).sum())
 
-    fns = [add_, add_broadcast, sub_, mul_, square_, relu_, gelu_, matmul2d, concat_, gather_,
+    fns = [add_, sub_, mul_, square_, relu_, gelu_, matmul2d, concat_, gather_,
            scatter_, sum_axis, mean_axis, softmax_, attention_1head, attention_2heads,
            attention_batched, smooth_l1_, layer_norm_x]
     return [(f.__name__.rstrip("_"), f) for f in fns]

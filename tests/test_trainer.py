@@ -236,10 +236,10 @@ def test_full_step_at_lambda_zero_matches_baseline_losses(tmp_path, monkeypatch)
 
 
 def test_default_step_op_budget(tmp_path, monkeypatch):
-    # one default-recipe step records 91 tape ops at batch 1 and at batch 8:
-    # the minibatch is one graph, attention and smooth-L1 are one op each and
-    # mask tokens are placed by one gather, so a per-image loop or an
-    # unfused path coming back raises the count
+    # one default-recipe step records 68 tape ops at batch 1 and at batch 8:
+    # the minibatch is one graph; each dense layer, attention and smooth-L1
+    # are one op each and mask tokens are placed by one gather, so a
+    # per-image loop or an unfused path coming back raises the count
     real_backward = featmim.trainer.backward
     for batch_size in (1, 8):
         cfg = RunConfig()
@@ -253,7 +253,7 @@ def test_default_step_op_budget(tmp_path, monkeypatch):
 
         monkeypatch.setattr(featmim.trainer, "backward", counting_backward)
         train(cfg, small_images(batch_size), tmp_path / f"b{batch_size}")
-        assert ops_per_step == [91], batch_size
+        assert ops_per_step == [68], batch_size
 
 
 def _step_batch(cfg, n, dtype):
@@ -312,7 +312,8 @@ def test_step_activations_are_freed_by_backward(monkeypatch):
     try:
         tape = Tape()
         loss = step_losses(BoundParams(params, tape), batch, cfg.loss)[0]
-        assert refs and all(r() is not None for r in refs)
+        # some activations are already gone: add keeps no operand for its backward
+        assert refs and any(r() is not None for r in refs)
         backward(tape, loss)
         assert all(r() is None for r in refs)
     finally:
