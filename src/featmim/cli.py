@@ -121,7 +121,7 @@ def cmd_heatmap(args):
     if not np.isfinite(tokens).all():
         raise DataError(f"{args.features}: token file contains non-finite values")
     grid = math.isqrt(tokens.shape[0])
-    if grid * grid != tokens.shape[0]:
+    if grid == 0 or grid * grid != tokens.shape[0]:
         raise DataError(f"{args.features}: {tokens.shape[0]} tokens is not a square grid")
     feats = TeacherFeatures(tokens=tokens, grid_side=grid,
                             source_id=os.path.basename(args.features))

@@ -17,6 +17,7 @@ linear weights are Xavier-uniform; CLS and mask tokens draw from N(0, 0.02).
 
 import json
 import math
+import os
 import struct
 from dataclasses import asdict, dataclass, field
 from typing import Optional
@@ -79,12 +80,18 @@ def sincos_pos_embed(dim, grid_side):
 
 @dataclass
 class ModelParams:
-    """Trainable weights plus the fixed position tables."""
+    """Trainable weights plus the fixed position tables.
+
+    Every weight lives in `flat`, one C-contiguous buffer in sorted name
+    order; `weights[name]` is a reshaped view of its slice. Write weights in
+    place, never rebind `weights[name]`: AdamW updates `flat` alone.
+    """
 
     config: ModelConfig
     n_patches: int
     in_channels: int
     weights: dict = field(default_factory=dict)
+    flat: np.ndarray = None
     enc_pos: np.ndarray = None  # [N, embed_dim], constant
     dec_pos: np.ndarray = None  # [N, dec_width], constant
 
@@ -151,8 +158,12 @@ def init_params(config: ModelConfig, image_side, in_channels, seed, dtype=np.flo
     xav("proj_fc2_w", (d, config.target_dim))
     zero("proj_fc2_b", (config.target_dim,))
 
+    flat = np.concatenate([wt[k].reshape(-1) for k in sorted(wt)])
+    ends = np.cumsum([wt[k].size for k in sorted(wt)])
+    for k, end in zip(sorted(wt), ends):
+        wt[k] = flat[end - wt[k].size:end].reshape(wt[k].shape)
     return ModelParams(
-        config=config, n_patches=n, in_channels=in_channels, weights=wt,
+        config=config, n_patches=n, in_channels=in_channels, weights=wt, flat=flat,
         enc_pos=sincos_pos_embed(d, grid).astype(dtype),
         dec_pos=sincos_pos_embed(w, grid).astype(dtype))
 
@@ -326,20 +337,24 @@ def forward(images, masks, bp: BoundParams):
 
 
 def save_checkpoint(path, params: ModelParams):
+    """Atomic: encoded in memory, written to `<path>.tmp`, renamed onto `path`."""
     header = json.dumps({
         "config": asdict(params.config),
         "n_patches": params.n_patches,
         "in_channels": params.in_channels,
     }, sort_keys=True).encode()
-    with open(path, "wb") as f:
-        f.write(CHECKPOINT_MAGIC)
-        f.write(struct.pack("<I", len(header)))
-        f.write(header)
-        for name in sorted(params.weights):
-            raw = name.encode()
-            f.write(struct.pack("<I", len(raw)))
-            f.write(raw)
-            f.write(tvec_bytes(params.weights[name]))
+    parts = [CHECKPOINT_MAGIC, struct.pack("<I", len(header)), header]
+    for name in sorted(params.weights):
+        raw = name.encode()
+        parts += [struct.pack("<I", len(raw)), raw, tvec_bytes(params.weights[name])]
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, "wb") as f:
+            f.writelines(parts)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 def load_checkpoint(path):
@@ -394,5 +409,5 @@ def load_checkpoint(path):
         if arr.shape != reference.weights[name].shape:
             raise DataError(f"{path}: parameter {name} has shape {arr.shape}, "
                             f"expected {reference.weights[name].shape}")
-    reference.weights = weights
+        reference.weights[name][...] = arr
     return reference

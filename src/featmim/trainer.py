@@ -4,8 +4,8 @@ AdamW with decoupled weight decay, linear-warmup + cosine-decay schedule
 under the linear scaling rule lr = base_lr * batch_size / 256. Teacher
 features are extracted once per image and cached (the teacher is frozen).
 Everything is deterministic for a fixed seed: masks come from a SplitMix64
-stream, the epoch shuffle from another, and gradients apply in a fixed
-parameter order.
+stream, the epoch shuffle from another. AdamW updates the flat weight buffer
+in place; a non-finite loss or gradient stops the run before that update.
 
 One step function serves every configuration. The global head and loss run
 only when the global loss weight is nonzero, so with lam=0 and multi-block
@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, NumericError
 from .losses import global_loss, patch_loss, total_loss
 from .masking import MaskSpec, SplitMix64, generate_mask
 from .model import (BoundParams, forward, init_params, project_global,
@@ -80,38 +80,35 @@ def lr_at(t, cfg: TrainConfig):
 
 
 class OptimizerState:
-    """First/second moments per parameter plus a shared step counter."""
+    """Flat first/second moments and two scratch buffers, each shaped like
+    the flat weights and allocated by the first adamw_step; a step counter."""
 
     def __init__(self):
-        self.m = {}
-        self.v = {}
+        self.m = self.v = self.scratch = None
         self.step = 0
 
 
 def adamw_step(params, grads, state: OptimizerState, lr, *,
                beta1=0.9, beta2=0.95, weight_decay=0.05, eps=1e-8):
-    """One decoupled-weight-decay Adam update, in place, sorted by name."""
+    """Decoupled-weight-decay Adam on flat weights and gradient, in place,
+    elementwise as p -= lr * (m_hat / (sqrt(v_hat) + eps) + wd * p)."""
+    if grads.shape != params.shape:
+        raise ConfigError(f"gradient has shape {grads.shape}, parameters {params.shape}")
+    if state.m is None:
+        state.m, state.v = np.zeros_like(params), np.zeros_like(params)
+        state.scratch = (np.empty_like(params), np.empty_like(params))
     state.step += 1
-    t = state.step
-    bc1 = 1.0 - beta1**t
-    bc2 = 1.0 - beta2**t
-    for name in sorted(params):
-        p = params[name]
-        g = grads[name]
-        if g.shape != p.shape:
-            raise ConfigError(f"gradient for {name} has shape {g.shape}, parameter {p.shape}")
-        if name not in state.m:
-            state.m[name] = np.zeros_like(p)
-            state.v[name] = np.zeros_like(p)
-        m = state.m[name]
-        v = state.v[name]
-        m *= beta1
-        m += (1.0 - beta1) * g
-        v *= beta2
-        v += (1.0 - beta2) * g * g
-        m_hat = m / bc1
-        v_hat = v / bc2
-        p -= lr * (m_hat / (np.sqrt(v_hat) + eps) + weight_decay * p)
+    m, v, (a, b) = state.m, state.v, state.scratch
+    m *= beta1
+    m += np.multiply(1.0 - beta1, grads, out=a)
+    v *= beta2
+    v += np.multiply(np.multiply(1.0 - beta2, grads, out=a), grads, out=a)
+    np.divide(m, 1.0 - beta1**state.step, out=a)  # m_hat
+    np.sqrt(np.divide(v, 1.0 - beta2**state.step, out=b), out=b)
+    b += eps
+    a /= b
+    a += np.multiply(weight_decay, params, out=b)
+    params -= np.multiply(lr, a, out=a)
 
 
 def step_losses(bp, batch, loss_cfg):
@@ -201,6 +198,8 @@ def train(cfg, images, out_dir):
     os.makedirs(out_dir, exist_ok=True)
     params = init_params(cfg.model, mask_spec.image_side, in_channels, tc.seed)
     opt = OptimizerState()
+    names = sorted(params.weights)
+    flat_grad = np.empty_like(params.flat)
     cache = FeatureCache(teacher, cfg.model.patch_side)
 
     by_id = dict(images)
@@ -239,9 +238,20 @@ def train(cfg, images, out_dir):
             lr = lr_at(t_epoch, tc)
             tape = Tape()
             bp = BoundParams(params, tape)
-            loss, lp, lg, lt = step_losses(bp, batch, cfg.loss)
-            grads = backward(tape, loss)
-            adamw_step(params.weights, grads, opt, lr,
+            try:
+                # the finiteness checks stand in for numpy's overflow warnings
+                with np.errstate(all="ignore"):
+                    loss, lp, lg, lt = step_losses(bp, batch, cfg.loss)
+                    if not np.isfinite(loss.data):
+                        raise NumericError("non-finite loss")
+                    grads = backward(tape, loss)
+                np.concatenate([grads[k].reshape(-1) for k in names], out=flat_grad)
+                if not np.isfinite(flat_grad).all():
+                    bad = next(k for k in names if not np.isfinite(grads[k]).all())
+                    raise NumericError(f"non-finite gradient in {bad}")
+            except NumericError as e:
+                raise NumericError(f"step {step}: {e}") from None
+            adamw_step(params.flat, flat_grad, opt, lr,
                        beta1=tc.beta1, beta2=tc.beta2, weight_decay=tc.weight_decay)
 
             metrics.write(_format_row(step, t_epoch, lr, lp, lg, lt))

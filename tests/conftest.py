@@ -5,7 +5,8 @@ analytic gradient; it never calls the tape. The step oracles are the two
 loss compositions the trainer's single step must reproduce: plain feature
 regression, and patch + lam * global with the global branch always taped.
 The resize, convolution and similarity oracles are the direct forms of
-the teacher and diversity code, which must match them bit for bit.
+the teacher and diversity code, which must match them bit for bit, and the
+per-parameter AdamW loop is the form the flat in-place update must match.
 """
 
 import json
@@ -92,6 +93,27 @@ def full_composition_step(bp, batch, loss_cfg):
     n = len(batch)
     return (total_loss(lp, lg, loss_cfg.lam), math.fsum(lp_vals) / n,
             math.fsum(lg_vals) / n, math.fsum(lt_vals) / n)
+
+
+def per_parameter_adamw(params, grads, state, lr, *, beta1=0.9, beta2=0.95,
+                        weight_decay=0.05, eps=1e-8):
+    """AdamW as a loop over a {name: array} dict in sorted name order, one
+    expression per moment and update; state is a dict that keeps the step
+    count and the per-parameter moments between calls."""
+    t = state["step"] = state.get("step", 0) + 1
+    bc1 = 1.0 - beta1**t
+    bc2 = 1.0 - beta2**t
+    for name in sorted(params):
+        p, g = params[name], grads[name]
+        m = state.setdefault("m", {}).setdefault(name, np.zeros_like(p))
+        v = state.setdefault("v", {}).setdefault(name, np.zeros_like(p))
+        m *= beta1
+        m += (1.0 - beta1) * g
+        v *= beta2
+        v += (1.0 - beta2) * g * g
+        m_hat = m / bc1
+        v_hat = v / bc2
+        p -= lr * (m_hat / (np.sqrt(v_hat) + eps) + weight_decay * p)
 
 
 def four_corner_resize(image, out_h, out_w):

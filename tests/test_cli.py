@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -73,6 +74,21 @@ def test_pretrain_mask_seed_changes_run(tmp_path, image_dir):
                      "--out", str(out), "--mask-seed", seed]) == 0
         csvs.append((out / "metrics.csv").read_bytes())
     assert csvs[0] != csvs[1]
+
+
+def test_diverging_run_exits_4_naming_the_step(tmp_path, image_dir, capsys):
+    cfg = write_config(tmp_path, train={"base_lr": 1e9, "total_epochs": 3, "warmup_epochs": 0})
+    out = tmp_path / "run"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["pretrain", "--config", str(cfg), "--images", str(image_dir),
+                     "--out", str(out)])
+    assert code == 4
+    assert "step 1: non-finite loss" in capsys.readouterr().err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    rows = (out / "metrics.csv").read_text().splitlines()
+    assert [r.split(",")[0] for r in rows[1:]] == ["0"]
+    assert not list(out.glob("ckpt_*"))
 
 
 def test_invalid_config_exits_2_without_side_effects(tmp_path, image_dir):
@@ -260,6 +276,16 @@ def test_heatmap_non_square_exits_3(tmp_path):
     code = main(["heatmap", "--features", str(bad), "--query", "0",
                  "--out", str(tmp_path / "m.pgm")])
     assert code == 3
+
+
+def test_heatmap_empty_token_file_exits_3(tmp_path, capsys):
+    empty = tmp_path / "empty.tvec"
+    write_tvec(empty, np.zeros((0, 8), dtype=np.float32))
+    out = tmp_path / "m.pgm"
+    code = main(["heatmap", "--features", str(empty), "--query", "0", "--out", str(out)])
+    assert code == 3
+    assert str(empty) in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_heatmap_non_finite_tokens_exit_3(tmp_path, capsys):

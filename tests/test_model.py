@@ -1,4 +1,5 @@
 import json
+import os
 import struct
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 
 from featmim.errors import ConfigError, DataError, DegenerateMaskError, ShapeError
 from featmim.masking import MaskSpec, PatchMask, generate_mask
+import featmim.model
 from featmim.model import (BoundParams, ModelConfig, aggregate_multi_block,
                            decode, encode_visible, forward, init_params,
                            load_checkpoint, patch_embed, patchify,
@@ -254,6 +256,65 @@ def test_checkpoint_round_trip_bitwise(tmp_path):
         assert loaded.weights[name].tobytes() == params.weights[name].tobytes()
     z_after = forward([img], [mask], BoundParams(loaded)).z.data.tobytes()
     assert z_after == z_before
+
+
+def _assert_weights_view_flat(params):
+    flat = params.flat
+    assert flat.flags.c_contiguous and flat.ndim == 1
+    names = sorted(params.weights)
+    for name in names:
+        assert np.shares_memory(params.weights[name], flat), name
+    np.testing.assert_array_equal(
+        flat, np.concatenate([params.weights[k].reshape(-1) for k in names]))
+
+
+def test_weights_are_views_of_the_flat_buffer(tmp_path):
+    params = tiny_params(seed=4)
+    _assert_weights_view_flat(params)
+    path = tmp_path / "ckpt.bin"
+    save_checkpoint(path, params)
+    loaded = load_checkpoint(path)
+    _assert_weights_view_flat(loaded)
+    np.testing.assert_array_equal(loaded.flat, params.flat)
+
+
+def test_init_params_draws_do_not_depend_on_the_flat_layout():
+    # the draw order is construction order; packing only moves values
+    params = tiny_params(seed=5)
+    rng = np.random.default_rng(5)
+    d = TINY.embed_dim
+    cls = rng.normal(0.0, 0.02, size=d).astype(np.float32)
+    limit = np.sqrt(6.0 / (3 * 64 + d))
+    proj = rng.uniform(-limit, limit, size=(3 * 64, d)).astype(np.float32)
+    assert params.weights["cls_token"].tobytes() == cls.tobytes()
+    assert params.weights["patch_proj_w"].tobytes() == proj.tobytes()
+
+
+@pytest.mark.parametrize("fail_in", ["encode", "rename"])
+def test_checkpoint_write_failing_partway_keeps_the_old_file(tmp_path, monkeypatch, fail_in):
+    path = tmp_path / "ckpt.bin"
+    save_checkpoint(path, tiny_params(seed=1))
+    before = path.read_bytes()
+    if fail_in == "encode":
+        calls = []
+        real = featmim.model.tvec_bytes
+
+        def failing_tvec_bytes(array):
+            calls.append(1)
+            if len(calls) == 3:
+                raise OSError("disk full")
+            return real(array)
+
+        monkeypatch.setattr(featmim.model, "tvec_bytes", failing_tvec_bytes)
+    else:
+        def failing_replace(src, dst):
+            raise OSError("rename failed")
+
+        monkeypatch.setattr(featmim.model.os, "replace", failing_replace)
+    with pytest.raises(OSError):
+        save_checkpoint(path, tiny_params(seed=2))
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == ["ckpt.bin"]
 
 
 def test_checkpoint_rejects_garbage(tmp_path):

@@ -10,9 +10,9 @@ import numpy as np
 import pytest
 
 import featmim.trainer
-from conftest import full_composition_step, inline_shuffle
+from conftest import full_composition_step, inline_shuffle, per_parameter_adamw
 from featmim.config import RunConfig
-from featmim.errors import ConfigError
+from featmim.errors import ConfigError, NumericError
 from featmim.losses import patch_loss, total_loss
 from featmim.masking import SplitMix64, generate_mask
 from featmim.model import BoundParams, forward, init_params, load_checkpoint
@@ -78,45 +78,67 @@ def test_lr_at_no_warmup():
 
 
 def test_adamw_zero_grad_no_decay_is_identity():
-    p = {"w": np.array([1.0, -2.0])}
+    p = np.array([1.0, -2.0])
     state = OptimizerState()
-    adamw_step(p, {"w": np.zeros(2)}, state, lr=0.1, weight_decay=0.0)
-    np.testing.assert_array_equal(p["w"], [1.0, -2.0])
+    adamw_step(p, np.zeros(2), state, lr=0.1, weight_decay=0.0)
+    np.testing.assert_array_equal(p, [1.0, -2.0])
 
 
 def test_adamw_first_step_hand_value():
     # theta=0, g=1, wd=0, lr=0.1: bias-corrected m_hat/sqrt(v_hat) = 1
-    p = {"w": np.array([0.0])}
+    p = np.array([0.0])
     state = OptimizerState()
-    adamw_step(p, {"w": np.array([1.0])}, state, lr=0.1,
+    adamw_step(p, np.array([1.0]), state, lr=0.1,
                beta1=0.9, beta2=0.95, weight_decay=0.0)
-    assert abs(p["w"][0] + 0.1) < 1e-8
+    assert abs(p[0] + 0.1) < 1e-8
     assert state.step == 1
 
 
 def test_adamw_decoupled_decay_pure_shrink():
-    p = {"w": np.array([2.0])}
+    p = np.array([2.0])
     state = OptimizerState()
-    adamw_step(p, {"w": np.zeros(1)}, state, lr=0.1, weight_decay=0.5)
-    np.testing.assert_allclose(p["w"], 2.0 * (1 - 0.1 * 0.5), rtol=1e-15)
+    adamw_step(p, np.zeros(1), state, lr=0.1, weight_decay=0.5)
+    np.testing.assert_allclose(p, 2.0 * (1 - 0.1 * 0.5), rtol=1e-15)
 
 
 def test_adamw_shape_mismatch():
     state = OptimizerState()
     with pytest.raises(ConfigError):
-        adamw_step({"w": np.zeros(2)}, {"w": np.zeros(3)}, state, lr=0.1)
+        adamw_step(np.zeros(2), np.zeros(3), state, lr=0.1)
 
 
 def test_adamw_state_shapes_track_parameters():
     rng = np.random.default_rng(0)
-    p = {"a": rng.normal(size=(3, 2)), "b": rng.normal(size=5)}
-    g = {k: rng.normal(size=v.shape) for k, v in p.items()}
+    p = rng.normal(size=11)
+    g = rng.normal(size=11)
     state = OptimizerState()
     adamw_step(p, g, state, lr=0.01)
-    assert state.m["a"].shape == (3, 2)
-    assert state.v["b"].shape == (5,)
+    assert state.m.shape == (11,)
+    assert state.v.shape == (11,)
     adamw_step(p, g, state, lr=0.01)
     assert state.step == 2
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_flat_adamw_matches_per_parameter_oracle_bitwise(dtype):
+    params = init_params(RunConfig().model, 32, 3, seed=0, dtype=dtype)
+    names = sorted(params.weights)
+    ref = {k: v.copy() for k, v in params.weights.items()}
+    state, ref_state = OptimizerState(), {}
+    rng = np.random.default_rng(7)
+    flat_grad = np.empty_like(params.flat)
+    for step in range(5):
+        grads = {k: rng.normal(size=v.shape).astype(dtype) for k, v in ref.items()}
+        np.concatenate([grads[k].reshape(-1) for k in names], out=flat_grad)
+        lr = 0.01 / (step + 1)
+        adamw_step(params.flat, flat_grad, state, lr)
+        per_parameter_adamw(ref, grads, ref_state, lr)
+        for k in names:
+            assert params.weights[k].tobytes() == ref[k].tobytes(), (step, k)
+        np.testing.assert_array_equal(
+            state.m, np.concatenate([ref_state["m"][k].reshape(-1) for k in names]))
+        np.testing.assert_array_equal(
+            state.v, np.concatenate([ref_state["v"][k].reshape(-1) for k in names]))
 
 
 def test_loss_finite_at_init_across_seeds():
@@ -290,6 +312,46 @@ def test_batched_step_is_the_mean_of_one_image_steps(channel_reduce):
     for name, g in grads.items():
         np.testing.assert_allclose(g, np.mean([s[2][name] for s in singles], axis=0),
                                    rtol=0, atol=1e-12, err_msg=name)
+
+
+def test_non_finite_gradient_stops_the_run_before_its_update(tmp_path, monkeypatch):
+    real_backward, real_adamw = featmim.trainer.backward, featmim.trainer.adamw_step
+    steps, updates = [], []
+
+    def backward_nan_at_step_2(tape, loss):
+        grads = real_backward(tape, loss)
+        steps.append(1)
+        if len(steps) == 3:
+            grads["enc1_mlp_fc1_w"][1, 2] = np.nan
+        return grads
+
+    def counting_adamw(params, *args, **kwargs):
+        updates.append(1)
+        return real_adamw(params, *args, **kwargs)
+
+    monkeypatch.setattr(featmim.trainer, "backward", backward_nan_at_step_2)
+    monkeypatch.setattr(featmim.trainer, "adamw_step", counting_adamw)
+    with pytest.raises(NumericError, match=r"^step 2: non-finite gradient in enc1_mlp_fc1_w$"):
+        train(small_cfg(batch_size=2), small_images(2), tmp_path)
+    assert len(updates) == 2
+    rows = (tmp_path / "metrics.csv").read_text().splitlines()
+    assert [r.split(",")[0] for r in rows[1:]] == ["0", "1"]
+
+
+def test_numeric_error_inside_a_step_names_the_step(tmp_path, monkeypatch):
+    real_step = featmim.trainer.step_losses
+    calls = []
+
+    def failing_second_step(bp, batch, loss_cfg):
+        calls.append(1)
+        if len(calls) == 2:
+            raise NumericError("attention scores contain non-finite values")
+        return real_step(bp, batch, loss_cfg)
+
+    monkeypatch.setattr(featmim.trainer, "step_losses", failing_second_step)
+    with pytest.raises(NumericError,
+                       match=r"^step 1: attention scores contain non-finite values$"):
+        train(small_cfg(batch_size=2), small_images(2), tmp_path)
 
 
 def test_step_activations_are_freed_by_backward(monkeypatch):
