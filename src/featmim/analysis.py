@@ -1,8 +1,8 @@
 """Feature-space analysis: query-patch similarity heat-maps and PCA.
 
 Heat-maps show, for one query token, its cosine to every token on the patch
-grid. PCA is power iteration with deflation, used to compress wide teacher
-tokens before further embedding.
+grid. PCA is one symmetric eigendecomposition of the token covariance, used
+to compress wide teacher tokens before further embedding.
 """
 
 import json
@@ -13,6 +13,7 @@ import numpy as np
 from .diversity import _unit_rows
 from .errors import ConfigError
 from .imageio import write_pgm
+from .tensor import write_atomic
 
 
 @dataclass(frozen=True)
@@ -40,57 +41,28 @@ def render_pgm(hmap: HeatMap, path):
     v = np.asarray(hmap.values, dtype=np.float64).reshape(g, g)
     lo, hi = v.min(), v.max()
     write_pgm(path, np.full(v.shape, 0.5) if hi == lo else (v - lo) / (hi - lo))
-    with open(f"{path}.json", "w") as f:
-        json.dump({"query_index": hmap.query_index, "grid_side": g,
-                   "value_min": float(lo), "value_max": float(hi)},
-                  f, sort_keys=True)
+    write_atomic(f"{path}.json", json.dumps(
+        {"query_index": hmap.query_index, "grid_side": g,
+         "value_min": float(lo), "value_max": float(hi)}, sort_keys=True))
 
 
-def pca_reduce(x, n_components, max_iter=1000, tol=1e-10, seed=0):
-    """PCA by power iteration with deflation.
+def pca_reduce(x, n_components):
+    """PCA from one symmetric eigendecomposition of the covariance.
 
     Returns (projected [M, n], components [n, D] row-orthonormal,
-    explained_variance [n] non-increasing). Iteration stops after max_iter
-    rounds or when the eigenvalue's relative change drops below tol.
+    explained_variance [n] non-increasing, clamped at 0). Each component is
+    signed so that its largest-magnitude entry (the first, on a tie) is
+    positive, so the output does not depend on the solver's sign choice.
     """
     x = np.asarray(x, dtype=np.float64)
     m, d = x.shape
     if not 1 <= n_components <= min(m, d):
         raise ConfigError(
             f"n_components must lie in [1, {min(m, d)}], got {n_components}")
-    mean = x.mean(axis=0)
-    xc = x - mean
-    cov = xc.T @ xc / max(m - 1, 1)
-
-    rng = np.random.default_rng(seed)
-    a = cov.copy()
-    comps = []
-    variances = []
-    for _ in range(n_components):
-        v = rng.normal(size=d)
-        for c in comps:
-            v -= (v @ c) * c
-        norm = np.linalg.norm(v)
-        v = v / norm if norm > 0 else np.eye(d)[len(comps) % d]
-        prev = np.inf
-        for _ in range(max_iter):
-            w = a @ v
-            for c in comps:  # re-orthogonalize to keep components orthonormal
-                w -= (w @ c) * c
-            norm = np.linalg.norm(w)
-            if norm < 1e-300:
-                break  # deflated matrix is numerically zero in this subspace
-            v = w / norm
-            ev = float(v @ a @ v)
-            if abs(ev - prev) <= tol * max(abs(ev), 1e-300):
-                break
-            prev = ev
-        ev = max(float(v @ a @ v), 0.0)
-        comps.append(v)
-        variances.append(ev)
-        a = a - ev * np.outer(v, v)
-
-    order = sorted(range(n_components), key=lambda i: -variances[i])
-    components = np.array([comps[i] for i in order])
-    explained = np.array([variances[i] for i in order])
+    xc = x - x.mean(axis=0)
+    values, vectors = np.linalg.eigh(xc.T @ xc / max(m - 1, 1))
+    components = vectors[:, ::-1][:, :n_components].T
+    peak = np.abs(components).argmax(axis=1)
+    components = components * np.sign(components[np.arange(n_components), peak])[:, None]
+    explained = np.maximum(values[::-1][:n_components], 0.0)
     return xc @ components.T, components, explained

@@ -25,7 +25,7 @@ from .gradcheck import grad_check, tiny_run_config
 from .imageio import load_images
 from .teacher import (TeacherFeatures, TeacherSpec, dump_features,
                       load_feature_dir, make_teacher)
-from .tensor import read_tvec, write_tvec
+from .tensor import read_tvec, write_atomic, write_tvec
 from .trainer import ablate_lambda, train
 
 
@@ -46,8 +46,8 @@ def _resolved_config(args, default=RunConfig):
     return cfg
 
 
-def _load_image_dir(path, cfg):
-    images = load_images(path, cfg.data.norm_mean, cfg.data.norm_std)
+def _load_image_dir(path, norm_mean, norm_std):
+    images = load_images(path, norm_mean, norm_std)
     if not images:
         raise DataError(f"no .pgm/.ppm images found in {path}")
     return images
@@ -55,7 +55,7 @@ def _load_image_dir(path, cfg):
 
 def cmd_pretrain(args):
     cfg = _resolved_config(args)
-    images = _load_image_dir(args.images, cfg)
+    images = _load_image_dir(args.images, cfg.data.norm_mean, cfg.data.norm_std)
     os.makedirs(args.out, exist_ok=True)
     save_run_config(cfg, os.path.join(args.out, "config.json"))
     result = train(cfg, images, args.out)
@@ -88,13 +88,8 @@ def cmd_dump_features(args):
                            l2_normalize=f["l2_normalize"])
         spec.validate()
         patch_side, norm = f["patch_side"], (0.5, 0.5)
-    images = load_images(args.images, *norm)
-    if not images:
-        raise DataError(f"no .pgm/.ppm images found in {args.images}")
-    channels = {img.shape[0] for _, img in images}
-    if len(channels) != 1:
-        raise DataError(f"images disagree on channel count: {sorted(channels)}")
-    teacher = make_teacher(spec, in_channels=channels.pop())
+    images = _load_image_dir(args.images, *norm)
+    teacher = make_teacher(spec, in_channels=images[0][1].shape[0])
     manifest = dump_features(teacher, images, args.out, patch_side)
     print(f"dump-features: wrote {len(manifest['entries'])} feature files to {args.out}")
     return 0
@@ -102,13 +97,13 @@ def cmd_dump_features(args):
 
 def cmd_diversity(args):
     samples = load_feature_dir(args.features)
-    if not samples:
-        raise DataError(f"no feature samples in {args.features}")
-    report = corpus_diversity(samples)
-    with open(args.out, "w") as f:
-        json.dump({"n": report.n_samples, "k": report.tokens_per_sample,
-                   "diver": report.diver, "per_sample": report.per_sample},
-                  f, indent=1)
+    try:
+        report = corpus_diversity(samples)
+    except DataError as e:
+        raise DataError(f"{args.features}: {e}") from None
+    write_atomic(args.out, json.dumps(
+        {"n": report.n_samples, "k": report.tokens_per_sample,
+         "diver": report.diver, "per_sample": report.per_sample}, indent=1))
     print(f"diversity: {report.diver:.6f} over {report.n_samples} samples "
           f"({report.tokens_per_sample} tokens each)")
     return 0
@@ -131,15 +126,12 @@ def cmd_heatmap(args):
 
 
 def cmd_pca(args):
-    samples = load_feature_dir(args.features)
-    if not samples:
-        raise DataError(f"no feature samples in {args.features}")
-    x = np.vstack([s.tokens for s in samples])
+    x = np.vstack([s.tokens for s in load_feature_dir(args.features)])
     projected, _, explained = pca_reduce(x, args.components)
     write_tvec(args.out, projected.astype(np.float32))
-    with open(f"{args.out}.json", "w") as f:
-        json.dump({"n_components": args.components,
-                   "explained_variance": explained.tolist()}, f, indent=1)
+    write_atomic(f"{args.out}.json", json.dumps(
+        {"n_components": args.components,
+         "explained_variance": explained.tolist()}, indent=1))
     print(f"pca: {x.shape} -> {projected.shape} written to {args.out}")
     return 0
 
@@ -147,11 +139,10 @@ def cmd_pca(args):
 def cmd_grad_check(args):
     report = grad_check(_resolved_config(args, default=tiny_run_config), h=args.h)
     if args.out:
-        with open(args.out, "w") as f:
-            json.dump({"max_rel_err": report.max_rel_err,
-                       "worst_param": report.worst_param,
-                       "n_parameters": report.n_parameters,
-                       "per_param": report.per_param}, f, indent=1)
+        write_atomic(args.out, json.dumps(
+            {"max_rel_err": report.max_rel_err, "worst_param": report.worst_param,
+             "n_parameters": report.n_parameters, "per_param": report.per_param},
+            indent=1))
     status = "PASS" if report.passed(args.tolerance) else "FAIL"
     print(f"grad-check: {status} max rel err {report.max_rel_err:.3e} "
           f"({report.worst_param}) over {report.n_parameters} parameters")
@@ -163,7 +154,7 @@ def cmd_ablate_lambda(args):
     lambdas = [float(v) for v in args.lambdas.split(",") if v != ""]
     if len(lambdas) < 2:
         raise ConfigError("--lambdas needs at least two comma-separated values")
-    images = _load_image_dir(args.images, cfg)
+    images = _load_image_dir(args.images, cfg.data.norm_mean, cfg.data.norm_std)
     csv_path = ablate_lambda(cfg, lambdas, images, args.out)
     print(f"ablate-lambda: swept {lambdas} -> {csv_path}")
     return 0

@@ -13,6 +13,7 @@ from .losses import LossConfig
 from .masking import MaskSpec
 from .model import ModelConfig
 from .teacher import TeacherSpec
+from .tensor import write_atomic
 from .trainer import TrainConfig
 
 
@@ -116,5 +117,4 @@ def load_run_config(path):
 
 
 def save_run_config(cfg: RunConfig, path):
-    with open(path, "w") as f:
-        json.dump(cfg.to_dict(), f, indent=1, sort_keys=True)
+    write_atomic(path, json.dumps(cfg.to_dict(), indent=1, sort_keys=True))

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, NumericError
+from .errors import ConfigError, DataError, NumericError
 
 
 @dataclass(frozen=True)
@@ -62,13 +62,13 @@ def sample_similarity(y):
 def corpus_diversity(samples):
     """Diversity report over a corpus of TeacherFeatures."""
     if not samples:
-        raise ConfigError("diversity needs a non-empty corpus")
+        raise DataError("diversity needs a non-empty corpus")
     ks = {s.n_tokens for s in samples}
     if len(ks) != 1:
-        raise ConfigError(f"samples disagree on token count: {sorted(ks)}")
+        raise DataError(f"samples disagree on token count: {sorted(ks)}")
     k = ks.pop()
     if k < 2:
-        raise ConfigError("diversity needs at least two tokens per sample")
+        raise DataError("diversity needs at least two tokens per sample")
     sims = [sample_similarity(s.tokens) for s in samples]
     diver = 1.0 - math.fsum(sims) / len(sims)
     return DiversityReport(per_sample=sims, diver=diver,

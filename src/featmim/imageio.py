@@ -10,6 +10,7 @@ import os
 import numpy as np
 
 from .errors import ConfigError, DataError
+from .tensor import write_atomic
 
 
 def _tokens(blob, count):
@@ -76,27 +77,24 @@ def _quantize(arr):
 
 
 def write_pgm(path, array):
-    """Write [H, W] or [1, H, W] values in [0, 1] as a binary PGM."""
+    """Write [H, W] or [1, H, W] values in [0, 1] as a binary PGM, atomically."""
     arr = np.asarray(array)
     if arr.ndim == 3:
         if arr.shape[0] != 1:
             raise DataError("PGM needs a single channel")
         arr = arr[0]
     h, w = arr.shape
-    with open(path, "wb") as f:
-        f.write(f"P5\n{w} {h}\n255\n".encode())
-        f.write(_quantize(arr).tobytes())
+    write_atomic(path, f"P5\n{w} {h}\n255\n".encode() + _quantize(arr).tobytes())
 
 
 def write_ppm(path, array):
-    """Write [3, H, W] values in [0, 1] as a binary PPM."""
+    """Write [3, H, W] values in [0, 1] as a binary PPM, atomically."""
     arr = np.asarray(array)
     if arr.ndim != 3 or arr.shape[0] != 3:
         raise DataError("PPM needs shape [3, H, W]")
     h, w = arr.shape[1:]
-    with open(path, "wb") as f:
-        f.write(f"P6\n{w} {h}\n255\n".encode())
-        f.write(_quantize(arr).transpose(1, 2, 0).tobytes())
+    write_atomic(path, f"P6\n{w} {h}\n255\n".encode()
+                 + _quantize(arr).transpose(1, 2, 0).tobytes())
 
 
 def normalize(image, mean=0.5, std=0.5):
@@ -118,15 +116,18 @@ def load_images(directory, mean=0.5, std=0.5):
     """Load every .pgm/.ppm file in a directory, sorted by filename.
 
     Returns [(image_id, float32 [C, H, W])], normalized; the id is the
-    file name without extension.
+    file name without extension. Images with different channel counts are
+    a DataError.
     """
     try:
         names = sorted(n for n in os.listdir(directory)
                        if n.lower().endswith((".pgm", ".ppm")))
     except OSError as e:
         raise DataError(f"cannot list image directory {directory}: {e}") from None
-    out = []
-    for name in names:
-        img = read_pnm(os.path.join(directory, name))
-        out.append((os.path.splitext(name)[0], normalize(img, mean, std)))
+    out = [(os.path.splitext(n)[0], read_pnm(os.path.join(directory, n))) for n in names]
+    channels = {img.shape[0] for _, img in out}
+    if len(channels) > 1:  # before normalize, whose per-channel check would blame the config
+        raise DataError(f"images in {directory} disagree on channel count: {sorted(channels)}")
+    for i, (image_id, img) in enumerate(out):  # replace as we go: one extra image at a time
+        out[i] = (image_id, normalize(img, mean, std))
     return out

@@ -17,7 +17,6 @@ linear weights are Xavier-uniform; CLS and mask tokens draw from N(0, 0.02).
 
 import json
 import math
-import os
 import struct
 from dataclasses import asdict, dataclass, field
 from typing import Optional
@@ -28,7 +27,7 @@ from . import tensor as tn
 from .errors import (ConfigError, DataError, DegenerateMaskError, ShapeError,
                      check_field_types)
 from .masking import batch_rows
-from .tensor import Tensor, tvec_bytes, tvec_from_bytes
+from .tensor import Tensor, tvec_bytes, tvec_from_bytes, write_atomic
 
 CHECKPOINT_MAGIC = b"FMCK"
 
@@ -337,7 +336,7 @@ def forward(images, masks, bp: BoundParams):
 
 
 def save_checkpoint(path, params: ModelParams):
-    """Atomic: encoded in memory, written to `<path>.tmp`, renamed onto `path`."""
+    """Encoded in memory, then written atomically (tensor.write_atomic)."""
     header = json.dumps({
         "config": asdict(params.config),
         "n_patches": params.n_patches,
@@ -347,14 +346,7 @@ def save_checkpoint(path, params: ModelParams):
     for name in sorted(params.weights):
         raw = name.encode()
         parts += [struct.pack("<I", len(raw)), raw, tvec_bytes(params.weights[name])]
-    tmp = f"{path}.tmp"
-    try:
-        with open(tmp, "wb") as f:
-            f.writelines(parts)
-        os.replace(tmp, path)
-    finally:
-        if os.path.exists(tmp):
-            os.remove(tmp)
+    write_atomic(path, b"".join(parts))
 
 
 def load_checkpoint(path):

@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigError, DataError, NumericError
-from .tensor import read_tvec, write_tvec
+from .tensor import read_tvec, write_atomic, write_tvec
 
 
 @dataclass(frozen=True)
@@ -49,10 +49,6 @@ class TeacherFeatures:
     @property
     def n_tokens(self):
         return self.tokens.shape[0]
-
-    @property
-    def dim(self):
-        return self.tokens.shape[1]
 
 
 def bilinear_resize(image, out_h, out_w):
@@ -249,12 +245,15 @@ def dump_features(teacher, images, out_dir, student_patch_side):
     manifest = {"source_id": getattr(teacher, "kind", "unknown"),
                 "target_dim": teacher.target_dim,
                 "entries": entries}
-    with open(os.path.join(out_dir, "manifest.json"), "w") as f:
-        json.dump(manifest, f, indent=1, sort_keys=True)
+    write_atomic(os.path.join(out_dir, "manifest.json"),
+                 json.dumps(manifest, indent=1, sort_keys=True))
     return manifest
 
 
 def load_feature_dir(features_dir):
-    """All dumped samples, in manifest order, as TeacherFeatures."""
+    """All dumped samples, in manifest order, as TeacherFeatures; a dump
+    without entries is a DataError."""
     teacher = FileTeacher(features_dir)
+    if not teacher.ids:
+        raise DataError(f"no feature samples in {features_dir}")
     return [teacher.features(None, image_id) for image_id in teacher.ids]

@@ -15,6 +15,7 @@ broadcast against a taped operand.
 Single-threaded: one tape must not be shared across threads during a step.
 """
 
+import os
 import struct
 
 import numpy as np
@@ -435,10 +436,22 @@ def tvec_from_bytes(blob, label="<bytes>", offset=0):
     return arr, off + 4 * n
 
 
+def write_atomic(path, data):
+    """Write bytes (or str, as UTF-8) to `<path>.tmp` and rename it onto
+    `path`, so a failed or interrupted write never leaves a partial file."""
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, "wb") as f:
+            f.write(data.encode() if isinstance(data, str) else data)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+
+
 def write_tvec(path, array):
-    """Write an array as a tvec file."""
-    with open(path, "wb") as f:
-        f.write(tvec_bytes(array))
+    """Write an array as a tvec file, atomically."""
+    write_atomic(path, tvec_bytes(array))
 
 
 def read_tvec(path):

@@ -25,7 +25,7 @@ from .masking import MaskSpec, SplitMix64, generate_mask
 from .model import (BoundParams, forward, init_params, project_global,
                     save_checkpoint)
 from .teacher import align_input, make_teacher
-from .tensor import Tape, backward
+from .tensor import Tape, backward, write_atomic
 
 METRICS_COLUMNS = ("step", "epoch", "lr", "L_patch", "L_global", "L_total")
 
@@ -277,8 +277,6 @@ def ablate_lambda(cfg, lambdas, images, out_dir):
         result = train(sub, images, run_dir)
         rows.append((lam, result.final_l_patch, result.final_l_global, result.final_l_total))
     csv_path = os.path.join(out_dir, "ablation.csv")
-    with open(csv_path, "w") as f:
-        f.write("lambda,final_L_patch,final_L_global,final_L_total\n")
-        for lam, flp, flg, flt in rows:
-            f.write(f"{lam!r},{flp!r},{flg!r},{flt!r}\n")
+    write_atomic(csv_path, "lambda,final_L_patch,final_L_global,final_L_total\n" + "".join(
+        f"{lam!r},{flp!r},{flg!r},{flt!r}\n" for lam, flp, flg, flt in rows))
     return csv_path

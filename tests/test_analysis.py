@@ -147,13 +147,36 @@ def test_pca_rejects_bad_component_count():
 
 
 def test_pca_matches_eigendecomposition():
-    # cross-check power iteration against numpy's symmetric eigensolver
+    # oracle: the SVD of the centered data, which never forms the covariance
     rng = np.random.default_rng(10)
     x = rng.normal(size=(60, 5)) * np.array([4.0, 2.5, 1.5, 0.7, 0.3])
     _, comps, explained = pca_reduce(x, 5)
-    xc = x - x.mean(axis=0)
-    ref_vals, ref_vecs = np.linalg.eigh(xc.T @ xc / (len(x) - 1))
-    np.testing.assert_allclose(explained, ref_vals[::-1], rtol=1e-8)
+    _, s, vt = np.linalg.svd(x - x.mean(axis=0), full_matrices=False)
+    np.testing.assert_allclose(explained, s**2 / (len(x) - 1), rtol=1e-10)
     for i in range(5):
-        dot = abs(comps[i] @ ref_vecs[:, -(i + 1)])
-        assert abs(dot - 1.0) < 1e-6  # same direction up to sign
+        sign = np.sign(comps[i] @ vt[i])
+        np.testing.assert_allclose(comps[i], sign * vt[i], atol=1e-10)
+
+
+def test_pca_sign_rule():
+    # each component's largest-magnitude entry is positive, the first on a tie
+    rng = np.random.default_rng(11)
+    x = rng.normal(size=(80, 8)) * np.arange(8, 0, -1)
+    _, comps, _ = pca_reduce(x, 8)
+    peak = np.abs(comps).argmax(axis=1)
+    assert (comps[np.arange(8), peak] > 0).all()
+    t = rng.normal(size=50)
+    _, line, _ = pca_reduce(np.stack([-t, t, np.zeros(50)], axis=1), 1)
+    assert line[0, 0] == -line[0, 1] > 0
+
+
+def test_pca_negated_input():
+    # -x has the same covariance bit for bit, so the same components, and
+    # exactly negated projections
+    rng = np.random.default_rng(12)
+    x = rng.normal(size=(40, 6)) * np.array([3.0, 2.0, 1.5, 1.0, 0.5, 0.1])
+    projected, comps, explained = pca_reduce(x, 4)
+    neg_projected, neg_comps, neg_explained = pca_reduce(-x, 4)
+    assert neg_comps.tobytes() == comps.tobytes()
+    assert neg_explained.tobytes() == explained.tobytes()
+    assert (neg_projected == -projected).all()

@@ -10,7 +10,7 @@ import pytest
 from featmim.cli import main
 from featmim.config import run_config_from_dict
 from featmim.gradcheck import grad_check
-from featmim.imageio import read_pnm, write_ppm
+from featmim.imageio import read_pnm, write_pgm, write_ppm
 from featmim.synth import synthetic_image
 from featmim.tensor import read_tvec, write_tvec
 
@@ -237,14 +237,52 @@ def test_malformed_feature_manifest_exits_3(tmp_path, manifest):
                  "--out", str(tmp_path / "p.tvec")]) == 3
 
 
-def test_empty_feature_dump_exits_3(tmp_path):
+def test_empty_feature_dump_exits_3(tmp_path, capsys):
     # a dump with no entries is a data error for diversity and pca alike
     feats = tmp_path / "feats"
     feats.mkdir()
     (feats / "manifest.json").write_text(json.dumps({"target_dim": 4, "entries": []}))
     assert main(["diversity", "--features", str(feats), "--out", str(tmp_path / "r.json")]) == 3
+    assert str(feats) in capsys.readouterr().err
     assert main(["pca", "--features", str(feats), "--components", "2",
                  "--out", str(tmp_path / "p.tvec")]) == 3
+    assert str(feats) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("token_counts", [(4, 9), (1, 1)],
+                         ids=["mixed_token_counts", "single_token"])
+def test_diversity_bad_corpus_exits_3(tmp_path, capsys, token_counts):
+    feats = tmp_path / "feats"
+    feats.mkdir()
+    entries = []
+    for i, k in enumerate(token_counts):
+        write_tvec(feats / f"s{i}.tvec", np.eye(k, 4, dtype=np.float32) + 1.0)
+        entries.append({"id": f"s{i}", "grid_side": math.isqrt(k)})
+    (feats / "manifest.json").write_text(json.dumps({"target_dim": 4, "entries": entries}))
+    out = tmp_path / "r.json"
+    assert main(["diversity", "--features", str(feats), "--out", str(out)]) == 3
+    assert str(feats) in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_mixed_channel_images_exit_3(tmp_path, capsys):
+    # one PPM and one PGM: a data error before anything is written
+    images = tmp_path / "images"
+    images.mkdir()
+    write_ppm(images / "a.ppm", synthetic_image(32, 3, seed=0))
+    write_pgm(images / "b.pgm", synthetic_image(32, 1, seed=1))
+    run, feats = tmp_path / "run", tmp_path / "feats"
+    assert main(["pretrain", "--images", str(images), "--out", str(run)]) == 3
+    assert "channel count" in capsys.readouterr().err
+    assert not run.exists()
+    assert main(["dump-features", "--images", str(images), "--out", str(feats)]) == 3
+    assert not feats.exists()
+    # a per-channel norm list fits only the PPM, yet the mix is still the error
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({"data": {"norm_mean": [0.5, 0.5, 0.5]}}))
+    assert main(["pretrain", "--config", str(config), "--images", str(images),
+                 "--out", str(run)]) == 3
+    assert "channel count" in capsys.readouterr().err
 
 
 def test_heatmap_command(tmp_path, image_dir):
@@ -311,6 +349,16 @@ def test_pca_command(tmp_path, image_dir):
     assert emb.shape == (4 * 16, 4)
     meta = json.loads((tmp_path / "emb.tvec.json").read_text())
     assert len(meta["explained_variance"]) == 4
+
+
+def test_pca_outputs_byte_identical_across_runs(tmp_path, image_dir):
+    feats = tmp_path / "feats"
+    assert main(["dump-features", "--images", str(image_dir), "--out", str(feats)]) == 0
+    for name in ("a", "b"):
+        assert main(["pca", "--features", str(feats), "--components", "4",
+                     "--out", str(tmp_path / f"{name}.tvec")]) == 0
+    for suffix in (".tvec", ".tvec.json"):
+        assert (tmp_path / f"a{suffix}").read_bytes() == (tmp_path / f"b{suffix}").read_bytes()
 
 
 def test_pca_bad_components_exits_2(tmp_path, image_dir):

@@ -8,7 +8,7 @@ from hypothesis.extra.numpy import arrays
 
 from conftest import ordered_pair_similarity
 from featmim.diversity import corpus_diversity, pairwise_cosine, sample_similarity
-from featmim.errors import ConfigError, NumericError
+from featmim.errors import ConfigError, DataError, NumericError
 from featmim.teacher import TeacherFeatures
 
 
@@ -114,13 +114,18 @@ def test_report_fields():
 
 
 def test_mixed_token_counts_rejected():
-    with pytest.raises(ConfigError):
+    with pytest.raises(DataError):
         corpus_diversity([feats(HAND_SAMPLE), feats(np.eye(2))])
 
 
 def test_corpus_empty_rejected():
-    with pytest.raises(ConfigError):
+    with pytest.raises(DataError):
         corpus_diversity([])
+
+
+def test_single_token_samples_rejected():
+    with pytest.raises(DataError):
+        corpus_diversity([feats([[1.0, 0.0]]), feats([[0.0, 1.0]])])
 
 
 def test_oracle_equivalence_100_instances():

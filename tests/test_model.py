@@ -1,10 +1,12 @@
 import json
 import os
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from featmim.config import RunConfig, save_run_config
 from featmim.errors import ConfigError, DataError, DegenerateMaskError, ShapeError
 from featmim.masking import MaskSpec, PatchMask, generate_mask
 import featmim.model
@@ -13,7 +15,7 @@ from featmim.model import (BoundParams, ModelConfig, aggregate_multi_block,
                            load_checkpoint, patch_embed, patchify,
                            project_global, save_checkpoint, sincos_pos_embed)
 from featmim.synth import synthetic_image
-from featmim.tensor import Tensor, tvec_bytes
+from featmim.tensor import Tensor, tvec_bytes, write_tvec
 
 TINY = ModelConfig(patch_side=8, embed_dim=8, enc_depth=2, enc_heads=2,
                    dec_depth=1, dec_width=8, dec_heads=2, target_dim=6,
@@ -290,10 +292,22 @@ def test_init_params_draws_do_not_depend_on_the_flat_layout():
     assert params.weights["patch_proj_w"].tobytes() == proj.tobytes()
 
 
-@pytest.mark.parametrize("fail_in", ["encode", "rename"])
+def _write_output(writer, path, seed):
+    if writer == "write_tvec":
+        write_tvec(path, np.full((2, 3), seed, dtype=np.float32))
+    elif writer == "save_run_config":
+        cfg = RunConfig()
+        save_run_config(replace(cfg, train=replace(cfg.train, seed=seed)), path)
+    else:
+        save_checkpoint(path, tiny_params(seed=seed))
+
+
+# "encode" and "rename" fail a checkpoint write; the others fail the rename
+# of the named writer, which shares tensor.write_atomic with the checkpoint
+@pytest.mark.parametrize("fail_in", ["encode", "rename", "write_tvec", "save_run_config"])
 def test_checkpoint_write_failing_partway_keeps_the_old_file(tmp_path, monkeypatch, fail_in):
     path = tmp_path / "ckpt.bin"
-    save_checkpoint(path, tiny_params(seed=1))
+    _write_output(fail_in, path, seed=1)
     before = path.read_bytes()
     if fail_in == "encode":
         calls = []
@@ -310,9 +324,9 @@ def test_checkpoint_write_failing_partway_keeps_the_old_file(tmp_path, monkeypat
         def failing_replace(src, dst):
             raise OSError("rename failed")
 
-        monkeypatch.setattr(featmim.model.os, "replace", failing_replace)
+        monkeypatch.setattr(os, "replace", failing_replace)
     with pytest.raises(OSError):
-        save_checkpoint(path, tiny_params(seed=2))
+        _write_output(fail_in, path, seed=2)
     assert path.read_bytes() == before
     assert os.listdir(tmp_path) == ["ckpt.bin"]
 
