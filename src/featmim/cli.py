@@ -137,6 +137,9 @@ def cmd_pca(args):
 
 
 def cmd_grad_check(args):
+    for flag, value in (("--h", args.h), ("--tolerance", args.tolerance)):
+        if not (math.isfinite(value) and value > 0):
+            raise ConfigError(f"{flag} must be finite and positive, got {value!r}")
     report = grad_check(_resolved_config(args, default=tiny_run_config), h=args.h)
     if args.out:
         write_atomic(args.out, json.dumps(
@@ -151,7 +154,10 @@ def cmd_grad_check(args):
 
 def cmd_ablate_lambda(args):
     cfg = _resolved_config(args)
-    lambdas = [float(v) for v in args.lambdas.split(",") if v != ""]
+    try:
+        lambdas = [float(v) for v in args.lambdas.split(",") if v != ""]
+    except ValueError as e:
+        raise ConfigError(f"--lambdas: {e}") from None
     if len(lambdas) < 2:
         raise ConfigError("--lambdas needs at least two comma-separated values")
     images = _load_image_dir(args.images, cfg.data.norm_mean, cfg.data.norm_std)

@@ -105,8 +105,9 @@ def normalize(image, mean=0.5, std=0.5):
     c = image.shape[0]
     for name, v in (("norm_mean", mean), ("norm_std", std)):
         if len(v) not in (1, c):
+            needs = "1" if c == 1 else f"1 or {c}"
             raise ConfigError(f"data.{name} holds {len(v)} values for {c}-channel images; "
-                              f"it needs 1 or {c}")
+                              f"it needs {needs}")
     if np.any(std == 0):
         raise DataError("normalization std must be nonzero")
     return (image - mean) / std

@@ -9,6 +9,7 @@ Each loss takes a batch of images at once and returns the taped batch mean
 together with the per-image losses it averages.
 """
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -29,8 +30,8 @@ class LossConfig:
     def validate(self):
         if self.beta <= 0:
             raise ConfigError("smooth-L1 beta must be positive")
-        if self.lam < 0:
-            raise ConfigError("global loss weight must be non-negative")
+        if not (math.isfinite(self.lam) and self.lam >= 0):
+            raise ConfigError(f"loss.lam must be finite and non-negative, got {self.lam!r}")
         if self.channel_reduce not in ("mean", "sum"):
             raise ConfigError(f"unknown channel_reduce {self.channel_reduce!r}")
 

@@ -2,11 +2,11 @@
 
 Asymmetric design: the encoder runs only on visible patch tokens (plus an
 optional CLS token), the decoder rebuilds the full patch grid and regresses
-teacher features. It places tokens with one gather over [visible tokens;
-mask token] by a restore index, so every masked slot reads the learnable
-mask token (MAE's ids_restore unshuffle). Each dense layer, x @ W + b, is
-one tensor.linear tape node; attention is the single fused tape op
-tensor.attention between the q/k/v and output projections. Encoder
+teacher features. One tensor.gather_rows by a restore index puts visible
+tokens in grid order and the learnable mask token in every masked slot
+(MAE's ids_restore unshuffle); CLS goes in the same way. Each dense layer,
+x @ W + b, is one tensor.linear tape node; attention is the single fused
+tape op tensor.attention between the q/k/v and output projections. Encoder
 block outputs can be aggregated (mean or literal sum) before decoding; a
 2-layer MLP head projects last-layer visible tokens to the teacher dimension
 for the global loss.
@@ -259,10 +259,9 @@ def encode_visible(tokens, masks, bp: BoundParams):
     if rows.shape[1] == 0:
         raise DegenerateMaskError("encoder needs at least one visible token")
     if cfg.use_cls:
-        # one gather over [all patch tokens; CLS] puts CLS ahead of each image's tokens
+        # row b*n of the gather reads CLS: it goes ahead of each image's tokens
         rows = np.concatenate([np.full((b, 1), b * n), rows], axis=1)
-        tokens = tn.concat([tokens, tn.reshape(bp["cls_token"], (1, cfg.embed_dim))], axis=0)
-    x = tn.gather_rows(tokens, rows.reshape(-1))
+    x = tn.gather_rows(tokens, rows.reshape(-1), bp["cls_token"] if cfg.use_cls else None)
     seq = rows.shape[1]
     patch_rows = (seq * np.arange(b)[:, None] + np.arange(1, seq)).reshape(-1)
     layers = []
@@ -292,11 +291,11 @@ def decode(h_visible, masks, bp: BoundParams):
     b, n = len(masks), bp.meta.n_patches
     vis_rows = batch_rows(masks, "visible_idx", n).reshape(-1)
     h = tn.linear(h_visible, bp["enc2dec_w"], bp["enc2dec_b"])
-    rows = tn.concat([h, tn.reshape(bp["mask_token"], (1, cfg.dec_width))], axis=0)
-    # grid row -> row of [all visible tokens; mask token]
+    # grid row -> row of h, or len(h) for the mask token
     restore_idx = np.full(b * n, len(vis_rows), dtype=np.int64)
     restore_idx[vis_rows] = np.arange(len(vis_rows))
-    x = tn.add(tn.gather_rows(rows, restore_idx), Tensor(np.tile(bp.meta.dec_pos, (b, 1))))
+    x = tn.gather_rows(h, restore_idx, bp["mask_token"])
+    x = tn.add(x, Tensor(np.tile(bp.meta.dec_pos, (b, 1))))
     for layer in range(cfg.dec_depth):
         x = _transformer_block(x, bp, f"dec{layer}", cfg.dec_heads, b)
     return tn.linear(x, bp["dec_pred_w"], bp["dec_pred_b"])

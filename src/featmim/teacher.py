@@ -33,6 +33,8 @@ class TeacherSpec:
             raise ConfigError(f"unknown teacher kind {self.kind!r}")
         if self.kind == "file" and not self.features_dir:
             raise ConfigError("file teacher needs features_dir")
+        if self.seed < 0:
+            raise ConfigError(f"teacher.seed must be non-negative, got {self.seed}")
         if self.kind == "procedural-conv":
             if self.downsample_rate < 2 or self.downsample_rate & (self.downsample_rate - 1):
                 raise ConfigError("procedural teacher downsample_rate must be a power of two >= 2")

@@ -2,15 +2,17 @@
 
 Storage and kernels are numpy; differentiation is an explicit tape that is
 rebuilt every step (define-by-run). Tensors created outside a tape carry no
-node and behave as constants. float32 is the training dtype; every op is
-dtype-preserving, so the same graph runs in float64 for gradient checks.
+tape position and behave as constants. float32 is the training dtype;
+every op is dtype-preserving, so the same graph runs in float64 for
+gradient checks.
 
 The op vocabulary is what the student and its losses use: elementwise add,
-sub, mul, relu, gelu; reshape, concat, gather_rows, sum, mean; and the
-fused linear (x @ w + b), layer_norm, attention and smooth_l1, each one
-tape node with an analytic backward. add, sub and mul take operands of
-equal shape; only a constant, such as a Python scalar factor, may
-broadcast against a taped operand.
+sub, mul, relu, gelu; reshape, gather_rows (which can also place one
+learned row, such as a mask token), sum, mean; and the fused linear
+(x @ w + b), layer_norm, attention and smooth_l1, each one tape node with
+an analytic backward. add, sub and mul take operands of equal shape; only
+a constant, such as a Python scalar factor, may broadcast against a taped
+operand.
 
 Single-threaded: one tape must not be shared across threads during a step.
 """
@@ -26,24 +28,16 @@ GELU_C = float(np.sqrt(2.0 / np.pi))
 GELU_A = 0.044715
 
 
-class Node:
-    """Handle linking a tensor to the tape position that produced it."""
-
-    __slots__ = ("tape", "idx")
-
-    def __init__(self, tape, idx):
-        self.tape = tape
-        self.idx = idx
-
-
 class Tensor:
-    """A dense n-d array, optionally attached to a tape."""
+    """A dense n-d array: taped, with its tape and position, when a Tape
+    created it; a constant otherwise."""
 
-    __slots__ = ("data", "node")
+    __slots__ = ("data", "tape", "idx")
 
-    def __init__(self, data, node=None):
+    def __init__(self, data):
         self.data = np.asarray(data)
-        self.node = node
+        self.tape = None
+        self.idx = None
 
     @property
     def shape(self):
@@ -58,7 +52,7 @@ class Tensor:
         return self.data.ndim
 
     def __repr__(self):
-        tag = "taped" if self.node is not None else "const"
+        tag = "taped" if self.tape is not None else "const"
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}, {tag})"
 
     def sum(self, axis=None, keepdims=False):
@@ -80,17 +74,18 @@ class Tape:
         self._n_nodes = 0
         self._params = {}  # name -> Tensor
 
-    def _new_idx(self):
-        idx = self._n_nodes
+    def _tensor(self, data):
+        """A new tensor at the next position of this tape."""
+        t = Tensor(data)
+        t.tape, t.idx = self, self._n_nodes
         self._n_nodes += 1
-        return idx
+        return t
 
     def parameter(self, name, data):
         """Register `data` (shared, not copied) as a named parameter."""
         if name in self._params:
             raise ValueError(f"parameter {name!r} already registered on this tape")
-        t = Tensor(np.asarray(data), Node(self, self._new_idx()))
-        self._params[name] = t
+        t = self._params[name] = self._tensor(data)
         return t
 
 
@@ -101,14 +96,14 @@ def backward(tape, loss):
     parameters the loss does not depend on get zeros. The replay consumes
     the tape's records, so a tape supports one backward.
     """
-    if loss.node is None or loss.node.tape is not tape:
+    if loss.tape is not tape:
         raise ShapeError("loss is not a tensor recorded on this tape")
     if loss.data.shape != ():
         raise ShapeError(f"loss must be scalar, got shape {loss.data.shape}")
     if tape._ops is None:
         raise RuntimeError("tape already replayed by backward; record a new tape per step")
     grads = [None] * tape._n_nodes
-    grads[loss.node.idx] = np.ones((), dtype=loss.data.dtype)
+    grads[loss.idx] = np.ones((), dtype=loss.data.dtype)
     # pop each record as it is replayed: its grad fns, and the activations
     # they hold, are freed by reference counting, not left to the cyclic GC
     ops, tape._ops = tape._ops, None
@@ -126,7 +121,7 @@ def backward(tape, loss):
                 grads[in_idx] = grads[in_idx] + contrib
     out = {}
     for name, p in tape._params.items():
-        g = grads[p.node.idx]
+        g = grads[p.idx]
         out[name] = np.zeros_like(p.data) if g is None else g
     return out
 
@@ -141,26 +136,16 @@ def _as_tensor(x, like=None):
     return Tensor(np.asarray(x, dtype=dtype))
 
 
-def _tape_of(*tensors):
-    tape = None
-    for t in tensors:
-        if t.node is None:
-            continue
-        if tape is None:
-            tape = t.node.tape
-        elif tape is not t.node.tape:
-            raise RuntimeError("operands recorded on different tapes")
-    return tape
-
-
 def _emit(out_data, pairs):
-    """Create the output tensor; record (input node, grad_fn) pairs if taped."""
-    taped = [(t, fn) for t, fn in pairs if t.node is not None]
-    tape = _tape_of(*[t for t, _ in pairs])
-    if tape is None:
+    """Create the output tensor; record (input position, grad_fn) for each
+    taped input, on the one tape they share."""
+    tapes = {t.tape for t, _ in pairs if t.tape is not None}
+    if not tapes:
         return Tensor(out_data)
-    out = Tensor(out_data, Node(tape, tape._new_idx()))
-    tape._ops.append((out.node.idx, [(t.node.idx, fn) for t, fn in taped]))
+    if len(tapes) > 1:
+        raise RuntimeError("operands recorded on different tapes")
+    out = tapes.pop()._tensor(out_data)
+    out.tape._ops.append((out.idx, [(t.idx, fn) for t, fn in pairs if t.tape is not None]))
     return out
 
 
@@ -175,7 +160,7 @@ def _operands(a, b):
     b = _as_tensor(b, like=a)
     if a.data.shape != b.data.shape:
         shape = np.broadcast_shapes(a.data.shape, b.data.shape)
-        if any(t.node is not None and t.data.shape != shape for t in (a, b)):
+        if any(t.tape is not None and t.data.shape != shape for t in (a, b)):
             raise ShapeError(f"a taped operand must have the result shape {shape}, "
                              f"got {a.shape} and {b.shape}")
     return a, b
@@ -240,58 +225,44 @@ def reshape(a, shape):
     return _emit(a.data.reshape(shape), [(a, lambda g: g.reshape(orig))])
 
 
-def concat(tensors, axis=0):
-    tensors = [_as_tensor(t) for t in tensors]
-    out = np.concatenate([t.data for t in tensors], axis=axis)
-    offsets = np.cumsum([0] + [t.data.shape[axis] for t in tensors])
-
-    def make_fn(i):
-        lo, hi = offsets[i], offsets[i + 1]
-
-        def fn(g):
-            sl = [slice(None)] * g.ndim
-            sl[axis] = slice(lo, hi)
-            return g[tuple(sl)]
-
-        return fn
-
-    return _emit(out, [(t, make_fn(i)) for i, t in enumerate(tensors)])
-
-
-def gather_rows(a, idx):
-    """Select rows along axis 0. Backward scatter-adds (idx may repeat)."""
+def gather_rows(a, idx, row=None):
+    """Select rows of a along axis 0. With `row`, a 1-d tensor, index
+    len(a) selects it, as a gather over [a; row] would. Backward
+    scatter-adds (idx may repeat): each row of a, and `row`, gets the sum
+    of the gradient rows that read it."""
     idx = np.asarray(idx, dtype=np.int64)
+    if row is not None and row.shape != a.shape[1:]:
+        raise ShapeError(f"gather_rows row has shape {row.shape}, rows of a {a.shape[1:]}")
+    src = a.data if row is None else np.concatenate([a.data, row.data[None]])
+    n, scattered = len(a.data), []
 
-    def fn(g):
-        z = np.zeros_like(a.data)
-        np.add.at(z, idx, g)
-        return z
+    def scatter(g):  # gradient of [a; row], computed once per backward
+        if not scattered:
+            scattered.append(np.zeros_like(src))
+            np.add.at(scattered[0], idx, g)
+        return scattered[0]
 
-    return _emit(a.data[idx], [(a, fn)])
+    pairs = [(a, lambda g: scatter(g)[:n])]
+    if row is not None:
+        pairs.append((row, lambda g: scatter(g)[n]))
+    return _emit(src[idx], pairs)
 
 
 def tsum(a, axis=None, keepdims=False):
     out = a.data.sum(axis=axis, keepdims=keepdims)
 
     def fn(g):
-        if axis is None:
-            return np.broadcast_to(g, a.data.shape).astype(a.data.dtype, copy=True)
-        ax = axis if isinstance(axis, tuple) else (axis,)
-        if not keepdims:
-            g = np.expand_dims(g, ax)
+        if axis is not None and not keepdims:
+            g = np.expand_dims(g, axis)
         return np.broadcast_to(g, a.data.shape).astype(a.data.dtype, copy=True)
 
     return _emit(out, [(a, fn)])
 
 
 def tmean(a, axis=None, keepdims=False):
-    if axis is None:
-        count = a.data.size
-    else:
-        ax = axis if isinstance(axis, tuple) else (axis,)
-        count = int(np.prod([a.data.shape[i] for i in ax]))
     s = tsum(a, axis, keepdims)
-    return mul(s, 1.0 / count)
+    # the exact ratio s.size / a.size is 1 / count, so this rounds as 1.0 / count
+    return mul(s, s.data.size / a.data.size)
 
 
 # --- fused ops with analytic backward ---
@@ -343,7 +314,7 @@ def attention(q, k, v, heads, batch=1):
                 gs = (gp - (gp * p).sum(axis=-1, keepdims=True)) * p * scale
                 grads = merge(gs @ kh), merge(swap(gs) @ qh), merge(swap(p) @ gh)
                 cache.update((n, gx) for n, x, gx in zip("qkv", (q, k, v), grads)
-                             if x.node is not None)
+                             if x.tape is not None)
             return cache.pop(name)
 
         return fn
@@ -371,7 +342,6 @@ def layer_norm(x, gain, bias, eps=1e-6):
     if eps <= 0:
         raise ShapeError("layer_norm eps must be positive")
     x, gain, bias = _as_tensor(x), _as_tensor(gain), _as_tensor(bias)
-    d = x.data.shape[-1]
     mu = x.data.mean(axis=-1, keepdims=True)
     xc = x.data - mu
     var = (xc * xc).mean(axis=-1, keepdims=True)

@@ -60,6 +60,8 @@ class TrainConfig:
             raise ConfigError("optimizer momenta must lie in [0, 1)")
         if self.checkpoint_interval < 0:
             raise ConfigError("checkpoint_interval must be non-negative")
+        if self.seed < 0:
+            raise ConfigError(f"train.seed must be non-negative, got {self.seed}")
 
 
 def scaled_lr(base_lr, batch_size):
@@ -265,17 +267,24 @@ def train(cfg, images, out_dir):
 
 
 def ablate_lambda(cfg, lambdas, images, out_dir):
-    """Run the same seeded training once per global-loss weight; write a
-    CSV of final losses (out_dir/ablation.csv) for side-by-side reading."""
+    """Run the same seeded training once per global-loss weight, each in
+    out_dir/lam_<lam:g>; write a CSV of final losses (out_dir/ablation.csv)
+    for side-by-side reading. Every weight is validated before any run."""
     if len(lambdas) < 2:
         raise ConfigError("a lambda sweep needs at least two values")
-    os.makedirs(out_dir, exist_ok=True)
-    rows = []
+    runs = {}
     for lam in lambdas:
         sub = replace(cfg, loss=replace(cfg.loss, lam=lam))
-        run_dir = os.path.join(out_dir, f"lam_{lam:g}")
-        result = train(sub, images, run_dir)
-        rows.append((lam, result.final_l_patch, result.final_l_global, result.final_l_total))
+        sub.loss.validate()
+        name = f"lam_{lam:g}"
+        if name in runs:
+            raise ConfigError(f"lambdas {runs[name].loss.lam!r} and {lam!r} both map to {name}")
+        runs[name] = sub
+    os.makedirs(out_dir, exist_ok=True)
+    rows = []
+    for name, sub in runs.items():
+        r = train(sub, images, os.path.join(out_dir, name))
+        rows.append((sub.loss.lam, r.final_l_patch, r.final_l_global, r.final_l_total))
     csv_path = os.path.join(out_dir, "ablation.csv")
     write_atomic(csv_path, "lambda,final_L_patch,final_L_global,final_L_total\n" + "".join(
         f"{lam!r},{flp!r},{flg!r},{flt!r}\n" for lam, flp, flg, flt in rows))

@@ -7,6 +7,8 @@ regression, and patch + lam * global with the global branch always taped.
 The resize, convolution and similarity oracles are the direct forms of
 the teacher and diversity code, which must match them bit for bit, and the
 per-parameter AdamW loop is the form the flat in-place update must match.
+The concat-and-gather oracle is how the model placed its CLS and mask
+tokens before gather_rows took the row itself, which must match it bitwise.
 """
 
 import json
@@ -57,6 +59,20 @@ def default_grad_check(tmp_path_factory):
     code = main(["grad-check", "--h", "1e-5", "--tolerance", "1e-4", "--out", str(path)])
     elapsed = time.monotonic() - t0
     return code, json.loads(path.read_text()), elapsed
+
+
+def concat_gather_rows(a, idx, row):
+    """Rows idx of the stacked array [a; row], and a function from the
+    output gradient g to the gradients of a and row: np.add.at into the
+    stacked shape, then split. Returns (out, grads_fn)."""
+    stacked = np.concatenate([a, row[None]])
+
+    def grads(g):
+        z = np.zeros_like(stacked)
+        np.add.at(z, idx, g)
+        return z[:-1], z[-1]
+
+    return stacked[idx], grads
 
 
 def inline_shuffle(items, stream):

@@ -432,6 +432,54 @@ def test_ablate_lambda_single_value_exits_2(tmp_path, image_dir):
     assert code == 2
 
 
+@pytest.mark.parametrize("lambdas,named", [
+    ("a,b", "'a'"),
+    ("nan,1", "nan"),
+    ("1,inf", "inf"),
+    ("-1,1", "-1.0"),
+    ("0,0.0", "lam_0"),  # two runs into one directory
+    ("1e-7,1.00000001e-7", "lam_1e-07"),
+])
+def test_ablate_lambda_bad_value_exits_2_before_any_run(tmp_path, image_dir, capsys,
+                                                        lambdas, named):
+    out = tmp_path / "sweep"
+    code = main(["ablate-lambda", "--images", str(image_dir), "--out", str(out),
+                 f"--lambdas={lambdas}"])
+    assert code == 2
+    assert named in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command,flags,config,field", [
+    ("pretrain", ["--seed", "-3"], None, "train.seed"),
+    ("pretrain", [], {"train": {"seed": -1}}, "train.seed"),
+    ("pretrain", [], {"teacher": {"seed": -1}}, "teacher.seed"),
+    ("grad-check", ["--seed", "-2"], None, "train.seed"),
+    ("dump-features", ["--seed", "-1"], None, "teacher.seed"),
+])
+def test_negative_seed_exits_2_writing_nothing(tmp_path, image_dir, capsys, command, flags,
+                                               config, field):
+    out = tmp_path / "out"
+    argv = [command, *flags, "--out", str(out)]
+    if command != "grad-check":
+        argv += ["--images", str(image_dir)]
+    if config is not None:
+        argv += ["--config", str(write_config(tmp_path, **config))]
+    assert main(argv) == 2
+    assert field in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag", ["--h", "--tolerance"])
+@pytest.mark.parametrize("value", ["0", "-1e-5", "nan", "inf"])
+def test_grad_check_step_and_tolerance_must_be_finite_and_positive(tmp_path, capsys,
+                                                                   flag, value):
+    out = tmp_path / "report.json"
+    assert main(["grad-check", f"{flag}={value}", "--out", str(out)]) == 2
+    assert flag in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_usage_error_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])

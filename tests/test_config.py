@@ -1,11 +1,14 @@
 import json
+import math
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
 from featmim.config import (RunConfig, load_run_config, run_config_from_dict,
                             save_run_config)
 from featmim.errors import ConfigError
+from featmim.losses import LossConfig
 
 
 def test_defaults_validate():
@@ -62,6 +65,32 @@ def test_norm_std_zero_rejected():
     cfg = run_config_from_dict({"data": {"norm_std": 0}})
     with pytest.raises(ConfigError, match="norm_std"):
         cfg.validate()
+
+
+@pytest.mark.parametrize("section", ["train", "teacher"])
+def test_negative_seed_rejected(section):
+    # numpy's generators take no negative seed
+    cfg = run_config_from_dict({section: {"seed": -1}})
+    with pytest.raises(ConfigError, match=f"{section}.seed"):
+        cfg.validate()
+
+
+def test_mask_seed_takes_any_int():
+    # SplitMix64 reduces its seed to 64 bits
+    run_config_from_dict({"mask": {"seed": -1}}).validate()
+
+
+@pytest.mark.parametrize("lam", [math.nan, math.inf, -0.5])
+def test_loss_lam_must_be_finite_and_non_negative(lam):
+    with pytest.raises(ConfigError, match="loss.lam"):
+        LossConfig(lam=lam).validate()
+
+
+def test_readme_configuration_block_matches_defaults():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("## Configuration", 1)[1]
+    block = section.split("```json", 1)[1].split("```", 1)[0]
+    assert json.loads(block) == RunConfig().to_dict()
 
 
 def test_json_round_trip(tmp_path):

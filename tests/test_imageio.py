@@ -94,6 +94,12 @@ def test_normalize_rejects_a_list_per_wrong_channel_count():
             normalize(img, mean, std)
 
 
+@pytest.mark.parametrize("channels,needs", [(1, "it needs 1$"), (3, "it needs 1 or 3$")])
+def test_normalize_length_error_names_the_lengths_it_takes(channels, needs):
+    with pytest.raises(ConfigError, match=needs):
+        normalize(np.zeros((channels, 2, 2), dtype=np.float32), [0.5, 0.5])
+
+
 def test_load_images_sorted_ids(tmp_path):
     for name in ("b.pgm", "a.pgm"):
         write_pgm(tmp_path / name, np.zeros((1, 2, 2)))

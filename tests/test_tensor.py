@@ -2,7 +2,7 @@ import zlib
 
 import numpy as np
 import pytest
-from conftest import fd_grad, rel_err
+from conftest import concat_gather_rows, fd_grad, rel_err
 
 from featmim import tensor as tn
 from featmim.errors import DataError, NumericError, ShapeError
@@ -247,6 +247,33 @@ def test_gradient_accumulation_matches_separate_passes():
     np.testing.assert_allclose(joint, sep, rtol=1e-12)
 
 
+def test_operands_from_two_tapes_are_rejected():
+    a = taped(Tape(), "a", np.ones(2))
+    b = taped(Tape(), "b", np.ones(2))
+    with pytest.raises(RuntimeError, match="different tapes"):
+        tn.add(a, b)
+
+
+def test_gather_rows_with_row_matches_concat_oracle_bitwise():
+    # float32, with the row read many times, as decode reads the mask token
+    rng = np.random.default_rng(4)
+    a0 = rng.normal(size=(6, 8)).astype(np.float32)
+    row0 = rng.normal(size=8).astype(np.float32)
+    idx = np.concatenate([np.arange(7), rng.integers(0, 7, size=41)])
+    g = rng.normal(size=(len(idx), 8)).astype(np.float32)
+    tape = Tape()
+    a, row = tape.parameter("a", a0), tape.parameter("row", row0)
+    out = tn.gather_rows(a, idx, row)
+    assert len(tape._ops) == 1  # the row costs no extra op
+    grads = backward(tape, tn.mul(out, Tensor(g)).sum())
+    want, want_grads = concat_gather_rows(a0, idx, row0)
+    assert out.data.tobytes() == want.tobytes()
+    for got, ref in zip((grads["a"], grads["row"]), want_grads(g)):
+        assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
+    with pytest.raises(ShapeError):
+        tn.gather_rows(a, idx, Tensor(np.zeros(7, np.float32)))
+
+
 def test_parameter_registered_once():
     tape = Tape()
     tape.parameter("w", np.zeros(2))
@@ -320,21 +347,26 @@ def _op_factories():
         return (_normal(rng, (3, 5)),
                 lambda x: _sq(tn.linear(x, Tensor(c), Tensor(bias))).sum())
 
-    def concat_(rng):
-        c = _normal(rng, (10,))
-        return _normal(rng), lambda x: tn.mul(tn.concat([x, _sq(x)], axis=0), Tensor(c)).sum()
-
     def gather_(rng):
         return _normal(rng), lambda x: _sq(tn.gather_rows(x, [0, 2, 2])).sum()
 
     def scatter_(rng):
-        # rows placed at 1, 3, 5, 7, 9 of 10 by one gather over [rows; filler],
-        # as decode places visible tokens among mask tokens
+        # rows placed at 1, 3, 5, 7, 9 of 10 by one gather, index 5 reading the
+        # filler row, as decode places visible tokens among mask tokens
         c = _normal(rng, (10, 1))
         restore = [5, 0, 5, 1, 5, 2, 5, 3, 5, 4]
         return (_normal(rng, (5, 1)),
-                lambda x: tn.mul(tn.gather_rows(tn.concat([x, Tensor(np.zeros((1, 1)))], axis=0),
-                                                restore), Tensor(c)).sum())
+                lambda x: tn.mul(tn.gather_rows(x, restore, Tensor(np.zeros(1))),
+                                 Tensor(c)).sum())
+
+    def gather_row(rng):
+        # the row is taped, made from x, and read at index 3 = len(x) among
+        # repeated rows of x: both scatter-adds reach the gradient of x
+        c = _normal(rng, (7, 2))
+        return (_normal(rng, (3, 2)),
+                lambda x: tn.mul(tn.gather_rows(x, [3, 0, 3, 2, 0, 3, 1],
+                                                tn.reshape(tn.gather_rows(_sq(x), [1]), (2,))),
+                                 Tensor(c)).sum())
 
     def sum_axis(rng):
         return _normal(rng, (3, 5)), lambda x: _sq(x.sum(axis=0)).sum()
@@ -382,8 +414,8 @@ def _op_factories():
         return (_normal(rng),
                 lambda x: tn.mul(tn.layer_norm(x, Tensor(g), Tensor(b)), Tensor(c)).sum())
 
-    fns = [add_, sub_, mul_, square_, relu_, gelu_, matmul2d, concat_, gather_,
-           scatter_, sum_axis, mean_axis, softmax_, attention_1head, attention_2heads,
+    fns = [add_, sub_, mul_, square_, relu_, gelu_, matmul2d, gather_, scatter_,
+           gather_row, sum_axis, mean_axis, softmax_, attention_1head, attention_2heads,
            attention_batched, smooth_l1_, layer_norm_x]
     return [(f.__name__.rstrip("_"), f) for f in fns]
 
