@@ -23,7 +23,7 @@ from .diversity import corpus_diversity
 from .errors import ConfigError, DataError, NumericError
 from .gradcheck import grad_check, tiny_run_config
 from .imageio import load_images
-from .teacher import (TeacherFeatures, TeacherSpec, dump_features,
+from .teacher import (TeacherFeatures, TeacherSpec, check_alignment, dump_features,
                       load_feature_dir, make_teacher)
 from .tensor import read_tvec, write_atomic, write_tvec
 from .trainer import ablate_lambda, train
@@ -87,6 +87,7 @@ def cmd_dump_features(args):
                            target_dim=f["target_dim"], seed=f["seed"],
                            l2_normalize=f["l2_normalize"])
         spec.validate()
+        check_alignment(spec.downsample_rate, f["patch_side"], "--downsample", "--patch-side")
         patch_side, norm = f["patch_side"], (0.5, 0.5)
     images = _load_image_dir(args.images, *norm)
     teacher = make_teacher(spec, in_channels=images[0][1].shape[0])

@@ -12,7 +12,7 @@ from .errors import ConfigError, DataError, check_field_types, finite_number
 from .losses import LossConfig
 from .masking import MaskSpec
 from .model import ModelConfig
-from .teacher import TeacherSpec
+from .teacher import TeacherSpec, check_alignment
 from .tensor import write_atomic
 from .trainer import TrainConfig
 
@@ -61,10 +61,8 @@ class RunConfig:
                 raise ConfigError(
                     f"teacher.target_dim {self.teacher.target_dim} != "
                     f"model.target_dim {self.model.target_dim}")
-            if self.teacher.downsample_rate % self.model.patch_side != 0:
-                raise ConfigError(
-                    f"teacher.downsample_rate {self.teacher.downsample_rate} not "
-                    f"divisible by patch_side {self.model.patch_side}: grids cannot align")
+            check_alignment(self.teacher.downsample_rate, self.model.patch_side,
+                            "teacher.downsample_rate", "model.patch_side")
         n_masked_blocks = self.mask.n_masked_blocks
         if n_masked_blocks < 1:
             raise ConfigError(

@@ -79,19 +79,27 @@ def bilinear_resize(image, out_h, out_w):
     return np.take(rows, r0, axis=1) * (1 - wr) + np.take(rows, r1, axis=1) * wr
 
 
+def check_alignment(downsample_rate, patch_side, rate_name="teacher downsample",
+                    side_name="student patch side"):
+    """The grid-alignment rule, patch_side >= 1 dividing downsample_rate; a
+    ConfigError names the two values by rate_name and side_name."""
+    if patch_side < 1:
+        raise ConfigError(f"{side_name} must be at least 1, got {patch_side}")
+    if downsample_rate % patch_side:
+        raise ConfigError(f"{rate_name} {downsample_rate} is not divisible by "
+                          f"{side_name} {patch_side}: grids cannot align")
+
+
 def align_input(image, student_patch_side, teacher_downsample):
     """Resize so the teacher's token grid matches the student's patch grid.
 
-    The scale factor teacher_downsample / student_patch_side must be a
-    positive integer; factor 1 returns the image untouched, and so does a
-    teacher without a downsample rate (a file teacher replays stored tokens).
+    The factor teacher_downsample / student_patch_side must be a positive
+    integer (check_alignment); factor 1 returns the image untouched, and so
+    does a teacher without a downsample rate (a file teacher replays tokens).
     """
     if teacher_downsample is None:
         return image
-    if teacher_downsample % student_patch_side != 0:
-        raise ConfigError(
-            f"teacher downsample {teacher_downsample} is not divisible by "
-            f"student patch side {student_patch_side}: grids cannot align")
+    check_alignment(teacher_downsample, student_patch_side)
     factor = teacher_downsample // student_patch_side
     if factor == 1:
         return image
@@ -154,9 +162,11 @@ class ProceduralConvTeacher:
             c_in = c_out
 
     def features(self, image, source_id=""):
-        """Tokens for an aligned image. image: [C, H, W], sides divisible
-        by downsample_rate."""
+        """Tokens for an aligned image. image: [C, H, W], square, sides
+        divisible by downsample_rate."""
         c, h, w = image.shape
+        if h != w:
+            raise DataError(f"image {source_id!r} is {h}x{w}: teacher tokens need a square image")
         if c != self.in_channels:
             raise ConfigError(f"teacher built for {self.in_channels} channels, image has {c}")
         if h % self.downsample_rate or w % self.downsample_rate:
@@ -196,6 +206,9 @@ class FileTeacher:
             entries = [(e["id"], e["grid_side"]) for e in manifest["entries"]]
         except (KeyError, TypeError) as e:
             raise DataError(f"{manifest_path}: malformed manifest: {e!r}") from None
+        if type(self.target_dim) is not int or self.target_dim < 1:
+            raise DataError(f"{manifest_path}: target_dim {self.target_dim!r} "
+                            "is not a positive integer")
         for image_id, grid in entries:
             # ids name files inside features_dir and nothing outside it
             if (not isinstance(image_id, str) or image_id in ("", ".", "..")
@@ -234,16 +247,15 @@ def dump_features(teacher, images, out_dir, student_patch_side):
     """Extract and write one tvec per image plus a manifest.
 
     images: [(id, [C, H, W] array)]. Returns the manifest dict. Inputs are
-    grid-aligned first (a no-op for file teachers, which replay as-is).
+    grid-aligned first (a no-op for file teachers, which replay as-is), and
+    all are extracted before out_dir is made: a rejected image writes nothing.
     """
+    feats = [teacher.features(align_input(image, student_patch_side, teacher.downsample_rate),
+                              image_id) for image_id, image in images]
     os.makedirs(out_dir, exist_ok=True)
-    entries = []
-    for image_id, image in images:
-        image = align_input(image, student_patch_side, teacher.downsample_rate)
-        feats = teacher.features(image, image_id)
-        write_tvec(os.path.join(out_dir, f"{image_id}.tvec"),
-                   feats.tokens.astype(np.float32))
-        entries.append({"id": image_id, "grid_side": feats.grid_side})
+    for f in feats:
+        write_tvec(os.path.join(out_dir, f"{f.source_id}.tvec"), f.tokens.astype(np.float32))
+    entries = [{"id": f.source_id, "grid_side": f.grid_side} for f in feats]
     manifest = {"source_id": getattr(teacher, "kind", "unknown"),
                 "target_dim": teacher.target_dim,
                 "entries": entries}

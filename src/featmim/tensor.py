@@ -65,12 +65,13 @@ class Tensor:
 class Tape:
     """Ordered record of operations plus a registry of named parameters.
 
-    backward() replays the record in exact reverse order, releasing each
-    entry as it goes; gradients for shared inputs accumulate additively.
+    backward() replays the records, one grad fn each (see _emit), in exact
+    reverse order, releasing each entry as it goes; gradients for shared
+    inputs accumulate additively.
     """
 
     def __init__(self):
-        self._ops = []  # (out_idx, [(in_idx, grad_fn), ...]) in recording order
+        self._ops = []  # (out_idx, in_idxs, grad_fn) in recording order
         self._n_nodes = 0
         self._params = {}  # name -> Tensor
 
@@ -108,13 +109,14 @@ def backward(tape, loss):
     # they hold, are freed by reference counting, not left to the cyclic GC
     ops, tape._ops = tape._ops, None
     while ops:
-        out_idx, inputs = ops.pop()
+        out_idx, in_idxs, grad_fn = ops.pop()
         g = grads[out_idx]
         grads[out_idx] = None  # op outputs are never parameters
         if g is None:
             continue
-        for in_idx, fn in inputs:
-            contrib = fn(g)
+        for in_idx, contrib in zip(in_idxs, grad_fn(g)):
+            if in_idx is None:  # a constant input: its gradient is dropped
+                continue
             if grads[in_idx] is None:
                 grads[in_idx] = contrib
             else:
@@ -136,16 +138,18 @@ def _as_tensor(x, like=None):
     return Tensor(np.asarray(x, dtype=dtype))
 
 
-def _emit(out_data, pairs):
-    """Create the output tensor; record (input position, grad_fn) for each
-    taped input, on the one tape they share."""
-    tapes = {t.tape for t, _ in pairs if t.tape is not None}
+def _emit(out_data, inputs, grad_fn):
+    """Create the output tensor and record (out position, input positions,
+    grad_fn) on the one tape the taped inputs share. grad_fn(g) returns a
+    gradient for every input, constants included; a constant's position is
+    None, so backward drops its gradient."""
+    tapes = {t.tape for t in inputs if t.tape is not None}
     if not tapes:
         return Tensor(out_data)
     if len(tapes) > 1:
         raise RuntimeError("operands recorded on different tapes")
     out = tapes.pop()._tensor(out_data)
-    out.tape._ops.append((out.idx, [(t.idx, fn) for t, fn in pairs if t.tape is not None]))
+    out.tape._ops.append((out.idx, [t.idx for t in inputs], grad_fn))
     return out
 
 
@@ -168,23 +172,23 @@ def _operands(a, b):
 
 def add(a, b):
     a, b = _operands(a, b)
-    return _emit(a.data + b.data, [(a, lambda g: g), (b, lambda g: g)])
+    return _emit(a.data + b.data, (a, b), lambda g: (g, g))
 
 
 def sub(a, b):
     a, b = _operands(a, b)
-    return _emit(a.data - b.data, [(a, lambda g: g), (b, lambda g: -g)])
+    return _emit(a.data - b.data, (a, b), lambda g: (g, -g))
 
 
 def mul(a, b):
     a, b = _operands(a, b)
     x, y = a.data, b.data
-    return _emit(x * y, [(a, lambda g: g * y), (b, lambda g: g * x)])
+    return _emit(x * y, (a, b), lambda g: (g * y, g * x))
 
 
 def relu(a):
     mask = a.data > 0
-    return _emit(np.where(mask, a.data, 0.0), [(a, lambda g: np.where(mask, g, 0.0))])
+    return _emit(np.where(mask, a.data, 0.0), (a,), lambda g: (np.where(mask, g, 0.0),))
 
 
 def gelu_grad(x, t):
@@ -201,7 +205,7 @@ def gelu(a):
     """
     x = a.data
     t = np.tanh(GELU_C * (x + GELU_A * (x * x * x)))
-    return _emit(0.5 * x * (1.0 + t), [(a, lambda g: gelu_grad(x, t) * g)])
+    return _emit(0.5 * x * (1.0 + t), (a,), lambda g: (gelu_grad(x, t) * g,))
 
 
 # --- linear algebra and structure ops ---
@@ -213,16 +217,13 @@ def linear(x, w, b):
     if x.ndim != 2 or w.ndim != 2 or x.shape[1] != w.shape[0] or b.shape != w.shape[1:]:
         raise ShapeError(f"linear needs x [R, i], w [i, o], b [o], "
                          f"got {x.shape}, {w.shape}, {b.shape}")
-    return _emit(x.data @ w.data + b.data, [
-        (x, lambda g: g @ w.data.T),
-        (w, lambda g: x.data.T @ g),
-        (b, lambda g: g.sum(axis=0)),
-    ])
+    return _emit(x.data @ w.data + b.data, (x, w, b),
+                 lambda g: (g @ w.data.T, x.data.T @ g, g.sum(axis=0)))
 
 
 def reshape(a, shape):
     orig = a.data.shape
-    return _emit(a.data.reshape(shape), [(a, lambda g: g.reshape(orig))])
+    return _emit(a.data.reshape(shape), (a,), lambda g: (g.reshape(orig),))
 
 
 def gather_rows(a, idx, row=None):
@@ -234,29 +235,25 @@ def gather_rows(a, idx, row=None):
     if row is not None and row.shape != a.shape[1:]:
         raise ShapeError(f"gather_rows row has shape {row.shape}, rows of a {a.shape[1:]}")
     src = a.data if row is None else np.concatenate([a.data, row.data[None]])
-    n, scattered = len(a.data), []
+    n = len(a.data)
 
-    def scatter(g):  # gradient of [a; row], computed once per backward
-        if not scattered:
-            scattered.append(np.zeros_like(src))
-            np.add.at(scattered[0], idx, g)
-        return scattered[0]
+    def grad_fn(g):  # the gradient of [a; row], split into a's rows and row
+        gsrc = np.zeros_like(src)
+        np.add.at(gsrc, idx, g)
+        return (gsrc[:n],) if row is None else (gsrc[:n], gsrc[n])
 
-    pairs = [(a, lambda g: scatter(g)[:n])]
-    if row is not None:
-        pairs.append((row, lambda g: scatter(g)[n]))
-    return _emit(src[idx], pairs)
+    return _emit(src[idx], (a,) if row is None else (a, row), grad_fn)
 
 
 def tsum(a, axis=None, keepdims=False):
     out = a.data.sum(axis=axis, keepdims=keepdims)
 
-    def fn(g):
+    def grad_fn(g):
         if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
-        return np.broadcast_to(g, a.data.shape).astype(a.data.dtype, copy=True)
+        return (np.broadcast_to(g, a.data.shape).astype(a.data.dtype, copy=True),)
 
-    return _emit(out, [(a, fn)])
+    return _emit(out, (a,), grad_fn)
 
 
 def tmean(a, axis=None, keepdims=False):
@@ -304,22 +301,14 @@ def attention(q, k, v, heads, batch=1):
         raise NumericError("attention scores contain non-finite values")
     e = np.exp(s - s.max(axis=-1, keepdims=True))
     p = e / e.sum(axis=-1, keepdims=True)
-    cache = {}  # input gradients of one backward pass, each popped by its grad fn
 
-    def grad_of(name):
-        def fn(g):
-            if not cache:
-                gh = split(g)
-                gp = gh @ swap(vh)
-                gs = (gp - (gp * p).sum(axis=-1, keepdims=True)) * p * scale
-                grads = merge(gs @ kh), merge(swap(gs) @ qh), merge(swap(p) @ gh)
-                cache.update((n, gx) for n, x, gx in zip("qkv", (q, k, v), grads)
-                             if x.tape is not None)
-            return cache.pop(name)
+    def grad_fn(g):
+        gh = split(g)
+        gp = gh @ swap(vh)
+        gs = (gp - (gp * p).sum(axis=-1, keepdims=True)) * p * scale
+        return merge(gs @ kh), merge(swap(gs) @ qh), merge(swap(p) @ gh)
 
-        return fn
-
-    return _emit(merge(p @ vh), [(q, grad_of("q")), (k, grad_of("k")), (v, grad_of("v"))])
+    return _emit(merge(p @ vh), (q, k, v), grad_fn)
 
 
 def smooth_l1(x, beta):
@@ -334,7 +323,7 @@ def smooth_l1(x, beta):
     inside = np.abs(a) < beta
     c = 0.5 / beta
     out = np.where(inside, a * a * c, np.abs(a) - 0.5 * beta)
-    return _emit(out, [(x, lambda g: np.where(inside, 2.0 * a * (g * c), np.sign(a) * g))])
+    return _emit(out, (x,), lambda g: (np.where(inside, 2.0 * a * (g * c), np.sign(a) * g),))
 
 
 def layer_norm(x, gain, bias, eps=1e-6):
@@ -351,17 +340,15 @@ def layer_norm(x, gain, bias, eps=1e-6):
 
     lead = tuple(range(x.data.ndim - 1))
 
-    def fx(g):
+    def grad_fn(g):
         dxhat = g * gain.data
         m1 = dxhat.mean(axis=-1, keepdims=True)
         m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
-        return istd * (dxhat - m1 - xhat * m2)
+        return (istd * (dxhat - m1 - xhat * m2),
+                (g * xhat).sum(axis=lead).reshape(gain.data.shape),
+                g.sum(axis=lead).reshape(bias.data.shape))
 
-    return _emit(out, [
-        (x, fx),
-        (gain, lambda g: (g * xhat).sum(axis=lead).reshape(gain.data.shape)),
-        (bias, lambda g: g.sum(axis=lead).reshape(bias.data.shape)),
-    ])
+    return _emit(out, (x, gain, bias), grad_fn)
 
 
 # --- binary tensor file format ---

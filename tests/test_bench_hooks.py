@@ -11,6 +11,11 @@ BENCH_BOUND_NAMES = (
     "teacher.ProceduralConvTeacher.features", "teacher.align_input",
     "model.forward", "model.decode", "model.project_global", "model.save_checkpoint",
     "losses.global_loss", "masking.generate_mask", "tensor.backward", "cli.pca_reduce",
+    "model.patch_embed", "model.encode_visible", "losses.patch_loss",
+    "imageio.load_images", "imageio.read_pnm",
+    "diversity.sample_similarity", "analysis.pca_reduce", "analysis.heatmap",
+    "tensor.read_tvec", "tensor.write_tvec", "tensor.tvec_bytes", "tensor.tvec_from_bytes",
+    "cli.main",
 )
 
 

@@ -209,6 +209,41 @@ def test_dump_features_config_alone(tmp_path, image_dir):
     assert len(json.loads((feats / "manifest.json").read_text())["entries"]) == 4
 
 
+@pytest.mark.parametrize("side", ["0", "-8", "3"])
+def test_dump_features_bad_patch_side_exits_2(tmp_path, image_dir, capsys, side):
+    # below 1, or not dividing --downsample: refused before --out is made
+    feats = tmp_path / "feats"
+    assert main(["dump-features", "--images", str(image_dir), "--out", str(feats),
+                 "--patch-side", side]) == 2
+    assert "--patch-side" in capsys.readouterr().err
+    assert not feats.exists()
+
+
+def test_dump_features_non_square_image_exits_3(tmp_path, image_dir, capsys):
+    # the square images come first: none of them is written either
+    write_ppm(image_dir / "wide.ppm", synthetic_image(32, 3, seed=9)[:, :, :16])
+    feats = tmp_path / "feats"
+    assert main(["dump-features", "--images", str(image_dir), "--out", str(feats)]) == 3
+    assert "'wide'" in capsys.readouterr().err
+    assert not feats.exists()
+
+
+def test_feature_manifest_target_dim_string_exits_3(tmp_path, image_dir, capsys):
+    feats = tmp_path / "feats"
+    assert main(["dump-features", "--images", str(image_dir), "--out", str(feats)]) == 0
+    manifest = json.loads((feats / "manifest.json").read_text())
+    (feats / "manifest.json").write_text(json.dumps({**manifest, "target_dim": "16"}))
+    want = f"{feats / 'manifest.json'}: target_dim '16' is not a positive integer"
+    assert main(["diversity", "--features", str(feats), "--out", str(tmp_path / "r.json")]) == 3
+    assert want in capsys.readouterr().err
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"teacher": {"kind": "file", "features_dir": str(feats)},
+                               "train": {"total_epochs": 1.0, "warmup_epochs": 0.5}}))
+    assert main(["pretrain", "--config", str(cfg), "--images", str(image_dir),
+                 "--out", str(tmp_path / "run")]) == 3
+    assert want in capsys.readouterr().err
+
+
 GOOD_ENTRY = {"id": "a", "grid_side": 2}
 
 

@@ -169,17 +169,14 @@ def test_fused_ops_record_one_node():
     assert len(tape._ops) == 2
 
 
-def test_attention_backward_leaves_no_cached_gradients():
-    # each grad fn takes its own input's gradient out of the shared cache,
-    # so nothing is left after backward; v is a constant here
+def test_each_record_holds_one_grad_fn():
+    # a constant input keeps its slot in the record, as None
     tape = Tape()
-    x = taped(tape, "x", np.random.default_rng(5).normal(size=(3, 4)))
-    loss = tn.attention(x, x, Tensor(np.ones((3, 4))), 2).sum()
-    (_, inputs), = [op for op in tape._ops if len(op[1]) == 2]
-    backward(tape, loss)
-    caches = [c.cell_contents for _, fn in inputs for c in fn.__closure__
-              if isinstance(c.cell_contents, dict)]
-    assert caches and all(c == {} for c in caches)
+    w, b = taped(tape, "w", np.ones((4, 2))), taped(tape, "b", np.zeros(2))
+    out = tn.linear(Tensor(np.ones((3, 4))), w, b)
+    (out_idx, in_idxs, grad_fn), = tape._ops
+    assert (out_idx, in_idxs) == (out.idx, [None, w.idx, b.idx])
+    assert [g.shape for g in grad_fn(np.ones((3, 2)))] == [(3, 4), (4, 2), (2,)]
 
 
 def test_layer_norm_constant_row():
@@ -347,6 +344,12 @@ def _op_factories():
         return (_normal(rng, (3, 5)),
                 lambda x: _sq(tn.linear(x, Tensor(c), Tensor(bias))).sum())
 
+    def linear_w(rng):
+        # constant input rows and a taped weight, as in patch_embed
+        rows, bias = _normal(rng, (3, 5)), _normal(rng, (2,))
+        return (_normal(rng, (5, 2)),
+                lambda x: _sq(tn.linear(Tensor(rows), x, Tensor(bias))).sum())
+
     def gather_(rng):
         return _normal(rng), lambda x: _sq(tn.gather_rows(x, [0, 2, 2])).sum()
 
@@ -366,6 +369,13 @@ def _op_factories():
         return (_normal(rng, (3, 2)),
                 lambda x: tn.mul(tn.gather_rows(x, [3, 0, 3, 2, 0, 3, 1],
                                                 tn.reshape(tn.gather_rows(_sq(x), [1]), (2,))),
+                                 Tensor(c)).sum())
+
+    def gather_const_rows(rng):
+        # constant rows with a taped row read at index 3 = len(a)
+        a, c = _normal(rng, (3, 2)), _normal(rng, (6, 2))
+        return (_normal(rng, (2,)),
+                lambda x: tn.mul(tn.gather_rows(Tensor(a), [3, 0, 3, 2, 3, 1], x),
                                  Tensor(c)).sum())
 
     def sum_axis(rng):
@@ -414,9 +424,15 @@ def _op_factories():
         return (_normal(rng),
                 lambda x: tn.mul(tn.layer_norm(x, Tensor(g), Tensor(b)), Tensor(c)).sum())
 
-    fns = [add_, sub_, mul_, square_, relu_, gelu_, matmul2d, gather_, scatter_,
-           gather_row, sum_axis, mean_axis, softmax_, attention_1head, attention_2heads,
-           attention_batched, smooth_l1_, layer_norm_x]
+    def layer_norm_gain(rng):
+        # constant x and a taped gain
+        xs, c, b = _normal(rng, (3, 5)), _normal(rng, (3, 5)), _normal(rng)
+        return (_normal(rng) + 2.0,
+                lambda x: tn.mul(tn.layer_norm(Tensor(xs), x, Tensor(b)), Tensor(c)).sum())
+
+    fns = [add_, sub_, mul_, square_, relu_, gelu_, matmul2d, linear_w, gather_, scatter_,
+           gather_row, gather_const_rows, sum_axis, mean_axis, softmax_, attention_1head,
+           attention_2heads, attention_batched, smooth_l1_, layer_norm_x, layer_norm_gain]
     return [(f.__name__.rstrip("_"), f) for f in fns]
 
 
