@@ -18,7 +18,7 @@ from dataclasses import replace
 import numpy as np
 
 from .analysis import heatmap, pca_reduce, render_pgm
-from .config import RunConfig, load_run_config, save_run_config
+from .config import RunConfig, load_run_config
 from .diversity import corpus_diversity
 from .errors import ConfigError, DataError, NumericError
 from .gradcheck import grad_check, tiny_run_config
@@ -56,8 +56,6 @@ def _load_image_dir(path, norm_mean, norm_std):
 def cmd_pretrain(args):
     cfg = _resolved_config(args)
     images = _load_image_dir(args.images, cfg.data.norm_mean, cfg.data.norm_std)
-    os.makedirs(args.out, exist_ok=True)
-    save_run_config(cfg, os.path.join(args.out, "config.json"))
     result = train(cfg, images, args.out)
     print(f"pretrain: {result.total_steps} steps, final L_total "
           f"{result.final_l_total:.6g} -> {result.final_checkpoint}")
@@ -86,7 +84,7 @@ def cmd_dump_features(args):
         spec = TeacherSpec(kind=kind, downsample_rate=f["downsample"],
                            target_dim=f["target_dim"], seed=f["seed"],
                            l2_normalize=f["l2_normalize"])
-        spec.validate()
+        spec.validate("--downsample", "--target-dim")
         check_alignment(spec.downsample_rate, f["patch_side"], "--downsample", "--patch-side")
         patch_side, norm = f["patch_side"], (0.5, 0.5)
     images = _load_image_dir(args.images, *norm)

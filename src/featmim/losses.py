@@ -5,8 +5,8 @@ patch loss covers masked positions only; the global loss compares the mean
 projected visible token with the mean of all teacher tokens, so it is
 invariant to shifting both sides by the same constant.
 
-Each loss takes a batch of images at once and returns the taped batch mean
-together with the per-image losses it averages.
+Each loss is one tape node over a batch of images at once; it returns the
+taped batch mean together with the per-image losses it averages.
 """
 
 import math
@@ -41,14 +41,15 @@ class BatchLoss(NamedTuple):
     per_image: np.ndarray  # [B] untaped, in the loss dtype
 
 
-def _reduce(elem, batch, channel_reduce):
+def _batch_mean(node, target, batch, channel_reduce):
     # mean over each image's rows, channels reduced per config. Images have
-    # equal row counts, so the batch mean is one sum over all rows; the
-    # per-image losses repeat the arithmetic of a one-image batch.
-    rows = elem.shape[0] // batch
-    count = rows * elem.shape[1] if channel_reduce == "mean" else rows
-    per_image = elem.data.reshape(batch, -1).sum(axis=1) * elem.dtype.type(1.0 / count)
-    return BatchLoss(tn.mul(elem.sum(), 1.0 / (batch * count)), per_image)
+    # equal row counts, so the loss node takes the batch mean as one sum
+    # times 1 / (batch * count); per-image losses repeat a one-image batch.
+    rows, dim = target.shape
+    count = rows // batch * (dim if channel_reduce == "mean" else 1)
+    loss, elem = node(1.0 / (batch * count))
+    per_image = elem.reshape(batch, -1).sum(axis=1) * elem.dtype.type(1.0 / count)
+    return BatchLoss(loss, per_image)
 
 
 def _token_shape(teachers):
@@ -71,9 +72,9 @@ def patch_loss(z, teachers, masks, beta, channel_reduce="mean"):
     if z.shape != (len(masks) * n, dim):
         raise ShapeError(
             f"predictions {z.shape} do not match {len(masks)} x teacher tokens {(n, dim)}")
-    y_m = Tensor(np.concatenate([t.tokens for t in teachers])[rows])
-    elem = tn.smooth_l1(tn.sub(y_m, tn.gather_rows(z, rows)), beta)
-    return _reduce(elem, len(masks), channel_reduce)
+    y_m = np.concatenate([t.tokens for t in teachers])[rows]
+    return _batch_mean(lambda scale: tn.masked_smooth_l1(z, rows, y_m, beta, scale),
+                       y_m, len(masks), channel_reduce)
 
 
 def global_loss(p_h, teachers, masks, beta, channel_reduce="mean"):
@@ -92,10 +93,9 @@ def global_loss(p_h, teachers, masks, beta, channel_reduce="mean"):
             f"projected tokens {p_h.shape} do not match {b} x {n_vis} visible patches")
     if p_h.shape[1] != dim:
         raise ShapeError(f"projection dim {p_h.shape[1]} != teacher dim {dim}")
-    student_mean = tn.reshape(p_h, (b, n_vis, dim)).mean(axis=1)
-    teacher_mean = Tensor(np.stack([t.tokens.mean(axis=0) for t in teachers]))
-    elem = tn.smooth_l1(tn.sub(teacher_mean, student_mean), beta)
-    return _reduce(elem, b, channel_reduce)
+    teacher_mean = np.stack([t.tokens.mean(axis=0) for t in teachers])
+    return _batch_mean(lambda scale: tn.pooled_smooth_l1(p_h, b, teacher_mean, beta, scale),
+                       teacher_mean, b, channel_reduce)
 
 
 def total_loss(l_patch, l_global, lam):

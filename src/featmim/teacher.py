@@ -28,7 +28,7 @@ class TeacherSpec:
     l2_normalize: bool = False
     features_dir: Optional[str] = None
 
-    def validate(self):
+    def validate(self, rate_name="procedural teacher downsample_rate", dim_name="target_dim"):
         if self.kind not in ("procedural-conv", "file"):
             raise ConfigError(f"unknown teacher kind {self.kind!r}")
         if self.kind == "file" and not self.features_dir:
@@ -37,9 +37,9 @@ class TeacherSpec:
             raise ConfigError(f"teacher.seed must be non-negative, got {self.seed}")
         if self.kind == "procedural-conv":
             if self.downsample_rate < 2 or self.downsample_rate & (self.downsample_rate - 1):
-                raise ConfigError("procedural teacher downsample_rate must be a power of two >= 2")
+                raise ConfigError(f"{rate_name} must be a power of two >= 2")
             if self.target_dim < 1:
-                raise ConfigError("target_dim must be positive")
+                raise ConfigError(f"{dim_name} must be positive")
 
 
 @dataclass(frozen=True)
@@ -169,9 +169,9 @@ class ProceduralConvTeacher:
             raise DataError(f"image {source_id!r} is {h}x{w}: teacher tokens need a square image")
         if c != self.in_channels:
             raise ConfigError(f"teacher built for {self.in_channels} channels, image has {c}")
-        if h % self.downsample_rate or w % self.downsample_rate:
-            raise ConfigError(
-                f"image sides {h}x{w} not divisible by downsample rate {self.downsample_rate}")
+        if h % self.downsample_rate:
+            raise DataError(f"image {source_id!r} is {h}x{w}: sides not divisible by "
+                            f"downsample rate {self.downsample_rate}")
         x = np.asarray(image)
         for wgt, bias in self._stages:
             x = np.tanh(_conv2d_stride2(x, wgt.astype(x.dtype), bias.astype(x.dtype)))

@@ -7,12 +7,12 @@ every op is dtype-preserving, so the same graph runs in float64 for
 gradient checks.
 
 The op vocabulary is what the student and its losses use: elementwise add,
-sub, mul, relu, gelu; reshape, gather_rows (which can also place one
-learned row, such as a mask token), sum, mean; and the fused linear
-(x @ w + b), layer_norm, attention and smooth_l1, each one tape node with
-an analytic backward. add, sub and mul take operands of equal shape; only
-a constant, such as a Python scalar factor, may broadcast against a taped
-operand.
+mul, relu, gelu; gather_rows (which can also place one learned row, such
+as a mask token); and the fused linear (x @ w + b), layer_norm, attention
+and the two smooth-L1 losses, masked_smooth_l1 and pooled_smooth_l1, each
+one tape node with an analytic backward. add and mul take operands of
+equal shape; only a constant, such as a Python scalar factor, may
+broadcast against a taped operand.
 
 Single-threaded: one tape must not be shared across threads during a step.
 """
@@ -54,12 +54,6 @@ class Tensor:
     def __repr__(self):
         tag = "taped" if self.tape is not None else "const"
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}, {tag})"
-
-    def sum(self, axis=None, keepdims=False):
-        return tsum(self, axis, keepdims)
-
-    def mean(self, axis=None, keepdims=False):
-        return tmean(self, axis, keepdims)
 
 
 class Tape:
@@ -175,11 +169,6 @@ def add(a, b):
     return _emit(a.data + b.data, (a, b), lambda g: (g, g))
 
 
-def sub(a, b):
-    a, b = _operands(a, b)
-    return _emit(a.data - b.data, (a, b), lambda g: (g, -g))
-
-
 def mul(a, b):
     a, b = _operands(a, b)
     x, y = a.data, b.data
@@ -221,11 +210,6 @@ def linear(x, w, b):
                  lambda g: (g @ w.data.T, x.data.T @ g, g.sum(axis=0)))
 
 
-def reshape(a, shape):
-    orig = a.data.shape
-    return _emit(a.data.reshape(shape), (a,), lambda g: (g.reshape(orig),))
-
-
 def gather_rows(a, idx, row=None):
     """Select rows of a along axis 0. With `row`, a 1-d tensor, index
     len(a) selects it, as a gather over [a; row] would. Backward
@@ -243,23 +227,6 @@ def gather_rows(a, idx, row=None):
         return (gsrc[:n],) if row is None else (gsrc[:n], gsrc[n])
 
     return _emit(src[idx], (a,) if row is None else (a, row), grad_fn)
-
-
-def tsum(a, axis=None, keepdims=False):
-    out = a.data.sum(axis=axis, keepdims=keepdims)
-
-    def grad_fn(g):
-        if axis is not None and not keepdims:
-            g = np.expand_dims(g, axis)
-        return (np.broadcast_to(g, a.data.shape).astype(a.data.dtype, copy=True),)
-
-    return _emit(out, (a,), grad_fn)
-
-
-def tmean(a, axis=None, keepdims=False):
-    s = tsum(a, axis, keepdims)
-    # the exact ratio s.size / a.size is 1 / count, so this rounds as 1.0 / count
-    return mul(s, s.data.size / a.data.size)
 
 
 # --- fused ops with analytic backward ---
@@ -311,21 +278,6 @@ def attention(q, k, v, heads, batch=1):
     return _emit(merge(p @ vh), (q, k, v), grad_fn)
 
 
-def smooth_l1(x, beta):
-    """Elementwise 0.5*x^2/beta for |x| < beta, |x| - 0.5*beta otherwise.
-
-    Continuous and C1 at |x| = beta.
-    """
-    if beta <= 0:
-        raise ConfigError("smooth-L1 beta must be positive")
-    x = _as_tensor(x)
-    a = x.data
-    inside = np.abs(a) < beta
-    c = 0.5 / beta
-    out = np.where(inside, a * a * c, np.abs(a) - 0.5 * beta)
-    return _emit(out, (x,), lambda g: (np.where(inside, 2.0 * a * (g * c), np.sign(a) * g),))
-
-
 def layer_norm(x, gain, bias, eps=1e-6):
     """Normalise the last axis to mean 0 / variance 1, then apply affine."""
     if eps <= 0:
@@ -349,6 +301,51 @@ def layer_norm(x, gain, bias, eps=1e-6):
                 g.sum(axis=lead).reshape(bias.data.shape))
 
     return _emit(out, (x, gain, bias), grad_fn)
+
+
+# --- losses: one tape node each, from prediction to scaled scalar ---
+
+
+def _smooth_l1(d, beta, scale):
+    """scale * sum(smooth_l1(d)), smooth_l1(d) = 0.5*d^2/beta for |d| < beta and
+    |d| - 0.5*beta otherwise (C1 at |d| = beta), scale rounded to d's dtype.
+    Returns (that scalar, smooth_l1(d), grad_d: the scalar's gradient to d's)."""
+    if beta <= 0:
+        raise ConfigError("smooth-L1 beta must be positive")
+    inside = np.abs(d) < beta
+    c = 0.5 / beta
+    elem = np.where(inside, d * d * c, np.abs(d) - 0.5 * beta)
+    scale = d.dtype.type(scale)
+
+    def grad_d(g):
+        ge = np.broadcast_to(g * scale, d.shape).astype(d.dtype, copy=True)
+        return np.where(inside, 2.0 * d * (ge * c), np.sign(d) * ge)
+
+    return elem.sum() * scale, elem, grad_d
+
+
+def masked_smooth_l1(z, rows, target, beta, scale):
+    """_smooth_l1 of target - z[rows] as one tape node, target a constant
+    array. Returns (the taped scalar, the elementwise smooth-L1 array)."""
+    loss, elem, grad_d = _smooth_l1(target - z.data[rows], beta, scale)
+
+    def grad_fn(g):
+        gz = np.zeros_like(z.data)
+        np.subtract.at(gz, rows, grad_d(g))  # 0 - g, so a zero gradient is +0.0
+        return (gz,)
+
+    return _emit(loss, (z,), grad_fn), elem
+
+
+def pooled_smooth_l1(p_h, batch, target_means, beta, scale):
+    """_smooth_l1 of target_means - m as one tape node, m [B, D] the mean of each
+    of the `batch` blocks of V rows of p_h [B*V, D], target_means a constant
+    [B, D]. Returns (the taped scalar, the elementwise smooth-L1 array)."""
+    v = p_h.shape[0] // batch
+    s = p_h.data.reshape(batch, v, -1).sum(axis=1)
+    ratio = p_h.dtype.type(s.size / p_h.data.size)  # exactly 1 / V, so rounded as 1.0 / V
+    loss, elem, grad_d = _smooth_l1(target_means - s * ratio, beta, scale)
+    return _emit(loss, (p_h,), lambda g: (np.repeat(-grad_d(g) * ratio, v, axis=0),)), elem
 
 
 # --- binary tensor file format ---

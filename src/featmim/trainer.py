@@ -171,8 +171,10 @@ def _format_row(step, epoch, lr, lp, lg, lt):
 def train(cfg, images, out_dir):
     """Pretrain on a list of (image_id, [C, H, W]) arrays.
 
-    Writes metrics.csv and ckpt_<step>.bin files under out_dir.
+    Writes config.json, metrics.csv and ckpt_<step>.bin files under
+    out_dir, which is made only after every check has passed.
     """
+    from .config import save_run_config  # config imports this module
     cfg.validate()
     if not images:
         raise ConfigError("training needs at least one image")
@@ -198,6 +200,7 @@ def train(cfg, images, out_dir):
             f"{cfg.model.target_dim}")
 
     os.makedirs(out_dir, exist_ok=True)
+    save_run_config(cfg, os.path.join(out_dir, "config.json"))
     params = init_params(cfg.model, mask_spec.image_side, in_channels, tc.seed)
     opt = OptimizerState()
     names = sorted(params.weights)

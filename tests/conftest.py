@@ -9,6 +9,9 @@ the teacher and diversity code, which must match them bit for bit, and the
 per-parameter AdamW loop is the form the flat in-place update must match.
 The concat-and-gather oracle is how the model placed its CLS and mask
 tokens before gather_rows took the row itself, which must match it bitwise.
+The two smooth-L1 chain oracles are how the losses were built op by op
+before each became one tape node, which must match them bitwise too.
+tape_sum reduces a tensor to the scalar that backward needs.
 """
 
 import json
@@ -18,6 +21,7 @@ import time
 import numpy as np
 import pytest
 
+from featmim import tensor as tn
 from featmim.cli import main
 from featmim.losses import global_loss, patch_loss, total_loss
 from featmim.model import (decode, encode_visible, forward, patch_embed,
@@ -73,6 +77,61 @@ def concat_gather_rows(a, idx, row):
         return z[:-1], z[-1]
 
     return stacked[idx], grads
+
+
+def tape_sum(t):
+    """The taped sum of all elements of t: a scalar whose gradient is ones."""
+    return tn._emit(t.data.sum(), (t,),
+                    lambda g: (np.broadcast_to(g, t.shape).astype(t.dtype, copy=True),))
+
+
+def _smooth_l1_sum_chain(d, beta, scale):
+    """smooth_l1 -> sum -> x scale over the residual d, op by op; returns
+    (loss, elem, grad_d), grad_d(g) the gradient of d from the loss's g."""
+    inside = np.abs(d) < beta
+    c = 0.5 / beta
+    elem = np.where(inside, d * d * c, np.abs(d) - 0.5 * beta)
+    s = np.asarray(elem.sum())
+    scale = np.asarray(scale, dtype=s.dtype)  # mul's constant operand
+
+    def grad_d(g):
+        gs = g * scale  # mul
+        ge = np.broadcast_to(gs, elem.shape).astype(elem.dtype, copy=True)  # sum
+        return np.where(inside, 2.0 * d * (ge * c), np.sign(d) * ge)  # smooth_l1
+
+    return s * scale, elem, grad_d
+
+
+def masked_smooth_l1_chain(z, rows, target, beta, scale):
+    """gather -> sub -> smooth_l1 -> sum -> x scale, op by op in numpy.
+    Returns (loss, elem, grads), grads(g) the gradient of z."""
+    d = target - z[rows]  # gather, sub
+    loss, elem, grad_d = _smooth_l1_sum_chain(d, beta, scale)
+
+    def grads(g):
+        gz = np.zeros_like(z)
+        np.add.at(gz, rows, -grad_d(g))  # sub, then gather's scatter-add
+        return gz
+
+    return loss, elem, grads
+
+
+def pooled_smooth_l1_chain(p, batch, target_means, beta, scale):
+    """reshape -> sum -> x ratio (the mean) -> sub -> smooth_l1 -> sum ->
+    x scale, op by op in numpy. Returns (loss, elem, grads), grads(g) the
+    gradient of p."""
+    x = p.reshape(batch, -1, p.shape[1])  # reshape
+    s = x.sum(axis=1)  # sum
+    ratio = np.asarray(s.size / x.size, dtype=s.dtype)
+    d = target_means - s * ratio  # mul, sub
+    loss, elem, grad_d = _smooth_l1_sum_chain(d, beta, scale)
+
+    def grads(g):
+        gs = -grad_d(g) * ratio  # sub, mul
+        gx = np.broadcast_to(np.expand_dims(gs, 1), x.shape).astype(x.dtype, copy=True)  # sum
+        return gx.reshape(p.shape)  # reshape
+
+    return loss, elem, grads
 
 
 def inline_shuffle(items, stream):

@@ -11,6 +11,7 @@ from dataclasses import replace
 
 import numpy as np
 
+from featmim import tensor as tn
 from featmim.analysis import pca_reduce
 from featmim.cli import main
 from featmim.config import RunConfig
@@ -22,7 +23,7 @@ from featmim.model import BoundParams, forward, init_params, load_checkpoint
 from featmim.synth import synthetic_image
 from featmim.teacher import (ProceduralConvTeacher, TeacherFeatures,
                              dump_features, load_feature_dir)
-from featmim.tensor import Tensor, smooth_l1
+from featmim.tensor import Tensor
 from featmim.trainer import TrainConfig, lr_at, scaled_lr, train
 
 from conftest import plain_regression_step
@@ -136,8 +137,9 @@ def test_loss_contracts():
 
     for beta in (0.5, 1.0, 2.0):
         for sign in (1.0, -1.0):
-            at_joint = float(smooth_l1(Tensor(np.array(sign * beta)), beta).data)
-            assert abs(at_joint - 0.5 * beta) <= 1e-12
+            _, at_joint = tn.masked_smooth_l1(Tensor(np.zeros((1, 1))), [0],
+                                              np.full((1, 1), sign * beta), beta, 1.0)
+            assert abs(float(at_joint[0, 0]) - 0.5 * beta) <= 1e-12
     _passed("loss contracts",
             "patch loss blind to visible slots, global loss shift-invariant, "
             "smooth-L1 continuous at beta in {0.5, 1, 2}")

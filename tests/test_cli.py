@@ -228,6 +228,37 @@ def test_dump_features_non_square_image_exits_3(tmp_path, image_dir, capsys):
     assert not feats.exists()
 
 
+def test_dump_features_side_not_divisible_by_downsample_exits_3(tmp_path, image_dir, capsys):
+    # 36 is not a multiple of the default --downsample 8: the image is named,
+    # and the images that do fit are not written either
+    write_ppm(image_dir / "odd.ppm", synthetic_image(36, 3, seed=9))
+    feats = tmp_path / "feats"
+    assert main(["dump-features", "--images", str(image_dir), "--out", str(feats)]) == 3
+    assert "'odd' is 36x36" in capsys.readouterr().err
+    assert not feats.exists()
+
+
+@pytest.mark.parametrize("flags,config,name", [
+    (["--downsample", "3"], None, "--downsample"),
+    (["--downsample", "0"], None, "--downsample"),
+    (["--target-dim", "0"], None, "--target-dim"),
+    ([], {"downsample_rate": 3}, "procedural teacher downsample_rate"),
+    ([], {"target_dim": 0}, "target_dim"),
+], ids=["downsample_3", "downsample_0", "target_dim_0", "config_downsample_rate",
+        "config_target_dim"])
+def test_dump_features_bad_teacher_value_names_its_source(tmp_path, image_dir, capsys,
+                                                          flags, config, name):
+    # a bad flag is named as the flag; with --config, as the config field
+    argv = ["dump-features", "--images", str(image_dir), "--out", str(tmp_path / "feats")]
+    if config is not None:
+        argv += ["--config", str(write_config(tmp_path, teacher=config))]
+    assert main(argv + flags) == 2
+    err = capsys.readouterr().err
+    assert f"config error: {name} must be" in err
+    assert ("--" in err) == (config is None)
+    assert not (tmp_path / "feats").exists()
+
+
 def test_feature_manifest_target_dim_string_exits_3(tmp_path, image_dir, capsys):
     feats = tmp_path / "feats"
     assert main(["dump-features", "--images", str(image_dir), "--out", str(feats)]) == 0
@@ -242,6 +273,7 @@ def test_feature_manifest_target_dim_string_exits_3(tmp_path, image_dir, capsys)
     assert main(["pretrain", "--config", str(cfg), "--images", str(image_dir),
                  "--out", str(tmp_path / "run")]) == 3
     assert want in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()  # not even config.json is written
 
 
 GOOD_ENTRY = {"id": "a", "grid_side": 2}

@@ -9,11 +9,18 @@ from featmim.errors import ConfigError, DegenerateMaskError, ShapeError
 from featmim.losses import LossConfig, global_loss, patch_loss, total_loss
 from featmim.masking import PatchMask
 from featmim.teacher import TeacherFeatures
-from featmim.tensor import Tape, Tensor, backward, smooth_l1
+from featmim.tensor import Tape, Tensor, backward
 
 
 def scalar(x):
     return Tensor(np.asarray(x, dtype=np.float64))
+
+
+def smooth_l1(x, beta):
+    """smooth-L1 of each residual in x, as the patch-loss node computes it
+    with prediction 0 and target x."""
+    x = np.asarray(x, dtype=np.float64).reshape(-1, 1)
+    return tn.masked_smooth_l1(Tensor(np.zeros_like(x)), np.arange(len(x)), x, beta, 1.0)[1]
 
 
 def make_mask(n, masked):
@@ -33,9 +40,7 @@ def feats(tokens):
 
 
 def test_smooth_l1_hand_values():
-    assert float(smooth_l1(scalar(0.0), 2.0).data) == 0.0
-    assert float(smooth_l1(scalar(1.0), 2.0).data) == 0.25
-    assert float(smooth_l1(scalar(2.0), 2.0).data) == 1.0
+    assert smooth_l1([0.0, 1.0, 2.0], 2.0).tolist() == [[0.0], [0.25], [1.0]]
 
 
 def test_smooth_l1_continuity_at_beta():
@@ -44,35 +49,35 @@ def test_smooth_l1_continuity_at_beta():
         quad = 0.5 * beta**2 / beta
         lin = beta - 0.5 * beta
         assert abs(quad - lin) < 1e-12
-        assert abs(float(smooth_l1(scalar(beta), beta).data) - lin) < 1e-12
-        assert abs(float(smooth_l1(scalar(-beta), beta).data) - lin) < 1e-12
+        assert np.abs(smooth_l1([beta, -beta], beta) - lin).max() < 1e-12
 
 
 def test_smooth_l1_rejects_bad_beta():
     with pytest.raises(ConfigError):
-        smooth_l1(scalar(1.0), 0.0)
+        smooth_l1(1.0, 0.0)
 
 
 @given(st.floats(-50, 50), st.sampled_from([0.5, 1.0, 2.0]))
 def test_smooth_l1_even(x, beta):
-    a = float(smooth_l1(scalar(x), beta).data)
-    b = float(smooth_l1(scalar(-x), beta).data)
+    (a,), (b,) = smooth_l1([x, -x], beta)
     assert a == b
     assert a >= 0.0
 
 
 def test_smooth_l1_gradient():
+    # the summed smooth-L1 of the residual -x, through the patch-loss node
     rng = np.random.default_rng(0)
     for beta in (0.5, 2.0):
         x0 = rng.normal(size=8) * 3
-        x0 = x0[np.abs(np.abs(x0) - beta) > 1e-3]  # keep FD away from the joint
+        x0 = x0[np.abs(np.abs(x0) - beta) > 1e-3].reshape(-1, 1)  # FD away from the joint
+        rows, target = np.arange(len(x0)), np.zeros_like(x0)
 
         def f(x):
-            return float(smooth_l1(Tensor(x), beta).sum().data)
+            return float(tn.masked_smooth_l1(Tensor(x), rows, target, beta, 1.0)[0].data)
 
         tape = Tape()
         x = tape.parameter("x", x0.copy())
-        grads = backward(tape, smooth_l1(x, beta).sum())
+        grads = backward(tape, tn.masked_smooth_l1(x, rows, target, beta, 1.0)[0])
         assert rel_err(grads["x"], fd_grad(f, x0)) < 1e-4
 
 

@@ -1,8 +1,10 @@
+import inspect
 import zlib
 
 import numpy as np
 import pytest
-from conftest import concat_gather_rows, fd_grad, rel_err
+from conftest import (concat_gather_rows, fd_grad, masked_smooth_l1_chain,
+                      pooled_smooth_l1_chain, rel_err, tape_sum)
 
 from featmim import tensor as tn
 from featmim.errors import DataError, NumericError, ShapeError
@@ -47,7 +49,7 @@ def test_matmul_grad_matches_finite_differences():
     tape = Tape()
     x, w, b = taped(tape, "x", x0), taped(tape, "w", w0), taped(tape, "b", b0)
     y = tn.linear(x, w, b)
-    grads = backward(tape, tn.mul(tn.mul(y, y), Tensor(c)).sum())
+    grads = backward(tape, tape_sum(tn.mul(tn.mul(y, y), Tensor(c))))
     assert rel_err(grads["x"], fd_grad(lambda v: loss(v, w0, b0), x0)) < 1e-4
     assert rel_err(grads["w"], fd_grad(lambda v: loss(x0, v, b0), w0)) < 1e-4
     assert rel_err(grads["b"], fd_grad(lambda v: loss(x0, w0, v), b0)) < 1e-4
@@ -56,7 +58,7 @@ def test_matmul_grad_matches_finite_differences():
 def test_elementwise_ops_reject_broadcasting_a_taped_operand():
     tape = Tape()
     row = taped(tape, "row", np.ones((1, 5)))
-    for op in (tn.add, tn.sub, tn.mul):
+    for op in (tn.add, tn.mul):
         with pytest.raises(ShapeError):
             op(row, Tensor(np.ones((3, 5))))
         with pytest.raises(ShapeError):
@@ -65,7 +67,7 @@ def test_elementwise_ops_reject_broadcasting_a_taped_operand():
     out = tn.mul(row, 0.5)
     assert out.shape == (1, 5) and out.dtype == np.float64
     np.testing.assert_array_equal(tn.add(row, Tensor(np.ones(5))).data, np.full((1, 5), 2.0))
-    grads = backward(tape, tn.sub(tn.mul(row, 3.0), Tensor(np.ones(5))).sum())
+    grads = backward(tape, tape_sum(tn.add(tn.mul(row, 3.0), Tensor(np.ones(5)))))
     np.testing.assert_array_equal(grads["row"], np.full((1, 5), 3.0))
 
 
@@ -116,11 +118,14 @@ def test_attention_keeps_batch_sequences_apart():
 
 
 def test_smooth_l1_matches_numpy_reference():
+    # the elementwise arrays of both loss nodes, with residual x
     rng = np.random.default_rng(4)
     for beta in (0.5, 1.0, 2.0):
         x = rng.normal(size=(6, 3)) * 2
-        np.testing.assert_allclose(tn.smooth_l1(Tensor(x), beta).data,
-                                   smooth_l1_reference(x, beta), rtol=0, atol=1e-12)
+        _, masked = tn.masked_smooth_l1(Tensor(np.zeros((6, 3))), np.arange(6), x, beta, 1.0)
+        _, pooled = tn.pooled_smooth_l1(Tensor(np.zeros((6, 3))), 6, x, beta, 1.0)
+        for elem in (masked, pooled):
+            np.testing.assert_allclose(elem, smooth_l1_reference(x, beta), rtol=0, atol=1e-12)
 
 
 # the softmax over keys inside attention: symmetric on equal scores, saturating
@@ -165,8 +170,9 @@ def test_fused_ops_record_one_node():
     tape = Tape()
     x = taped(tape, "x", np.ones((3, 4)))
     tn.attention(x, x, x, 2)
-    tn.smooth_l1(x, 1.0)
-    assert len(tape._ops) == 2
+    tn.masked_smooth_l1(x, [0, 2], np.zeros((2, 4)), 1.0, 0.5)
+    tn.pooled_smooth_l1(x, 3, np.zeros((3, 4)), 1.0, 0.5)
+    assert len(tape._ops) == 3
 
 
 def test_each_record_holds_one_grad_fn():
@@ -193,14 +199,14 @@ def test_layer_norm_standardises():
 def test_backward_sum_gives_ones():
     tape = Tape()
     w = taped(tape, "w", np.arange(6, dtype=np.float64).reshape(2, 3))
-    grads = backward(tape, w.sum())
+    grads = backward(tape, tape_sum(w))
     np.testing.assert_array_equal(grads["w"], np.ones((2, 3)))
 
 
 def test_backward_sum_of_squares():
     tape = Tape()
     w = taped(tape, "w", [1.0, 2.0])
-    grads = backward(tape, tn.mul(w, w).sum())
+    grads = backward(tape, tape_sum(tn.mul(w, w)))
     np.testing.assert_allclose(grads["w"], [2.0, 4.0])
 
 
@@ -214,7 +220,7 @@ def test_backward_rejects_non_scalar_loss():
 def test_backward_consumes_the_tape():
     tape = Tape()
     w = taped(tape, "w", np.ones(3))
-    loss = tn.mul(w, w).sum()
+    loss = tape_sum(tn.mul(w, w))
     backward(tape, loss)
     with pytest.raises(RuntimeError, match="already replayed"):
         backward(tape, loss)
@@ -224,7 +230,7 @@ def test_backward_unused_parameter_gets_zeros():
     tape = Tape()
     w = taped(tape, "w", [1.0, 2.0])
     u = taped(tape, "u", [3.0])
-    grads = backward(tape, w.sum())
+    grads = backward(tape, tape_sum(w))
     np.testing.assert_array_equal(grads["u"], np.zeros(1))
     assert grads["u"].shape == u.data.shape
 
@@ -239,8 +245,8 @@ def test_gradient_accumulation_matches_separate_passes():
         x = taped(tape, "x", x0)
         return backward(tape, build(x))["x"]
 
-    joint = run(lambda x: tn.add(tn.mul(x, x).sum(), tn.gelu(x).sum()))
-    sep = run(lambda x: tn.mul(x, x).sum()) + run(lambda x: tn.gelu(x).sum())
+    joint = run(lambda x: tn.add(tape_sum(tn.mul(x, x)), tape_sum(tn.gelu(x))))
+    sep = run(lambda x: tape_sum(tn.mul(x, x))) + run(lambda x: tape_sum(tn.gelu(x)))
     np.testing.assert_allclose(joint, sep, rtol=1e-12)
 
 
@@ -262,7 +268,7 @@ def test_gather_rows_with_row_matches_concat_oracle_bitwise():
     a, row = tape.parameter("a", a0), tape.parameter("row", row0)
     out = tn.gather_rows(a, idx, row)
     assert len(tape._ops) == 1  # the row costs no extra op
-    grads = backward(tape, tn.mul(out, Tensor(g)).sum())
+    grads = backward(tape, tape_sum(tn.mul(out, Tensor(g))))
     want, want_grads = concat_gather_rows(a0, idx, row0)
     assert out.data.tobytes() == want.tobytes()
     for got, ref in zip((grads["a"], grads["row"]), want_grads(g)):
@@ -291,9 +297,10 @@ def test_forward_determinism_bitwise():
     assert run() == run()
 
 
-# every differentiable op: analytic vs central finite differences, 100 random
-# instances each, in float64. relu/smooth_l1 are sampled away from their kink.
-# each factory freezes its constants so the oracle sees a fixed function.
+# every op that records a tape node: analytic vs central finite
+# differences, 100 random instances each, in float64. relu and the smooth-L1
+# residuals are sampled away from their kinks. each factory freezes its
+# constants so the oracle sees a fixed function.
 
 def _normal(rng, shape=5):
     return rng.normal(size=shape)
@@ -306,9 +313,10 @@ def _away_from_zero(rng, shape=5):
 
 def _away_from_kink(rng, beta, shape=6):
     # half the entries inside |x| < beta, half outside, none within 0.2 of it
-    mag = np.concatenate([rng.uniform(0.0, 0.8, shape // 2),
-                          rng.uniform(1.2, 3.0, shape - shape // 2)]) * beta
-    return np.where(rng.integers(0, 2, shape).astype(bool), mag, -mag)
+    n = int(np.prod(shape))
+    mag = np.concatenate([rng.uniform(0.0, 0.8, n // 2),
+                          rng.uniform(1.2, 3.0, n - n // 2)]) * beta
+    return np.where(rng.integers(0, 2, n).astype(bool), mag, -mag).reshape(shape)
 
 
 def _sq(t):
@@ -318,40 +326,36 @@ def _sq(t):
 def _op_factories():
     def add_(rng):
         c = _normal(rng)
-        return _normal(rng), lambda x: tn.add(x, Tensor(c)).sum()
-
-    def sub_(rng):
-        c = _normal(rng)
-        return _normal(rng), lambda x: tn.sub(Tensor(c), x).sum()
+        return _normal(rng), lambda x: tape_sum(tn.add(x, Tensor(c)))
 
     def mul_(rng):
         c = _normal(rng)
-        return _normal(rng), lambda x: tn.mul(x, Tensor(c)).sum()
+        return _normal(rng), lambda x: tape_sum(tn.mul(x, Tensor(c)))
 
     def relu_(rng):
-        return _away_from_zero(rng), lambda x: tn.relu(x).sum()
+        return _away_from_zero(rng), lambda x: tape_sum(tn.relu(x))
 
     def gelu_(rng):
-        return _normal(rng), lambda x: tn.gelu(x).sum()
+        return _normal(rng), lambda x: tape_sum(tn.gelu(x))
 
     def square_(rng):
         # one tensor in both operand slots: the gradient accumulates from each
-        return _normal(rng), lambda x: tn.mul(x, x).sum()
+        return _normal(rng), lambda x: tape_sum(tn.mul(x, x))
 
     def matmul2d(rng):
         # x as the input rows of a linear node
         c, bias = _normal(rng, (5, 2)), _normal(rng, (2,))
         return (_normal(rng, (3, 5)),
-                lambda x: _sq(tn.linear(x, Tensor(c), Tensor(bias))).sum())
+                lambda x: tape_sum(_sq(tn.linear(x, Tensor(c), Tensor(bias)))))
 
     def linear_w(rng):
         # constant input rows and a taped weight, as in patch_embed
         rows, bias = _normal(rng, (3, 5)), _normal(rng, (2,))
         return (_normal(rng, (5, 2)),
-                lambda x: _sq(tn.linear(Tensor(rows), x, Tensor(bias))).sum())
+                lambda x: tape_sum(_sq(tn.linear(Tensor(rows), x, Tensor(bias)))))
 
     def gather_(rng):
-        return _normal(rng), lambda x: _sq(tn.gather_rows(x, [0, 2, 2])).sum()
+        return _normal(rng), lambda x: tape_sum(_sq(tn.gather_rows(x, [0, 2, 2])))
 
     def scatter_(rng):
         # rows placed at 1, 3, 5, 7, 9 of 10 by one gather, index 5 reading the
@@ -359,84 +363,117 @@ def _op_factories():
         c = _normal(rng, (10, 1))
         restore = [5, 0, 5, 1, 5, 2, 5, 3, 5, 4]
         return (_normal(rng, (5, 1)),
-                lambda x: tn.mul(tn.gather_rows(x, restore, Tensor(np.zeros(1))),
-                                 Tensor(c)).sum())
+                lambda x: tape_sum(tn.mul(tn.gather_rows(x, restore, Tensor(np.zeros(1))),
+                                          Tensor(c))))
 
     def gather_row(rng):
-        # the row is taped, made from x, and read at index 3 = len(x) among
-        # repeated rows of x: both scatter-adds reach the gradient of x
+        # x is the taped row, read at index 3 = len(a) among repeated rows of
+        # a, which is made from x too: both scatter-adds reach the gradient of x
         c = _normal(rng, (7, 2))
-        return (_normal(rng, (3, 2)),
-                lambda x: tn.mul(tn.gather_rows(x, [3, 0, 3, 2, 0, 3, 1],
-                                                tn.reshape(tn.gather_rows(_sq(x), [1]), (2,))),
-                                 Tensor(c)).sum())
+        return (_normal(rng, (2,)),
+                lambda x: tape_sum(tn.mul(
+                    tn.gather_rows(tn.gather_rows(_sq(x), [[0, 1], [1, 0], [1, 1]]),
+                                   [3, 0, 3, 2, 0, 3, 1], x),
+                    Tensor(c))))
 
     def gather_const_rows(rng):
         # constant rows with a taped row read at index 3 = len(a)
         a, c = _normal(rng, (3, 2)), _normal(rng, (6, 2))
         return (_normal(rng, (2,)),
-                lambda x: tn.mul(tn.gather_rows(Tensor(a), [3, 0, 3, 2, 3, 1], x),
-                                 Tensor(c)).sum())
-
-    def sum_axis(rng):
-        return _normal(rng, (3, 5)), lambda x: _sq(x.sum(axis=0)).sum()
-
-    def mean_axis(rng):
-        return _normal(rng, (3, 5)), lambda x: _sq(x.mean(axis=1)).sum()
+                lambda x: tape_sum(tn.mul(tn.gather_rows(Tensor(a), [3, 0, 3, 2, 3, 1], x),
+                                          Tensor(c))))
 
     def softmax_(rng):
         # with k = sqrt(4) I and v = I, attention returns the row softmax of q
         c = _normal(rng, (4, 4))
         return (_normal(rng, (4, 4)),
-                lambda x: tn.mul(tn.attention(x, Tensor(2.0 * np.eye(4)), Tensor(np.eye(4)), 1),
-                                 Tensor(c)).sum())
+                lambda x: tape_sum(tn.mul(tn.attention(x, Tensor(2.0 * np.eye(4)),
+                                                       Tensor(np.eye(4)), 1),
+                                          Tensor(c))))
 
     def attention_1head(rng):
         # x feeds q, k and v, so all three input gradients are checked
         ck, cv, c = _normal(rng, (3, 4)), _normal(rng, (3, 4)), _normal(rng, (3, 4))
         return (_normal(rng, (3, 4)),
-                lambda x: tn.mul(tn.attention(x, tn.mul(x, Tensor(ck)), tn.add(x, Tensor(cv)), 1),
-                                 Tensor(c)).sum())
+                lambda x: tape_sum(tn.mul(tn.attention(x, tn.mul(x, Tensor(ck)),
+                                                       tn.add(x, Tensor(cv)), 1),
+                                          Tensor(c))))
 
     def attention_2heads(rng):
         # constant q: the k and v gradients alone
         cq, cv, c = _normal(rng, (3, 4)), _normal(rng, (3, 4)), _normal(rng, (3, 4))
         return (_normal(rng, (3, 4)),
-                lambda x: tn.mul(tn.attention(Tensor(cq), x, tn.mul(x, Tensor(cv)), 2),
-                                 Tensor(c)).sum())
+                lambda x: tape_sum(tn.mul(tn.attention(Tensor(cq), x, tn.mul(x, Tensor(cv)), 2),
+                                          Tensor(c))))
 
     def attention_batched(rng):
         # two sequences of three tokens each, x feeding q, k and v
         ck, cv, c = _normal(rng, (6, 4)), _normal(rng, (6, 4)), _normal(rng, (6, 4))
         return (_normal(rng, (6, 4)),
-                lambda x: tn.mul(tn.attention(x, tn.mul(x, Tensor(ck)), tn.add(x, Tensor(cv)), 2,
-                                              batch=2),
-                                 Tensor(c)).sum())
+                lambda x: tape_sum(tn.mul(tn.attention(x, tn.mul(x, Tensor(ck)),
+                                                       tn.add(x, Tensor(cv)), 2, batch=2),
+                                          Tensor(c))))
 
-    def smooth_l1_(rng):
-        beta = float(rng.choice([0.5, 2.0]))
-        return _away_from_kink(rng, beta), lambda x: tn.smooth_l1(x, beta).sum()
+    def masked_smooth_l1_(rng):
+        # one image, channel mean: rows 0, 2 and 5 of six hold the residuals
+        beta, rows = float(rng.choice([0.5, 2.0])), [0, 2, 5]
+        x, target = _normal(rng, (6, 3)), _normal(rng, (3, 3))
+        x[rows] = target - _away_from_kink(rng, beta, (3, 3))
+        return x, lambda x: tn.masked_smooth_l1(x, rows, target, beta, 1.0 / 9)[0]
+
+    def masked_smooth_l1_batched(rng):
+        # three images of four rows, two masked each, channel sum, and an
+        # upstream gradient of 0.7 as the global loss gets lam
+        beta, rows = float(rng.choice([0.5, 2.0])), [1, 3, 4, 6, 9, 11]
+        x, target = _normal(rng, (12, 2)), _normal(rng, (6, 2))
+        x[rows] = target - _away_from_kink(rng, beta, (6, 2))
+        return x, lambda x: tn.mul(tn.masked_smooth_l1(x, rows, target, beta, 1.0 / 6)[0], 0.7)
+
+    def pooled_smooth_l1_(rng):
+        # one image of four rows, channel mean
+        beta, x = float(rng.choice([0.5, 2.0])), _normal(rng, (4, 3))
+        target = x.mean(axis=0, keepdims=True) + _away_from_kink(rng, beta, (1, 3))
+        return x, lambda x: tn.pooled_smooth_l1(x, 1, target, beta, 1.0 / 3)[0]
+
+    def pooled_smooth_l1_batched(rng):
+        # three images of three rows, channel sum, upstream gradient 0.7
+        beta, x = float(rng.choice([0.5, 2.0])), _normal(rng, (9, 2))
+        target = x.reshape(3, 3, 2).mean(axis=1) + _away_from_kink(rng, beta, (3, 2))
+        return x, lambda x: tn.mul(tn.pooled_smooth_l1(x, 3, target, beta, 1.0 / 3)[0], 0.7)
 
     def layer_norm_x(rng):
         c = _normal(rng)
         g = _normal(rng) + 2.0
         b = _normal(rng)
         return (_normal(rng),
-                lambda x: tn.mul(tn.layer_norm(x, Tensor(g), Tensor(b)), Tensor(c)).sum())
+                lambda x: tape_sum(tn.mul(tn.layer_norm(x, Tensor(g), Tensor(b)), Tensor(c))))
 
     def layer_norm_gain(rng):
         # constant x and a taped gain
         xs, c, b = _normal(rng, (3, 5)), _normal(rng, (3, 5)), _normal(rng)
         return (_normal(rng) + 2.0,
-                lambda x: tn.mul(tn.layer_norm(Tensor(xs), x, Tensor(b)), Tensor(c)).sum())
+                lambda x: tape_sum(tn.mul(tn.layer_norm(Tensor(xs), x, Tensor(b)), Tensor(c))))
 
-    fns = [add_, sub_, mul_, square_, relu_, gelu_, matmul2d, linear_w, gather_, scatter_,
-           gather_row, gather_const_rows, sum_axis, mean_axis, softmax_, attention_1head,
-           attention_2heads, attention_batched, smooth_l1_, layer_norm_x, layer_norm_gain]
-    return [(f.__name__.rstrip("_"), f) for f in fns]
+    # (the op a case checks, its factory)
+    cases = [(tn.add, add_), (tn.mul, mul_), (tn.mul, square_), (tn.relu, relu_),
+             (tn.gelu, gelu_), (tn.linear, matmul2d), (tn.linear, linear_w),
+             (tn.gather_rows, gather_), (tn.gather_rows, scatter_),
+             (tn.gather_rows, gather_row), (tn.gather_rows, gather_const_rows),
+             (tn.attention, softmax_), (tn.attention, attention_1head),
+             (tn.attention, attention_2heads), (tn.attention, attention_batched),
+             (tn.masked_smooth_l1, masked_smooth_l1_),
+             (tn.masked_smooth_l1, masked_smooth_l1_batched),
+             (tn.pooled_smooth_l1, pooled_smooth_l1_),
+             (tn.pooled_smooth_l1, pooled_smooth_l1_batched),
+             (tn.layer_norm, layer_norm_x), (tn.layer_norm, layer_norm_gain)]
+    return [(f.__name__.rstrip("_"), op, f) for op, f in cases]
 
 
-@pytest.mark.parametrize("name,factory", _op_factories(), ids=[n for n, _ in _op_factories()])
+OP_CASES = _op_factories()
+
+
+@pytest.mark.parametrize("name,factory", [(n, f) for n, _, f in OP_CASES],
+                         ids=[n for n, _, _ in OP_CASES])
 def test_op_gradients_match_finite_differences(name, factory):
     rng = np.random.default_rng(zlib.crc32(name.encode()))
     worst = 0.0
@@ -453,6 +490,58 @@ def test_op_gradients_match_finite_differences(name, factory):
     assert worst < 1e-4, f"{name}: max rel err {worst}"
 
 
+def test_every_tape_op_has_a_finite_difference_case():
+    # a public featmim.tensor function whose source calls _emit records a
+    # tape node; each has a case above, and each case names such a function
+    tape_ops = {name for name, fn in inspect.getmembers(tn, inspect.isfunction)
+                if fn.__module__ == tn.__name__ and not name.startswith("_")
+                and "_emit(" in inspect.getsource(fn)}
+    assert tape_ops == {op.__name__ for _, op, _ in OP_CASES}
+    for name, op, factory in OP_CASES:
+        assert f"tn.{op.__name__}(" in inspect.getsource(factory), name
+
+
+@pytest.mark.parametrize("batch", [1, 3])
+@pytest.mark.parametrize("channel_reduce", ["mean", "sum"])
+@pytest.mark.parametrize("upstream", [1.0, 0.3])
+def test_loss_nodes_match_the_op_chain_bitwise(batch, channel_reduce, upstream):
+    # float32, residuals on both sides of beta and some exactly zero, whose
+    # zero gradient must come out as +0.0 like the chain's scatter-add; the
+    # upstream gradient 0.3 is what a lam-weighted global loss receives
+    rng = np.random.default_rng(batch)
+    beta, n, dim, n_masked, n_vis = 2.0, 6, 4, 3, 3
+    f32 = np.float32
+
+    def check(node, oracle, x0, args, count):
+        scale = 1.0 / (batch * count)
+        tape = Tape()
+        x = tape.parameter("x", x0)
+        loss, elem = node(x, *args, beta, scale)
+        want_loss, want_elem, want_grads = oracle(x0, *args, beta, scale)
+        inside = np.abs(want_elem) < 0.5 * beta  # |d| < beta
+        assert inside.any() and not inside.all()
+        assert loss.data.tobytes() == want_loss.tobytes()
+        assert elem.dtype == f32 and elem.tobytes() == want_elem.tobytes()
+        grad = backward(tape, tn.mul(loss, upstream) if upstream != 1.0 else loss)["x"]
+        want = want_grads(np.ones((), f32) * np.asarray(upstream, dtype=f32))
+        assert grad.dtype == f32 and grad.tobytes() == want.tobytes()
+
+    def per(k):  # the count one image's sum is divided by, for k rows
+        return k * (dim if channel_reduce == "mean" else 1)
+
+    rows = np.concatenate([b * n + np.sort(rng.choice(n, n_masked, replace=False))
+                           for b in range(batch)])
+    z = (rng.normal(size=(batch * n, dim)) * 3).astype(f32)
+    target = (rng.normal(size=(len(rows), dim)) * 3).astype(f32)
+    target[0, :2] = z[rows[0], :2]  # zero residuals
+    check(tn.masked_smooth_l1, masked_smooth_l1_chain, z, (rows, target), per(n_masked))
+
+    p = (rng.normal(size=(batch * n_vis, dim)) * 3).astype(f32)
+    means = (rng.normal(size=(batch, dim)) * 3).astype(f32)
+    means[0, :2] = (p.reshape(batch, n_vis, dim).sum(axis=1) * f32(1 / n_vis))[0, :2]
+    check(tn.pooled_smooth_l1, pooled_smooth_l1_chain, p, (batch, means), per(1))
+
+
 def test_layer_norm_gain_bias_gradients():
     rng = np.random.default_rng(11)
     x0 = rng.normal(size=(3, 4))
@@ -463,7 +552,7 @@ def test_layer_norm_gain_bias_gradients():
     tape = Tape()
     g = taped(tape, "g", g0)
     b = taped(tape, "b", b0)
-    loss = tn.mul(tn.layer_norm(Tensor(x0), g, b), Tensor(wts)).sum()
+    loss = tape_sum(tn.mul(tn.layer_norm(Tensor(x0), g, b), Tensor(wts)))
     grads = backward(tape, loss)
 
     def fg(gv):

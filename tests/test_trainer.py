@@ -258,10 +258,11 @@ def test_full_step_at_lambda_zero_matches_baseline_losses(tmp_path, monkeypatch)
 
 
 def test_default_step_op_budget(tmp_path, monkeypatch):
-    # one default-recipe step records 64 tape ops at batch 1 and at batch 8:
-    # the minibatch is one graph; each dense layer, attention and smooth-L1
-    # are one op each, and one gather each places the CLS and the mask
-    # tokens, so a per-image loop or an unfused path coming back raises the count
+    # one default-recipe step records 54 tape ops at batch 1 and at batch 8:
+    # the minibatch is one graph; each dense layer and attention is one op,
+    # each loss one op from prediction to weighted scalar, and one gather
+    # each places the CLS and the mask tokens, so a per-image loop or an
+    # unfused path coming back raises the count
     real_backward = featmim.trainer.backward
     for batch_size in (1, 8):
         cfg = RunConfig()
@@ -275,7 +276,7 @@ def test_default_step_op_budget(tmp_path, monkeypatch):
 
         monkeypatch.setattr(featmim.trainer, "backward", counting_backward)
         train(cfg, small_images(batch_size), tmp_path / f"b{batch_size}")
-        assert ops_per_step == [64], batch_size
+        assert ops_per_step == [54], batch_size
 
 
 def _step_batch(cfg, n, dtype):
