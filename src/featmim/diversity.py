@@ -47,10 +47,15 @@ def pairwise_cosine(y):
     return u @ u.T
 
 
-def sample_similarity(y):
-    """Mean min-max-normalized off-diagonal cosine for one sample."""
+def _pair_offsets(k):  # flat offsets of a k x k matrix's pairs i < j, row-major
+    return np.flatnonzero(np.triu(np.ones((k, k), dtype=bool), 1))
+
+
+def sample_similarity(y, pairs=None):
+    """Mean min-max-normalized off-diagonal cosine for one sample; a corpus
+    passes in its `pairs`, _pair_offsets of its token count."""
     c = pairwise_cosine(y)
-    off = c[np.triu_indices(c.shape[0], 1)]  # unordered pairs, row-major
+    off = np.take(c, _pair_offsets(len(c)) if pairs is None else pairs)
     lo, hi = off.min(), off.max()
     if hi == lo:
         return min(max(float(lo), 0.0), 1.0)
@@ -69,7 +74,8 @@ def corpus_diversity(samples):
     k = ks.pop()
     if k < 2:
         raise DataError("diversity needs at least two tokens per sample")
-    sims = [sample_similarity(s.tokens) for s in samples]
+    pairs = _pair_offsets(k)  # built once for the whole corpus
+    sims = [sample_similarity(s.tokens, pairs) for s in samples]
     diver = 1.0 - math.fsum(sims) / len(sims)
     return DiversityReport(per_sample=sims, diver=diver,
                            n_samples=len(sims), tokens_per_sample=k)

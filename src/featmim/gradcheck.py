@@ -6,7 +6,7 @@ differences. Relative error uses max(|analytic|, |numeric|, floor) in the
 denominator so near-zero gradients do not blow up the ratio.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -14,9 +14,9 @@ from .errors import ConfigError
 from .masking import generate_mask
 from .model import BoundParams, init_params
 from .synth import synthetic_image
-from .teacher import align_input, make_teacher
+from .teacher import make_teacher
 from .tensor import Tape, backward
-from .trainer import step_losses
+from .trainer import FeatureCache, step_losses
 
 
 @dataclass(frozen=True)
@@ -65,22 +65,20 @@ def grad_check(cfg=None, h=1e-5, floor=1e-6, in_channels=3, batch_size=1):
     if cfg.model.embed_dim > 16:
         raise ConfigError("grad_check expects a tiny model (embed_dim <= 16)")
 
-    teacher = make_teacher(cfg.teacher, in_channels=in_channels)
-    batch = []
-    for b in range(batch_size):
-        image = synthetic_image(cfg.mask.image_side, in_channels,
-                                seed=cfg.train.seed + b, dtype=np.float64)
-        aligned = align_input(image, cfg.model.patch_side, teacher.downsample_rate)
-        batch.append((image, generate_mask(replace(cfg.mask, seed=cfg.mask.seed + b)),
-                      teacher.features(aligned, f"gradcheck{b}" if b else "gradcheck")))
+    cache = FeatureCache(make_teacher(cfg.teacher, in_channels=in_channels),
+                         cfg.model.patch_side)
+    batch = [(cache.get(f"gradcheck{b}" if b else "gradcheck",
+                        synthetic_image(cfg.mask.image_side, in_channels,
+                                        seed=cfg.train.seed + b, dtype=np.float64)),
+              generate_mask(cfg.mask, cfg.mask.seed + b)) for b in range(batch_size)]
 
     params = init_params(cfg.model, cfg.mask.image_side, in_channels,
                          seed=cfg.train.seed, dtype=np.float64)
-    tape = Tape()
-    analytic = backward(tape, step_losses(BoundParams(params, tape), batch, cfg.loss)[0])
+    bp = BoundParams(params)
+    backward(Tape(bp), step_losses(bp, batch, cfg.loss)[0])
 
-    def loss_value():
-        return float(step_losses(BoundParams(params), batch, cfg.loss)[0].data)
+    def loss_value():  # backward handed the parameters back: they are constants
+        return float(step_losses(bp, batch, cfg.loss)[0].data)
 
     per_param = {}
     n_elements = 0
@@ -95,7 +93,7 @@ def grad_check(cfg=None, h=1e-5, floor=1e-6, in_channels=3, batch_size=1):
             fm = loss_value()
             flat[i] = orig
             num[i] = (fp - fm) / (2.0 * h)
-        ana = analytic[name].reshape(-1)
+        ana = bp.grads[name].reshape(-1)
         denom = np.maximum(np.maximum(np.abs(ana), np.abs(num)), floor)
         per_param[name] = float(np.max(np.abs(ana - num) / denom))
         n_elements += flat.size

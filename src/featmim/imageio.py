@@ -117,15 +117,19 @@ def load_images(directory, mean=0.5, std=0.5):
     """Load every .pgm/.ppm file in a directory, sorted by filename.
 
     Returns [(image_id, float32 [C, H, W])], normalized; the id is the
-    file name without extension. Images with different channel counts are
-    a DataError.
+    file name without extension. Two files with one id (a.ppm and a.PPM)
+    and images with different channel counts are a DataError.
     """
     try:
         names = sorted(n for n in os.listdir(directory)
                        if n.lower().endswith((".pgm", ".ppm")))
     except OSError as e:
         raise DataError(f"cannot list image directory {directory}: {e}") from None
-    out = [(os.path.splitext(n)[0], read_pnm(os.path.join(directory, n))) for n in names]
+    paths = {}  # image id -> file, all checked before any is read
+    for image_id, path in ((os.path.splitext(n)[0], os.path.join(directory, n)) for n in names):
+        if paths.setdefault(image_id, path) != path:
+            raise DataError(f"images {paths[image_id]} and {path} both map to image id {image_id!r}")
+    out = [(image_id, read_pnm(path)) for image_id, path in paths.items()]
     channels = {img.shape[0] for _, img in out}
     if len(channels) > 1:  # before normalize, whose per-channel check would blame the config
         raise DataError(f"images in {directory} disagree on channel count: {sorted(channels)}")

@@ -52,40 +52,40 @@ def _batch_mean(node, target, batch, channel_reduce):
     return BatchLoss(loss, per_image)
 
 
-def _token_shape(teachers):
-    shapes = {t.tokens.shape for t in teachers}
+def _token_shape(records):
+    shapes = {r.tokens.shape for r in records}
     if len(shapes) != 1:
         raise ShapeError(f"teacher token grids differ within one batch: {sorted(shapes)}")
     return shapes.pop()
 
 
-def patch_loss(z, teachers, masks, beta, channel_reduce="mean"):
+def patch_loss(z, records, masks, beta, channel_reduce="mean"):
     """Smooth-L1 between teacher tokens and predictions, masked slots only.
 
     z is [B*N, D], the predictions of B images stacked image by image;
-    teachers and masks hold one entry per image.
+    records (trainer.ImageRecord) and masks hold one entry per image.
     """
-    n, dim = _token_shape(teachers)
+    n, dim = _token_shape(records)
     rows = batch_rows(masks, "masked_idx", n).reshape(-1)
     if len(rows) == 0:
         raise DegenerateMaskError("patch loss needs at least one masked patch")
     if z.shape != (len(masks) * n, dim):
         raise ShapeError(
             f"predictions {z.shape} do not match {len(masks)} x teacher tokens {(n, dim)}")
-    y_m = np.concatenate([t.tokens for t in teachers])[rows]
+    y_m = np.concatenate([r.tokens for r in records])[rows]
     return _batch_mean(lambda scale: tn.masked_smooth_l1(z, rows, y_m, beta, scale),
                        y_m, len(masks), channel_reduce)
 
 
-def global_loss(p_h, teachers, masks, beta, channel_reduce="mean"):
+def global_loss(p_h, records, masks, beta, channel_reduce="mean"):
     """Smooth-L1 between each image's mean projected visible token and its
-    mean teacher token (the teacher mean runs over all K tokens).
+    mean teacher token (the records' `mean`, over all K tokens).
 
     p_h is [B*V, D], the projected visible tokens of B images stacked
-    image by image.
+    image by image; the masks must agree on V, as forward requires.
     """
-    n, dim = _token_shape(teachers)
-    b, n_vis = batch_rows(masks, "visible_idx", n).shape
+    n, dim = _token_shape(records)
+    b, n_vis = len(masks), len(masks[0].visible_idx)
     if n_vis == 0:
         raise DegenerateMaskError("global loss needs at least one visible patch")
     if p_h.shape[0] != b * n_vis:
@@ -93,7 +93,7 @@ def global_loss(p_h, teachers, masks, beta, channel_reduce="mean"):
             f"projected tokens {p_h.shape} do not match {b} x {n_vis} visible patches")
     if p_h.shape[1] != dim:
         raise ShapeError(f"projection dim {p_h.shape[1]} != teacher dim {dim}")
-    teacher_mean = np.stack([t.tokens.mean(axis=0) for t in teachers])
+    teacher_mean = np.stack([r.mean for r in records])
     return _batch_mean(lambda scale: tn.pooled_smooth_l1(p_h, b, teacher_mean, beta, scale),
                        teacher_mean, b, channel_reduce)
 

@@ -100,8 +100,8 @@ class PatchMask:
         return self.grid.size
 
 
-def generate_mask(spec: MaskSpec) -> PatchMask:
-    """Sample a block-wise mask; deterministic for a given (spec, seed)."""
+def generate_mask(spec: MaskSpec, seed=None) -> PatchMask:
+    """Sample a block-wise mask; deterministic for a given spec and seed (spec.seed by default)."""
     spec.validate()
     n_blocks = spec.n_blocks
     n_masked_blocks = spec.n_masked_blocks
@@ -111,7 +111,8 @@ def generate_mask(spec: MaskSpec) -> PatchMask:
             "the encoder needs at least one visible token")
 
     # the first n_masked_blocks of a full shuffle of the block indices
-    chosen = SplitMix64(spec.seed).permutation(n_blocks)[:n_masked_blocks]
+    stream = SplitMix64(spec.seed if seed is None else seed)
+    chosen = stream.permutation(n_blocks)[:n_masked_blocks]
 
     g = spec.grid_side
     bpp = spec.patches_per_block_side

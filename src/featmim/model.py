@@ -167,19 +167,14 @@ def init_params(config: ModelConfig, image_side, in_channels, seed, dtype=np.flo
         dec_pos=sincos_pos_embed(w, grid).astype(dtype))
 
 
-class BoundParams:
-    """ModelParams viewed as tensors: taped for training, constant otherwise."""
+class BoundParams(tn.Parameters):
+    """ModelParams as parameter tensors, bound once, in sorted name order, so
+    the gradient buffer backward writes is laid out like ModelParams.flat."""
 
-    def __init__(self, params: ModelParams, tape=None):
+    def __init__(self, params: ModelParams):
+        super().__init__({k: params.weights[k] for k in sorted(params.weights)})
         self.meta = params
         self.config = params.config
-        if tape is None:
-            self.t = {k: Tensor(v) for k, v in params.weights.items()}
-        else:
-            self.t = {k: tape.parameter(k, v) for k, v in params.weights.items()}
-
-    def __getitem__(self, name):
-        return self.t[name]
 
 
 @dataclass
@@ -206,19 +201,15 @@ def patchify(image, patch_side):
     return x.transpose(1, 3, 0, 2, 4).reshape(gh * gw, c * patch_side**2)
 
 
-def patch_embed(images, bp: BoundParams):
-    """Linear projection of the flattened patches of B images, stacked to
-    [B*N, d], plus position embeddings."""
-    flats = [patchify(np.asarray(image), bp.config.patch_side) for image in images]
-    for flat in flats:
-        if flat.shape[0] != bp.meta.n_patches:
-            raise ConfigError(
-                f"image yields {flat.shape[0]} patches, model was built for {bp.meta.n_patches}")
-        if flat.shape[1] != bp.meta.in_channels * bp.config.patch_side**2:
-            raise ConfigError("image channel count does not match the model")
-    flat = np.concatenate(flats).astype(bp.meta.weights["patch_proj_w"].dtype)
+def patch_embed(patches, bp: BoundParams):
+    """Linear projection of the patch rows of B images (each [N, C * patch**2],
+    from patchify), stacked to [B*N, d], plus position embeddings."""
+    flat = np.concatenate(patches).astype(bp.meta.weights["patch_proj_w"].dtype, copy=False)
+    want = (len(patches) * bp.meta.n_patches, bp.meta.in_channels * bp.config.patch_side**2)
+    if flat.shape != want:
+        raise ConfigError(f"patch rows {flat.shape} do not match the model's {want}")
     tokens = tn.linear(Tensor(flat), bp["patch_proj_w"], bp["patch_proj_b"])
-    return tn.add(tokens, Tensor(np.tile(bp.meta.enc_pos, (len(flats), 1))))
+    return tn.add(tokens, Tensor(np.tile(bp.meta.enc_pos, (len(patches), 1))))
 
 
 def _attention(x, bp, prefix, heads, batch):
@@ -245,22 +236,21 @@ def _transformer_block(x, bp, prefix, heads, batch):
     return tn.add(x, m)
 
 
-def encode_visible(tokens, masks, bp: BoundParams):
+def encode_visible(tokens, vis_rows, bp: BoundParams):
     """Run only the visible tokens of each image (and its CLS) through the
     encoder blocks, keeping every block's output.
 
-    tokens is [B*N, d] from patch_embed, masks one PatchMask per image.
+    tokens is [B*N, d] from patch_embed; vis_rows is [B, V], the batch's
+    visible rows (masking.batch_rows of the masks' visible_idx).
     """
     cfg = bp.config
-    b, n = len(masks), bp.meta.n_patches
+    (b, n_vis), n = vis_rows.shape, bp.meta.n_patches
     if tokens.shape[0] != b * n:
         raise ShapeError(f"{tokens.shape[0]} token rows for {b} masks of {n} patches")
-    rows = batch_rows(masks, "visible_idx", n)  # [B, V]
-    if rows.shape[1] == 0:
+    if n_vis == 0:
         raise DegenerateMaskError("encoder needs at least one visible token")
-    if cfg.use_cls:
-        # row b*n of the gather reads CLS: it goes ahead of each image's tokens
-        rows = np.concatenate([np.full((b, 1), b * n), rows], axis=1)
+    # row b*n of the gather reads CLS: it goes ahead of each image's tokens
+    rows = np.concatenate([np.full((b, 1), b * n), vis_rows], axis=1) if cfg.use_cls else vis_rows
     x = tn.gather_rows(tokens, rows.reshape(-1), bp["cls_token"] if cfg.use_cls else None)
     seq = rows.shape[1]
     patch_rows = (seq * np.arange(b)[:, None] + np.arange(1, seq)).reshape(-1)
@@ -284,16 +274,16 @@ def aggregate_multi_block(output: StudentOutput, config: ModelConfig):
     return acc
 
 
-def decode(h_visible, masks, bp: BoundParams):
+def decode(h_visible, vis_rows, bp: BoundParams):
     """Rebuild each image's full grid with mask tokens and predict teacher
-    features: [B*V, d] visible tokens -> [B*N, target_dim]."""
+    features: [B*V, d] visible tokens -> [B*N, target_dim]. vis_rows is
+    [B, V], as encode_visible takes it."""
     cfg = bp.config
-    b, n = len(masks), bp.meta.n_patches
-    vis_rows = batch_rows(masks, "visible_idx", n).reshape(-1)
+    b, n = len(vis_rows), bp.meta.n_patches
     h = tn.linear(h_visible, bp["enc2dec_w"], bp["enc2dec_b"])
     # grid row -> row of h, or len(h) for the mask token
-    restore_idx = np.full(b * n, len(vis_rows), dtype=np.int64)
-    restore_idx[vis_rows] = np.arange(len(vis_rows))
+    restore_idx = np.full(b * n, vis_rows.size, dtype=np.int64)
+    restore_idx[vis_rows.reshape(-1)] = np.arange(vis_rows.size)
     x = tn.gather_rows(h, restore_idx, bp["mask_token"])
     x = tn.add(x, Tensor(np.tile(bp.meta.dec_pos, (b, 1))))
     for layer in range(cfg.dec_depth):
@@ -311,19 +301,20 @@ def project_global(h_visible, bp: BoundParams):
     return tn.linear(h, bp["proj_fc2_w"], bp["proj_fc2_b"])
 
 
-def forward(images, masks, bp: BoundParams):
+def forward(patches, masks, bp: BoundParams):
     """Student pass over a batch up to the patch predictions: embed,
-    encode visible, aggregate, decode. images and masks pair up one to one;
-    every mask must leave the same number of patches visible.
+    encode visible, aggregate, decode. patches (each image's patchify rows)
+    and masks pair up one to one; every mask must leave the same number of
+    patches visible, and one batch_rows of them serves encoder and decoder.
 
     The decoder consumes the aggregated tokens. The global head is not run
     here: callers that weight the global loss pass `last_visible` to
     project_global themselves.
     """
-    tokens = patch_embed(images, bp)
-    out = encode_visible(tokens, masks, bp)
+    vis_rows = batch_rows(masks, "visible_idx", bp.meta.n_patches)
+    out = encode_visible(patch_embed(patches, bp), vis_rows, bp)
     out.h = aggregate_multi_block(out, bp.config)
-    out.z = decode(out.h, masks, bp)
+    out.z = decode(out.h, vis_rows, bp)
     return out
 
 

@@ -209,6 +209,7 @@ class FileTeacher:
         if type(self.target_dim) is not int or self.target_dim < 1:
             raise DataError(f"{manifest_path}: target_dim {self.target_dim!r} "
                             "is not a positive integer")
+        self._grid_by_id = {}
         for image_id, grid in entries:
             # ids name files inside features_dir and nothing outside it
             if (not isinstance(image_id, str) or image_id in ("", ".", "..")
@@ -217,8 +218,10 @@ class FileTeacher:
             if not isinstance(grid, int) or grid < 1:
                 raise DataError(f"{manifest_path}: grid_side {grid!r} of {image_id!r} "
                                 "is not a positive integer")
-        self.ids = [image_id for image_id, _ in entries]
-        self._grid_by_id = dict(entries)
+            if image_id in self._grid_by_id:
+                raise DataError(f"{manifest_path}: feature id {image_id!r} is listed twice")
+            self._grid_by_id[image_id] = grid
+        self.ids = list(self._grid_by_id)
 
     def features(self, image, source_id):
         if source_id not in self._grid_by_id:

@@ -1,18 +1,18 @@
 """Dense tensors with reverse-mode automatic differentiation.
 
-Storage and kernels are numpy; differentiation is an explicit tape that is
-rebuilt every step (define-by-run). Tensors created outside a tape carry no
-tape position and behave as constants. float32 is the training dtype;
-every op is dtype-preserving, so the same graph runs in float64 for
-gradient checks.
+Numpy storage and kernels; an explicit tape rebuilt every step, whose first
+positions are the Parameters, tensors bound once per run (backward writes
+their gradients into one flat buffer); other untaped tensors are constants.
+float32 is the training dtype; every op is dtype-preserving, so the same
+graph runs in float64 for gradient checks.
 
 The op vocabulary is what the student and its losses use: elementwise add,
 mul, relu, gelu; gather_rows (which can also place one learned row, such
 as a mask token); and the fused linear (x @ w + b), layer_norm, attention
 and the two smooth-L1 losses, masked_smooth_l1 and pooled_smooth_l1, each
-one tape node with an analytic backward. add and mul take operands of
-equal shape; only a constant, such as a Python scalar factor, may
-broadcast against a taped operand.
+one tape node with an analytic backward. Ops take tensors; add and mul
+also take a Python scalar factor, and operands of equal shape, except that
+a constant may broadcast against a taped operand.
 
 Single-threaded: one tape must not be shared across threads during a step.
 """
@@ -56,41 +56,45 @@ class Tensor:
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}, {tag})"
 
 
+class Parameters(dict):
+    """name -> tensor over the array given, bound once per run and constant
+    except while a Tape holds it, plus the flat buffer `grad` backward writes:
+    a slice per parameter in the order given (sorted names lay it out like
+    ModelParams.flat), viewed shaped like the parameter as grads[name]."""
+
+    def __init__(self, arrays):
+        super().__init__((name, Tensor(data)) for name, data in arrays.items())
+        for idx, t in enumerate(self.values()):
+            t.idx = idx  # its position on every tape that holds it
+        self.ends = np.cumsum([data.size for data in arrays.values()])
+        self.grad = np.empty(self.ends[-1], dtype=np.result_type(*arrays.values()))
+        self.grads = {name: self.grad[end - data.size:end].reshape(data.shape)
+                      for (name, data), end in zip(arrays.items(), self.ends)}
+
+    def name_at(self, offset):  # the parameter whose slice of `grad` holds offset
+        return list(self)[np.searchsorted(self.ends, offset, side="right")]
+
+
 class Tape:
-    """Ordered record of operations plus a registry of named parameters.
+    """Ordered record of one step's operations, whose first positions are the
+    Parameters given: it holds them until backward hands them back, so a
+    tensor of an earlier step's tape cannot be mixed into this one. backward()
+    replays the records, one grad fn each (see _emit), in exact reverse order,
+    releasing each as it goes; gradients for shared inputs accumulate."""
 
-    backward() replays the records, one grad fn each (see _emit), in exact
-    reverse order, releasing each entry as it goes; gradients for shared
-    inputs accumulate additively.
-    """
-
-    def __init__(self):
+    def __init__(self, params):
         self._ops = []  # (out_idx, in_idxs, grad_fn) in recording order
-        self._n_nodes = 0
-        self._params = {}  # name -> Tensor
-
-    def _tensor(self, data):
-        """A new tensor at the next position of this tape."""
-        t = Tensor(data)
-        t.tape, t.idx = self, self._n_nodes
-        self._n_nodes += 1
-        return t
-
-    def parameter(self, name, data):
-        """Register `data` (shared, not copied) as a named parameter."""
-        if name in self._params:
-            raise ValueError(f"parameter {name!r} already registered on this tape")
-        t = self._params[name] = self._tensor(data)
-        return t
+        self.params = params
+        for t in params.values():
+            t.tape = self
+        self._n_nodes = len(params)
 
 
 def backward(tape, loss):
-    """Gradients of a scalar `loss` for every parameter registered on `tape`.
-
-    Returns {name: ndarray} with each gradient shaped like its parameter;
-    parameters the loss does not depend on get zeros. The replay consumes
-    the tape's records, so a tape supports one backward.
-    """
+    """Gradients of a scalar `loss` for every parameter of `tape`, written
+    into the parameters' flat buffer and returned in it; a parameter the
+    loss does not reach gets exact zeros. The replay consumes the tape's
+    records, so a tape supports one backward."""
     if loss.tape is not tape:
         raise ShapeError("loss is not a tensor recorded on this tape")
     if loss.data.shape != ():
@@ -109,41 +113,34 @@ def backward(tape, loss):
         if g is None:
             continue
         for in_idx, contrib in zip(in_idxs, grad_fn(g)):
-            if in_idx is None:  # a constant input: its gradient is dropped
-                continue
-            if grads[in_idx] is None:
-                grads[in_idx] = contrib
-            else:
-                grads[in_idx] = grads[in_idx] + contrib
-    out = {}
-    for name, p in tape._params.items():
-        g = grads[p.idx]
-        out[name] = np.zeros_like(p.data) if g is None else g
-    return out
+            if in_idx is not None:  # a constant input's gradient is dropped
+                grads[in_idx] = contrib if grads[in_idx] is None else grads[in_idx] + contrib
+    for t, view, g in zip(tape.params.values(), tape.params.grads.values(), grads):
+        t.tape = None  # handed back: a constant until the next Tape
+        view[...] = 0.0 if g is None else g
+    return tape.params.grad
 
 
 # --- op plumbing ---
 
 
-def _as_tensor(x, like=None):
-    if isinstance(x, Tensor):
-        return x
-    dtype = like.data.dtype if like is not None else None
-    return Tensor(np.asarray(x, dtype=dtype))
-
-
 def _emit(out_data, inputs, grad_fn):
     """Create the output tensor and record (out position, input positions,
     grad_fn) on the one tape the taped inputs share. grad_fn(g) returns a
-    gradient for every input, constants included; a constant's position is
-    None, so backward drops its gradient."""
+    gradient for every input, constants included (or None for one); a
+    constant's position is None, so backward drops its gradient."""
     tapes = {t.tape for t in inputs if t.tape is not None}
     if not tapes:
         return Tensor(out_data)
     if len(tapes) > 1:
         raise RuntimeError("operands recorded on different tapes")
-    out = tapes.pop()._tensor(out_data)
-    out.tape._ops.append((out.idx, [t.idx for t in inputs], grad_fn))
+    tape = tapes.pop()
+    if tape._ops is None:
+        raise RuntimeError("operand recorded on a tape already replayed by backward")
+    out = Tensor(out_data)
+    out.tape, out.idx = tape, tape._n_nodes
+    tape._n_nodes += 1
+    tape._ops.append((out.idx, [t.idx if t.tape is not None else None for t in inputs], grad_fn))
     return out
 
 
@@ -154,8 +151,10 @@ def _operands(a, b):
     """Both operands of an elementwise op as tensors. Only a constant may
     broadcast: a taped operand has the result's shape, so its gradient
     needs no reduction."""
-    a = _as_tensor(a, like=b if isinstance(b, Tensor) else None)
-    b = _as_tensor(b, like=a)
+    if not isinstance(a, Tensor):
+        a = Tensor(np.asarray(a, dtype=b.data.dtype))
+    if not isinstance(b, Tensor):
+        b = Tensor(np.asarray(b, dtype=a.data.dtype))
     if a.data.shape != b.data.shape:
         shape = np.broadcast_shapes(a.data.shape, b.data.shape)
         if any(t.tape is not None and t.data.shape != shape for t in (a, b)):
@@ -201,30 +200,40 @@ def gelu(a):
 
 
 def linear(x, w, b):
-    """Dense layer x @ w + b over 2-d x [R, i], w [i, o] and b [o]; one tape node."""
-    x, w, b = _as_tensor(x), _as_tensor(w), _as_tensor(b)
+    """Dense layer x @ w + b over 2-d x [R, i], w [i, o] and b [o]; one tape
+    node. A constant x, such as the patch rows, gets no input gradient."""
     if x.ndim != 2 or w.ndim != 2 or x.shape[1] != w.shape[0] or b.shape != w.shape[1:]:
         raise ShapeError(f"linear needs x [R, i], w [i, o], b [o], "
                          f"got {x.shape}, {w.shape}, {b.shape}")
-    return _emit(x.data @ w.data + b.data, (x, w, b),
-                 lambda g: (g @ w.data.T, x.data.T @ g, g.sum(axis=0)))
+    xd, wd, x_taped = x.data, w.data, x.tape is not None
+    return _emit(xd @ wd + b.data, (x, w, b),
+                 lambda g: (g @ wd.T if x_taped else None, xd.T @ g, g.sum(axis=0)))
 
 
 def gather_rows(a, idx, row=None):
-    """Select rows of a along axis 0. With `row`, a 1-d tensor, index
-    len(a) selects it, as a gather over [a; row] would. Backward
-    scatter-adds (idx may repeat): each row of a, and `row`, gets the sum
-    of the gradient rows that read it."""
+    """Rows idx (each >= 0) of a; with `row`, a 1-d tensor, index len(a)
+    selects it, as a gather over [a; row] would. Backward gives each row of a,
+    and `row`, the sum of the gradient rows that read it, bitwise as np.add.at
+    into zeros: a row of a read once gets g + 0.0 (+0.0 for -0.0, as 0.0 + g),
+    `row` sums in order by cumsum, and only repeated rows of a need np.add.at."""
     idx = np.asarray(idx, dtype=np.int64)
     if row is not None and row.shape != a.shape[1:]:
         raise ShapeError(f"gather_rows row has shape {row.shape}, rows of a {a.shape[1:]}")
-    src = a.data if row is None else np.concatenate([a.data, row.data[None]])
     n = len(a.data)
+    src = a.data if row is None else np.concatenate([a.data, row.data[None]])
+    reads = np.bincount(idx.reshape(-1), minlength=n + 1)
+    repeats = reads[:n].max(initial=0) > 1
+    own = ... if row is None else idx != n  # the reads of rows of a
 
-    def grad_fn(g):  # the gradient of [a; row], split into a's rows and row
-        gsrc = np.zeros_like(src)
-        np.add.at(gsrc, idx, g)
-        return (gsrc[:n],) if row is None else (gsrc[:n], gsrc[n])
+    def grad_fn(g):
+        ga = np.zeros_like(a.data)
+        if repeats:
+            np.add.at(ga, idx[own], g[own])
+        else:
+            ga[idx[own]] = g[own] + 0.0
+        if row is None:
+            return (ga,)
+        return ga, (np.cumsum(g[~own], axis=0)[-1] + 0.0 if reads[n] else np.zeros_like(row.data))
 
     return _emit(src[idx], (a,) if row is None else (a, row), grad_fn)
 
@@ -242,7 +251,6 @@ def attention(q, k, v, heads, batch=1):
     Backward uses the analytic softmax gradient dS = P * (dP - rowsum(dP * P))
     and keeps only P.
     """
-    q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
     if q.ndim != 2 or k.shape != q.shape or v.shape != q.shape:
         raise ShapeError(f"attention needs equal [B*T, d] q, k, v, got {q.shape}, {k.shape}, {v.shape}")
     rows, d = q.shape
@@ -282,10 +290,11 @@ def layer_norm(x, gain, bias, eps=1e-6):
     """Normalise the last axis to mean 0 / variance 1, then apply affine."""
     if eps <= 0:
         raise ShapeError("layer_norm eps must be positive")
-    x, gain, bias = _as_tensor(x), _as_tensor(gain), _as_tensor(bias)
-    mu = x.data.mean(axis=-1, keepdims=True)
+    # sum / d: what ndarray.mean computes, without its Python wrapper
+    d = x.data.shape[-1]
+    mu = x.data.sum(axis=-1, keepdims=True) / d
     xc = x.data - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
+    var = (xc * xc).sum(axis=-1, keepdims=True) / d
     istd = 1.0 / np.sqrt(var + eps)
     xhat = xc * istd
     out = xhat * gain.data + bias.data
@@ -294,8 +303,8 @@ def layer_norm(x, gain, bias, eps=1e-6):
 
     def grad_fn(g):
         dxhat = g * gain.data
-        m1 = dxhat.mean(axis=-1, keepdims=True)
-        m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
+        m1 = dxhat.sum(axis=-1, keepdims=True) / d
+        m2 = (dxhat * xhat).sum(axis=-1, keepdims=True) / d
         return (istd * (dxhat - m1 - xhat * m2),
                 (g * xhat).sum(axis=lead).reshape(gain.data.shape),
                 g.sum(axis=lead).reshape(bias.data.shape))
@@ -326,12 +335,13 @@ def _smooth_l1(d, beta, scale):
 
 def masked_smooth_l1(z, rows, target, beta, scale):
     """_smooth_l1 of target - z[rows] as one tape node, target a constant
-    array. Returns (the taped scalar, the elementwise smooth-L1 array)."""
+    array and rows distinct, as the masked rows of a batch are. Returns
+    (the taped scalar, the elementwise smooth-L1 array)."""
     loss, elem, grad_d = _smooth_l1(target - z.data[rows], beta, scale)
 
     def grad_fn(g):
         gz = np.zeros_like(z.data)
-        np.subtract.at(gz, rows, grad_d(g))  # 0 - g, so a zero gradient is +0.0
+        gz[rows] = 0.0 - grad_d(g)  # as np.subtract.at into zeros: a zero gradient is +0.0
         return (gz,)
 
     return _emit(loss, (z,), grad_fn), elem

@@ -1,8 +1,8 @@
 """Optimizer, learning-rate schedule, and the pretraining loop.
 
 AdamW with decoupled weight decay, linear-warmup + cosine-decay schedule
-under the linear scaling rule lr = base_lr * batch_size / 256. Teacher
-features are extracted once per image and cached (the teacher is frozen).
+under the linear scaling rule lr = base_lr * batch_size / 256. An image's
+patch rows, teacher tokens and their mean are computed once and cached.
 Everything is deterministic for a fixed seed: masks come from a SplitMix64
 stream, the epoch shuffle from another. AdamW updates the flat weight buffer
 in place; a non-finite loss or gradient stops the run before that update.
@@ -16,13 +16,14 @@ graph: last encoder block into the decoder, patch loss only.
 import math
 import os
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ConfigError, NumericError
 from .losses import global_loss, patch_loss, total_loss
-from .masking import MaskSpec, SplitMix64, generate_mask
-from .model import (BoundParams, forward, init_params, project_global,
+from .masking import SplitMix64, generate_mask
+from .model import (BoundParams, forward, init_params, patchify, project_global,
                     save_checkpoint)
 from .teacher import align_input, make_teacher
 from .tensor import Tape, backward, write_atomic
@@ -115,7 +116,7 @@ def adamw_step(params, grads, state: OptimizerState, lr, *,
 
 def step_losses(bp, batch, loss_cfg):
     """Batch-mean losses as one taped graph: patch + lam * global,
-    multi-block aggregation per config. batch: [(image, mask, feats)].
+    multi-block aggregation per config. batch: [(ImageRecord, mask)].
 
     The global head and loss are recorded only when lam != 0; at lam == 0
     they could move no parameter, and L_global logs 0.0.
@@ -125,12 +126,12 @@ def step_losses(bp, batch, loss_cfg):
     training dtype as one-image batches would, so the three CSV columns
     share one reduction.
     """
-    images, masks, feats = zip(*batch)
-    out = forward(images, masks, bp)
-    loss, lp = patch_loss(out.z, feats, masks, loss_cfg.beta, loss_cfg.channel_reduce)
+    records, masks = zip(*batch)
+    out = forward([r.patches for r in records], masks, bp)
+    loss, lp = patch_loss(out.z, records, masks, loss_cfg.beta, loss_cfg.channel_reduce)
     lg = np.zeros_like(lp)
     if loss_cfg.lam != 0.0:
-        l_global, lg = global_loss(project_global(out.last_visible, bp), feats, masks,
+        l_global, lg = global_loss(project_global(out.last_visible, bp), records, masks,
                                    loss_cfg.beta, loss_cfg.channel_reduce)
         loss = total_loss(loss, l_global, loss_cfg.lam)
     lt = lp + lg * lp.dtype.type(loss_cfg.lam)
@@ -148,9 +149,15 @@ class TrainResult:
     final_l_total: float
 
 
+class ImageRecord(NamedTuple):  # what a step needs from one image
+    patches: np.ndarray  # [N, C * patch**2], the student's patch rows (model.patchify)
+    tokens: np.ndarray  # [N, D], the teacher's tokens
+    mean: np.ndarray  # [D], the teacher's mean token
+
+
 class FeatureCache:
-    """Teacher features computed once per image id; the teacher is frozen,
-    so cached bytes never change."""
+    """One ImageRecord per image id, made on its first get; the teacher is
+    frozen, so a record never changes."""
 
     def __init__(self, teacher, patch_side):
         self.teacher = teacher
@@ -159,8 +166,10 @@ class FeatureCache:
 
     def get(self, image_id, image):
         if image_id not in self._store:
-            image = align_input(image, self.patch_side, self.teacher.downsample_rate)
-            self._store[image_id] = self.teacher.features(image, image_id)
+            aligned = align_input(image, self.patch_side, self.teacher.downsample_rate)
+            tokens = self.teacher.features(aligned, image_id).tokens
+            self._store[image_id] = ImageRecord(patchify(np.asarray(image), self.patch_side),
+                                                tokens, tokens.mean(axis=0))
         return self._store[image_id]
 
 
@@ -202,9 +211,8 @@ def train(cfg, images, out_dir):
     os.makedirs(out_dir, exist_ok=True)
     save_run_config(cfg, os.path.join(out_dir, "config.json"))
     params = init_params(cfg.model, mask_spec.image_side, in_channels, tc.seed)
+    bp = BoundParams(params)  # the parameter tensors, bound once per run
     opt = OptimizerState()
-    names = sorted(params.weights)
-    flat_grad = np.empty_like(params.flat)
     cache = FeatureCache(teacher, cfg.model.patch_side)
 
     by_id = dict(images)
@@ -229,30 +237,22 @@ def train(cfg, images, out_dir):
             if step % steps_per_epoch == 0:
                 order = [ids[k] for k in shuffle_stream.permutation(len(ids))]
             lo = (step % steps_per_epoch) * tc.batch_size
-            batch_ids = order[lo:lo + tc.batch_size]
-
-            batch = []
-            for image_id in batch_ids:
-                img = by_id[image_id]
-                spec = MaskSpec(mask_spec.image_side, mask_spec.patch_side,
-                                mask_spec.block_side, mask_spec.mask_ratio,
-                                seed=mask_stream.next_u64())
-                batch.append((img, generate_mask(spec), cache.get(image_id, img)))
+            batch = [(cache.get(image_id, by_id[image_id]),
+                      generate_mask(mask_spec, mask_stream.next_u64()))
+                     for image_id in order[lo:lo + tc.batch_size]]
 
             t_epoch = step / steps_per_epoch
             lr = lr_at(t_epoch, tc)
-            tape = Tape()
-            bp = BoundParams(params, tape)
+            tape = Tape(bp)
             try:
                 # the finiteness checks stand in for numpy's overflow warnings
                 with np.errstate(all="ignore"):
                     loss, lp, lg, lt = step_losses(bp, batch, cfg.loss)
                     if not np.isfinite(loss.data):
                         raise NumericError("non-finite loss")
-                    grads = backward(tape, loss)
-                np.concatenate([grads[k].reshape(-1) for k in names], out=flat_grad)
-                if not np.isfinite(flat_grad).all():
-                    bad = next(k for k in names if not np.isfinite(grads[k]).all())
+                    flat_grad = backward(tape, loss)
+                if not np.isfinite(flat_grad).all():  # name the first bad offset's parameter
+                    bad = bp.name_at(np.argmin(np.isfinite(flat_grad)))
                     raise NumericError(f"non-finite gradient in {bad}")
             except NumericError as e:
                 raise NumericError(f"step {step}: {e}") from None

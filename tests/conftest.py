@@ -11,7 +11,10 @@ The concat-and-gather oracle is how the model placed its CLS and mask
 tokens before gather_rows took the row itself, which must match it bitwise.
 The two smooth-L1 chain oracles are how the losses were built op by op
 before each became one tape node, which must match them bitwise too.
-tape_sum reduces a tensor to the scalar that backward needs.
+tape_sum reduces a tensor to the scalar that backward needs. The scatter
+oracle is the np.add.at / np.subtract.at into zeros that the gather and
+masked-loss backward passes must match bitwise, and the per-name backward,
+packed in sorted name order, is what the flat gradient buffer must equal.
 """
 
 import json
@@ -24,6 +27,7 @@ import pytest
 from featmim import tensor as tn
 from featmim.cli import main
 from featmim.losses import global_loss, patch_loss, total_loss
+from featmim.masking import batch_rows
 from featmim.model import (decode, encode_visible, forward, patch_embed,
                            project_global)
 
@@ -134,6 +138,39 @@ def pooled_smooth_l1_chain(p, batch, target_means, beta, scale):
     return loss, elem, grads
 
 
+def scatter_rows(shape, idx, g, ufunc=np.add):
+    """ufunc.at into zeros of `shape` at rows idx: the scatter-add (or, with
+    np.subtract, the scatter-subtract) that a gather's backward reduces to,
+    one row at a time in idx order."""
+    out = np.zeros(shape, dtype=g.dtype)
+    ufunc.at(out, idx, g)
+    return out
+
+
+def per_name_backward(tape, loss):
+    """backward as it returned gradients before it wrote one flat buffer: a
+    {name: array} dict over the tape's parameters, zeros_like for those the
+    loss does not reach. Replays the same records; consumes the tape."""
+    grads = [None] * tape._n_nodes
+    grads[loss.idx] = np.ones((), dtype=loss.dtype)
+    ops, tape._ops = tape._ops, None
+    for out_idx, in_idxs, grad_fn in reversed(ops):
+        g = grads[out_idx]
+        if g is None:
+            continue
+        for in_idx, contrib in zip(in_idxs, grad_fn(g)):
+            if in_idx is not None:
+                grads[in_idx] = contrib if grads[in_idx] is None else grads[in_idx] + contrib
+    return {name: np.zeros_like(t.data) if grads[t.idx] is None else grads[t.idx]
+            for name, t in tape.params.items()}
+
+
+def pack_sorted(arrays):
+    """A {name: array} dict flattened and concatenated in sorted name
+    order: the layout of ModelParams.flat and of backward's buffer."""
+    return np.concatenate([arrays[k].reshape(-1) for k in sorted(arrays)])
+
+
 def inline_shuffle(items, stream):
     """Fisher-Yates over a copy of items, swapping in place from the top
     with one stream.next_below draw per position."""
@@ -148,10 +185,11 @@ def plain_regression_step(bp, batch, loss_cfg):
     """The plain feature-regression step: last encoder block straight into
     the decoder, patch loss only. No global head, no block aggregation.
     Same signature and return value as featmim.trainer.step_losses."""
-    images, masks, feats = zip(*batch)
-    out = encode_visible(patch_embed(images, bp), masks, bp)
-    z = decode(out.layers[-1], masks, bp)
-    lp, per_image = patch_loss(z, feats, masks, loss_cfg.beta, loss_cfg.channel_reduce)
+    records, masks = zip(*batch)
+    vis_rows = batch_rows(masks, "visible_idx", bp.meta.n_patches)
+    out = encode_visible(patch_embed([r.patches for r in records], bp), vis_rows, bp)
+    z = decode(out.layers[-1], vis_rows, bp)
+    lp, per_image = patch_loss(z, records, masks, loss_cfg.beta, loss_cfg.channel_reduce)
     mean_lp = math.fsum(per_image) / len(batch)
     return lp, mean_lp, 0.0, mean_lp
 
@@ -159,10 +197,10 @@ def plain_regression_step(bp, batch, loss_cfg):
 def full_composition_step(bp, batch, loss_cfg):
     """patch + lam * global with the global head and loss taped at every
     lam, zero included; L_global logs the unweighted global loss."""
-    images, masks, feats = zip(*batch)
-    out = forward(images, masks, bp)
-    lp, lp_vals = patch_loss(out.z, feats, masks, loss_cfg.beta, loss_cfg.channel_reduce)
-    lg, lg_vals = global_loss(project_global(out.last_visible, bp), feats, masks,
+    records, masks = zip(*batch)
+    out = forward([r.patches for r in records], masks, bp)
+    lp, lp_vals = patch_loss(out.z, records, masks, loss_cfg.beta, loss_cfg.channel_reduce)
+    lg, lg_vals = global_loss(project_global(out.last_visible, bp), records, masks,
                               loss_cfg.beta, loss_cfg.channel_reduce)
     lt_vals = lp_vals + lg_vals * lp_vals.dtype.type(loss_cfg.lam)
     n = len(batch)

@@ -19,12 +19,12 @@ from featmim.diversity import corpus_diversity
 from featmim.imageio import write_ppm
 from featmim.losses import global_loss, patch_loss
 from featmim.masking import MaskSpec, generate_mask
-from featmim.model import BoundParams, forward, init_params, load_checkpoint
+from featmim.model import BoundParams, forward, init_params, load_checkpoint, patchify
 from featmim.synth import synthetic_image
 from featmim.teacher import (ProceduralConvTeacher, TeacherFeatures,
                              dump_features, load_feature_dir)
 from featmim.tensor import Tensor
-from featmim.trainer import TrainConfig, lr_at, scaled_lr, train
+from featmim.trainer import ImageRecord, TrainConfig, lr_at, scaled_lr, train
 
 from conftest import plain_regression_step
 from test_diversity import oracle_diversity
@@ -37,6 +37,11 @@ def _passed(name, detail):
 def feats(tokens):
     tokens = np.asarray(tokens, dtype=np.float64)
     return TeacherFeatures(tokens=tokens, grid_side=1, source_id="t")
+
+
+def record(tokens):
+    """The loss-side fields of an image's record: teacher tokens and their mean."""
+    return ImageRecord(patches=None, tokens=tokens, mean=tokens.mean(axis=0))
 
 
 def test_gradient_fidelity(default_grad_check):
@@ -118,7 +123,7 @@ def test_mask_geometry():
 
 def test_loss_contracts():
     rng = np.random.default_rng(11)
-    y = feats(rng.normal(size=(16, 4)))
+    y = record(rng.normal(size=(16, 4)))
     mask = generate_mask(MaskSpec(32, 8, 8, 0.5, seed=1))
 
     z0 = rng.normal(size=(16, 4))
@@ -132,7 +137,7 @@ def test_loss_contracts():
     shift = rng.normal(size=4)
     ga = float(global_loss(Tensor(p0), [y], [mask], 2.0).loss.data)
     gb = float(global_loss(Tensor(p0 + shift),
-                           [feats(y.tokens + shift)], [mask], 2.0).loss.data)
+                           [record(y.tokens + shift)], [mask], 2.0).loss.data)
     assert abs(ga - gb) <= 1e-12
 
     for beta in (0.5, 1.0, 2.0):
@@ -251,11 +256,12 @@ def test_persistence_round_trips(tmp_path):
     cfg = RunConfig()
     params = init_params(cfg.model, 32, 3, seed=5)
     mask = generate_mask(replace(cfg.mask, seed=9))
-    img = synthetic_image(32, 3, seed=4)
-    before = forward([img], [mask], BoundParams(params)).z.data.tobytes()
+    patches = patchify(synthetic_image(32, 3, seed=4), 8)
+    before = forward([patches], [mask], BoundParams(params)).z.data.tobytes()
     from featmim.model import save_checkpoint
     save_checkpoint(tmp_path / "c.bin", params)
-    after = forward([img], [mask], BoundParams(load_checkpoint(tmp_path / "c.bin"))).z.data.tobytes()
+    after = forward([patches], [mask],
+                    BoundParams(load_checkpoint(tmp_path / "c.bin"))).z.data.tobytes()
     assert before == after
 
     # feature dump: write -> read -> rewrite must be byte identical

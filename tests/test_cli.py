@@ -352,6 +352,41 @@ def test_mixed_channel_images_exit_3(tmp_path, capsys):
     assert "channel count" in capsys.readouterr().err
 
 
+def test_two_image_files_with_one_id_exit_3(tmp_path, image_dir, capsys):
+    # a.ppm and a.PPM would both be image id "a": a data error naming both
+    # files, before dump-features or pretrain creates --out
+    write_ppm(image_dir / "img1.PPM", synthetic_image(32, 3, seed=9))
+    want = (f"images {image_dir / 'img1.PPM'} and {image_dir / 'img1.ppm'} "
+            "both map to image id 'img1'")
+    for argv in (["dump-features"], ["pretrain"]):
+        out = tmp_path / "out"
+        assert main(argv + ["--images", str(image_dir), "--out", str(out)]) == 3
+        assert want in capsys.readouterr().err
+        assert not out.exists()
+
+
+def test_feature_manifest_listing_an_id_twice_exits_3(tmp_path, image_dir, capsys):
+    # diversity would count the sample twice, and pretrain would map one
+    # image id to either entry
+    feats = tmp_path / "feats"
+    assert main(["dump-features", "--images", str(image_dir), "--out", str(feats)]) == 0
+    manifest = json.loads((feats / "manifest.json").read_text())
+    manifest["entries"].append(manifest["entries"][2])
+    (feats / "manifest.json").write_text(json.dumps(manifest))
+    want = f"{feats / 'manifest.json'}: feature id 'img2' is listed twice"
+    out = tmp_path / "r.json"
+    assert main(["diversity", "--features", str(feats), "--out", str(out)]) == 3
+    assert want in capsys.readouterr().err
+    assert not out.exists()
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"teacher": {"kind": "file", "features_dir": str(feats)},
+                               "train": {"total_epochs": 1.0, "warmup_epochs": 0.5}}))
+    assert main(["pretrain", "--config", str(cfg), "--images", str(image_dir),
+                 "--out", str(tmp_path / "run")]) == 3
+    assert want in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
 def test_heatmap_command(tmp_path, image_dir):
     feats = tmp_path / "feats"
     assert main(["dump-features", "--images", str(image_dir), "--out", str(feats)]) == 0

@@ -142,6 +142,18 @@ def test_oracle_equivalence_100_instances():
     assert worst < 1e-12, f"max deviation from oracle {worst}"
 
 
+@pytest.mark.parametrize("k", [2, 3, 17, 64])
+def test_corpus_pair_index_gives_each_sample_its_own_similarity(k):
+    # corpus_diversity builds the pair index once; every sample's entry is
+    # bitwise its one-sample similarity and the ordered-pair oracle's value
+    rng = np.random.default_rng(k)
+    samples = [rng.normal(size=(k, 6)) for _ in range(5)]
+    samples.append(np.tile(samples[0][:1], (k, 1)))  # the degenerate rule
+    report = corpus_diversity([feats(s) for s in samples])
+    assert report.per_sample == [sample_similarity(s) for s in samples]
+    assert report.per_sample == [ordered_pair_similarity(s) for s in samples]
+
+
 def test_diver_report_invariant():
     rng = np.random.default_rng(2)
     samples = [feats(rng.normal(size=(5, 3))) for _ in range(4)]

@@ -8,8 +8,8 @@ from featmim import tensor as tn
 from featmim.errors import ConfigError, DegenerateMaskError, ShapeError
 from featmim.losses import LossConfig, global_loss, patch_loss, total_loss
 from featmim.masking import PatchMask
-from featmim.teacher import TeacherFeatures
 from featmim.tensor import Tape, Tensor, backward
+from featmim.trainer import ImageRecord
 
 
 def scalar(x):
@@ -34,9 +34,9 @@ def make_mask(n, masked):
 
 
 def feats(tokens):
+    """The loss-side fields of an image's record: teacher tokens and their mean."""
     tokens = np.asarray(tokens, dtype=np.float64)
-    return TeacherFeatures(tokens=tokens,
-                           grid_side=int(np.sqrt(len(tokens))), source_id="t")
+    return ImageRecord(patches=None, tokens=tokens, mean=tokens.mean(axis=0))
 
 
 def test_smooth_l1_hand_values():
@@ -75,10 +75,10 @@ def test_smooth_l1_gradient():
         def f(x):
             return float(tn.masked_smooth_l1(Tensor(x), rows, target, beta, 1.0)[0].data)
 
-        tape = Tape()
-        x = tape.parameter("x", x0.copy())
-        grads = backward(tape, tn.masked_smooth_l1(x, rows, target, beta, 1.0)[0])
-        assert rel_err(grads["x"], fd_grad(f, x0)) < 1e-4
+        params = tn.Parameters({"x": x0.copy()})
+        tape = Tape(params)
+        backward(tape, tn.masked_smooth_l1(params["x"], rows, target, beta, 1.0)[0])
+        assert rel_err(params.grads["x"], fd_grad(f, x0)) < 1e-4
 
 
 def test_patch_loss_zero_when_exact():
@@ -214,12 +214,12 @@ def test_loss_gradients_match_finite_differences():
     def f_global(p):
         return float(global_loss(Tensor(p), [y], [mask], 2.0).loss.data)
 
-    tape = Tape()
-    z = tape.parameter("z", z0.copy())
-    p = tape.parameter("p", p0.copy())
-    loss = total_loss(patch_loss(z, [y], [mask], 2.0).loss,
-                      global_loss(p, [y], [mask], 2.0).loss, 0.5)
-    grads = backward(tape, loss)
+    params = tn.Parameters({"z": z0.copy(), "p": p0.copy()})
+    tape = Tape(params)
+    loss = total_loss(patch_loss(params["z"], [y], [mask], 2.0).loss,
+                      global_loss(params["p"], [y], [mask], 2.0).loss, 0.5)
+    backward(tape, loss)
+    grads = params.grads
     assert rel_err(grads["z"], fd_grad(f_patch, z0)) < 1e-4
     assert rel_err(grads["p"], 0.5 * fd_grad(f_global, p0)) < 1e-4
 

@@ -8,7 +8,7 @@ import pytest
 
 from featmim.config import RunConfig, save_run_config
 from featmim.errors import ConfigError, DataError, DegenerateMaskError, ShapeError
-from featmim.masking import MaskSpec, PatchMask, generate_mask
+from featmim.masking import MaskSpec, PatchMask, batch_rows, generate_mask
 import featmim.model
 from featmim.model import (BoundParams, ModelConfig, aggregate_multi_block,
                            decode, encode_visible, forward, init_params,
@@ -28,6 +28,14 @@ def tiny_params(seed=0, image_side=32, in_channels=3, config=TINY):
 
 def tiny_mask(seed=0, image_side=32):
     return generate_mask(MaskSpec(image_side, 8, 8, 0.5, seed))
+
+
+def patches_of(image):
+    return patchify(image, 8)
+
+
+def visible_rows(masks, n_patches=16):
+    return batch_rows(masks, "visible_idx", n_patches)
 
 
 def test_patchify_counting():
@@ -52,16 +60,16 @@ def test_patchify_permutation_equivariance():
 def test_patch_embed_zero_image_gives_pos_embed():
     params = tiny_params()
     bp = BoundParams(params)
-    tokens = patch_embed([np.zeros((3, 32, 32), dtype=np.float32)], bp)
+    tokens = patch_embed([patches_of(np.zeros((3, 32, 32), dtype=np.float32))], bp)
     np.testing.assert_array_equal(tokens.data, params.enc_pos)
 
 
 def test_patch_embed_geometry_mismatch():
     params = tiny_params()
     with pytest.raises(ConfigError):
-        patch_embed([np.zeros((3, 64, 64), dtype=np.float32)], BoundParams(params))
+        patch_embed([patches_of(np.zeros((3, 64, 64), dtype=np.float32))], BoundParams(params))
     with pytest.raises(ConfigError):
-        patch_embed([np.zeros((1, 32, 32), dtype=np.float32)], BoundParams(params))
+        patch_embed([patches_of(np.zeros((1, 32, 32), dtype=np.float32))], BoundParams(params))
 
 
 def test_encode_single_visible_token():
@@ -73,8 +81,8 @@ def test_encode_single_visible_token():
     mask = PatchMask(grid=grid.reshape(4, 4), masked_idx=masked,
                      visible_idx=np.array([0], dtype=np.int64))
     bp = BoundParams(params)
-    tokens = patch_embed([synthetic_image(32, 3, seed=1)], bp)
-    out = encode_visible(tokens, [mask], bp)
+    tokens = patch_embed([patches_of(synthetic_image(32, 3, seed=1))], bp)
+    out = encode_visible(tokens, visible_rows([mask]), bp)
     assert all(layer.shape == (1, 8) for layer in out.layers)
 
 
@@ -85,8 +93,8 @@ def test_encode_full_visible():
                      masked_idx=np.array([], dtype=np.int64),
                      visible_idx=np.arange(n, dtype=np.int64))
     bp = BoundParams(params)
-    tokens = patch_embed([synthetic_image(32, 3, seed=1)], bp)
-    out = encode_visible(tokens, [mask], bp)
+    tokens = patch_embed([patches_of(synthetic_image(32, 3, seed=1))], bp)
+    out = encode_visible(tokens, visible_rows([mask]), bp)
     assert out.layers[-1].shape == (n, 8)
 
 
@@ -97,9 +105,9 @@ def test_encode_rejects_no_visible():
                      masked_idx=np.arange(n, dtype=np.int64),
                      visible_idx=np.array([], dtype=np.int64))
     bp = BoundParams(params)
-    tokens = patch_embed([synthetic_image(32, 3, seed=1)], bp)
+    tokens = patch_embed([patches_of(synthetic_image(32, 3, seed=1))], bp)
     with pytest.raises(DegenerateMaskError):
-        encode_visible(tokens, [mask], bp)
+        encode_visible(tokens, visible_rows([mask]), bp)
 
 
 def test_masked_content_never_reaches_the_model():
@@ -113,8 +121,8 @@ def test_masked_content_never_reaches_the_model():
         perturbed[:, r * 8:(r + 1) * 8, c * 8:(c + 1) * 8] += 7.25
 
     bp = BoundParams(params)
-    out_a = forward([img], [mask], bp)
-    out_b = forward([perturbed], [mask], bp)
+    out_a = forward([patches_of(img)], [mask], bp)
+    out_b = forward([patches_of(perturbed)], [mask], bp)
     assert out_a.h.data.tobytes() == out_b.h.data.tobytes()
     assert out_a.z.data.tobytes() == out_b.z.data.tobytes()
     p_a = project_global(out_a.last_visible, bp)
@@ -151,9 +159,9 @@ def test_decode_all_visible_shape_contract():
                      masked_idx=np.array([], dtype=np.int64),
                      visible_idx=np.arange(n, dtype=np.int64))
     bp = BoundParams(params)
-    tokens = patch_embed([synthetic_image(32, 3, seed=3)], bp)
-    out = encode_visible(tokens, [mask], bp)
-    z = decode(aggregate_multi_block(out, TINY), [mask], bp)
+    tokens = patch_embed([patches_of(synthetic_image(32, 3, seed=3))], bp)
+    out = encode_visible(tokens, visible_rows([mask]), bp)
+    z = decode(aggregate_multi_block(out, TINY), visible_rows([mask]), bp)
     assert z.shape == (n, TINY.target_dim)
 
 
@@ -166,12 +174,12 @@ def test_decode_positional_swap_equivariance():
     i, j = int(mask.masked_idx[0]), int(mask.masked_idx[1])
     img = synthetic_image(32, 3, seed=4).astype(np.float64)
 
-    z_a = forward([img], [mask], BoundParams(params)).z.data
+    z_a = forward([patches_of(img)], [mask], BoundParams(params)).z.data
 
     import copy
     swapped = copy.deepcopy(params)
     swapped.dec_pos[[i, j]] = swapped.dec_pos[[j, i]]
-    z_b = forward([img], [mask], BoundParams(swapped)).z.data
+    z_b = forward([patches_of(img)], [mask], BoundParams(swapped)).z.data
 
     np.testing.assert_allclose(z_b[i], z_a[j], rtol=1e-12, atol=1e-12)
     np.testing.assert_allclose(z_b[j], z_a[i], rtol=1e-12, atol=1e-12)
@@ -203,7 +211,7 @@ def test_project_global_per_token_and_dim():
 def test_forward_shapes():
     bp = BoundParams(tiny_params())
     mask = tiny_mask(seed=7)
-    out = forward([synthetic_image(32, 3, seed=6)], [mask], bp)
+    out = forward([patches_of(synthetic_image(32, 3, seed=6))], [mask], bp)
     v = len(mask.visible_idx)
     assert out.h.shape == (v, 8)
     assert out.z.shape == (16, TINY.target_dim)
@@ -246,7 +254,7 @@ def test_checkpoint_round_trip_bitwise(tmp_path):
     params = tiny_params(seed=9)
     mask = tiny_mask(seed=8)
     img = synthetic_image(32, 3, seed=7)
-    z_before = forward([img], [mask], BoundParams(params)).z.data.tobytes()
+    z_before = forward([patches_of(img)], [mask], BoundParams(params)).z.data.tobytes()
 
     path = tmp_path / "ckpt.bin"
     save_checkpoint(path, params)
@@ -256,7 +264,7 @@ def test_checkpoint_round_trip_bitwise(tmp_path):
     assert set(loaded.weights) == set(params.weights)
     for name in params.weights:
         assert loaded.weights[name].tobytes() == params.weights[name].tobytes()
-    z_after = forward([img], [mask], BoundParams(loaded)).z.data.tobytes()
+    z_after = forward([patches_of(img)], [mask], BoundParams(loaded)).z.data.tobytes()
     assert z_after == z_before
 
 
@@ -411,7 +419,7 @@ def test_batch_masks_must_agree_on_visible_count():
                             visible_idx=np.array([0], dtype=np.int64))
     images = [synthetic_image(32, 3, seed=i) for i in range(2)]
     with pytest.raises(ShapeError, match="visible count: 8 and 1"):
-        forward(images, [four_visible, one_visible], bp)
+        forward([patches_of(i) for i in images], [four_visible, one_visible], bp)
 
 
 def test_batch_rows_match_one_image_passes():
@@ -421,10 +429,10 @@ def test_batch_rows_match_one_image_passes():
     bp = BoundParams(params)
     images = [synthetic_image(32, 3, seed=i, dtype=np.float64) for i in range(3)]
     masks = [tiny_mask(seed=10 + i) for i in range(3)]
-    out = forward(images, masks, bp)
+    out = forward([patches_of(i) for i in images], masks, bp)
     n, v = params.n_patches, len(masks[0].visible_idx)
     for i, (image, mask) in enumerate(zip(images, masks)):
-        one = forward([image], [mask], bp)
+        one = forward([patches_of(image)], [mask], bp)
         np.testing.assert_allclose(out.z.data[i * n:(i + 1) * n], one.z.data, rtol=0, atol=1e-12)
         np.testing.assert_allclose(out.h.data[i * v:(i + 1) * v], one.h.data, rtol=0, atol=1e-12)
 
@@ -435,6 +443,6 @@ def test_no_cls_config_runs():
                       use_cls=False, multi_block=False)
     params = init_params(cfg, 32, 3, seed=0)
     mask = tiny_mask(seed=9)
-    out = forward([synthetic_image(32, 3, seed=8)], [mask], BoundParams(params))
+    out = forward([patches_of(synthetic_image(32, 3, seed=8))], [mask], BoundParams(params))
     assert out.last_visible.shape == (len(mask.visible_idx), 8)  # no CLS row
     assert out.z.shape == (16, 4)

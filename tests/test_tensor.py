@@ -4,15 +4,17 @@ import zlib
 import numpy as np
 import pytest
 from conftest import (concat_gather_rows, fd_grad, masked_smooth_l1_chain,
-                      pooled_smooth_l1_chain, rel_err, tape_sum)
+                      pooled_smooth_l1_chain, rel_err, scatter_rows, tape_sum)
 
 from featmim import tensor as tn
 from featmim.errors import DataError, NumericError, ShapeError
 from featmim.tensor import Tape, Tensor, backward
 
 
-def taped(tape, name, arr):
-    return tape.parameter(name, np.asarray(arr, dtype=np.float64))
+def bind(**arrays):
+    """Float64 parameters from keyword arrays, and a new tape that holds them."""
+    params = tn.Parameters({k: np.asarray(v, dtype=np.float64) for k, v in arrays.items()})
+    return Tape(params), params
 
 
 def test_matmul_identity():
@@ -46,18 +48,18 @@ def test_matmul_grad_matches_finite_differences():
     def loss(x, w, b):
         return float(((x @ w + b) ** 2 * c).sum())
 
-    tape = Tape()
-    x, w, b = taped(tape, "x", x0), taped(tape, "w", w0), taped(tape, "b", b0)
-    y = tn.linear(x, w, b)
-    grads = backward(tape, tape_sum(tn.mul(tn.mul(y, y), Tensor(c))))
+    tape, params = bind(x=x0, w=w0, b=b0)
+    y = tn.linear(params["x"], params["w"], params["b"])
+    backward(tape, tape_sum(tn.mul(tn.mul(y, y), Tensor(c))))
+    grads = params.grads
     assert rel_err(grads["x"], fd_grad(lambda v: loss(v, w0, b0), x0)) < 1e-4
     assert rel_err(grads["w"], fd_grad(lambda v: loss(x0, v, b0), w0)) < 1e-4
     assert rel_err(grads["b"], fd_grad(lambda v: loss(x0, w0, v), b0)) < 1e-4
 
 
 def test_elementwise_ops_reject_broadcasting_a_taped_operand():
-    tape = Tape()
-    row = taped(tape, "row", np.ones((1, 5)))
+    tape, params = bind(row=np.ones((1, 5)))
+    row = params["row"]
     for op in (tn.add, tn.mul):
         with pytest.raises(ShapeError):
             op(row, Tensor(np.ones((3, 5))))
@@ -67,8 +69,8 @@ def test_elementwise_ops_reject_broadcasting_a_taped_operand():
     out = tn.mul(row, 0.5)
     assert out.shape == (1, 5) and out.dtype == np.float64
     np.testing.assert_array_equal(tn.add(row, Tensor(np.ones(5))).data, np.full((1, 5), 2.0))
-    grads = backward(tape, tape_sum(tn.add(tn.mul(row, 3.0), Tensor(np.ones(5)))))
-    np.testing.assert_array_equal(grads["row"], np.full((1, 5), 3.0))
+    backward(tape, tape_sum(tn.add(tn.mul(row, 3.0), Tensor(np.ones(5)))))
+    np.testing.assert_array_equal(params.grads["row"], np.full((1, 5), 3.0))
 
 
 def attention_reference(q, k, v, heads):
@@ -167,8 +169,8 @@ def test_attention_rejects_bad_shapes():
 
 
 def test_fused_ops_record_one_node():
-    tape = Tape()
-    x = taped(tape, "x", np.ones((3, 4)))
+    tape, params = bind(x=np.ones((3, 4)))
+    x = params["x"]
     tn.attention(x, x, x, 2)
     tn.masked_smooth_l1(x, [0, 2], np.zeros((2, 4)), 1.0, 0.5)
     tn.pooled_smooth_l1(x, 3, np.zeros((3, 4)), 1.0, 0.5)
@@ -176,13 +178,15 @@ def test_fused_ops_record_one_node():
 
 
 def test_each_record_holds_one_grad_fn():
-    # a constant input keeps its slot in the record, as None
-    tape = Tape()
-    w, b = taped(tape, "w", np.ones((4, 2))), taped(tape, "b", np.zeros(2))
+    # a constant input keeps its slot in the record, as None; linear skips
+    # the gradient of a constant input, as patch_embed's patch rows are
+    tape, params = bind(w=np.ones((4, 2)), b=np.zeros(2))
+    w, b = params["w"], params["b"]
     out = tn.linear(Tensor(np.ones((3, 4))), w, b)
     (out_idx, in_idxs, grad_fn), = tape._ops
     assert (out_idx, in_idxs) == (out.idx, [None, w.idx, b.idx])
-    assert [g.shape for g in grad_fn(np.ones((3, 2)))] == [(3, 4), (4, 2), (2,)]
+    gx, gw, gb = grad_fn(np.ones((3, 2)))
+    assert gx is None and (gw.shape, gb.shape) == ((4, 2), (2,))
 
 
 def test_layer_norm_constant_row():
@@ -197,29 +201,28 @@ def test_layer_norm_standardises():
 
 
 def test_backward_sum_gives_ones():
-    tape = Tape()
-    w = taped(tape, "w", np.arange(6, dtype=np.float64).reshape(2, 3))
-    grads = backward(tape, tape_sum(w))
-    np.testing.assert_array_equal(grads["w"], np.ones((2, 3)))
+    tape, params = bind(w=np.arange(6, dtype=np.float64).reshape(2, 3))
+    backward(tape, tape_sum(params["w"]))
+    np.testing.assert_array_equal(params.grads["w"], np.ones((2, 3)))
 
 
 def test_backward_sum_of_squares():
-    tape = Tape()
-    w = taped(tape, "w", [1.0, 2.0])
-    grads = backward(tape, tape_sum(tn.mul(w, w)))
-    np.testing.assert_allclose(grads["w"], [2.0, 4.0])
+    tape, params = bind(w=[1.0, 2.0])
+    w = params["w"]
+    backward(tape, tape_sum(tn.mul(w, w)))
+    np.testing.assert_allclose(params.grads["w"], [2.0, 4.0])
 
 
 def test_backward_rejects_non_scalar_loss():
-    tape = Tape()
-    w = taped(tape, "w", [1.0, 2.0])
+    tape, params = bind(w=[1.0, 2.0])
+    w = params["w"]
     with pytest.raises(ShapeError):
         backward(tape, tn.mul(w, w))
 
 
 def test_backward_consumes_the_tape():
-    tape = Tape()
-    w = taped(tape, "w", np.ones(3))
+    tape, params = bind(w=np.ones(3))
+    w = params["w"]
     loss = tape_sum(tn.mul(w, w))
     backward(tape, loss)
     with pytest.raises(RuntimeError, match="already replayed"):
@@ -227,12 +230,15 @@ def test_backward_consumes_the_tape():
 
 
 def test_backward_unused_parameter_gets_zeros():
-    tape = Tape()
-    w = taped(tape, "w", [1.0, 2.0])
-    u = taped(tape, "u", [3.0])
-    grads = backward(tape, tape_sum(w))
-    np.testing.assert_array_equal(grads["u"], np.zeros(1))
-    assert grads["u"].shape == u.data.shape
+    # backward writes the flat buffer whole: an unreached parameter's slice
+    # comes back as exact +0.0 whatever the buffer held before
+    tape, params = bind(w=[1.0, 2.0], u=[3.0])
+    params.grad[...] = np.nan
+    flat = backward(tape, tape_sum(params["w"]))
+    assert flat is params.grad
+    assert params.grads["u"].tobytes() == np.zeros(1).tobytes()
+    assert params.grads["u"].shape == params["u"].data.shape
+    np.testing.assert_array_equal(flat, [1.0, 1.0, 0.0])
 
 
 def test_gradient_accumulation_matches_separate_passes():
@@ -241,9 +247,9 @@ def test_gradient_accumulation_matches_separate_passes():
     x0 = rng.normal(size=(4,))
 
     def run(build):
-        tape = Tape()
-        x = taped(tape, "x", x0)
-        return backward(tape, build(x))["x"]
+        tape, params = bind(x=x0)
+        backward(tape, build(params["x"]))
+        return params.grads["x"]
 
     joint = run(lambda x: tn.add(tape_sum(tn.mul(x, x)), tape_sum(tn.gelu(x))))
     sep = run(lambda x: tape_sum(tn.mul(x, x))) + run(lambda x: tape_sum(tn.gelu(x)))
@@ -251,10 +257,27 @@ def test_gradient_accumulation_matches_separate_passes():
 
 
 def test_operands_from_two_tapes_are_rejected():
-    a = taped(Tape(), "a", np.ones(2))
-    b = taped(Tape(), "b", np.ones(2))
+    a = bind(a=np.ones(2))[1]["a"]
+    b = bind(b=np.ones(2))[1]["b"]
     with pytest.raises(RuntimeError, match="different tapes"):
         tn.add(a, b)
+
+
+def test_a_tensor_from_an_earlier_step_fails_loudly():
+    # the parameters are bound once and held by each step's new tape; an op
+    # tensor of the earlier step mixed into the next raises, and so does
+    # recording on the earlier, replayed tape
+    tape, params = bind(x=np.ones(3))
+    x = params["x"]
+    stale = tn.gelu(x)
+    backward(tape, tape_sum(stale))
+    assert x.tape is None  # handed back: a constant between steps
+    np.testing.assert_array_equal(tn.mul(x, x).data, np.ones(3))
+    Tape(params)
+    with pytest.raises(RuntimeError, match="different tapes"):
+        tn.add(stale, x)
+    with pytest.raises(RuntimeError, match="already replayed"):
+        tn.relu(stale)
 
 
 def test_gather_rows_with_row_matches_concat_oracle_bitwise():
@@ -264,24 +287,108 @@ def test_gather_rows_with_row_matches_concat_oracle_bitwise():
     row0 = rng.normal(size=8).astype(np.float32)
     idx = np.concatenate([np.arange(7), rng.integers(0, 7, size=41)])
     g = rng.normal(size=(len(idx), 8)).astype(np.float32)
-    tape = Tape()
-    a, row = tape.parameter("a", a0), tape.parameter("row", row0)
-    out = tn.gather_rows(a, idx, row)
+    params = tn.Parameters({"a": a0, "row": row0})
+    tape = Tape(params)
+    out = tn.gather_rows(params["a"], idx, params["row"])
     assert len(tape._ops) == 1  # the row costs no extra op
-    grads = backward(tape, tape_sum(tn.mul(out, Tensor(g))))
+    backward(tape, tape_sum(tn.mul(out, Tensor(g))))
     want, want_grads = concat_gather_rows(a0, idx, row0)
     assert out.data.tobytes() == want.tobytes()
-    for got, ref in zip((grads["a"], grads["row"]), want_grads(g)):
+    for got, ref in zip((params.grads["a"], params.grads["row"]), want_grads(g)):
         assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
     with pytest.raises(ShapeError):
-        tn.gather_rows(a, idx, Tensor(np.zeros(7, np.float32)))
+        tn.gather_rows(params["a"], idx, Tensor(np.zeros(7, np.float32)))
+
+
+def _signed_zeros(rng, g):
+    """g with about a third of its entries set to -0.0 and a sixth to +0.0,
+    and its first row all -0.0."""
+    pick = rng.random(g.shape)
+    g = np.where(pick < 1 / 3, -0.0, np.where(pick < 0.5, 0.0, g)).astype(g.dtype)
+    g[0] = -0.0
+    return g
+
+
+def _record_grad_fn(tape):
+    (_, _, grad_fn), = tape._ops
+    return grad_fn
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("batch", [1, 3])
+def test_gather_backward_matches_the_scatter_oracle_bitwise(dtype, batch):
+    # the gathers a step records: CLS ahead of each image's visible rows (the
+    # row read B times), the restore index (the mask token read B x masked
+    # times, each row of h once) and the patch rows (unique, no row); then
+    # one-channel rows, where a pairwise np.sum over the row's 64 reads
+    # would differ from the scatter's running sum, and rows of a read
+    # twice, which fall back to np.add.at
+    rng = np.random.default_rng(batch)
+    n, d, n_vis = 16, 5, 6
+    vis = np.stack([np.sort(rng.choice(n, n_vis, replace=False)) for _ in range(batch)])
+    vis_rows = vis + n * np.arange(batch)[:, None]
+    restore = np.full(batch * n, batch * n_vis)
+    restore[vis_rows.reshape(-1)] = np.arange(batch * n_vis)
+    seq = n_vis + 1
+    cases = [
+        (batch * n, np.concatenate([np.full((batch, 1), batch * n), vis_rows], axis=1), True, d),
+        (batch * n_vis, restore, True, d),
+        (batch * seq, (seq * np.arange(batch)[:, None] + np.arange(1, seq)), False, d),
+        (3, rng.permutation(np.r_[0:3, np.full(64, 3)]), True, 1),
+        (4, np.array([0, 2, 2, 4, 1, 4, 4]), True, d),
+    ]
+    for rows_a, idx, with_row, d in cases:
+        idx = idx.reshape(-1)
+        arrays = {"a": rng.normal(size=(rows_a, d)).astype(dtype)}
+        if with_row:
+            arrays["row"] = rng.normal(size=d).astype(dtype)
+        params = tn.Parameters(arrays)
+        tape = Tape(params)
+        tn.gather_rows(params["a"], idx, params["row"] if with_row else None)
+        g = _signed_zeros(rng, rng.normal(size=(len(idx), d)).astype(dtype))
+        got = _record_grad_fn(tape)(g)
+        want = scatter_rows((rows_a + with_row, d), idx, g)
+        want = (want[:rows_a], want[rows_a]) if with_row else (want,)
+        assert len(got) == len(want)
+        for x, y in zip(got, want):
+            assert x.dtype == dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("upstream", [1.0, -0.3])
+def test_masked_loss_backward_matches_the_scatter_oracle_bitwise(dtype, upstream):
+    # rows masked in three images; zero residuals in both branches give
+    # elementwise gradients of +0.0 and, under a negative upstream, -0.0,
+    # which np.subtract.at into zeros turns into +0.0
+    rng = np.random.default_rng(int(upstream < 0))
+    n, d, beta = 8, 3, 2.0
+    rows = np.concatenate([b * n + np.sort(rng.choice(n, 3, replace=False)) for b in range(3)])
+    z0 = (rng.normal(size=(3 * n, d)) * 3).astype(dtype)
+    target = (rng.normal(size=(len(rows), d)) * 3).astype(dtype)
+    target[:2] = z0[rows[:2]]
+    params = tn.Parameters({"z": z0})
+    tape = Tape(params)
+    tn.masked_smooth_l1(params["z"], rows, target, beta, 1.0 / target.size)
+    g = np.asarray(upstream, dtype=dtype)
+    (got,) = _record_grad_fn(tape)(g)
+    grad_d = tn._smooth_l1(target - z0[rows], beta, 1.0 / target.size)[2](g)
+    assert (np.signbit(grad_d) & (grad_d == 0)).any() == (upstream < 0)
+    want = scatter_rows(z0.shape, rows, grad_d, np.subtract)
+    assert got.dtype == dtype and got.tobytes() == want.tobytes()
 
 
 def test_parameter_registered_once():
-    tape = Tape()
-    tape.parameter("w", np.zeros(2))
-    with pytest.raises(ValueError):
-        tape.parameter("w", np.zeros(2))
+    # a parameter is one tensor for the whole run: every step's tape takes
+    # that tensor, at the same position, and no tape makes a new one
+    w0 = np.zeros(2)
+    params = tn.Parameters({"v": np.ones(3), "w": w0})
+    w = params["w"]
+    assert w.data is w0
+    for _ in range(2):
+        tape = Tape(params)
+        assert params["w"] is w and (w.tape, w.idx) == (tape, 1)
+        assert tape._n_nodes == 2
+        backward(tape, tape_sum(tn.mul(w, w)))
 
 
 def test_forward_determinism_bitwise():
@@ -483,10 +590,9 @@ def test_op_gradients_match_finite_differences(name, factory):
         def f(x):
             return float(build(Tensor(x)).data)
 
-        tape = Tape()
-        x = taped(tape, "x", x0)
-        grads = backward(tape, build(x))
-        worst = max(worst, rel_err(grads["x"], fd_grad(f, x0)))
+        tape, params = bind(x=x0)
+        backward(tape, build(params["x"]))
+        worst = max(worst, rel_err(params.grads["x"], fd_grad(f, x0)))
     assert worst < 1e-4, f"{name}: max rel err {worst}"
 
 
@@ -514,15 +620,16 @@ def test_loss_nodes_match_the_op_chain_bitwise(batch, channel_reduce, upstream):
 
     def check(node, oracle, x0, args, count):
         scale = 1.0 / (batch * count)
-        tape = Tape()
-        x = tape.parameter("x", x0)
-        loss, elem = node(x, *args, beta, scale)
+        params = tn.Parameters({"x": x0})
+        tape = Tape(params)
+        loss, elem = node(params["x"], *args, beta, scale)
         want_loss, want_elem, want_grads = oracle(x0, *args, beta, scale)
         inside = np.abs(want_elem) < 0.5 * beta  # |d| < beta
         assert inside.any() and not inside.all()
         assert loss.data.tobytes() == want_loss.tobytes()
         assert elem.dtype == f32 and elem.tobytes() == want_elem.tobytes()
-        grad = backward(tape, tn.mul(loss, upstream) if upstream != 1.0 else loss)["x"]
+        backward(tape, tn.mul(loss, upstream) if upstream != 1.0 else loss)
+        grad = params.grads["x"]
         want = want_grads(np.ones((), f32) * np.asarray(upstream, dtype=f32))
         assert grad.dtype == f32 and grad.tobytes() == want.tobytes()
 
@@ -549,11 +656,10 @@ def test_layer_norm_gain_bias_gradients():
     b0 = rng.normal(size=4)
     wts = rng.normal(size=(3, 4))
 
-    tape = Tape()
-    g = taped(tape, "g", g0)
-    b = taped(tape, "b", b0)
-    loss = tape_sum(tn.mul(tn.layer_norm(Tensor(x0), g, b), Tensor(wts)))
-    grads = backward(tape, loss)
+    tape, params = bind(g=g0, b=b0)
+    loss = tape_sum(tn.mul(tn.layer_norm(Tensor(x0), params["g"], params["b"]), Tensor(wts)))
+    backward(tape, loss)
+    grads = params.grads
 
     def fg(gv):
         out = tn.layer_norm(Tensor(x0), Tensor(gv), Tensor(b0)).data

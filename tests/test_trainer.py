@@ -10,15 +10,16 @@ import numpy as np
 import pytest
 
 import featmim.trainer
-from conftest import full_composition_step, inline_shuffle, per_parameter_adamw
+from conftest import (full_composition_step, inline_shuffle, pack_sorted,
+                      per_name_backward, per_parameter_adamw)
 from featmim.config import RunConfig
 from featmim.errors import ConfigError, NumericError
 from featmim.losses import patch_loss, total_loss
 from featmim.masking import SplitMix64, generate_mask
-from featmim.model import BoundParams, forward, init_params, load_checkpoint
+from featmim.model import BoundParams, forward, init_params, load_checkpoint, patchify
 from featmim.synth import synthetic_image
 from featmim.teacher import ProceduralConvTeacher
-from featmim.tensor import Tape, backward
+from featmim.tensor import Tape, Tensor, backward
 from featmim.trainer import (FeatureCache, OptimizerState, TrainConfig,
                              ablate_lambda, adamw_step, lr_at, scaled_lr,
                              step_losses, train)
@@ -126,19 +127,16 @@ def test_flat_adamw_matches_per_parameter_oracle_bitwise(dtype):
     ref = {k: v.copy() for k, v in params.weights.items()}
     state, ref_state = OptimizerState(), {}
     rng = np.random.default_rng(7)
-    flat_grad = np.empty_like(params.flat)
     for step in range(5):
         grads = {k: rng.normal(size=v.shape).astype(dtype) for k, v in ref.items()}
-        np.concatenate([grads[k].reshape(-1) for k in names], out=flat_grad)
+        flat_grad = pack_sorted(grads)
         lr = 0.01 / (step + 1)
         adamw_step(params.flat, flat_grad, state, lr)
         per_parameter_adamw(ref, grads, ref_state, lr)
         for k in names:
             assert params.weights[k].tobytes() == ref[k].tobytes(), (step, k)
-        np.testing.assert_array_equal(
-            state.m, np.concatenate([ref_state["m"][k].reshape(-1) for k in names]))
-        np.testing.assert_array_equal(
-            state.v, np.concatenate([ref_state["v"][k].reshape(-1) for k in names]))
+        np.testing.assert_array_equal(state.m, pack_sorted(ref_state["m"]))
+        np.testing.assert_array_equal(state.v, pack_sorted(ref_state["v"]))
 
 
 def test_loss_finite_at_init_across_seeds():
@@ -146,12 +144,12 @@ def test_loss_finite_at_init_across_seeds():
     image = synthetic_image(32, 3, seed=1)
     mask = generate_mask(cfg.mask)
     teacher = ProceduralConvTeacher(target_dim=16, downsample_rate=8, seed=0)
-    feats = teacher.features(image)
+    record = FeatureCache(teacher, patch_side=8).get("img", image)
     for seed in range(100):
         params = init_params(cfg.model, 32, 3, seed=seed)
-        out = forward([image], [mask], BoundParams(params))
-        lt = total_loss(patch_loss(out.z, [feats], [mask], 2.0).loss,
-                        patch_loss(out.z, [feats], [mask], 2.0).loss, 0.5)
+        out = forward([record.patches], [mask], BoundParams(params))
+        lt = total_loss(patch_loss(out.z, [record], [mask], 2.0).loss,
+                        patch_loss(out.z, [record], [mask], 2.0).loss, 0.5)
         assert np.isfinite(float(lt.data))
 
 
@@ -198,7 +196,7 @@ def test_final_checkpoint_matches_live_params(tmp_path):
     result = train(cfg, images, tmp_path)
     loaded = load_checkpoint(result.final_checkpoint)
     mask = generate_mask(cfg.mask)
-    out = forward([images[0][1]], [mask], BoundParams(loaded))
+    out = forward([patchify(images[0][1], 8)], [mask], BoundParams(loaded))
     assert np.isfinite(out.z.data).all()
 
 
@@ -262,30 +260,76 @@ def test_default_step_op_budget(tmp_path, monkeypatch):
     # the minibatch is one graph; each dense layer and attention is one op,
     # each loss one op from prediction to weighted scalar, and one gather
     # each places the CLS and the mask tokens, so a per-image loop or an
-    # unfused path coming back raises the count
-    real_backward = featmim.trainer.backward
+    # unfused path coming back raises the count. The parameter tensors are
+    # bound once per run: from its first lr_at call to its backward, the
+    # step creates its 54 op tensors on the tape and no tensor over a weight
+    real_backward, real_lr_at = featmim.trainer.backward, featmim.trainer.lr_at
+    real_init = Tensor.__init__
+    created = []
+
+    def recording_init(self, data):
+        real_init(self, data)
+        created.append(self)
+
+    def step_start(t, cfg):
+        created.clear()
+        return real_lr_at(t, cfg)
+
+    monkeypatch.setattr(Tensor, "__init__", recording_init)
+    monkeypatch.setattr(featmim.trainer, "lr_at", step_start)
     for batch_size in (1, 8):
         cfg = RunConfig()
         cfg = replace(cfg, train=replace(cfg.train, batch_size=batch_size, total_epochs=1.0,
                                          warmup_epochs=0.5)).validate()
-        ops_per_step = []
+        ops_per_step, tensors_per_step = [], []
 
         def counting_backward(tape, loss):
             ops_per_step.append(len(tape._ops))
+            weights = {id(t.data) for t in tape.params.values()}
+            on_tape = sorted(t.idx for t in created if t.tape is tape)
+            n_params = len(weights)
+            tensors_per_step.append((on_tape == list(range(n_params, n_params + 54)),
+                                     sum(id(t.data) in weights for t in created)))
             return real_backward(tape, loss)
 
         monkeypatch.setattr(featmim.trainer, "backward", counting_backward)
         train(cfg, small_images(batch_size), tmp_path / f"b{batch_size}")
         assert ops_per_step == [54], batch_size
+        assert tensors_per_step == [(True, 0)], batch_size
+
+
+@pytest.mark.parametrize("batch_size", [1, 8])
+def test_backward_writes_the_flat_gradient_of_the_per_name_oracle(batch_size):
+    # the buffer, filled with NaN first, comes back bitwise equal to the
+    # per-name gradients packed in sorted name order; at lam=0 the global
+    # head's parameters are not reached and read exact +0.0
+    cfg = RunConfig()
+    loss_cfg = replace(cfg.loss, lam=0.0)
+    params = init_params(cfg.model, 32, 3, seed=0)
+    batch = _step_batch(cfg, batch_size, np.float32)
+
+    def taped_loss():
+        bp = BoundParams(params)
+        tape = Tape(bp)
+        return bp, tape, step_losses(bp, batch, loss_cfg)[0]
+
+    bp, tape, loss = taped_loss()
+    bp.grad[...] = np.nan
+    flat = backward(tape, loss)
+    _, ref_tape, ref_loss = taped_loss()
+    want = per_name_backward(ref_tape, ref_loss)
+    assert flat is bp.grad and flat.tobytes() == pack_sorted(want).tobytes()
+    head = [k for k in want if k.startswith("proj_")]
+    assert len(head) == 4
+    for k in head:
+        assert bp.grads[k].tobytes() == np.zeros_like(want[k]).tobytes(), k
+    assert all(np.any(g != 0) for k, g in bp.grads.items() if k not in head)
 
 
 def _step_batch(cfg, n, dtype):
-    teacher = ProceduralConvTeacher(target_dim=16, downsample_rate=8, seed=0)
-    batch = []
-    for i in range(n):
-        image = synthetic_image(32, 3, seed=i, dtype=dtype)
-        batch.append((image, generate_mask(replace(cfg.mask, seed=i)), teacher.features(image)))
-    return batch
+    cache = FeatureCache(ProceduralConvTeacher(target_dim=16, downsample_rate=8, seed=0), 8)
+    return [(cache.get(f"img{i}", synthetic_image(32, 3, seed=i, dtype=dtype)),
+             generate_mask(cfg.mask, i)) for i in range(n)]
 
 
 @pytest.mark.parametrize("channel_reduce", ["mean", "sum"])
@@ -298,9 +342,11 @@ def test_batched_step_is_the_mean_of_one_image_steps(channel_reduce):
     batch = _step_batch(cfg, 4, np.float64)
 
     def step(items):
-        tape = Tape()
-        loss, *logged = step_losses(BoundParams(params, tape), items, loss_cfg)
-        return float(loss.data), logged, backward(tape, loss)
+        bp = BoundParams(params)
+        tape = Tape(bp)
+        loss, *logged = step_losses(bp, items, loss_cfg)
+        backward(tape, loss)
+        return float(loss.data), logged, bp.grads
 
     loss, logged, grads = step(batch)
     singles = [step([item]) for item in batch]
@@ -320,11 +366,12 @@ def test_non_finite_gradient_stops_the_run_before_its_update(tmp_path, monkeypat
     steps, updates = [], []
 
     def backward_nan_at_step_2(tape, loss):
-        grads = real_backward(tape, loss)
+        flat = real_backward(tape, loss)
         steps.append(1)
-        if len(steps) == 3:
-            grads["enc1_mlp_fc1_w"][1, 2] = np.nan
-        return grads
+        if len(steps) == 3:  # a later parameter too: the first in sorted order is named
+            tape.params.grads["proj_fc2_w"][0, 0] = np.inf
+            tape.params.grads["enc1_mlp_fc1_w"][1, 2] = np.nan
+        return flat
 
     def counting_adamw(params, *args, **kwargs):
         updates.append(1)
@@ -364,8 +411,8 @@ def test_step_activations_are_freed_by_backward(monkeypatch):
     refs = []
     real_forward = featmim.trainer.forward
 
-    def recording_forward(images, masks, bp):
-        out = real_forward(images, masks, bp)
+    def recording_forward(patches, masks, bp):
+        out = real_forward(patches, masks, bp)
         refs.extend(weakref.ref(t.data) for t in (*out.layers, out.h, out.z))
         return out
 
@@ -373,8 +420,9 @@ def test_step_activations_are_freed_by_backward(monkeypatch):
     gc.collect()
     gc.disable()
     try:
-        tape = Tape()
-        loss = step_losses(BoundParams(params, tape), batch, cfg.loss)[0]
+        bp = BoundParams(params)
+        tape = Tape(bp)
+        loss = step_losses(bp, batch, cfg.loss)[0]
         # some activations are already gone: add keeps no operand for its backward
         assert refs and any(r() is not None for r in refs)
         backward(tape, loss)
