@@ -12,7 +12,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .masking import generate_mask
-from .model import BoundParams, init_params
+from .model import init_params
 from .synth import synthetic_image
 from .teacher import make_teacher
 from .tensor import Tape, backward
@@ -74,30 +74,25 @@ def grad_check(cfg=None, h=1e-5, floor=1e-6, in_channels=3, batch_size=1):
 
     params = init_params(cfg.model, cfg.mask.image_side, in_channels,
                          seed=cfg.train.seed, dtype=np.float64)
-    bp = BoundParams(params)
-    backward(Tape(bp), step_losses(bp, batch, cfg.loss)[0])
+    backward(Tape(params), step_losses(params, batch, cfg.loss)[0])
 
     def loss_value():  # backward handed the parameters back: they are constants
-        return float(step_losses(bp, batch, cfg.loss)[0].data)
+        return float(step_losses(params, batch, cfg.loss)[0].data)
 
-    per_param = {}
-    n_elements = 0
-    for name, arr in params.weights.items():
-        flat = arr.reshape(-1)
-        num = np.zeros_like(flat)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + h
-            fp = loss_value()
-            flat[i] = orig - h
-            fm = loss_value()
-            flat[i] = orig
-            num[i] = (fp - fm) / (2.0 * h)
-        ana = bp.grads[name].reshape(-1)
-        denom = np.maximum(np.maximum(np.abs(ana), np.abs(num)), floor)
-        per_param[name] = float(np.max(np.abs(ana - num) / denom))
-        n_elements += flat.size
+    flat, ana = params.flat, params.grad
+    num = np.zeros_like(flat)
+    for i in range(flat.size):
+        orig = flat[i]
+        flat[i] = orig + h
+        fp = loss_value()
+        flat[i] = orig - h
+        fm = loss_value()
+        flat[i] = orig
+        num[i] = (fp - fm) / (2.0 * h)
+    rel = np.abs(ana - num) / np.maximum(np.maximum(np.abs(ana), np.abs(num)), floor)
+    per_param = {name: float(np.max(rel[end - t.data.size:end]))
+                 for (name, t), end in zip(params.items(), params.ends)}
 
     worst = max(per_param, key=per_param.get)
     return GradCheckReport(per_param=per_param, max_rel_err=per_param[worst],
-                           worst_param=worst, n_parameters=n_elements)
+                           worst_param=worst, n_parameters=flat.size)

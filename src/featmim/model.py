@@ -18,8 +18,7 @@ linear weights are Xavier-uniform; CLS and mask tokens draw from N(0, 0.02).
 import json
 import math
 import struct
-from dataclasses import asdict, dataclass, field
-from typing import Optional
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -77,22 +76,15 @@ def sincos_pos_embed(dim, grid_side):
     return np.concatenate([_sincos_1d(dim // 2, rows), _sincos_1d(dim // 2, cols)], axis=1)
 
 
-@dataclass
-class ModelParams:
-    """Trainable weights plus the fixed position tables.
+class ModelParams(tn.Parameters):
+    """The student's weights: tensor.Parameters in sorted name order (the
+    checkpoint's), so AdamW updates them all through `flat`; plus the patch
+    geometry and the fixed position tables, which are constants."""
 
-    Every weight lives in `flat`, one C-contiguous buffer in sorted name
-    order; `weights[name]` is a reshaped view of its slice. Write weights in
-    place, never rebind `weights[name]`: AdamW updates `flat` alone.
-    """
-
-    config: ModelConfig
-    n_patches: int
-    in_channels: int
-    weights: dict = field(default_factory=dict)
-    flat: np.ndarray = None
-    enc_pos: np.ndarray = None  # [N, embed_dim], constant
-    dec_pos: np.ndarray = None  # [N, dec_width], constant
+    def __init__(self, arrays, config: ModelConfig, n_patches, in_channels, enc_pos, dec_pos):
+        super().__init__(arrays)
+        self.config, self.n_patches, self.in_channels = config, n_patches, in_channels
+        self.enc_pos, self.dec_pos = enc_pos, dec_pos  # [N, embed_dim], [N, dec_width]
 
 
 def _xavier(rng, shape, dtype):
@@ -157,38 +149,9 @@ def init_params(config: ModelConfig, image_side, in_channels, seed, dtype=np.flo
     xav("proj_fc2_w", (d, config.target_dim))
     zero("proj_fc2_b", (config.target_dim,))
 
-    flat = np.concatenate([wt[k].reshape(-1) for k in sorted(wt)])
-    ends = np.cumsum([wt[k].size for k in sorted(wt)])
-    for k, end in zip(sorted(wt), ends):
-        wt[k] = flat[end - wt[k].size:end].reshape(wt[k].shape)
-    return ModelParams(
-        config=config, n_patches=n, in_channels=in_channels, weights=wt, flat=flat,
-        enc_pos=sincos_pos_embed(d, grid).astype(dtype),
-        dec_pos=sincos_pos_embed(w, grid).astype(dtype))
-
-
-class BoundParams(tn.Parameters):
-    """ModelParams as parameter tensors, bound once, in sorted name order, so
-    the gradient buffer backward writes is laid out like ModelParams.flat."""
-
-    def __init__(self, params: ModelParams):
-        super().__init__({k: params.weights[k] for k in sorted(params.weights)})
-        self.meta = params
-        self.config = params.config
-
-
-@dataclass
-class StudentOutput:
-    """Per-layer visible tokens plus everything derived from them, for a
-    batch of B images whose tokens are stacked image by image."""
-
-    layers: list  # encoder block outputs, visible patch tokens only, each [B*V, d]
-    h: Optional[Tensor] = None  # aggregated visible tokens [B*V, d]
-    z: Optional[Tensor] = None  # decoder predictions [B*N, target_dim]
-
-    @property
-    def last_visible(self):
-        return self.layers[-1]
+    return ModelParams({k: wt[k] for k in sorted(wt)}, config, n, in_channels,
+                       sincos_pos_embed(d, grid).astype(dtype),
+                       sincos_pos_embed(w, grid).astype(dtype))
 
 
 def patchify(image, patch_side):
@@ -201,121 +164,121 @@ def patchify(image, patch_side):
     return x.transpose(1, 3, 0, 2, 4).reshape(gh * gw, c * patch_side**2)
 
 
-def patch_embed(patches, bp: BoundParams):
+def patch_embed(patches, params: ModelParams):
     """Linear projection of the patch rows of B images (each [N, C * patch**2],
     from patchify), stacked to [B*N, d], plus position embeddings."""
-    flat = np.concatenate(patches).astype(bp.meta.weights["patch_proj_w"].dtype, copy=False)
-    want = (len(patches) * bp.meta.n_patches, bp.meta.in_channels * bp.config.patch_side**2)
-    if flat.shape != want:
-        raise ConfigError(f"patch rows {flat.shape} do not match the model's {want}")
-    tokens = tn.linear(Tensor(flat), bp["patch_proj_w"], bp["patch_proj_b"])
-    return tn.add(tokens, Tensor(np.tile(bp.meta.enc_pos, (len(patches), 1))))
+    rows = np.concatenate(patches).astype(params.flat.dtype, copy=False)
+    want = (len(patches) * params.n_patches, params.in_channels * params.config.patch_side**2)
+    if rows.shape != want:
+        raise ConfigError(f"patch rows {rows.shape} do not match the model's {want}")
+    tokens = tn.linear(Tensor(rows), params["patch_proj_w"], params["patch_proj_b"])
+    return tn.add(tokens, Tensor(np.tile(params.enc_pos, (len(patches), 1))))
 
 
-def _attention(x, bp, prefix, heads, batch):
-    q = tn.linear(x, bp[f"{prefix}_q_w"], bp[f"{prefix}_q_b"])
-    k = tn.linear(x, bp[f"{prefix}_k_w"], bp[f"{prefix}_k_b"])
-    v = tn.linear(x, bp[f"{prefix}_v_w"], bp[f"{prefix}_v_b"])
+def _attention(x, params, prefix, heads, batch):
+    q = tn.linear(x, params[f"{prefix}_q_w"], params[f"{prefix}_q_b"])
+    k = tn.linear(x, params[f"{prefix}_k_w"], params[f"{prefix}_k_b"])
+    v = tn.linear(x, params[f"{prefix}_v_w"], params[f"{prefix}_v_b"])
     y = tn.attention(q, k, v, heads, batch)
-    return tn.linear(y, bp[f"{prefix}_attn_out_w"], bp[f"{prefix}_attn_out_b"])
+    return tn.linear(y, params[f"{prefix}_attn_out_w"], params[f"{prefix}_attn_out_b"])
 
 
-def _mlp(x, bp, prefix):
-    h = tn.linear(x, bp[f"{prefix}_mlp_fc1_w"], bp[f"{prefix}_mlp_fc1_b"])
+def _mlp(x, params, prefix):
+    h = tn.linear(x, params[f"{prefix}_mlp_fc1_w"], params[f"{prefix}_mlp_fc1_b"])
     h = tn.gelu(h)
-    return tn.linear(h, bp[f"{prefix}_mlp_fc2_w"], bp[f"{prefix}_mlp_fc2_b"])
+    return tn.linear(h, params[f"{prefix}_mlp_fc2_w"], params[f"{prefix}_mlp_fc2_b"])
 
 
-def _transformer_block(x, bp, prefix, heads, batch):
+def _transformer_block(x, params, prefix, heads, batch):
     # pre-norm: x + Attn(LN(x)), then x + MLP(LN(x)); attention stays
     # within each of the batch's sequences, everything else is row-wise
-    a = _attention(tn.layer_norm(x, bp[f"{prefix}_ln1_g"], bp[f"{prefix}_ln1_b"]),
-                   bp, prefix, heads, batch)
+    a = _attention(tn.layer_norm(x, params[f"{prefix}_ln1_g"], params[f"{prefix}_ln1_b"]),
+                   params, prefix, heads, batch)
     x = tn.add(x, a)
-    m = _mlp(tn.layer_norm(x, bp[f"{prefix}_ln2_g"], bp[f"{prefix}_ln2_b"]), bp, prefix)
+    m = _mlp(tn.layer_norm(x, params[f"{prefix}_ln2_g"], params[f"{prefix}_ln2_b"]), params, prefix)
     return tn.add(x, m)
 
 
-def encode_visible(tokens, vis_rows, bp: BoundParams):
+def encode_visible(tokens, vis_rows, params: ModelParams):
     """Run only the visible tokens of each image (and its CLS) through the
-    encoder blocks, keeping every block's output.
+    encoder blocks; returns every block's output, visible patch tokens
+    only, each [B*V, d].
 
     tokens is [B*N, d] from patch_embed; vis_rows is [B, V], the batch's
     visible rows (masking.batch_rows of the masks' visible_idx).
     """
-    cfg = bp.config
-    (b, n_vis), n = vis_rows.shape, bp.meta.n_patches
+    cfg = params.config
+    (b, n_vis), n = vis_rows.shape, params.n_patches
     if tokens.shape[0] != b * n:
         raise ShapeError(f"{tokens.shape[0]} token rows for {b} masks of {n} patches")
     if n_vis == 0:
         raise DegenerateMaskError("encoder needs at least one visible token")
     # row b*n of the gather reads CLS: it goes ahead of each image's tokens
     rows = np.concatenate([np.full((b, 1), b * n), vis_rows], axis=1) if cfg.use_cls else vis_rows
-    x = tn.gather_rows(tokens, rows.reshape(-1), bp["cls_token"] if cfg.use_cls else None)
+    x = tn.gather_rows(tokens, rows.reshape(-1), params["cls_token"] if cfg.use_cls else None)
     seq = rows.shape[1]
     patch_rows = (seq * np.arange(b)[:, None] + np.arange(1, seq)).reshape(-1)
     layers = []
     for layer in range(cfg.enc_depth):
-        x = _transformer_block(x, bp, f"enc{layer}", cfg.enc_heads, b)
+        x = _transformer_block(x, params, f"enc{layer}", cfg.enc_heads, b)
         layers.append(tn.gather_rows(x, patch_rows) if cfg.use_cls else x)
-    return StudentOutput(layers=layers)
+    return layers
 
 
-def aggregate_multi_block(output: StudentOutput, config: ModelConfig):
+def aggregate_multi_block(layers, config: ModelConfig):
     """Combine per-block visible tokens: mean (default), literal sum, or
     just the last block when multi-block learning is off."""
     if not config.multi_block:
-        return output.layers[-1]
-    acc = output.layers[0]
-    for layer in output.layers[1:]:
+        return layers[-1]
+    acc = layers[0]
+    for layer in layers[1:]:
         acc = tn.add(acc, layer)
     if config.aggregate == "mean":
-        acc = tn.mul(acc, 1.0 / len(output.layers))
+        acc = tn.mul(acc, 1.0 / len(layers))
     return acc
 
 
-def decode(h_visible, vis_rows, bp: BoundParams):
+def decode(h_visible, vis_rows, params: ModelParams):
     """Rebuild each image's full grid with mask tokens and predict teacher
     features: [B*V, d] visible tokens -> [B*N, target_dim]. vis_rows is
     [B, V], as encode_visible takes it."""
-    cfg = bp.config
-    b, n = len(vis_rows), bp.meta.n_patches
-    h = tn.linear(h_visible, bp["enc2dec_w"], bp["enc2dec_b"])
+    cfg = params.config
+    b, n = len(vis_rows), params.n_patches
+    h = tn.linear(h_visible, params["enc2dec_w"], params["enc2dec_b"])
     # grid row -> row of h, or len(h) for the mask token
     restore_idx = np.full(b * n, vis_rows.size, dtype=np.int64)
     restore_idx[vis_rows.reshape(-1)] = np.arange(vis_rows.size)
-    x = tn.gather_rows(h, restore_idx, bp["mask_token"])
-    x = tn.add(x, Tensor(np.tile(bp.meta.dec_pos, (b, 1))))
+    x = tn.gather_rows(h, restore_idx, params["mask_token"])
+    x = tn.add(x, Tensor(np.tile(params.dec_pos, (b, 1))))
     for layer in range(cfg.dec_depth):
-        x = _transformer_block(x, bp, f"dec{layer}", cfg.dec_heads, b)
-    return tn.linear(x, bp["dec_pred_w"], bp["dec_pred_b"])
+        x = _transformer_block(x, params, f"dec{layer}", cfg.dec_heads, b)
+    return tn.linear(x, params["dec_pred_w"], params["dec_pred_b"])
 
 
-def project_global(h_visible, bp: BoundParams):
+def project_global(h_visible, params: ModelParams):
     """2-layer MLP head mapping each visible token to the teacher dimension.
 
     CLS never reaches this head; callers pass patch tokens only.
     """
-    h = tn.linear(h_visible, bp["proj_fc1_w"], bp["proj_fc1_b"])
+    h = tn.linear(h_visible, params["proj_fc1_w"], params["proj_fc1_b"])
     h = tn.relu(h)
-    return tn.linear(h, bp["proj_fc2_w"], bp["proj_fc2_b"])
+    return tn.linear(h, params["proj_fc2_w"], params["proj_fc2_b"])
 
 
-def forward(patches, masks, bp: BoundParams):
+def forward(patches, masks, params: ModelParams):
     """Student pass over a batch up to the patch predictions: embed,
     encode visible, aggregate, decode. patches (each image's patchify rows)
     and masks pair up one to one; every mask must leave the same number of
     patches visible, and one batch_rows of them serves encoder and decoder.
 
-    The decoder consumes the aggregated tokens. The global head is not run
-    here: callers that weight the global loss pass `last_visible` to
-    project_global themselves.
+    Returns (z, last_visible): the decoder's predictions [B*N, target_dim]
+    from the aggregated tokens, and the last encoder block's visible tokens
+    [B*V, d]. The global head is not run here: callers that weight the
+    global loss pass last_visible to project_global themselves.
     """
-    vis_rows = batch_rows(masks, "visible_idx", bp.meta.n_patches)
-    out = encode_visible(patch_embed(patches, bp), vis_rows, bp)
-    out.h = aggregate_multi_block(out, bp.config)
-    out.z = decode(out.h, vis_rows, bp)
-    return out
+    vis_rows = batch_rows(masks, "visible_idx", params.n_patches)
+    layers = encode_visible(patch_embed(patches, params), vis_rows, params)
+    return decode(aggregate_multi_block(layers, params.config), vis_rows, params), layers[-1]
 
 
 # --- checkpoints ---
@@ -333,9 +296,9 @@ def save_checkpoint(path, params: ModelParams):
         "in_channels": params.in_channels,
     }, sort_keys=True).encode()
     parts = [CHECKPOINT_MAGIC, struct.pack("<I", len(header)), header]
-    for name in sorted(params.weights):
+    for name in sorted(params):
         raw = name.encode()
-        parts += [struct.pack("<I", len(raw)), raw, tvec_bytes(params.weights[name])]
+        parts += [struct.pack("<I", len(raw)), raw, tvec_bytes(params[name].data)]
     write_atomic(path, b"".join(parts))
 
 
@@ -385,11 +348,11 @@ def load_checkpoint(path):
         arr, off = tvec_from_bytes(blob, label=f"{path}:{name}", offset=end)
         weights[name] = arr
     reference = init_params(config, grid * config.patch_side, in_channels, seed=0)
-    if set(weights) != set(reference.weights):
+    if set(weights) != set(reference):
         raise DataError(f"{path}: checkpoint parameter names do not match the config")
     for name, arr in weights.items():
-        if arr.shape != reference.weights[name].shape:
+        if arr.shape != reference[name].shape:
             raise DataError(f"{path}: parameter {name} has shape {arr.shape}, "
-                            f"expected {reference.weights[name].shape}")
-        reference.weights[name][...] = arr
+                            f"expected {reference[name].shape}")
+        reference[name].data[...] = arr
     return reference

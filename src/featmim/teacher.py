@@ -259,7 +259,7 @@ def dump_features(teacher, images, out_dir, student_patch_side):
     for f in feats:
         write_tvec(os.path.join(out_dir, f"{f.source_id}.tvec"), f.tokens.astype(np.float32))
     entries = [{"id": f.source_id, "grid_side": f.grid_side} for f in feats]
-    manifest = {"source_id": getattr(teacher, "kind", "unknown"),
+    manifest = {"source_id": teacher.kind,
                 "target_dim": teacher.target_dim,
                 "entries": entries}
     write_atomic(os.path.join(out_dir, "manifest.json"),

@@ -1,8 +1,8 @@
 """Dense tensors with reverse-mode automatic differentiation.
 
 Numpy storage and kernels; an explicit tape rebuilt every step, whose first
-positions are the Parameters, tensors bound once per run (backward writes
-their gradients into one flat buffer); other untaped tensors are constants.
+positions are the Parameters (one flat buffer, bound once per run; backward
+writes their gradients in its layout); other untaped tensors are constants.
 float32 is the training dtype; every op is dtype-preserving, so the same
 graph runs in float64 for gradient checks.
 
@@ -57,21 +57,22 @@ class Tensor:
 
 
 class Parameters(dict):
-    """name -> tensor over the array given, bound once per run and constant
-    except while a Tape holds it, plus the flat buffer `grad` backward writes:
-    a slice per parameter in the order given (sorted names lay it out like
-    ModelParams.flat), viewed shaped like the parameter as grads[name]."""
+    """name -> tensor over that name's view of `flat`, one C-contiguous copy
+    of the arrays given, in the order given; constant except while a Tape
+    holds it. `grad`, the buffer backward writes, has the same layout, viewed
+    shaped like each parameter as grads[name]. Write weights in place."""
 
     def __init__(self, arrays):
-        super().__init__((name, Tensor(data)) for name, data in arrays.items())
-        for idx, t in enumerate(self.values()):
-            t.idx = idx  # its position on every tape that holds it
+        self.flat = np.concatenate([np.ravel(data) for data in arrays.values()])
+        self.grad = np.empty_like(self.flat)
         self.ends = np.cumsum([data.size for data in arrays.values()])
-        self.grad = np.empty(self.ends[-1], dtype=np.result_type(*arrays.values()))
-        self.grads = {name: self.grad[end - data.size:end].reshape(data.shape)
-                      for (name, data), end in zip(arrays.items(), self.ends)}
+        self.grads = {}
+        for idx, ((name, data), end) in enumerate(zip(arrays.items(), self.ends)):
+            self[name] = Tensor(self.flat[end - data.size:end].reshape(data.shape))
+            self[name].idx = idx  # its position on every tape that holds it
+            self.grads[name] = self.grad[end - data.size:end].reshape(data.shape)
 
-    def name_at(self, offset):  # the parameter whose slice of `grad` holds offset
+    def name_at(self, offset):  # the parameter at this offset of `flat` or `grad`
         return list(self)[np.searchsorted(self.ends, offset, side="right")]
 
 

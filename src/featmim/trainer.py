@@ -20,11 +20,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError, NumericError
+from .errors import ConfigError, DataError, NumericError
 from .losses import global_loss, patch_loss, total_loss
 from .masking import SplitMix64, generate_mask
-from .model import (BoundParams, forward, init_params, patchify, project_global,
-                    save_checkpoint)
+from .model import forward, init_params, patchify, project_global, save_checkpoint
 from .teacher import align_input, make_teacher
 from .tensor import Tape, backward, write_atomic
 
@@ -114,7 +113,7 @@ def adamw_step(params, grads, state: OptimizerState, lr, *,
     params -= np.multiply(lr, a, out=a)
 
 
-def step_losses(bp, batch, loss_cfg):
+def step_losses(params, batch, loss_cfg):
     """Batch-mean losses as one taped graph: patch + lam * global,
     multi-block aggregation per config. batch: [(ImageRecord, mask)].
 
@@ -127,11 +126,11 @@ def step_losses(bp, batch, loss_cfg):
     share one reduction.
     """
     records, masks = zip(*batch)
-    out = forward([r.patches for r in records], masks, bp)
-    loss, lp = patch_loss(out.z, records, masks, loss_cfg.beta, loss_cfg.channel_reduce)
+    z, last_visible = forward([r.patches for r in records], masks, params)
+    loss, lp = patch_loss(z, records, masks, loss_cfg.beta, loss_cfg.channel_reduce)
     lg = np.zeros_like(lp)
     if loss_cfg.lam != 0.0:
-        l_global, lg = global_loss(project_global(out.last_visible, bp), records, masks,
+        l_global, lg = global_loss(project_global(last_visible, params), records, masks,
                                    loss_cfg.beta, loss_cfg.channel_reduce)
         loss = total_loss(loss, l_global, loss_cfg.lam)
     lt = lp + lg * lp.dtype.type(loss_cfg.lam)
@@ -157,7 +156,8 @@ class ImageRecord(NamedTuple):  # what a step needs from one image
 
 class FeatureCache:
     """One ImageRecord per image id, made on its first get; the teacher is
-    frozen, so a record never changes."""
+    frozen, so a record never changes. A DataError names an image whose
+    teacher tokens do not pair one to one with its student patches."""
 
     def __init__(self, teacher, patch_side):
         self.teacher = teacher
@@ -168,8 +168,11 @@ class FeatureCache:
         if image_id not in self._store:
             aligned = align_input(image, self.patch_side, self.teacher.downsample_rate)
             tokens = self.teacher.features(aligned, image_id).tokens
-            self._store[image_id] = ImageRecord(patchify(np.asarray(image), self.patch_side),
-                                                tokens, tokens.mean(axis=0))
+            patches = patchify(np.asarray(image), self.patch_side)
+            if len(tokens) != len(patches):
+                raise DataError(f"teacher gives {len(tokens)} tokens for image {image_id!r}, "
+                                f"which has {len(patches)} student patches")
+            self._store[image_id] = ImageRecord(patches, tokens, tokens.mean(axis=0))
         return self._store[image_id]
 
 
@@ -208,12 +211,14 @@ def train(cfg, images, out_dir):
             f"teacher target_dim {teacher.target_dim} != model target_dim "
             f"{cfg.model.target_dim}")
 
+    cache = FeatureCache(teacher, cfg.model.patch_side)
+    for image_id, img in images:  # so a teacher that misfits an image writes nothing
+        cache.get(image_id, img)
+
     os.makedirs(out_dir, exist_ok=True)
     save_run_config(cfg, os.path.join(out_dir, "config.json"))
     params = init_params(cfg.model, mask_spec.image_side, in_channels, tc.seed)
-    bp = BoundParams(params)  # the parameter tensors, bound once per run
     opt = OptimizerState()
-    cache = FeatureCache(teacher, cfg.model.patch_side)
 
     by_id = dict(images)
     ids = [image_id for image_id, _ in images]
@@ -243,16 +248,16 @@ def train(cfg, images, out_dir):
 
             t_epoch = step / steps_per_epoch
             lr = lr_at(t_epoch, tc)
-            tape = Tape(bp)
+            tape = Tape(params)
             try:
                 # the finiteness checks stand in for numpy's overflow warnings
                 with np.errstate(all="ignore"):
-                    loss, lp, lg, lt = step_losses(bp, batch, cfg.loss)
+                    loss, lp, lg, lt = step_losses(params, batch, cfg.loss)
                     if not np.isfinite(loss.data):
                         raise NumericError("non-finite loss")
                     flat_grad = backward(tape, loss)
                 if not np.isfinite(flat_grad).all():  # name the first bad offset's parameter
-                    bad = bp.name_at(np.argmin(np.isfinite(flat_grad)))
+                    bad = params.name_at(np.argmin(np.isfinite(flat_grad)))
                     raise NumericError(f"non-finite gradient in {bad}")
             except NumericError as e:
                 raise NumericError(f"step {step}: {e}") from None

@@ -181,26 +181,26 @@ def inline_shuffle(items, stream):
     return order
 
 
-def plain_regression_step(bp, batch, loss_cfg):
+def plain_regression_step(params, batch, loss_cfg):
     """The plain feature-regression step: last encoder block straight into
     the decoder, patch loss only. No global head, no block aggregation.
     Same signature and return value as featmim.trainer.step_losses."""
     records, masks = zip(*batch)
-    vis_rows = batch_rows(masks, "visible_idx", bp.meta.n_patches)
-    out = encode_visible(patch_embed([r.patches for r in records], bp), vis_rows, bp)
-    z = decode(out.layers[-1], vis_rows, bp)
+    vis_rows = batch_rows(masks, "visible_idx", params.n_patches)
+    layers = encode_visible(patch_embed([r.patches for r in records], params), vis_rows, params)
+    z = decode(layers[-1], vis_rows, params)
     lp, per_image = patch_loss(z, records, masks, loss_cfg.beta, loss_cfg.channel_reduce)
     mean_lp = math.fsum(per_image) / len(batch)
     return lp, mean_lp, 0.0, mean_lp
 
 
-def full_composition_step(bp, batch, loss_cfg):
+def full_composition_step(params, batch, loss_cfg):
     """patch + lam * global with the global head and loss taped at every
     lam, zero included; L_global logs the unweighted global loss."""
     records, masks = zip(*batch)
-    out = forward([r.patches for r in records], masks, bp)
-    lp, lp_vals = patch_loss(out.z, records, masks, loss_cfg.beta, loss_cfg.channel_reduce)
-    lg, lg_vals = global_loss(project_global(out.last_visible, bp), records, masks,
+    z, last_visible = forward([r.patches for r in records], masks, params)
+    lp, lp_vals = patch_loss(z, records, masks, loss_cfg.beta, loss_cfg.channel_reduce)
+    lg, lg_vals = global_loss(project_global(last_visible, params), records, masks,
                               loss_cfg.beta, loss_cfg.channel_reduce)
     lt_vals = lp_vals + lg_vals * lp_vals.dtype.type(loss_cfg.lam)
     n = len(batch)

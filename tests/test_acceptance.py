@@ -19,7 +19,7 @@ from featmim.diversity import corpus_diversity
 from featmim.imageio import write_ppm
 from featmim.losses import global_loss, patch_loss
 from featmim.masking import MaskSpec, generate_mask
-from featmim.model import BoundParams, forward, init_params, load_checkpoint, patchify
+from featmim.model import forward, init_params, load_checkpoint, patchify
 from featmim.synth import synthetic_image
 from featmim.teacher import (ProceduralConvTeacher, TeacherFeatures,
                              dump_features, load_feature_dir)
@@ -257,11 +257,10 @@ def test_persistence_round_trips(tmp_path):
     params = init_params(cfg.model, 32, 3, seed=5)
     mask = generate_mask(replace(cfg.mask, seed=9))
     patches = patchify(synthetic_image(32, 3, seed=4), 8)
-    before = forward([patches], [mask], BoundParams(params)).z.data.tobytes()
+    before = forward([patches], [mask], params)[0].data.tobytes()
     from featmim.model import save_checkpoint
     save_checkpoint(tmp_path / "c.bin", params)
-    after = forward([patches], [mask],
-                    BoundParams(load_checkpoint(tmp_path / "c.bin"))).z.data.tobytes()
+    after = forward([patches], [mask], load_checkpoint(tmp_path / "c.bin"))[0].data.tobytes()
     assert before == after
 
     # feature dump: write -> read -> rewrite must be byte identical

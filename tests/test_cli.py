@@ -259,6 +259,14 @@ def test_dump_features_bad_teacher_value_names_its_source(tmp_path, image_dir, c
     assert not (tmp_path / "feats").exists()
 
 
+def _file_teacher_config(tmp_path, feats):
+    """A one-epoch pretrain config whose teacher replays the dump feats."""
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"teacher": {"kind": "file", "features_dir": str(feats)},
+                               "train": {"total_epochs": 1.0, "warmup_epochs": 0.5}}))
+    return cfg
+
+
 def test_feature_manifest_target_dim_string_exits_3(tmp_path, image_dir, capsys):
     feats = tmp_path / "feats"
     assert main(["dump-features", "--images", str(image_dir), "--out", str(feats)]) == 0
@@ -267,11 +275,8 @@ def test_feature_manifest_target_dim_string_exits_3(tmp_path, image_dir, capsys)
     want = f"{feats / 'manifest.json'}: target_dim '16' is not a positive integer"
     assert main(["diversity", "--features", str(feats), "--out", str(tmp_path / "r.json")]) == 3
     assert want in capsys.readouterr().err
-    cfg = tmp_path / "c.json"
-    cfg.write_text(json.dumps({"teacher": {"kind": "file", "features_dir": str(feats)},
-                               "train": {"total_epochs": 1.0, "warmup_epochs": 0.5}}))
-    assert main(["pretrain", "--config", str(cfg), "--images", str(image_dir),
-                 "--out", str(tmp_path / "run")]) == 3
+    assert main(["pretrain", "--config", str(_file_teacher_config(tmp_path, feats)),
+                 "--images", str(image_dir), "--out", str(tmp_path / "run")]) == 3
     assert want in capsys.readouterr().err
     assert not (tmp_path / "run").exists()  # not even config.json is written
 
@@ -378,13 +383,53 @@ def test_feature_manifest_listing_an_id_twice_exits_3(tmp_path, image_dir, capsy
     assert main(["diversity", "--features", str(feats), "--out", str(out)]) == 3
     assert want in capsys.readouterr().err
     assert not out.exists()
-    cfg = tmp_path / "c.json"
-    cfg.write_text(json.dumps({"teacher": {"kind": "file", "features_dir": str(feats)},
-                               "train": {"total_epochs": 1.0, "warmup_epochs": 0.5}}))
-    assert main(["pretrain", "--config", str(cfg), "--images", str(image_dir),
-                 "--out", str(tmp_path / "run")]) == 3
+    assert main(["pretrain", "--config", str(_file_teacher_config(tmp_path, feats)),
+                 "--images", str(image_dir), "--out", str(tmp_path / "run")]) == 3
     assert want in capsys.readouterr().err
     assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("mixed", [False, True], ids=["every_image", "one_image"])
+def test_teacher_grid_that_misses_the_patch_grid_exits_3(tmp_path, image_dir, capsys, mixed):
+    # --patch-side 4 gives 64 tokens per 32x32 image, whose default student
+    # grid has 16 patches: a data error naming the image, before --out exists
+    fine, coarse = tmp_path / "fine", tmp_path / "coarse"
+    assert main(["dump-features", "--images", str(image_dir), "--out", str(fine),
+                 "--patch-side", "4"]) == 0
+    feats, bad = fine, "img0"
+    if mixed:  # the default 16-token dump with img1's 64 tokens swapped in
+        assert main(["dump-features", "--images", str(image_dir), "--out", str(coarse)]) == 0
+        os.replace(fine / "img1.tvec", coarse / "img1.tvec")
+        manifest = json.loads((coarse / "manifest.json").read_text())
+        manifest["entries"][1]["grid_side"] = 8
+        (coarse / "manifest.json").write_text(json.dumps(manifest))
+        feats, bad = coarse, "img1"
+    capsys.readouterr()
+    run = tmp_path / "run"
+    assert main(["pretrain", "--config", str(_file_teacher_config(tmp_path, feats)),
+                 "--images", str(image_dir), "--out", str(run)]) == 3
+    assert (f"teacher gives 64 tokens for image {bad!r}, which has 16 student patches"
+            in capsys.readouterr().err)
+    assert not run.exists()
+
+
+def test_grad_check_file_teacher_grid_mismatch_exits_3(tmp_path, capsys):
+    # NANO_GRAD_CHECK's 8x8 image has 4 patches; a dump at --patch-side 2
+    # holds 16 tokens for it
+    images, feats = tmp_path / "images", tmp_path / "feats"
+    images.mkdir()
+    write_ppm(images / "gradcheck.ppm", synthetic_image(8, 3, seed=0))
+    assert main(["dump-features", "--images", str(images), "--out", str(feats),
+                 "--downsample", "4", "--patch-side", "2", "--target-dim", "4"]) == 0
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(dict(NANO_GRAD_CHECK,
+                                   teacher={"kind": "file", "features_dir": str(feats)})))
+    capsys.readouterr()
+    report = tmp_path / "report.json"
+    assert main(["grad-check", "--config", str(cfg), "--out", str(report)]) == 3
+    assert ("teacher gives 16 tokens for image 'gradcheck', which has 4 student patches"
+            in capsys.readouterr().err)
+    assert not report.exists()
 
 
 def test_heatmap_command(tmp_path, image_dir):

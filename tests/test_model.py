@@ -10,7 +10,7 @@ from featmim.config import RunConfig, save_run_config
 from featmim.errors import ConfigError, DataError, DegenerateMaskError, ShapeError
 from featmim.masking import MaskSpec, PatchMask, batch_rows, generate_mask
 import featmim.model
-from featmim.model import (BoundParams, ModelConfig, aggregate_multi_block,
+from featmim.model import (ModelConfig, aggregate_multi_block,
                            decode, encode_visible, forward, init_params,
                            load_checkpoint, patch_embed, patchify,
                            project_global, save_checkpoint, sincos_pos_embed)
@@ -38,6 +38,13 @@ def visible_rows(masks, n_patches=16):
     return batch_rows(masks, "visible_idx", n_patches)
 
 
+def aggregated(images, masks, params):
+    """The aggregated visible tokens h that forward decodes."""
+    tokens = patch_embed([patches_of(i) for i in images], params)
+    return aggregate_multi_block(encode_visible(tokens, visible_rows(masks), params),
+                                 params.config)
+
+
 def test_patchify_counting():
     img = np.zeros((3, 32, 32))
     assert patchify(img, 16).shape == (4, 3 * 256)
@@ -59,17 +66,16 @@ def test_patchify_permutation_equivariance():
 
 def test_patch_embed_zero_image_gives_pos_embed():
     params = tiny_params()
-    bp = BoundParams(params)
-    tokens = patch_embed([patches_of(np.zeros((3, 32, 32), dtype=np.float32))], bp)
+    tokens = patch_embed([patches_of(np.zeros((3, 32, 32), dtype=np.float32))], params)
     np.testing.assert_array_equal(tokens.data, params.enc_pos)
 
 
 def test_patch_embed_geometry_mismatch():
     params = tiny_params()
     with pytest.raises(ConfigError):
-        patch_embed([patches_of(np.zeros((3, 64, 64), dtype=np.float32))], BoundParams(params))
+        patch_embed([patches_of(np.zeros((3, 64, 64), dtype=np.float32))], params)
     with pytest.raises(ConfigError):
-        patch_embed([patches_of(np.zeros((1, 32, 32), dtype=np.float32))], BoundParams(params))
+        patch_embed([patches_of(np.zeros((1, 32, 32), dtype=np.float32))], params)
 
 
 def test_encode_single_visible_token():
@@ -80,10 +86,9 @@ def test_encode_single_visible_token():
     grid[0] = False
     mask = PatchMask(grid=grid.reshape(4, 4), masked_idx=masked,
                      visible_idx=np.array([0], dtype=np.int64))
-    bp = BoundParams(params)
-    tokens = patch_embed([patches_of(synthetic_image(32, 3, seed=1))], bp)
-    out = encode_visible(tokens, visible_rows([mask]), bp)
-    assert all(layer.shape == (1, 8) for layer in out.layers)
+    tokens = patch_embed([patches_of(synthetic_image(32, 3, seed=1))], params)
+    layers = encode_visible(tokens, visible_rows([mask]), params)
+    assert all(layer.shape == (1, 8) for layer in layers)
 
 
 def test_encode_full_visible():
@@ -92,10 +97,9 @@ def test_encode_full_visible():
     mask = PatchMask(grid=np.zeros((4, 4), dtype=bool),
                      masked_idx=np.array([], dtype=np.int64),
                      visible_idx=np.arange(n, dtype=np.int64))
-    bp = BoundParams(params)
-    tokens = patch_embed([patches_of(synthetic_image(32, 3, seed=1))], bp)
-    out = encode_visible(tokens, visible_rows([mask]), bp)
-    assert out.layers[-1].shape == (n, 8)
+    tokens = patch_embed([patches_of(synthetic_image(32, 3, seed=1))], params)
+    layers = encode_visible(tokens, visible_rows([mask]), params)
+    assert layers[-1].shape == (n, 8)
 
 
 def test_encode_rejects_no_visible():
@@ -104,10 +108,9 @@ def test_encode_rejects_no_visible():
     mask = PatchMask(grid=np.ones((4, 4), dtype=bool),
                      masked_idx=np.arange(n, dtype=np.int64),
                      visible_idx=np.array([], dtype=np.int64))
-    bp = BoundParams(params)
-    tokens = patch_embed([patches_of(synthetic_image(32, 3, seed=1))], bp)
+    tokens = patch_embed([patches_of(synthetic_image(32, 3, seed=1))], params)
     with pytest.raises(DegenerateMaskError):
-        encode_visible(tokens, visible_rows([mask]), bp)
+        encode_visible(tokens, visible_rows([mask]), params)
 
 
 def test_masked_content_never_reaches_the_model():
@@ -120,36 +123,28 @@ def test_masked_content_never_reaches_the_model():
         r, c = divmod(int(idx), 4)
         perturbed[:, r * 8:(r + 1) * 8, c * 8:(c + 1) * 8] += 7.25
 
-    bp = BoundParams(params)
-    out_a = forward([patches_of(img)], [mask], bp)
-    out_b = forward([patches_of(perturbed)], [mask], bp)
-    assert out_a.h.data.tobytes() == out_b.h.data.tobytes()
-    assert out_a.z.data.tobytes() == out_b.z.data.tobytes()
-    p_a = project_global(out_a.last_visible, bp)
-    p_b = project_global(out_b.last_visible, bp)
-    assert p_a.data.tobytes() == p_b.data.tobytes()
+    def outputs(image):  # h, z and the global head's output
+        z, last_visible = forward([patches_of(image)], [mask], params)
+        return aggregated([image], [mask], params), z, project_global(last_visible, params)
+
+    for a, b in zip(outputs(img), outputs(perturbed)):
+        assert a.data.tobytes() == b.data.tobytes()
 
 
 def test_aggregate_mean_and_sum():
-    out_layers = [Tensor(np.array([[1.0, 2.0]])), Tensor(np.array([[3.0, 4.0]]))]
-
-    class Out:
-        layers = out_layers
-
+    layers = [Tensor(np.array([[1.0, 2.0]])), Tensor(np.array([[3.0, 4.0]]))]
     mean_cfg = ModelConfig(multi_block=True, aggregate="mean")
     sum_cfg = ModelConfig(multi_block=True, aggregate="sum")
     off_cfg = ModelConfig(multi_block=False)
-    np.testing.assert_array_equal(aggregate_multi_block(Out, mean_cfg).data, [[2.0, 3.0]])
-    np.testing.assert_array_equal(aggregate_multi_block(Out, sum_cfg).data, [[4.0, 6.0]])
-    np.testing.assert_array_equal(aggregate_multi_block(Out, off_cfg).data, [[3.0, 4.0]])
+    np.testing.assert_array_equal(aggregate_multi_block(layers, mean_cfg).data, [[2.0, 3.0]])
+    np.testing.assert_array_equal(aggregate_multi_block(layers, sum_cfg).data, [[4.0, 6.0]])
+    np.testing.assert_array_equal(aggregate_multi_block(layers, off_cfg).data, [[3.0, 4.0]])
 
 
 def test_aggregate_single_layer_identity():
-    class Out:
-        layers = [Tensor(np.array([[5.0, 6.0]]))]
-
     cfg = ModelConfig(multi_block=True, aggregate="mean")
-    np.testing.assert_array_equal(aggregate_multi_block(Out, cfg).data, [[5.0, 6.0]])
+    layers = [Tensor(np.array([[5.0, 6.0]]))]
+    np.testing.assert_array_equal(aggregate_multi_block(layers, cfg).data, [[5.0, 6.0]])
 
 
 def test_decode_all_visible_shape_contract():
@@ -158,10 +153,9 @@ def test_decode_all_visible_shape_contract():
     mask = PatchMask(grid=np.zeros((4, 4), dtype=bool),
                      masked_idx=np.array([], dtype=np.int64),
                      visible_idx=np.arange(n, dtype=np.int64))
-    bp = BoundParams(params)
-    tokens = patch_embed([patches_of(synthetic_image(32, 3, seed=3))], bp)
-    out = encode_visible(tokens, visible_rows([mask]), bp)
-    z = decode(aggregate_multi_block(out, TINY), visible_rows([mask]), bp)
+    tokens = patch_embed([patches_of(synthetic_image(32, 3, seed=3))], params)
+    layers = encode_visible(tokens, visible_rows([mask]), params)
+    z = decode(aggregate_multi_block(layers, TINY), visible_rows([mask]), params)
     assert z.shape == (n, TINY.target_dim)
 
 
@@ -174,12 +168,11 @@ def test_decode_positional_swap_equivariance():
     i, j = int(mask.masked_idx[0]), int(mask.masked_idx[1])
     img = synthetic_image(32, 3, seed=4).astype(np.float64)
 
-    z_a = forward([patches_of(img)], [mask], BoundParams(params)).z.data
+    z_a = forward([patches_of(img)], [mask], params)[0].data
 
-    import copy
-    swapped = copy.deepcopy(params)
+    swapped = init_params(TINY, 32, 3, seed=0, dtype=np.float64)
     swapped.dec_pos[[i, j]] = swapped.dec_pos[[j, i]]
-    z_b = forward([patches_of(img)], [mask], BoundParams(swapped)).z.data
+    z_b = forward([patches_of(img)], [mask], swapped)[0].data
 
     np.testing.assert_allclose(z_b[i], z_a[j], rtol=1e-12, atol=1e-12)
     np.testing.assert_allclose(z_b[j], z_a[i], rtol=1e-12, atol=1e-12)
@@ -189,43 +182,44 @@ def test_decode_positional_swap_equivariance():
 
 def test_project_global_zero_weights_zero_output():
     params = tiny_params()
-    params.weights["proj_fc1_w"][:] = 0
-    params.weights["proj_fc2_w"][:] = 0
-    bp = BoundParams(params)
-    p = project_global(Tensor(np.ones((5, 8), dtype=np.float32)), bp)
+    params["proj_fc1_w"].data[:] = 0
+    params["proj_fc2_w"].data[:] = 0
+    p = project_global(Tensor(np.ones((5, 8), dtype=np.float32)), params)
     np.testing.assert_array_equal(p.data, np.zeros((5, TINY.target_dim)))
 
 
 def test_project_global_per_token_and_dim():
     params = tiny_params()
-    bp = BoundParams(params)
     rng = np.random.default_rng(5)
     h = rng.normal(size=(6, 8)).astype(np.float32)
-    p = project_global(Tensor(h), bp)
+    p = project_global(Tensor(h), params)
     assert p.shape == (6, TINY.target_dim)
     perm = [3, 1, 5, 0, 2, 4]
-    p_perm = project_global(Tensor(h[perm]), bp)
+    p_perm = project_global(Tensor(h[perm]), params)
     np.testing.assert_array_equal(p_perm.data, p.data[perm])
 
 
 def test_forward_shapes():
-    bp = BoundParams(tiny_params())
+    params = tiny_params()
     mask = tiny_mask(seed=7)
-    out = forward([patches_of(synthetic_image(32, 3, seed=6))], [mask], bp)
+    image = synthetic_image(32, 3, seed=6)
+    z, last_visible = forward([patches_of(image)], [mask], params)
+    layers = encode_visible(patch_embed([patches_of(image)], params), visible_rows([mask]), params)
     v = len(mask.visible_idx)
-    assert out.h.shape == (v, 8)
-    assert out.z.shape == (16, TINY.target_dim)
-    assert project_global(out.last_visible, bp).shape == (v, TINY.target_dim)
-    assert len(out.layers) == TINY.enc_depth
+    assert aggregated([image], [mask], params).shape == (v, 8)
+    assert z.shape == (16, TINY.target_dim)
+    assert project_global(last_visible, params).shape == (v, TINY.target_dim)
+    assert len(layers) == TINY.enc_depth
+    assert last_visible.data.tobytes() == layers[-1].data.tobytes()
 
 
 def test_init_params_deterministic():
     a = tiny_params(seed=42)
     b = tiny_params(seed=42)
-    for name in a.weights:
-        np.testing.assert_array_equal(a.weights[name], b.weights[name])
+    for name in a:
+        np.testing.assert_array_equal(a[name].data, b[name].data)
     c = tiny_params(seed=43)
-    assert any(not np.array_equal(a.weights[n], c.weights[n]) for n in a.weights)
+    assert any(not np.array_equal(a[n].data, c[n].data) for n in a)
 
 
 def test_sincos_table_is_deterministic_and_bounded():
@@ -254,28 +248,39 @@ def test_checkpoint_round_trip_bitwise(tmp_path):
     params = tiny_params(seed=9)
     mask = tiny_mask(seed=8)
     img = synthetic_image(32, 3, seed=7)
-    z_before = forward([patches_of(img)], [mask], BoundParams(params)).z.data.tobytes()
+    z_before = forward([patches_of(img)], [mask], params)[0].data.tobytes()
 
     path = tmp_path / "ckpt.bin"
     save_checkpoint(path, params)
     loaded = load_checkpoint(path)
 
     assert loaded.config == params.config
-    assert set(loaded.weights) == set(params.weights)
-    for name in params.weights:
-        assert loaded.weights[name].tobytes() == params.weights[name].tobytes()
-    z_after = forward([patches_of(img)], [mask], BoundParams(loaded)).z.data.tobytes()
+    assert set(loaded) == set(params)
+    for name in params:
+        assert loaded[name].data.tobytes() == params[name].data.tobytes()
+    z_after = forward([patches_of(img)], [mask], loaded)[0].data.tobytes()
     assert z_after == z_before
+
+
+def _offset(view, buf):
+    """Where view starts in the 1-d buffer buf, in elements."""
+    return (view.__array_interface__["data"][0] - buf.__array_interface__["data"][0]) // buf.itemsize
 
 
 def _assert_weights_view_flat(params):
     flat = params.flat
     assert flat.flags.c_contiguous and flat.ndim == 1
-    names = sorted(params.weights)
+    assert params.grad.shape == flat.shape and params.grad.dtype == flat.dtype
+    names = sorted(params)
+    assert list(params) == names
     for name in names:
-        assert np.shares_memory(params.weights[name], flat), name
+        w, g = params[name].data, params.grads[name]
+        assert np.shares_memory(w, flat), name
+        # the gradient view sits at the same offsets of grad
+        assert np.shares_memory(g, params.grad) and g.shape == w.shape, name
+        assert _offset(g, params.grad) == _offset(w, flat), name
     np.testing.assert_array_equal(
-        flat, np.concatenate([params.weights[k].reshape(-1) for k in names]))
+        flat, np.concatenate([params[k].data.reshape(-1) for k in names]))
 
 
 def test_weights_are_views_of_the_flat_buffer(tmp_path):
@@ -296,8 +301,8 @@ def test_init_params_draws_do_not_depend_on_the_flat_layout():
     cls = rng.normal(0.0, 0.02, size=d).astype(np.float32)
     limit = np.sqrt(6.0 / (3 * 64 + d))
     proj = rng.uniform(-limit, limit, size=(3 * 64, d)).astype(np.float32)
-    assert params.weights["cls_token"].tobytes() == cls.tobytes()
-    assert params.weights["patch_proj_w"].tobytes() == proj.tobytes()
+    assert params["cls_token"].data.tobytes() == cls.tobytes()
+    assert params["patch_proj_w"].data.tobytes() == proj.tobytes()
 
 
 def _write_output(writer, path, seed):
@@ -409,7 +414,6 @@ def test_checkpoint_rejects_bad_header_values(tmp_path, key, value, message):
 
 def test_batch_masks_must_agree_on_visible_count():
     params = tiny_params()
-    bp = BoundParams(params)
     four_visible = tiny_mask(seed=1)
     n = params.n_patches
     masked = np.arange(1, n, dtype=np.int64)
@@ -419,22 +423,23 @@ def test_batch_masks_must_agree_on_visible_count():
                             visible_idx=np.array([0], dtype=np.int64))
     images = [synthetic_image(32, 3, seed=i) for i in range(2)]
     with pytest.raises(ShapeError, match="visible count: 8 and 1"):
-        forward([patches_of(i) for i in images], [four_visible, one_visible], bp)
+        forward([patches_of(i) for i in images], [four_visible, one_visible], params)
 
 
 def test_batch_rows_match_one_image_passes():
     # float64: a batch of three gives each image the predictions and tokens
     # it gets alone
     params = init_params(TINY, 32, 3, seed=0, dtype=np.float64)
-    bp = BoundParams(params)
     images = [synthetic_image(32, 3, seed=i, dtype=np.float64) for i in range(3)]
     masks = [tiny_mask(seed=10 + i) for i in range(3)]
-    out = forward([patches_of(i) for i in images], masks, bp)
+    z = forward([patches_of(i) for i in images], masks, params)[0].data
+    h = aggregated(images, masks, params).data
     n, v = params.n_patches, len(masks[0].visible_idx)
     for i, (image, mask) in enumerate(zip(images, masks)):
-        one = forward([patches_of(image)], [mask], bp)
-        np.testing.assert_allclose(out.z.data[i * n:(i + 1) * n], one.z.data, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(out.h.data[i * v:(i + 1) * v], one.h.data, rtol=0, atol=1e-12)
+        one_z = forward([patches_of(image)], [mask], params)[0].data
+        one_h = aggregated([image], [mask], params).data
+        np.testing.assert_allclose(z[i * n:(i + 1) * n], one_z, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(h[i * v:(i + 1) * v], one_h, rtol=0, atol=1e-12)
 
 
 def test_no_cls_config_runs():
@@ -443,6 +448,6 @@ def test_no_cls_config_runs():
                       use_cls=False, multi_block=False)
     params = init_params(cfg, 32, 3, seed=0)
     mask = tiny_mask(seed=9)
-    out = forward([patches_of(synthetic_image(32, 3, seed=8))], [mask], BoundParams(params))
-    assert out.last_visible.shape == (len(mask.visible_idx), 8)  # no CLS row
-    assert out.z.shape == (16, 4)
+    z, last_visible = forward([patches_of(synthetic_image(32, 3, seed=8))], [mask], params)
+    assert last_visible.shape == (len(mask.visible_idx), 8)  # no CLS row
+    assert z.shape == (16, 4)

@@ -1,10 +1,20 @@
 """The desk-scale scripts run end to end at their smallest sizes."""
 
+import hashlib
 import subprocess
 import sys
 from pathlib import Path
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+# The byte-identity contract: the 100-step overfit recipe writes exactly
+# these bytes, with 1, 2 or unset OpenBLAS threads. A change that moves
+# float32 summation order (batching, fusing GEMMs such as one q/k/v
+# projection) updates both hashes and says so in CHANGES.md.
+OVERFIT_100_SHA256 = {
+    "metrics.csv": "50c525228542280796d47cf380dce987cefcf9351013e40d4b4a77120ed42b21",
+    "ckpt_100.bin": "8d8a90f7518cf99f17ac3ed51c79dd3c47f102930d3ea8cf389f2e5a49350099",
+}
 
 
 def run_script(name, *args, cwd):
@@ -32,3 +42,9 @@ def test_compare_teachers(tmp_path):
         assert (tdir / "features" / "manifest.json").exists()
         assert (tdir / "heatmap_q5.pgm").exists()
         assert (tdir / "run" / "ckpt_3.bin").exists()
+
+
+def test_run_overfit_writes_the_pinned_bytes(tmp_path):
+    run_script("run_overfit.py", "--steps", "100", "--out", "run", cwd=tmp_path)
+    for name, want in OVERFIT_100_SHA256.items():
+        assert hashlib.sha256((tmp_path / "run" / name).read_bytes()).hexdigest() == want, name

@@ -378,12 +378,13 @@ def test_masked_loss_backward_matches_the_scatter_oracle_bitwise(dtype, upstream
 
 
 def test_parameter_registered_once():
-    # a parameter is one tensor for the whole run: every step's tape takes
-    # that tensor, at the same position, and no tape makes a new one
+    # a parameter is one tensor over its slice of the flat buffer for the
+    # whole run: every step's tape takes that tensor, at the same position,
+    # and no tape makes a new one
     w0 = np.zeros(2)
     params = tn.Parameters({"v": np.ones(3), "w": w0})
     w = params["w"]
-    assert w.data is w0
+    assert np.shares_memory(w.data, params.flat) and not np.shares_memory(w.data, w0)
     for _ in range(2):
         tape = Tape(params)
         assert params["w"] is w and (w.tape, w.idx) == (tape, 1)

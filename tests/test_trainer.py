@@ -16,7 +16,8 @@ from featmim.config import RunConfig
 from featmim.errors import ConfigError, NumericError
 from featmim.losses import patch_loss, total_loss
 from featmim.masking import SplitMix64, generate_mask
-from featmim.model import BoundParams, forward, init_params, load_checkpoint, patchify
+import featmim.model
+from featmim.model import forward, init_params, load_checkpoint, patchify
 from featmim.synth import synthetic_image
 from featmim.teacher import ProceduralConvTeacher
 from featmim.tensor import Tape, Tensor, backward
@@ -123,8 +124,8 @@ def test_adamw_state_shapes_track_parameters():
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_flat_adamw_matches_per_parameter_oracle_bitwise(dtype):
     params = init_params(RunConfig().model, 32, 3, seed=0, dtype=dtype)
-    names = sorted(params.weights)
-    ref = {k: v.copy() for k, v in params.weights.items()}
+    names = sorted(params)
+    ref = {k: t.data.copy() for k, t in params.items()}
     state, ref_state = OptimizerState(), {}
     rng = np.random.default_rng(7)
     for step in range(5):
@@ -134,7 +135,7 @@ def test_flat_adamw_matches_per_parameter_oracle_bitwise(dtype):
         adamw_step(params.flat, flat_grad, state, lr)
         per_parameter_adamw(ref, grads, ref_state, lr)
         for k in names:
-            assert params.weights[k].tobytes() == ref[k].tobytes(), (step, k)
+            assert params[k].data.tobytes() == ref[k].tobytes(), (step, k)
         np.testing.assert_array_equal(state.m, pack_sorted(ref_state["m"]))
         np.testing.assert_array_equal(state.v, pack_sorted(ref_state["v"]))
 
@@ -147,9 +148,9 @@ def test_loss_finite_at_init_across_seeds():
     record = FeatureCache(teacher, patch_side=8).get("img", image)
     for seed in range(100):
         params = init_params(cfg.model, 32, 3, seed=seed)
-        out = forward([record.patches], [mask], BoundParams(params))
-        lt = total_loss(patch_loss(out.z, [record], [mask], 2.0).loss,
-                        patch_loss(out.z, [record], [mask], 2.0).loss, 0.5)
+        z, _ = forward([record.patches], [mask], params)
+        lt = total_loss(patch_loss(z, [record], [mask], 2.0).loss,
+                        patch_loss(z, [record], [mask], 2.0).loss, 0.5)
         assert np.isfinite(float(lt.data))
 
 
@@ -196,8 +197,8 @@ def test_final_checkpoint_matches_live_params(tmp_path):
     result = train(cfg, images, tmp_path)
     loaded = load_checkpoint(result.final_checkpoint)
     mask = generate_mask(cfg.mask)
-    out = forward([patchify(images[0][1], 8)], [mask], BoundParams(loaded))
-    assert np.isfinite(out.z.data).all()
+    z, _ = forward([patchify(images[0][1], 8)], [mask], loaded)
+    assert np.isfinite(z.data).all()
 
 
 def test_feature_cache_is_stable():
@@ -309,21 +310,19 @@ def test_backward_writes_the_flat_gradient_of_the_per_name_oracle(batch_size):
     batch = _step_batch(cfg, batch_size, np.float32)
 
     def taped_loss():
-        bp = BoundParams(params)
-        tape = Tape(bp)
-        return bp, tape, step_losses(bp, batch, loss_cfg)[0]
+        tape = Tape(params)
+        return tape, step_losses(params, batch, loss_cfg)[0]
 
-    bp, tape, loss = taped_loss()
-    bp.grad[...] = np.nan
+    tape, loss = taped_loss()
+    params.grad[...] = np.nan
     flat = backward(tape, loss)
-    _, ref_tape, ref_loss = taped_loss()
-    want = per_name_backward(ref_tape, ref_loss)
-    assert flat is bp.grad and flat.tobytes() == pack_sorted(want).tobytes()
+    want = per_name_backward(*taped_loss())
+    assert flat is params.grad and flat.tobytes() == pack_sorted(want).tobytes()
     head = [k for k in want if k.startswith("proj_")]
     assert len(head) == 4
     for k in head:
-        assert bp.grads[k].tobytes() == np.zeros_like(want[k]).tobytes(), k
-    assert all(np.any(g != 0) for k, g in bp.grads.items() if k not in head)
+        assert params.grads[k].tobytes() == np.zeros_like(want[k]).tobytes(), k
+    assert all(np.any(g != 0) for k, g in params.grads.items() if k not in head)
 
 
 def _step_batch(cfg, n, dtype):
@@ -341,12 +340,11 @@ def test_batched_step_is_the_mean_of_one_image_steps(channel_reduce):
     params = init_params(cfg.model, 32, 3, seed=0, dtype=np.float64)
     batch = _step_batch(cfg, 4, np.float64)
 
-    def step(items):
-        bp = BoundParams(params)
-        tape = Tape(bp)
-        loss, *logged = step_losses(bp, items, loss_cfg)
+    def step(items):  # the gradients copied: the next step overwrites params.grad
+        tape = Tape(params)
+        loss, *logged = step_losses(params, items, loss_cfg)
         backward(tape, loss)
-        return float(loss.data), logged, bp.grads
+        return float(loss.data), logged, {k: g.copy() for k, g in params.grads.items()}
 
     loss, logged, grads = step(batch)
     singles = [step([item]) for item in batch]
@@ -390,11 +388,11 @@ def test_numeric_error_inside_a_step_names_the_step(tmp_path, monkeypatch):
     real_step = featmim.trainer.step_losses
     calls = []
 
-    def failing_second_step(bp, batch, loss_cfg):
+    def failing_second_step(params, batch, loss_cfg):
         calls.append(1)
         if len(calls) == 2:
             raise NumericError("attention scores contain non-finite values")
-        return real_step(bp, batch, loss_cfg)
+        return real_step(params, batch, loss_cfg)
 
     monkeypatch.setattr(featmim.trainer, "step_losses", failing_second_step)
     with pytest.raises(NumericError,
@@ -409,22 +407,23 @@ def test_step_activations_are_freed_by_backward(monkeypatch):
     params = init_params(cfg.model, 32, 3, seed=0)
     batch = _step_batch(cfg, 2, np.float32)
     refs = []
-    real_forward = featmim.trainer.forward
 
-    def recording_forward(patches, masks, bp):
-        out = real_forward(patches, masks, bp)
-        refs.extend(weakref.ref(t.data) for t in (*out.layers, out.h, out.z))
-        return out
+    def recording(fn):  # every encoder block's output, the aggregate and z
+        def wrapped(*args):
+            out = fn(*args)
+            refs.extend(weakref.ref(t.data) for t in (out if isinstance(out, list) else [out]))
+            return out
+        return wrapped
 
-    monkeypatch.setattr(featmim.trainer, "forward", recording_forward)
+    for name in ("encode_visible", "aggregate_multi_block", "decode"):
+        monkeypatch.setattr(featmim.model, name, recording(getattr(featmim.model, name)))
     gc.collect()
     gc.disable()
     try:
-        bp = BoundParams(params)
-        tape = Tape(bp)
-        loss = step_losses(bp, batch, cfg.loss)[0]
+        tape = Tape(params)
+        loss = step_losses(params, batch, cfg.loss)[0]
         # some activations are already gone: add keeps no operand for its backward
-        assert refs and any(r() is not None for r in refs)
+        assert len(refs) == cfg.model.enc_depth + 2 and any(r() is not None for r in refs)
         backward(tape, loss)
         assert all(r() is None for r in refs)
     finally:
@@ -446,7 +445,8 @@ def test_epoch_order_matches_inline_shuffle(tmp_path, monkeypatch):
     train(small_cfg(batch_size=1, total_epochs=3.0, seed=7), images, tmp_path)
     ids = [image_id for image_id, _ in images]
     stream = SplitMix64(7 ^ featmim.trainer._SHUFFLE_STREAM_TAG)
-    assert seen == [i for _ in range(3) for i in inline_shuffle(ids, stream)]
+    # every record is made once, in image order, before the first step
+    assert seen == ids + [i for _ in range(3) for i in inline_shuffle(ids, stream)]
 
 
 def test_ablate_lambda_sweep(tmp_path):
