@@ -5,7 +5,8 @@ patch loss covers masked positions only; the global loss compares the mean
 projected visible token with the mean of all teacher tokens, so it is
 invariant to shifting both sides by the same constant.
 
-Each loss is one tape node over a batch of images at once; it returns the
+Each loss is one tape node over a batch of images at once; it takes the
+batch as stacked arrays (trainer.step_losses stacks them) and returns the
 taped batch mean together with the per-image losses it averages.
 """
 
@@ -17,7 +18,6 @@ import numpy as np
 
 from . import tensor as tn
 from .errors import ConfigError, DegenerateMaskError, ShapeError
-from .masking import batch_rows
 from .tensor import Tensor
 
 
@@ -52,50 +52,36 @@ def _batch_mean(node, target, batch, channel_reduce):
     return BatchLoss(loss, per_image)
 
 
-def _token_shape(records):
-    shapes = {r.tokens.shape for r in records}
-    if len(shapes) != 1:
-        raise ShapeError(f"teacher token grids differ within one batch: {sorted(shapes)}")
-    return shapes.pop()
-
-
-def patch_loss(z, records, masks, beta, channel_reduce="mean"):
+def patch_loss(z, rows, tokens, beta, channel_reduce="mean"):
     """Smooth-L1 between teacher tokens and predictions, masked slots only.
 
-    z is [B*N, D], the predictions of B images stacked image by image;
-    records (trainer.ImageRecord) and masks hold one entry per image.
+    z and tokens are [B*N, D], the predictions and teacher tokens of B
+    images stacked image by image; rows is [B, M], the batch's masked rows.
     """
-    n, dim = _token_shape(records)
-    rows = batch_rows(masks, "masked_idx", n).reshape(-1)
+    b, rows = len(rows), rows.reshape(-1)
     if len(rows) == 0:
         raise DegenerateMaskError("patch loss needs at least one masked patch")
-    if z.shape != (len(masks) * n, dim):
-        raise ShapeError(
-            f"predictions {z.shape} do not match {len(masks)} x teacher tokens {(n, dim)}")
-    y_m = np.concatenate([r.tokens for r in records])[rows]
+    if z.shape != tokens.shape:
+        raise ShapeError(f"predictions {z.shape} do not match teacher tokens {tokens.shape}")
+    y_m = tokens[rows]
     return _batch_mean(lambda scale: tn.masked_smooth_l1(z, rows, y_m, beta, scale),
-                       y_m, len(masks), channel_reduce)
+                       y_m, b, channel_reduce)
 
 
-def global_loss(p_h, records, masks, beta, channel_reduce="mean"):
+def global_loss(p_h, means, beta, channel_reduce="mean"):
     """Smooth-L1 between each image's mean projected visible token and its
-    mean teacher token (the records' `mean`, over all K tokens).
+    mean teacher token.
 
     p_h is [B*V, D], the projected visible tokens of B images stacked
-    image by image; the masks must agree on V, as forward requires.
+    image by image; means is [B, D], each image's mean over all its tokens.
     """
-    n, dim = _token_shape(records)
-    b, n_vis = len(masks), len(masks[0].visible_idx)
-    if n_vis == 0:
+    b, dim = means.shape
+    if p_h.shape[0] == 0:
         raise DegenerateMaskError("global loss needs at least one visible patch")
-    if p_h.shape[0] != b * n_vis:
-        raise ShapeError(
-            f"projected tokens {p_h.shape} do not match {b} x {n_vis} visible patches")
-    if p_h.shape[1] != dim:
-        raise ShapeError(f"projection dim {p_h.shape[1]} != teacher dim {dim}")
-    teacher_mean = np.stack([r.mean for r in records])
-    return _batch_mean(lambda scale: tn.pooled_smooth_l1(p_h, b, teacher_mean, beta, scale),
-                       teacher_mean, b, channel_reduce)
+    if p_h.shape[0] % b or p_h.shape[1] != dim:
+        raise ShapeError(f"projected tokens {p_h.shape} do not fit teacher means {means.shape}")
+    return _batch_mean(lambda scale: tn.pooled_smooth_l1(p_h, b, means, beta, scale),
+                       means, b, channel_reduce)
 
 
 def total_loss(l_patch, l_global, lam):

@@ -68,10 +68,6 @@ class MaskSpec:
         return self.image_side // self.patch_side
 
     @property
-    def n_patches(self):
-        return self.grid_side * self.grid_side
-
-    @property
     def blocks_per_side(self):
         return self.image_side // self.block_side
 
@@ -94,10 +90,6 @@ class PatchMask:
     grid: np.ndarray  # bool [grid_side, grid_side], True = masked
     masked_idx: np.ndarray  # sorted int64
     visible_idx: np.ndarray  # sorted int64
-
-    @property
-    def n_patches(self):
-        return self.grid.size
 
 
 def generate_mask(spec: MaskSpec, seed=None) -> PatchMask:

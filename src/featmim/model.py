@@ -25,7 +25,6 @@ import numpy as np
 from . import tensor as tn
 from .errors import (ConfigError, DataError, DegenerateMaskError, ShapeError,
                      check_field_types)
-from .masking import batch_rows
 from .tensor import Tensor, tvec_bytes, tvec_from_bytes, write_atomic
 
 CHECKPOINT_MAGIC = b"FMCK"
@@ -265,18 +264,17 @@ def project_global(h_visible, params: ModelParams):
     return tn.linear(h, params["proj_fc2_w"], params["proj_fc2_b"])
 
 
-def forward(patches, masks, params: ModelParams):
+def forward(patches, vis_rows, params: ModelParams):
     """Student pass over a batch up to the patch predictions: embed,
-    encode visible, aggregate, decode. patches (each image's patchify rows)
-    and masks pair up one to one; every mask must leave the same number of
-    patches visible, and one batch_rows of them serves encoder and decoder.
+    encode visible, aggregate, decode. patches holds each image's patchify
+    rows; vis_rows is [B, V], the batch's visible rows, as encode_visible
+    and decode take them.
 
     Returns (z, last_visible): the decoder's predictions [B*N, target_dim]
     from the aggregated tokens, and the last encoder block's visible tokens
     [B*V, d]. The global head is not run here: callers that weight the
     global loss pass last_visible to project_global themselves.
     """
-    vis_rows = batch_rows(masks, "visible_idx", params.n_patches)
     layers = encode_visible(patch_embed(patches, params), vis_rows, params)
     return decode(aggregate_multi_block(layers, params.config), vis_rows, params), layers[-1]
 

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import ConfigError, DataError, NumericError
 from .losses import global_loss, patch_loss, total_loss
-from .masking import SplitMix64, generate_mask
+from .masking import SplitMix64, batch_rows, generate_mask
 from .model import forward, init_params, patchify, project_global, save_checkpoint
 from .teacher import align_input, make_teacher
 from .tensor import Tape, backward, write_atomic
@@ -117,6 +117,8 @@ def step_losses(params, batch, loss_cfg):
     """Batch-mean losses as one taped graph: patch + lam * global,
     multi-block aggregation per config. batch: [(ImageRecord, mask)].
 
+    The one place a batch is stacked: model and losses take the masks'
+    rows (masking.batch_rows), teacher tokens [B*N, D] and means [B, D].
     The global head and loss are recorded only when lam != 0; at lam == 0
     they could move no parameter, and L_global logs 0.0.
 
@@ -126,11 +128,15 @@ def step_losses(params, batch, loss_cfg):
     share one reduction.
     """
     records, masks = zip(*batch)
-    z, last_visible = forward([r.patches for r in records], masks, params)
-    loss, lp = patch_loss(z, records, masks, loss_cfg.beta, loss_cfg.channel_reduce)
+    visible = batch_rows(masks, "visible_idx", params.n_patches)
+    masked = batch_rows(masks, "masked_idx", params.n_patches)
+    z, last_visible = forward([r.patches for r in records], visible, params)
+    loss, lp = patch_loss(z, masked, np.concatenate([r.tokens for r in records]),
+                          loss_cfg.beta, loss_cfg.channel_reduce)
     lg = np.zeros_like(lp)
     if loss_cfg.lam != 0.0:
-        l_global, lg = global_loss(project_global(last_visible, params), records, masks,
+        l_global, lg = global_loss(project_global(last_visible, params),
+                                   np.stack([r.mean for r in records]),
                                    loss_cfg.beta, loss_cfg.channel_reduce)
         loss = total_loss(loss, l_global, loss_cfg.lam)
     lt = lp + lg * lp.dtype.type(loss_cfg.lam)
@@ -215,18 +221,18 @@ def train(cfg, images, out_dir):
     for image_id, img in images:  # so a teacher that misfits an image writes nothing
         cache.get(image_id, img)
 
-    os.makedirs(out_dir, exist_ok=True)
-    save_run_config(cfg, os.path.join(out_dir, "config.json"))
-    params = init_params(cfg.model, mask_spec.image_side, in_channels, tc.seed)
-    opt = OptimizerState()
-
-    by_id = dict(images)
     ids = [image_id for image_id, _ in images]
     steps_per_epoch = math.ceil(len(ids) / tc.batch_size)
     total_steps = int(round(tc.total_epochs * steps_per_epoch))
     if total_steps < 1:
         raise ConfigError(
             f"total_epochs {tc.total_epochs} yields zero optimizer steps")
+
+    os.makedirs(out_dir, exist_ok=True)
+    save_run_config(cfg, os.path.join(out_dir, "config.json"))
+    params = init_params(cfg.model, mask_spec.image_side, in_channels, tc.seed)
+    opt = OptimizerState()
+    by_id = dict(images)
     # per-step masks are resampled from the mask spec's own seed stream, so
     # --mask-seed varies masking without touching init or data order
     mask_stream = SplitMix64(mask_spec.seed ^ _MASK_STREAM_TAG)
@@ -288,8 +294,7 @@ def ablate_lambda(cfg, lambdas, images, out_dir):
         if name in runs:
             raise ConfigError(f"lambdas {runs[name].loss.lam!r} and {lam!r} both map to {name}")
         runs[name] = sub
-    os.makedirs(out_dir, exist_ok=True)
-    rows = []
+    rows = []  # train makes out_dir with each run's directory
     for name, sub in runs.items():
         r = train(sub, images, os.path.join(out_dir, name))
         rows.append((sub.loss.lam, r.final_l_patch, r.final_l_global, r.final_l_total))

@@ -24,7 +24,7 @@ from featmim.synth import synthetic_image
 from featmim.teacher import (ProceduralConvTeacher, TeacherFeatures,
                              dump_features, load_feature_dir)
 from featmim.tensor import Tensor
-from featmim.trainer import ImageRecord, TrainConfig, lr_at, scaled_lr, train
+from featmim.trainer import TrainConfig, lr_at, scaled_lr, train
 
 from conftest import plain_regression_step
 from test_diversity import oracle_diversity
@@ -37,11 +37,6 @@ def _passed(name, detail):
 def feats(tokens):
     tokens = np.asarray(tokens, dtype=np.float64)
     return TeacherFeatures(tokens=tokens, grid_side=1, source_id="t")
-
-
-def record(tokens):
-    """The loss-side fields of an image's record: teacher tokens and their mean."""
-    return ImageRecord(patches=None, tokens=tokens, mean=tokens.mean(axis=0))
 
 
 def test_gradient_fidelity(default_grad_check):
@@ -109,7 +104,7 @@ def test_mask_geometry():
             continue
         m = generate_mask(spec)
         per_block = spec.patches_per_block_side**2
-        assert abs(len(m.masked_idx) / m.n_patches - ratio) <= per_block / spec.n_patches
+        assert abs(len(m.masked_idx) / m.grid.size - ratio) <= per_block / spec.grid_side**2
         bpp = spec.patches_per_block_side
         g = m.grid
         for br in range(spec.blocks_per_side):
@@ -123,21 +118,21 @@ def test_mask_geometry():
 
 def test_loss_contracts():
     rng = np.random.default_rng(11)
-    y = record(rng.normal(size=(16, 4)))
+    y = rng.normal(size=(16, 4))
     mask = generate_mask(MaskSpec(32, 8, 8, 0.5, seed=1))
+    rows = mask.masked_idx[None]  # one image: its masked rows, [1, M]
 
     z0 = rng.normal(size=(16, 4))
     z1 = z0.copy()
     z1[mask.visible_idx] += rng.normal(size=(len(mask.visible_idx), 4)) * 1e6
-    a = float(patch_loss(Tensor(z0), [y], [mask], 2.0).loss.data)
-    b = float(patch_loss(Tensor(z1), [y], [mask], 2.0).loss.data)
+    a = float(patch_loss(Tensor(z0), rows, y, 2.0).loss.data)
+    b = float(patch_loss(Tensor(z1), rows, y, 2.0).loss.data)
     assert a == b
 
     p0 = rng.normal(size=(len(mask.visible_idx), 4))
     shift = rng.normal(size=4)
-    ga = float(global_loss(Tensor(p0), [y], [mask], 2.0).loss.data)
-    gb = float(global_loss(Tensor(p0 + shift),
-                           [record(y.tokens + shift)], [mask], 2.0).loss.data)
+    ga = float(global_loss(Tensor(p0), y.mean(axis=0)[None], 2.0).loss.data)
+    gb = float(global_loss(Tensor(p0 + shift), (y + shift).mean(axis=0)[None], 2.0).loss.data)
     assert abs(ga - gb) <= 1e-12
 
     for beta in (0.5, 1.0, 2.0):
@@ -257,10 +252,11 @@ def test_persistence_round_trips(tmp_path):
     params = init_params(cfg.model, 32, 3, seed=5)
     mask = generate_mask(replace(cfg.mask, seed=9))
     patches = patchify(synthetic_image(32, 3, seed=4), 8)
-    before = forward([patches], [mask], params)[0].data.tobytes()
+    before = forward([patches], mask.visible_idx[None], params)[0].data.tobytes()
     from featmim.model import save_checkpoint
     save_checkpoint(tmp_path / "c.bin", params)
-    after = forward([patches], [mask], load_checkpoint(tmp_path / "c.bin"))[0].data.tobytes()
+    after = forward([patches], mask.visible_idx[None],
+                    load_checkpoint(tmp_path / "c.bin"))[0].data.tobytes()
     assert before == after
 
     # feature dump: write -> read -> rewrite must be byte identical

@@ -413,6 +413,30 @@ def test_teacher_grid_that_misses_the_patch_grid_exits_3(tmp_path, image_dir, ca
     assert not run.exists()
 
 
+def test_ablate_lambda_failing_first_run_leaves_no_out(tmp_path, image_dir, capsys):
+    feats = tmp_path / "feats"  # 64 tokens per image against 16 student patches
+    assert main(["dump-features", "--images", str(image_dir), "--out", str(feats),
+                 "--patch-side", "4"]) == 0
+    capsys.readouterr()
+    out = tmp_path / "abl"
+    assert main(["ablate-lambda", "--config", str(_file_teacher_config(tmp_path, feats)),
+                 "--images", str(image_dir), "--out", str(out), "--lambdas", "0,0.5"]) == 3
+    assert "for image 'img0'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_zero_step_run_exits_2_writing_nothing(tmp_path, capsys):
+    images = tmp_path / "images"
+    images.mkdir()
+    write_ppm(images / "img0.ppm", synthetic_image(32, 3, seed=0))
+    cfg = write_config(tmp_path, train={"total_epochs": 0.2, "warmup_epochs": 0.1})
+    out = tmp_path / "run"
+    assert main(["pretrain", "--config", str(cfg), "--images", str(images),
+                 "--out", str(out)]) == 2
+    assert "yields zero optimizer steps" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_grad_check_file_teacher_grid_mismatch_exits_3(tmp_path, capsys):
     # NANO_GRAD_CHECK's 8x8 image has 4 patches; a dump at --patch-side 2
     # holds 16 tokens for it

@@ -7,9 +7,7 @@ from hypothesis import strategies as st
 from featmim import tensor as tn
 from featmim.errors import ConfigError, DegenerateMaskError, ShapeError
 from featmim.losses import LossConfig, global_loss, patch_loss, total_loss
-from featmim.masking import PatchMask
 from featmim.tensor import Tape, Tensor, backward
-from featmim.trainer import ImageRecord
 
 
 def scalar(x):
@@ -21,22 +19,6 @@ def smooth_l1(x, beta):
     with prediction 0 and target x."""
     x = np.asarray(x, dtype=np.float64).reshape(-1, 1)
     return tn.masked_smooth_l1(Tensor(np.zeros_like(x)), np.arange(len(x)), x, beta, 1.0)[1]
-
-
-def make_mask(n, masked):
-    grid_side = int(np.sqrt(n))
-    masked = np.asarray(sorted(masked), dtype=np.int64)
-    visible = np.setdiff1d(np.arange(n, dtype=np.int64), masked)
-    grid = np.zeros(n, dtype=bool)
-    grid[masked] = True
-    return PatchMask(grid=grid.reshape(grid_side, grid_side),
-                     masked_idx=masked, visible_idx=visible)
-
-
-def feats(tokens):
-    """The loss-side fields of an image's record: teacher tokens and their mean."""
-    tokens = np.asarray(tokens, dtype=np.float64)
-    return ImageRecord(patches=None, tokens=tokens, mean=tokens.mean(axis=0))
 
 
 def test_smooth_l1_hand_values():
@@ -82,117 +64,113 @@ def test_smooth_l1_gradient():
 
 
 def test_patch_loss_zero_when_exact():
-    y = feats(np.arange(8).reshape(4, 2) + 1.0)
-    mask = make_mask(4, [0, 2])
-    z = Tensor(y.tokens.copy())
-    assert float(patch_loss(z, [y], [mask], beta=2.0).loss.data) == 0.0
+    y = np.arange(8.0).reshape(4, 2) + 1.0
+    z = Tensor(y.copy())
+    assert float(patch_loss(z, np.array([[0, 2]]), y, beta=2.0).loss.data) == 0.0
 
 
 def test_patch_loss_single_token_hand_value():
-    y = feats([[1.0], [0.0], [0.0], [0.0]])
-    mask = make_mask(4, [0])
+    y = np.array([[1.0], [0.0], [0.0], [0.0]])
     z = Tensor(np.zeros((4, 1)))
     # one masked token, D_t = 1, residual 1, beta 2 -> 0.25
-    assert float(patch_loss(z, [y], [mask], beta=2.0).loss.data) == 0.25
+    assert float(patch_loss(z, np.array([[0]]), y, beta=2.0).loss.data) == 0.25
 
 
 def test_patch_loss_ignores_visible_slots():
     rng = np.random.default_rng(1)
-    y = feats(rng.normal(size=(9, 3)))
-    mask = make_mask(9, [1, 4, 7])
+    y = rng.normal(size=(9, 3))
+    rows = np.array([[1, 4, 7]])
     z0 = rng.normal(size=(9, 3))
     z1 = z0.copy()
-    z1[mask.visible_idx] += rng.normal(size=(6, 3)) * 100
-    a = float(patch_loss(Tensor(z0), [y], [mask], 2.0).loss.data)
-    b = float(patch_loss(Tensor(z1), [y], [mask], 2.0).loss.data)
+    z1[[0, 2, 3, 5, 6, 8]] += rng.normal(size=(6, 3)) * 100
+    a = float(patch_loss(Tensor(z0), rows, y, 2.0).loss.data)
+    b = float(patch_loss(Tensor(z1), rows, y, 2.0).loss.data)
     assert a == b
 
 
 def test_patch_loss_empty_mask_rejected():
-    y = feats(np.zeros((4, 2)))
     with pytest.raises(DegenerateMaskError):
-        patch_loss(Tensor(np.zeros((4, 2))), [y], [make_mask(4, [])], 2.0)
+        patch_loss(Tensor(np.zeros((4, 2))), np.zeros((1, 0), dtype=np.int64),
+                   np.zeros((4, 2)), 2.0)
 
 
 def test_patch_loss_shape_mismatch():
-    y = feats(np.zeros((4, 2)))
     with pytest.raises(ShapeError):
-        patch_loss(Tensor(np.zeros((4, 3))), [y], [make_mask(4, [0])], 2.0)
+        patch_loss(Tensor(np.zeros((4, 3))), np.array([[0]]), np.zeros((4, 2)), 2.0)
 
 
 def test_patch_loss_permutation_invariant_over_masked():
     rng = np.random.default_rng(2)
-    y = feats(rng.normal(size=(9, 4)))
+    y = rng.normal(size=(9, 4))
     z = Tensor(rng.normal(size=(9, 4)))
-    a = float(patch_loss(z, [y], [make_mask(9, [0, 3, 5])], 2.0).loss.data)
-    b = float(patch_loss(z, [y], [make_mask(9, [5, 0, 3])], 2.0).loss.data)
+    a = float(patch_loss(z, np.array([[0, 3, 5]]), y, 2.0).loss.data)
+    b = float(patch_loss(z, np.array([[5, 0, 3]]), y, 2.0).loss.data)
     assert a == b
 
 
 def test_patch_loss_monotone_in_residual_scale():
     rng = np.random.default_rng(3)
-    y_tok = rng.normal(size=(9, 4))
-    mask = make_mask(9, [2, 6])
+    y = rng.normal(size=(9, 4))
+    rows = np.array([[2, 6]])
     base = rng.normal(size=(9, 4))
     losses = []
     for c in (1.0, 1.5, 2.0, 4.0):
-        z = y_tok - c * base  # residual y - z = c * base
-        losses.append(float(patch_loss(Tensor(z), [feats(y_tok)], [mask], 2.0).loss.data))
+        z = y - c * base  # residual y - z = c * base
+        losses.append(float(patch_loss(Tensor(z), rows, y, 2.0).loss.data))
     assert all(b >= a for a, b in zip(losses, losses[1:]))
 
 
 def test_patch_loss_channel_sum_mode():
-    y = feats([[1.0, 1.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]])
-    mask = make_mask(4, [0])
+    y = np.array([[1.0, 1.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]])
     z = Tensor(np.zeros((4, 2)))
-    mean_mode = float(patch_loss(z, [y], [mask], 2.0, "mean").loss.data)
-    sum_mode = float(patch_loss(z, [y], [mask], 2.0, "sum").loss.data)
+    mean_mode = float(patch_loss(z, np.array([[0]]), y, 2.0, "mean").loss.data)
+    sum_mode = float(patch_loss(z, np.array([[0]]), y, 2.0, "sum").loss.data)
     assert mean_mode == 0.25
     assert sum_mode == 0.5
 
 
 def test_global_loss_zero_when_means_match():
     rng = np.random.default_rng(4)
-    y = feats(rng.normal(size=(4, 3)))
-    mask = make_mask(4, [0])
-    p_h = Tensor(np.tile(y.tokens.mean(axis=0), (3, 1)))
-    assert abs(float(global_loss(p_h, [y], [mask], 2.0).loss.data)) < 1e-12
+    means = rng.normal(size=(4, 3)).mean(axis=0)[None]
+    p_h = Tensor(np.tile(means, (3, 1)))
+    assert abs(float(global_loss(p_h, means, 2.0).loss.data)) < 1e-12
 
 
 def test_global_loss_linear_branch_hand_value():
     # D_t = 1, means differ by 3, beta 2 -> |3| - 1 = 2
-    y = feats([[3.0], [3.0], [3.0], [3.0]])
-    mask = make_mask(4, [0, 1])
     p_h = Tensor(np.zeros((2, 1)))
-    assert float(global_loss(p_h, [y], [mask], 2.0).loss.data) == 2.0
+    assert float(global_loss(p_h, np.array([[3.0]]), 2.0).loss.data) == 2.0
 
 
 def test_global_loss_constant_shift_invariant():
     rng = np.random.default_rng(5)
-    y_tok = rng.normal(size=(4, 3))
-    mask = make_mask(4, [3])
+    y = rng.normal(size=(4, 3))
     p0 = rng.normal(size=(3, 3))
     shift = rng.normal(size=3)
-    a = float(global_loss(Tensor(p0), [feats(y_tok)], [mask], 2.0).loss.data)
-    b = float(global_loss(Tensor(p0 + shift), [feats(y_tok + shift)], [mask], 2.0).loss.data)
+    a = float(global_loss(Tensor(p0), y.mean(axis=0)[None], 2.0).loss.data)
+    b = float(global_loss(Tensor(p0 + shift), (y + shift).mean(axis=0)[None], 2.0).loss.data)
     assert abs(a - b) < 1e-12
 
 
 def test_global_loss_permutation_invariant():
     rng = np.random.default_rng(6)
-    y_tok = rng.normal(size=(4, 3))
-    mask = make_mask(4, [0])
+    y = rng.normal(size=(4, 3))
     p0 = rng.normal(size=(3, 3))
-    a = float(global_loss(Tensor(p0), [feats(y_tok)], [mask], 2.0).loss.data)
-    b = float(global_loss(Tensor(p0[::-1].copy()), [feats(y_tok[::-1].copy())], [mask], 2.0).loss.data)
+    a = float(global_loss(Tensor(p0), y.mean(axis=0)[None], 2.0).loss.data)
+    b = float(global_loss(Tensor(p0[::-1].copy()), y[::-1].mean(axis=0)[None], 2.0).loss.data)
     assert abs(a - b) < 1e-12
 
 
 def test_global_loss_empty_visible_rejected():
-    y = feats(np.zeros((4, 2)))
-    mask = make_mask(4, [0, 1, 2, 3])
     with pytest.raises(DegenerateMaskError):
-        global_loss(Tensor(np.zeros((0, 2))), [y], [mask], 2.0)
+        global_loss(Tensor(np.zeros((0, 2))), np.zeros((1, 2)), 2.0)
+
+
+@pytest.mark.parametrize("p_shape", [(5, 2), (6, 3)])
+def test_global_loss_shape_mismatch(p_shape):
+    # two images: 5 rows do not split into two blocks; width 3 is not D = 2
+    with pytest.raises(ShapeError):
+        global_loss(Tensor(np.zeros(p_shape)), np.zeros((2, 2)), 2.0)
 
 
 def test_total_loss_arithmetic():
@@ -203,21 +181,21 @@ def test_total_loss_arithmetic():
 
 def test_loss_gradients_match_finite_differences():
     rng = np.random.default_rng(7)
-    y = feats(rng.normal(size=(9, 4)))
-    mask = make_mask(9, [1, 4])
+    y = rng.normal(size=(9, 4))
+    rows, means = np.array([[1, 4]]), y.mean(axis=0)[None]
     z0 = rng.normal(size=(9, 4))
     p0 = rng.normal(size=(7, 4))
 
     def f_patch(z):
-        return float(patch_loss(Tensor(z), [y], [mask], 2.0).loss.data)
+        return float(patch_loss(Tensor(z), rows, y, 2.0).loss.data)
 
     def f_global(p):
-        return float(global_loss(Tensor(p), [y], [mask], 2.0).loss.data)
+        return float(global_loss(Tensor(p), means, 2.0).loss.data)
 
     params = tn.Parameters({"z": z0.copy(), "p": p0.copy()})
     tape = Tape(params)
-    loss = total_loss(patch_loss(params["z"], [y], [mask], 2.0).loss,
-                      global_loss(params["p"], [y], [mask], 2.0).loss, 0.5)
+    loss = total_loss(patch_loss(params["z"], rows, y, 2.0).loss,
+                      global_loss(params["p"], means, 2.0).loss, 0.5)
     backward(tape, loss)
     grads = params.grads
     assert rel_err(grads["z"], fd_grad(f_patch, z0)) < 1e-4

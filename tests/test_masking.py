@@ -17,7 +17,7 @@ def test_reference_geometry_counts():
     assert PAPER_GEOMETRY.n_blocks == 49
     assert len(mask.masked_idx) == 116
     assert len(mask.visible_idx) == 80
-    assert abs(len(mask.masked_idx) / mask.n_patches - 116 / 196) < 1e-15
+    assert abs(len(mask.masked_idx) / mask.grid.size - 116 / 196) < 1e-15
 
 
 def test_same_seed_reproduces_bitwise():
@@ -92,8 +92,8 @@ def test_actual_ratio_within_one_block(spec):
     except DegenerateMaskError:
         return
     patches_per_block = spec.patches_per_block_side**2
-    tol = patches_per_block / spec.n_patches
-    assert abs(len(mask.masked_idx) / mask.n_patches - spec.mask_ratio) <= tol
+    tol = patches_per_block / spec.grid_side**2
+    assert abs(len(mask.masked_idx) / mask.grid.size - spec.mask_ratio) <= tol
 
 
 def test_block_marginal_frequency_binomial():

@@ -8,6 +8,7 @@ import pytest
 
 from featmim.config import RunConfig, save_run_config
 from featmim.errors import ConfigError, DataError, DegenerateMaskError, ShapeError
+from featmim.losses import LossConfig
 from featmim.masking import MaskSpec, PatchMask, batch_rows, generate_mask
 import featmim.model
 from featmim.model import (ModelConfig, aggregate_multi_block,
@@ -15,7 +16,9 @@ from featmim.model import (ModelConfig, aggregate_multi_block,
                            load_checkpoint, patch_embed, patchify,
                            project_global, save_checkpoint, sincos_pos_embed)
 from featmim.synth import synthetic_image
+from featmim.teacher import ProceduralConvTeacher
 from featmim.tensor import Tensor, tvec_bytes, write_tvec
+from featmim.trainer import FeatureCache, step_losses
 
 TINY = ModelConfig(patch_side=8, embed_dim=8, enc_depth=2, enc_heads=2,
                    dec_depth=1, dec_width=8, dec_heads=2, target_dim=6,
@@ -124,7 +127,7 @@ def test_masked_content_never_reaches_the_model():
         perturbed[:, r * 8:(r + 1) * 8, c * 8:(c + 1) * 8] += 7.25
 
     def outputs(image):  # h, z and the global head's output
-        z, last_visible = forward([patches_of(image)], [mask], params)
+        z, last_visible = forward([patches_of(image)], visible_rows([mask]), params)
         return aggregated([image], [mask], params), z, project_global(last_visible, params)
 
     for a, b in zip(outputs(img), outputs(perturbed)):
@@ -168,11 +171,11 @@ def test_decode_positional_swap_equivariance():
     i, j = int(mask.masked_idx[0]), int(mask.masked_idx[1])
     img = synthetic_image(32, 3, seed=4).astype(np.float64)
 
-    z_a = forward([patches_of(img)], [mask], params)[0].data
+    z_a = forward([patches_of(img)], visible_rows([mask]), params)[0].data
 
     swapped = init_params(TINY, 32, 3, seed=0, dtype=np.float64)
     swapped.dec_pos[[i, j]] = swapped.dec_pos[[j, i]]
-    z_b = forward([patches_of(img)], [mask], swapped)[0].data
+    z_b = forward([patches_of(img)], visible_rows([mask]), swapped)[0].data
 
     np.testing.assert_allclose(z_b[i], z_a[j], rtol=1e-12, atol=1e-12)
     np.testing.assert_allclose(z_b[j], z_a[i], rtol=1e-12, atol=1e-12)
@@ -203,7 +206,7 @@ def test_forward_shapes():
     params = tiny_params()
     mask = tiny_mask(seed=7)
     image = synthetic_image(32, 3, seed=6)
-    z, last_visible = forward([patches_of(image)], [mask], params)
+    z, last_visible = forward([patches_of(image)], visible_rows([mask]), params)
     layers = encode_visible(patch_embed([patches_of(image)], params), visible_rows([mask]), params)
     v = len(mask.visible_idx)
     assert aggregated([image], [mask], params).shape == (v, 8)
@@ -248,7 +251,7 @@ def test_checkpoint_round_trip_bitwise(tmp_path):
     params = tiny_params(seed=9)
     mask = tiny_mask(seed=8)
     img = synthetic_image(32, 3, seed=7)
-    z_before = forward([patches_of(img)], [mask], params)[0].data.tobytes()
+    z_before = forward([patches_of(img)], visible_rows([mask]), params)[0].data.tobytes()
 
     path = tmp_path / "ckpt.bin"
     save_checkpoint(path, params)
@@ -258,7 +261,7 @@ def test_checkpoint_round_trip_bitwise(tmp_path):
     assert set(loaded) == set(params)
     for name in params:
         assert loaded[name].data.tobytes() == params[name].data.tobytes()
-    z_after = forward([patches_of(img)], [mask], loaded)[0].data.tobytes()
+    z_after = forward([patches_of(img)], visible_rows([mask]), loaded)[0].data.tobytes()
     assert z_after == z_before
 
 
@@ -421,9 +424,10 @@ def test_batch_masks_must_agree_on_visible_count():
     grid[0] = False
     one_visible = PatchMask(grid=grid.reshape(4, 4), masked_idx=masked,
                             visible_idx=np.array([0], dtype=np.int64))
-    images = [synthetic_image(32, 3, seed=i) for i in range(2)]
+    cache = FeatureCache(ProceduralConvTeacher(target_dim=6, downsample_rate=8, seed=0), 8)
+    records = [cache.get(f"img{i}", synthetic_image(32, 3, seed=i)) for i in range(2)]
     with pytest.raises(ShapeError, match="visible count: 8 and 1"):
-        forward([patches_of(i) for i in images], [four_visible, one_visible], params)
+        step_losses(params, list(zip(records, [four_visible, one_visible])), LossConfig())
 
 
 def test_batch_rows_match_one_image_passes():
@@ -432,11 +436,11 @@ def test_batch_rows_match_one_image_passes():
     params = init_params(TINY, 32, 3, seed=0, dtype=np.float64)
     images = [synthetic_image(32, 3, seed=i, dtype=np.float64) for i in range(3)]
     masks = [tiny_mask(seed=10 + i) for i in range(3)]
-    z = forward([patches_of(i) for i in images], masks, params)[0].data
+    z = forward([patches_of(i) for i in images], visible_rows(masks), params)[0].data
     h = aggregated(images, masks, params).data
     n, v = params.n_patches, len(masks[0].visible_idx)
     for i, (image, mask) in enumerate(zip(images, masks)):
-        one_z = forward([patches_of(image)], [mask], params)[0].data
+        one_z = forward([patches_of(image)], visible_rows([mask]), params)[0].data
         one_h = aggregated([image], [mask], params).data
         np.testing.assert_allclose(z[i * n:(i + 1) * n], one_z, rtol=0, atol=1e-12)
         np.testing.assert_allclose(h[i * v:(i + 1) * v], one_h, rtol=0, atol=1e-12)
@@ -448,6 +452,7 @@ def test_no_cls_config_runs():
                       use_cls=False, multi_block=False)
     params = init_params(cfg, 32, 3, seed=0)
     mask = tiny_mask(seed=9)
-    z, last_visible = forward([patches_of(synthetic_image(32, 3, seed=8))], [mask], params)
+    z, last_visible = forward([patches_of(synthetic_image(32, 3, seed=8))],
+                              visible_rows([mask]), params)
     assert last_visible.shape == (len(mask.visible_idx), 8)  # no CLS row
     assert z.shape == (16, 4)

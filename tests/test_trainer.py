@@ -148,9 +148,9 @@ def test_loss_finite_at_init_across_seeds():
     record = FeatureCache(teacher, patch_side=8).get("img", image)
     for seed in range(100):
         params = init_params(cfg.model, 32, 3, seed=seed)
-        z, _ = forward([record.patches], [mask], params)
-        lt = total_loss(patch_loss(z, [record], [mask], 2.0).loss,
-                        patch_loss(z, [record], [mask], 2.0).loss, 0.5)
+        z, _ = forward([record.patches], mask.visible_idx[None], params)
+        l_patch = patch_loss(z, mask.masked_idx[None], record.tokens, 2.0).loss
+        lt = total_loss(l_patch, l_patch, 0.5)
         assert np.isfinite(float(lt.data))
 
 
@@ -197,7 +197,7 @@ def test_final_checkpoint_matches_live_params(tmp_path):
     result = train(cfg, images, tmp_path)
     loaded = load_checkpoint(result.final_checkpoint)
     mask = generate_mask(cfg.mask)
-    z, _ = forward([patchify(images[0][1], 8)], [mask], loaded)
+    z, _ = forward([patchify(images[0][1], 8)], mask.visible_idx[None], loaded)
     assert np.isfinite(z.data).all()
 
 
