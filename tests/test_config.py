@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 from dataclasses import replace
@@ -99,6 +100,36 @@ def test_json_round_trip(tmp_path):
     save_run_config(cfg, p)
     back = load_run_config(p)
     assert back == cfg
+
+
+# save_run_config's bytes for the defaults, and for a document with a list
+# norm_mean, a file teacher and a changed train seed: config.json is an
+# output contract, whatever record type holds the sections
+@pytest.mark.parametrize("doc, want", [
+    ({}, "a08a520af7a2fe4d0992c7819d9032af7773dad051c63157a84949592ddb14ec"),
+    ({"data": {"norm_mean": [0.4, 0.5, 0.6]},
+      "teacher": {"kind": "file", "features_dir": "feats"},
+      "train": {"seed": 7}},
+     "bc983f38b555c72235a0b1dc07ccfe963a97ef8643a890c9a618899622b1e53e"),
+], ids=["defaults", "edited"])
+def test_saved_config_bytes_are_pinned(tmp_path, doc, want):
+    p = tmp_path / "cfg.json"
+    save_run_config(run_config_from_dict(doc), p)
+    assert hashlib.sha256(p.read_bytes()).hexdigest() == want
+
+
+def test_unknown_field_error_names_section_and_field():
+    with pytest.raises(ConfigError, match=r"section 'teacher'.*'rate'"):
+        run_config_from_dict({"teacher": {"rate": 4}})
+
+
+@pytest.mark.parametrize("section, field, value", [
+    ("train", "seed", True), ("train", "base_lr", "0.1"), ("mask", "mask_ratio", None),
+    ("model", "use_cls", 1), ("teacher", "features_dir", 3), ("loss", "channel_reduce", 0),
+])
+def test_wrong_typed_field_error_names_section_and_field(section, field, value):
+    with pytest.raises(ConfigError, match=rf"^{section}\.{field} must be"):
+        run_config_from_dict({section: {field: value}})
 
 
 def test_malformed_json_rejected(tmp_path):

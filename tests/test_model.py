@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import struct
@@ -306,6 +307,15 @@ def test_init_params_draws_do_not_depend_on_the_flat_layout():
     proj = rng.uniform(-limit, limit, size=(3 * 64, d)).astype(np.float32)
     assert params["cls_token"].data.tobytes() == cls.tobytes()
     assert params["patch_proj_w"].data.tobytes() == proj.tobytes()
+
+
+def test_fresh_checkpoint_bytes_are_pinned(tmp_path):
+    # the header JSON holds the model config; its bytes must not depend on
+    # the record type behind it
+    path = tmp_path / "ckpt.bin"
+    save_checkpoint(path, init_params(ModelConfig(), 32, 3, seed=0))
+    assert (hashlib.sha256(path.read_bytes()).hexdigest()
+            == "bb33c01e044badb17add5d371a090ceb5c412c7b75984bf9407b0c86d0a23d23")
 
 
 def _write_output(writer, path, seed):
