@@ -13,8 +13,6 @@ import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from dataclasses import replace
-
 from featmim.analysis import heatmap, render_pgm
 from featmim.config import RunConfig
 from featmim.diversity import corpus_diversity
@@ -48,11 +46,10 @@ def main():
         render_pgm(heatmap(samples[0], query=5),
                    os.path.join(tdir, "heatmap_q5.pgm"))
 
-        cfg = replace(RunConfig(),
-                      train=TrainConfig(base_lr=0.03, batch_size=8,
-                                        warmup_epochs=args.steps / 20,
-                                        total_epochs=float(args.steps), seed=0),
-                      teacher=spec).validate()
+        cfg = RunConfig()._replace(
+            train=TrainConfig(base_lr=0.03, batch_size=8, warmup_epochs=args.steps / 20,
+                              total_epochs=float(args.steps), seed=0),
+            teacher=spec).validate()
         result = train(cfg, images, os.path.join(tdir, "run"))
         print(f"{f'conv(seed={seed})':>12} {report.diver:>10.4f} "
               f"{result.final_l_patch:>14.5f}")

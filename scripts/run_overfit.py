@@ -14,8 +14,6 @@ import time
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from dataclasses import replace
-
 from featmim.config import RunConfig
 from featmim.synth import synthetic_image
 from featmim.trainer import TrainConfig, train
@@ -29,7 +27,7 @@ def main():
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args()
 
-    cfg = replace(RunConfig(), train=TrainConfig(
+    cfg = RunConfig()._replace(train=TrainConfig(
         base_lr=args.base_lr, batch_size=8, warmup_epochs=args.steps / 20,
         total_epochs=float(args.steps), seed=args.seed)).validate()
     images = [(f"img{i}", synthetic_image(32, 3, seed=i)) for i in range(8)]

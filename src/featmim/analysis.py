@@ -6,7 +6,7 @@ to compress wide teacher tokens before further embedding.
 """
 
 import json
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -16,8 +16,7 @@ from .imageio import write_pgm
 from .tensor import write_atomic
 
 
-@dataclass(frozen=True)
-class HeatMap:
+class HeatMap(NamedTuple):
     grid_side: int
     query_index: int
     values: np.ndarray  # cosine to the query, in [-1, 1], length grid_side**2

@@ -13,7 +13,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import replace
 
 import numpy as np
 
@@ -39,9 +38,9 @@ def _resolved_config(args, default=RunConfig):
     and --mask-seed overrides applied; validated."""
     cfg = load_run_config(args.config) if args.config else default()
     if args.seed is not None:
-        cfg = replace(cfg, train=replace(cfg.train, seed=args.seed))
+        cfg = cfg._replace(train=cfg.train._replace(seed=args.seed))
     if getattr(args, "mask_seed", None) is not None:
-        cfg = replace(cfg, mask=replace(cfg.mask, seed=args.mask_seed))
+        cfg = cfg._replace(mask=cfg.mask._replace(seed=args.mask_seed))
     cfg.validate()
     return cfg
 

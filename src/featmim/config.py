@@ -6,7 +6,7 @@ consistency) before any command does work.
 """
 
 import json
-from dataclasses import asdict, dataclass, field, fields
+from typing import NamedTuple
 
 from .errors import ConfigError, DataError, check_field_types, finite_number
 from .losses import LossConfig
@@ -17,8 +17,7 @@ from .tensor import write_atomic
 from .trainer import TrainConfig
 
 
-@dataclass(frozen=True)
-class DataConfig:
+class DataConfig(NamedTuple):
     norm_mean: object = 0.5  # scalar or per-channel list
     norm_std: object = 0.5
 
@@ -32,18 +31,13 @@ class DataConfig:
             raise ConfigError("data.norm_std must be nonzero")
 
 
-def _default_mask():
-    return MaskSpec(image_side=32, patch_side=8, block_side=16, mask_ratio=0.6, seed=0)
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    train: TrainConfig = field(default_factory=TrainConfig)
-    mask: MaskSpec = field(default_factory=_default_mask)
-    model: ModelConfig = field(default_factory=ModelConfig)
-    loss: LossConfig = field(default_factory=LossConfig)
-    teacher: TeacherSpec = field(default_factory=TeacherSpec)
-    data: DataConfig = field(default_factory=DataConfig)
+class RunConfig(NamedTuple):  # sections are immutable, so one default instance serves all
+    train: TrainConfig = TrainConfig()
+    mask: MaskSpec = MaskSpec(image_side=32, patch_side=8, block_side=16, mask_ratio=0.6, seed=0)
+    model: ModelConfig = ModelConfig()
+    loss: LossConfig = LossConfig()
+    teacher: TeacherSpec = TeacherSpec()
+    data: DataConfig = DataConfig()
 
     def validate(self):
         self.train.validate()
@@ -75,17 +69,16 @@ class RunConfig:
         return self
 
     def to_dict(self):
-        return asdict(self)
+        return {name: section._asdict() for name, section in self._asdict().items()}
 
 
 def _build_section(name, default, payload):
     if not isinstance(payload, dict):
         raise ConfigError(f"config section {name!r} must be an object")
-    known = {f.name for f in fields(default)}
-    unknown = set(payload) - known
+    unknown = set(payload) - set(default._fields)
     if unknown:
         raise ConfigError(f"unknown field(s) in section {name!r}: {sorted(unknown)}")
-    section = type(default)(**{**asdict(default), **payload})
+    section = default._replace(**payload)
     check_field_types(section, name)
     return section
 
@@ -93,8 +86,7 @@ def _build_section(name, default, payload):
 def run_config_from_dict(doc):
     if not isinstance(doc, dict):
         raise ConfigError("config document must be a JSON object")
-    base = RunConfig()
-    sections = {f.name: getattr(base, f.name) for f in fields(base)}
+    sections = RunConfig()._asdict()
     unknown = set(doc) - set(sections)
     if unknown:
         raise ConfigError(f"unknown config section(s): {sorted(unknown)}")

@@ -15,15 +15,14 @@ orthogonal tokens score 0.
 """
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ConfigError, DataError, NumericError
 
 
-@dataclass(frozen=True)
-class DiversityReport:
+class DiversityReport(NamedTuple):
     per_sample: list  # sim_n in [0, 1], one per sample
     diver: float
     n_samples: int

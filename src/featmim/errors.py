@@ -1,12 +1,11 @@
 """Exception hierarchy shared by all featmim modules, and the field type
-check every config dataclass read from a file goes through.
+check every config record read from a file goes through.
 
 The CLI maps these onto exit codes: ConfigError -> 2, DataError -> 3,
 NumericError -> 4. Anything else is a bug and propagates as a traceback.
 """
 
 import sys
-from dataclasses import fields
 from typing import get_args
 
 
@@ -49,13 +48,13 @@ _FIELD_RULES = {
 
 
 def check_field_types(obj, where):
-    """Raise ConfigError naming where.field when a field of the dataclass obj
+    """Raise ConfigError naming where.field when a field of the record obj
     does not hold its annotated type. An int field takes an int but not a
     bool, a float field an int or a finite float, an Optional field also
     None; other annotations (`object`) are left to the validate methods."""
-    for f in fields(obj):
-        kinds = [k for k in get_args(f.type) or (f.type,) if k in _FIELD_RULES]
-        value = getattr(obj, f.name)
+    for name, kind in type(obj).__annotations__.items():
+        kinds = [k for k in get_args(kind) or (kind,) if k in _FIELD_RULES]
+        value = getattr(obj, name)
         if kinds and not any(_FIELD_RULES[k][1](value) for k in kinds):
             wanted = " or ".join(_FIELD_RULES[k][0] for k in kinds)
-            raise ConfigError(f"{where}.{f.name} must be {wanted}, got {value!r}")
+            raise ConfigError(f"{where}.{name} must be {wanted}, got {value!r}")

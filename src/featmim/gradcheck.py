@@ -6,7 +6,7 @@ differences. Relative error uses max(|analytic|, |numeric|, floor) in the
 denominator so near-zero gradients do not blow up the ratio.
 """
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -19,8 +19,7 @@ from .tensor import Tape, backward
 from .trainer import FeatureCache, step_losses
 
 
-@dataclass(frozen=True)
-class GradCheckReport:
+class GradCheckReport(NamedTuple):
     per_param: dict  # name -> max relative error over its elements
     max_rel_err: float
     worst_param: str

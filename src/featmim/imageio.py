@@ -67,6 +67,8 @@ def read_pnm(path):
     if len(payload) < need:
         raise DataError(f"{path}: payload holds {len(payload)} bytes, expected {need}")
     raw = np.frombuffer(payload[:need], dtype=np.uint8)
+    if maxval < 255 and raw.max() > maxval:
+        raise DataError(f"{path}: sample {raw.max()} exceeds maxval {maxval}")
     img = raw.reshape(height, width, channels).transpose(2, 0, 1)
     return img.astype(np.float32) / np.float32(maxval)
 

@@ -11,7 +11,6 @@ taped batch mean together with the per-image losses it averages.
 """
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -21,8 +20,7 @@ from .errors import ConfigError, DegenerateMaskError, ShapeError
 from .tensor import Tensor
 
 
-@dataclass(frozen=True)
-class LossConfig:
+class LossConfig(NamedTuple):
     beta: float = 2.0  # smooth-L1 transition point
     lam: float = 0.5  # global loss weight
     channel_reduce: str = "mean"  # "mean" | "sum" over feature channels

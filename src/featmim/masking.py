@@ -7,7 +7,7 @@ same mask on every platform.
 """
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -43,8 +43,7 @@ class SplitMix64:
         return order
 
 
-@dataclass(frozen=True)
-class MaskSpec:
+class MaskSpec(NamedTuple):
     image_side: int
     patch_side: int
     block_side: int
@@ -85,8 +84,7 @@ class MaskSpec:
         return math.floor(self.mask_ratio * self.n_blocks + 0.5)
 
 
-@dataclass(frozen=True)
-class PatchMask:
+class PatchMask(NamedTuple):
     grid: np.ndarray  # bool [grid_side, grid_side], True = masked
     masked_idx: np.ndarray  # sorted int64
     visible_idx: np.ndarray  # sorted int64

@@ -18,7 +18,7 @@ linear weights are Xavier-uniform; CLS and mask tokens draw from N(0, 0.02).
 import json
 import math
 import struct
-from dataclasses import asdict, dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -30,8 +30,7 @@ from .tensor import Tensor, tvec_bytes, tvec_from_bytes, write_atomic
 CHECKPOINT_MAGIC = b"FMCK"
 
 
-@dataclass(frozen=True)
-class ModelConfig:
+class ModelConfig(NamedTuple):
     patch_side: int = 8
     embed_dim: int = 32
     enc_depth: int = 2
@@ -289,7 +288,7 @@ def forward(patches, vis_rows, params: ModelParams):
 def save_checkpoint(path, params: ModelParams):
     """Encoded in memory, then written atomically (tensor.write_atomic)."""
     header = json.dumps({
-        "config": asdict(params.config),
+        "config": params.config._asdict(),
         "n_patches": params.n_patches,
         "in_channels": params.in_channels,
     }, sort_keys=True).encode()

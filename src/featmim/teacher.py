@@ -10,8 +10,7 @@ file-backed teacher that replays features dumped by `dump_features`.
 import json
 import math
 import os
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -19,8 +18,7 @@ from .errors import ConfigError, DataError, NumericError
 from .tensor import read_tvec, write_atomic, write_tvec
 
 
-@dataclass(frozen=True)
-class TeacherSpec:
+class TeacherSpec(NamedTuple):
     kind: str = "procedural-conv"  # "procedural-conv" | "file"
     downsample_rate: int = 8
     target_dim: int = 16
@@ -42,8 +40,7 @@ class TeacherSpec:
                 raise ConfigError(f"{dim_name} must be positive")
 
 
-@dataclass(frozen=True)
-class TeacherFeatures:
+class TeacherFeatures(NamedTuple):
     tokens: np.ndarray  # [K, D_t]
     grid_side: int
     source_id: str

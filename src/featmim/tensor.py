@@ -17,6 +17,7 @@ a constant may broadcast against a taped operand.
 Single-threaded: one tape must not be shared across threads during a step.
 """
 
+import math
 import os
 import struct
 
@@ -394,10 +395,13 @@ def tvec_from_bytes(blob, label="<bytes>", offset=0):
         raise DataError(f"{label}: truncated extents")
     shape = struct.unpack(f"<{rank}Q", blob[off:off + 8 * rank]) if rank else ()
     off += 8 * rank
-    n = int(np.prod(shape, dtype=np.int64)) if rank else 1
+    n = math.prod(shape)  # Python ints: huge extents cannot wrap the count
     if len(blob) < off + 4 * n:
         raise DataError(f"{label}: payload holds {len(blob) - off} bytes, expected {4 * n}")
-    arr = np.frombuffer(blob[off:off + 4 * n], dtype="<f4").reshape(shape).copy()
+    try:  # an empty record can still name extents numpy cannot hold
+        arr = np.frombuffer(blob[off:off + 4 * n], dtype="<f4").reshape(shape).copy()
+    except ValueError as e:
+        raise DataError(f"{label}: extents {shape} do not form an array: {e}") from None
     return arr, off + 4 * n
 
 

@@ -15,7 +15,6 @@ graph: last encoder block into the decoder, patch loss only.
 
 import math
 import os
-from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -33,8 +32,7 @@ _MASK_STREAM_TAG = 0x6D61736B  # distinct tags keep the seed streams apart
 _SHUFFLE_STREAM_TAG = 0x73687566
 
 
-@dataclass(frozen=True)
-class TrainConfig:
+class TrainConfig(NamedTuple):
     base_lr: float = 1.5e-4
     batch_size: int = 8
     warmup_epochs: float = 40.0
@@ -144,8 +142,7 @@ def step_losses(params, batch, loss_cfg):
     return loss, math.fsum(lp) / n, math.fsum(lg) / n, math.fsum(lt) / n
 
 
-@dataclass
-class TrainResult:
+class TrainResult(NamedTuple):
     final_checkpoint: str
     metrics_csv: str
     total_steps: int
@@ -288,7 +285,7 @@ def ablate_lambda(cfg, lambdas, images, out_dir):
         raise ConfigError("a lambda sweep needs at least two values")
     runs = {}
     for lam in lambdas:
-        sub = replace(cfg, loss=replace(cfg.loss, lam=lam))
+        sub = cfg._replace(loss=cfg.loss._replace(lam=lam))
         sub.loss.validate()
         name = f"lam_{lam:g}"
         if name in runs:

@@ -7,7 +7,6 @@ import io
 import math
 import pathlib
 import time
-from dataclasses import replace
 
 import numpy as np
 
@@ -145,8 +144,7 @@ def test_loss_contracts():
             "smooth-L1 continuous at beta in {0.5, 1, 2}")
 
 
-OVERFIT_CONFIG = replace(
-    RunConfig(),
+OVERFIT_CONFIG = RunConfig()._replace(
     train=TrainConfig(base_lr=0.03, batch_size=8, warmup_epochs=25.0,
                       total_epochs=500.0, seed=0))
 
@@ -180,11 +178,11 @@ def test_config_reduction_is_bitwise(monkeypatch):
     # global-loss or aggregation code (conftest.plain_regression_step)
     import tempfile
     import featmim.trainer
-    cfg = replace(RunConfig(),
-                  train=TrainConfig(base_lr=0.02, batch_size=4, warmup_epochs=2.0,
-                                    total_epochs=10.0, seed=3),
-                  loss=replace(RunConfig().loss, lam=0.0),
-                  model=replace(RunConfig().model, multi_block=False)).validate()
+    cfg = RunConfig()._replace(
+        train=TrainConfig(base_lr=0.02, batch_size=4, warmup_epochs=2.0,
+                          total_epochs=10.0, seed=3),
+        loss=RunConfig().loss._replace(lam=0.0),
+        model=RunConfig().model._replace(multi_block=False)).validate()
     images = [(f"img{i}", synthetic_image(32, 3, seed=i)) for i in range(4)]
     real_backward = featmim.trainer.backward
 
@@ -250,7 +248,7 @@ def test_persistence_round_trips(tmp_path):
     # checkpoint: save -> load -> forward must be bitwise identical
     cfg = RunConfig()
     params = init_params(cfg.model, 32, 3, seed=5)
-    mask = generate_mask(replace(cfg.mask, seed=9))
+    mask = generate_mask(cfg.mask._replace(seed=9))
     patches = patchify(synthetic_image(32, 3, seed=4), 8)
     before = forward([patches], mask.visible_idx[None], params)[0].data.tobytes()
     from featmim.model import save_checkpoint

@@ -1,12 +1,16 @@
 import json
 import math
 import os
+import struct
+import subprocess
+import sys
 import warnings
-from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import featmim
 from featmim.cli import main
 from featmim.config import run_config_from_dict
 from featmim.gradcheck import grad_check
@@ -497,6 +501,16 @@ def test_heatmap_empty_token_file_exits_3(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_heatmap_overflowing_extents_exit_3(tmp_path, capsys):
+    bad = tmp_path / "bad.tvec"
+    bad.write_bytes(b"TVEC" + struct.pack("<BBBQQ", 1, 0, 2, 2**62, 4))
+    out = tmp_path / "m.pgm"
+    code = main(["heatmap", "--features", str(bad), "--query", "0", "--out", str(out)])
+    assert code == 3
+    assert str(bad) in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_heatmap_non_finite_tokens_exit_3(tmp_path, capsys):
     bad = tmp_path / "bad.tvec"
     tokens = np.ones((16, 8), dtype=np.float32)
@@ -554,7 +568,7 @@ def test_grad_check_seed_flag(tmp_path):
     assert main(["grad-check", "--config", str(cfg_path), "--seed", "3",
                  "--out", str(report_path)]) == 0
     cfg = run_config_from_dict(NANO_GRAD_CHECK)
-    direct = grad_check(replace(cfg, train=replace(cfg.train, seed=3)))
+    direct = grad_check(cfg._replace(train=cfg.train._replace(seed=3)))
     assert json.loads(report_path.read_text()) == {
         "max_rel_err": direct.max_rel_err, "worst_param": direct.worst_param,
         "n_parameters": direct.n_parameters, "per_param": direct.per_param}
@@ -655,3 +669,25 @@ def test_usage_error_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])
     assert exc.value.code == 2
+
+
+IMPORT_PROBE = """
+import sys
+import numpy
+print("dataclasses" in sys.modules)
+import featmim.cli
+print("dataclasses" in sys.modules)
+"""
+
+
+def test_cli_import_does_not_load_dataclasses():
+    # every command pays featmim's import first; @dataclass compiles and runs
+    # several generated functions per class, so the records are NamedTuples
+    src = str(Path(featmim.__file__).resolve().parent.parent)
+    proc = subprocess.run([sys.executable, "-c", IMPORT_PROBE], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": src}, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    after_numpy, after_cli = proc.stdout.split()
+    if after_numpy == "True":
+        pytest.skip("numpy alone imports dataclasses")
+    assert after_cli == "False"

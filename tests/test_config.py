@@ -1,7 +1,6 @@
 import hashlib
 import json
 import math
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -95,7 +94,7 @@ def test_readme_configuration_block_matches_defaults():
 
 
 def test_json_round_trip(tmp_path):
-    cfg = replace(RunConfig(), loss=replace(RunConfig().loss, lam=0.25))
+    cfg = RunConfig()._replace(loss=RunConfig().loss._replace(lam=0.25))
     p = tmp_path / "cfg.json"
     save_run_config(cfg, p)
     back = load_run_config(p)

@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
@@ -61,9 +59,9 @@ def test_corrupted_backward_is_detected(monkeypatch):
 
 def test_rejects_non_tiny_model():
     cfg = micro_config()
-    cfg = replace(cfg, model=replace(cfg.model, embed_dim=64, enc_heads=4),
-                  teacher=replace(cfg.teacher, target_dim=4))
-    cfg = replace(cfg, model=replace(cfg.model, target_dim=4))
+    cfg = cfg._replace(model=cfg.model._replace(embed_dim=64, enc_heads=4),
+                       teacher=cfg.teacher._replace(target_dim=4))
+    cfg = cfg._replace(model=cfg.model._replace(target_dim=4))
     with pytest.raises(ConfigError):
         grad_check(cfg)
 

@@ -27,6 +27,17 @@ def test_maxval_scaling(tmp_path):
     np.testing.assert_allclose(img[0, 0, 0], 0.5, rtol=1e-6)
 
 
+@pytest.mark.parametrize("blob, sample", [
+    (b"P5\n2 1\n100\n" + bytes([50, 200]), 200),  # would load as 2.0
+    (b"P6\n1 1\n100\n" + bytes([0, 0, 101]), 101),
+], ids=["pgm", "ppm"])
+def test_sample_above_maxval_rejected(tmp_path, blob, sample):
+    p = tmp_path / "m.pnm"
+    p.write_bytes(blob)
+    with pytest.raises(DataError, match=rf"m\.pnm: sample {sample} exceeds maxval 100"):
+        read_pnm(p)
+
+
 def test_header_comments(tmp_path):
     p = tmp_path / "c.pgm"
     p.write_bytes(b"P5\n# a comment\n2 1\n# another\n255\n" + bytes([0, 128]))

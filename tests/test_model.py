@@ -2,7 +2,6 @@ import hashlib
 import json
 import os
 import struct
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -323,7 +322,7 @@ def _write_output(writer, path, seed):
         write_tvec(path, np.full((2, 3), seed, dtype=np.float32))
     elif writer == "save_run_config":
         cfg = RunConfig()
-        save_run_config(replace(cfg, train=replace(cfg.train, seed=seed)), path)
+        save_run_config(cfg._replace(train=cfg.train._replace(seed=seed)), path)
     else:
         save_checkpoint(path, tiny_params(seed=seed))
 
@@ -362,6 +361,19 @@ def test_checkpoint_rejects_garbage(tmp_path):
     p.write_bytes(b"JUNKJUNKJUNK")
     with pytest.raises(DataError):
         load_checkpoint(p)
+
+
+def test_checkpoint_rejects_overflowing_extents(tmp_path):
+    # a parameter whose tvec extents multiply past 2**64
+    good = tmp_path / "good.bin"
+    save_checkpoint(good, tiny_params())
+    valid = good.read_bytes()
+    (hlen,) = struct.unpack_from("<I", valid, 4)
+    huge = b"TVEC" + struct.pack("<BBBQQ", 1, 0, 2, 2**62, 4)
+    bad = tmp_path / "bad.bin"
+    bad.write_bytes(valid[:8 + hlen] + struct.pack("<I", 3) + b"cls" + huge)
+    with pytest.raises(DataError, match="bad.bin:cls: payload holds 0 bytes"):
+        load_checkpoint(bad)
 
 
 def _checkpoint_with(valid, case):

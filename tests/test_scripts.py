@@ -3,7 +3,6 @@
 import hashlib
 import subprocess
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from featmim.config import RunConfig
@@ -67,10 +66,10 @@ def test_run_overfit_writes_the_pinned_bytes(tmp_path):
 
 def test_plain_path_writes_the_pinned_bytes(tmp_path):
     base = RunConfig()
-    cfg = replace(base, train=TrainConfig(base_lr=0.03, batch_size=1, warmup_epochs=2.0,
+    cfg = base._replace(train=TrainConfig(base_lr=0.03, batch_size=1, warmup_epochs=2.0,
                                           total_epochs=5.0, checkpoint_interval=10),
-                  loss=replace(base.loss, lam=0.0),
-                  model=replace(base.model, multi_block=False))
+                        loss=base.loss._replace(lam=0.0),
+                        model=base.model._replace(multi_block=False))
     images = [(f"img{i}", synthetic_image(32, 3, seed=i)) for i in range(8)]
     assert train(cfg, images, str(tmp_path / "run")).total_steps == 40
     for name, want in PLAIN_40_SHA256.items():

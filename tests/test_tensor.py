@@ -1,4 +1,5 @@
 import inspect
+import struct
 import zlib
 
 import numpy as np
@@ -700,6 +701,22 @@ def test_tvec_rejects_bad_magic(tmp_path):
     p = tmp_path / "bad.tvec"
     p.write_bytes(b"NOPE" + b"\x00" * 16)
     with pytest.raises(DataError):
+        tn.read_tvec(p)
+
+
+def tvec_header(shape):
+    """A tvec record's header alone, for any extents: no payload follows."""
+    return (tn.TVEC_MAGIC + struct.pack("<BBB", tn.TVEC_VERSION, 0, len(shape))
+            + b"".join(struct.pack("<Q", e) for e in shape))
+
+
+# (2**62, 4) wraps to a count of 0 in int64; an empty record's extents
+# can still be more than numpy can hold
+@pytest.mark.parametrize("shape", [(2**62, 4), (2**32, 2**32), (0, 2**63), (0, 2**62)])
+def test_tvec_rejects_extents_past_the_payload(tmp_path, shape):
+    p = tmp_path / "huge.tvec"
+    p.write_bytes(tvec_header(shape))
+    with pytest.raises(DataError, match="huge.tvec"):
         tn.read_tvec(p)
 
 

@@ -4,7 +4,6 @@ import io
 import math
 import pathlib
 import weakref
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -33,7 +32,7 @@ def small_cfg(**train_over):
     train_fields = dict(total_epochs=3.0, warmup_epochs=1.0, base_lr=0.02,
                         batch_size=4, seed=0)
     train_fields.update(train_over)
-    return replace(cfg, train=replace(cfg.train, **train_fields)).validate()
+    return cfg._replace(train=cfg.train._replace(**train_fields)).validate()
 
 
 def small_images(n=4):
@@ -184,7 +183,7 @@ def test_metrics_csv_shape(tmp_path):
 
 def test_checkpoint_interval_and_final(tmp_path):
     cfg = small_cfg(total_epochs=4.0, warmup_epochs=1.0)
-    cfg = replace(cfg, train=replace(cfg.train, checkpoint_interval=2))
+    cfg = cfg._replace(train=cfg.train._replace(checkpoint_interval=2))
     result = train(cfg, small_images(), tmp_path)
     names = sorted(p.name for p in tmp_path.glob("ckpt_*.bin"))
     assert names == ["ckpt_2.bin", "ckpt_4.bin"]
@@ -226,7 +225,7 @@ def test_train_validates_inputs(tmp_path):
 
 def test_train_rejects_teacher_dim_mismatch(tmp_path):
     cfg = small_cfg()
-    cfg = replace(cfg, teacher=replace(cfg.teacher, target_dim=8))
+    cfg = cfg._replace(teacher=cfg.teacher._replace(target_dim=8))
     with pytest.raises(ConfigError):
         cfg.validate()
 
@@ -237,7 +236,7 @@ def test_full_step_at_lambda_zero_matches_baseline_losses(tmp_path, monkeypatch)
     # zero-weighted global gradients are exact zeros. Multi-block stays on,
     # as in the lam=0 row of a lambda sweep: only L_global differs.
     cfg = small_cfg(total_epochs=5.0)
-    cfg = replace(cfg, loss=replace(cfg.loss, lam=0.0))
+    cfg = cfg._replace(loss=cfg.loss._replace(lam=0.0))
     images = small_images()
     step = train(cfg, images, tmp_path / "step")
     monkeypatch.setattr(featmim.trainer, "step_losses", full_composition_step)
@@ -280,8 +279,8 @@ def test_default_step_op_budget(tmp_path, monkeypatch):
     monkeypatch.setattr(featmim.trainer, "lr_at", step_start)
     for batch_size in (1, 8):
         cfg = RunConfig()
-        cfg = replace(cfg, train=replace(cfg.train, batch_size=batch_size, total_epochs=1.0,
-                                         warmup_epochs=0.5)).validate()
+        cfg = cfg._replace(train=cfg.train._replace(batch_size=batch_size, total_epochs=1.0,
+                                                    warmup_epochs=0.5)).validate()
         ops_per_step, tensors_per_step = [], []
 
         def counting_backward(tape, loss):
@@ -305,7 +304,7 @@ def test_backward_writes_the_flat_gradient_of_the_per_name_oracle(batch_size):
     # per-name gradients packed in sorted name order; at lam=0 the global
     # head's parameters are not reached and read exact +0.0
     cfg = RunConfig()
-    loss_cfg = replace(cfg.loss, lam=0.0)
+    loss_cfg = cfg.loss._replace(lam=0.0)
     params = init_params(cfg.model, 32, 3, seed=0)
     batch = _step_batch(cfg, batch_size, np.float32)
 
@@ -336,7 +335,7 @@ def test_batched_step_is_the_mean_of_one_image_steps(channel_reduce):
     # float64 oracle: one taped graph over four images gives the mean loss,
     # logged values and gradient of four one-image steps, to 1e-12
     cfg = RunConfig()
-    loss_cfg = replace(cfg.loss, channel_reduce=channel_reduce)
+    loss_cfg = cfg.loss._replace(channel_reduce=channel_reduce)
     params = init_params(cfg.model, 32, 3, seed=0, dtype=np.float64)
     batch = _step_batch(cfg, 4, np.float64)
 
@@ -483,7 +482,7 @@ def test_train_with_file_teacher(tmp_path):
     dump_features(dumper, images, tmp_path / "feats", student_patch_side=8)
 
     cfg_proc = small_cfg()
-    cfg_file = replace(cfg_proc, teacher=TeacherSpec(
+    cfg_file = cfg_proc._replace(teacher=TeacherSpec(
         kind="file", features_dir=str(tmp_path / "feats"))).validate()
 
     ra = train(cfg_proc, images, tmp_path / "proc")
@@ -497,7 +496,7 @@ def test_train_file_teacher_missing_image_features(tmp_path):
 
     dumper = ProceduralConvTeacher(target_dim=16, downsample_rate=8, seed=0)
     dump_features(dumper, small_images(2), tmp_path / "feats", student_patch_side=8)
-    cfg = replace(small_cfg(), teacher=TeacherSpec(
+    cfg = small_cfg()._replace(teacher=TeacherSpec(
         kind="file", features_dir=str(tmp_path / "feats"))).validate()
     with pytest.raises(DataError):
         train(cfg, small_images(4), tmp_path / "run")
