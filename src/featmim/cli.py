@@ -231,10 +231,7 @@ def main(argv=None):
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
-    except DataError as e:
-        print(f"data error: {e}", file=sys.stderr)
-        return 3
-    except OSError as e:
+    except (DataError, OSError) as e:
         print(f"data error: {e}", file=sys.stderr)
         return 3
     except NumericError as e:

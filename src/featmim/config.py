@@ -8,12 +8,12 @@ consistency) before any command does work.
 import json
 from typing import NamedTuple
 
-from .errors import ConfigError, DataError, check_field_types, finite_number
+from .errors import ConfigError, check_field_types, finite_number
 from .losses import LossConfig
 from .masking import MaskSpec
-from .model import ModelConfig
+from .model import ModelConfig, init_elements
 from .teacher import TeacherSpec, check_alignment
-from .tensor import write_atomic
+from .tensor import read_bytes, write_atomic
 from .trainer import TrainConfig
 
 
@@ -50,6 +50,7 @@ class RunConfig(NamedTuple):  # sections are immutable, so one default instance 
             raise ConfigError(
                 f"model.patch_side {self.model.patch_side} != mask.patch_side "
                 f"{self.mask.patch_side}")
+        init_elements(self.model, self.mask.grid_side**2, in_channels=3)  # the most a PPM has
         if self.teacher.kind == "procedural-conv":
             if self.teacher.target_dim != self.model.target_dim:
                 raise ConfigError(
@@ -96,11 +97,9 @@ def run_config_from_dict(doc):
 
 
 def load_run_config(path):
+    blob = read_bytes(path, "config")
     try:
-        with open(path) as f:
-            doc = json.load(f)
-    except OSError as e:
-        raise DataError(f"cannot read config {path}: {e}") from None
+        doc = json.loads(blob.decode())
     except ValueError as e:  # also non-UTF-8 bytes and over-long integers
         raise ConfigError(f"config {path} is not valid JSON: {e}") from None
     return run_config_from_dict(doc)

@@ -49,7 +49,7 @@ def tiny_run_config():
     )
 
 
-def grad_check(cfg=None, h=1e-5, floor=1e-6, in_channels=3, batch_size=1):
+def grad_check(cfg, h=1e-5, floor=1e-6, in_channels=3, batch_size=1):
     """Compare analytic and numeric gradients of the total loss, parameter
     by parameter, element by element. Everything runs in float64.
 
@@ -58,8 +58,6 @@ def grad_check(cfg=None, h=1e-5, floor=1e-6, in_channels=3, batch_size=1):
     training differentiates. Image and mask seeds count up from the
     config's; a file teacher serves the ids "gradcheck", "gradcheck1", ...
     """
-    if cfg is None:
-        cfg = tiny_run_config()
     cfg.validate()
     if cfg.model.embed_dim > 16:
         raise ConfigError("grad_check expects a tiny model (embed_dim <= 16)")

@@ -10,7 +10,7 @@ import os
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .tensor import write_atomic
+from .tensor import read_bytes, write_atomic
 
 
 def _tokens(blob, count):
@@ -42,11 +42,7 @@ def _tokens(blob, count):
 
 def read_pnm(path):
     """Read a binary PGM/PPM file as float32 [C, H, W] in [0, 1]."""
-    try:
-        with open(path, "rb") as f:
-            blob = f.read()
-    except OSError as e:
-        raise DataError(f"cannot read image {path}: {e}") from None
+    blob = read_bytes(path, "image")
     if blob[:2] == b"P5":
         channels = 1
     elif blob[:2] == b"P6":

@@ -85,7 +85,6 @@ class MaskSpec(NamedTuple):
 
 
 class PatchMask(NamedTuple):
-    grid: np.ndarray  # bool [grid_side, grid_side], True = masked
     masked_idx: np.ndarray  # sorted int64
     visible_idx: np.ndarray  # sorted int64
 
@@ -116,7 +115,7 @@ def generate_mask(spec: MaskSpec, seed=None) -> PatchMask:
     visible = np.flatnonzero(~flat).astype(np.int64)
     if len(visible) == 0:
         raise DegenerateMaskError("mask left no visible patches")
-    return PatchMask(grid=grid, masked_idx=masked, visible_idx=visible)
+    return PatchMask(masked_idx=masked, visible_idx=visible)
 
 
 def batch_rows(masks, field, n_patches):

@@ -25,9 +25,10 @@ import numpy as np
 from . import tensor as tn
 from .errors import (ConfigError, DataError, DegenerateMaskError, ShapeError,
                      check_field_types)
-from .tensor import Tensor, tvec_bytes, tvec_from_bytes, write_atomic
+from .tensor import Tensor, read_bytes, tvec_bytes, tvec_from_bytes, write_atomic
 
 CHECKPOINT_MAGIC = b"FMCK"
+MAX_INIT_ELEMENTS = 2**26  # 1,380x the default model's 48,544; 256 MiB of float32
 
 
 class ModelConfig(NamedTuple):
@@ -57,8 +58,8 @@ class ModelConfig(NamedTuple):
                               "(2-D sine-cosine position table)")
         if self.aggregate not in ("mean", "sum"):
             raise ConfigError(f"unknown aggregate mode {self.aggregate!r}")
-        if self.patch_side < 1 or self.target_dim < 1:
-            raise ConfigError("patch_side and target_dim must be positive")
+        if min(self.patch_side, self.embed_dim, self.dec_width, self.target_dim) < 1:
+            raise ConfigError("patch_side, embed_dim, dec_width and target_dim must be positive")
 
 
 def _sincos_1d(dim, positions):
@@ -83,6 +84,19 @@ class ModelParams(tn.Parameters):
         super().__init__(arrays)
         self.config, self.n_patches, self.in_channels = config, n_patches, in_channels
         self.enc_pos, self.dec_pos = enc_pos, dec_pos  # [N, embed_dim], [N, dec_width]
+
+
+def init_elements(config: ModelConfig, n_patches, in_channels):
+    """The elements init_params allocates, weights and both position tables, in
+    closed form; a ConfigError past MAX_INIT_ELEMENTS, so before any allocation."""
+    d, w, t = config.embed_dim, config.dec_width, config.target_dim
+    n = (d * config.use_cls + (in_channels * config.patch_side**2 + 1) * d + (d + 2) * w
+         + config.enc_depth * (12 * d * d + 13 * d) + config.dec_depth * (12 * w * w + 13 * w)
+         + (w + 1) * t + (d + 1) * (d + t) + n_patches * (d + w))
+    if n > MAX_INIT_ELEMENTS:
+        raise ConfigError(f"the model needs {n:,} weight and position elements, "
+                          f"more than the bound of {MAX_INIT_ELEMENTS:,}")
+    return n
 
 
 def _xavier(rng, shape, dtype):
@@ -207,8 +221,8 @@ def encode_visible(tokens, vis_rows, params: ModelParams):
     """
     cfg = params.config
     (b, n_vis), n = vis_rows.shape, params.n_patches
-    if tokens.shape[0] != b * n:
-        raise ShapeError(f"{tokens.shape[0]} token rows for {b} masks of {n} patches")
+    if len(tokens.data) != b * n:
+        raise ShapeError(f"{len(tokens.data)} token rows for {b} masks of {n} patches")
     if n_vis == 0:
         raise DegenerateMaskError("encoder needs at least one visible token")
     # row b*n of the gather reads CLS: it goes ahead of each image's tokens
@@ -300,11 +314,7 @@ def save_checkpoint(path, params: ModelParams):
 
 
 def load_checkpoint(path):
-    try:
-        with open(path, "rb") as f:
-            blob = f.read()
-    except OSError as e:
-        raise DataError(f"cannot read checkpoint {path}: {e}") from None
+    blob = read_bytes(path, "checkpoint")
     if blob[:4] != CHECKPOINT_MAGIC:
         raise DataError(f"{path}: not a featmim checkpoint")
     if len(blob) < 8:
@@ -327,6 +337,7 @@ def load_checkpoint(path):
     try:
         check_field_types(config, "config")
         config.validate()
+        init_elements(config, n_patches, in_channels)
     except ConfigError as e:
         raise DataError(f"{path}: checkpoint config is invalid: {e}") from None
     off = 8 + hlen
@@ -348,8 +359,8 @@ def load_checkpoint(path):
     if set(weights) != set(reference):
         raise DataError(f"{path}: checkpoint parameter names do not match the config")
     for name, arr in weights.items():
-        if arr.shape != reference[name].shape:
+        if arr.shape != reference[name].data.shape:
             raise DataError(f"{path}: parameter {name} has shape {arr.shape}, "
-                            f"expected {reference[name].shape}")
+                            f"expected {reference[name].data.shape}")
         reference[name].data[...] = arr
     return reference

@@ -15,7 +15,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .errors import ConfigError, DataError, NumericError
-from .tensor import read_tvec, write_atomic, write_tvec
+from .tensor import read_bytes, read_tvec, write_atomic, write_tvec
 
 
 class TeacherSpec(NamedTuple):
@@ -191,12 +191,10 @@ class FileTeacher:
     def __init__(self, features_dir):
         self.features_dir = features_dir
         manifest_path = os.path.join(features_dir, "manifest.json")
+        blob = read_bytes(manifest_path, "feature manifest")
         try:
-            with open(manifest_path) as f:
-                manifest = json.load(f)
-        except OSError as e:
-            raise DataError(f"cannot read feature manifest: {e}") from None
-        except ValueError as e:
+            manifest = json.loads(blob.decode())
+        except ValueError as e:  # also non-UTF-8 bytes
             raise DataError(f"{manifest_path}: not JSON: {e}") from None
         try:
             self.target_dim = manifest["target_dim"]

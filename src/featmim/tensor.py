@@ -7,11 +7,12 @@ float32 is the training dtype; every op is dtype-preserving, so the same
 graph runs in float64 for gradient checks.
 
 The op vocabulary is what the student and its losses use: elementwise add,
-mul, relu, gelu; gather_rows (which can also place one learned row, such
-as a mask token); and the fused linear (x @ w + b), layer_norm, attention
-and the two smooth-L1 losses, masked_smooth_l1 and pooled_smooth_l1, each
-one tape node with an analytic backward. Ops take tensors; add and mul
-also take a Python scalar factor, and operands of equal shape, except that
+mul, relu, gelu; gather_rows of distinct rows (which can also place one
+learned row, such as a mask token, any number of times); and the fused
+linear (x @ w + b), layer_norm, attention and the two smooth-L1 losses,
+masked_smooth_l1 and pooled_smooth_l1, each one tape node with an analytic
+backward. Ops take tensors; add and mul also take a Python scalar factor,
+only ever as the second operand, and operands of equal shape, except that
 a constant may broadcast against a taped operand.
 
 Single-threaded: one tape must not be shared across threads during a step.
@@ -39,18 +40,6 @@ class Tensor:
         self.data = np.asarray(data)
         self.tape = None
         self.idx = None
-
-    @property
-    def shape(self):
-        return self.data.shape
-
-    @property
-    def dtype(self):
-        return self.data.dtype
-
-    @property
-    def ndim(self):
-        return self.data.ndim
 
     def __repr__(self):
         tag = "taped" if self.tape is not None else "const"
@@ -150,18 +139,16 @@ def _emit(out_data, inputs, grad_fn):
 
 
 def _operands(a, b):
-    """Both operands of an elementwise op as tensors. Only a constant may
-    broadcast: a taped operand has the result's shape, so its gradient
-    needs no reduction."""
-    if not isinstance(a, Tensor):
-        a = Tensor(np.asarray(a, dtype=b.data.dtype))
+    """Both operands of an elementwise op as tensors; b may be a Python
+    scalar. Only a constant may broadcast: a taped operand has the result's
+    shape, so its gradient needs no reduction."""
     if not isinstance(b, Tensor):
         b = Tensor(np.asarray(b, dtype=a.data.dtype))
     if a.data.shape != b.data.shape:
         shape = np.broadcast_shapes(a.data.shape, b.data.shape)
         if any(t.tape is not None and t.data.shape != shape for t in (a, b)):
             raise ShapeError(f"a taped operand must have the result shape {shape}, "
-                             f"got {a.shape} and {b.shape}")
+                             f"got {a.data.shape} and {b.data.shape}")
     return a, b
 
 
@@ -204,38 +191,33 @@ def gelu(a):
 def linear(x, w, b):
     """Dense layer x @ w + b over 2-d x [R, i], w [i, o] and b [o]; one tape
     node. A constant x, such as the patch rows, gets no input gradient."""
-    if x.ndim != 2 or w.ndim != 2 or x.shape[1] != w.shape[0] or b.shape != w.shape[1:]:
+    xd, wd, bd, x_taped = x.data, w.data, b.data, x.tape is not None
+    if xd.ndim != 2 or wd.ndim != 2 or xd.shape[1] != wd.shape[0] or bd.shape != wd.shape[1:]:
         raise ShapeError(f"linear needs x [R, i], w [i, o], b [o], "
-                         f"got {x.shape}, {w.shape}, {b.shape}")
-    xd, wd, x_taped = x.data, w.data, x.tape is not None
-    return _emit(xd @ wd + b.data, (x, w, b),
+                         f"got {xd.shape}, {wd.shape}, {bd.shape}")
+    return _emit(xd @ wd + bd, (x, w, b),
                  lambda g: (g @ wd.T if x_taped else None, xd.T @ g, g.sum(axis=0)))
 
 
 def gather_rows(a, idx, row=None):
-    """Rows idx (each >= 0) of a; with `row`, a 1-d tensor, index len(a)
-    selects it, as a gather over [a; row] would. Backward gives each row of a,
-    and `row`, the sum of the gradient rows that read it, bitwise as np.add.at
-    into zeros: a row of a read once gets g + 0.0 (+0.0 for -0.0, as 0.0 + g),
-    `row` sums in order by cumsum, and only repeated rows of a need np.add.at."""
+    """Rows idx (each >= 0) of a, no row of a read twice, as the model's
+    visible, patch and restore indices are; with `row`, a 1-d tensor, index
+    len(a) selects it any number of times, as a gather over [a; row] would.
+    Backward is bitwise np.add.at into zeros: a row of a gets g + 0.0 (+0.0
+    for -0.0, as 0.0 + g), and `row` the sum of its reads, in order by cumsum."""
     idx = np.asarray(idx, dtype=np.int64)
-    if row is not None and row.shape != a.shape[1:]:
-        raise ShapeError(f"gather_rows row has shape {row.shape}, rows of a {a.shape[1:]}")
-    n = len(a.data)
+    if row is not None and row.data.shape != a.data.shape[1:]:
+        raise ShapeError(f"gather_rows row has shape {row.data.shape}, rows of a {a.data.shape[1:]}")
     src = a.data if row is None else np.concatenate([a.data, row.data[None]])
-    reads = np.bincount(idx.reshape(-1), minlength=n + 1)
-    repeats = reads[:n].max(initial=0) > 1
-    own = ... if row is None else idx != n  # the reads of rows of a
+    own = ... if row is None else idx != len(a.data)  # the reads of rows of a
 
     def grad_fn(g):
         ga = np.zeros_like(a.data)
-        if repeats:
-            np.add.at(ga, idx[own], g[own])
-        else:
-            ga[idx[own]] = g[own] + 0.0
+        ga[idx[own]] = g[own] + 0.0
         if row is None:
             return (ga,)
-        return ga, (np.cumsum(g[~own], axis=0)[-1] + 0.0 if reads[n] else np.zeros_like(row.data))
+        g_row = g[~own]
+        return ga, (np.cumsum(g_row, axis=0)[-1] + 0.0 if len(g_row) else np.zeros_like(row.data))
 
     return _emit(src[idx], (a,) if row is None else (a, row), grad_fn)
 
@@ -253,15 +235,16 @@ def attention(q, k, v, heads, batch=1):
     Backward uses the analytic softmax gradient dS = P * (dP - rowsum(dP * P))
     and keeps only P.
     """
-    if q.ndim != 2 or k.shape != q.shape or v.shape != q.shape:
-        raise ShapeError(f"attention needs equal [B*T, d] q, k, v, got {q.shape}, {k.shape}, {v.shape}")
-    rows, d = q.shape
+    qd, kd, vd = q.data, k.data, v.data
+    if qd.ndim != 2 or kd.shape != qd.shape or vd.shape != qd.shape:
+        raise ShapeError(f"attention needs equal [B*T, d] q, k, v, got {qd.shape}, {kd.shape}, {vd.shape}")
+    rows, d = qd.shape
     if batch < 1 or rows % batch:
         raise ShapeError(f"attention rows {rows} do not split into {batch} sequences")
     if heads < 1 or d % heads:
         raise ShapeError(f"attention width {d} does not split into {heads} heads")
     t, dh = rows // batch, d // heads
-    scale = q.dtype.type(1.0 / np.sqrt(dh))
+    scale = qd.dtype.type(1.0 / np.sqrt(dh))
 
     def split(x):  # [B*T, d] -> [B, heads, T, dh]
         return x.reshape(batch, t, heads, dh).transpose(0, 2, 1, 3)
@@ -272,7 +255,7 @@ def attention(q, k, v, heads, batch=1):
     def swap(x):  # transpose the last two axes
         return x.transpose(0, 1, 3, 2)
 
-    qh, kh, vh = split(q.data), split(k.data), split(v.data)
+    qh, kh, vh = split(qd), split(kd), split(vd)
     s = (qh @ swap(kh)) * scale
     if not np.isfinite(s).all():
         raise NumericError("attention scores contain non-finite values")
@@ -288,16 +271,14 @@ def attention(q, k, v, heads, batch=1):
     return _emit(merge(p @ vh), (q, k, v), grad_fn)
 
 
-def layer_norm(x, gain, bias, eps=1e-6):
-    """Normalise the last axis to mean 0 / variance 1, then apply affine."""
-    if eps <= 0:
-        raise ShapeError("layer_norm eps must be positive")
+def layer_norm(x, gain, bias):
+    """Normalise the last axis to mean 0 / variance 1 (eps 1e-6), then apply affine."""
     # sum / d: what ndarray.mean computes, without its Python wrapper
     d = x.data.shape[-1]
     mu = x.data.sum(axis=-1, keepdims=True) / d
     xc = x.data - mu
     var = (xc * xc).sum(axis=-1, keepdims=True) / d
-    istd = 1.0 / np.sqrt(var + eps)
+    istd = 1.0 / np.sqrt(var + 1e-6)
     xhat = xc * istd
     out = xhat * gain.data + bias.data
 
@@ -353,9 +334,9 @@ def pooled_smooth_l1(p_h, batch, target_means, beta, scale):
     """_smooth_l1 of target_means - m as one tape node, m [B, D] the mean of each
     of the `batch` blocks of V rows of p_h [B*V, D], target_means a constant
     [B, D]. Returns (the taped scalar, the elementwise smooth-L1 array)."""
-    v = p_h.shape[0] // batch
+    v = len(p_h.data) // batch
     s = p_h.data.reshape(batch, v, -1).sum(axis=1)
-    ratio = p_h.dtype.type(s.size / p_h.data.size)  # exactly 1 / V, so rounded as 1.0 / V
+    ratio = p_h.data.dtype.type(s.size / p_h.data.size)  # exactly 1 / V, so rounded as 1.0 / V
     loss, elem, grad_d = _smooth_l1(target_means - s * ratio, beta, scale)
     return _emit(loss, (p_h,), lambda g: (np.repeat(-grad_d(g) * ratio, v, axis=0),)), elem
 
@@ -418,6 +399,15 @@ def write_atomic(path, data):
             os.remove(tmp)
 
 
+def read_bytes(path, what):
+    """The bytes of the file at `path`, or a DataError "cannot read <what> <path>: ..."."""
+    try:
+        with open(path, "rb") as f:
+            return f.read()
+    except OSError as e:
+        raise DataError(f"cannot read {what} {path}: {e}") from None
+
+
 def write_tvec(path, array):
     """Write an array as a tvec file, atomically."""
     write_atomic(path, tvec_bytes(array))
@@ -425,11 +415,7 @@ def write_tvec(path, array):
 
 def read_tvec(path):
     """Read a tvec file back as a float32 array."""
-    try:
-        with open(path, "rb") as f:
-            blob = f.read()
-    except OSError as e:
-        raise DataError(f"cannot read tensor file {path}: {e}") from None
+    blob = read_bytes(path, "tensor file")
     arr, end = tvec_from_bytes(blob, label=str(path))
     if end != len(blob):
         raise DataError(f"{path}: {len(blob) - end} trailing bytes after payload")

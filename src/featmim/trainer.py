@@ -268,10 +268,10 @@ def train(cfg, images, out_dir):
                        beta1=tc.beta1, beta2=tc.beta2, weight_decay=tc.weight_decay)
 
             metrics.write(_format_row(step, t_epoch, lr, lp, lg, lt))
-            if tc.checkpoint_interval and (step + 1) % tc.checkpoint_interval == 0:
+            last = step + 1 == total_steps  # the final checkpoint, written once
+            if last or (tc.checkpoint_interval and (step + 1) % tc.checkpoint_interval == 0):
                 save_checkpoint(os.path.join(out_dir, f"ckpt_{step + 1}.bin"), params)
 
-    save_checkpoint(final_ckpt, params)
     return TrainResult(final_checkpoint=final_ckpt, metrics_csv=metrics_path,
                        total_steps=total_steps, final_l_patch=lp,
                        final_l_global=lg, final_l_total=lt)

@@ -11,7 +11,9 @@ The concat-and-gather oracle is how the model placed its CLS and mask
 tokens before gather_rows took the row itself, which must match it bitwise.
 The two smooth-L1 chain oracles are how the losses were built op by op
 before each became one tape node, which must match them bitwise too.
-tape_sum reduces a tensor to the scalar that backward needs. The scatter
+tape_sum reduces a tensor to the scalar that backward needs, mask_grid
+rebuilds a mask's patch grid from its masked indices, and distinct_gathers
+checks gather_rows' precondition on every call a test makes. The scatter
 oracle is the np.add.at / np.subtract.at into zeros that the gather and
 masked-loss backward passes must match bitwise, and the per-name backward,
 packed in sorted name order, is what the flat gradient buffer must equal.
@@ -69,6 +71,24 @@ def default_grad_check(tmp_path_factory):
     return code, json.loads(path.read_text()), elapsed
 
 
+@pytest.fixture()
+def distinct_gathers(monkeypatch):
+    """tensor.gather_rows wrapped to fail when a call reads a row of `a`
+    twice, the case its backward does not sum. Returns the list of calls,
+    each entry the number of rows of `a` that call read."""
+    gather, calls = tn.gather_rows, []
+
+    def checked(a, idx, row=None):
+        own = np.asarray(idx).reshape(-1)
+        own = own[own < len(a.data)]
+        assert len(np.unique(own)) == len(own), "gather_rows read a row of a twice"
+        calls.append(len(own))
+        return gather(a, idx, row)
+
+    monkeypatch.setattr(tn, "gather_rows", checked)
+    return calls
+
+
 def concat_gather_rows(a, idx, row):
     """Rows idx of the stacked array [a; row], and a function from the
     output gradient g to the gradients of a and row: np.add.at into the
@@ -85,8 +105,17 @@ def concat_gather_rows(a, idx, row):
 
 def tape_sum(t):
     """The taped sum of all elements of t: a scalar whose gradient is ones."""
-    return tn._emit(t.data.sum(), (t,),
-                    lambda g: (np.broadcast_to(g, t.shape).astype(t.dtype, copy=True),))
+    x = t.data
+    return tn._emit(x.sum(), (t,),
+                    lambda g: (np.broadcast_to(g, x.shape).astype(x.dtype, copy=True),))
+
+
+def mask_grid(mask, spec):
+    """The bool [grid_side, grid_side] patch grid of a mask of `spec`,
+    True = masked, rebuilt from its masked_idx."""
+    flat = np.zeros(spec.grid_side**2, dtype=bool)
+    flat[mask.masked_idx] = True
+    return flat.reshape(spec.grid_side, spec.grid_side)
 
 
 def _smooth_l1_sum_chain(d, beta, scale):
@@ -152,7 +181,7 @@ def per_name_backward(tape, loss):
     {name: array} dict over the tape's parameters, zeros_like for those the
     loss does not reach. Replays the same records; consumes the tape."""
     grads = [None] * tape._n_nodes
-    grads[loss.idx] = np.ones((), dtype=loss.dtype)
+    grads[loss.idx] = np.ones((), dtype=loss.data.dtype)
     ops, tape._ops = tape._ops, None
     for out_idx, in_idxs, grad_fn in reversed(ops):
         g = grads[out_idx]

@@ -25,7 +25,7 @@ from featmim.teacher import (ProceduralConvTeacher, TeacherFeatures,
 from featmim.tensor import Tensor
 from featmim.trainer import TrainConfig, lr_at, scaled_lr, train
 
-from conftest import plain_regression_step
+from conftest import mask_grid, plain_regression_step
 from test_diversity import oracle_diversity
 
 
@@ -86,8 +86,9 @@ def test_diversity_extremes():
 
 def test_mask_geometry():
     # reference geometry: 224/16/32 at 0.6 -> 29 of 49 blocks, 116 patches
-    mask = generate_mask(MaskSpec(224, 16, 32, 0.6, seed=0))
-    masked_blocks = int(mask.grid[::2, ::2].sum())
+    reference = MaskSpec(224, 16, 32, 0.6, seed=0)
+    mask = generate_mask(reference)
+    masked_blocks = int(mask_grid(mask, reference)[::2, ::2].sum())
     assert masked_blocks == 29
     assert len(mask.masked_idx) == 116
 
@@ -102,10 +103,10 @@ def test_mask_geometry():
         if not 1 <= math.floor(ratio * n_blocks + 0.5) < n_blocks:
             continue
         m = generate_mask(spec)
+        g = mask_grid(m, spec)
         per_block = spec.patches_per_block_side**2
-        assert abs(len(m.masked_idx) / m.grid.size - ratio) <= per_block / spec.grid_side**2
+        assert abs(len(m.masked_idx) / g.size - ratio) <= per_block / spec.grid_side**2
         bpp = spec.patches_per_block_side
-        g = m.grid
         for br in range(spec.blocks_per_side):
             for bc in range(spec.blocks_per_side):
                 blk = g[br * bpp:(br + 1) * bpp, bc * bpp:(bc + 1) * bpp]

@@ -104,6 +104,22 @@ def test_invalid_config_exits_2_without_side_effects(tmp_path, image_dir):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("model,message", [
+    ({"embed_dim": 2**40}, "more than the bound"),
+    ({"embed_dim": 0}, "embed_dim, dec_width and target_dim must be positive"),
+    ({"dec_width": -4}, "embed_dim, dec_width and target_dim must be positive"),
+])
+def test_unbuildable_model_exits_2_before_allocating(tmp_path, image_dir, capsys, model,
+                                                     message):
+    cfg = write_config(tmp_path, model=model)
+    out = tmp_path / "run"
+    code = main(["pretrain", "--config", str(cfg), "--images", str(image_dir),
+                 "--out", str(out)])
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("field,value", [
     ("teacher.downsample_rate", 8.0),
     ("train.batch_size", "8"),
@@ -180,6 +196,21 @@ def test_dump_features_and_diversity(tmp_path, image_dir):
     assert report["k"] == 16
     assert 0.0 <= report["diver"] <= 1.0
     assert len(report["per_sample"]) == 4
+
+
+@pytest.mark.parametrize("command", ["diversity", "pretrain"])
+def test_a_write_that_fails_with_os_error_exits_3(tmp_path, image_dir, capsys, command):
+    # a missing parent directory, and an --out below a plain file
+    if command == "diversity":
+        feats = tmp_path / "feats"
+        assert main(["dump-features", "--images", str(image_dir), "--out", str(feats)]) == 0
+        argv = ["diversity", "--features", str(feats), "--out", str(tmp_path / "missing" / "r.json")]
+    else:
+        (tmp_path / "file").write_text("")
+        argv = ["pretrain", "--images", str(image_dir), "--out", str(tmp_path / "file" / "run")]
+    capsys.readouterr()
+    assert main(argv) == 3
+    assert capsys.readouterr().err.startswith("data error:")
 
 
 def test_dump_features_deterministic(tmp_path, image_dir):

@@ -31,11 +31,13 @@ def test_micro_model_gradients_pass():
     assert report.n_parameters > 100
 
 
-def test_batched_gradients_pass():
+def test_batched_gradients_pass(distinct_gathers):
     # two images in one graph: stacked rows, per-sequence attention and the
-    # per-image loss reductions all differentiate correctly
+    # per-image loss reductions all differentiate correctly, and no gather
+    # reads a row of a twice
     report = grad_check(micro_config(), in_channels=1, batch_size=2)
     assert report.max_rel_err < 1e-4
+    assert distinct_gathers
 
 
 def test_lambda_zero_isolates_patch_path():

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import inline_shuffle
+from conftest import inline_shuffle, mask_grid
 from featmim.errors import ConfigError, DegenerateMaskError
 from featmim.masking import MaskSpec, SplitMix64, generate_mask
 
@@ -17,20 +17,20 @@ def test_reference_geometry_counts():
     assert PAPER_GEOMETRY.n_blocks == 49
     assert len(mask.masked_idx) == 116
     assert len(mask.visible_idx) == 80
-    assert abs(len(mask.masked_idx) / mask.grid.size - 116 / 196) < 1e-15
+    assert abs(len(mask.masked_idx) / mask_grid(mask, PAPER_GEOMETRY).size - 116 / 196) < 1e-15
 
 
 def test_same_seed_reproduces_bitwise():
     a = generate_mask(PAPER_GEOMETRY)
     b = generate_mask(PAPER_GEOMETRY)
-    assert a.grid.tobytes() == b.grid.tobytes()
+    assert mask_grid(a, PAPER_GEOMETRY).tobytes() == mask_grid(b, PAPER_GEOMETRY).tobytes()
     np.testing.assert_array_equal(a.masked_idx, b.masked_idx)
 
 
 def test_different_seed_differs():
     a = generate_mask(PAPER_GEOMETRY)
     b = generate_mask(MaskSpec(224, 16, 32, 0.6, seed=1))
-    assert a.grid.tobytes() != b.grid.tobytes()
+    assert mask_grid(a, PAPER_GEOMETRY).tobytes() != mask_grid(b, PAPER_GEOMETRY).tobytes()
 
 
 def test_all_masked_is_degenerate_error():
@@ -77,7 +77,7 @@ def test_block_completeness_property(spec):
     except DegenerateMaskError:
         return
     bpp = spec.patches_per_block_side
-    g = mask.grid
+    g = mask_grid(mask, spec)
     for br in range(spec.blocks_per_side):
         for bc in range(spec.blocks_per_side):
             block = g[br * bpp:(br + 1) * bpp, bc * bpp:(bc + 1) * bpp]
@@ -93,7 +93,7 @@ def test_actual_ratio_within_one_block(spec):
         return
     patches_per_block = spec.patches_per_block_side**2
     tol = patches_per_block / spec.grid_side**2
-    assert abs(len(mask.masked_idx) / mask.grid.size - spec.mask_ratio) <= tol
+    assert abs(len(mask.masked_idx) / mask_grid(mask, spec).size - spec.mask_ratio) <= tol
 
 
 def test_block_marginal_frequency_binomial():
@@ -102,7 +102,7 @@ def test_block_marginal_frequency_binomial():
     counts = np.zeros(49)
     for seed in range(n_seeds):
         mask = generate_mask(MaskSpec(224, 16, 32, 0.6, seed))
-        counts += mask.grid[::2, ::2].reshape(-1)  # one patch per block marks the block
+        counts += mask_grid(mask, PAPER_GEOMETRY)[::2, ::2].reshape(-1)  # one patch per block marks the block
     p = 29 / 49
     sigma = np.sqrt(n_seeds * p * (1 - p))
     assert np.all(np.abs(counts - n_seeds * p) < 3 * sigma)
@@ -132,4 +132,4 @@ def test_masked_blocks_match_inline_shuffle(blocks_per_side, ratio, seed):
     assume(spec.n_masked_blocks < spec.n_blocks)
     expected = np.zeros(spec.n_blocks, dtype=bool)
     expected[inline_shuffle(range(spec.n_blocks), SplitMix64(seed))[:spec.n_masked_blocks]] = True
-    np.testing.assert_array_equal(generate_mask(spec).grid.reshape(-1), expected)
+    np.testing.assert_array_equal(mask_grid(generate_mask(spec), spec).reshape(-1), expected)

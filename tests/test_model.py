@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import os
 import struct
@@ -12,7 +13,7 @@ from featmim.losses import LossConfig
 from featmim.masking import MaskSpec, PatchMask, batch_rows, generate_mask
 import featmim.model
 from featmim.model import (ModelConfig, aggregate_multi_block,
-                           decode, encode_visible, forward, init_params,
+                           decode, encode_visible, forward, init_elements, init_params,
                            load_checkpoint, patch_embed, patchify,
                            project_global, save_checkpoint, sincos_pos_embed)
 from featmim.synth import synthetic_image
@@ -85,31 +86,26 @@ def test_encode_single_visible_token():
     params = tiny_params()
     n = params.n_patches
     masked = np.arange(1, n, dtype=np.int64)
-    grid = np.ones(n, dtype=bool)
-    grid[0] = False
-    mask = PatchMask(grid=grid.reshape(4, 4), masked_idx=masked,
-                     visible_idx=np.array([0], dtype=np.int64))
+    mask = PatchMask(masked_idx=masked, visible_idx=np.array([0], dtype=np.int64))
     tokens = patch_embed([patches_of(synthetic_image(32, 3, seed=1))], params)
     layers = encode_visible(tokens, visible_rows([mask]), params)
-    assert all(layer.shape == (1, 8) for layer in layers)
+    assert all(layer.data.shape == (1, 8) for layer in layers)
 
 
 def test_encode_full_visible():
     params = tiny_params()
     n = params.n_patches
-    mask = PatchMask(grid=np.zeros((4, 4), dtype=bool),
-                     masked_idx=np.array([], dtype=np.int64),
+    mask = PatchMask(masked_idx=np.array([], dtype=np.int64),
                      visible_idx=np.arange(n, dtype=np.int64))
     tokens = patch_embed([patches_of(synthetic_image(32, 3, seed=1))], params)
     layers = encode_visible(tokens, visible_rows([mask]), params)
-    assert layers[-1].shape == (n, 8)
+    assert layers[-1].data.shape == (n, 8)
 
 
 def test_encode_rejects_no_visible():
     params = tiny_params()
     n = params.n_patches
-    mask = PatchMask(grid=np.ones((4, 4), dtype=bool),
-                     masked_idx=np.arange(n, dtype=np.int64),
+    mask = PatchMask(masked_idx=np.arange(n, dtype=np.int64),
                      visible_idx=np.array([], dtype=np.int64))
     tokens = patch_embed([patches_of(synthetic_image(32, 3, seed=1))], params)
     with pytest.raises(DegenerateMaskError):
@@ -153,13 +149,12 @@ def test_aggregate_single_layer_identity():
 def test_decode_all_visible_shape_contract():
     params = tiny_params()
     n = params.n_patches
-    mask = PatchMask(grid=np.zeros((4, 4), dtype=bool),
-                     masked_idx=np.array([], dtype=np.int64),
+    mask = PatchMask(masked_idx=np.array([], dtype=np.int64),
                      visible_idx=np.arange(n, dtype=np.int64))
     tokens = patch_embed([patches_of(synthetic_image(32, 3, seed=3))], params)
     layers = encode_visible(tokens, visible_rows([mask]), params)
     z = decode(aggregate_multi_block(layers, TINY), visible_rows([mask]), params)
-    assert z.shape == (n, TINY.target_dim)
+    assert z.data.shape == (n, TINY.target_dim)
 
 
 def test_decode_positional_swap_equivariance():
@@ -196,7 +191,7 @@ def test_project_global_per_token_and_dim():
     rng = np.random.default_rng(5)
     h = rng.normal(size=(6, 8)).astype(np.float32)
     p = project_global(Tensor(h), params)
-    assert p.shape == (6, TINY.target_dim)
+    assert p.data.shape == (6, TINY.target_dim)
     perm = [3, 1, 5, 0, 2, 4]
     p_perm = project_global(Tensor(h[perm]), params)
     np.testing.assert_array_equal(p_perm.data, p.data[perm])
@@ -209,9 +204,9 @@ def test_forward_shapes():
     z, last_visible = forward([patches_of(image)], visible_rows([mask]), params)
     layers = encode_visible(patch_embed([patches_of(image)], params), visible_rows([mask]), params)
     v = len(mask.visible_idx)
-    assert aggregated([image], [mask], params).shape == (v, 8)
-    assert z.shape == (16, TINY.target_dim)
-    assert project_global(last_visible, params).shape == (v, TINY.target_dim)
+    assert aggregated([image], [mask], params).data.shape == (v, 8)
+    assert z.data.shape == (16, TINY.target_dim)
+    assert project_global(last_visible, params).data.shape == (v, TINY.target_dim)
     assert len(layers) == TINY.enc_depth
     assert last_visible.data.tobytes() == layers[-1].data.tobytes()
 
@@ -437,15 +432,50 @@ def test_checkpoint_rejects_bad_header_values(tmp_path, key, value, message):
         load_checkpoint(bad)
 
 
+@pytest.mark.parametrize("edits", [
+    {"n_patches": 2**40},  # 8 TiB of position tables
+    {"in_channels": 2**30},  # 16 TiB of patch projection
+    {"embed_dim": 2**20, "dec_width": 2**20},
+])
+def test_checkpoint_rejects_an_oversized_header_before_allocating(tmp_path, monkeypatch, edits):
+    good = tmp_path / "good.bin"
+    save_checkpoint(good, tiny_params())
+
+    def edit(header):
+        for key, value in edits.items():
+            (header["config"] if key in header["config"] else header)[key] = value
+
+    bad = tmp_path / "bad.bin"
+    bad.write_bytes(_checkpoint_with_header(good.read_bytes(), edit))
+
+    def allocate(*args, **kwargs):
+        raise AssertionError("init_params called for an oversized header")
+
+    monkeypatch.setattr(featmim.model, "init_params", allocate)
+    with pytest.raises(DataError, match="more than the bound"):
+        load_checkpoint(bad)
+
+
+def test_init_elements_counts_what_init_params_allocates():
+    # weights and both position tables, over 48 configs
+    for use_cls, (d, w, t), (enc, dec), (patch, side, channels) in itertools.product(
+            (True, False), ((4, 8, 1), (8, 4, 5), (12, 12, 3)), ((1, 1), (2, 3)),
+            ((2, 8, 1), (4, 16, 3), (8, 8, 2), (4, 24, 3))):
+        config = ModelConfig(patch_side=patch, embed_dim=d, enc_depth=enc, enc_heads=2,
+                             dec_depth=dec, dec_width=w, dec_heads=2, target_dim=t,
+                             use_cls=use_cls)
+        params = init_params(config, side, channels, seed=0)
+        allocated = params.flat.size + params.enc_pos.size + params.dec_pos.size
+        assert init_elements(config, params.n_patches, channels) == allocated, config
+    assert init_elements(ModelConfig(), 16, 3) == 48_544  # the default model, as documented
+
+
 def test_batch_masks_must_agree_on_visible_count():
     params = tiny_params()
     four_visible = tiny_mask(seed=1)
     n = params.n_patches
     masked = np.arange(1, n, dtype=np.int64)
-    grid = np.ones(n, dtype=bool)
-    grid[0] = False
-    one_visible = PatchMask(grid=grid.reshape(4, 4), masked_idx=masked,
-                            visible_idx=np.array([0], dtype=np.int64))
+    one_visible = PatchMask(masked_idx=masked, visible_idx=np.array([0], dtype=np.int64))
     cache = FeatureCache(ProceduralConvTeacher(target_dim=6, downsample_rate=8, seed=0), 8)
     records = [cache.get(f"img{i}", synthetic_image(32, 3, seed=i)) for i in range(2)]
     with pytest.raises(ShapeError, match="visible count: 8 and 1"):
@@ -476,5 +506,5 @@ def test_no_cls_config_runs():
     mask = tiny_mask(seed=9)
     z, last_visible = forward([patches_of(synthetic_image(32, 3, seed=8))],
                               visible_rows([mask]), params)
-    assert last_visible.shape == (len(mask.visible_idx), 8)  # no CLS row
-    assert z.shape == (16, 4)
+    assert last_visible.data.shape == (len(mask.visible_idx), 8)  # no CLS row
+    assert z.data.shape == (16, 4)

@@ -1,0 +1,58 @@
+"""No code that only tests reach: every public module function, class and
+method in src/featmim has a caller outside tests/. A caller is a name or
+attribute that refers to it elsewhere in src/ (not inside its own
+definition), in scripts/, or in bench/, where the tracer also binds
+"module.name" strings. A function whose only callers are tests either gets
+a production caller or moves into tests/."""
+
+import ast
+import collections
+import pathlib
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+# name -> why it stays without a caller outside tests
+ALLOWED = {"load_checkpoint": "ROADMAP item 3's --resume"}
+
+
+def _trees(directory):
+    return [ast.parse(path.read_text(), str(path)) for path in sorted(directory.glob("*.py"))]
+
+
+def _names(node, strings=False):
+    """Counter of the names and attributes that `node` refers to; with
+    `strings`, also each dot-separated part of its string constants."""
+    found = collections.Counter()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            found[sub.id] += 1
+        elif isinstance(sub, ast.Attribute):
+            found[sub.attr] += 1
+        elif strings and isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+            found.update(sub.value.split("."))
+    return found
+
+
+def _public_definitions(tree):
+    """Public module-level functions and classes, and public methods of
+    module-level classes."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node
+        if isinstance(node, ast.ClassDef):
+            yield from (item for item in node.body if isinstance(item, ast.FunctionDef))
+
+
+def test_only_the_allowed_names_lack_a_caller_outside_tests():
+    # an allowed name that gains a caller, or loses its definition, leaves the list
+    src = _trees(ROOT / "src" / "featmim")
+    in_src = sum((_names(tree) for tree in src), collections.Counter())
+    outside = sum((_names(tree) for tree in _trees(ROOT / "scripts")), collections.Counter())
+    outside += sum((_names(tree, strings=True) for tree in _trees(ROOT / "bench")),
+                   collections.Counter())
+    unreached = sorted(
+        node.name for tree in src for node in _public_definitions(tree)
+        if not node.name.startswith("_") and not outside[node.name]
+        and in_src[node.name] <= _names(node)[node.name])
+    assert unreached == sorted(ALLOWED), \
+        f"only tests reach {unreached}: give each a caller or move it to tests/"

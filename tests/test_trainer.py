@@ -1,6 +1,7 @@
 import csv
 import gc
 import io
+import itertools
 import math
 import pathlib
 import weakref
@@ -181,12 +182,19 @@ def test_metrics_csv_shape(tmp_path):
     assert float(rows[0]["lr"]) == 0.0  # warmup starts at zero
 
 
-def test_checkpoint_interval_and_final(tmp_path):
+def test_checkpoint_interval_and_final(tmp_path, monkeypatch):
+    # total steps a multiple of the interval: the last interval checkpoint is
+    # the final one, written once
+    saved = []
+    save = featmim.trainer.save_checkpoint
+    monkeypatch.setattr(featmim.trainer, "save_checkpoint",
+                        lambda path, params: saved.append(path) or save(path, params))
     cfg = small_cfg(total_epochs=4.0, warmup_epochs=1.0)
     cfg = cfg._replace(train=cfg.train._replace(checkpoint_interval=2))
     result = train(cfg, small_images(), tmp_path)
     names = sorted(p.name for p in tmp_path.glob("ckpt_*.bin"))
     assert names == ["ckpt_2.bin", "ckpt_4.bin"]
+    assert len(saved) == len(set(saved)) == len(names)
     assert result.final_checkpoint.endswith("ckpt_4.bin")
 
 
@@ -328,6 +336,22 @@ def _step_batch(cfg, n, dtype):
     cache = FeatureCache(ProceduralConvTeacher(target_dim=16, downsample_rate=8, seed=0), 8)
     return [(cache.get(f"img{i}", synthetic_image(32, 3, seed=i, dtype=dtype)),
              generate_mask(cfg.mask, i)) for i in range(n)]
+
+
+def test_every_step_gather_reads_each_row_of_a_once(distinct_gathers):
+    # the precondition gather_rows' backward rests on, over the step's
+    # configurations: CLS on and off, multi-block on and off, lam 0 and 0.5
+    for use_cls, multi_block, lam, batch in itertools.product(
+            (True, False), (True, False), (0.0, 0.5), (1, 3, 8)):
+        cfg = RunConfig()
+        cfg = cfg._replace(model=cfg.model._replace(use_cls=use_cls, multi_block=multi_block))
+        params = init_params(cfg.model, 32, 3, seed=0)
+        tape = Tape(params)
+        backward(tape, step_losses(params, _step_batch(cfg, batch, np.float32),
+                                   cfg.loss._replace(lam=lam))[0])
+    # each step gathers its encoder input and restore index; with CLS also the
+    # patch rows after each of the two encoder blocks
+    assert len(distinct_gathers) == 24 * 2 + 12 * 2
 
 
 @pytest.mark.parametrize("channel_reduce", ["mean", "sum"])
