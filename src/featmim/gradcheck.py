@@ -62,19 +62,19 @@ def grad_check(cfg, h=1e-5, floor=1e-6, in_channels=3, batch_size=1):
     if cfg.model.embed_dim > 16:
         raise ConfigError("grad_check expects a tiny model (embed_dim <= 16)")
 
+    idx = list(range(batch_size))
+    images = [(f"gradcheck{b}" if b else "gradcheck", synthetic_image(
+        cfg.mask.image_side, in_channels, seed=cfg.train.seed + b, dtype=np.float64)) for b in idx]
     cache = FeatureCache(make_teacher(cfg.teacher, in_channels=in_channels),
-                         cfg.model.patch_side)
-    batch = [(cache.get(f"gradcheck{b}" if b else "gradcheck",
-                        synthetic_image(cfg.mask.image_side, in_channels,
-                                        seed=cfg.train.seed + b, dtype=np.float64)),
-              generate_mask(cfg.mask, cfg.mask.seed + b)) for b in range(batch_size)]
+                         cfg.model.patch_side, images)
+    masks = [generate_mask(cfg.mask, cfg.mask.seed + b) for b in idx]
 
     params = init_params(cfg.model, cfg.mask.image_side, in_channels,
                          seed=cfg.train.seed, dtype=np.float64)
-    backward(Tape(params), step_losses(params, batch, cfg.loss)[0])
+    backward(Tape(params), step_losses(params, cache, idx, masks, cfg.loss)[0])
 
     def loss_value():  # backward handed the parameters back: they are constants
-        return float(step_losses(params, batch, cfg.loss)[0].data)
+        return float(step_losses(params, cache, idx, masks, cfg.loss)[0].data)
 
     flat, ana = params.flat, params.grad
     num = np.zeros_like(flat)

@@ -177,12 +177,12 @@ def patchify(image, patch_side):
 
 
 def patch_embed(patches, params: ModelParams):
-    """Linear projection of the patch rows of B images (each [N, C * patch**2],
-    from patchify), stacked to [B*N, d], plus position embeddings."""
-    rows = np.concatenate(patches).astype(params.flat.dtype, copy=False)
-    want = (len(patches) * params.n_patches, params.in_channels * params.config.patch_side**2)
-    if rows.shape != want:
-        raise ConfigError(f"patch rows {rows.shape} do not match the model's {want}")
+    """Linear projection of the patch rows of B images, [B, N, C * patch**2]
+    (each image's from patchify), to [B*N, d], plus position embeddings."""
+    want = (len(patches), params.n_patches, params.in_channels * params.config.patch_side**2)
+    if patches.shape != want:
+        raise ConfigError(f"patch rows {patches.shape} do not match the model's {want}")
+    rows = patches.reshape(-1, want[2]).astype(params.flat.dtype, copy=False)
     tokens = tn.linear(Tensor(rows), params["patch_proj_w"], params["patch_proj_b"])
     return tn.add(tokens, Tensor(np.tile(params.enc_pos, (len(patches), 1))))
 
@@ -279,9 +279,9 @@ def project_global(h_visible, params: ModelParams):
 
 def forward(patches, vis_rows, params: ModelParams):
     """Student pass over a batch up to the patch predictions: embed,
-    encode visible, aggregate, decode. patches holds each image's patchify
-    rows; vis_rows is [B, V], the batch's visible rows, as encode_visible
-    and decode take them.
+    encode visible, aggregate, decode. patches is [B, N, C * patch**2], each
+    image's patchify rows; vis_rows is [B, V], the batch's visible rows, as
+    encode_visible and decode take them.
 
     Returns (z, last_visible): the decoder's predictions [B*N, target_dim]
     from the aggregated tokens, and the last encoder block's visible tokens

@@ -15,6 +15,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .errors import ConfigError, DataError, NumericError
+from .model import MAX_INIT_ELEMENTS
 from .tensor import read_bytes, read_tvec, write_atomic, write_tvec
 
 
@@ -38,6 +39,12 @@ class TeacherSpec(NamedTuple):
                 raise ConfigError(f"{rate_name} must be a power of two >= 2")
             if self.target_dim < 1:
                 raise ConfigError(f"{dim_name} must be positive")
+            # ProceduralConvTeacher's weights on 3 channels, the most a PPM has
+            widths = [3] + [8 * 2**i for i in range(self.downsample_rate.bit_length() - 2)]
+            n = sum(9 * a * b + b for a, b in zip(widths, widths[1:] + [self.target_dim]))
+            if n > MAX_INIT_ELEMENTS:
+                raise ConfigError(f"{rate_name} {self.downsample_rate} and {dim_name} {self.target_dim} "
+                                  f"give the teacher {n:,} weights, more than {MAX_INIT_ELEMENTS:,}")
 
 
 class TeacherFeatures(NamedTuple):

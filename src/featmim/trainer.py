@@ -1,8 +1,8 @@
 """Optimizer, learning-rate schedule, and the pretraining loop.
 
 AdamW with decoupled weight decay, linear-warmup + cosine-decay schedule
-under the linear scaling rule lr = base_lr * batch_size / 256. An image's
-patch rows, teacher tokens and their mean are computed once and cached.
+under the linear scaling rule lr = base_lr * batch_size / 256. Every image's
+patch rows, teacher tokens and mean are stacked once; a step indexes them.
 Everything is deterministic for a fixed seed: masks come from a SplitMix64
 stream, the epoch shuffle from another. AdamW updates the flat weight buffer
 in place; a non-finite loss or gradient stops the run before that update.
@@ -111,12 +111,12 @@ def adamw_step(params, grads, state: OptimizerState, lr, *,
     params -= np.multiply(lr, a, out=a)
 
 
-def step_losses(params, batch, loss_cfg):
+def step_losses(params, cache, idx, masks, loss_cfg):
     """Batch-mean losses as one taped graph: patch + lam * global,
-    multi-block aggregation per config. batch: [(ImageRecord, mask)].
+    multi-block aggregation per config, on the images at positions idx.
 
-    The one place a batch is stacked: model and losses take the masks'
-    rows (masking.batch_rows), teacher tokens [B*N, D] and means [B, D].
+    Model and losses take the masks' rows (masking.batch_rows; masks[b] is
+    image idx[b]'s) and rows idx of the cache's three arrays, tokens [B*N, D].
     The global head and loss are recorded only when lam != 0; at lam == 0
     they could move no parameter, and L_global logs 0.0.
 
@@ -125,20 +125,18 @@ def step_losses(params, batch, loss_cfg):
     training dtype as one-image batches would, so the three CSV columns
     share one reduction.
     """
-    records, masks = zip(*batch)
     visible = batch_rows(masks, "visible_idx", params.n_patches)
     masked = batch_rows(masks, "masked_idx", params.n_patches)
-    z, last_visible = forward([r.patches for r in records], visible, params)
-    loss, lp = patch_loss(z, masked, np.concatenate([r.tokens for r in records]),
+    z, last_visible = forward(cache.patches[idx], visible, params)
+    loss, lp = patch_loss(z, masked, cache.tokens[idx].reshape(-1, cache.tokens.shape[2]),
                           loss_cfg.beta, loss_cfg.channel_reduce)
     lg = np.zeros_like(lp)
     if loss_cfg.lam != 0.0:
-        l_global, lg = global_loss(project_global(last_visible, params),
-                                   np.stack([r.mean for r in records]),
+        l_global, lg = global_loss(project_global(last_visible, params), cache.means[idx],
                                    loss_cfg.beta, loss_cfg.channel_reduce)
         loss = total_loss(loss, l_global, loss_cfg.lam)
     lt = lp + lg * lp.dtype.type(loss_cfg.lam)
-    n = len(batch)
+    n = len(idx)
     return loss, math.fsum(lp) / n, math.fsum(lg) / n, math.fsum(lt) / n
 
 
@@ -151,32 +149,28 @@ class TrainResult(NamedTuple):
     final_l_total: float
 
 
-class ImageRecord(NamedTuple):  # what a step needs from one image
-    patches: np.ndarray  # [N, C * patch**2], the student's patch rows (model.patchify)
-    tokens: np.ndarray  # [N, D], the teacher's tokens
-    mean: np.ndarray  # [D], the teacher's mean token
-
-
 class FeatureCache:
-    """One ImageRecord per image id, made on its first get; the teacher is
-    frozen, so a record never changes. A DataError names an image whose
-    teacher tokens do not pair one to one with its student patches."""
+    """The corpus as read-only arrays, one get per image, stacked once in the
+    order given: patch rows [I, N, C * patch**2], teacher tokens [I, N, D]
+    and mean tokens [I, D]. A DataError names an image whose teacher tokens
+    do not pair one to one with its student patches."""
 
-    def __init__(self, teacher, patch_side):
+    def __init__(self, teacher, patch_side, images):
         self.teacher = teacher
         self.patch_side = patch_side
-        self._store = {}
+        rows = [self.get(image_id, image) for image_id, image in images]
+        self.patches, self.tokens, self.means = arrays = [np.stack(a) for a in zip(*rows)]
+        for a in arrays:
+            a.setflags(write=False)
 
     def get(self, image_id, image):
-        if image_id not in self._store:
-            aligned = align_input(image, self.patch_side, self.teacher.downsample_rate)
-            tokens = self.teacher.features(aligned, image_id).tokens
-            patches = patchify(np.asarray(image), self.patch_side)
-            if len(tokens) != len(patches):
-                raise DataError(f"teacher gives {len(tokens)} tokens for image {image_id!r}, "
-                                f"which has {len(patches)} student patches")
-            self._store[image_id] = ImageRecord(patches, tokens, tokens.mean(axis=0))
-        return self._store[image_id]
+        aligned = align_input(image, self.patch_side, self.teacher.downsample_rate)
+        tokens = self.teacher.features(aligned, image_id).tokens
+        patches = patchify(np.asarray(image), self.patch_side)
+        if len(tokens) != len(patches):
+            raise DataError(f"teacher gives {len(tokens)} tokens for image {image_id!r}, "
+                            f"which has {len(patches)} student patches")
+        return patches, tokens, tokens.mean(axis=0)
 
 
 def _format_row(step, epoch, lr, lp, lg, lt):
@@ -208,28 +202,23 @@ def train(cfg, images, out_dir):
                 f"image {image_id!r} is {img.shape[1:]}, mask spec wants "
                 f"{mask_spec.image_side}x{mask_spec.image_side}")
 
-    teacher = make_teacher(cfg.teacher, in_channels=in_channels)
-    if teacher.target_dim != cfg.model.target_dim:
-        raise ConfigError(
-            f"teacher target_dim {teacher.target_dim} != model target_dim "
-            f"{cfg.model.target_dim}")
-
-    cache = FeatureCache(teacher, cfg.model.patch_side)
-    for image_id, img in images:  # so a teacher that misfits an image writes nothing
-        cache.get(image_id, img)
-
-    ids = [image_id for image_id, _ in images]
-    steps_per_epoch = math.ceil(len(ids) / tc.batch_size)
+    steps_per_epoch = math.ceil(len(images) / tc.batch_size)
     total_steps = int(round(tc.total_epochs * steps_per_epoch))
     if total_steps < 1:
         raise ConfigError(
             f"total_epochs {tc.total_epochs} yields zero optimizer steps")
 
+    teacher = make_teacher(cfg.teacher, in_channels=in_channels)
+    if teacher.target_dim != cfg.model.target_dim:
+        raise ConfigError(
+            f"teacher target_dim {teacher.target_dim} != model target_dim "
+            f"{cfg.model.target_dim}")
+    cache = FeatureCache(teacher, cfg.model.patch_side, images)  # a misfit writes nothing
+
     os.makedirs(out_dir, exist_ok=True)
     save_run_config(cfg, os.path.join(out_dir, "config.json"))
     params = init_params(cfg.model, mask_spec.image_side, in_channels, tc.seed)
     opt = OptimizerState()
-    by_id = dict(images)
     # per-step masks are resampled from the mask spec's own seed stream, so
     # --mask-seed varies masking without touching init or data order
     mask_stream = SplitMix64(mask_spec.seed ^ _MASK_STREAM_TAG)
@@ -240,14 +229,12 @@ def train(cfg, images, out_dir):
     lp = lg = lt = float("nan")
     with open(metrics_path, "w") as metrics:
         metrics.write(",".join(METRICS_COLUMNS) + "\n")
-        order = []
         for step in range(total_steps):
             if step % steps_per_epoch == 0:
-                order = [ids[k] for k in shuffle_stream.permutation(len(ids))]
+                order = shuffle_stream.permutation(len(images))
             lo = (step % steps_per_epoch) * tc.batch_size
-            batch = [(cache.get(image_id, by_id[image_id]),
-                      generate_mask(mask_spec, mask_stream.next_u64()))
-                     for image_id in order[lo:lo + tc.batch_size]]
+            idx = order[lo:lo + tc.batch_size]
+            masks = [generate_mask(mask_spec, mask_stream.next_u64()) for _ in idx]
 
             t_epoch = step / steps_per_epoch
             lr = lr_at(t_epoch, tc)
@@ -255,7 +242,7 @@ def train(cfg, images, out_dir):
             try:
                 # the finiteness checks stand in for numpy's overflow warnings
                 with np.errstate(all="ignore"):
-                    loss, lp, lg, lt = step_losses(params, batch, cfg.loss)
+                    loss, lp, lg, lt = step_losses(params, cache, idx, masks, cfg.loss)
                     if not np.isfinite(loss.data):
                         raise NumericError("non-finite loss")
                     flat_grad = backward(tape, loss)

@@ -210,38 +210,37 @@ def inline_shuffle(items, stream):
     return order
 
 
-def _stacked(params, batch):
-    """The batch as step_losses stacks it: patch rows, visible and masked
-    rows, teacher tokens and means."""
-    records, masks = zip(*batch)
-    return ([r.patches for r in records],
+def _stacked(params, cache, idx, masks):
+    """The batch as step_losses reads it: rows idx of the FeatureCache's
+    patch rows, visible and masked rows, teacher tokens [B*N, D] and means."""
+    return (cache.patches[idx],
             batch_rows(masks, "visible_idx", params.n_patches),
             batch_rows(masks, "masked_idx", params.n_patches),
-            np.concatenate([r.tokens for r in records]), np.stack([r.mean for r in records]))
+            cache.tokens[idx].reshape(-1, cache.tokens.shape[2]), cache.means[idx])
 
 
-def plain_regression_step(params, batch, loss_cfg):
+def plain_regression_step(params, cache, idx, masks, loss_cfg):
     """The plain feature-regression step: last encoder block straight into
     the decoder, patch loss only. No global head, no block aggregation.
     Same signature and return value as featmim.trainer.step_losses."""
-    patches, visible, masked, tokens, _ = _stacked(params, batch)
+    patches, visible, masked, tokens, _ = _stacked(params, cache, idx, masks)
     layers = encode_visible(patch_embed(patches, params), visible, params)
     z = decode(layers[-1], visible, params)
     lp, per_image = patch_loss(z, masked, tokens, loss_cfg.beta, loss_cfg.channel_reduce)
-    mean_lp = math.fsum(per_image) / len(batch)
+    mean_lp = math.fsum(per_image) / len(idx)
     return lp, mean_lp, 0.0, mean_lp
 
 
-def full_composition_step(params, batch, loss_cfg):
+def full_composition_step(params, cache, idx, masks, loss_cfg):
     """patch + lam * global with the global head and loss taped at every
     lam, zero included; L_global logs the unweighted global loss."""
-    patches, visible, masked, tokens, means = _stacked(params, batch)
+    patches, visible, masked, tokens, means = _stacked(params, cache, idx, masks)
     z, last_visible = forward(patches, visible, params)
     lp, lp_vals = patch_loss(z, masked, tokens, loss_cfg.beta, loss_cfg.channel_reduce)
     lg, lg_vals = global_loss(project_global(last_visible, params), means,
                               loss_cfg.beta, loss_cfg.channel_reduce)
     lt_vals = lp_vals + lg_vals * lp_vals.dtype.type(loss_cfg.lam)
-    n = len(batch)
+    n = len(idx)
     return (total_loss(lp, lg, loss_cfg.lam), math.fsum(lp_vals) / n,
             math.fsum(lg_vals) / n, math.fsum(lt_vals) / n)
 

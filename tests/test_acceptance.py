@@ -250,11 +250,11 @@ def test_persistence_round_trips(tmp_path):
     cfg = RunConfig()
     params = init_params(cfg.model, 32, 3, seed=5)
     mask = generate_mask(cfg.mask._replace(seed=9))
-    patches = patchify(synthetic_image(32, 3, seed=4), 8)
-    before = forward([patches], mask.visible_idx[None], params)[0].data.tobytes()
+    patches = patchify(synthetic_image(32, 3, seed=4), 8)[None]
+    before = forward(patches, mask.visible_idx[None], params)[0].data.tobytes()
     from featmim.model import save_checkpoint
     save_checkpoint(tmp_path / "c.bin", params)
-    after = forward([patches], mask.visible_idx[None],
+    after = forward(patches, mask.visible_idx[None],
                     load_checkpoint(tmp_path / "c.bin"))[0].data.tobytes()
     assert before == after
 

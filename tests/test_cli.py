@@ -472,6 +472,40 @@ def test_zero_step_run_exits_2_writing_nothing(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_zero_step_run_exits_2_before_reading_features(tmp_path, image_dir, capsys):
+    # the step count is checked before the teacher is built: a file teacher
+    # with no dump at all does not turn a zero-step run into a data error
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({
+        "train": {"total_epochs": 0.1, "warmup_epochs": 0.05, "batch_size": 8},
+        "teacher": {"kind": "file", "features_dir": str(tmp_path / "no_dump")}}))
+    out = tmp_path / "run"
+    assert main(["pretrain", "--config", str(cfg), "--images", str(image_dir),
+                 "--out", str(out)]) == 2
+    assert "yields zero optimizer steps" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv,names", [
+    (["dump-features", "--downsample", str(2**40)], ("--downsample", "--target-dim")),
+    (["dump-features", "--target-dim", str(2**40)], ("--downsample", "--target-dim")),
+    (["pretrain", "--config", {"teacher": {"downsample_rate": 2**40}}],
+     ("procedural teacher downsample_rate", "target_dim")),
+    (["dump-features", "--config", {"teacher": {"target_dim": 2**40}}],
+     ("procedural teacher downsample_rate", "target_dim")),
+], ids=["downsample_flag", "target_dim_flag", "pretrain_config", "dump_features_config"])
+def test_oversized_teacher_exits_2_before_allocating(tmp_path, image_dir, capsys, argv, names):
+    # the teacher's conv weights are counted before any is drawn; past
+    # model.MAX_INIT_ELEMENTS the run ends with exit 2, naming its source
+    argv = [str(write_config(tmp_path, **a)) if isinstance(a, dict) else a for a in argv]
+    out = tmp_path / "out"
+    assert main(argv + ["--images", str(image_dir), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "weights, more than 67,108,864" in err
+    assert err.startswith(f"config error: {names[0]} ") and f" and {names[1]} " in err
+    assert not out.exists()
+
+
 def test_grad_check_file_teacher_grid_mismatch_exits_3(tmp_path, capsys):
     # NANO_GRAD_CHECK's 8x8 image has 4 patches; a dump at --patch-side 2
     # holds 16 tokens for it

@@ -34,8 +34,9 @@ def tiny_mask(seed=0, image_side=32):
     return generate_mask(MaskSpec(image_side, 8, 8, 0.5, seed))
 
 
-def patches_of(image):
-    return patchify(image, 8)
+def patches_of(*images):
+    """The images' patch rows stacked to [B, N, C * 64], as forward takes them."""
+    return np.stack([patchify(image, 8) for image in images])
 
 
 def visible_rows(masks, n_patches=16):
@@ -44,7 +45,7 @@ def visible_rows(masks, n_patches=16):
 
 def aggregated(images, masks, params):
     """The aggregated visible tokens h that forward decodes."""
-    tokens = patch_embed([patches_of(i) for i in images], params)
+    tokens = patch_embed(patches_of(*images), params)
     return aggregate_multi_block(encode_visible(tokens, visible_rows(masks), params),
                                  params.config)
 
@@ -70,16 +71,16 @@ def test_patchify_permutation_equivariance():
 
 def test_patch_embed_zero_image_gives_pos_embed():
     params = tiny_params()
-    tokens = patch_embed([patches_of(np.zeros((3, 32, 32), dtype=np.float32))], params)
+    tokens = patch_embed(patches_of(np.zeros((3, 32, 32), dtype=np.float32)), params)
     np.testing.assert_array_equal(tokens.data, params.enc_pos)
 
 
 def test_patch_embed_geometry_mismatch():
     params = tiny_params()
     with pytest.raises(ConfigError):
-        patch_embed([patches_of(np.zeros((3, 64, 64), dtype=np.float32))], params)
+        patch_embed(patches_of(np.zeros((3, 64, 64), dtype=np.float32)), params)
     with pytest.raises(ConfigError):
-        patch_embed([patches_of(np.zeros((1, 32, 32), dtype=np.float32))], params)
+        patch_embed(patches_of(np.zeros((1, 32, 32), dtype=np.float32)), params)
 
 
 def test_encode_single_visible_token():
@@ -87,7 +88,7 @@ def test_encode_single_visible_token():
     n = params.n_patches
     masked = np.arange(1, n, dtype=np.int64)
     mask = PatchMask(masked_idx=masked, visible_idx=np.array([0], dtype=np.int64))
-    tokens = patch_embed([patches_of(synthetic_image(32, 3, seed=1))], params)
+    tokens = patch_embed(patches_of(synthetic_image(32, 3, seed=1)), params)
     layers = encode_visible(tokens, visible_rows([mask]), params)
     assert all(layer.data.shape == (1, 8) for layer in layers)
 
@@ -97,7 +98,7 @@ def test_encode_full_visible():
     n = params.n_patches
     mask = PatchMask(masked_idx=np.array([], dtype=np.int64),
                      visible_idx=np.arange(n, dtype=np.int64))
-    tokens = patch_embed([patches_of(synthetic_image(32, 3, seed=1))], params)
+    tokens = patch_embed(patches_of(synthetic_image(32, 3, seed=1)), params)
     layers = encode_visible(tokens, visible_rows([mask]), params)
     assert layers[-1].data.shape == (n, 8)
 
@@ -107,7 +108,7 @@ def test_encode_rejects_no_visible():
     n = params.n_patches
     mask = PatchMask(masked_idx=np.arange(n, dtype=np.int64),
                      visible_idx=np.array([], dtype=np.int64))
-    tokens = patch_embed([patches_of(synthetic_image(32, 3, seed=1))], params)
+    tokens = patch_embed(patches_of(synthetic_image(32, 3, seed=1)), params)
     with pytest.raises(DegenerateMaskError):
         encode_visible(tokens, visible_rows([mask]), params)
 
@@ -123,7 +124,7 @@ def test_masked_content_never_reaches_the_model():
         perturbed[:, r * 8:(r + 1) * 8, c * 8:(c + 1) * 8] += 7.25
 
     def outputs(image):  # h, z and the global head's output
-        z, last_visible = forward([patches_of(image)], visible_rows([mask]), params)
+        z, last_visible = forward(patches_of(image), visible_rows([mask]), params)
         return aggregated([image], [mask], params), z, project_global(last_visible, params)
 
     for a, b in zip(outputs(img), outputs(perturbed)):
@@ -151,7 +152,7 @@ def test_decode_all_visible_shape_contract():
     n = params.n_patches
     mask = PatchMask(masked_idx=np.array([], dtype=np.int64),
                      visible_idx=np.arange(n, dtype=np.int64))
-    tokens = patch_embed([patches_of(synthetic_image(32, 3, seed=3))], params)
+    tokens = patch_embed(patches_of(synthetic_image(32, 3, seed=3)), params)
     layers = encode_visible(tokens, visible_rows([mask]), params)
     z = decode(aggregate_multi_block(layers, TINY), visible_rows([mask]), params)
     assert z.data.shape == (n, TINY.target_dim)
@@ -166,11 +167,11 @@ def test_decode_positional_swap_equivariance():
     i, j = int(mask.masked_idx[0]), int(mask.masked_idx[1])
     img = synthetic_image(32, 3, seed=4).astype(np.float64)
 
-    z_a = forward([patches_of(img)], visible_rows([mask]), params)[0].data
+    z_a = forward(patches_of(img), visible_rows([mask]), params)[0].data
 
     swapped = init_params(TINY, 32, 3, seed=0, dtype=np.float64)
     swapped.dec_pos[[i, j]] = swapped.dec_pos[[j, i]]
-    z_b = forward([patches_of(img)], visible_rows([mask]), swapped)[0].data
+    z_b = forward(patches_of(img), visible_rows([mask]), swapped)[0].data
 
     np.testing.assert_allclose(z_b[i], z_a[j], rtol=1e-12, atol=1e-12)
     np.testing.assert_allclose(z_b[j], z_a[i], rtol=1e-12, atol=1e-12)
@@ -201,8 +202,8 @@ def test_forward_shapes():
     params = tiny_params()
     mask = tiny_mask(seed=7)
     image = synthetic_image(32, 3, seed=6)
-    z, last_visible = forward([patches_of(image)], visible_rows([mask]), params)
-    layers = encode_visible(patch_embed([patches_of(image)], params), visible_rows([mask]), params)
+    z, last_visible = forward(patches_of(image), visible_rows([mask]), params)
+    layers = encode_visible(patch_embed(patches_of(image), params), visible_rows([mask]), params)
     v = len(mask.visible_idx)
     assert aggregated([image], [mask], params).data.shape == (v, 8)
     assert z.data.shape == (16, TINY.target_dim)
@@ -246,7 +247,7 @@ def test_checkpoint_round_trip_bitwise(tmp_path):
     params = tiny_params(seed=9)
     mask = tiny_mask(seed=8)
     img = synthetic_image(32, 3, seed=7)
-    z_before = forward([patches_of(img)], visible_rows([mask]), params)[0].data.tobytes()
+    z_before = forward(patches_of(img), visible_rows([mask]), params)[0].data.tobytes()
 
     path = tmp_path / "ckpt.bin"
     save_checkpoint(path, params)
@@ -256,7 +257,7 @@ def test_checkpoint_round_trip_bitwise(tmp_path):
     assert set(loaded) == set(params)
     for name in params:
         assert loaded[name].data.tobytes() == params[name].data.tobytes()
-    z_after = forward([patches_of(img)], visible_rows([mask]), loaded)[0].data.tobytes()
+    z_after = forward(patches_of(img), visible_rows([mask]), loaded)[0].data.tobytes()
     assert z_after == z_before
 
 
@@ -476,10 +477,10 @@ def test_batch_masks_must_agree_on_visible_count():
     n = params.n_patches
     masked = np.arange(1, n, dtype=np.int64)
     one_visible = PatchMask(masked_idx=masked, visible_idx=np.array([0], dtype=np.int64))
-    cache = FeatureCache(ProceduralConvTeacher(target_dim=6, downsample_rate=8, seed=0), 8)
-    records = [cache.get(f"img{i}", synthetic_image(32, 3, seed=i)) for i in range(2)]
+    cache = FeatureCache(ProceduralConvTeacher(target_dim=6, downsample_rate=8, seed=0), 8,
+                         [(f"img{i}", synthetic_image(32, 3, seed=i)) for i in range(2)])
     with pytest.raises(ShapeError, match="visible count: 8 and 1"):
-        step_losses(params, list(zip(records, [four_visible, one_visible])), LossConfig())
+        step_losses(params, cache, [0, 1], [four_visible, one_visible], LossConfig())
 
 
 def test_batch_rows_match_one_image_passes():
@@ -488,11 +489,11 @@ def test_batch_rows_match_one_image_passes():
     params = init_params(TINY, 32, 3, seed=0, dtype=np.float64)
     images = [synthetic_image(32, 3, seed=i, dtype=np.float64) for i in range(3)]
     masks = [tiny_mask(seed=10 + i) for i in range(3)]
-    z = forward([patches_of(i) for i in images], visible_rows(masks), params)[0].data
+    z = forward(patches_of(*images), visible_rows(masks), params)[0].data
     h = aggregated(images, masks, params).data
     n, v = params.n_patches, len(masks[0].visible_idx)
     for i, (image, mask) in enumerate(zip(images, masks)):
-        one_z = forward([patches_of(image)], visible_rows([mask]), params)[0].data
+        one_z = forward(patches_of(image), visible_rows([mask]), params)[0].data
         one_h = aggregated([image], [mask], params).data
         np.testing.assert_allclose(z[i * n:(i + 1) * n], one_z, rtol=0, atol=1e-12)
         np.testing.assert_allclose(h[i * v:(i + 1) * v], one_h, rtol=0, atol=1e-12)
@@ -504,7 +505,7 @@ def test_no_cls_config_runs():
                       use_cls=False, multi_block=False)
     params = init_params(cfg, 32, 3, seed=0)
     mask = tiny_mask(seed=9)
-    z, last_visible = forward([patches_of(synthetic_image(32, 3, seed=8))],
+    z, last_visible = forward(patches_of(synthetic_image(32, 3, seed=8)),
                               visible_rows([mask]), params)
     assert last_visible.data.shape == (len(mask.visible_idx), 8)  # no CLS row
     assert z.data.shape == (16, 4)

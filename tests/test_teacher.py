@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import featmim.teacher
 from conftest import four_corner_resize, window_conv2d_stride2
 from featmim.errors import ConfigError, DataError
 from featmim.synth import synthetic_image
@@ -182,6 +183,33 @@ def test_l2_normalize_flag():
     feats = ProceduralConvTeacher(target_dim=16, downsample_rate=8, seed=0,
                                   l2_normalize=True).features(img)
     np.testing.assert_allclose(np.linalg.norm(feats.tokens, axis=1), 1.0, atol=1e-6)
+
+
+@pytest.mark.parametrize("rate,dim", [(2, 1), (4, 16), (8, 16), (16, 128), (64, 6)])
+def test_spec_counts_the_weights_the_teacher_draws(monkeypatch, rate, dim):
+    # with the bound at the built teacher's own weight count the spec passes,
+    # one below it fails: the closed form counts exactly what __init__ draws
+    n = sum(w.size + b.size for w, b in ProceduralConvTeacher(dim, rate)._stages)
+    spec = TeacherSpec(downsample_rate=rate, target_dim=dim)
+    monkeypatch.setattr(featmim.teacher, "MAX_INIT_ELEMENTS", n)
+    spec.validate()
+    monkeypatch.setattr(featmim.teacher, "MAX_INIT_ELEMENTS", n - 1)
+    with pytest.raises(ConfigError, match=f"give the teacher {n:,} weights"):
+        spec.validate()
+
+
+def test_teacher_size_bound():
+    # the default teacher and the bench corpus's (rate 16, dim 128: 43,024
+    # weights) pass; 2**26 is the bound, shared with the student
+    TeacherSpec().validate()
+    TeacherSpec(downsample_rate=16, target_dim=128).validate()
+    assert sum(w.size + b.size for w, b in ProceduralConvTeacher(128, 16)._stages) == 43_024
+    TeacherSpec(downsample_rate=8, target_dim=462_810).validate()  # 67,108,842 weights
+    with pytest.raises(ConfigError, match="67,108,987 weights, more than 67,108,864"):
+        TeacherSpec(downsample_rate=8, target_dim=462_811).validate()
+    for spec in (TeacherSpec(downsample_rate=2**40), TeacherSpec(target_dim=2**40)):
+        with pytest.raises(ConfigError, match="more than 67,108,864"):
+            make_teacher(spec)
 
 
 def test_make_teacher_validates_spec():

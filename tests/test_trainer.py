@@ -145,11 +145,11 @@ def test_loss_finite_at_init_across_seeds():
     image = synthetic_image(32, 3, seed=1)
     mask = generate_mask(cfg.mask)
     teacher = ProceduralConvTeacher(target_dim=16, downsample_rate=8, seed=0)
-    record = FeatureCache(teacher, patch_side=8).get("img", image)
+    cache = FeatureCache(teacher, 8, [("img", image)])
     for seed in range(100):
         params = init_params(cfg.model, 32, 3, seed=seed)
-        z, _ = forward([record.patches], mask.visible_idx[None], params)
-        l_patch = patch_loss(z, mask.masked_idx[None], record.tokens, 2.0).loss
+        z, _ = forward(cache.patches, mask.visible_idx[None], params)
+        l_patch = patch_loss(z, mask.masked_idx[None], cache.tokens[0], 2.0).loss
         lt = total_loss(l_patch, l_patch, 0.5)
         assert np.isfinite(float(lt.data))
 
@@ -204,19 +204,67 @@ def test_final_checkpoint_matches_live_params(tmp_path):
     result = train(cfg, images, tmp_path)
     loaded = load_checkpoint(result.final_checkpoint)
     mask = generate_mask(cfg.mask)
-    z, _ = forward([patchify(images[0][1], 8)], mask.visible_idx[None], loaded)
+    z, _ = forward(patchify(images[0][1], 8)[None], mask.visible_idx[None], loaded)
     assert np.isfinite(z.data).all()
 
 
 def test_feature_cache_is_stable():
+    # row k of each stacked array is, bitwise, what get makes for the k-th
+    # image given, and a second get makes the same bytes again
     teacher = ProceduralConvTeacher(target_dim=16, downsample_rate=8, seed=3)
-    cache = FeatureCache(teacher, patch_side=8)
-    img = synthetic_image(32, 3, seed=2)
-    first = cache.get("x", img)
-    second = cache.get("x", img)
-    assert first is second
-    fresh = FeatureCache(teacher, patch_side=8).get("x", img)
-    assert fresh.tokens.tobytes() == first.tokens.tobytes()
+    images = [(f"x{i}", synthetic_image(32, 3, seed=i)) for i in (2, 0, 1)]
+    cache = FeatureCache(teacher, 8, images)
+    assert (cache.patches.shape, cache.tokens.shape, cache.means.shape) == (
+        (3, 16, 192), (3, 16, 16), (3, 16))
+    for k, (image_id, img) in enumerate(images):
+        patches, tokens, mean = cache.get(image_id, img)
+        assert patches.tobytes() == patchify(img, 8).tobytes()
+        assert mean.tobytes() == tokens.mean(axis=0).tobytes()
+        for row, got in zip((cache.patches, cache.tokens, cache.means), (patches, tokens, mean)):
+            assert row[k].dtype == got.dtype and row[k].tobytes() == got.tobytes()
+        assert cache.get(image_id, img)[1].tobytes() == tokens.tobytes()
+
+
+def test_the_corpus_is_read_only(tmp_path, monkeypatch):
+    # the teacher is frozen, so the stacked arrays refuse writes; a full run
+    # only reads them
+    caches = []
+    real_init = FeatureCache.__init__
+
+    def recording_init(self, *args):
+        real_init(self, *args)
+        caches.append(self)
+
+    monkeypatch.setattr(FeatureCache, "__init__", recording_init)
+    result = train(small_cfg(), small_images(), tmp_path)
+    assert result.total_steps == 3 and np.isfinite(result.final_l_total)
+    (cache,) = caches
+    for a in (cache.patches, cache.tokens, cache.means):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 0
+
+
+def test_multi_epoch_run_extracts_each_image_once(tmp_path, monkeypatch):
+    # the teacher and patchify run once per image, in image order, before the
+    # first step, however many epochs and steps follow
+    features, patchified = [], []
+    real_features, real_patchify = ProceduralConvTeacher.features, featmim.trainer.patchify
+
+    def counting_features(self, image, source_id=""):
+        features.append(source_id)
+        return real_features(self, image, source_id)
+
+    def counting_patchify(image, patch_side):
+        patchified.append(len(features))
+        return real_patchify(image, patch_side)
+
+    monkeypatch.setattr(ProceduralConvTeacher, "features", counting_features)
+    monkeypatch.setattr(featmim.trainer, "patchify", counting_patchify)
+    images = small_images(5)
+    result = train(small_cfg(batch_size=2, total_epochs=4.0), images, tmp_path)
+    assert result.total_steps == 12
+    assert features == [image_id for image_id, _ in images]
+    assert patchified == [1, 2, 3, 4, 5]
 
 
 def test_train_validates_inputs(tmp_path):
@@ -318,7 +366,7 @@ def test_backward_writes_the_flat_gradient_of_the_per_name_oracle(batch_size):
 
     def taped_loss():
         tape = Tape(params)
-        return tape, step_losses(params, batch, loss_cfg)[0]
+        return tape, step_losses(params, *batch, loss_cfg)[0]
 
     tape, loss = taped_loss()
     params.grad[...] = np.nan
@@ -333,9 +381,11 @@ def test_backward_writes_the_flat_gradient_of_the_per_name_oracle(batch_size):
 
 
 def _step_batch(cfg, n, dtype):
-    cache = FeatureCache(ProceduralConvTeacher(target_dim=16, downsample_rate=8, seed=0), 8)
-    return [(cache.get(f"img{i}", synthetic_image(32, 3, seed=i, dtype=dtype)),
-             generate_mask(cfg.mask, i)) for i in range(n)]
+    """step_losses' cache, idx and masks for n synthetic images, in order."""
+    images = [(f"img{i}", synthetic_image(32, 3, seed=i, dtype=dtype)) for i in range(n)]
+    cache = FeatureCache(ProceduralConvTeacher(target_dim=16, downsample_rate=8, seed=0), 8,
+                         images)
+    return cache, list(range(n)), [generate_mask(cfg.mask, i) for i in range(n)]
 
 
 def test_every_step_gather_reads_each_row_of_a_once(distinct_gathers):
@@ -347,7 +397,7 @@ def test_every_step_gather_reads_each_row_of_a_once(distinct_gathers):
         cfg = cfg._replace(model=cfg.model._replace(use_cls=use_cls, multi_block=multi_block))
         params = init_params(cfg.model, 32, 3, seed=0)
         tape = Tape(params)
-        backward(tape, step_losses(params, _step_batch(cfg, batch, np.float32),
+        backward(tape, step_losses(params, *_step_batch(cfg, batch, np.float32),
                                    cfg.loss._replace(lam=lam))[0])
     # each step gathers its encoder input and restore index; with CLS also the
     # patch rows after each of the two encoder blocks
@@ -361,16 +411,16 @@ def test_batched_step_is_the_mean_of_one_image_steps(channel_reduce):
     cfg = RunConfig()
     loss_cfg = cfg.loss._replace(channel_reduce=channel_reduce)
     params = init_params(cfg.model, 32, 3, seed=0, dtype=np.float64)
-    batch = _step_batch(cfg, 4, np.float64)
+    cache, idx, masks = _step_batch(cfg, 4, np.float64)
 
-    def step(items):  # the gradients copied: the next step overwrites params.grad
+    def step(idx, masks):  # the gradients copied: the next step overwrites params.grad
         tape = Tape(params)
-        loss, *logged = step_losses(params, items, loss_cfg)
+        loss, *logged = step_losses(params, cache, idx, masks, loss_cfg)
         backward(tape, loss)
         return float(loss.data), logged, {k: g.copy() for k, g in params.grads.items()}
 
-    loss, logged, grads = step(batch)
-    singles = [step([item]) for item in batch]
+    loss, logged, grads = step(idx, masks)
+    singles = [step([k], [mask]) for k, mask in zip(idx, masks)]
     assert abs(loss - np.mean([s[0] for s in singles])) <= 1e-12
     # the logged L_total is the loss that was differentiated
     for step_loss, (_, _, logged_total), _ in [(loss, logged, grads), *singles]:
@@ -411,11 +461,11 @@ def test_numeric_error_inside_a_step_names_the_step(tmp_path, monkeypatch):
     real_step = featmim.trainer.step_losses
     calls = []
 
-    def failing_second_step(params, batch, loss_cfg):
+    def failing_second_step(*args):
         calls.append(1)
         if len(calls) == 2:
             raise NumericError("attention scores contain non-finite values")
-        return real_step(params, batch, loss_cfg)
+        return real_step(*args)
 
     monkeypatch.setattr(featmim.trainer, "step_losses", failing_second_step)
     with pytest.raises(NumericError,
@@ -444,7 +494,7 @@ def test_step_activations_are_freed_by_backward(monkeypatch):
     gc.disable()
     try:
         tape = Tape(params)
-        loss = step_losses(params, batch, cfg.loss)[0]
+        loss = step_losses(params, *batch, cfg.loss)[0]
         # some activations are already gone: add keeps no operand for its backward
         assert len(refs) == cfg.model.enc_depth + 2 and any(r() is not None for r in refs)
         backward(tape, loss)
@@ -455,21 +505,20 @@ def test_step_activations_are_freed_by_backward(monkeypatch):
 
 def test_epoch_order_matches_inline_shuffle(tmp_path, monkeypatch):
     # every epoch visits the images in the order of a fresh Fisher-Yates
-    # shuffle drawn from the train-seed stream
+    # shuffle drawn from the train-seed stream; a step reads its slice of the
+    # epoch's image positions, the last one short
     seen = []
-    real_get = FeatureCache.get
+    real_step = featmim.trainer.step_losses
 
-    def recording_get(self, image_id, image):
-        seen.append(image_id)
-        return real_get(self, image_id, image)
+    def recording_step(params, cache, idx, masks, loss_cfg):
+        seen.append(list(idx))
+        return real_step(params, cache, idx, masks, loss_cfg)
 
-    monkeypatch.setattr(FeatureCache, "get", recording_get)
-    images = small_images(5)
-    train(small_cfg(batch_size=1, total_epochs=3.0, seed=7), images, tmp_path)
-    ids = [image_id for image_id, _ in images]
+    monkeypatch.setattr(featmim.trainer, "step_losses", recording_step)
+    train(small_cfg(batch_size=2, total_epochs=3.0, seed=7), small_images(5), tmp_path)
     stream = SplitMix64(7 ^ featmim.trainer._SHUFFLE_STREAM_TAG)
-    # every record is made once, in image order, before the first step
-    assert seen == ids + [i for _ in range(3) for i in inline_shuffle(ids, stream)]
+    assert [len(idx) for idx in seen] == [2, 2, 1] * 3
+    assert sum(seen, []) == [k for _ in range(3) for k in inline_shuffle(range(5), stream)]
 
 
 def test_ablate_lambda_sweep(tmp_path):
