@@ -67,7 +67,7 @@ def grad_check(cfg, h=1e-5, floor=1e-6, in_channels=3, batch_size=1):
         cfg.mask.image_side, in_channels, seed=cfg.train.seed + b, dtype=np.float64)) for b in idx]
     cache = FeatureCache(make_teacher(cfg.teacher, in_channels=in_channels),
                          cfg.model.patch_side, images)
-    masks = [generate_mask(cfg.mask, cfg.mask.seed + b) for b in idx]
+    masks = generate_mask(cfg.mask, [cfg.mask.seed + b for b in idx])
 
     params = init_params(cfg.model, cfg.mask.image_side, in_channels,
                          seed=cfg.train.seed, dtype=np.float64)

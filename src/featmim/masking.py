@@ -3,7 +3,8 @@
 Whole blocks of patches are masked together. The number of masked blocks is
 round-half-up(mask_ratio * total_blocks); blocks are drawn uniformly without
 replacement from a SplitMix64 stream, so a (spec, seed) pair reproduces the
-same mask on every platform.
+same mask on every platform. One call draws a batch's masks, one seed each,
+and returns their rows in the batch's stacked patch tokens.
 """
 
 import math
@@ -11,7 +12,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateMaskError, ShapeError
+from .errors import ConfigError, DegenerateMaskError
 
 _MASK64 = (1 << 64) - 1
 
@@ -75,22 +76,16 @@ class MaskSpec(NamedTuple):
         return self.blocks_per_side * self.blocks_per_side
 
     @property
-    def patches_per_block_side(self):
-        return self.block_side // self.patch_side
-
-    @property
     def n_masked_blocks(self):
         """round-half-up(mask_ratio * n_blocks)."""
         return math.floor(self.mask_ratio * self.n_blocks + 0.5)
 
 
-class PatchMask(NamedTuple):
-    masked_idx: np.ndarray  # sorted int64
-    visible_idx: np.ndarray  # sorted int64
-
-
-def generate_mask(spec: MaskSpec, seed=None) -> PatchMask:
-    """Sample a block-wise mask; deterministic for a given spec and seed (spec.seed by default)."""
+def generate_mask(spec: MaskSpec, seeds):
+    """One block-wise mask per seed, as the batch's rows: (masked, visible),
+    sorted int64 [B, M] and [B, V], with row b * N + i for patch i of mask b
+    (N = grid_side**2), the rows of the batch's patch tokens stacked image
+    by image. Deterministic for a given spec and seeds."""
     spec.validate()
     n_blocks = spec.n_blocks
     n_masked_blocks = spec.n_masked_blocks
@@ -99,35 +94,12 @@ def generate_mask(spec: MaskSpec, seed=None) -> PatchMask:
             f"mask_ratio {spec.mask_ratio} rounds to all {n_blocks} blocks masked; "
             "the encoder needs at least one visible token")
 
-    # the first n_masked_blocks of a full shuffle of the block indices
-    stream = SplitMix64(spec.seed if seed is None else seed)
-    chosen = stream.permutation(n_blocks)[:n_masked_blocks]
-
-    g = spec.grid_side
-    bpp = spec.patches_per_block_side
-    grid = np.zeros((g, g), dtype=bool)
-    for b in chosen:
-        br, bc = divmod(b, spec.blocks_per_side)
-        grid[br * bpp:(br + 1) * bpp, bc * bpp:(bc + 1) * bpp] = True
-
-    flat = grid.reshape(-1)
-    masked = np.flatnonzero(flat).astype(np.int64)
-    visible = np.flatnonzero(~flat).astype(np.int64)
-    if len(visible) == 0:
-        raise DegenerateMaskError("mask left no visible patches")
-    return PatchMask(masked_idx=masked, visible_idx=visible)
-
-
-def batch_rows(masks, field, n_patches):
-    """One mask index field ("visible_idx" or "masked_idx") per image,
-    stacked to [B, count] and offset to b * n_patches + idx: rows of the
-    batch's patch tokens stacked image by image. A batch runs as one graph
-    only if every mask has the same count, as all masks of one MaskSpec do."""
-    arrays = [getattr(mask, field) for mask in masks]
-    count = len(arrays[0])
-    for a in arrays[1:]:
-        if len(a) != count:
-            raise ShapeError(f"masks in one batch disagree on the "
-                             f"{field.removesuffix('_idx')} count: {count} and {len(a)}")
-    offsets = n_patches * np.arange(len(arrays), dtype=np.int64)[:, None]
-    return np.array(arrays, dtype=np.int64).reshape(len(arrays), count) + offsets
+    # each mask takes the first n_masked_blocks of a full shuffle of the blocks
+    chosen = np.zeros((len(seeds), n_blocks), dtype=bool)
+    for b, seed in enumerate(seeds):
+        chosen[b, SplitMix64(seed).permutation(n_blocks)[:n_masked_blocks]] = True
+    # patch (r, c) lies in block (r // k, c // k), k patches to a block side
+    block = np.arange(spec.grid_side) // (spec.block_side // spec.patch_side)
+    flat = chosen[:, (block[:, None] * spec.blocks_per_side + block).reshape(-1)].reshape(-1)
+    return (np.flatnonzero(flat).reshape(len(seeds), -1),
+            np.flatnonzero(~flat).reshape(len(seeds), -1))

@@ -217,7 +217,7 @@ def encode_visible(tokens, vis_rows, params: ModelParams):
     only, each [B*V, d].
 
     tokens is [B*N, d] from patch_embed; vis_rows is [B, V], the batch's
-    visible rows (masking.batch_rows of the masks' visible_idx).
+    visible rows (the second array masking.generate_mask returns).
     """
     cfg = params.config
     (b, n_vis), n = vis_rows.shape, params.n_patches
@@ -337,7 +337,9 @@ def load_checkpoint(path):
     try:
         check_field_types(config, "config")
         config.validate()
-        init_elements(config, n_patches, in_channels)
+        # the weights: all init_params allocates but the two position tables
+        n_weights = (init_elements(config, n_patches, in_channels)
+                     - n_patches * (config.embed_dim + config.dec_width))
     except ConfigError as e:
         raise DataError(f"{path}: checkpoint config is invalid: {e}") from None
     off = 8 + hlen
@@ -355,6 +357,10 @@ def load_checkpoint(path):
             raise DataError(f"{path}: parameter name at byte {off} is not UTF-8") from None
         arr, off = tvec_from_bytes(blob, label=f"{path}:{name}", offset=end)
         weights[name] = arr
+    n_read = sum(arr.size for arr in weights.values())
+    if n_read != n_weights:
+        raise DataError(f"{path}: the payload holds {n_read:,} weight elements, "
+                        f"the header's config needs {n_weights:,}")
     reference = init_params(config, grid * config.patch_side, in_channels, seed=0)
     if set(weights) != set(reference):
         raise DataError(f"{path}: checkpoint parameter names do not match the config")

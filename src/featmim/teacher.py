@@ -8,7 +8,6 @@ file-backed teacher that replays features dumped by `dump_features`.
 """
 
 import json
-import math
 import os
 from typing import NamedTuple, Optional
 
@@ -17,6 +16,11 @@ import numpy as np
 from .errors import ConfigError, DataError, NumericError
 from .model import MAX_INIT_ELEMENTS
 from .tensor import read_bytes, read_tvec, write_atomic, write_tvec
+
+
+def _stage_widths(downsample_rate, target_dim):
+    """Output channels of the log2(downsample_rate) conv stages: 8, 16, ..., target_dim."""
+    return [8 * 2**i for i in range(downsample_rate.bit_length() - 2)] + [target_dim]
 
 
 class TeacherSpec(NamedTuple):
@@ -40,8 +44,8 @@ class TeacherSpec(NamedTuple):
             if self.target_dim < 1:
                 raise ConfigError(f"{dim_name} must be positive")
             # ProceduralConvTeacher's weights on 3 channels, the most a PPM has
-            widths = [3] + [8 * 2**i for i in range(self.downsample_rate.bit_length() - 2)]
-            n = sum(9 * a * b + b for a, b in zip(widths, widths[1:] + [self.target_dim]))
+            widths = _stage_widths(self.downsample_rate, self.target_dim)
+            n = sum(9 * a * b + b for a, b in zip([3] + widths, widths))
             if n > MAX_INIT_ELEMENTS:
                 raise ConfigError(f"{rate_name} {self.downsample_rate} and {dim_name} {self.target_dim} "
                                   f"give the teacher {n:,} weights, more than {MAX_INIT_ELEMENTS:,}")
@@ -148,18 +152,16 @@ class ProceduralConvTeacher:
 
     def __init__(self, target_dim, downsample_rate=8, seed=0, l2_normalize=False,
                  in_channels=3):
-        n_stages = int(math.log2(downsample_rate))
-        if 2**n_stages != downsample_rate or n_stages < 1:
+        if downsample_rate < 2 or downsample_rate & (downsample_rate - 1):
             raise ConfigError("downsample_rate must be a power of two >= 2")
         self.target_dim = target_dim
         self.downsample_rate = downsample_rate
         self.l2_normalize = l2_normalize
         self.in_channels = in_channels
-        widths = [8 * 2**i for i in range(n_stages - 1)] + [target_dim]
         rng = np.random.default_rng(seed)
         self._stages = []
         c_in = in_channels
-        for c_out in widths:
+        for c_out in _stage_widths(downsample_rate, target_dim):
             w = rng.normal(0.0, 1.0 / np.sqrt(9 * c_in), size=(c_out, c_in, 3, 3))
             b = rng.normal(0.0, 0.1, size=c_out)
             self._stages.append((w, b))

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import ConfigError, DataError, NumericError
 from .losses import global_loss, patch_loss, total_loss
-from .masking import SplitMix64, batch_rows, generate_mask
+from .masking import SplitMix64, generate_mask
 from .model import forward, init_params, patchify, project_global, save_checkpoint
 from .teacher import align_input, make_teacher
 from .tensor import Tape, backward, write_atomic
@@ -115,8 +115,9 @@ def step_losses(params, cache, idx, masks, loss_cfg):
     """Batch-mean losses as one taped graph: patch + lam * global,
     multi-block aggregation per config, on the images at positions idx.
 
-    Model and losses take the masks' rows (masking.batch_rows; masks[b] is
-    image idx[b]'s) and rows idx of the cache's three arrays, tokens [B*N, D].
+    Model and losses take masks, the pair (masked, visible) of the batch's
+    rows that masking.generate_mask draws (mask b is image idx[b]'s), and
+    rows idx of the cache's three arrays, tokens [B*N, D].
     The global head and loss are recorded only when lam != 0; at lam == 0
     they could move no parameter, and L_global logs 0.0.
 
@@ -125,8 +126,7 @@ def step_losses(params, cache, idx, masks, loss_cfg):
     training dtype as one-image batches would, so the three CSV columns
     share one reduction.
     """
-    visible = batch_rows(masks, "visible_idx", params.n_patches)
-    masked = batch_rows(masks, "masked_idx", params.n_patches)
+    masked, visible = masks
     z, last_visible = forward(cache.patches[idx], visible, params)
     loss, lp = patch_loss(z, masked, cache.tokens[idx].reshape(-1, cache.tokens.shape[2]),
                           loss_cfg.beta, loss_cfg.channel_reduce)
@@ -234,7 +234,7 @@ def train(cfg, images, out_dir):
                 order = shuffle_stream.permutation(len(images))
             lo = (step % steps_per_epoch) * tc.batch_size
             idx = order[lo:lo + tc.batch_size]
-            masks = [generate_mask(mask_spec, mask_stream.next_u64()) for _ in idx]
+            masks = generate_mask(mask_spec, [mask_stream.next_u64() for _ in idx])
 
             t_epoch = step / steps_per_epoch
             lr = lr_at(t_epoch, tc)

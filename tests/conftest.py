@@ -12,11 +12,13 @@ tokens before gather_rows took the row itself, which must match it bitwise.
 The two smooth-L1 chain oracles are how the losses were built op by op
 before each became one tape node, which must match them bitwise too.
 tape_sum reduces a tensor to the scalar that backward needs, mask_grid
-rebuilds a mask's patch grid from its masked indices, and distinct_gathers
+rebuilds a mask's patch grid from its masked rows, and distinct_gathers
 checks gather_rows' precondition on every call a test makes. The scatter
 oracle is the np.add.at / np.subtract.at into zeros that the gather and
 masked-loss backward passes must match bitwise, and the per-name backward,
 packed in sorted name order, is what the flat gradient buffer must equal.
+The per-image mask oracle is how masks were drawn one image at a time
+before one call drew a batch's rows, which must match it bitwise.
 """
 
 import json
@@ -29,7 +31,7 @@ import pytest
 from featmim import tensor as tn
 from featmim.cli import main
 from featmim.losses import global_loss, patch_loss, total_loss
-from featmim.masking import batch_rows
+from featmim.masking import SplitMix64
 from featmim.model import (decode, encode_visible, forward, patch_embed,
                            project_global)
 
@@ -110,11 +112,12 @@ def tape_sum(t):
                     lambda g: (np.broadcast_to(g, x.shape).astype(x.dtype, copy=True),))
 
 
-def mask_grid(mask, spec):
-    """The bool [grid_side, grid_side] patch grid of a mask of `spec`,
-    True = masked, rebuilt from its masked_idx."""
-    flat = np.zeros(spec.grid_side**2, dtype=bool)
-    flat[mask.masked_idx] = True
+def mask_grid(masked_rows, spec):
+    """The bool [grid_side, grid_side] patch grid of one mask of `spec`,
+    True = masked, rebuilt from its row of masked rows (b * N offset and all)."""
+    n = spec.grid_side**2
+    flat = np.zeros(n, dtype=bool)
+    flat[masked_rows % n] = True
     return flat.reshape(spec.grid_side, spec.grid_side)
 
 
@@ -210,12 +213,30 @@ def inline_shuffle(items, stream):
     return order
 
 
-def _stacked(params, cache, idx, masks):
+def per_image_masks(spec, seeds):
+    """(masked, visible) rows drawn one image at a time: each seed's inline
+    Fisher-Yates shuffle of the blocks, its first n_masked_blocks painted
+    block by block onto a bool patch grid, np.flatnonzero of the grid, and
+    each image's indices offset by b * N and stacked."""
+    g, k = spec.grid_side, spec.block_side // spec.patch_side
+    masked, visible = [], []
+    for b, seed in enumerate(seeds):
+        grid = np.zeros((g, g), dtype=bool)
+        chosen = inline_shuffle(range(spec.n_blocks), SplitMix64(seed))[:spec.n_masked_blocks]
+        for block in chosen:
+            br, bc = divmod(block, spec.blocks_per_side)
+            grid[br * k:(br + 1) * k, bc * k:(bc + 1) * k] = True
+        flat = grid.reshape(-1)
+        masked.append(np.flatnonzero(flat) + b * g * g)
+        visible.append(np.flatnonzero(~flat) + b * g * g)
+    return np.array(masked, dtype=np.int64), np.array(visible, dtype=np.int64)
+
+
+def _stacked(cache, idx, masks):
     """The batch as step_losses reads it: rows idx of the FeatureCache's
     patch rows, visible and masked rows, teacher tokens [B*N, D] and means."""
-    return (cache.patches[idx],
-            batch_rows(masks, "visible_idx", params.n_patches),
-            batch_rows(masks, "masked_idx", params.n_patches),
+    masked, visible = masks
+    return (cache.patches[idx], visible, masked,
             cache.tokens[idx].reshape(-1, cache.tokens.shape[2]), cache.means[idx])
 
 
@@ -223,7 +244,7 @@ def plain_regression_step(params, cache, idx, masks, loss_cfg):
     """The plain feature-regression step: last encoder block straight into
     the decoder, patch loss only. No global head, no block aggregation.
     Same signature and return value as featmim.trainer.step_losses."""
-    patches, visible, masked, tokens, _ = _stacked(params, cache, idx, masks)
+    patches, visible, masked, tokens, _ = _stacked(cache, idx, masks)
     layers = encode_visible(patch_embed(patches, params), visible, params)
     z = decode(layers[-1], visible, params)
     lp, per_image = patch_loss(z, masked, tokens, loss_cfg.beta, loss_cfg.channel_reduce)
@@ -234,7 +255,7 @@ def plain_regression_step(params, cache, idx, masks, loss_cfg):
 def full_composition_step(params, cache, idx, masks, loss_cfg):
     """patch + lam * global with the global head and loss taped at every
     lam, zero included; L_global logs the unweighted global loss."""
-    patches, visible, masked, tokens, means = _stacked(params, cache, idx, masks)
+    patches, visible, masked, tokens, means = _stacked(cache, idx, masks)
     z, last_visible = forward(patches, visible, params)
     lp, lp_vals = patch_loss(z, masked, tokens, loss_cfg.beta, loss_cfg.channel_reduce)
     lg, lg_vals = global_loss(project_global(last_visible, params), means,

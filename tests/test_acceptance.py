@@ -87,10 +87,10 @@ def test_diversity_extremes():
 def test_mask_geometry():
     # reference geometry: 224/16/32 at 0.6 -> 29 of 49 blocks, 116 patches
     reference = MaskSpec(224, 16, 32, 0.6, seed=0)
-    mask = generate_mask(reference)
-    masked_blocks = int(mask_grid(mask, reference)[::2, ::2].sum())
+    masked, _ = generate_mask(reference, [0])
+    masked_blocks = int(mask_grid(masked[0], reference)[::2, ::2].sum())
     assert masked_blocks == 29
-    assert len(mask.masked_idx) == 116
+    assert masked.shape == (1, 116)
 
     rng = np.random.default_rng(7)
     for i in range(1000):
@@ -102,11 +102,10 @@ def test_mask_geometry():
         n_blocks = spec.n_blocks
         if not 1 <= math.floor(ratio * n_blocks + 0.5) < n_blocks:
             continue
-        m = generate_mask(spec)
-        g = mask_grid(m, spec)
-        per_block = spec.patches_per_block_side**2
-        assert abs(len(m.masked_idx) / g.size - ratio) <= per_block / spec.grid_side**2
-        bpp = spec.patches_per_block_side
+        masked, _ = generate_mask(spec, [i])
+        g = mask_grid(masked[0], spec)
+        bpp = spec.block_side // spec.patch_side
+        assert abs(masked.shape[1] / g.size - ratio) <= bpp**2 / spec.grid_side**2
         for br in range(spec.blocks_per_side):
             for bc in range(spec.blocks_per_side):
                 blk = g[br * bpp:(br + 1) * bpp, bc * bpp:(bc + 1) * bpp]
@@ -119,17 +118,16 @@ def test_mask_geometry():
 def test_loss_contracts():
     rng = np.random.default_rng(11)
     y = rng.normal(size=(16, 4))
-    mask = generate_mask(MaskSpec(32, 8, 8, 0.5, seed=1))
-    rows = mask.masked_idx[None]  # one image: its masked rows, [1, M]
+    rows, visible = generate_mask(MaskSpec(32, 8, 8, 0.5, seed=1), [1])  # one image, [1, M]
 
     z0 = rng.normal(size=(16, 4))
     z1 = z0.copy()
-    z1[mask.visible_idx] += rng.normal(size=(len(mask.visible_idx), 4)) * 1e6
+    z1[visible[0]] += rng.normal(size=(visible.shape[1], 4)) * 1e6
     a = float(patch_loss(Tensor(z0), rows, y, 2.0).loss.data)
     b = float(patch_loss(Tensor(z1), rows, y, 2.0).loss.data)
     assert a == b
 
-    p0 = rng.normal(size=(len(mask.visible_idx), 4))
+    p0 = rng.normal(size=(visible.shape[1], 4))
     shift = rng.normal(size=4)
     ga = float(global_loss(Tensor(p0), y.mean(axis=0)[None], 2.0).loss.data)
     gb = float(global_loss(Tensor(p0 + shift), (y + shift).mean(axis=0)[None], 2.0).loss.data)
@@ -249,12 +247,12 @@ def test_persistence_round_trips(tmp_path):
     # checkpoint: save -> load -> forward must be bitwise identical
     cfg = RunConfig()
     params = init_params(cfg.model, 32, 3, seed=5)
-    mask = generate_mask(cfg.mask._replace(seed=9))
+    _, visible = generate_mask(cfg.mask, [9])
     patches = patchify(synthetic_image(32, 3, seed=4), 8)[None]
-    before = forward(patches, mask.visible_idx[None], params)[0].data.tobytes()
+    before = forward(patches, visible, params)[0].data.tobytes()
     from featmim.model import save_checkpoint
     save_checkpoint(tmp_path / "c.bin", params)
-    after = forward(patches, mask.visible_idx[None],
+    after = forward(patches, visible,
                     load_checkpoint(tmp_path / "c.bin"))[0].data.tobytes()
     assert before == after
 

@@ -8,18 +8,15 @@ import numpy as np
 import pytest
 
 from featmim.config import RunConfig, save_run_config
-from featmim.errors import ConfigError, DataError, DegenerateMaskError, ShapeError
-from featmim.losses import LossConfig
-from featmim.masking import MaskSpec, PatchMask, batch_rows, generate_mask
+from featmim.errors import ConfigError, DataError, DegenerateMaskError
+from featmim.masking import MaskSpec, generate_mask
 import featmim.model
 from featmim.model import (ModelConfig, aggregate_multi_block,
                            decode, encode_visible, forward, init_elements, init_params,
                            load_checkpoint, patch_embed, patchify,
                            project_global, save_checkpoint, sincos_pos_embed)
 from featmim.synth import synthetic_image
-from featmim.teacher import ProceduralConvTeacher
 from featmim.tensor import Tensor, tvec_bytes, write_tvec
-from featmim.trainer import FeatureCache, step_losses
 
 TINY = ModelConfig(patch_side=8, embed_dim=8, enc_depth=2, enc_heads=2,
                    dec_depth=1, dec_width=8, dec_heads=2, target_dim=6,
@@ -30,8 +27,9 @@ def tiny_params(seed=0, image_side=32, in_channels=3, config=TINY):
     return init_params(config, image_side, in_channels, seed=seed)
 
 
-def tiny_mask(seed=0, image_side=32):
-    return generate_mask(MaskSpec(image_side, 8, 8, 0.5, seed))
+def tiny_masks(*seeds):
+    """(masked, visible) rows of one 32x32 mask per seed, 8 of 16 patches each."""
+    return generate_mask(MaskSpec(32, 8, 8, 0.5, 0), seeds)
 
 
 def patches_of(*images):
@@ -39,15 +37,10 @@ def patches_of(*images):
     return np.stack([patchify(image, 8) for image in images])
 
 
-def visible_rows(masks, n_patches=16):
-    return batch_rows(masks, "visible_idx", n_patches)
-
-
-def aggregated(images, masks, params):
+def aggregated(images, visible, params):
     """The aggregated visible tokens h that forward decodes."""
     tokens = patch_embed(patches_of(*images), params)
-    return aggregate_multi_block(encode_visible(tokens, visible_rows(masks), params),
-                                 params.config)
+    return aggregate_multi_block(encode_visible(tokens, visible, params), params.config)
 
 
 def test_patchify_counting():
@@ -85,47 +78,39 @@ def test_patch_embed_geometry_mismatch():
 
 def test_encode_single_visible_token():
     params = tiny_params()
-    n = params.n_patches
-    masked = np.arange(1, n, dtype=np.int64)
-    mask = PatchMask(masked_idx=masked, visible_idx=np.array([0], dtype=np.int64))
     tokens = patch_embed(patches_of(synthetic_image(32, 3, seed=1)), params)
-    layers = encode_visible(tokens, visible_rows([mask]), params)
+    layers = encode_visible(tokens, np.array([[0]]), params)
     assert all(layer.data.shape == (1, 8) for layer in layers)
 
 
 def test_encode_full_visible():
     params = tiny_params()
     n = params.n_patches
-    mask = PatchMask(masked_idx=np.array([], dtype=np.int64),
-                     visible_idx=np.arange(n, dtype=np.int64))
     tokens = patch_embed(patches_of(synthetic_image(32, 3, seed=1)), params)
-    layers = encode_visible(tokens, visible_rows([mask]), params)
+    layers = encode_visible(tokens, np.arange(n)[None], params)
     assert layers[-1].data.shape == (n, 8)
 
 
 def test_encode_rejects_no_visible():
     params = tiny_params()
-    n = params.n_patches
-    mask = PatchMask(masked_idx=np.arange(n, dtype=np.int64),
-                     visible_idx=np.array([], dtype=np.int64))
     tokens = patch_embed(patches_of(synthetic_image(32, 3, seed=1)), params)
     with pytest.raises(DegenerateMaskError):
-        encode_visible(tokens, visible_rows([mask]), params)
+        encode_visible(tokens, np.zeros((1, 0), dtype=np.int64), params)
 
 
 def test_masked_content_never_reaches_the_model():
     # perturbing masked pixels leaves every output bitwise unchanged
     params = tiny_params()
-    mask = tiny_mask(seed=5)
+    masked, visible = tiny_masks(5)
     img = synthetic_image(32, 3, seed=2)
     perturbed = img.copy()
-    for idx in mask.masked_idx:
+    for idx in masked[0]:
         r, c = divmod(int(idx), 4)
         perturbed[:, r * 8:(r + 1) * 8, c * 8:(c + 1) * 8] += 7.25
 
     def outputs(image):  # h, z and the global head's output
-        z, last_visible = forward(patches_of(image), visible_rows([mask]), params)
-        return aggregated([image], [mask], params), z, project_global(last_visible, params)
+        z, last_visible = forward(patches_of(image), visible, params)
+        return aggregated([image], visible, params), z, project_global(last_visible, params)
 
     for a, b in zip(outputs(img), outputs(perturbed)):
         assert a.data.tobytes() == b.data.tobytes()
@@ -150,11 +135,10 @@ def test_aggregate_single_layer_identity():
 def test_decode_all_visible_shape_contract():
     params = tiny_params()
     n = params.n_patches
-    mask = PatchMask(masked_idx=np.array([], dtype=np.int64),
-                     visible_idx=np.arange(n, dtype=np.int64))
+    visible = np.arange(n)[None]
     tokens = patch_embed(patches_of(synthetic_image(32, 3, seed=3)), params)
-    layers = encode_visible(tokens, visible_rows([mask]), params)
-    z = decode(aggregate_multi_block(layers, TINY), visible_rows([mask]), params)
+    layers = encode_visible(tokens, visible, params)
+    z = decode(aggregate_multi_block(layers, TINY), visible, params)
     assert z.data.shape == (n, TINY.target_dim)
 
 
@@ -163,15 +147,15 @@ def test_decode_positional_swap_equivariance():
     # predictions; float64 because permuting attention inputs reorders the
     # float reductions, so equality is mathematical, not bitwise
     params = init_params(TINY, 32, 3, seed=0, dtype=np.float64)
-    mask = tiny_mask(seed=6)
-    i, j = int(mask.masked_idx[0]), int(mask.masked_idx[1])
+    masked, visible = tiny_masks(6)
+    i, j = int(masked[0, 0]), int(masked[0, 1])
     img = synthetic_image(32, 3, seed=4).astype(np.float64)
 
-    z_a = forward(patches_of(img), visible_rows([mask]), params)[0].data
+    z_a = forward(patches_of(img), visible, params)[0].data
 
     swapped = init_params(TINY, 32, 3, seed=0, dtype=np.float64)
     swapped.dec_pos[[i, j]] = swapped.dec_pos[[j, i]]
-    z_b = forward(patches_of(img), visible_rows([mask]), swapped)[0].data
+    z_b = forward(patches_of(img), visible, swapped)[0].data
 
     np.testing.assert_allclose(z_b[i], z_a[j], rtol=1e-12, atol=1e-12)
     np.testing.assert_allclose(z_b[j], z_a[i], rtol=1e-12, atol=1e-12)
@@ -200,12 +184,12 @@ def test_project_global_per_token_and_dim():
 
 def test_forward_shapes():
     params = tiny_params()
-    mask = tiny_mask(seed=7)
+    _, visible = tiny_masks(7)
     image = synthetic_image(32, 3, seed=6)
-    z, last_visible = forward(patches_of(image), visible_rows([mask]), params)
-    layers = encode_visible(patch_embed(patches_of(image), params), visible_rows([mask]), params)
-    v = len(mask.visible_idx)
-    assert aggregated([image], [mask], params).data.shape == (v, 8)
+    z, last_visible = forward(patches_of(image), visible, params)
+    layers = encode_visible(patch_embed(patches_of(image), params), visible, params)
+    v = visible.shape[1]
+    assert aggregated([image], visible, params).data.shape == (v, 8)
     assert z.data.shape == (16, TINY.target_dim)
     assert project_global(last_visible, params).data.shape == (v, TINY.target_dim)
     assert len(layers) == TINY.enc_depth
@@ -245,9 +229,9 @@ def test_model_config_validation():
 
 def test_checkpoint_round_trip_bitwise(tmp_path):
     params = tiny_params(seed=9)
-    mask = tiny_mask(seed=8)
+    _, visible = tiny_masks(8)
     img = synthetic_image(32, 3, seed=7)
-    z_before = forward(patches_of(img), visible_rows([mask]), params)[0].data.tobytes()
+    z_before = forward(patches_of(img), visible, params)[0].data.tobytes()
 
     path = tmp_path / "ckpt.bin"
     save_checkpoint(path, params)
@@ -257,7 +241,7 @@ def test_checkpoint_round_trip_bitwise(tmp_path):
     assert set(loaded) == set(params)
     for name in params:
         assert loaded[name].data.tobytes() == params[name].data.tobytes()
-    z_after = forward(patches_of(img), visible_rows([mask]), loaded)[0].data.tobytes()
+    z_after = forward(patches_of(img), visible, loaded)[0].data.tobytes()
     assert z_after == z_before
 
 
@@ -457,6 +441,32 @@ def test_checkpoint_rejects_an_oversized_header_before_allocating(tmp_path, monk
         load_checkpoint(bad)
 
 
+@pytest.mark.parametrize("payload", [False, True])
+def test_checkpoint_payload_must_hold_the_headers_weights(tmp_path, monkeypatch, payload):
+    # a valid header for 52.7M elements over no payload, or over the tiny
+    # model's, fails on the count before init_params allocates the model
+    good = tmp_path / "good.bin"
+    save_checkpoint(good, tiny_params())
+    valid = good.read_bytes()
+    (hlen,) = struct.unpack_from("<I", valid, 4)
+
+    def edit(header):
+        header["config"].update(embed_dim=1024, dec_width=1024, enc_depth=2, dec_depth=2)
+
+    crafted = _checkpoint_with_header(valid if payload else valid[:8 + hlen], edit)
+    bad = tmp_path / "bad.bin"
+    bad.write_bytes(crafted)
+    n_tiny = tiny_params().flat.size
+
+    def allocate(*args, **kwargs):
+        raise AssertionError("init_params called before the payload was counted")
+
+    monkeypatch.setattr(featmim.model, "init_params", allocate)
+    with pytest.raises(DataError, match=f"bad.bin: the payload holds {n_tiny if payload else 0:,} "
+                                        "weight elements, the header's config needs 52,696,076$"):
+        load_checkpoint(bad)
+
+
 def test_init_elements_counts_what_init_params_allocates():
     # weights and both position tables, over 48 configs
     for use_cls, (d, w, t), (enc, dec), (patch, side, channels) in itertools.product(
@@ -471,30 +481,20 @@ def test_init_elements_counts_what_init_params_allocates():
     assert init_elements(ModelConfig(), 16, 3) == 48_544  # the default model, as documented
 
 
-def test_batch_masks_must_agree_on_visible_count():
-    params = tiny_params()
-    four_visible = tiny_mask(seed=1)
-    n = params.n_patches
-    masked = np.arange(1, n, dtype=np.int64)
-    one_visible = PatchMask(masked_idx=masked, visible_idx=np.array([0], dtype=np.int64))
-    cache = FeatureCache(ProceduralConvTeacher(target_dim=6, downsample_rate=8, seed=0), 8,
-                         [(f"img{i}", synthetic_image(32, 3, seed=i)) for i in range(2)])
-    with pytest.raises(ShapeError, match="visible count: 8 and 1"):
-        step_losses(params, cache, [0, 1], [four_visible, one_visible], LossConfig())
-
-
 def test_batch_rows_match_one_image_passes():
     # float64: a batch of three gives each image the predictions and tokens
     # it gets alone
     params = init_params(TINY, 32, 3, seed=0, dtype=np.float64)
     images = [synthetic_image(32, 3, seed=i, dtype=np.float64) for i in range(3)]
-    masks = [tiny_mask(seed=10 + i) for i in range(3)]
-    z = forward(patches_of(*images), visible_rows(masks), params)[0].data
-    h = aggregated(images, masks, params).data
-    n, v = params.n_patches, len(masks[0].visible_idx)
-    for i, (image, mask) in enumerate(zip(images, masks)):
-        one_z = forward(patches_of(image), visible_rows([mask]), params)[0].data
-        one_h = aggregated([image], [mask], params).data
+    seeds = [10 + i for i in range(3)]
+    visible = tiny_masks(*seeds)[1]
+    z = forward(patches_of(*images), visible, params)[0].data
+    h = aggregated(images, visible, params).data
+    n, v = params.n_patches, visible.shape[1]
+    for i, (image, seed) in enumerate(zip(images, seeds)):
+        one_visible = tiny_masks(seed)[1]
+        one_z = forward(patches_of(image), one_visible, params)[0].data
+        one_h = aggregated([image], one_visible, params).data
         np.testing.assert_allclose(z[i * n:(i + 1) * n], one_z, rtol=0, atol=1e-12)
         np.testing.assert_allclose(h[i * v:(i + 1) * v], one_h, rtol=0, atol=1e-12)
 
@@ -504,8 +504,7 @@ def test_no_cls_config_runs():
                       dec_depth=1, dec_width=8, dec_heads=2, target_dim=4,
                       use_cls=False, multi_block=False)
     params = init_params(cfg, 32, 3, seed=0)
-    mask = tiny_mask(seed=9)
-    z, last_visible = forward(patches_of(synthetic_image(32, 3, seed=8)),
-                              visible_rows([mask]), params)
-    assert last_visible.data.shape == (len(mask.visible_idx), 8)  # no CLS row
+    _, visible = tiny_masks(9)
+    z, last_visible = forward(patches_of(synthetic_image(32, 3, seed=8)), visible, params)
+    assert last_visible.data.shape == (visible.shape[1], 8)  # no CLS row
     assert z.data.shape == (16, 4)

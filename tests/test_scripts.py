@@ -58,6 +58,14 @@ def test_compare_teachers(tmp_path):
         assert (tdir / "run" / "ckpt_3.bin").exists()
 
 
+def test_calls_per_step_repeats_exactly(tmp_path):
+    # two readings of one tree agree to the call, on both recipes
+    first, second = (run_script("calls_per_step.py", "--steps", "2", cwd=tmp_path)
+                     for _ in range(2))
+    assert [r.split()[0] for r in first.splitlines()[1:]] == ["overfit-b8", "plain-b1"]
+    assert first == second
+
+
 def test_run_overfit_writes_the_pinned_bytes(tmp_path):
     run_script("run_overfit.py", "--steps", "100", "--out", "run", cwd=tmp_path)
     for name, want in OVERFIT_100_SHA256.items():

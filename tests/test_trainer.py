@@ -143,13 +143,13 @@ def test_flat_adamw_matches_per_parameter_oracle_bitwise(dtype):
 def test_loss_finite_at_init_across_seeds():
     cfg = small_cfg()
     image = synthetic_image(32, 3, seed=1)
-    mask = generate_mask(cfg.mask)
+    masked, visible = generate_mask(cfg.mask, [cfg.mask.seed])
     teacher = ProceduralConvTeacher(target_dim=16, downsample_rate=8, seed=0)
     cache = FeatureCache(teacher, 8, [("img", image)])
     for seed in range(100):
         params = init_params(cfg.model, 32, 3, seed=seed)
-        z, _ = forward(cache.patches, mask.visible_idx[None], params)
-        l_patch = patch_loss(z, mask.masked_idx[None], cache.tokens[0], 2.0).loss
+        z, _ = forward(cache.patches, visible, params)
+        l_patch = patch_loss(z, masked, cache.tokens[0], 2.0).loss
         lt = total_loss(l_patch, l_patch, 0.5)
         assert np.isfinite(float(lt.data))
 
@@ -203,8 +203,8 @@ def test_final_checkpoint_matches_live_params(tmp_path):
     images = small_images()
     result = train(cfg, images, tmp_path)
     loaded = load_checkpoint(result.final_checkpoint)
-    mask = generate_mask(cfg.mask)
-    z, _ = forward(patchify(images[0][1], 8)[None], mask.visible_idx[None], loaded)
+    _, visible = generate_mask(cfg.mask, [cfg.mask.seed])
+    z, _ = forward(patchify(images[0][1], 8)[None], visible, loaded)
     assert np.isfinite(z.data).all()
 
 
@@ -385,7 +385,7 @@ def _step_batch(cfg, n, dtype):
     images = [(f"img{i}", synthetic_image(32, 3, seed=i, dtype=dtype)) for i in range(n)]
     cache = FeatureCache(ProceduralConvTeacher(target_dim=16, downsample_rate=8, seed=0), 8,
                          images)
-    return cache, list(range(n)), [generate_mask(cfg.mask, i) for i in range(n)]
+    return cache, list(range(n)), generate_mask(cfg.mask, range(n))
 
 
 def test_every_step_gather_reads_each_row_of_a_once(distinct_gathers):
@@ -420,7 +420,7 @@ def test_batched_step_is_the_mean_of_one_image_steps(channel_reduce):
         return float(loss.data), logged, {k: g.copy() for k, g in params.grads.items()}
 
     loss, logged, grads = step(idx, masks)
-    singles = [step([k], [mask]) for k, mask in zip(idx, masks)]
+    singles = [step([k], generate_mask(cfg.mask, [k])) for k in idx]
     assert abs(loss - np.mean([s[0] for s in singles])) <= 1e-12
     # the logged L_total is the loss that was differentiated
     for step_loss, (_, _, logged_total), _ in [(loss, logged, grads), *singles]:
