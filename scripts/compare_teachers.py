@@ -43,8 +43,7 @@ def main():
 
         tdir = os.path.join(args.out, f"teacher_{seed}")
         dump_features(teacher, images, os.path.join(tdir, "features"), 8)
-        render_pgm(heatmap(samples[0], query=5),
-                   os.path.join(tdir, "heatmap_q5.pgm"))
+        render_pgm(heatmap(samples[0], 5), 5, os.path.join(tdir, "heatmap_q5.pgm"))
 
         cfg = RunConfig()._replace(
             train=TrainConfig(base_lr=0.03, batch_size=8, warmup_epochs=args.steps / 20,

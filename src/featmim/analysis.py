@@ -1,12 +1,13 @@
 """Feature-space analysis: query-patch similarity heat-maps and PCA.
 
-Heat-maps show, for one query token, its cosine to every token on the patch
-grid. PCA is one symmetric eigendecomposition of the token covariance, used
-to compress wide teacher tokens before further embedding.
+Heat-maps show, for one query token, its cosine to every token of a [K, D]
+array, drawn on the square isqrt(K) patch grid. PCA is one symmetric
+eigendecomposition of the token covariance, used to compress wide teacher
+tokens before further embedding.
 """
 
 import json
-from typing import NamedTuple
+import math
 
 import numpy as np
 
@@ -16,32 +17,26 @@ from .imageio import write_pgm
 from .tensor import write_atomic
 
 
-class HeatMap(NamedTuple):
-    grid_side: int
-    query_index: int
-    values: np.ndarray  # cosine to the query, in [-1, 1], length grid_side**2
+def heatmap(tokens, query):
+    """Cosine [K], in [-1, 1], of every row of tokens [K, D] against row `query`."""
+    if not 0 <= query < len(tokens):
+        raise ConfigError(f"query index {query} out of range [0, {len(tokens)})")
+    u = _unit_rows(tokens)
+    return u @ u[query]
 
 
-def heatmap(feats, query):
-    """Cosine of every token against token `query`."""
-    if not 0 <= query < feats.n_tokens:
-        raise ConfigError(f"query index {query} out of range [0, {feats.n_tokens})")
-    u = _unit_rows(feats.tokens)
-    return HeatMap(grid_side=feats.grid_side, query_index=int(query),
-                   values=u @ u[query])
-
-
-def render_pgm(hmap: HeatMap, path):
-    """8-bit grayscale rendering: [min, max] maps linearly onto [0, 255];
-    brighter means more similar. A constant map renders mid-gray (128).
-    The query cell goes to a `<path>.json` sidecar.
+def render_pgm(values, query, path):
+    """8-bit grayscale rendering of a heat map's K values on its square
+    isqrt(K) grid: [min, max] maps linearly onto [0, 255]; brighter means
+    more similar. A constant map renders mid-gray (128). The query cell goes
+    to a `<path>.json` sidecar.
     """
-    g = hmap.grid_side
-    v = np.asarray(hmap.values, dtype=np.float64).reshape(g, g)
+    g = math.isqrt(len(values))
+    v = np.asarray(values, dtype=np.float64).reshape(g, g)
     lo, hi = v.min(), v.max()
     write_pgm(path, np.full(v.shape, 0.5) if hi == lo else (v - lo) / (hi - lo))
     write_atomic(f"{path}.json", json.dumps(
-        {"query_index": hmap.query_index, "grid_side": g,
+        {"query_index": int(query), "grid_side": g,
          "value_min": float(lo), "value_max": float(hi)}, sort_keys=True))
 
 

@@ -11,7 +11,6 @@ Exit codes: 0 ok, 2 config error, 3 data error, 4 numeric error.
 import argparse
 import json
 import math
-import os
 import sys
 
 import numpy as np
@@ -22,8 +21,7 @@ from .diversity import corpus_diversity
 from .errors import ConfigError, DataError, NumericError
 from .gradcheck import grad_check, tiny_run_config
 from .imageio import load_images
-from .teacher import (TeacherFeatures, TeacherSpec, check_alignment, dump_features,
-                      load_feature_dir, make_teacher)
+from .teacher import TeacherSpec, check_alignment, dump_features, load_feature_dir, make_teacher
 from .tensor import read_tvec, write_atomic, write_tvec
 from .trainer import ablate_lambda, train
 
@@ -116,15 +114,13 @@ def cmd_heatmap(args):
     grid = math.isqrt(tokens.shape[0])
     if grid == 0 or grid * grid != tokens.shape[0]:
         raise DataError(f"{args.features}: {tokens.shape[0]} tokens is not a square grid")
-    feats = TeacherFeatures(tokens=tokens, grid_side=grid,
-                            source_id=os.path.basename(args.features))
-    render_pgm(heatmap(feats, args.query), args.out)
+    render_pgm(heatmap(tokens, args.query), args.query, args.out)
     print(f"heatmap: query {args.query} on a {grid}x{grid} grid -> {args.out}")
     return 0
 
 
 def cmd_pca(args):
-    x = np.vstack([s.tokens for s in load_feature_dir(args.features)])
+    x = np.vstack(load_feature_dir(args.features))
     projected, _, explained = pca_reduce(x, args.components)
     write_tvec(args.out, projected.astype(np.float32))
     write_atomic(f"{args.out}.json", json.dumps(

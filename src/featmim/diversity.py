@@ -1,12 +1,12 @@
 """Token-diversity metric for ranking feature teachers.
 
-Per sample: take the pairwise cosines between the K tokens, min-max
-normalize them into [0, 1] within the sample, and average. Each unordered
-pair is counted once; the cosine matrix is exactly symmetric and the sum is
-exact (correctly rounded), so the mean equals the mean over all K(K-1)
-ordered pairs bit for bit. The corpus diversity is one minus the mean of
-those per-sample similarities; higher means the teacher separates image
-regions more strongly.
+Per sample, a [K, D] token array: take the pairwise cosines between its K
+tokens, min-max normalize them into [0, 1] within the sample, and average.
+Each unordered pair is counted once; the cosine matrix is exactly symmetric
+and the sum is exact (correctly rounded), so the mean equals the mean over
+all K(K-1) ordered pairs bit for bit. The corpus diversity is one minus the
+mean of those per-sample similarities; higher means the teacher separates
+image regions more strongly.
 
 Degenerate rule: when every off-diagonal cosine is equal (min = max), the
 normalization is undefined and the shared raw cosine, clamped to [0, 1], is
@@ -64,17 +64,17 @@ def sample_similarity(y, pairs=None):
 
 
 def corpus_diversity(samples):
-    """Diversity report over a corpus of TeacherFeatures."""
+    """Diversity report over a corpus of token arrays [K, D], one per sample."""
     if not samples:
         raise DataError("diversity needs a non-empty corpus")
-    ks = {s.n_tokens for s in samples}
+    ks = {len(s) for s in samples}
     if len(ks) != 1:
         raise DataError(f"samples disagree on token count: {sorted(ks)}")
     k = ks.pop()
     if k < 2:
         raise DataError("diversity needs at least two tokens per sample")
     pairs = _pair_offsets(k)  # built once for the whole corpus
-    sims = [sample_similarity(s.tokens, pairs) for s in samples]
+    sims = [sample_similarity(s, pairs) for s in samples]
     diver = 1.0 - math.fsum(sims) / len(sims)
     return DiversityReport(per_sample=sims, diver=diver,
                            n_samples=len(sims), tokens_per_sample=k)

@@ -10,11 +10,13 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .config import RunConfig
 from .errors import ConfigError
-from .masking import generate_mask
-from .model import init_params
+from .losses import LossConfig
+from .masking import MaskSpec, generate_mask
+from .model import ModelConfig, init_params
 from .synth import synthetic_image
-from .teacher import make_teacher
+from .teacher import TeacherSpec, make_teacher
 from .tensor import Tape, backward
 from .trainer import FeatureCache, step_losses
 
@@ -32,12 +34,6 @@ class GradCheckReport(NamedTuple):
 def tiny_run_config():
     """The default gradient-check configuration: small enough that full
     elementwise finite differences finish in seconds."""
-    from .config import RunConfig
-    from .losses import LossConfig
-    from .masking import MaskSpec
-    from .model import ModelConfig
-    from .teacher import TeacherSpec
-
     return RunConfig(
         mask=MaskSpec(image_side=16, patch_side=8, block_side=8, mask_ratio=0.5, seed=11),
         model=ModelConfig(patch_side=8, embed_dim=8, enc_depth=2, enc_heads=2,

@@ -62,6 +62,8 @@ class MaskSpec(NamedTuple):
                 f"image_side {self.image_side} must be a multiple of block_side {self.block_side}")
         if not 0.0 < self.mask_ratio < 1.0:
             raise ConfigError(f"mask_ratio must lie in (0, 1), got {self.mask_ratio}")
+        if not 0 <= self.seed < 2**64:  # SplitMix64 would reduce it to 64 bits
+            raise ConfigError(f"mask.seed must lie in [0, 2**64), got {self.seed}")
 
     @property
     def grid_side(self):

@@ -1,13 +1,14 @@
 """Frozen feature teachers and the teacher/student grid-alignment rule.
 
-A teacher turns a full (unmasked) image into one target token per student
-patch. Teachers live entirely outside the gradient tape: their outputs are
-constants for the student. Two kinds ship: a procedural stack of stride-2
-convolutions (deterministic from a seed, used everywhere in tests) and a
-file-backed teacher that replays features dumped by `dump_features`.
+A teacher turns a full (unmasked) image into a [K, D] array, one target token
+per student patch. Teachers live entirely outside the gradient tape: their
+outputs are constants for the student. Two kinds ship: a procedural stack of
+stride-2 convolutions (deterministic from a seed, used everywhere in tests)
+and a file-backed teacher that replays features dumped by `dump_features`.
 """
 
 import json
+import math
 import os
 from typing import NamedTuple, Optional
 
@@ -49,16 +50,6 @@ class TeacherSpec(NamedTuple):
             if n > MAX_INIT_ELEMENTS:
                 raise ConfigError(f"{rate_name} {self.downsample_rate} and {dim_name} {self.target_dim} "
                                   f"give the teacher {n:,} weights, more than {MAX_INIT_ELEMENTS:,}")
-
-
-class TeacherFeatures(NamedTuple):
-    tokens: np.ndarray  # [K, D_t]
-    grid_side: int
-    source_id: str
-
-    @property
-    def n_tokens(self):
-        return self.tokens.shape[0]
 
 
 def bilinear_resize(image, out_h, out_w):
@@ -168,8 +159,9 @@ class ProceduralConvTeacher:
             c_in = c_out
 
     def features(self, image, source_id=""):
-        """Tokens for an aligned image. image: [C, H, W], square, sides
-        divisible by downsample_rate."""
+        """Tokens [K, target_dim] for an aligned image, row-major over the
+        K = (H / downsample_rate)**2 grid. image: [C, H, W], square, sides
+        divisible by downsample_rate; source_id only names it in errors."""
         c, h, w = image.shape
         if h != w:
             raise DataError(f"image {source_id!r} is {h}x{w}: teacher tokens need a square image")
@@ -188,7 +180,7 @@ class ProceduralConvTeacher:
             if np.any(norms == 0):
                 raise NumericError("cannot L2-normalize a zero-norm token")
             tokens = tokens / norms
-        return TeacherFeatures(tokens=tokens, grid_side=grid, source_id=source_id)
+        return tokens
 
 
 class FileTeacher:
@@ -228,6 +220,8 @@ class FileTeacher:
         self.ids = list(self._grid_by_id)
 
     def features(self, image, source_id):
+        """The tokens [grid_side**2, target_dim] dumped for source_id; image
+        is not read."""
         if source_id not in self._grid_by_id:
             raise DataError(f"no dumped features for image id {source_id!r}")
         tokens = read_tvec(os.path.join(self.features_dir, f"{source_id}.tvec"))
@@ -238,7 +232,7 @@ class FileTeacher:
                 f"expected {(grid * grid, self.target_dim)}")
         if not np.isfinite(tokens).all():
             raise DataError(f"feature file for {source_id!r} contains non-finite values")
-        return TeacherFeatures(tokens=tokens, grid_side=grid, source_id=source_id)
+        return tokens
 
 
 def make_teacher(spec: TeacherSpec, in_channels=3):
@@ -260,9 +254,10 @@ def dump_features(teacher, images, out_dir, student_patch_side):
     feats = [teacher.features(align_input(image, student_patch_side, teacher.downsample_rate),
                               image_id) for image_id, image in images]
     os.makedirs(out_dir, exist_ok=True)
-    for f in feats:
-        write_tvec(os.path.join(out_dir, f"{f.source_id}.tvec"), f.tokens.astype(np.float32))
-    entries = [{"id": f.source_id, "grid_side": f.grid_side} for f in feats]
+    for (image_id, _), tokens in zip(images, feats):
+        write_tvec(os.path.join(out_dir, f"{image_id}.tvec"), tokens.astype(np.float32))
+    entries = [{"id": image_id, "grid_side": math.isqrt(len(tokens))}
+               for (image_id, _), tokens in zip(images, feats)]
     manifest = {"source_id": teacher.kind,
                 "target_dim": teacher.target_dim,
                 "entries": entries}
@@ -272,7 +267,7 @@ def dump_features(teacher, images, out_dir, student_patch_side):
 
 
 def load_feature_dir(features_dir):
-    """All dumped samples, in manifest order, as TeacherFeatures; a dump
+    """All dumped samples' token arrays [K, D], in manifest order; a dump
     without entries is a DataError."""
     teacher = FileTeacher(features_dir)
     if not teacher.ids:

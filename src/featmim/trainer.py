@@ -165,7 +165,7 @@ class FeatureCache:
 
     def get(self, image_id, image):
         aligned = align_input(image, self.patch_side, self.teacher.downsample_rate)
-        tokens = self.teacher.features(aligned, image_id).tokens
+        tokens = self.teacher.features(aligned, image_id)
         patches = patchify(np.asarray(image), self.patch_side)
         if len(tokens) != len(patches):
             raise DataError(f"teacher gives {len(tokens)} tokens for image {image_id!r}, "

@@ -4,6 +4,7 @@
 
 import csv
 import io
+import json
 import math
 import pathlib
 import time
@@ -20,8 +21,8 @@ from featmim.losses import global_loss, patch_loss
 from featmim.masking import MaskSpec, generate_mask
 from featmim.model import forward, init_params, load_checkpoint, patchify
 from featmim.synth import synthetic_image
-from featmim.teacher import (ProceduralConvTeacher, TeacherFeatures,
-                             dump_features, load_feature_dir)
+from featmim.teacher import (FileTeacher, ProceduralConvTeacher, dump_features,
+                             load_feature_dir)
 from featmim.tensor import Tensor
 from featmim.trainer import TrainConfig, lr_at, scaled_lr, train
 
@@ -34,14 +35,14 @@ def _passed(name, detail):
 
 
 def feats(tokens):
-    tokens = np.asarray(tokens, dtype=np.float64)
-    return TeacherFeatures(tokens=tokens, grid_side=1, source_id="t")
+    return np.asarray(tokens, dtype=np.float64)
 
 
 def test_gradient_fidelity(default_grad_check):
     # tiny config (embed 8, L=2, dec_depth 1, heads 2, D_t 16), float64,
     # central differences h=1e-5, max rel err < 1e-4, under 60 s
-    code, report, elapsed = default_grad_check
+    code, blob, elapsed = default_grad_check
+    report = json.loads(blob)
     assert code == 0
     assert report["max_rel_err"] < 1e-4
     assert elapsed < 60.0
@@ -261,8 +262,8 @@ def test_persistence_round_trips(tmp_path):
     images = [(f"i{k}", synthetic_image(32, 3, seed=k)) for k in range(3)]
     dump_features(teacher, images, tmp_path / "f1", student_patch_side=8)
     replayed = load_feature_dir(tmp_path / "f1")
-    dump_features(teacher, [(s.source_id, img) for s, (_, img) in zip(replayed, images)],
-                  tmp_path / "f2", student_patch_side=8)
+    assert [r.shape for r in replayed] == [(16, 16)] * 3
+    dump_features(FileTeacher(tmp_path / "f1"), images, tmp_path / "f2", student_patch_side=8)
     for k in range(3):
         a = (tmp_path / "f1" / f"i{k}.tvec").read_bytes()
         b = (tmp_path / "f2" / f"i{k}.tvec").read_bytes()

@@ -3,28 +3,25 @@ import json
 import numpy as np
 import pytest
 
-from featmim.analysis import HeatMap, heatmap, pca_reduce, render_pgm
+from featmim.analysis import heatmap, pca_reduce, render_pgm
 from featmim.errors import ConfigError, NumericError
 from featmim.imageio import read_pnm
-from featmim.teacher import TeacherFeatures
 
 
 def feats(tokens):
-    tokens = np.asarray(tokens, dtype=np.float64)
-    grid = int(np.sqrt(len(tokens)))
-    return TeacherFeatures(tokens=tokens, grid_side=grid, source_id="t")
+    return np.asarray(tokens, dtype=np.float64)
 
 
 def test_query_self_similarity_is_one():
     rng = np.random.default_rng(0)
     h = heatmap(feats(rng.normal(size=(9, 4))), query=3)
-    assert abs(h.values[3] - 1.0) < 1e-6
-    assert len(h.values) == 9
+    assert abs(h[3] - 1.0) < 1e-6
+    assert len(h) == 9
 
 
 def test_identical_tokens_uniform_map():
     h = heatmap(feats([[2.0, 0.0]] * 4), query=0)
-    np.testing.assert_allclose(h.values, 1.0, atol=1e-12)
+    np.testing.assert_allclose(h, 1.0, atol=1e-12)
 
 
 def test_heatmap_symmetry():
@@ -33,15 +30,15 @@ def test_heatmap_symmetry():
     for q in range(9):
         hq = heatmap(f, q)
         for j in range(9):
-            assert abs(hq.values[j] - heatmap(f, j).values[q]) < 1e-12
+            assert abs(hq[j] - heatmap(f, j)[q]) < 1e-12
 
 
 def test_heatmap_scale_invariance():
     rng = np.random.default_rng(2)
     y = rng.normal(size=(4, 3))
     scaled = y * rng.uniform(0.1, 10.0, size=(4, 1))
-    a = heatmap(feats(y), 1).values
-    b = heatmap(feats(scaled), 1).values
+    a = heatmap(feats(y), 1)
+    b = heatmap(feats(scaled), 1)
     np.testing.assert_allclose(a, b, atol=1e-9)
 
 
@@ -56,17 +53,15 @@ def test_heatmap_zero_norm_token():
 
 
 def test_render_uniform_map_mid_gray(tmp_path):
-    h = HeatMap(grid_side=2, query_index=0, values=np.full(4, 0.7))
     p = tmp_path / "m.pgm"
-    render_pgm(h, p)
+    render_pgm(np.full(4, 0.7), 0, p)
     img = read_pnm(p)
     np.testing.assert_array_equal(np.round(img[0] * 255), np.full((2, 2), 128.0))
 
 
 def test_render_linear_map(tmp_path):
-    h = HeatMap(grid_side=2, query_index=1, values=np.array([0.0, 1.0, 1.0, 1.0]))
     p = tmp_path / "m.pgm"
-    render_pgm(h, p)
+    render_pgm(np.array([0.0, 1.0, 1.0, 1.0]), 1, p)
     raw = p.read_bytes()
     assert raw.endswith(bytes([0, 255, 255, 255]))
     sidecar = json.loads((tmp_path / "m.pgm.json").read_text())
@@ -76,19 +71,18 @@ def test_render_linear_map(tmp_path):
 
 def test_render_deterministic_bytes(tmp_path):
     rng = np.random.default_rng(3)
-    h = HeatMap(grid_side=3, query_index=4, values=rng.uniform(-1, 1, 9))
+    values = rng.uniform(-1, 1, 9)
     pa, pb = tmp_path / "a.pgm", tmp_path / "b.pgm"
-    render_pgm(h, pa)
-    render_pgm(h, pb)
+    render_pgm(values, 4, pa)
+    render_pgm(values, 4, pb)
     assert pa.read_bytes() == pb.read_bytes()
 
 
 def test_render_round_trip_quantized(tmp_path):
     rng = np.random.default_rng(4)
     vals = rng.uniform(-1, 1, 16)
-    h = HeatMap(grid_side=4, query_index=0, values=vals)
     p = tmp_path / "m.pgm"
-    render_pgm(h, p)
+    render_pgm(vals, 0, p)
     img = (read_pnm(p)[0].reshape(-1) * 255).round().astype(int)
     lo, hi = vals.min(), vals.max()
     expected = np.floor((vals - lo) / (hi - lo) * 255.0 + 0.5).astype(int)

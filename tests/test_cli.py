@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -611,6 +612,47 @@ def test_pca_outputs_byte_identical_across_runs(tmp_path, image_dir):
         assert (tmp_path / f"a{suffix}").read_bytes() == (tmp_path / f"b{suffix}").read_bytes()
 
 
+# sha256 of every file that dump-features, diversity, pca and heatmap write
+# for the test below: six 64-px synthetic images, a 16x downsampling teacher of
+# width 32 aligned to 8-px patches (an 8x8 token grid), 4 components, query 5
+ANALYSIS_PINS = {
+    "feats/manifest.json": "ecfd0b7a3d42408a8b9c074c0dcf25c9b715498d2eb4c05f5cc4185102f0f03e",
+    "feats/img0.tvec": "6c223fdb329d0f7ae46c38252bf9900ff1e34f74b498730dda23039a46e14d03",
+    "feats/img1.tvec": "c1a376979dbeb469d2b2a72c2d6e6bc24b21d5f3a8d40ab68ca9b1a674d4011e",
+    "feats/img2.tvec": "d6584c6031ef8ed9e3bd0cf69d02219b050d0061e43d8c410c28ddb127ded952",
+    "feats/img3.tvec": "a13e146da49d66eddf511762ea0d449a394e54531f0849c4be6e743c31dcdebe",
+    "feats/img4.tvec": "29cc94b7b10b938c8a7c0d20f16a76f3789a05dcda8457e1b606677b969b05ed",
+    "feats/img5.tvec": "86848afa967f9887eff13a5e17525bd65940578bd594c8c559fb6164408867a4",
+    "diversity.json": "3a5e6731875371279f8ec6e3737efe00aa778f1a57d545537f2dd775526ed424",
+    "pca.tvec": "aaaa4800b0b1cfe4361c4ce69c4bc2bf1ddb7866e079d9bc910ee331f42e3c2d",
+    "pca.tvec.json": "e27de5205c4872d8995627f431ec6eaae7d801b2ad5d8e280d38b9a7e30e611e",
+    "heatmap.pgm": "79c14f68f063bca1c8c1ff8183948cf6ce0582d313edf1168eb3b0dd9c2199ad",
+    "heatmap.pgm.json": "16ad0418520ef943db56fa207e6758cca315a34ca452c624e27b693c7489b5f0",
+}
+
+
+def test_analysis_commands_write_the_pinned_bytes(tmp_path):
+    images = tmp_path / "images"
+    images.mkdir()
+    for i in range(6):
+        write_ppm(images / f"img{i}.ppm", synthetic_image(64, 3, seed=i))
+    feats = tmp_path / "feats"
+    for argv in (
+            ["dump-features", "--images", str(images), "--out", str(feats),
+             "--downsample", "16", "--target-dim", "32", "--patch-side", "8"],
+            ["diversity", "--features", str(feats), "--out", str(tmp_path / "diversity.json")],
+            ["pca", "--features", str(feats), "--components", "4",
+             "--out", str(tmp_path / "pca.tvec")],
+            ["heatmap", "--features", str(feats / "img0.tvec"), "--query", "5",
+             "--out", str(tmp_path / "heatmap.pgm")]):
+        assert main(argv) == 0, argv[0]
+    written = {str(p.relative_to(tmp_path)) for p in tmp_path.rglob("*")
+               if p.is_file() and p.parent != images}
+    assert written == set(ANALYSIS_PINS)
+    for name, want in ANALYSIS_PINS.items():
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == want, name
+
+
 def test_pca_bad_components_exits_2(tmp_path, image_dir):
     feats = tmp_path / "feats"
     assert main(["dump-features", "--images", str(image_dir), "--out", str(feats)]) == 0
@@ -620,10 +662,13 @@ def test_pca_bad_components_exits_2(tmp_path, image_dir):
 
 
 def test_grad_check_command(default_grad_check):
-    code, report, _ = default_grad_check
+    code, blob, _ = default_grad_check
     assert code == 0
+    report = json.loads(blob)
     assert report["max_rel_err"] < 1e-4
     assert report["n_parameters"] > 0
+    assert (hashlib.sha256(blob).hexdigest()
+            == "f70ed180a2175ddf6c1b25dd2411ce8ba9cc55e3ad15fd795eac2b654821bb5d")
 
 
 def test_grad_check_seed_flag(tmp_path):
@@ -706,6 +751,7 @@ def test_ablate_lambda_bad_value_exits_2_before_any_run(tmp_path, image_dir, cap
     ("pretrain", [], {"teacher": {"seed": -1}}, "teacher.seed"),
     ("grad-check", ["--seed", "-2"], None, "train.seed"),
     ("dump-features", ["--seed", "-1"], None, "teacher.seed"),
+    ("pretrain", ["--mask-seed", "-1"], None, "mask.seed"),
 ])
 def test_negative_seed_exits_2_writing_nothing(tmp_path, image_dir, capsys, command, flags,
                                                config, field):

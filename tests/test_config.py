@@ -75,9 +75,13 @@ def test_negative_seed_rejected(section):
         cfg.validate()
 
 
-def test_mask_seed_takes_any_int():
-    # SplitMix64 reduces its seed to 64 bits
-    run_config_from_dict({"mask": {"seed": -1}}).validate()
+def test_mask_seed_must_fit_64_bits():
+    # SplitMix64 would reduce it to 64 bits: -1 would replay 2**64 - 1's masks
+    for seed in (0, 2**64 - 1):
+        run_config_from_dict({"mask": {"seed": seed}}).validate()
+    for seed in (-1, 2**64):
+        with pytest.raises(ConfigError, match="mask.seed"):
+            run_config_from_dict({"mask": {"seed": seed}}).validate()
 
 
 @pytest.mark.parametrize("lam", [math.nan, math.inf, -0.5])

@@ -9,12 +9,10 @@ from hypothesis.extra.numpy import arrays
 from conftest import ordered_pair_similarity
 from featmim.diversity import corpus_diversity, pairwise_cosine, sample_similarity
 from featmim.errors import ConfigError, DataError, NumericError
-from featmim.teacher import TeacherFeatures
 
 
 def feats(tokens):
-    tokens = np.asarray(tokens, dtype=np.float64)
-    return TeacherFeatures(tokens=tokens, grid_side=1, source_id="t")
+    return np.asarray(tokens, dtype=np.float64)
 
 
 def oracle_similarity(y):

@@ -1,6 +1,7 @@
 """The desk-scale scripts run end to end at their smallest sizes."""
 
 import hashlib
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -55,6 +56,8 @@ def test_compare_teachers(tmp_path):
         tdir = tmp_path / "study" / f"teacher_{seed}"
         assert (tdir / "features" / "manifest.json").exists()
         assert (tdir / "heatmap_q5.pgm").exists()
+        sidecar = json.loads((tdir / "heatmap_q5.pgm.json").read_text())
+        assert (sidecar["grid_side"], sidecar["query_index"]) == (4, 5)
         assert (tdir / "run" / "ckpt_3.bin").exists()
 
 
