@@ -58,19 +58,13 @@ class RunConfig(NamedTuple):  # sections are immutable, so one default instance 
                     f"model.target_dim {self.model.target_dim}")
             check_alignment(self.teacher.downsample_rate, self.model.patch_side,
                             "teacher.downsample_rate", "model.patch_side")
-        n_masked_blocks = self.mask.n_masked_blocks
-        if n_masked_blocks < 1:
-            raise ConfigError(
-                f"mask_ratio {self.mask.mask_ratio} rounds to zero masked blocks "
-                f"of {self.mask.n_blocks}; the patch loss needs at least one")
-        if n_masked_blocks >= self.mask.n_blocks:
-            raise ConfigError(
-                f"mask_ratio {self.mask.mask_ratio} rounds to all "
-                f"{self.mask.n_blocks} blocks masked")
         return self
 
     def to_dict(self):
         return {name: section._asdict() for name, section in self._asdict().items()}
+
+    def save(self, path):  # config.json, an output contract: its bytes are pinned
+        write_atomic(path, json.dumps(self.to_dict(), indent=1, sort_keys=True))
 
 
 def _build_section(name, default, payload):
@@ -103,7 +97,3 @@ def load_run_config(path):
     except ValueError as e:  # also non-UTF-8 bytes and over-long integers
         raise ConfigError(f"config {path} is not valid JSON: {e}") from None
     return run_config_from_dict(doc)
-
-
-def save_run_config(cfg: RunConfig, path):
-    write_atomic(path, json.dumps(cfg.to_dict(), indent=1, sort_keys=True))

@@ -1,10 +1,11 @@
 """Block-wise random patch masks.
 
 Whole blocks of patches are masked together. The number of masked blocks is
-round-half-up(mask_ratio * total_blocks); blocks are drawn uniformly without
-replacement from a SplitMix64 stream, so a (spec, seed) pair reproduces the
-same mask on every platform. One call draws a batch's masks, one seed each,
-and returns their rows in the batch's stacked patch tokens.
+round-half-up(mask_ratio * total_blocks), at least one and fewer than all;
+blocks are drawn uniformly without replacement from a SplitMix64 stream, so
+a (spec, seed) pair reproduces the same mask on every platform. One call
+draws a batch's masks, one seed each, and returns their rows in the batch's
+stacked patch tokens.
 """
 
 import math
@@ -62,6 +63,12 @@ class MaskSpec(NamedTuple):
                 f"image_side {self.image_side} must be a multiple of block_side {self.block_side}")
         if not 0.0 < self.mask_ratio < 1.0:
             raise ConfigError(f"mask_ratio must lie in (0, 1), got {self.mask_ratio}")
+        if self.n_masked_blocks < 1:
+            raise DegenerateMaskError(f"mask_ratio {self.mask_ratio} rounds to zero masked blocks "
+                                      f"of {self.n_blocks}; the patch loss needs at least one")
+        if self.n_masked_blocks >= self.n_blocks:
+            raise DegenerateMaskError(f"mask_ratio {self.mask_ratio} rounds to all {self.n_blocks} "
+                                      "blocks masked; the encoder needs a visible one")
         if not 0 <= self.seed < 2**64:  # SplitMix64 would reduce it to 64 bits
             raise ConfigError(f"mask.seed must lie in [0, 2**64), got {self.seed}")
 
@@ -89,13 +96,7 @@ def generate_mask(spec: MaskSpec, seeds):
     (N = grid_side**2), the rows of the batch's patch tokens stacked image
     by image. Deterministic for a given spec and seeds."""
     spec.validate()
-    n_blocks = spec.n_blocks
-    n_masked_blocks = spec.n_masked_blocks
-    if n_masked_blocks >= n_blocks:
-        raise DegenerateMaskError(
-            f"mask_ratio {spec.mask_ratio} rounds to all {n_blocks} blocks masked; "
-            "the encoder needs at least one visible token")
-
+    n_blocks, n_masked_blocks = spec.n_blocks, spec.n_masked_blocks
     # each mask takes the first n_masked_blocks of a full shuffle of the blocks
     chosen = np.zeros((len(seeds), n_blocks), dtype=bool)
     for b, seed in enumerate(seeds):

@@ -11,8 +11,10 @@ block outputs can be aggregated (mean or literal sum) before decoding; a
 2-layer MLP head projects last-layer visible tokens to the teacher dimension
 for the global loss.
 
-Positional embeddings are fixed 2-D sine-cosine tables, not learned. All
-linear weights are Xavier-uniform; CLS and mask tokens draw from N(0, 0.02).
+Positional embeddings are fixed 2-D sine-cosine tables, not learned. One
+table, _weights, states every weight's name, shape and init in draw order:
+all linear weights are Xavier-uniform, CLS and mask tokens draw from
+N(0, 0.02), biases and LayerNorm gains are constants.
 """
 
 import json
@@ -78,92 +80,82 @@ def sincos_pos_embed(dim, grid_side):
 class ModelParams(tn.Parameters):
     """The student's weights: tensor.Parameters in sorted name order (the
     checkpoint's), so AdamW updates them all through `flat`; plus the patch
-    geometry and the fixed position tables, which are constants."""
+    geometry and the fixed position tables, constants in the weights' dtype."""
 
-    def __init__(self, arrays, config: ModelConfig, n_patches, in_channels, enc_pos, dec_pos):
-        super().__init__(arrays)
+    def __init__(self, arrays, config: ModelConfig, n_patches, in_channels):
+        super().__init__({name: arrays[name] for name in sorted(arrays)})
         self.config, self.n_patches, self.in_channels = config, n_patches, in_channels
-        self.enc_pos, self.dec_pos = enc_pos, dec_pos  # [N, embed_dim], [N, dec_width]
+        grid, dtype = math.isqrt(n_patches), self.flat.dtype
+        self.enc_pos = sincos_pos_embed(config.embed_dim, grid).astype(dtype)  # [N, embed_dim]
+        self.dec_pos = sincos_pos_embed(config.dec_width, grid).astype(dtype)  # [N, dec_width]
+
+
+def _linear(prefix, n_in, n_out):  # the weights of one tn.linear, x @ W + b
+    return [(f"{prefix}_w", (n_in, n_out), "xavier"), (f"{prefix}_b", (n_out,), 0.0)]
+
+
+def _block(prefix, dim):
+    """One pre-norm transformer block's weights, MAE's layout."""
+    return [(f"{prefix}_ln1_g", (dim,), 1.0), (f"{prefix}_ln1_b", (dim,), 0.0),
+            *_linear(f"{prefix}_q", dim, dim), *_linear(f"{prefix}_k", dim, dim),
+            *_linear(f"{prefix}_v", dim, dim), *_linear(f"{prefix}_attn_out", dim, dim),
+            (f"{prefix}_ln2_g", (dim,), 1.0), (f"{prefix}_ln2_b", (dim,), 0.0),
+            *_linear(f"{prefix}_mlp_fc1", dim, 4 * dim),
+            *_linear(f"{prefix}_mlp_fc2", 4 * dim, dim)]
+
+
+def _weights(config: ModelConfig, in_channels):
+    """The student's weights, (name, shape, init) in draw order: init is
+    "xavier" (Xavier-uniform), "token" (N(0, 0.02)) or a constant fill. The
+    one statement of the model's parameters: init_params draws it,
+    init_elements counts it and load_checkpoint checks a file against it."""
+    d, w, t = config.embed_dim, config.dec_width, config.target_dim
+    table = [("cls_token", (d,), "token")] if config.use_cls else []
+    table += _linear("patch_proj", in_channels * config.patch_side**2, d)
+    for layer in range(config.enc_depth):
+        table += _block(f"enc{layer}", d)
+    table += [*_linear("enc2dec", d, w), ("mask_token", (w,), "token")]
+    for layer in range(config.dec_depth):
+        table += _block(f"dec{layer}", w)
+    table += _linear("dec_pred", w, t)
+    return table + _linear("proj_fc1", d, d) + _linear("proj_fc2", d, t)
+
+
+def _size(table):
+    return sum(math.prod(shape) for _, shape, _ in table)
 
 
 def init_elements(config: ModelConfig, n_patches, in_channels):
-    """The elements init_params allocates, weights and both position tables, in
-    closed form; a ConfigError past MAX_INIT_ELEMENTS, so before any allocation."""
-    d, w, t = config.embed_dim, config.dec_width, config.target_dim
-    n = (d * config.use_cls + (in_channels * config.patch_side**2 + 1) * d + (d + 2) * w
-         + config.enc_depth * (12 * d * d + 13 * d) + config.dec_depth * (12 * w * w + 13 * w)
-         + (w + 1) * t + (d + 1) * (d + t) + n_patches * (d + w))
+    """The elements init_params allocates, weights and both position tables:
+    the table without blocks plus depth x one block of each width, so the
+    count costs the same at any depth. A ConfigError past MAX_INIT_ELEMENTS,
+    so before any allocation."""
+    d, w = config.embed_dim, config.dec_width
+    n = (_size(_weights(config._replace(enc_depth=0, dec_depth=0), in_channels))
+         + config.enc_depth * _size(_block("enc", d)) + config.dec_depth * _size(_block("dec", w))
+         + n_patches * (d + w))
     if n > MAX_INIT_ELEMENTS:
         raise ConfigError(f"the model needs {n:,} weight and position elements, "
                           f"more than the bound of {MAX_INIT_ELEMENTS:,}")
     return n
 
 
-def _xavier(rng, shape, dtype):
-    limit = np.sqrt(6.0 / (shape[0] + shape[1]))
-    return rng.uniform(-limit, limit, size=shape).astype(dtype)
-
-
 def init_params(config: ModelConfig, image_side, in_channels, seed, dtype=np.float32):
-    """Fresh parameters; the draw order is fixed by construction order."""
+    """Fresh parameters, drawn from one generator in the table's order."""
     config.validate()
     if image_side % config.patch_side:
         raise ConfigError(f"image side {image_side} not divisible by patch {config.patch_side}")
-    grid = image_side // config.patch_side
-    n = grid * grid
-    d, w = config.embed_dim, config.dec_width
     rng = np.random.default_rng(seed)
-    wt = {}
-
-    def xav(name, shape):
-        wt[name] = _xavier(rng, shape, dtype)
-
-    def zero(name, shape):
-        wt[name] = np.zeros(shape, dtype=dtype)
-
-    def one(name, shape):
-        wt[name] = np.ones(shape, dtype=dtype)
-
-    def token(name, dim):
-        wt[name] = rng.normal(0.0, 0.02, size=dim).astype(dtype)
-
-    if config.use_cls:
-        token("cls_token", d)
-    xav("patch_proj_w", (in_channels * config.patch_side**2, d))
-    zero("patch_proj_b", (d,))
-
-    def block(prefix, dim):
-        one(f"{prefix}_ln1_g", (dim,))
-        zero(f"{prefix}_ln1_b", (dim,))
-        for nm in ("q", "k", "v"):
-            xav(f"{prefix}_{nm}_w", (dim, dim))
-            zero(f"{prefix}_{nm}_b", (dim,))
-        xav(f"{prefix}_attn_out_w", (dim, dim))
-        zero(f"{prefix}_attn_out_b", (dim,))
-        one(f"{prefix}_ln2_g", (dim,))
-        zero(f"{prefix}_ln2_b", (dim,))
-        xav(f"{prefix}_mlp_fc1_w", (dim, 4 * dim))
-        zero(f"{prefix}_mlp_fc1_b", (4 * dim,))
-        xav(f"{prefix}_mlp_fc2_w", (4 * dim, dim))
-        zero(f"{prefix}_mlp_fc2_b", (dim,))
-
-    for layer in range(config.enc_depth):
-        block(f"enc{layer}", d)
-    xav("enc2dec_w", (d, w))
-    zero("enc2dec_b", (w,))
-    token("mask_token", w)
-    for layer in range(config.dec_depth):
-        block(f"dec{layer}", w)
-    xav("dec_pred_w", (w, config.target_dim))
-    zero("dec_pred_b", (config.target_dim,))
-    xav("proj_fc1_w", (d, d))
-    zero("proj_fc1_b", (d,))
-    xav("proj_fc2_w", (d, config.target_dim))
-    zero("proj_fc2_b", (config.target_dim,))
-
-    return ModelParams({k: wt[k] for k in sorted(wt)}, config, n, in_channels,
-                       sincos_pos_embed(d, grid).astype(dtype),
-                       sincos_pos_embed(w, grid).astype(dtype))
+    arrays = {}
+    for name, shape, init in _weights(config, in_channels):
+        if init == "xavier":
+            limit = np.sqrt(6.0 / (shape[0] + shape[1]))
+            arrays[name] = rng.uniform(-limit, limit, size=shape).astype(dtype)
+        elif init == "token":
+            arrays[name] = rng.normal(0.0, 0.02, size=shape).astype(dtype)
+        else:
+            arrays[name] = np.full(shape, init, dtype=dtype)
+    return ModelParams(arrays, config, (image_side // config.patch_side)**2, in_channels)
 
 
 def patchify(image, patch_side):
@@ -314,6 +306,9 @@ def save_checkpoint(path, params: ModelParams):
 
 
 def load_checkpoint(path):
+    """The checkpoint's weights in ModelParams, checked against the header
+    config's weight table by name and shape; no model is drawn. A DataError
+    names the file and what is wrong with it."""
     blob = read_bytes(path, "checkpoint")
     if blob[:4] != CHECKPOINT_MAGIC:
         raise DataError(f"{path}: not a featmim checkpoint")
@@ -361,12 +356,11 @@ def load_checkpoint(path):
     if n_read != n_weights:
         raise DataError(f"{path}: the payload holds {n_read:,} weight elements, "
                         f"the header's config needs {n_weights:,}")
-    reference = init_params(config, grid * config.patch_side, in_channels, seed=0)
-    if set(weights) != set(reference):
+    shapes = {name: shape for name, shape, _ in _weights(config, in_channels)}
+    if set(weights) != set(shapes):
         raise DataError(f"{path}: checkpoint parameter names do not match the config")
     for name, arr in weights.items():
-        if arr.shape != reference[name].data.shape:
+        if arr.shape != shapes[name]:
             raise DataError(f"{path}: parameter {name} has shape {arr.shape}, "
-                            f"expected {reference[name].data.shape}")
-        reference[name].data[...] = arr
-    return reference
+                            f"expected {shapes[name]}")
+    return ModelParams(weights, config, n_patches, in_channels)

@@ -5,7 +5,8 @@ under the linear scaling rule lr = base_lr * batch_size / 256. Every image's
 patch rows, teacher tokens and mean are stacked once; a step indexes them.
 Everything is deterministic for a fixed seed: masks come from a SplitMix64
 stream, the epoch shuffle from another. AdamW updates the flat weight buffer
-in place; a non-finite loss or gradient stops the run before that update.
+in place; a non-finite loss, gradient or update stops the run before that
+update lands.
 
 One step function serves every configuration. The global head and loss run
 only when the global loss weight is nonzero, so with lam=0 and multi-block
@@ -89,9 +90,11 @@ class OptimizerState:
 
 
 def adamw_step(params, grads, state: OptimizerState, lr, *,
-               beta1=0.9, beta2=0.95, weight_decay=0.05, eps=1e-8):
+               beta1=0.9, beta2=0.95, weight_decay=0.05, eps=1e-8, name_at=str):
     """Decoupled-weight-decay Adam on flat weights and gradient, in place,
-    elementwise as p -= lr * (m_hat / (sqrt(v_hat) + eps) + wd * p)."""
+    elementwise as p -= lr * (m_hat / (sqrt(v_hat) + eps) + wd * p). An
+    update with a non-finite element leaves the weights as they were and
+    raises a NumericError naming name_at(its first such offset)."""
     if grads.shape != params.shape:
         raise ConfigError(f"gradient has shape {grads.shape}, parameters {params.shape}")
     if state.m is None:
@@ -108,7 +111,10 @@ def adamw_step(params, grads, state: OptimizerState, lr, *,
     b += eps
     a /= b
     a += np.multiply(weight_decay, params, out=b)
-    params -= np.multiply(lr, a, out=a)
+    np.multiply(lr, a, out=a)
+    if not np.isfinite(a).all():
+        raise NumericError(f"non-finite update in {name_at(np.argmin(np.isfinite(a)))}")
+    params -= a
 
 
 def step_losses(params, cache, idx, masks, loss_cfg):
@@ -183,7 +189,6 @@ def train(cfg, images, out_dir):
     Writes config.json, metrics.csv and ckpt_<step>.bin files under
     out_dir, which is made only after every check has passed.
     """
-    from .config import save_run_config  # config imports this module
     cfg.validate()
     if not images:
         raise ConfigError("training needs at least one image")
@@ -216,7 +221,7 @@ def train(cfg, images, out_dir):
     cache = FeatureCache(teacher, cfg.model.patch_side, images)  # a misfit writes nothing
 
     os.makedirs(out_dir, exist_ok=True)
-    save_run_config(cfg, os.path.join(out_dir, "config.json"))
+    cfg.save(os.path.join(out_dir, "config.json"))
     params = init_params(cfg.model, mask_spec.image_side, in_channels, tc.seed)
     opt = OptimizerState()
     # per-step masks are resampled from the mask spec's own seed stream, so
@@ -246,13 +251,13 @@ def train(cfg, images, out_dir):
                     if not np.isfinite(loss.data):
                         raise NumericError("non-finite loss")
                     flat_grad = backward(tape, loss)
-                if not np.isfinite(flat_grad).all():  # name the first bad offset's parameter
-                    bad = params.name_at(np.argmin(np.isfinite(flat_grad)))
-                    raise NumericError(f"non-finite gradient in {bad}")
+                    if not np.isfinite(flat_grad).all():  # name the first bad offset's parameter
+                        bad = params.name_at(np.argmin(np.isfinite(flat_grad)))
+                        raise NumericError(f"non-finite gradient in {bad}")
+                    adamw_step(params.flat, flat_grad, opt, lr, beta1=tc.beta1, beta2=tc.beta2,
+                               weight_decay=tc.weight_decay, name_at=params.name_at)
             except NumericError as e:
                 raise NumericError(f"step {step}: {e}") from None
-            adamw_step(params.flat, flat_grad, opt, lr,
-                       beta1=tc.beta1, beta2=tc.beta2, weight_decay=tc.weight_decay)
 
             metrics.write(_format_row(step, t_epoch, lr, lp, lg, lt))
             last = step + 1 == total_steps  # the final checkpoint, written once

@@ -96,6 +96,24 @@ def test_diverging_run_exits_4_naming_the_step(tmp_path, image_dir, capsys):
     assert not list(out.glob("ckpt_*"))
 
 
+@pytest.mark.parametrize("overflow", [{"base_lr": 1e308}, {"weight_decay": 1e308}],
+                         ids=["base_lr", "weight_decay"])
+def test_overflowing_update_exits_4_before_it_lands(tmp_path, image_dir, capsys, overflow):
+    # the loss and gradient are finite; lr * update, or wd * weight, overflows float32
+    cfg = write_config(tmp_path, train={**overflow, "total_epochs": 3, "warmup_epochs": 0,
+                                        "checkpoint_interval": 1})
+    out = tmp_path / "run"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["pretrain", "--config", str(cfg), "--images", str(image_dir),
+                     "--out", str(out)])
+    assert code == 4
+    assert "step 0: non-finite update in cls_token" in capsys.readouterr().err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert (out / "metrics.csv").read_text() == "step,epoch,lr,L_patch,L_global,L_total\n"
+    assert not list(out.glob("ckpt_*"))
+
+
 def test_invalid_config_exits_2_without_side_effects(tmp_path, image_dir):
     cfg = write_config(tmp_path, mask={"mask_ratio": 0.99})
     out = tmp_path / "run"

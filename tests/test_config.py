@@ -5,8 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from featmim.config import (RunConfig, load_run_config, run_config_from_dict,
-                            save_run_config)
+from featmim.config import RunConfig, load_run_config, run_config_from_dict
 from featmim.errors import ConfigError
 from featmim.losses import LossConfig
 
@@ -100,12 +99,12 @@ def test_readme_configuration_block_matches_defaults():
 def test_json_round_trip(tmp_path):
     cfg = RunConfig()._replace(loss=RunConfig().loss._replace(lam=0.25))
     p = tmp_path / "cfg.json"
-    save_run_config(cfg, p)
+    cfg.save(p)
     back = load_run_config(p)
     assert back == cfg
 
 
-# save_run_config's bytes for the defaults, and for a document with a list
+# RunConfig.save's bytes for the defaults, and for a document with a list
 # norm_mean, a file teacher and a changed train seed: config.json is an
 # output contract, whatever record type holds the sections
 @pytest.mark.parametrize("doc, want", [
@@ -117,7 +116,7 @@ def test_json_round_trip(tmp_path):
 ], ids=["defaults", "edited"])
 def test_saved_config_bytes_are_pinned(tmp_path, doc, want):
     p = tmp_path / "cfg.json"
-    save_run_config(run_config_from_dict(doc), p)
+    run_config_from_dict(doc).save(p)
     assert hashlib.sha256(p.read_bytes()).hexdigest() == want
 
 

@@ -42,6 +42,13 @@ def test_all_masked_is_degenerate_error():
         generate_mask(MaskSpec(224, 16, 32, mask_ratio=0.99, seed=0), [0])
 
 
+@pytest.mark.parametrize("ratio, message", [(0.01, "zero masked blocks of 49"),
+                                            (0.99, "all 49 blocks masked")], ids=["zero", "all"])
+def test_spec_needs_a_masked_and_a_visible_block(ratio, message):
+    with pytest.raises(DegenerateMaskError, match=message):
+        MaskSpec(224, 16, 32, mask_ratio=ratio, seed=0).validate()
+
+
 def test_divisibility_violations_rejected():
     with pytest.raises(ConfigError):
         generate_mask(MaskSpec(224, 16, 24, 0.6, 0), [0])  # block not multiple of patch
@@ -136,7 +143,7 @@ def test_permutation_matches_inline_shuffle(n, seed):
 def test_masked_blocks_match_inline_shuffle(blocks_per_side, ratio, seed):
     # one patch per block, so the patch grid is the block grid (4..64 blocks)
     spec = MaskSpec(8 * blocks_per_side, 8, 8, ratio, seed)
-    assume(spec.n_masked_blocks < spec.n_blocks)
+    assume(1 <= spec.n_masked_blocks < spec.n_blocks)
     expected = np.zeros(spec.n_blocks, dtype=bool)
     expected[inline_shuffle(range(spec.n_blocks), SplitMix64(seed))[:spec.n_masked_blocks]] = True
     masked, _ = generate_mask(spec, [seed])

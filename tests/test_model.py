@@ -3,11 +3,12 @@ import itertools
 import json
 import os
 import struct
+import time
 
 import numpy as np
 import pytest
 
-from featmim.config import RunConfig, save_run_config
+from featmim.config import RunConfig
 from featmim.errors import ConfigError, DataError, DegenerateMaskError
 from featmim.masking import MaskSpec, generate_mask
 import featmim.model
@@ -302,7 +303,7 @@ def _write_output(writer, path, seed):
         write_tvec(path, np.full((2, 3), seed, dtype=np.float32))
     elif writer == "save_run_config":
         cfg = RunConfig()
-        save_run_config(cfg._replace(train=cfg.train._replace(seed=seed)), path)
+        cfg._replace(train=cfg.train._replace(seed=seed)).save(path)
     else:
         save_checkpoint(path, tiny_params(seed=seed))
 
@@ -465,6 +466,66 @@ def test_checkpoint_payload_must_hold_the_headers_weights(tmp_path, monkeypatch,
     with pytest.raises(DataError, match=f"bad.bin: the payload holds {n_tiny if payload else 0:,} "
                                         "weight elements, the header's config needs 52,696,076$"):
         load_checkpoint(bad)
+
+
+def _checkpoint_over(valid, weights):
+    """Checkpoint bytes with valid's header over the payload name -> array."""
+    (hlen,) = struct.unpack_from("<I", valid, 4)
+    return valid[:8 + hlen] + b"".join(struct.pack("<I", len(name)) + name.encode() + tvec_bytes(a)
+                                       for name, a in weights.items())
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda w: w.update(extra_token=w.pop("mask_token")), "parameter names do not match"),
+    (lambda w: w.update(patch_proj_w=w["patch_proj_w"].T),
+     r"parameter patch_proj_w has shape \(8, 192\), expected \(192, 8\)$"),
+])
+def test_checkpoint_names_and_shapes_must_match_the_config(tmp_path, edit, message):
+    # the payload holds the right count, so only the weight table can tell
+    params = tiny_params()
+    good = tmp_path / "good.bin"
+    save_checkpoint(good, params)
+    weights = {name: params[name].data for name in params}
+    edit(weights)
+    bad = tmp_path / "bad.bin"
+    bad.write_bytes(_checkpoint_over(good.read_bytes(), weights))
+    with pytest.raises(DataError, match=message):
+        load_checkpoint(bad)
+
+
+def test_checkpoint_loads_without_drawing_a_model(tmp_path, monkeypatch):
+    params = tiny_params(seed=9)
+    path = tmp_path / "ckpt.bin"
+    save_checkpoint(path, params)
+
+    def draw(*args, **kwargs):
+        raise AssertionError("load_checkpoint drew a model")
+
+    monkeypatch.setattr(featmim.model, "init_params", draw)
+    monkeypatch.setattr(np.random, "default_rng", draw)
+    loaded = load_checkpoint(path)
+    assert (loaded.config, loaded.n_patches, loaded.in_channels) == (TINY, 16, 3)
+    assert list(loaded) == list(params)
+    for got, want in ((loaded.flat, params.flat), (loaded.enc_pos, params.enc_pos),
+                      (loaded.dec_pos, params.dec_pos)):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("field", ["enc_depth", "dec_depth"])
+def test_a_deep_model_is_counted_without_walking_its_blocks(tmp_path, field):
+    # 2**40 blocks: the count must not grow with depth, or this would not end
+    deep = {field: 2**40}
+    good = tmp_path / "good.bin"
+    save_checkpoint(good, tiny_params())
+    bad = tmp_path / "bad.bin"
+    bad.write_bytes(_checkpoint_with_header(good.read_bytes(),
+                                            lambda header: header["config"].update(deep)))
+    t0 = time.perf_counter()
+    with pytest.raises(ConfigError, match="more than the bound"):
+        init_elements(ModelConfig(**deep), 16, 3)
+    with pytest.raises(DataError, match="more than the bound"):
+        load_checkpoint(bad)
+    assert time.perf_counter() - t0 < 0.5
 
 
 def test_init_elements_counts_what_init_params_allocates():

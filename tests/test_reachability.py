@@ -3,7 +3,8 @@ method in src/featmim has a caller outside tests/. A caller is a name or
 attribute that refers to it elsewhere in src/ (not inside its own
 definition), in scripts/, or in bench/, where the tracer also binds
 "module.name" strings. A function whose only callers are tests either gets
-a production caller or moves into tests/."""
+a production caller or moves into tests/. Nor does any function body in
+src/featmim import: module dependencies are stated at the top of a module."""
 
 import ast
 import collections
@@ -56,3 +57,12 @@ def test_only_the_allowed_names_lack_a_caller_outside_tests():
         and in_src[node.name] <= _names(node)[node.name])
     assert unreached == sorted(ALLOWED), \
         f"only tests reach {unreached}: give each a caller or move it to tests/"
+
+
+def test_no_function_in_src_imports():
+    # an import inside a body hides a dependency, often a cycle between modules
+    found = [f"{node.name}:{sub.lineno}"
+             for tree in _trees(ROOT / "src" / "featmim") for node in ast.walk(tree)
+             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+             for sub in ast.walk(node) if isinstance(sub, (ast.Import, ast.ImportFrom))]
+    assert not found, f"imports inside function bodies: {found}"

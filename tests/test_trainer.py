@@ -103,6 +103,13 @@ def test_adamw_decoupled_decay_pure_shrink():
     np.testing.assert_allclose(p, 2.0 * (1 - 0.1 * 0.5), rtol=1e-15)
 
 
+def test_adamw_non_finite_update_leaves_the_weights():
+    p = np.array([1.0, 2.0, 3.0], dtype=np.float32)
+    with np.errstate(all="ignore"), pytest.raises(NumericError, match="non-finite update in 0$"):
+        adamw_step(p, np.ones_like(p), OptimizerState(), lr=1e308)
+    assert p.tolist() == [1.0, 2.0, 3.0]
+
+
 def test_adamw_shape_mismatch():
     state = OptimizerState()
     with pytest.raises(ConfigError):
