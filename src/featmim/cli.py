@@ -152,8 +152,6 @@ def cmd_ablate_lambda(args):
         lambdas = [float(v) for v in args.lambdas.split(",") if v != ""]
     except ValueError as e:
         raise ConfigError(f"--lambdas: {e}") from None
-    if len(lambdas) < 2:
-        raise ConfigError("--lambdas needs at least two comma-separated values")
     images = _load_image_dir(args.images, cfg.data.norm_mean, cfg.data.norm_std)
     csv_path = ablate_lambda(cfg, lambdas, images, args.out)
     print(f"ablate-lambda: swept {lambdas} -> {csv_path}")

@@ -8,6 +8,8 @@ consistency) before any command does work.
 import json
 from typing import NamedTuple
 
+import numpy as np
+
 from .errors import ConfigError, check_field_types, finite_number
 from .losses import LossConfig
 from .masking import MaskSpec
@@ -26,9 +28,14 @@ class DataConfig(NamedTuple):
             vals = v if isinstance(v, (list, tuple)) else [v]
             if not all(finite_number(x) for x in vals):
                 raise ConfigError(f"data.{name} must be a finite number or list of them")
-        stds = self.norm_std if isinstance(self.norm_std, (list, tuple)) else [self.norm_std]
-        if any(s == 0 for s in stds):
-            raise ConfigError("data.norm_std must be nonzero")
+        with np.errstate(all="ignore"):  # normalize: (pixel in [0, 1] - mean) / std, float32
+            mean, std = (np.float32(v).reshape(-1) for v in (self.norm_mean, self.norm_std))
+            extremes = (np.float32([0, 1])[:, None, None] - mean[:, None]) / std  # every pair
+        rules = (("norm_mean", mean, "finite"), ("norm_std", std, "finite"),
+                 ("norm_std", extremes, "nonzero and large enough for finite normalized pixels"))
+        for name, v, rule in rules:
+            if not np.isfinite(v).all():
+                raise ConfigError(f"data.{name} must be {rule} in float32")
 
 
 class RunConfig(NamedTuple):  # sections are immutable, so one default instance serves all

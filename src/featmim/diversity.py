@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError, DataError, NumericError
+from .errors import DataError, NumericError
 
 
 class DiversityReport(NamedTuple):
@@ -40,8 +40,6 @@ def _unit_rows(y):
 def pairwise_cosine(y):
     """Full K x K cosine matrix, unit diagonal. Exactly symmetric: numpy
     computes u @ u.T as one SYRK and mirrors the triangle."""
-    if y.shape[0] < 2:
-        raise ConfigError("pairwise cosine needs at least two tokens")
     u = _unit_rows(y)
     return u @ u.T
 

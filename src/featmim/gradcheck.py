@@ -16,7 +16,7 @@ from .losses import LossConfig
 from .masking import MaskSpec, generate_mask
 from .model import ModelConfig, init_params
 from .synth import synthetic_image
-from .teacher import TeacherSpec, make_teacher
+from .teacher import TeacherSpec
 from .tensor import Tape, backward
 from .trainer import FeatureCache, step_losses
 
@@ -61,8 +61,7 @@ def grad_check(cfg, h=1e-5, floor=1e-6, in_channels=3, batch_size=1):
     idx = list(range(batch_size))
     images = [(f"gradcheck{b}" if b else "gradcheck", synthetic_image(
         cfg.mask.image_side, in_channels, seed=cfg.train.seed + b, dtype=np.float64)) for b in idx]
-    cache = FeatureCache(make_teacher(cfg.teacher, in_channels=in_channels),
-                         cfg.model.patch_side, images)
+    cache = FeatureCache(cfg, images)
     masks = generate_mask(cfg.mask, [cfg.mask.seed + b for b in idx])
 
     params = init_params(cfg.model, cfg.mask.image_side, in_channels,

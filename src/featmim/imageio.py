@@ -96,7 +96,7 @@ def write_ppm(path, array):
 
 
 def normalize(image, mean=0.5, std=0.5):
-    """Per-channel (x - mean) / std. mean and std, the run config's
+    """Per-channel (x - mean) / std in float32. mean and std, the run config's
     data.norm_mean and data.norm_std, hold one value or one per channel."""
     mean = np.asarray(mean, dtype=np.float32).reshape(-1, 1, 1)
     std = np.asarray(std, dtype=np.float32).reshape(-1, 1, 1)
@@ -106,8 +106,6 @@ def normalize(image, mean=0.5, std=0.5):
             needs = "1" if c == 1 else f"1 or {c}"
             raise ConfigError(f"data.{name} holds {len(v)} values for {c}-channel images; "
                               f"it needs {needs}")
-    if np.any(std == 0):
-        raise DataError("normalization std must be nonzero")
     return (image - mean) / std
 
 

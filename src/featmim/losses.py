@@ -16,7 +16,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import tensor as tn
-from .errors import ConfigError, DegenerateMaskError, ShapeError
+from .errors import ConfigError
 from .tensor import Tensor
 
 
@@ -57,10 +57,6 @@ def patch_loss(z, rows, tokens, beta, channel_reduce="mean"):
     images stacked image by image; rows is [B, M], the batch's masked rows.
     """
     b, rows = len(rows), rows.reshape(-1)
-    if len(rows) == 0:
-        raise DegenerateMaskError("patch loss needs at least one masked patch")
-    if z.data.shape != tokens.shape:
-        raise ShapeError(f"predictions {z.data.shape} do not match teacher tokens {tokens.shape}")
     y_m = tokens[rows]
     return _batch_mean(lambda scale: tn.masked_smooth_l1(z, rows, y_m, beta, scale),
                        y_m, b, channel_reduce)
@@ -73,11 +69,7 @@ def global_loss(p_h, means, beta, channel_reduce="mean"):
     p_h is [B*V, D], the projected visible tokens of B images stacked
     image by image; means is [B, D], each image's mean over all its tokens.
     """
-    (b, dim), (rows, width) = means.shape, p_h.data.shape
-    if rows == 0:
-        raise DegenerateMaskError("global loss needs at least one visible patch")
-    if rows % b or width != dim:
-        raise ShapeError(f"projected tokens {p_h.data.shape} do not fit teacher means {means.shape}")
+    b = len(means)
     return _batch_mean(lambda scale: tn.pooled_smooth_l1(p_h, b, means, beta, scale),
                        means, b, channel_reduce)
 

@@ -94,8 +94,7 @@ def generate_mask(spec: MaskSpec, seeds):
     """One block-wise mask per seed, as the batch's rows: (masked, visible),
     sorted int64 [B, M] and [B, V], with row b * N + i for patch i of mask b
     (N = grid_side**2), the rows of the batch's patch tokens stacked image
-    by image. Deterministic for a given spec and seeds."""
-    spec.validate()
+    by image. Deterministic for a given spec and seeds; MaskSpec.validate vets the spec."""
     n_blocks, n_masked_blocks = spec.n_blocks, spec.n_masked_blocks
     # each mask takes the first n_masked_blocks of a full shuffle of the blocks
     chosen = np.zeros((len(seeds), n_blocks), dtype=bool)

@@ -25,8 +25,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import tensor as tn
-from .errors import (ConfigError, DataError, DegenerateMaskError, ShapeError,
-                     check_field_types)
+from .errors import ConfigError, DataError, check_field_types
 from .tensor import Tensor, read_bytes, tvec_bytes, tvec_from_bytes, write_atomic
 
 CHECKPOINT_MAGIC = b"FMCK"
@@ -142,9 +141,6 @@ def init_elements(config: ModelConfig, n_patches, in_channels):
 
 def init_params(config: ModelConfig, image_side, in_channels, seed, dtype=np.float32):
     """Fresh parameters, drawn from one generator in the table's order."""
-    config.validate()
-    if image_side % config.patch_side:
-        raise ConfigError(f"image side {image_side} not divisible by patch {config.patch_side}")
     rng = np.random.default_rng(seed)
     arrays = {}
     for name, shape, init in _weights(config, in_channels):
@@ -161,8 +157,6 @@ def init_params(config: ModelConfig, image_side, in_channels, seed, dtype=np.flo
 def patchify(image, patch_side):
     """Row-major non-overlapping patches: [C, H, W] -> [N, C * patch**2]."""
     c, h, w = image.shape
-    if h % patch_side or w % patch_side:
-        raise ShapeError(f"image {h}x{w} not divisible by patch side {patch_side}")
     gh, gw = h // patch_side, w // patch_side
     x = image.reshape(c, gh, patch_side, gw, patch_side)
     return x.transpose(1, 3, 0, 2, 4).reshape(gh * gw, c * patch_side**2)
@@ -212,11 +206,7 @@ def encode_visible(tokens, vis_rows, params: ModelParams):
     visible rows (the second array masking.generate_mask returns).
     """
     cfg = params.config
-    (b, n_vis), n = vis_rows.shape, params.n_patches
-    if len(tokens.data) != b * n:
-        raise ShapeError(f"{len(tokens.data)} token rows for {b} masks of {n} patches")
-    if n_vis == 0:
-        raise DegenerateMaskError("encoder needs at least one visible token")
+    b, n = len(vis_rows), params.n_patches
     # row b*n of the gather reads CLS: it goes ahead of each image's tokens
     rows = np.concatenate([np.full((b, 1), b * n), vis_rows], axis=1) if cfg.use_cls else vis_rows
     x = tn.gather_rows(tokens, rows.reshape(-1), params["cls_token"] if cfg.use_cls else None)
@@ -350,6 +340,8 @@ def load_checkpoint(path):
             name = blob[off + 4:end].decode()
         except UnicodeDecodeError:
             raise DataError(f"{path}: parameter name at byte {off} is not UTF-8") from None
+        if name in weights:
+            raise DataError(f"{path}: parameter {name} appears twice, again at byte {off}")
         arr, off = tvec_from_bytes(blob, label=f"{path}:{name}", offset=end)
         weights[name] = arr
     n_read = sum(arr.size for arr in weights.values())

@@ -98,7 +98,6 @@ def align_input(image, student_patch_side, teacher_downsample):
     """
     if teacher_downsample is None:
         return image
-    check_alignment(teacher_downsample, student_patch_side)
     factor = teacher_downsample // student_patch_side
     if factor == 1:
         return image
@@ -143,8 +142,6 @@ class ProceduralConvTeacher:
 
     def __init__(self, target_dim, downsample_rate=8, seed=0, l2_normalize=False,
                  in_channels=3):
-        if downsample_rate < 2 or downsample_rate & (downsample_rate - 1):
-            raise ConfigError("downsample_rate must be a power of two >= 2")
         self.target_dim = target_dim
         self.downsample_rate = downsample_rate
         self.l2_normalize = l2_normalize

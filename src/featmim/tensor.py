@@ -24,7 +24,7 @@ import struct
 
 import numpy as np
 
-from .errors import ConfigError, DataError, NumericError, ShapeError
+from .errors import DataError, NumericError, ShapeError
 
 GELU_C = float(np.sqrt(2.0 / np.pi))
 GELU_A = 0.044715
@@ -302,8 +302,6 @@ def _smooth_l1(d, beta, scale):
     """scale * sum(smooth_l1(d)), smooth_l1(d) = 0.5*d^2/beta for |d| < beta and
     |d| - 0.5*beta otherwise (C1 at |d| = beta), scale rounded to d's dtype.
     Returns (that scalar, smooth_l1(d), grad_d: the scalar's gradient to d's)."""
-    if beta <= 0:
-        raise ConfigError("smooth-L1 beta must be positive")
     inside = np.abs(d) < beta
     c = 0.5 / beta
     elem = np.where(inside, d * d * c, np.abs(d) - 0.5 * beta)

@@ -71,8 +71,6 @@ def scaled_lr(base_lr, batch_size):
 def lr_at(t, cfg: TrainConfig):
     """Learning rate at fractional epoch t: linear ramp to the scaled peak
     over the warmup, then cosine decay to exactly zero at total_epochs."""
-    if not 0 <= t <= cfg.total_epochs:
-        raise ConfigError(f"epoch {t} outside [0, {cfg.total_epochs}]")
     peak = scaled_lr(cfg.base_lr, cfg.batch_size)
     if t < cfg.warmup_epochs:
         return peak * t / cfg.warmup_epochs
@@ -95,8 +93,6 @@ def adamw_step(params, grads, state: OptimizerState, lr, *,
     elementwise as p -= lr * (m_hat / (sqrt(v_hat) + eps) + wd * p). An
     update with a non-finite element leaves the weights as they were and
     raises a NumericError naming name_at(its first such offset)."""
-    if grads.shape != params.shape:
-        raise ConfigError(f"gradient has shape {grads.shape}, parameters {params.shape}")
     if state.m is None:
         state.m, state.v = np.zeros_like(params), np.zeros_like(params)
         state.scratch = (np.empty_like(params), np.empty_like(params))
@@ -158,12 +154,16 @@ class TrainResult(NamedTuple):
 class FeatureCache:
     """The corpus as read-only arrays, one get per image, stacked once in the
     order given: patch rows [I, N, C * patch**2], teacher tokens [I, N, D]
-    and mean tokens [I, D]. A DataError names an image whose teacher tokens
-    do not pair one to one with its student patches."""
+    and mean tokens [I, D], the tokens from the config's teacher. A ConfigError
+    when the teacher's width is not model.target_dim; a DataError names an
+    image whose teacher tokens do not pair one to one with its student patches."""
 
-    def __init__(self, teacher, patch_side, images):
-        self.teacher = teacher
-        self.patch_side = patch_side
+    def __init__(self, cfg, images):
+        self.teacher = make_teacher(cfg.teacher, in_channels=images[0][1].shape[0])
+        if self.teacher.target_dim != cfg.model.target_dim:
+            raise ConfigError(f"teacher target_dim {self.teacher.target_dim} != model target_dim "
+                              f"{cfg.model.target_dim}")
+        self.patch_side = cfg.model.patch_side
         rows = [self.get(image_id, image) for image_id, image in images]
         self.patches, self.tokens, self.means = arrays = [np.stack(a) for a in zip(*rows)]
         for a in arrays:
@@ -213,12 +213,7 @@ def train(cfg, images, out_dir):
         raise ConfigError(
             f"total_epochs {tc.total_epochs} yields zero optimizer steps")
 
-    teacher = make_teacher(cfg.teacher, in_channels=in_channels)
-    if teacher.target_dim != cfg.model.target_dim:
-        raise ConfigError(
-            f"teacher target_dim {teacher.target_dim} != model target_dim "
-            f"{cfg.model.target_dim}")
-    cache = FeatureCache(teacher, cfg.model.patch_side, images)  # a misfit writes nothing
+    cache = FeatureCache(cfg, images)  # a misfit writes nothing
 
     os.makedirs(out_dir, exist_ok=True)
     cfg.save(os.path.join(out_dir, "config.json"))

@@ -180,6 +180,27 @@ def test_norm_list_of_wrong_length_exits_2(tmp_path, image_dir, capsys, field, l
         assert not out.exists()
 
 
+@pytest.mark.parametrize("data,field", [
+    ({"norm_std": 1e-320}, "norm_std"),  # zero in float32
+    ({"norm_std": [0.5, 1e-320, 0.5]}, "norm_std"),
+    ({"norm_std": 1e-40}, "norm_std"),  # nonzero in float32, but 0.5 / std overflows
+    ({"norm_std": 1e300}, "norm_std"),  # inf in float32: all-zero images
+    ({"norm_mean": 1e300}, "norm_mean"),  # inf in float32: all-NaN features
+], ids=["std_zero", "std_list_zero", "std_tiny", "std_huge", "mean_huge"])
+def test_norm_constants_are_checked_in_float32(tmp_path, image_dir, capsys, data, field):
+    # normalize computes in float32, so the config is checked in float32
+    cfg = write_config(tmp_path, data=data)
+    for command in ("pretrain", "dump-features"):
+        out = tmp_path / command
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main([command, "--config", str(cfg), "--images", str(image_dir),
+                         "--out", str(out)])
+        assert code == 2, command
+        assert f"config error: data.{field} must be" in capsys.readouterr().err
+        assert not caught and not out.exists()
+
+
 def test_missing_images_exits_3(tmp_path):
     empty = tmp_path / "empty"
     empty.mkdir()
@@ -700,6 +721,26 @@ def test_grad_check_seed_flag(tmp_path):
     assert json.loads(report_path.read_text()) == {
         "max_rel_err": direct.max_rel_err, "worst_param": direct.worst_param,
         "n_parameters": direct.n_parameters, "per_param": direct.per_param}
+
+
+def test_grad_check_file_teacher_width_mismatch_exits_2(tmp_path, capsys):
+    # a dump 8 wide for NANO_GRAD_CHECK's model of target_dim 4: grad-check
+    # names both widths, as pretrain does, before any loss runs
+    images, feats = tmp_path / "images", tmp_path / "feats"
+    images.mkdir()
+    write_ppm(images / "gradcheck.ppm", synthetic_image(8, 3, seed=0))
+    assert main(["dump-features", "--images", str(images), "--out", str(feats),
+                 "--downsample", "4", "--patch-side", "4", "--target-dim", "8"]) == 0
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(dict(NANO_GRAD_CHECK,
+                                   teacher={"kind": "file", "features_dir": str(feats)})))
+    capsys.readouterr()
+    report, run = tmp_path / "report.json", tmp_path / "run"
+    for argv in (["grad-check", "--out", str(report)],
+                 ["pretrain", "--images", str(images), "--out", str(run)]):
+        assert main(argv + ["--config", str(cfg)]) == 2
+        assert "config error: teacher target_dim 8 != model target_dim 4" in capsys.readouterr().err
+    assert not report.exists() and not run.exists()
 
 
 def test_grad_check_with_file_teacher(tmp_path):

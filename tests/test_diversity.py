@@ -8,7 +8,7 @@ from hypothesis.extra.numpy import arrays
 
 from conftest import ordered_pair_similarity
 from featmim.diversity import corpus_diversity, pairwise_cosine, sample_similarity
-from featmim.errors import ConfigError, DataError, NumericError
+from featmim.errors import DataError, NumericError
 
 
 def feats(tokens):
@@ -72,8 +72,9 @@ def test_pairwise_rejects_zero_norm():
 
 
 def test_pairwise_rejects_single_token():
-    with pytest.raises(ConfigError):
-        pairwise_cosine(np.array([[1.0, 0.0]]))
+    # the corpus checks the token count before any sample's cosines
+    with pytest.raises(DataError, match="at least two tokens per sample"):
+        corpus_diversity([feats([[1.0, 0.0]])])
 
 
 def test_similarity_identical_is_one():

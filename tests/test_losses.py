@@ -5,9 +5,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from featmim import tensor as tn
-from featmim.errors import ConfigError, DegenerateMaskError, ShapeError
+from featmim.config import RunConfig
+from featmim.errors import ConfigError, DegenerateMaskError
 from featmim.losses import LossConfig, global_loss, patch_loss, total_loss
+from featmim.synth import synthetic_image
 from featmim.tensor import Tape, Tensor, backward
+from featmim.trainer import FeatureCache
 
 
 def scalar(x):
@@ -35,8 +38,10 @@ def test_smooth_l1_continuity_at_beta():
 
 
 def test_smooth_l1_rejects_bad_beta():
-    with pytest.raises(ConfigError):
-        smooth_l1(1.0, 0.0)
+    # the loss config is the one home of the rule; the loss nodes trust it
+    for beta in (0.0, -1.0):
+        with pytest.raises(ConfigError, match="beta must be positive"):
+            RunConfig(loss=LossConfig(beta=beta)).validate()
 
 
 @given(st.floats(-50, 50), st.sampled_from([0.5, 1.0, 2.0]))
@@ -89,14 +94,18 @@ def test_patch_loss_ignores_visible_slots():
 
 
 def test_patch_loss_empty_mask_rejected():
-    with pytest.raises(DegenerateMaskError):
-        patch_loss(Tensor(np.zeros((4, 2))), np.zeros((1, 0), dtype=np.int64),
-                   np.zeros((4, 2)), 2.0)
+    # 0.1 of 4 blocks rounds to none masked: the mask spec is rejected first
+    with pytest.raises(DegenerateMaskError, match="zero masked blocks"):
+        RunConfig(mask=RunConfig().mask._replace(mask_ratio=0.1)).validate()
 
 
 def test_patch_loss_shape_mismatch():
-    with pytest.raises(ShapeError):
-        patch_loss(Tensor(np.zeros((4, 3))), np.array([[0]]), np.zeros((4, 2)), 2.0)
+    # predictions are model.target_dim wide: a teacher of another width is
+    # rejected where the corpus is built, before any loss runs
+    cfg = RunConfig()
+    cfg = cfg._replace(teacher=cfg.teacher._replace(target_dim=32))
+    with pytest.raises(ConfigError, match="teacher target_dim 32 != model target_dim 16"):
+        FeatureCache(cfg, [("img", synthetic_image(32, 3, seed=0))])
 
 
 def test_patch_loss_permutation_invariant_over_masked():
@@ -162,15 +171,9 @@ def test_global_loss_permutation_invariant():
 
 
 def test_global_loss_empty_visible_rejected():
-    with pytest.raises(DegenerateMaskError):
-        global_loss(Tensor(np.zeros((0, 2))), np.zeros((1, 2)), 2.0)
-
-
-@pytest.mark.parametrize("p_shape", [(5, 2), (6, 3)])
-def test_global_loss_shape_mismatch(p_shape):
-    # two images: 5 rows do not split into two blocks; width 3 is not D = 2
-    with pytest.raises(ShapeError):
-        global_loss(Tensor(np.zeros(p_shape)), np.zeros((2, 2)), 2.0)
+    # 0.9 of 4 blocks rounds to all masked: the mask spec is rejected first
+    with pytest.raises(DegenerateMaskError, match="all 4 blocks masked"):
+        RunConfig(mask=RunConfig().mask._replace(mask_ratio=0.9)).validate()
 
 
 def test_total_loss_arithmetic():

@@ -39,7 +39,7 @@ def test_different_seed_differs():
 
 def test_all_masked_is_degenerate_error():
     with pytest.raises(DegenerateMaskError):
-        generate_mask(MaskSpec(224, 16, 32, mask_ratio=0.99, seed=0), [0])
+        MaskSpec(224, 16, 32, mask_ratio=0.99, seed=0).validate()
 
 
 @pytest.mark.parametrize("ratio, message", [(0.01, "zero masked blocks of 49"),
@@ -51,15 +51,15 @@ def test_spec_needs_a_masked_and_a_visible_block(ratio, message):
 
 def test_divisibility_violations_rejected():
     with pytest.raises(ConfigError):
-        generate_mask(MaskSpec(224, 16, 24, 0.6, 0), [0])  # block not multiple of patch
+        MaskSpec(224, 16, 24, 0.6, 0).validate()  # block not multiple of patch
     with pytest.raises(ConfigError):
-        generate_mask(MaskSpec(200, 16, 32, 0.6, 0), [0])  # image not multiple of block
+        MaskSpec(200, 16, 32, 0.6, 0).validate()  # image not multiple of block
 
 
 def test_ratio_bounds_rejected():
     for r in (0.0, 1.0, -0.1, 1.5):
         with pytest.raises(ConfigError):
-            generate_mask(MaskSpec(64, 16, 32, r, 0), [0])
+            MaskSpec(64, 16, 32, r, 0).validate()
 
 
 def test_index_sets_partition_patch_range():

@@ -93,10 +93,10 @@ def test_encode_full_visible():
 
 
 def test_encode_rejects_no_visible():
-    params = tiny_params()
-    tokens = patch_embed(patches_of(synthetic_image(32, 3, seed=1)), params)
-    with pytest.raises(DegenerateMaskError):
-        encode_visible(tokens, np.zeros((1, 0), dtype=np.int64), params)
+    # a mask spec that leaves no block visible never reaches the encoder
+    mask = MaskSpec(32, 8, 16, mask_ratio=0.9, seed=0)
+    with pytest.raises(DegenerateMaskError, match="the encoder needs a visible one"):
+        RunConfig(mask=mask).validate()
 
 
 def test_masked_content_never_reaches_the_model():
@@ -383,6 +383,18 @@ def test_checkpoint_rejects_malformed_layout(tmp_path, case, message):
     bad = tmp_path / "bad.bin"
     bad.write_bytes(_checkpoint_with(good.read_bytes(), case))
     with pytest.raises(DataError, match=message):
+        load_checkpoint(bad)
+
+
+def test_checkpoint_rejects_a_repeated_parameter(tmp_path):
+    # a second cls_token record of 7.0s would replace the first one
+    good, bad = tmp_path / "good.bin", tmp_path / "bad.bin"
+    save_checkpoint(good, tiny_params())
+    record = (struct.pack("<I", len(b"cls_token")) + b"cls_token"
+              + tvec_bytes(np.full(TINY.embed_dim, 7.0, dtype=np.float32)))
+    bad.write_bytes(good.read_bytes() + record)
+    with pytest.raises(DataError, match=f"bad.bin: parameter cls_token appears twice, "
+                                        f"again at byte {len(good.read_bytes())}"):
         load_checkpoint(bad)
 
 

@@ -4,7 +4,9 @@ attribute that refers to it elsewhere in src/ (not inside its own
 definition), in scripts/, or in bench/, where the tracer also binds
 "module.name" strings. A function whose only callers are tests either gets
 a production caller or moves into tests/. Nor does any function body in
-src/featmim import: module dependencies are stated at the top of a module."""
+src/featmim import: module dependencies are stated at the top of a module.
+And a config record's validate() runs only at the boundaries that take
+outside input: code below them trusts the rules they checked."""
 
 import ast
 import collections
@@ -14,6 +16,11 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 # name -> why it stays without a caller outside tests
 ALLOWED = {"load_checkpoint": "ROADMAP item 3's --resume"}
+
+# where a validate() call may stand: the CLI, RunConfig.validate (each
+# section's), and the entry points that scripts and the CLI call
+VALIDATE_HOMES = {"cli", "config.RunConfig.validate", "trainer.train", "trainer.ablate_lambda",
+                  "gradcheck.grad_check", "teacher.make_teacher", "model.load_checkpoint"}
 
 
 def _trees(directory):
@@ -66,3 +73,26 @@ def test_no_function_in_src_imports():
              if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
              for sub in ast.walk(node) if isinstance(sub, (ast.Import, ast.ImportFrom))]
     assert not found, f"imports inside function bodies: {found}"
+
+
+def _scopes(tree, module):
+    """(dotted name, node) of each module-level statement; a class's
+    statements come one by one, named under the class."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                yield f"{module}.{node.name}.{getattr(item, 'name', '')}", item
+        else:
+            yield f"{module}.{getattr(node, 'name', '')}", node
+
+
+def test_records_are_validated_only_at_the_boundaries():
+    # a second validate() below a boundary restates a rule the boundary checked
+    found = [f"{name}:{sub.lineno}"
+             for path in sorted((ROOT / "src" / "featmim").glob("*.py"))
+             for name, node in _scopes(ast.parse(path.read_text()), path.stem)
+             if path.stem not in VALIDATE_HOMES and name not in VALIDATE_HOMES
+             for sub in ast.walk(node)
+             if isinstance(sub, ast.Call) and isinstance(sub.func, ast.Attribute)
+             and sub.func.attr == "validate"]
+    assert not found, f"validate() called below the boundaries: {found}"

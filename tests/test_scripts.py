@@ -62,10 +62,12 @@ def test_compare_teachers(tmp_path):
 
 
 def test_calls_per_step_repeats_exactly(tmp_path):
-    # two readings of one tree agree to the call, on both recipes
+    # two readings of one tree agree to the call, on both recipes; a step
+    # records 54 tape ops on the default recipe and 46 on the plain path
     first, second = (run_script("calls_per_step.py", "--steps", "2", cwd=tmp_path)
                      for _ in range(2))
-    assert [r.split()[0] for r in first.splitlines()[1:]] == ["overfit-b8", "plain-b1"]
+    rows = [r.split() for r in first.splitlines()[1:]]
+    assert [(r[0], r[2]) for r in rows] == [("overfit-b8", "54.0"), ("plain-b1", "46.0")]
     assert first == second
 
 

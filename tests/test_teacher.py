@@ -3,10 +3,11 @@ import pytest
 
 import featmim.teacher
 from conftest import four_corner_resize, window_conv2d_stride2
+from featmim.config import RunConfig
 from featmim.errors import ConfigError, DataError
 from featmim.synth import synthetic_image
 from featmim.teacher import (FileTeacher, ProceduralConvTeacher, TeacherSpec,
-                             _conv2d_stride2, align_input, bilinear_resize,
+                             _conv2d_stride2, align_input, bilinear_resize, check_alignment,
                              dump_features, load_feature_dir, make_teacher)
 
 
@@ -35,11 +36,16 @@ def test_align_small_case():
 
 
 def test_align_non_integer_factor_rejected():
-    img = synthetic_image(32, 3, seed=0)
-    with pytest.raises(ConfigError):
-        align_input(img, 16, 24)
-    with pytest.raises(ConfigError):
-        align_input(img, 16, 8)  # downsample below patch side
+    # align_input trusts the rule; the run config and dump-features check it
+    with pytest.raises(ConfigError, match="grids cannot align"):
+        check_alignment(24, 16)
+    with pytest.raises(ConfigError, match="grids cannot align"):
+        check_alignment(8, 16)  # downsample below patch side
+    cfg = RunConfig()
+    with pytest.raises(ConfigError, match="teacher.downsample_rate 8 is not divisible by "
+                                          "model.patch_side 16"):
+        cfg._replace(model=cfg.model._replace(patch_side=16),
+                     mask=cfg.mask._replace(patch_side=16)).validate()
 
 
 def test_alignment_invariant_token_count():
