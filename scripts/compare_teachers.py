@@ -50,7 +50,7 @@ def main():
                               total_epochs=float(args.steps), seed=0),
             teacher=spec).validate()
         result = train(cfg, images, os.path.join(tdir, "run"))
-        print(f"{f'conv(seed={seed})':>12} {report.diver:>10.4f} "
+        print(f"{f'conv(seed={seed})':>12} {report['diver']:>10.4f} "
               f"{result.final_l_patch:>14.5f}")
 
 

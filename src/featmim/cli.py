@@ -95,13 +95,11 @@ def cmd_diversity(args):
     samples = load_feature_dir(args.features)
     try:
         report = corpus_diversity(samples)
-    except DataError as e:
-        raise DataError(f"{args.features}: {e}") from None
-    write_atomic(args.out, json.dumps(
-        {"n": report.n_samples, "k": report.tokens_per_sample,
-         "diver": report.diver, "per_sample": report.per_sample}, indent=1))
-    print(f"diversity: {report.diver:.6f} over {report.n_samples} samples "
-          f"({report.tokens_per_sample} tokens each)")
+    except (DataError, NumericError) as e:
+        raise type(e)(f"{args.features}: {e}") from None
+    write_atomic(args.out, json.dumps(report, indent=1))
+    print(f"diversity: {report['diver']:.6f} over {report['n']} samples "
+          f"({report['k']} tokens each)")
     return 0
 
 
@@ -114,7 +112,10 @@ def cmd_heatmap(args):
     grid = math.isqrt(tokens.shape[0])
     if grid == 0 or grid * grid != tokens.shape[0]:
         raise DataError(f"{args.features}: {tokens.shape[0]} tokens is not a square grid")
-    render_pgm(heatmap(tokens, args.query), args.query, args.out)
+    try:
+        render_pgm(heatmap(tokens, args.query), args.query, args.out)
+    except NumericError as e:
+        raise NumericError(f"{args.features}: {e}") from None
     print(f"heatmap: query {args.query} on a {grid}x{grid} grid -> {args.out}")
     return 0
 
@@ -136,14 +137,11 @@ def cmd_grad_check(args):
             raise ConfigError(f"{flag} must be finite and positive, got {value!r}")
     report = grad_check(_resolved_config(args, default=tiny_run_config), h=args.h)
     if args.out:
-        write_atomic(args.out, json.dumps(
-            {"max_rel_err": report.max_rel_err, "worst_param": report.worst_param,
-             "n_parameters": report.n_parameters, "per_param": report.per_param},
-            indent=1))
-    status = "PASS" if report.passed(args.tolerance) else "FAIL"
-    print(f"grad-check: {status} max rel err {report.max_rel_err:.3e} "
-          f"({report.worst_param}) over {report.n_parameters} parameters")
-    return 0 if report.passed(args.tolerance) else 4
+        write_atomic(args.out, json.dumps(report, indent=1))
+    passed = report["max_rel_err"] < args.tolerance
+    print(f"grad-check: {'PASS' if passed else 'FAIL'} max rel err {report['max_rel_err']:.3e} "
+          f"({report['worst_param']}) over {report['n_parameters']} parameters")
+    return 0 if passed else 4
 
 
 def cmd_ablate_lambda(args):

@@ -101,6 +101,6 @@ def load_run_config(path):
     blob = read_bytes(path, "config")
     try:
         doc = json.loads(blob.decode())
-    except ValueError as e:  # also non-UTF-8 bytes and over-long integers
+    except (ValueError, RecursionError) as e:  # also non-UTF-8, long integers, deep nesting
         raise ConfigError(f"config {path} is not valid JSON: {e}") from None
     return run_config_from_dict(doc)

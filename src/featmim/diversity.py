@@ -15,25 +15,18 @@ orthogonal tokens score 0.
 """
 
 import math
-from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DataError, NumericError
 
 
-class DiversityReport(NamedTuple):
-    per_sample: list  # sim_n in [0, 1], one per sample
-    diver: float
-    n_samples: int
-    tokens_per_sample: int
-
-
 def _unit_rows(y):
     y = np.asarray(y, dtype=np.float64)
     norms = np.linalg.norm(y, axis=1)
-    if np.any(norms == 0):
-        raise NumericError("cosine similarity undefined for a zero-norm token")
+    if not norms.all():  # norms are >= 0: argmin is the first zero-norm row
+        raise NumericError("cosine similarity undefined for a zero-norm token "
+                           f"(row {np.argmin(norms)})")
     return y / norms[:, None]
 
 
@@ -62,7 +55,10 @@ def sample_similarity(y, pairs=None):
 
 
 def corpus_diversity(samples):
-    """Diversity report over a corpus of token arrays [K, D], one per sample."""
+    """Diversity report over a corpus of token arrays [K, D], one per sample:
+    {"n": samples, "k": tokens per sample, "diver": corpus diversity,
+    "per_sample": each sample's similarity in [0, 1]}. A zero-norm token is
+    a NumericError naming its sample's position."""
     if not samples:
         raise DataError("diversity needs a non-empty corpus")
     ks = {len(s) for s in samples}
@@ -72,7 +68,11 @@ def corpus_diversity(samples):
     if k < 2:
         raise DataError("diversity needs at least two tokens per sample")
     pairs = _pair_offsets(k)  # built once for the whole corpus
-    sims = [sample_similarity(s, pairs) for s in samples]
-    diver = 1.0 - math.fsum(sims) / len(sims)
-    return DiversityReport(per_sample=sims, diver=diver,
-                           n_samples=len(sims), tokens_per_sample=k)
+    sims = []
+    for i, s in enumerate(samples):
+        try:
+            sims.append(sample_similarity(s, pairs))
+        except NumericError as e:
+            raise NumericError(f"sample {i}: {e}") from None
+    return {"n": len(sims), "k": k, "diver": 1.0 - math.fsum(sims) / len(sims),
+            "per_sample": sims}

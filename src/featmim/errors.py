@@ -1,8 +1,9 @@
 """Exception hierarchy shared by all featmim modules, and the field type
 check every config record read from a file goes through.
 
-The CLI maps these onto exit codes: ConfigError -> 2, DataError -> 3,
-NumericError -> 4. Anything else is a bug and propagates as a traceback.
+Three classes can be caught, each mapped by the CLI onto an exit code:
+ConfigError -> 2, DataError -> 3, NumericError -> 4. FeatmimError is only
+their common base. Anything else is a bug and propagates as a traceback.
 """
 
 import sys
@@ -14,15 +15,7 @@ class FeatmimError(Exception):
 
 
 class ConfigError(FeatmimError):
-    """Invalid configuration or violated precondition derivable from config."""
-
-
-class ShapeError(ConfigError):
-    """Tensor shapes do not satisfy an operation's contract."""
-
-
-class DegenerateMaskError(ConfigError):
-    """A mask left no visible (or no masked) patches where some are required."""
+    """Invalid configuration or a violated precondition (a shape, a degenerate mask)."""
 
 
 class DataError(FeatmimError):

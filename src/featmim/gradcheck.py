@@ -6,8 +6,6 @@ differences. Relative error uses max(|analytic|, |numeric|, floor) in the
 denominator so near-zero gradients do not blow up the ratio.
 """
 
-from typing import NamedTuple
-
 import numpy as np
 
 from .config import RunConfig
@@ -19,16 +17,6 @@ from .synth import synthetic_image
 from .teacher import TeacherSpec
 from .tensor import Tape, backward
 from .trainer import FeatureCache, step_losses
-
-
-class GradCheckReport(NamedTuple):
-    per_param: dict  # name -> max relative error over its elements
-    max_rel_err: float
-    worst_param: str
-    n_parameters: int
-
-    def passed(self, tolerance=1e-4):
-        return self.max_rel_err < tolerance
 
 
 def tiny_run_config():
@@ -53,6 +41,9 @@ def grad_check(cfg, h=1e-5, floor=1e-6, in_channels=3, batch_size=1):
     images, so the check covers exactly the batched composition that
     training differentiates. Image and mask seeds count up from the
     config's; a file teacher serves the ids "gradcheck", "gradcheck1", ...
+    Returns {"max_rel_err": the largest relative error, "worst_param": its
+    parameter, "n_parameters": the weight count, "per_param": each
+    parameter's largest relative error}, the `grad-check --out` JSON.
     """
     cfg.validate()
     if cfg.model.embed_dim > 16:
@@ -86,5 +77,5 @@ def grad_check(cfg, h=1e-5, floor=1e-6, in_channels=3, batch_size=1):
                  for (name, t), end in zip(params.items(), params.ends)}
 
     worst = max(per_param, key=per_param.get)
-    return GradCheckReport(per_param=per_param, max_rel_err=per_param[worst],
-                           worst_param=worst, n_parameters=flat.size)
+    return {"max_rel_err": per_param[worst], "worst_param": worst,
+            "n_parameters": flat.size, "per_param": per_param}

@@ -1,4 +1,4 @@
-"""Masked-patch regression loss, global semantic loss, and their weighted sum.
+"""Masked-patch regression loss and global semantic loss.
 
 Both losses are smooth-L1 regressions against frozen teacher tokens. The
 patch loss covers masked positions only; the global loss compares the mean
@@ -6,18 +6,16 @@ projected visible token with the mean of all teacher tokens, so it is
 invariant to shifting both sides by the same constant.
 
 Each loss is one tape node over a batch of images at once; it takes the
-batch as stacked arrays (trainer.step_losses stacks them) and returns the
-taped batch mean together with the per-image losses it averages.
+batch as stacked arrays (trainer.step_losses stacks them and weights their
+sum) and returns the pair (loss, per_image): the taped batch mean, a scalar
+tensor, and the [B] untaped per-image losses it averages, in the loss dtype.
 """
 
 import math
 from typing import NamedTuple
 
-import numpy as np
-
 from . import tensor as tn
 from .errors import ConfigError
-from .tensor import Tensor
 
 
 class LossConfig(NamedTuple):
@@ -34,11 +32,6 @@ class LossConfig(NamedTuple):
             raise ConfigError(f"unknown channel_reduce {self.channel_reduce!r}")
 
 
-class BatchLoss(NamedTuple):
-    loss: Tensor  # taped scalar, the mean of the per-image losses
-    per_image: np.ndarray  # [B] untaped, in the loss dtype
-
-
 def _batch_mean(node, target, batch, channel_reduce):
     # mean over each image's rows, channels reduced per config. Images have
     # equal row counts, so the loss node takes the batch mean as one sum
@@ -46,8 +39,7 @@ def _batch_mean(node, target, batch, channel_reduce):
     rows, dim = target.shape
     count = rows // batch * (dim if channel_reduce == "mean" else 1)
     loss, elem = node(1.0 / (batch * count))
-    per_image = elem.reshape(batch, -1).sum(axis=1) * elem.dtype.type(1.0 / count)
-    return BatchLoss(loss, per_image)
+    return loss, elem.reshape(batch, -1).sum(axis=1) * elem.dtype.type(1.0 / count)
 
 
 def patch_loss(z, rows, tokens, beta, channel_reduce="mean"):
@@ -72,7 +64,3 @@ def global_loss(p_h, means, beta, channel_reduce="mean"):
     b = len(means)
     return _batch_mean(lambda scale: tn.pooled_smooth_l1(p_h, b, means, beta, scale),
                        means, b, channel_reduce)
-
-
-def total_loss(l_patch, l_global, lam):
-    return tn.add(l_patch, tn.mul(l_global, lam))

@@ -13,7 +13,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateMaskError
+from .errors import ConfigError
 
 _MASK64 = (1 << 64) - 1
 
@@ -64,11 +64,11 @@ class MaskSpec(NamedTuple):
         if not 0.0 < self.mask_ratio < 1.0:
             raise ConfigError(f"mask_ratio must lie in (0, 1), got {self.mask_ratio}")
         if self.n_masked_blocks < 1:
-            raise DegenerateMaskError(f"mask_ratio {self.mask_ratio} rounds to zero masked blocks "
-                                      f"of {self.n_blocks}; the patch loss needs at least one")
+            raise ConfigError(f"mask_ratio {self.mask_ratio} rounds to zero masked blocks "
+                              f"of {self.n_blocks}; the patch loss needs at least one")
         if self.n_masked_blocks >= self.n_blocks:
-            raise DegenerateMaskError(f"mask_ratio {self.mask_ratio} rounds to all {self.n_blocks} "
-                                      "blocks masked; the encoder needs a visible one")
+            raise ConfigError(f"mask_ratio {self.mask_ratio} rounds to all {self.n_blocks} "
+                              "blocks masked; the encoder needs a visible one")
         if not 0 <= self.seed < 2**64:  # SplitMix64 would reduce it to 64 bits
             raise ConfigError(f"mask.seed must lie in [0, 2**64), got {self.seed}")
 

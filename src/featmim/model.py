@@ -311,7 +311,7 @@ def load_checkpoint(path):
         header = json.loads(blob[8:8 + hlen])
         config = ModelConfig(**header["config"])
         n_patches, in_channels = header["n_patches"], header["in_channels"]
-    except (ValueError, KeyError, TypeError) as e:
+    except (ValueError, KeyError, TypeError, RecursionError) as e:
         raise DataError(f"{path}: malformed checkpoint header: {e}") from None
     for key, value in (("n_patches", n_patches), ("in_channels", in_channels)):
         if type(value) is not int or value < 1:

@@ -192,7 +192,7 @@ class FileTeacher:
         blob = read_bytes(manifest_path, "feature manifest")
         try:
             manifest = json.loads(blob.decode())
-        except ValueError as e:  # also non-UTF-8 bytes
+        except (ValueError, RecursionError) as e:  # also non-UTF-8 bytes, deep nesting
             raise DataError(f"{manifest_path}: not JSON: {e}") from None
         try:
             self.target_dim = manifest["target_dim"]

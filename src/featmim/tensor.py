@@ -24,7 +24,7 @@ import struct
 
 import numpy as np
 
-from .errors import DataError, NumericError, ShapeError
+from .errors import ConfigError, DataError, NumericError
 
 GELU_C = float(np.sqrt(2.0 / np.pi))
 GELU_A = 0.044715
@@ -87,9 +87,9 @@ def backward(tape, loss):
     loss does not reach gets exact zeros. The replay consumes the tape's
     records, so a tape supports one backward."""
     if loss.tape is not tape:
-        raise ShapeError("loss is not a tensor recorded on this tape")
+        raise ConfigError("loss is not a tensor recorded on this tape")
     if loss.data.shape != ():
-        raise ShapeError(f"loss must be scalar, got shape {loss.data.shape}")
+        raise ConfigError(f"loss must be scalar, got shape {loss.data.shape}")
     if tape._ops is None:
         raise RuntimeError("tape already replayed by backward; record a new tape per step")
     grads = [None] * tape._n_nodes
@@ -147,8 +147,8 @@ def _operands(a, b):
     if a.data.shape != b.data.shape:
         shape = np.broadcast_shapes(a.data.shape, b.data.shape)
         if any(t.tape is not None and t.data.shape != shape for t in (a, b)):
-            raise ShapeError(f"a taped operand must have the result shape {shape}, "
-                             f"got {a.data.shape} and {b.data.shape}")
+            raise ConfigError(f"a taped operand must have the result shape {shape}, "
+                              f"got {a.data.shape} and {b.data.shape}")
     return a, b
 
 
@@ -193,8 +193,8 @@ def linear(x, w, b):
     node. A constant x, such as the patch rows, gets no input gradient."""
     xd, wd, bd, x_taped = x.data, w.data, b.data, x.tape is not None
     if xd.ndim != 2 or wd.ndim != 2 or xd.shape[1] != wd.shape[0] or bd.shape != wd.shape[1:]:
-        raise ShapeError(f"linear needs x [R, i], w [i, o], b [o], "
-                         f"got {xd.shape}, {wd.shape}, {bd.shape}")
+        raise ConfigError(f"linear needs x [R, i], w [i, o], b [o], "
+                          f"got {xd.shape}, {wd.shape}, {bd.shape}")
     return _emit(xd @ wd + bd, (x, w, b),
                  lambda g: (g @ wd.T if x_taped else None, xd.T @ g, g.sum(axis=0)))
 
@@ -207,7 +207,7 @@ def gather_rows(a, idx, row=None):
     for -0.0, as 0.0 + g), and `row` the sum of its reads, in order by cumsum."""
     idx = np.asarray(idx, dtype=np.int64)
     if row is not None and row.data.shape != a.data.shape[1:]:
-        raise ShapeError(f"gather_rows row has shape {row.data.shape}, rows of a {a.data.shape[1:]}")
+        raise ConfigError(f"gather_rows row has shape {row.data.shape}, rows of a {a.data.shape[1:]}")
     src = a.data if row is None else np.concatenate([a.data, row.data[None]])
     own = ... if row is None else idx != len(a.data)  # the reads of rows of a
 
@@ -237,12 +237,12 @@ def attention(q, k, v, heads, batch=1):
     """
     qd, kd, vd = q.data, k.data, v.data
     if qd.ndim != 2 or kd.shape != qd.shape or vd.shape != qd.shape:
-        raise ShapeError(f"attention needs equal [B*T, d] q, k, v, got {qd.shape}, {kd.shape}, {vd.shape}")
+        raise ConfigError(f"attention needs equal [B*T, d] q, k, v, got {qd.shape}, {kd.shape}, {vd.shape}")
     rows, d = qd.shape
     if batch < 1 or rows % batch:
-        raise ShapeError(f"attention rows {rows} do not split into {batch} sequences")
+        raise ConfigError(f"attention rows {rows} do not split into {batch} sequences")
     if heads < 1 or d % heads:
-        raise ShapeError(f"attention width {d} does not split into {heads} heads")
+        raise ConfigError(f"attention width {d} does not split into {heads} heads")
     t, dh = rows // batch, d // heads
     scale = qd.dtype.type(1.0 / np.sqrt(dh))
 

@@ -21,11 +21,11 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigError, DataError, NumericError
-from .losses import global_loss, patch_loss, total_loss
+from .losses import global_loss, patch_loss
 from .masking import SplitMix64, generate_mask
 from .model import forward, init_params, patchify, project_global, save_checkpoint
 from .teacher import align_input, make_teacher
-from .tensor import Tape, backward, write_atomic
+from .tensor import Tape, add, backward, mul, write_atomic
 
 METRICS_COLUMNS = ("step", "epoch", "lr", "L_patch", "L_global", "L_total")
 
@@ -136,7 +136,7 @@ def step_losses(params, cache, idx, masks, loss_cfg):
     if loss_cfg.lam != 0.0:
         l_global, lg = global_loss(project_global(last_visible, params), cache.means[idx],
                                    loss_cfg.beta, loss_cfg.channel_reduce)
-        loss = total_loss(loss, l_global, loss_cfg.lam)
+        loss = add(loss, mul(l_global, loss_cfg.lam))
     lt = lp + lg * lp.dtype.type(loss_cfg.lam)
     n = len(idx)
     return loss, math.fsum(lp) / n, math.fsum(lg) / n, math.fsum(lt) / n

@@ -29,7 +29,7 @@ import pytest
 
 from featmim import tensor as tn
 from featmim.cli import main
-from featmim.losses import global_loss, patch_loss, total_loss
+from featmim.losses import global_loss, patch_loss
 from featmim.masking import SplitMix64
 from featmim.model import (decode, encode_visible, forward, patch_embed,
                            project_global)
@@ -261,7 +261,7 @@ def full_composition_step(params, cache, idx, masks, loss_cfg):
                               loss_cfg.beta, loss_cfg.channel_reduce)
     lt_vals = lp_vals + lg_vals * lp_vals.dtype.type(loss_cfg.lam)
     n = len(idx)
-    return (total_loss(lp, lg, loss_cfg.lam), math.fsum(lp_vals) / n,
+    return (tn.add(lp, tn.mul(lg, loss_cfg.lam)), math.fsum(lp_vals) / n,
             math.fsum(lg_vals) / n, math.fsum(lt_vals) / n)
 
 

@@ -62,7 +62,7 @@ def test_diversity_oracle_equivalence():
         k = int(rng.integers(2, 17))
         d = int(rng.integers(1, 9))
         samples = [rng.normal(size=(k, d)) for _ in range(n)]
-        mine = corpus_diversity([feats(s) for s in samples]).diver
+        mine = corpus_diversity([feats(s) for s in samples])["diver"]
         ref = oracle_diversity([s.tolist() for s in samples])
         worst = max(worst, abs(mine - ref))
     elapsed = time.monotonic() - t0
@@ -74,15 +74,15 @@ def test_diversity_oracle_equivalence():
 
 def test_diversity_extremes():
     identical = corpus_diversity([feats([[2.0, 0.0]] * 4)] * 3)
-    assert identical.diver == 0.0
+    assert identical["diver"] == 0.0
     orthogonal = corpus_diversity([feats(np.eye(4))] * 3)
-    assert orthogonal.diver == 1.0
+    assert orthogonal["diver"] == 1.0
     hand = corpus_diversity([feats([[1.0, 0.0], [0.0, 1.0],
                                     [1 / np.sqrt(2), 1 / np.sqrt(2)]])])
-    assert abs(hand.diver - 1 / 3) <= 1e-12
+    assert abs(hand["diver"] - 1 / 3) <= 1e-12
     _passed("diversity extremes",
             f"identical -> 0 exactly, orthogonal -> 1 exactly, "
-            f"hand case {hand.diver:.15f}")
+            f"hand case {hand['diver']:.15f}")
 
 
 def test_mask_geometry():
@@ -124,14 +124,14 @@ def test_loss_contracts():
     z0 = rng.normal(size=(16, 4))
     z1 = z0.copy()
     z1[visible[0]] += rng.normal(size=(visible.shape[1], 4)) * 1e6
-    a = float(patch_loss(Tensor(z0), rows, y, 2.0).loss.data)
-    b = float(patch_loss(Tensor(z1), rows, y, 2.0).loss.data)
+    a = float(patch_loss(Tensor(z0), rows, y, 2.0)[0].data)
+    b = float(patch_loss(Tensor(z1), rows, y, 2.0)[0].data)
     assert a == b
 
     p0 = rng.normal(size=(visible.shape[1], 4))
     shift = rng.normal(size=4)
-    ga = float(global_loss(Tensor(p0), y.mean(axis=0)[None], 2.0).loss.data)
-    gb = float(global_loss(Tensor(p0 + shift), (y + shift).mean(axis=0)[None], 2.0).loss.data)
+    ga = float(global_loss(Tensor(p0), y.mean(axis=0)[None], 2.0)[0].data)
+    gb = float(global_loss(Tensor(p0 + shift), (y + shift).mean(axis=0)[None], 2.0)[0].data)
     assert abs(ga - gb) <= 1e-12
 
     for beta in (0.5, 1.0, 2.0):

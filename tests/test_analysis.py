@@ -48,7 +48,7 @@ def test_heatmap_query_out_of_range():
 
 
 def test_heatmap_zero_norm_token():
-    with pytest.raises(NumericError):
+    with pytest.raises(NumericError, match=r"zero-norm token \(row 1\)"):
         heatmap(feats([[1.0, 0.0], [0.0, 0.0], [1.0, 1.0], [0.5, 0.5]]), 0)
 
 

@@ -356,6 +356,33 @@ def test_feature_manifest_target_dim_string_exits_3(tmp_path, image_dir, capsys)
     assert not (tmp_path / "run").exists()  # not even config.json is written
 
 
+# json.loads raises RecursionError, not ValueError, past about a thousand levels
+DEEP_JSON = "[" * 200_000
+
+
+def test_deeply_nested_config_exits_2(tmp_path, image_dir, capsys):
+    cfg, out = tmp_path / "cfg.json", tmp_path / "run"
+    cfg.write_text(DEEP_JSON)
+    assert main(["pretrain", "--config", str(cfg), "--images", str(image_dir),
+                 "--out", str(out)]) == 2
+    assert f"config {cfg} is not valid JSON: maximum recursion depth" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_deeply_nested_feature_manifest_exits_3(tmp_path, image_dir, capsys):
+    # read by diversity and by a file teacher alike
+    feats = tmp_path / "feats"
+    feats.mkdir()
+    (feats / "manifest.json").write_text(DEEP_JSON)
+    want = f"{feats / 'manifest.json'}: not JSON: maximum recursion depth"
+    assert main(["diversity", "--features", str(feats), "--out", str(tmp_path / "r.json")]) == 3
+    assert want in capsys.readouterr().err
+    assert main(["pretrain", "--config", str(_file_teacher_config(tmp_path, feats)),
+                 "--images", str(image_dir), "--out", str(tmp_path / "run")]) == 3
+    assert want in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
 GOOD_ENTRY = {"id": "a", "grid_side": 2}
 
 
@@ -578,7 +605,7 @@ def test_heatmap_command(tmp_path, image_dir):
     assert sidecar["query_index"] == 5
 
 
-def test_heatmap_zero_norm_exits_4(tmp_path):
+def test_heatmap_zero_norm_exits_4(tmp_path, capsys):
     bad = tmp_path / "bad.tvec"
     tokens = np.ones((4, 3), dtype=np.float32)
     tokens[2] = 0.0
@@ -586,6 +613,24 @@ def test_heatmap_zero_norm_exits_4(tmp_path):
     code = main(["heatmap", "--features", str(bad), "--query", "0",
                  "--out", str(tmp_path / "m.pgm")])
     assert code == 4
+    assert (f"numeric error: {bad}: cosine similarity undefined for a zero-norm token (row 2)"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "m.pgm").exists()
+
+
+def test_diversity_zero_norm_exits_4_naming_the_sample_and_row(tmp_path, capsys):
+    feats, out = tmp_path / "feats", tmp_path / "r.json"
+    feats.mkdir()
+    for i in range(3):
+        tokens = np.ones((4, 3), dtype=np.float32)
+        tokens[3, :] = 0.0 if i == 1 else 2.0
+        write_tvec(feats / f"s{i}.tvec", tokens)
+    entries = [{"id": f"s{i}", "grid_side": 2} for i in range(3)]
+    (feats / "manifest.json").write_text(json.dumps({"target_dim": 3, "entries": entries}))
+    assert main(["diversity", "--features", str(feats), "--out", str(out)]) == 4
+    assert (f"numeric error: {feats}: sample 1: cosine similarity undefined for a zero-norm "
+            "token (row 3)" in capsys.readouterr().err)
+    assert not out.exists()
 
 
 def test_heatmap_non_square_exits_3(tmp_path):
@@ -718,9 +763,7 @@ def test_grad_check_seed_flag(tmp_path):
                  "--out", str(report_path)]) == 0
     cfg = run_config_from_dict(NANO_GRAD_CHECK)
     direct = grad_check(cfg._replace(train=cfg.train._replace(seed=3)))
-    assert json.loads(report_path.read_text()) == {
-        "max_rel_err": direct.max_rel_err, "worst_param": direct.worst_param,
-        "n_parameters": direct.n_parameters, "per_param": direct.per_param}
+    assert json.loads(report_path.read_text()) == direct
 
 
 def test_grad_check_file_teacher_width_mismatch_exits_2(tmp_path, capsys):

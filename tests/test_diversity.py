@@ -67,8 +67,8 @@ def test_pairwise_symmetric_unit_diagonal():
 
 
 def test_pairwise_rejects_zero_norm():
-    with pytest.raises(NumericError):
-        pairwise_cosine(np.array([[1.0, 0.0], [0.0, 0.0]]))
+    with pytest.raises(NumericError, match=r"zero-norm token \(row 1\)"):
+        pairwise_cosine(np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]]))
 
 
 def test_pairwise_rejects_single_token():
@@ -92,24 +92,26 @@ def test_similarity_hand_case():
 
 def test_corpus_identical_divergence_zero_exact():
     samples = [feats([[2.0, 0.0]] * 3) for _ in range(5)]
-    assert corpus_diversity(samples).diver == 0.0
+    assert corpus_diversity(samples)["diver"] == 0.0
 
 
 def test_corpus_orthogonal_divergence_one_exact():
     samples = [feats(np.eye(3)) for _ in range(5)]
-    assert corpus_diversity(samples).diver == 1.0
+    assert corpus_diversity(samples)["diver"] == 1.0
 
 
 def test_corpus_hand_case_third():
     report = corpus_diversity([feats(HAND_SAMPLE)])
-    assert abs(report.diver - 1 / 3) < 1e-12
+    assert abs(report["diver"] - 1 / 3) < 1e-12
 
 
 def test_report_fields():
     report = corpus_diversity([feats(HAND_SAMPLE), feats(HAND_SAMPLE)])
-    assert report.n_samples == 2
-    assert report.tokens_per_sample == 3
-    assert len(report.per_sample) == 2
+    # the keys and their order are the `featmim diversity` JSON's
+    assert list(report) == ["n", "k", "diver", "per_sample"]
+    assert report["n"] == 2
+    assert report["k"] == 3
+    assert len(report["per_sample"]) == 2
 
 
 def test_mixed_token_counts_rejected():
@@ -135,7 +137,7 @@ def test_oracle_equivalence_100_instances():
         k = int(rng.integers(2, 17))
         d = int(rng.integers(1, 9))
         samples = [rng.normal(size=(k, d)) for _ in range(n)]
-        mine = corpus_diversity([feats(s) for s in samples]).diver
+        mine = corpus_diversity([feats(s) for s in samples])["diver"]
         ref = oracle_diversity([s.tolist() for s in samples])
         worst = max(worst, abs(mine - ref))
     assert worst < 1e-12, f"max deviation from oracle {worst}"
@@ -149,15 +151,15 @@ def test_corpus_pair_index_gives_each_sample_its_own_similarity(k):
     samples = [rng.normal(size=(k, 6)) for _ in range(5)]
     samples.append(np.tile(samples[0][:1], (k, 1)))  # the degenerate rule
     report = corpus_diversity([feats(s) for s in samples])
-    assert report.per_sample == [sample_similarity(s) for s in samples]
-    assert report.per_sample == [ordered_pair_similarity(s) for s in samples]
+    assert report["per_sample"] == [sample_similarity(s) for s in samples]
+    assert report["per_sample"] == [ordered_pair_similarity(s) for s in samples]
 
 
 def test_diver_report_invariant():
     rng = np.random.default_rng(2)
     samples = [feats(rng.normal(size=(5, 3))) for _ in range(4)]
     report = corpus_diversity(samples)
-    assert report.diver == 1.0 - math.fsum(report.per_sample) / report.n_samples
+    assert report["diver"] == 1.0 - math.fsum(report["per_sample"]) / report["n"]
 
 
 def _tokens(shape_strategy):
@@ -224,5 +226,5 @@ def test_similarity_range(y):
 @settings(max_examples=40, deadline=None)
 def test_diver_range(sample_list):
     report = corpus_diversity([feats(s) for s in sample_list])
-    assert 0.0 <= report.diver <= 1.0
-    assert all(0.0 <= s <= 1.0 for s in report.per_sample)
+    assert 0.0 <= report["diver"] <= 1.0
+    assert all(0.0 <= s <= 1.0 for s in report["per_sample"])

@@ -6,15 +6,13 @@ from hypothesis import strategies as st
 
 from featmim import tensor as tn
 from featmim.config import RunConfig
-from featmim.errors import ConfigError, DegenerateMaskError
-from featmim.losses import LossConfig, global_loss, patch_loss, total_loss
+from featmim.errors import ConfigError
+from featmim.losses import LossConfig, global_loss, patch_loss
+from featmim.masking import generate_mask
+from featmim.model import init_params
 from featmim.synth import synthetic_image
 from featmim.tensor import Tape, Tensor, backward
-from featmim.trainer import FeatureCache
-
-
-def scalar(x):
-    return Tensor(np.asarray(x, dtype=np.float64))
+from featmim.trainer import FeatureCache, step_losses
 
 
 def smooth_l1(x, beta):
@@ -71,14 +69,14 @@ def test_smooth_l1_gradient():
 def test_patch_loss_zero_when_exact():
     y = np.arange(8.0).reshape(4, 2) + 1.0
     z = Tensor(y.copy())
-    assert float(patch_loss(z, np.array([[0, 2]]), y, beta=2.0).loss.data) == 0.0
+    assert float(patch_loss(z, np.array([[0, 2]]), y, beta=2.0)[0].data) == 0.0
 
 
 def test_patch_loss_single_token_hand_value():
     y = np.array([[1.0], [0.0], [0.0], [0.0]])
     z = Tensor(np.zeros((4, 1)))
     # one masked token, D_t = 1, residual 1, beta 2 -> 0.25
-    assert float(patch_loss(z, np.array([[0]]), y, beta=2.0).loss.data) == 0.25
+    assert float(patch_loss(z, np.array([[0]]), y, beta=2.0)[0].data) == 0.25
 
 
 def test_patch_loss_ignores_visible_slots():
@@ -88,14 +86,14 @@ def test_patch_loss_ignores_visible_slots():
     z0 = rng.normal(size=(9, 3))
     z1 = z0.copy()
     z1[[0, 2, 3, 5, 6, 8]] += rng.normal(size=(6, 3)) * 100
-    a = float(patch_loss(Tensor(z0), rows, y, 2.0).loss.data)
-    b = float(patch_loss(Tensor(z1), rows, y, 2.0).loss.data)
+    a = float(patch_loss(Tensor(z0), rows, y, 2.0)[0].data)
+    b = float(patch_loss(Tensor(z1), rows, y, 2.0)[0].data)
     assert a == b
 
 
 def test_patch_loss_empty_mask_rejected():
     # 0.1 of 4 blocks rounds to none masked: the mask spec is rejected first
-    with pytest.raises(DegenerateMaskError, match="zero masked blocks"):
+    with pytest.raises(ConfigError, match="zero masked blocks"):
         RunConfig(mask=RunConfig().mask._replace(mask_ratio=0.1)).validate()
 
 
@@ -112,8 +110,8 @@ def test_patch_loss_permutation_invariant_over_masked():
     rng = np.random.default_rng(2)
     y = rng.normal(size=(9, 4))
     z = Tensor(rng.normal(size=(9, 4)))
-    a = float(patch_loss(z, np.array([[0, 3, 5]]), y, 2.0).loss.data)
-    b = float(patch_loss(z, np.array([[5, 0, 3]]), y, 2.0).loss.data)
+    a = float(patch_loss(z, np.array([[0, 3, 5]]), y, 2.0)[0].data)
+    b = float(patch_loss(z, np.array([[5, 0, 3]]), y, 2.0)[0].data)
     assert a == b
 
 
@@ -125,15 +123,15 @@ def test_patch_loss_monotone_in_residual_scale():
     losses = []
     for c in (1.0, 1.5, 2.0, 4.0):
         z = y - c * base  # residual y - z = c * base
-        losses.append(float(patch_loss(Tensor(z), rows, y, 2.0).loss.data))
+        losses.append(float(patch_loss(Tensor(z), rows, y, 2.0)[0].data))
     assert all(b >= a for a, b in zip(losses, losses[1:]))
 
 
 def test_patch_loss_channel_sum_mode():
     y = np.array([[1.0, 1.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]])
     z = Tensor(np.zeros((4, 2)))
-    mean_mode = float(patch_loss(z, np.array([[0]]), y, 2.0, "mean").loss.data)
-    sum_mode = float(patch_loss(z, np.array([[0]]), y, 2.0, "sum").loss.data)
+    mean_mode = float(patch_loss(z, np.array([[0]]), y, 2.0, "mean")[0].data)
+    sum_mode = float(patch_loss(z, np.array([[0]]), y, 2.0, "sum")[0].data)
     assert mean_mode == 0.25
     assert sum_mode == 0.5
 
@@ -142,13 +140,13 @@ def test_global_loss_zero_when_means_match():
     rng = np.random.default_rng(4)
     means = rng.normal(size=(4, 3)).mean(axis=0)[None]
     p_h = Tensor(np.tile(means, (3, 1)))
-    assert abs(float(global_loss(p_h, means, 2.0).loss.data)) < 1e-12
+    assert abs(float(global_loss(p_h, means, 2.0)[0].data)) < 1e-12
 
 
 def test_global_loss_linear_branch_hand_value():
     # D_t = 1, means differ by 3, beta 2 -> |3| - 1 = 2
     p_h = Tensor(np.zeros((2, 1)))
-    assert float(global_loss(p_h, np.array([[3.0]]), 2.0).loss.data) == 2.0
+    assert float(global_loss(p_h, np.array([[3.0]]), 2.0)[0].data) == 2.0
 
 
 def test_global_loss_constant_shift_invariant():
@@ -156,8 +154,8 @@ def test_global_loss_constant_shift_invariant():
     y = rng.normal(size=(4, 3))
     p0 = rng.normal(size=(3, 3))
     shift = rng.normal(size=3)
-    a = float(global_loss(Tensor(p0), y.mean(axis=0)[None], 2.0).loss.data)
-    b = float(global_loss(Tensor(p0 + shift), (y + shift).mean(axis=0)[None], 2.0).loss.data)
+    a = float(global_loss(Tensor(p0), y.mean(axis=0)[None], 2.0)[0].data)
+    b = float(global_loss(Tensor(p0 + shift), (y + shift).mean(axis=0)[None], 2.0)[0].data)
     assert abs(a - b) < 1e-12
 
 
@@ -165,21 +163,32 @@ def test_global_loss_permutation_invariant():
     rng = np.random.default_rng(6)
     y = rng.normal(size=(4, 3))
     p0 = rng.normal(size=(3, 3))
-    a = float(global_loss(Tensor(p0), y.mean(axis=0)[None], 2.0).loss.data)
-    b = float(global_loss(Tensor(p0[::-1].copy()), y[::-1].mean(axis=0)[None], 2.0).loss.data)
+    a = float(global_loss(Tensor(p0), y.mean(axis=0)[None], 2.0)[0].data)
+    b = float(global_loss(Tensor(p0[::-1].copy()), y[::-1].mean(axis=0)[None], 2.0)[0].data)
     assert abs(a - b) < 1e-12
 
 
 def test_global_loss_empty_visible_rejected():
     # 0.9 of 4 blocks rounds to all masked: the mask spec is rejected first
-    with pytest.raises(DegenerateMaskError, match="all 4 blocks masked"):
+    with pytest.raises(ConfigError, match="all 4 blocks masked"):
         RunConfig(mask=RunConfig().mask._replace(mask_ratio=0.9)).validate()
 
 
 def test_total_loss_arithmetic():
-    assert float(total_loss(scalar(0.2), scalar(0.4), 0.0).data) == 0.2
-    assert abs(float(total_loss(scalar(0.2), scalar(0.4), 0.5).data) - 0.4) < 1e-15
-    assert float(total_loss(scalar(0.0), scalar(0.0), 1.0).data) == 0.0
+    # the trainer's step tapes patch + lam * global and logs the global loss
+    # unweighted; at lam=0 it tapes the patch loss alone and logs 0.0
+    cfg = RunConfig()
+    images = [(f"img{i}", synthetic_image(32, 3, seed=i, dtype=np.float64)) for i in range(2)]
+    cache, masks = FeatureCache(cfg, images), generate_mask(cfg.mask, [0, 1])
+    params = init_params(cfg.model, 32, 3, seed=0, dtype=np.float64)
+    runs = {lam: step_losses(params, cache, [0, 1], masks, cfg.loss._replace(lam=lam))
+            for lam in (0.0, 0.5, 1.0)}
+    l_patch, l_global = runs[0.0][1], runs[1.0][2]
+    assert runs[0.0][2] == 0.0 and runs[0.5][2] == l_global > 0.0
+    for lam, (loss, lp, _, lt) in runs.items():
+        assert lp == l_patch
+        assert abs(float(loss.data) - (l_patch + lam * l_global)) < 1e-15
+        assert abs(lt - (l_patch + lam * l_global)) < 1e-15
 
 
 def test_loss_gradients_match_finite_differences():
@@ -190,15 +199,15 @@ def test_loss_gradients_match_finite_differences():
     p0 = rng.normal(size=(7, 4))
 
     def f_patch(z):
-        return float(patch_loss(Tensor(z), rows, y, 2.0).loss.data)
+        return float(patch_loss(Tensor(z), rows, y, 2.0)[0].data)
 
     def f_global(p):
-        return float(global_loss(Tensor(p), means, 2.0).loss.data)
+        return float(global_loss(Tensor(p), means, 2.0)[0].data)
 
     params = tn.Parameters({"z": z0.copy(), "p": p0.copy()})
     tape = Tape(params)
-    loss = total_loss(patch_loss(params["z"], rows, y, 2.0).loss,
-                      global_loss(params["p"], means, 2.0).loss, 0.5)
+    loss = tn.add(patch_loss(params["z"], rows, y, 2.0)[0],
+                  tn.mul(global_loss(params["p"], means, 2.0)[0], 0.5))
     backward(tape, loss)
     grads = params.grads
     assert rel_err(grads["z"], fd_grad(f_patch, z0)) < 1e-4

@@ -9,10 +9,10 @@ import numpy as np
 import pytest
 
 from featmim.config import RunConfig
-from featmim.errors import ConfigError, DataError, DegenerateMaskError
+from featmim.errors import ConfigError, DataError
 from featmim.masking import MaskSpec, generate_mask
 import featmim.model
-from featmim.model import (ModelConfig, aggregate_multi_block,
+from featmim.model import (CHECKPOINT_MAGIC, ModelConfig, aggregate_multi_block,
                            decode, encode_visible, forward, init_elements, init_params,
                            load_checkpoint, patch_embed, patchify,
                            project_global, save_checkpoint, sincos_pos_embed)
@@ -95,7 +95,7 @@ def test_encode_full_visible():
 def test_encode_rejects_no_visible():
     # a mask spec that leaves no block visible never reaches the encoder
     mask = MaskSpec(32, 8, 16, mask_ratio=0.9, seed=0)
-    with pytest.raises(DegenerateMaskError, match="the encoder needs a visible one"):
+    with pytest.raises(ConfigError, match="the encoder needs a visible one"):
         RunConfig(mask=mask).validate()
 
 
@@ -395,6 +395,15 @@ def test_checkpoint_rejects_a_repeated_parameter(tmp_path):
     bad.write_bytes(good.read_bytes() + record)
     with pytest.raises(DataError, match=f"bad.bin: parameter cls_token appears twice, "
                                         f"again at byte {len(good.read_bytes())}"):
+        load_checkpoint(bad)
+
+
+def test_checkpoint_rejects_a_deeply_nested_header(tmp_path):
+    # json.loads raises RecursionError, not ValueError, on deep nesting
+    header = b"[" * 200_000
+    bad = tmp_path / "bad.bin"
+    bad.write_bytes(CHECKPOINT_MAGIC + struct.pack("<I", len(header)) + header)
+    with pytest.raises(DataError, match="bad.bin: malformed checkpoint header: maximum recursion"):
         load_checkpoint(bad)
 
 

@@ -6,7 +6,8 @@ definition), in scripts/, or in bench/, where the tracer also binds
 a production caller or moves into tests/. Nor does any function body in
 src/featmim import: module dependencies are stated at the top of a module.
 And a config record's validate() runs only at the boundaries that take
-outside input: code below them trusts the rules they checked."""
+outside input: code below them trusts the rules they checked. Every error
+class but the FeatmimError base is one the CLI catches by name."""
 
 import ast
 import collections
@@ -96,3 +97,17 @@ def test_records_are_validated_only_at_the_boundaries():
              if isinstance(sub, ast.Call) and isinstance(sub.func, ast.Attribute)
              and sub.func.attr == "validate"]
     assert not found, f"validate() called below the boundaries: {found}"
+
+
+def test_every_error_class_is_caught_by_the_cli():
+    # a subclass no except clause names is caught only as its base: one
+    # class too many, whose name promises a distinction no caller makes
+    errors = ast.parse((ROOT / "src" / "featmim" / "errors.py").read_text())
+    classes = {node.name for node in errors.body if isinstance(node, ast.ClassDef)}
+    cli = ast.parse((ROOT / "src" / "featmim" / "cli.py").read_text())
+    main = next(node for node in cli.body
+                if isinstance(node, ast.FunctionDef) and node.name == "main")
+    caught = set().union(*(_names(handler.type) for handler in ast.walk(main)
+                           if isinstance(handler, ast.ExceptHandler) and handler.type))
+    uncaught = sorted(classes - {"FeatmimError"} - caught)
+    assert not uncaught, f"error classes cli.main never catches: {uncaught}"

@@ -8,7 +8,7 @@ from conftest import (concat_gather_rows, fd_grad, masked_smooth_l1_chain,
                       pooled_smooth_l1_chain, rel_err, scatter_rows, tape_sum)
 
 from featmim import tensor as tn
-from featmim.errors import DataError, NumericError, ShapeError
+from featmim.errors import ConfigError, DataError, NumericError
 from featmim.tensor import Tape, Tensor, backward
 
 
@@ -32,11 +32,11 @@ def test_matmul_hand():
 
 
 def test_matmul_shape_mismatch():
-    with pytest.raises(ShapeError):
+    with pytest.raises(ConfigError, match="linear needs"):
         tn.linear(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 3))), Tensor(np.zeros(3)))
-    with pytest.raises(ShapeError):  # the bias must match the output width
+    with pytest.raises(ConfigError, match="linear needs"):  # the bias must match the output width
         tn.linear(Tensor(np.zeros((2, 3))), Tensor(np.zeros((3, 2))), Tensor(np.zeros(3)))
-    with pytest.raises(ShapeError):  # 2-d inputs only
+    with pytest.raises(ConfigError, match="linear needs"):  # 2-d inputs only
         tn.linear(Tensor(np.zeros(3)), Tensor(np.zeros((3, 2))), Tensor(np.zeros(2)))
 
 
@@ -62,9 +62,9 @@ def test_elementwise_ops_reject_broadcasting_a_taped_operand():
     tape, params = bind(row=np.ones((1, 5)))
     row = params["row"]
     for op in (tn.add, tn.mul):
-        with pytest.raises(ShapeError):
+        with pytest.raises(ConfigError, match="taped operand must have the result shape"):
             op(row, Tensor(np.ones((3, 5))))
-        with pytest.raises(ShapeError):
+        with pytest.raises(ConfigError, match="taped operand must have the result shape"):
             op(Tensor(np.ones((3, 5))), row)
     # a constant may still broadcast against a taped operand of the result shape
     out = tn.mul(row, 0.5)
@@ -161,11 +161,11 @@ def test_softmax_rejects_non_finite():
 
 def test_attention_rejects_bad_shapes():
     x = Tensor(np.ones((3, 4)))
-    with pytest.raises(ShapeError):
+    with pytest.raises(ConfigError, match="attention width 4 does not split into 3 heads"):
         tn.attention(x, x, x, 3)
-    with pytest.raises(ShapeError):
+    with pytest.raises(ConfigError, match="attention needs equal"):
         tn.attention(x, Tensor(np.ones((2, 4))), x, 2)
-    with pytest.raises(ShapeError):
+    with pytest.raises(ConfigError, match="attention rows 3 do not split into 2 sequences"):
         tn.attention(x, x, x, 2, batch=2)  # 3 rows do not split into 2 sequences
 
 
@@ -217,7 +217,7 @@ def test_backward_sum_of_squares():
 def test_backward_rejects_non_scalar_loss():
     tape, params = bind(w=[1.0, 2.0])
     w = params["w"]
-    with pytest.raises(ShapeError):
+    with pytest.raises(ConfigError, match="loss must be scalar"):
         backward(tape, tn.mul(w, w))
 
 
@@ -298,7 +298,7 @@ def test_gather_rows_with_row_matches_concat_oracle_bitwise():
     assert out.data.tobytes() == want.tobytes()
     for got, ref in zip((params.grads["a"], params.grads["row"]), want_grads(g)):
         assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
-    with pytest.raises(ShapeError):
+    with pytest.raises(ConfigError, match="gather_rows row has shape"):
         tn.gather_rows(params["a"], idx, Tensor(np.zeros(7, np.float32)))
 
 
