@@ -35,6 +35,10 @@ from featmim.model import (decode, encode_visible, forward, patch_embed,
                            project_global)
 
 
+# json.loads raises RecursionError, not ValueError, past about a thousand levels
+DEEP_JSON = b"[" * 200_000
+
+
 def fd_grad(f, x, h=1e-5):
     """Central finite differences of scalar f at array x, elementwise."""
     x = np.asarray(x, dtype=np.float64)

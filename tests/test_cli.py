@@ -10,6 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import DEEP_JSON
 
 import featmim
 from featmim.cli import main
@@ -356,13 +357,9 @@ def test_feature_manifest_target_dim_string_exits_3(tmp_path, image_dir, capsys)
     assert not (tmp_path / "run").exists()  # not even config.json is written
 
 
-# json.loads raises RecursionError, not ValueError, past about a thousand levels
-DEEP_JSON = "[" * 200_000
-
-
 def test_deeply_nested_config_exits_2(tmp_path, image_dir, capsys):
     cfg, out = tmp_path / "cfg.json", tmp_path / "run"
-    cfg.write_text(DEEP_JSON)
+    cfg.write_bytes(DEEP_JSON)
     assert main(["pretrain", "--config", str(cfg), "--images", str(image_dir),
                  "--out", str(out)]) == 2
     assert f"config {cfg} is not valid JSON: maximum recursion depth" in capsys.readouterr().err
@@ -373,7 +370,7 @@ def test_deeply_nested_feature_manifest_exits_3(tmp_path, image_dir, capsys):
     # read by diversity and by a file teacher alike
     feats = tmp_path / "feats"
     feats.mkdir()
-    (feats / "manifest.json").write_text(DEEP_JSON)
+    (feats / "manifest.json").write_bytes(DEEP_JSON)
     want = f"{feats / 'manifest.json'}: not JSON: maximum recursion depth"
     assert main(["diversity", "--features", str(feats), "--out", str(tmp_path / "r.json")]) == 3
     assert want in capsys.readouterr().err
@@ -764,6 +761,17 @@ def test_grad_check_seed_flag(tmp_path):
     cfg = run_config_from_dict(NANO_GRAD_CHECK)
     direct = grad_check(cfg._replace(train=cfg.train._replace(seed=3)))
     assert json.loads(report_path.read_text()) == direct
+
+
+def test_grad_check_fails_with_exit_4_on_a_corrupted_backward(tmp_path, monkeypatch, capsys):
+    # a 5% error planted in one analytic derivative is far above the default tolerance
+    true_grad = featmim.tensor.gelu_grad
+    monkeypatch.setattr(featmim.tensor, "gelu_grad", lambda x, t: 1.05 * true_grad(x, t))
+    cfg_path, report_path = tmp_path / "cfg.json", tmp_path / "report.json"
+    cfg_path.write_text(json.dumps(NANO_GRAD_CHECK))
+    assert main(["grad-check", "--config", str(cfg_path), "--out", str(report_path)]) == 4
+    assert capsys.readouterr().out.startswith("grad-check: FAIL max rel err ")
+    assert json.loads(report_path.read_text())["max_rel_err"] > 1e-4
 
 
 def test_grad_check_file_teacher_width_mismatch_exits_2(tmp_path, capsys):

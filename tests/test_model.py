@@ -7,6 +7,7 @@ import time
 
 import numpy as np
 import pytest
+from conftest import DEEP_JSON
 
 from featmim.config import RunConfig
 from featmim.errors import ConfigError, DataError
@@ -399,10 +400,8 @@ def test_checkpoint_rejects_a_repeated_parameter(tmp_path):
 
 
 def test_checkpoint_rejects_a_deeply_nested_header(tmp_path):
-    # json.loads raises RecursionError, not ValueError, on deep nesting
-    header = b"[" * 200_000
     bad = tmp_path / "bad.bin"
-    bad.write_bytes(CHECKPOINT_MAGIC + struct.pack("<I", len(header)) + header)
+    bad.write_bytes(CHECKPOINT_MAGIC + struct.pack("<I", len(DEEP_JSON)) + DEEP_JSON)
     with pytest.raises(DataError, match="bad.bin: malformed checkpoint header: maximum recursion"):
         load_checkpoint(bad)
 
