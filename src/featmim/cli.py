@@ -1,9 +1,10 @@
 """Command-line surface.
 
-Subcommands: pretrain, dump-features, diversity, heatmap, pca, grad-check,
-ablate-lambda. Configuration is one JSON document (see config.py); every
-command validates it fully before touching the filesystem, and all outputs
-land under the path given by --out.
+Subcommands: pretrain, dump-features, diversity, heatmap, pca, grad-check.
+Configuration is one JSON document (see config.py); every command validates
+it fully before touching the filesystem, and all outputs land under the path
+given by --out. A sweep of the global loss weight is one pretrain per value,
+each with its own loss.lam in its config.
 
 Exit codes: 0 ok, 2 config error, 3 data error, 4 numeric error.
 """
@@ -23,7 +24,7 @@ from .gradcheck import grad_check, tiny_run_config
 from .imageio import load_images
 from .teacher import TeacherSpec, check_alignment, dump_features, load_feature_dir, make_teacher
 from .tensor import read_tvec, write_atomic, write_tvec
-from .trainer import ablate_lambda, train
+from .trainer import train
 
 
 def _config_flags(p):
@@ -144,18 +145,6 @@ def cmd_grad_check(args):
     return 0 if passed else 4
 
 
-def cmd_ablate_lambda(args):
-    cfg = _resolved_config(args)
-    try:
-        lambdas = [float(v) for v in args.lambdas.split(",") if v != ""]
-    except ValueError as e:
-        raise ConfigError(f"--lambdas: {e}") from None
-    images = _load_image_dir(args.images, cfg.data.norm_mean, cfg.data.norm_std)
-    csv_path = ablate_lambda(cfg, lambdas, images, args.out)
-    print(f"ablate-lambda: swept {lambdas} -> {csv_path}")
-    return 0
-
-
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="featmim",
@@ -205,13 +194,6 @@ def build_parser():
     p.add_argument("--tolerance", type=float, default=1e-4)
     p.add_argument("--h", type=float, default=1e-5, help="finite-difference step")
     p.set_defaults(func=cmd_grad_check)
-
-    p = sub.add_parser("ablate-lambda", help="sweep the global loss weight")
-    _config_flags(p)
-    p.add_argument("--images", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--lambdas", required=True, help="comma-separated weights, e.g. 0,0.5,1")
-    p.set_defaults(func=cmd_ablate_lambda)
 
     return parser
 

@@ -2,7 +2,7 @@
 
 Runs the model in float64 on a deterministic synthetic image and compares
 the tape's analytic gradients for every parameter against central finite
-differences. Relative error uses max(|analytic|, |numeric|, floor) in the
+differences. Relative error uses max(|analytic|, |numeric|, 1e-6) in the
 denominator so near-zero gradients do not blow up the ratio.
 """
 
@@ -33,7 +33,7 @@ def tiny_run_config():
     )
 
 
-def grad_check(cfg, h=1e-5, floor=1e-6, in_channels=3, batch_size=1):
+def grad_check(cfg, h=1e-5, in_channels=3, batch_size=1):
     """Compare analytic and numeric gradients of the total loss, parameter
     by parameter, element by element. Everything runs in float64.
 
@@ -72,7 +72,7 @@ def grad_check(cfg, h=1e-5, floor=1e-6, in_channels=3, batch_size=1):
         fm = loss_value()
         flat[i] = orig
         num[i] = (fp - fm) / (2.0 * h)
-    rel = np.abs(ana - num) / np.maximum(np.maximum(np.abs(ana), np.abs(num)), floor)
+    rel = np.abs(ana - num) / np.maximum(np.maximum(np.abs(ana), np.abs(num)), 1e-6)
     per_param = {name: float(np.max(rel[end - t.data.size:end]))
                  for (name, t), end in zip(params.items(), params.ends)}
 

@@ -386,12 +386,15 @@ def tvec_from_bytes(blob, label="<bytes>", offset=0):
 
 def write_atomic(path, data):
     """Write bytes (or str, as UTF-8) to `<path>.tmp` and rename it onto
-    `path`, so a failed or interrupted write never leaves a partial file."""
+    `path`, so a failed or interrupted write never leaves a partial file.
+    An OSError becomes a DataError "cannot write <path>: <reason>"."""
     tmp = f"{path}.tmp"
     try:
         with open(tmp, "wb") as f:
             f.write(data.encode() if isinstance(data, str) else data)
         os.replace(tmp, path)
+    except OSError as e:
+        raise DataError(f"cannot write {path}: {e.strerror or e}") from None
     finally:
         if os.path.exists(tmp):
             os.remove(tmp)

@@ -25,7 +25,7 @@ from .losses import global_loss, patch_loss
 from .masking import SplitMix64, generate_mask
 from .model import forward, init_params, patchify, project_global, save_checkpoint
 from .teacher import align_input, make_teacher
-from .tensor import Tape, add, backward, mul, write_atomic
+from .tensor import Tape, add, backward, mul
 
 METRICS_COLUMNS = ("step", "epoch", "lr", "L_patch", "L_global", "L_total")
 
@@ -88,9 +88,9 @@ class OptimizerState:
 
 
 def adamw_step(params, grads, state: OptimizerState, lr, *,
-               beta1=0.9, beta2=0.95, weight_decay=0.05, eps=1e-8, name_at=str):
+               beta1=0.9, beta2=0.95, weight_decay=0.05, name_at=str):
     """Decoupled-weight-decay Adam on flat weights and gradient, in place,
-    elementwise as p -= lr * (m_hat / (sqrt(v_hat) + eps) + wd * p). An
+    elementwise as p -= lr * (m_hat / (sqrt(v_hat) + 1e-8) + wd * p). An
     update with a non-finite element leaves the weights as they were and
     raises a NumericError naming name_at(its first such offset)."""
     if state.m is None:
@@ -104,7 +104,7 @@ def adamw_step(params, grads, state: OptimizerState, lr, *,
     v += np.multiply(np.multiply(1.0 - beta2, grads, out=a), grads, out=a)
     np.divide(m, 1.0 - beta1**state.step, out=a)  # m_hat
     np.sqrt(np.divide(v, 1.0 - beta2**state.step, out=b), out=b)
-    b += eps
+    b += 1e-8
     a /= b
     a += np.multiply(weight_decay, params, out=b)
     np.multiply(lr, a, out=a)
@@ -147,7 +147,6 @@ class TrainResult(NamedTuple):
     metrics_csv: str
     total_steps: int
     final_l_patch: float
-    final_l_global: float
     final_l_total: float
 
 
@@ -260,29 +259,4 @@ def train(cfg, images, out_dir):
                 save_checkpoint(os.path.join(out_dir, f"ckpt_{step + 1}.bin"), params)
 
     return TrainResult(final_checkpoint=final_ckpt, metrics_csv=metrics_path,
-                       total_steps=total_steps, final_l_patch=lp,
-                       final_l_global=lg, final_l_total=lt)
-
-
-def ablate_lambda(cfg, lambdas, images, out_dir):
-    """Run the same seeded training once per global-loss weight, each in
-    out_dir/lam_<lam:g>; write a CSV of final losses (out_dir/ablation.csv)
-    for side-by-side reading. Every weight is validated before any run."""
-    if len(lambdas) < 2:
-        raise ConfigError("a lambda sweep needs at least two values")
-    runs = {}
-    for lam in lambdas:
-        sub = cfg._replace(loss=cfg.loss._replace(lam=lam))
-        sub.loss.validate()
-        name = f"lam_{lam:g}"
-        if name in runs:
-            raise ConfigError(f"lambdas {runs[name].loss.lam!r} and {lam!r} both map to {name}")
-        runs[name] = sub
-    rows = []  # train makes out_dir with each run's directory
-    for name, sub in runs.items():
-        r = train(sub, images, os.path.join(out_dir, name))
-        rows.append((sub.loss.lam, r.final_l_patch, r.final_l_global, r.final_l_total))
-    csv_path = os.path.join(out_dir, "ablation.csv")
-    write_atomic(csv_path, "lambda,final_L_patch,final_L_global,final_L_total\n" + "".join(
-        f"{lam!r},{flp!r},{flg!r},{flt!r}\n" for lam, flp, flg, flt in rows))
-    return csv_path
+                       total_steps=total_steps, final_l_patch=lp, final_l_total=lt)

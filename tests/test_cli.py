@@ -1,7 +1,10 @@
+import argparse
 import hashlib
 import json
 import math
 import os
+import re
+import resource
 import struct
 import subprocess
 import sys
@@ -13,10 +16,12 @@ import pytest
 from conftest import DEEP_JSON
 
 import featmim
-from featmim.cli import main
+import featmim.cli
+from featmim.cli import build_parser, main
 from featmim.config import run_config_from_dict
 from featmim.gradcheck import grad_check
 from featmim.imageio import read_pnm, write_pgm, write_ppm
+from featmim.model import CHECKPOINT_MAGIC, ModelConfig
 from featmim.synth import synthetic_image
 from featmim.tensor import read_tvec, write_tvec
 
@@ -241,17 +246,21 @@ def test_dump_features_and_diversity(tmp_path, image_dir):
 
 @pytest.mark.parametrize("command", ["diversity", "pretrain"])
 def test_a_write_that_fails_with_os_error_exits_3(tmp_path, image_dir, capsys, command):
-    # a missing parent directory, and an --out below a plain file
+    # a missing parent directory, and an --out below a plain file; the
+    # message names the path asked for, not the temporary file beside it
     if command == "diversity":
         feats = tmp_path / "feats"
         assert main(["dump-features", "--images", str(image_dir), "--out", str(feats)]) == 0
-        argv = ["diversity", "--features", str(feats), "--out", str(tmp_path / "missing" / "r.json")]
+        out = tmp_path / "missing" / "r.json"
+        argv = ["diversity", "--features", str(feats), "--out", str(out)]
     else:
         (tmp_path / "file").write_text("")
-        argv = ["pretrain", "--images", str(image_dir), "--out", str(tmp_path / "file" / "run")]
+        out = tmp_path / "file" / "run"
+        argv = ["pretrain", "--images", str(image_dir), "--out", str(out)]
     capsys.readouterr()
     assert main(argv) == 3
-    assert capsys.readouterr().err.startswith("data error:")
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and str(out) in err and ".tmp" not in err
 
 
 def test_dump_features_deterministic(tmp_path, image_dir):
@@ -510,18 +519,6 @@ def test_teacher_grid_that_misses_the_patch_grid_exits_3(tmp_path, image_dir, ca
     assert (f"teacher gives 64 tokens for image {bad!r}, which has 16 student patches"
             in capsys.readouterr().err)
     assert not run.exists()
-
-
-def test_ablate_lambda_failing_first_run_leaves_no_out(tmp_path, image_dir, capsys):
-    feats = tmp_path / "feats"  # 64 tokens per image against 16 student patches
-    assert main(["dump-features", "--images", str(image_dir), "--out", str(feats),
-                 "--patch-side", "4"]) == 0
-    capsys.readouterr()
-    out = tmp_path / "abl"
-    assert main(["ablate-lambda", "--config", str(_file_teacher_config(tmp_path, feats)),
-                 "--images", str(image_dir), "--out", str(out), "--lambdas", "0,0.5"]) == 3
-    assert "for image 'img0'" in capsys.readouterr().err
-    assert not out.exists()
 
 
 def test_zero_step_run_exits_2_writing_nothing(tmp_path, capsys):
@@ -818,43 +815,6 @@ def test_config_flags_only_where_read(tmp_path):
             assert exc.value.code == 2
 
 
-def test_ablate_lambda_command(tmp_path, image_dir):
-    cfg = write_config(tmp_path)
-    out = tmp_path / "sweep"
-    code = main(["ablate-lambda", "--config", str(cfg), "--images", str(image_dir),
-                 "--out", str(out), "--lambdas", "0,0.5,1"])
-    assert code == 0
-    rows = (out / "ablation.csv").read_text().splitlines()
-    assert rows[0] == "lambda,final_L_patch,final_L_global,final_L_total"
-    assert len(rows) == 4
-    for sub in ("lam_0", "lam_0.5", "lam_1"):
-        assert (out / sub / "metrics.csv").exists()
-
-
-def test_ablate_lambda_single_value_exits_2(tmp_path, image_dir):
-    code = main(["ablate-lambda", "--images", str(image_dir),
-                 "--out", str(tmp_path / "sweep"), "--lambdas", "0.5"])
-    assert code == 2
-
-
-@pytest.mark.parametrize("lambdas,named", [
-    ("a,b", "'a'"),
-    ("nan,1", "nan"),
-    ("1,inf", "inf"),
-    ("-1,1", "-1.0"),
-    ("0,0.0", "lam_0"),  # two runs into one directory
-    ("1e-7,1.00000001e-7", "lam_1e-07"),
-])
-def test_ablate_lambda_bad_value_exits_2_before_any_run(tmp_path, image_dir, capsys,
-                                                        lambdas, named):
-    out = tmp_path / "sweep"
-    code = main(["ablate-lambda", "--images", str(image_dir), "--out", str(out),
-                 f"--lambdas={lambdas}"])
-    assert code == 2
-    assert named in capsys.readouterr().err
-    assert not out.exists()
-
-
 @pytest.mark.parametrize("command,flags,config,field", [
     ("pretrain", ["--seed", "-3"], None, "train.seed"),
     ("pretrain", [], {"train": {"seed": -1}}, "train.seed"),
@@ -890,6 +850,72 @@ def test_usage_error_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])
     assert exc.value.code == 2
+
+
+def _commands_and_options():
+    """build_parser()'s subcommands, in order, each with its option actions."""
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return {name: p._option_string_actions for name, p in sub.choices.items()}
+
+
+def test_docs_name_exactly_the_parsers_commands():
+    commands = _commands_and_options()
+    doc = re.search(r"Subcommands: ([^.]*)\.", featmim.cli.__doc__).group(1)
+    assert re.split(r",\s+", doc) == list(commands)
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    cli = readme.split("## CLI", 1)[1]
+    block = cli.split("```sh", 1)[1].split("```", 1)[0]
+    assert set(re.findall(r"^featmim ([a-z-]+)", block, re.M)) == set(commands)
+    takes_config, takes_seed = re.search(
+        r"`--config` \(a run configuration JSON\)\s+is taken by (.*?),\s+and\s+`--seed`"
+        r"\s+\(overrides `train.seed`\)\s+by (.*?)\.", cli, re.S).groups()
+    assert re.findall(r"`([a-z-]+)`", takes_config) == [
+        name for name, options in commands.items() if "--config" in options]
+    assert re.findall(r"`([a-z-]+)`", takes_seed) == [
+        name for name, options in commands.items()
+        if "train.seed" in getattr(options.get("--seed"), "help", "")]
+
+
+def _cap_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+
+MEMORY_CAP_PROBE = """
+import sys
+from featmim.cli import main
+from featmim.errors import DataError
+from featmim.model import load_checkpoint
+if sys.argv[1] != "load_checkpoint":
+    sys.exit(main(sys.argv[1:]))
+try:
+    load_checkpoint(sys.argv[2])
+except DataError as e:
+    sys.exit(f"DataError: {e}")
+"""
+
+
+def test_oversized_inputs_are_refused_under_a_2_gib_address_space(tmp_path, image_dir):
+    # each case runs in a child whose address space alone is capped: an
+    # allocation before the size check would die of MemoryError, not exit 2
+    cfg = write_config(tmp_path, model={"embed_dim": 2**20, "dec_width": 2**20})
+    header = json.dumps({"config": ModelConfig()._asdict(), "n_patches": 2**40,
+                         "in_channels": 3}).encode()
+    ckpt = tmp_path / "big.bin"
+    ckpt.write_bytes(CHECKPOINT_MAGIC + struct.pack("<I", len(header)) + header)
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": str(Path(featmim.__file__).resolve().parent.parent)}
+    for argv, code, message in [
+            (["pretrain", "--config", str(cfg), "--images", str(image_dir),
+              "--out", str(tmp_path / "run")], 2, "config error:"),
+            (["dump-features", "--downsample", str(2**40), "--images", str(image_dir),
+              "--out", str(tmp_path / "feats")], 2, "config error:"),
+            (["load_checkpoint", str(ckpt)], 1, "DataError:")]:
+        proc = subprocess.run([sys.executable, "-c", MEMORY_CAP_PROBE, *argv], env=env,
+                              capture_output=True, text=True, timeout=60,
+                              preexec_fn=_cap_address_space)
+        assert proc.returncode == code and proc.stderr.startswith(message), proc.stderr
+        assert "more than" in proc.stderr
+    assert not (tmp_path / "run").exists() and not (tmp_path / "feats").exists()
 
 
 IMPORT_PROBE = """

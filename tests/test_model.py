@@ -332,7 +332,9 @@ def test_checkpoint_write_failing_partway_keeps_the_old_file(tmp_path, monkeypat
             raise OSError("rename failed")
 
         monkeypatch.setattr(os, "replace", failing_replace)
-    with pytest.raises(OSError):
+    # write_atomic turns a failed write or rename into a DataError naming the path
+    with pytest.raises(OSError) if fail_in == "encode" else pytest.raises(
+            DataError, match=f"cannot write {path}: rename failed"):
         _write_output(fail_in, path, seed=2)
     assert path.read_bytes() == before
     assert os.listdir(tmp_path) == ["ckpt.bin"]

@@ -20,8 +20,8 @@ ALLOWED = {"load_checkpoint": "ROADMAP item 3's --resume"}
 
 # where a validate() call may stand: the CLI, RunConfig.validate (each
 # section's), and the entry points that scripts and the CLI call
-VALIDATE_HOMES = {"cli", "config.RunConfig.validate", "trainer.train", "trainer.ablate_lambda",
-                  "gradcheck.grad_check", "teacher.make_teacher", "model.load_checkpoint"}
+VALIDATE_HOMES = {"cli", "config.RunConfig.validate", "trainer.train", "gradcheck.grad_check",
+                  "teacher.make_teacher", "model.load_checkpoint"}
 
 
 def _trees(directory):

@@ -21,9 +21,8 @@ from featmim.model import forward, init_params, load_checkpoint, patchify
 from featmim.synth import synthetic_image
 from featmim.teacher import ProceduralConvTeacher
 from featmim.tensor import Tape, Tensor, backward
-from featmim.trainer import (FeatureCache, OptimizerState, TrainConfig,
-                             ablate_lambda, adamw_step, lr_at, scaled_lr,
-                             step_losses, train)
+from featmim.trainer import (FeatureCache, OptimizerState, TrainConfig, adamw_step,
+                             lr_at, scaled_lr, step_losses, train)
 
 CFG10 = TrainConfig(base_lr=1.5e-4, batch_size=4096, warmup_epochs=40, total_epochs=1600)
 
@@ -528,30 +527,6 @@ def test_epoch_order_matches_inline_shuffle(tmp_path, monkeypatch):
     stream = SplitMix64(7 ^ featmim.trainer._SHUFFLE_STREAM_TAG)
     assert [len(idx) for idx in seen] == [2, 2, 1] * 3
     assert sum(seen, []) == [k for _ in range(3) for k in inline_shuffle(range(5), stream)]
-
-
-def test_ablate_lambda_sweep(tmp_path):
-    cfg = small_cfg(total_epochs=2.0)
-    images = small_images()
-    csv_path = ablate_lambda(cfg, [0.0, 0.5], images, tmp_path)
-    rows = list(csv.DictReader(io.StringIO(pathlib.Path(csv_path).read_text())))
-    assert [r["lambda"] for r in rows] == ["0.0", "0.5"]
-    assert all(np.isfinite(float(r["final_L_total"])) for r in rows)
-
-
-def test_ablate_lambda_rejects_single_value(tmp_path):
-    with pytest.raises(ConfigError):
-        ablate_lambda(small_cfg(), [0.5], small_images(), tmp_path)
-
-
-def test_ablate_lambda_zero_row_reproducible(tmp_path):
-    cfg = small_cfg(total_epochs=2.0)
-    images = small_images()
-    a = ablate_lambda(cfg, [0.0, 1.0], images, tmp_path / "a")
-    b = ablate_lambda(cfg, [0.0, 0.5], images, tmp_path / "b")
-    row_a = pathlib.Path(a).read_text().splitlines()[1]
-    row_b = pathlib.Path(b).read_text().splitlines()[1]
-    assert row_a == row_b  # identical seeds: the lam=0 rows agree bitwise
 
 
 def test_train_with_file_teacher(tmp_path):
