@@ -47,13 +47,14 @@ def pca_reduce(x, n_components):
     explained_variance [n] non-increasing, clamped at 0). Each component is
     signed so that its largest-magnitude entry (the first, on a tie) is
     positive, so the output does not depend on the solver's sign choice.
+    x is left unchanged: its one float64 copy (the corpus's second) is centered in place.
     """
-    x = np.asarray(x, dtype=np.float64)
-    m, d = x.shape
+    xc = np.array(x, dtype=np.float64)
+    m, d = xc.shape
     if not 1 <= n_components <= min(m, d):
         raise ConfigError(
             f"n_components must lie in [1, {min(m, d)}], got {n_components}")
-    xc = x - x.mean(axis=0)
+    xc -= xc.mean(axis=0)
     values, vectors = np.linalg.eigh(xc.T @ xc / max(m - 1, 1))
     components = vectors[:, ::-1][:, :n_components].T
     peak = np.abs(components).argmax(axis=1)

@@ -93,9 +93,9 @@ def cmd_dump_features(args):
 
 
 def cmd_diversity(args):
-    samples = load_feature_dir(args.features)
+    corpus, offsets = load_feature_dir(args.features)
     try:
-        report = corpus_diversity(samples)
+        report = corpus_diversity(np.split(corpus, offsets[1:-1]))
     except (DataError, NumericError) as e:
         raise type(e)(f"{args.features}: {e}") from None
     write_atomic(args.out, json.dumps(report, indent=1))
@@ -122,9 +122,9 @@ def cmd_heatmap(args):
 
 
 def cmd_pca(args):
-    x = np.vstack(load_feature_dir(args.features))
+    x, _ = load_feature_dir(args.features)
     projected, _, explained = pca_reduce(x, args.components)
-    write_tvec(args.out, projected.astype(np.float32))
+    write_tvec(args.out, projected)
     write_atomic(f"{args.out}.json", json.dumps(
         {"n_components": args.components,
          "explained_variance": explained.tolist()}, indent=1))

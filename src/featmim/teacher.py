@@ -10,6 +10,7 @@ and a file-backed teacher that replays features dumped by `dump_features`.
 import json
 import math
 import os
+from itertools import accumulate
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -252,7 +253,7 @@ def dump_features(teacher, images, out_dir, student_patch_side):
                               image_id) for image_id, image in images]
     os.makedirs(out_dir, exist_ok=True)
     for (image_id, _), tokens in zip(images, feats):
-        write_tvec(os.path.join(out_dir, f"{image_id}.tvec"), tokens.astype(np.float32))
+        write_tvec(os.path.join(out_dir, f"{image_id}.tvec"), tokens)
     entries = [{"id": image_id, "grid_side": math.isqrt(len(tokens))}
                for (image_id, _), tokens in zip(images, feats)]
     manifest = {"source_id": teacher.kind,
@@ -264,9 +265,19 @@ def dump_features(teacher, images, out_dir, student_patch_side):
 
 
 def load_feature_dir(features_dir):
-    """All dumped samples' token arrays [K, D], in manifest order; a dump
-    without entries is a DataError."""
+    """A dump's tokens as one C-contiguous float32 [sum K, D] matrix, sized
+    from the manifest and filled one checked file at a time in its order, and
+    the row offsets [n + 1] of its samples. The corpus is thus held once as
+    float32 (pca_reduce adds one float64 copy). No entries is a DataError."""
     teacher = FileTeacher(features_dir)
     if not teacher.ids:
         raise DataError(f"no feature samples in {features_dir}")
-    return [teacher.features(None, image_id) for image_id in teacher.ids]
+    offsets = list(accumulate((teacher._grid_by_id[i] ** 2 for i in teacher.ids), initial=0))
+    paths = [os.path.join(features_dir, f"{i}.tvec") for i in teacher.ids]
+    if 4 * offsets[-1] * teacher.target_dim > sum(map(os.path.getsize, filter(os.path.isfile, paths))):
+        for image_id in teacher.ids:  # more tokens than the files hold: the first
+            teacher.features(None, image_id)  # bad file raises, before any allocation
+    corpus = np.empty((offsets[-1], teacher.target_dim), dtype=np.float32)
+    for image_id, lo, hi in zip(teacher.ids, offsets, offsets[1:]):
+        corpus[lo:hi] = teacher.features(None, image_id)
+    return corpus, offsets

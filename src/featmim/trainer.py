@@ -225,7 +225,6 @@ def train(cfg, images, out_dir):
 
     metrics_path = os.path.join(out_dir, "metrics.csv")
     final_ckpt = os.path.join(out_dir, f"ckpt_{total_steps}.bin")
-    lp = lg = lt = float("nan")
     with open(metrics_path, "w") as metrics:
         metrics.write(",".join(METRICS_COLUMNS) + "\n")
         for step in range(total_steps):

@@ -261,8 +261,8 @@ def test_persistence_round_trips(tmp_path):
     teacher = ProceduralConvTeacher(target_dim=16, downsample_rate=8, seed=6)
     images = [(f"i{k}", synthetic_image(32, 3, seed=k)) for k in range(3)]
     dump_features(teacher, images, tmp_path / "f1", student_patch_side=8)
-    replayed = load_feature_dir(tmp_path / "f1")
-    assert [r.shape for r in replayed] == [(16, 16)] * 3
+    replayed, offsets = load_feature_dir(tmp_path / "f1")
+    assert replayed.shape == (48, 16) and offsets == [0, 16, 32, 48]
     dump_features(FileTeacher(tmp_path / "f1"), images, tmp_path / "f2", student_patch_side=8)
     for k in range(3):
         a = (tmp_path / "f1" / f"i{k}.tvec").read_bytes()

@@ -174,3 +174,18 @@ def test_pca_negated_input():
     assert neg_comps.tobytes() == comps.tobytes()
     assert neg_explained.tobytes() == explained.tobytes()
     assert (neg_projected == -projected).all()
+
+
+def test_pca_leaves_its_input_unchanged_and_reads_float32_as_its_upcast():
+    # pca_reduce centers its own float64 copy: neither a float32 nor a
+    # float64 argument is touched, and a float32 matrix gives the bytes of
+    # its float64 upcast
+    rng = np.random.default_rng(13)
+    x32 = (rng.normal(size=(64, 6)) * np.arange(6, 0, -1) + 3.0).astype(np.float32)
+    x64 = x32.astype(np.float64)
+    before32, before64 = x32.tobytes(), x64.tobytes()
+    out32, out64 = pca_reduce(x32, 3), pca_reduce(x64, 3)
+    assert x32.tobytes() == before32 and x64.tobytes() == before64
+    for a, b in zip(out32, out64):
+        assert a.dtype == b.dtype == np.float64
+        assert a.tobytes() == b.tobytes()

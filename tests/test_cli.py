@@ -8,6 +8,7 @@ import resource
 import struct
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -445,6 +446,53 @@ def test_diversity_bad_corpus_exits_3(tmp_path, capsys, token_counts):
     assert not out.exists()
 
 
+def _feature_dir(feats, samples, grids=None):
+    """A dump of the [K, D] float32 samples s0, s1, ... with its manifest."""
+    feats.mkdir()
+    for i, tokens in enumerate(samples):
+        write_tvec(feats / f"s{i}.tvec", tokens)
+    grids = grids or [math.isqrt(len(t)) for t in samples]
+    entries = [{"id": f"s{i}", "grid_side": g} for i, g in enumerate(grids)]
+    (feats / "manifest.json").write_text(json.dumps(
+        {"target_dim": samples[0].shape[1], "entries": entries}))
+
+
+GOOD = np.arange(16, dtype=np.float32).reshape(4, 4) + 1.0
+NAN = np.where(GOOD == 5.0, np.nan, GOOD).astype(np.float32)
+
+
+@pytest.mark.parametrize("samples,grids,damage,want", [
+    ([GOOD, np.ones((9, 4), np.float32)], [2, 2], None,
+     "feature file for 's1' has shape (9, 4), expected (4, 4)"),
+    ([GOOD, np.ones((1, 4), np.float32)], [2, 2], None,
+     "feature file for 's1' has shape (1, 4), expected (4, 4)"),
+    ([GOOD, GOOD], [2, 2**40], None,
+     f"feature file for 's1' has shape (4, 4), expected ({2**80}, 4)"),
+    ([GOOD, NAN], None, None, "feature file for 's1' contains non-finite values"),
+    ([NAN, GOOD], [2, 2**40], None, "feature file for 's0' contains non-finite values"),
+    ([GOOD, GOOD], None, "delete", "cannot read tensor file FEATS/s1.tvec: "),
+    ([GOOD, GOOD], None, "truncate", "FEATS/s1.tvec: payload holds 60 bytes, expected 64"),
+], ids=["more_tokens", "fewer_tokens", "huge_grid_side", "non_finite",
+        "first_bad_file_first", "missing_file", "truncated_file"])
+def test_bad_feature_file_exits_3_with_its_message(tmp_path, capsys, samples, grids, damage,
+                                                   want):
+    # the corpus matrix is sized from the manifest, yet each file's own
+    # check still speaks first, in manifest order, for diversity and pca alike
+    feats = tmp_path / "feats"
+    _feature_dir(feats, samples, grids)
+    s1 = feats / "s1.tvec"
+    if damage == "delete":
+        s1.unlink()
+    elif damage == "truncate":
+        s1.write_bytes(s1.read_bytes()[:-4])
+    want = want.replace("FEATS", str(feats))
+    for argv in (["diversity", "--out", str(tmp_path / "r.json")],
+                 ["pca", "--components", "2", "--out", str(tmp_path / "p.tvec")]):
+        assert main(argv + ["--features", str(feats)]) == 3, argv[0]
+        assert want in capsys.readouterr().err, argv[0]
+    assert list(tmp_path.iterdir()) == [feats]
+
+
 def test_mixed_channel_images_exit_3(tmp_path, capsys):
     # one PPM and one PGM: a data error before anything is written
     images = tmp_path / "images"
@@ -688,6 +736,27 @@ def test_pca_outputs_byte_identical_across_runs(tmp_path, image_dir):
                      "--out", str(tmp_path / f"{name}.tvec")]) == 0
     for suffix in (".tvec", ".tvec.json"):
         assert (tmp_path / f"a{suffix}").read_bytes() == (tmp_path / f"b{suffix}").read_bytes()
+
+
+def test_pca_holds_the_corpus_once_as_float32_and_once_as_float64(tmp_path):
+    # tracemalloc sees numpy's buffers: the float32 corpus plus pca_reduce's
+    # one float64 copy is 12 bytes per element; a stacked copy or a second
+    # float64 array (20 bytes per element) overruns 14 plus the allowance,
+    # which covers the projection, the covariance and the files being read
+    rng = np.random.default_rng(0)
+    feats = tmp_path / "feats"
+    _feature_dir(feats, [rng.normal(size=(256, 64)).astype(np.float32) for _ in range(8)])
+    argv = ["pca", "--features", str(feats), "--components", "4",
+            "--out", str(tmp_path / "p.tvec")]
+    assert main(argv) == 0  # first-call imports and caches stay out of the trace
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    elements = 8 * 256 * 64
+    assert peak < 14 * elements + 256 * 1024, f"{peak / elements:.2f} bytes per element"
 
 
 # sha256 of every file that dump-features, diversity, pca and heatmap write

@@ -9,6 +9,7 @@ from featmim.synth import synthetic_image
 from featmim.teacher import (FileTeacher, ProceduralConvTeacher, TeacherSpec,
                              _conv2d_stride2, align_input, bilinear_resize, check_alignment,
                              dump_features, load_feature_dir, make_teacher)
+from featmim.tensor import read_tvec
 
 
 def test_align_reference_geometry():
@@ -135,8 +136,12 @@ def test_dump_features_counts_and_manifest(tmp_path):
     assert all(e["grid_side"] == 2 for e in manifest["entries"])
     files = sorted(p.name for p in tmp_path.glob("*.tvec"))
     assert len(files) == 8
-    samples = load_feature_dir(tmp_path)
-    assert [s.shape for s in samples] == [(4, 16)] * 8
+    corpus, offsets = load_feature_dir(tmp_path)
+    assert corpus.shape == (32, 16) and corpus.dtype == np.float32
+    assert corpus.flags.c_contiguous
+    assert offsets == [0, 4, 8, 12, 16, 20, 24, 28, 32]
+    for (image_id, _), lo, hi in zip(images, offsets, offsets[1:]):
+        assert np.array_equal(corpus[lo:hi], read_tvec(tmp_path / f"{image_id}.tvec"))
 
 
 def test_dump_empty_set(tmp_path):
