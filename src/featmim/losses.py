@@ -45,13 +45,13 @@ def _batch_mean(node, target, batch, channel_reduce):
 def patch_loss(z, rows, tokens, beta, channel_reduce="mean"):
     """Smooth-L1 between teacher tokens and predictions, masked slots only.
 
-    z and tokens are [B*N, D], the predictions and teacher tokens of B
-    images stacked image by image; rows is [B, M], the batch's masked rows.
+    rows is [B, M], the batch's masked rows; z is [B*M, D], the predictions
+    at those rows, and tokens [B*N, D], the teacher tokens of the B images
+    stacked image by image.
     """
-    b, rows = len(rows), rows.reshape(-1)
-    y_m = tokens[rows]
-    return _batch_mean(lambda scale: tn.masked_smooth_l1(z, rows, y_m, beta, scale),
-                       y_m, b, channel_reduce)
+    y_m = tokens[rows.reshape(-1)]
+    return _batch_mean(lambda scale: tn.smooth_l1(z, y_m, beta, scale), y_m, len(rows),
+                       channel_reduce)
 
 
 def global_loss(p_h, means, beta, channel_reduce="mean"):

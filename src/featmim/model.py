@@ -1,15 +1,17 @@
 """The student network.
 
-Asymmetric design: the encoder runs only on visible patch tokens (plus an
-optional CLS token), the decoder rebuilds the full patch grid and regresses
-teacher features. One tensor.gather_rows by a restore index puts visible
-tokens in grid order and the learnable mask token in every masked slot
-(MAE's ids_restore unshuffle); CLS goes in the same way. Each dense layer,
-x @ W + b, is one tensor.linear tape node; attention is the single fused
-tape op tensor.attention between the q/k/v and output projections. Encoder
-block outputs can be aggregated (mean or literal sum) before decoding; a
-2-layer MLP head projects last-layer visible tokens to the teacher dimension
-for the global loss.
+Asymmetric design: only visible patch rows are embedded and encoded (plus
+an optional CLS token). The decoder rebuilds the full patch grid and
+predicts teacher features for the masked rows only, the rows the patch loss
+reads: its keys and values read every grid row, but the last block's queries,
+and all that follows them, take the masked rows. One tensor.gather_rows by a
+restore index puts visible tokens in grid order and the learnable mask token
+in every masked slot (MAE's ids_restore unshuffle); CLS goes in the same way.
+Each dense layer, x @ W + b, is one tensor.linear tape node; attention is
+the single fused tape op tensor.attention between the q/k/v and output
+projections. Encoder block outputs can be aggregated (mean or literal sum)
+before decoding; a 2-layer MLP head projects last-layer visible tokens to
+the teacher dimension for the global loss.
 
 Positional embeddings are fixed 2-D sine-cosine tables, not learned. One
 table, _weights, states every weight's name, shape and init in draw order:
@@ -162,19 +164,23 @@ def patchify(image, patch_side):
     return x.transpose(1, 3, 0, 2, 4).reshape(gh * gw, c * patch_side**2)
 
 
-def patch_embed(patches, params: ModelParams):
+def patch_embed(patches, vis_rows, params: ModelParams):
     """Linear projection of the patch rows of B images, [B, N, C * patch**2]
-    (each image's from patchify), to [B*N, d], plus position embeddings."""
+    (each image's from patchify), at the batch's visible rows vis_rows [B, V]
+    (as masking.generate_mask returns them) to [B*V, d], plus positions."""
     want = (len(patches), params.n_patches, params.in_channels * params.config.patch_side**2)
     if patches.shape != want:
         raise ConfigError(f"patch rows {patches.shape} do not match the model's {want}")
-    rows = patches.reshape(-1, want[2]).astype(params.flat.dtype, copy=False)
+    vis = vis_rows.reshape(-1)
+    rows = patches.reshape(-1, want[2])[vis].astype(params.flat.dtype, copy=False)
     tokens = tn.linear(Tensor(rows), params["patch_proj_w"], params["patch_proj_b"])
-    return tn.add(tokens, Tensor(np.tile(params.enc_pos, (len(patches), 1))))
+    return tn.add(tokens, Tensor(params.enc_pos[vis % want[1]]))
 
 
-def _attention(x, params, prefix, heads, batch):
-    q = tn.linear(x, params[f"{prefix}_q_w"], params[f"{prefix}_q_b"])
+def _attention(x, params, prefix, heads, batch, rows):
+    # queries only from the given rows of x, keys and values from all of them
+    q = tn.linear(x if rows is None else tn.gather_rows(x, rows), params[f"{prefix}_q_w"],
+                  params[f"{prefix}_q_b"])
     k = tn.linear(x, params[f"{prefix}_k_w"], params[f"{prefix}_k_b"])
     v = tn.linear(x, params[f"{prefix}_v_w"], params[f"{prefix}_v_b"])
     y = tn.attention(q, k, v, heads, batch)
@@ -187,12 +193,13 @@ def _mlp(x, params, prefix):
     return tn.linear(h, params[f"{prefix}_mlp_fc2_w"], params[f"{prefix}_mlp_fc2_b"])
 
 
-def _transformer_block(x, params, prefix, heads, batch):
+def _transformer_block(x, params, prefix, heads, batch, rows=None):
     # pre-norm: x + Attn(LN(x)), then x + MLP(LN(x)); attention stays
-    # within each of the batch's sequences, everything else is row-wise
+    # within each of the batch's sequences, everything else is row-wise.
+    # With rows, only those rows of x come out: the keys still read all.
     a = _attention(tn.layer_norm(x, params[f"{prefix}_ln1_g"], params[f"{prefix}_ln1_b"]),
-                   params, prefix, heads, batch)
-    x = tn.add(x, a)
+                   params, prefix, heads, batch, rows)
+    x = tn.add(x if rows is None else tn.gather_rows(x, rows), a)
     m = _mlp(tn.layer_norm(x, params[f"{prefix}_ln2_g"], params[f"{prefix}_ln2_b"]), params, prefix)
     return tn.add(x, m)
 
@@ -202,15 +209,15 @@ def encode_visible(tokens, vis_rows, params: ModelParams):
     encoder blocks; returns every block's output, visible patch tokens
     only, each [B*V, d].
 
-    tokens is [B*N, d] from patch_embed; vis_rows is [B, V], the batch's
-    visible rows (the second array masking.generate_mask returns).
+    tokens is [B*V, d] from patch_embed; vis_rows is [B, V], as patch_embed
+    takes it.
     """
     cfg = params.config
-    b, n = len(vis_rows), params.n_patches
-    # row b*n of the gather reads CLS: it goes ahead of each image's tokens
-    rows = np.concatenate([np.full((b, 1), b * n), vis_rows], axis=1) if cfg.use_cls else vis_rows
-    x = tn.gather_rows(tokens, rows.reshape(-1), params["cls_token"] if cfg.use_cls else None)
-    seq = rows.shape[1]
+    b, v = vis_rows.shape
+    x, seq = tokens, v
+    if cfg.use_cls:  # row b*v of the gather reads CLS: it goes ahead of each image's tokens
+        rows = np.concatenate([np.full((b, 1), b * v), np.arange(b * v).reshape(b, v)], axis=1)
+        x, seq = tn.gather_rows(tokens, rows.reshape(-1), params["cls_token"]), v + 1
     patch_rows = (seq * np.arange(b)[:, None] + np.arange(1, seq)).reshape(-1)
     layers = []
     for layer in range(cfg.enc_depth):
@@ -232,11 +239,12 @@ def aggregate_multi_block(layers, config: ModelConfig):
     return acc
 
 
-def decode(h_visible, vis_rows, params: ModelParams):
+def decode(h_visible, masks, params: ModelParams):
     """Rebuild each image's full grid with mask tokens and predict teacher
-    features: [B*V, d] visible tokens -> [B*N, target_dim]. vis_rows is
-    [B, V], as encode_visible takes it."""
+    features at its masked rows: [B*V, d] visible tokens -> [B*M, target_dim].
+    masks is the pair (masked [B, M], visible [B, V]) generate_mask returns."""
     cfg = params.config
+    masked, vis_rows = masks
     b, n = len(vis_rows), params.n_patches
     h = tn.linear(h_visible, params["enc2dec_w"], params["enc2dec_b"])
     # grid row -> row of h, or len(h) for the mask token
@@ -245,7 +253,8 @@ def decode(h_visible, vis_rows, params: ModelParams):
     x = tn.gather_rows(h, restore_idx, params["mask_token"])
     x = tn.add(x, Tensor(np.tile(params.dec_pos, (b, 1))))
     for layer in range(cfg.dec_depth):
-        x = _transformer_block(x, params, f"dec{layer}", cfg.dec_heads, b)
+        last = masked.reshape(-1) if layer == cfg.dec_depth - 1 else None
+        x = _transformer_block(x, params, f"dec{layer}", cfg.dec_heads, b, last)
     return tn.linear(x, params["dec_pred_w"], params["dec_pred_b"])
 
 
@@ -259,19 +268,21 @@ def project_global(h_visible, params: ModelParams):
     return tn.linear(h, params["proj_fc2_w"], params["proj_fc2_b"])
 
 
-def forward(patches, vis_rows, params: ModelParams):
+def forward(patches, masks, params: ModelParams):
     """Student pass over a batch up to the patch predictions: embed,
     encode visible, aggregate, decode. patches is [B, N, C * patch**2], each
-    image's patchify rows; vis_rows is [B, V], the batch's visible rows, as
-    encode_visible and decode take them.
+    image's patchify rows; masks is the pair (masked, visible), as decode
+    takes it.
 
-    Returns (z, last_visible): the decoder's predictions [B*N, target_dim]
-    from the aggregated tokens, and the last encoder block's visible tokens
-    [B*V, d]. The global head is not run here: callers that weight the
-    global loss pass last_visible to project_global themselves.
+    Returns (z, last_visible): the decoder's predictions at the masked rows
+    [B*M, target_dim] from the aggregated tokens, and the last encoder
+    block's visible tokens [B*V, d]. The global head is not run here:
+    callers that weight the global loss pass last_visible to project_global
+    themselves.
     """
-    layers = encode_visible(patch_embed(patches, params), vis_rows, params)
-    return decode(aggregate_multi_block(layers, params.config), vis_rows, params), layers[-1]
+    vis_rows = masks[1]
+    layers = encode_visible(patch_embed(patches, vis_rows, params), vis_rows, params)
+    return decode(aggregate_multi_block(layers, params.config), masks, params), layers[-1]
 
 
 # --- checkpoints ---

@@ -10,7 +10,7 @@ The op vocabulary is what the student and its losses use: elementwise add,
 mul, relu, gelu; gather_rows of distinct rows (which can also place one
 learned row, such as a mask token, any number of times); and the fused
 linear (x @ w + b), layer_norm, attention and the two smooth-L1 losses,
-masked_smooth_l1 and pooled_smooth_l1, each one tape node with an analytic
+smooth_l1 and pooled_smooth_l1, each one tape node with an analytic
 backward. Ops take tensors; add and mul also take a Python scalar factor,
 only ever as the second operand, and operands of equal shape, except that
 a constant may broadcast against a taped operand.
@@ -196,7 +196,7 @@ def linear(x, w, b):
         raise ConfigError(f"linear needs x [R, i], w [i, o], b [o], "
                           f"got {xd.shape}, {wd.shape}, {bd.shape}")
     return _emit(xd @ wd + bd, (x, w, b),
-                 lambda g: (g @ wd.T if x_taped else None, xd.T @ g, g.sum(axis=0)))
+                 lambda g: (g @ wd.T if x_taped else None, xd.T @ g, np.add.reduce(g, axis=0)))
 
 
 def gather_rows(a, idx, row=None):
@@ -226,31 +226,32 @@ def gather_rows(a, idx, row=None):
 
 
 def attention(q, k, v, heads, batch=1):
-    """Multi-head scaled dot-product attention over [B*T, d] q, k and v.
+    """Multi-head scaled dot-product attention of [B*Tq, d] queries q over
+    [B*Tk, d] keys k and values v.
 
-    Rows are `batch` sequences of T tokens each, and no token attends
-    across sequences. d splits into `heads` heads of dh = d // heads
+    Rows are `batch` sequences, of Tq queries and Tk keys each, and no token
+    attends across sequences. d splits into `heads` heads of dh = d // heads
     channels. Each head takes the max-shifted softmax P of q k^T / sqrt(dh)
-    over keys and returns P v; the heads are concatenated back to [B*T, d].
+    over keys and returns P v; the heads are concatenated back to [B*Tq, d].
     Backward uses the analytic softmax gradient dS = P * (dP - rowsum(dP * P))
     and keeps only P.
     """
     qd, kd, vd = q.data, k.data, v.data
-    if qd.ndim != 2 or kd.shape != qd.shape or vd.shape != qd.shape:
-        raise ConfigError(f"attention needs equal [B*T, d] q, k, v, got {qd.shape}, {kd.shape}, {vd.shape}")
-    rows, d = qd.shape
-    if batch < 1 or rows % batch:
-        raise ConfigError(f"attention rows {rows} do not split into {batch} sequences")
+    if qd.ndim != 2 or kd.ndim != 2 or kd.shape[1] != qd.shape[1] or vd.shape != kd.shape:
+        raise ConfigError(f"attention needs q [B*Tq, d] and k, v [B*Tk, d], got {qd.shape}, {kd.shape}, {vd.shape}")
+    d = qd.shape[1]
+    if batch < 1 or len(qd) % batch or len(kd) % batch:
+        raise ConfigError(f"attention rows {len(qd)}, {len(kd)} do not split into {batch} sequences")
     if heads < 1 or d % heads:
         raise ConfigError(f"attention width {d} does not split into {heads} heads")
-    t, dh = rows // batch, d // heads
+    dh = d // heads
     scale = qd.dtype.type(1.0 / np.sqrt(dh))
 
     def split(x):  # [B*T, d] -> [B, heads, T, dh]
-        return x.reshape(batch, t, heads, dh).transpose(0, 2, 1, 3)
+        return x.reshape(batch, len(x) // batch, heads, dh).transpose(0, 2, 1, 3)
 
     def merge(x):  # [B, heads, T, dh] -> [B*T, d]
-        return x.transpose(0, 2, 1, 3).reshape(rows, d)
+        return x.transpose(0, 2, 1, 3).reshape(-1, d)
 
     def swap(x):  # transpose the last two axes
         return x.transpose(0, 1, 3, 2)
@@ -260,12 +261,12 @@ def attention(q, k, v, heads, batch=1):
     if not np.isfinite(s).all():
         raise NumericError("attention scores contain non-finite values")
     e = np.exp(s - s.max(axis=-1, keepdims=True))
-    p = e / e.sum(axis=-1, keepdims=True)
+    p = e / np.add.reduce(e, axis=-1, keepdims=True)
 
     def grad_fn(g):
         gh = split(g)
         gp = gh @ swap(vh)
-        gs = (gp - (gp * p).sum(axis=-1, keepdims=True)) * p * scale
+        gs = (gp - np.add.reduce(gp * p, axis=-1, keepdims=True)) * p * scale
         return merge(gs @ kh), merge(swap(gs) @ qh), merge(swap(p) @ gh)
 
     return _emit(merge(p @ vh), (q, k, v), grad_fn)
@@ -273,11 +274,11 @@ def attention(q, k, v, heads, batch=1):
 
 def layer_norm(x, gain, bias):
     """Normalise the last axis to mean 0 / variance 1 (eps 1e-6), then apply affine."""
-    # sum / d: what ndarray.mean computes, without its Python wrapper
+    # np.add.reduce / d: what ndarray.mean computes, without its Python wrappers
     d = x.data.shape[-1]
-    mu = x.data.sum(axis=-1, keepdims=True) / d
+    mu = np.add.reduce(x.data, axis=-1, keepdims=True) / d
     xc = x.data - mu
-    var = (xc * xc).sum(axis=-1, keepdims=True) / d
+    var = np.add.reduce(xc * xc, axis=-1, keepdims=True) / d
     istd = 1.0 / np.sqrt(var + 1e-6)
     xhat = xc * istd
     out = xhat * gain.data + bias.data
@@ -286,11 +287,11 @@ def layer_norm(x, gain, bias):
 
     def grad_fn(g):
         dxhat = g * gain.data
-        m1 = dxhat.sum(axis=-1, keepdims=True) / d
-        m2 = (dxhat * xhat).sum(axis=-1, keepdims=True) / d
+        m1 = np.add.reduce(dxhat, axis=-1, keepdims=True) / d
+        m2 = np.add.reduce(dxhat * xhat, axis=-1, keepdims=True) / d
         return (istd * (dxhat - m1 - xhat * m2),
-                (g * xhat).sum(axis=lead).reshape(gain.data.shape),
-                g.sum(axis=lead).reshape(bias.data.shape))
+                np.add.reduce(g * xhat, axis=lead).reshape(gain.data.shape),
+                np.add.reduce(g, axis=lead).reshape(bias.data.shape))
 
     return _emit(out, (x, gain, bias), grad_fn)
 
@@ -314,18 +315,12 @@ def _smooth_l1(d, beta, scale):
     return elem.sum() * scale, elem, grad_d
 
 
-def masked_smooth_l1(z, rows, target, beta, scale):
-    """_smooth_l1 of target - z[rows] as one tape node, target a constant
-    array and rows distinct, as the masked rows of a batch are. Returns
-    (the taped scalar, the elementwise smooth-L1 array)."""
-    loss, elem, grad_d = _smooth_l1(target - z.data[rows], beta, scale)
-
-    def grad_fn(g):
-        gz = np.zeros_like(z.data)
-        gz[rows] = 0.0 - grad_d(g)  # as np.subtract.at into zeros: a zero gradient is +0.0
-        return (gz,)
-
-    return _emit(loss, (z,), grad_fn), elem
+def smooth_l1(z, target, beta, scale):
+    """_smooth_l1 of target - z as one tape node, target a constant array of
+    z's shape. Returns (the taped scalar, the elementwise smooth-L1 array)."""
+    loss, elem, grad_d = _smooth_l1(target - z.data, beta, scale)
+    # 0.0 - grad, not -grad: a zero gradient stays +0.0, never -0.0
+    return _emit(loss, (z,), lambda g: (0.0 - grad_d(g),)), elem
 
 
 def pooled_smooth_l1(p_h, batch, target_means, beta, scale):
@@ -378,7 +373,7 @@ def tvec_from_bytes(blob, label="<bytes>", offset=0):
     if len(blob) < off + 4 * n:
         raise DataError(f"{label}: payload holds {len(blob) - off} bytes, expected {4 * n}")
     try:  # an empty record can still name extents numpy cannot hold
-        arr = np.frombuffer(blob[off:off + 4 * n], dtype="<f4").reshape(shape).copy()
+        arr = np.frombuffer(blob, dtype="<f4", count=n, offset=off).reshape(shape).copy()
     except ValueError as e:
         raise DataError(f"{label}: extents {shape} do not form an array: {e}") from None
     return arr, off + 4 * n

@@ -128,9 +128,8 @@ def step_losses(params, cache, idx, masks, loss_cfg):
     training dtype as one-image batches would, so the three CSV columns
     share one reduction.
     """
-    masked, visible = masks
-    z, last_visible = forward(cache.patches[idx], visible, params)
-    loss, lp = patch_loss(z, masked, cache.tokens[idx].reshape(-1, cache.tokens.shape[2]),
+    z, last_visible = forward(cache.patches[idx], masks, params)
+    loss, lp = patch_loss(z, masks[0], cache.tokens[idx].reshape(-1, cache.tokens.shape[2]),
                           loss_cfg.beta, loss_cfg.channel_reduce)
     lg = np.zeros_like(lp)
     if loss_cfg.lam != 0.0:

@@ -9,6 +9,8 @@ the teacher and diversity code, which must match them bit for bit, and the
 per-parameter AdamW loop is the form the flat in-place update must match.
 The concat-and-gather oracle is how the model placed its CLS and mask
 tokens before gather_rows took the row itself, which must match it bitwise.
+The full-grid decoder is how the model predicted every row before only the
+masked rows reached its last block; its masked rows are what decode returns.
 The two smooth-L1 chain oracles are how the losses were built op by op
 before each became one tape node, which must match them bitwise too.
 tape_sum reduces a tensor to the scalar that backward needs, mask_grid
@@ -31,8 +33,8 @@ from featmim import tensor as tn
 from featmim.cli import main
 from featmim.losses import global_loss, patch_loss
 from featmim.masking import SplitMix64
-from featmim.model import (decode, encode_visible, forward, patch_embed,
-                           project_global)
+from featmim.model import (_transformer_block, decode, encode_visible, forward,
+                           patch_embed, project_global)
 
 
 # json.loads raises RecursionError, not ValueError, past about a thousand levels
@@ -235,6 +237,22 @@ def per_image_masks(spec, seeds):
     return np.array(masked, dtype=np.int64), np.array(visible, dtype=np.int64)
 
 
+def full_grid_decode(h_visible, vis_rows, params):
+    """The decoder as it ran before only masked rows reached its last block:
+    every block, and the prediction head, over each image's full grid.
+    [B*V, d] visible tokens -> [B*N, target_dim] predictions, grid order."""
+    cfg = params.config
+    b, n = len(vis_rows), params.n_patches
+    h = tn.linear(h_visible, params["enc2dec_w"], params["enc2dec_b"])
+    restore_idx = np.full(b * n, vis_rows.size, dtype=np.int64)
+    restore_idx[vis_rows.reshape(-1)] = np.arange(vis_rows.size)
+    x = tn.gather_rows(h, restore_idx, params["mask_token"])
+    x = tn.add(x, tn.Tensor(np.tile(params.dec_pos, (b, 1))))
+    for layer in range(cfg.dec_depth):
+        x = _transformer_block(x, params, f"dec{layer}", cfg.dec_heads, b)
+    return tn.linear(x, params["dec_pred_w"], params["dec_pred_b"])
+
+
 def _stacked(cache, idx, masks):
     """The batch as step_losses reads it: rows idx of the FeatureCache's
     patch rows, visible and masked rows, teacher tokens [B*N, D] and means."""
@@ -248,8 +266,8 @@ def plain_regression_step(params, cache, idx, masks, loss_cfg):
     the decoder, patch loss only. No global head, no block aggregation.
     Same signature and return value as featmim.trainer.step_losses."""
     patches, visible, masked, tokens, _ = _stacked(cache, idx, masks)
-    layers = encode_visible(patch_embed(patches, params), visible, params)
-    z = decode(layers[-1], visible, params)
+    layers = encode_visible(patch_embed(patches, visible, params), visible, params)
+    z = decode(layers[-1], masks, params)
     lp, per_image = patch_loss(z, masked, tokens, loss_cfg.beta, loss_cfg.channel_reduce)
     mean_lp = math.fsum(per_image) / len(idx)
     return lp, mean_lp, 0.0, mean_lp
@@ -259,7 +277,7 @@ def full_composition_step(params, cache, idx, masks, loss_cfg):
     """patch + lam * global with the global head and loss taped at every
     lam, zero included; L_global logs the unweighted global loss."""
     patches, visible, masked, tokens, means = _stacked(cache, idx, masks)
-    z, last_visible = forward(patches, visible, params)
+    z, last_visible = forward(patches, masks, params)
     lp, lp_vals = patch_loss(z, masked, tokens, loss_cfg.beta, loss_cfg.channel_reduce)
     lg, lg_vals = global_loss(project_global(last_visible, params), means,
                               loss_cfg.beta, loss_cfg.channel_reduce)

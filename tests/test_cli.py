@@ -1007,3 +1007,20 @@ def test_cli_import_does_not_load_dataclasses():
     if after_numpy == "True":
         pytest.skip("numpy alone imports dataclasses")
     assert after_cli == "False"
+
+
+BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+@pytest.mark.parametrize("inherited", [None, "2"])
+def test_featmim_import_pins_one_blas_thread(inherited):
+    # as `python -m featmim` and the console script do, featmim is imported
+    # before numpy: whatever the caller set, BLAS then runs one thread
+    src = str(Path(featmim.__file__).resolve().parent.parent)
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_VARS}
+    env.update(dict.fromkeys(BLAS_VARS, inherited) if inherited else {}, PYTHONPATH=src)
+    probe = f"import os, featmim, numpy; print(*(os.environ.get(v) for v in {BLAS_VARS!r}))"
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["1", "1", "1"]

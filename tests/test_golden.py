@@ -14,230 +14,230 @@ SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "golden.py"
 
 GOLDEN = {
     "use_cls=True multi_block=off lam=0.0 channel_reduce=mean batch_size=1": (
-        "01e4a03519dd58e35c3193666ac1bc3fdcb1a3ed09d320d93dd268fe4ee676dc",
-        "7d6caf5cffa0f917ad5eaef4765b8820d07688793233d3042a18b5f85d1fd4de"),
+        "3fadd33636b0e93bba9e659a57fbaa6fdbb6a7e9005d19bd1cc4efb93df61592",
+        "111e55e1222772a1c1808cca4999989b4d2738eb90c12de99ffc0397b735997a"),
     "use_cls=True multi_block=off lam=0.0 channel_reduce=mean batch_size=3": (
-        "44a905a9a8e2035fad589dab1684578b54e1e5804f04b165f62a3930c95a8cc8",
-        "ece276b16ebb7104f5413deab3c72cee8a1e5a018d99abb8b8b735ae08a23574"),
+        "269b72912af26a6fc7706d2cd675e4d119339d4773f0f2e2e1f5aa1c7451de94",
+        "18d39bcc2a91477f3073272da9fa1a20d8677a72d19f20c1c05aadff07d483ca"),
     "use_cls=True multi_block=off lam=0.0 channel_reduce=mean batch_size=8": (
         "48a973a1b26231563119191a8af2401f0d96624702c0679666e39b2954b32147",
         "20c9ac26cfd4a93fa6518f7e55bc840f01ccfe394d436f6160d8822085c6ad9c"),
     "use_cls=True multi_block=off lam=0.0 channel_reduce=sum batch_size=1": (
-        "a39ef131154f42abfc3dce93bc70d7cc3f0a5b190cab6aa0cdbec717bfacd5e8",
-        "8bcdff4b9cbc4e823fc300e54cf32d7508f0922f1e66e40c652f0831697e11f5"),
+        "e9aa05654a5d344b1890f6a1d3225a4bdd34e67c6ade52ab0fc1f78d5d07dae1",
+        "31c13c938f9a3960060f515e0657a34eec179f004806606650036235373341e1"),
     "use_cls=True multi_block=off lam=0.0 channel_reduce=sum batch_size=3": (
-        "908910cb063abc49d6a34d811a5e3ac72f20c7afddb232643b300b631e0577aa",
-        "d34e168363e1999217139acea379a2742c469e458698f836f886c8b365b82e2f"),
+        "59d28439965f3ec5a7d07bce085a38c23c2dbeea78d81bc35c7d1f38b9a9c97f",
+        "90b40946eee3af586c5635226fec4138c766b70b42b7a2e6d986dfdcfab67c07"),
     "use_cls=True multi_block=off lam=0.0 channel_reduce=sum batch_size=8": (
         "6e1609ee23203390bae074868c2f86af6ca472c542aa31c2f520df12000cd98c",
         "b1c7d38d35d660e7e2a668305cc81b5bb1ad739cdd38e8b6edab536361b15de8"),
     "use_cls=True multi_block=off lam=0.5 channel_reduce=mean batch_size=1": (
-        "8fb20cd8122447af1592c2ff980df910412594a9cdf61ad2b09caa563dfaaf76",
-        "b0ecb762ae106cdbef56b7808351f551ae11aafd8dc6e7bdea7f6a0ed3a23588"),
+        "7ab4cf9a6138d4ea56e25a949f27bb5f7ce850ece0c2363f4963a914adf8ed05",
+        "6dd89de95a0c80f135fb4d1cc6e1f23e053b8d8c2b45dc9a92c95002c81914be"),
     "use_cls=True multi_block=off lam=0.5 channel_reduce=mean batch_size=3": (
-        "9fb9951b8abf97164df7f22fdbc9c6e782d88c3b82f91040cb49425a7fb892e4",
-        "f73f1d549a6ec317eff58076d84bb56ac67f0209c384b1c78ee34c45163b81a5"),
+        "b60279b02f03396b1a531d5b230fa782b6a2069d8cdd74775aab5676f0918912",
+        "8797f73f38fa2ee5a5824608a2922e998afb8e9ab2a0cac1bd1f357c303b7d1d"),
     "use_cls=True multi_block=off lam=0.5 channel_reduce=mean batch_size=8": (
         "87d23e1df1ea1cddf47142e7e51fd61ef9afe2ba18562815cf0bdb93b159d17b",
         "f6b1cc112638dae343710151e3f966af50aad284dca6364b33020c651f6fb731"),
     "use_cls=True multi_block=off lam=0.5 channel_reduce=sum batch_size=1": (
-        "c17eff83e06298d4320a05f31a19af18e5953eaae3001a669ea058f27a22063d",
-        "b2b934379c51d01b7ac5d386f180d7483daccf8bef9201823343c629e051d471"),
+        "210772549b00c14ea49902d2e2b77c716ef210dd27367ed679ec6a881a9e9915",
+        "a261a430ec2bcd779beeb4b7591df02b30c8fd8748e1f452a5a5fcea237b84e0"),
     "use_cls=True multi_block=off lam=0.5 channel_reduce=sum batch_size=3": (
-        "63f93d2b4a03175a34f1d0a5784204a25aea60a1131067b38f8846bd483cc5e8",
-        "b6b1f2ade1dae0ab0e8c244b526dc2d2216eaede42919c75a9a58b0df8448f4d"),
+        "91bd8e14eb883e0351118d8684cb0dc385487a359a6326f047b5f8d93d19497f",
+        "117dbe9fc5d7cd5a0ef631593abd60b827f65bbb6a6d22112c254d8c26ff9211"),
     "use_cls=True multi_block=off lam=0.5 channel_reduce=sum batch_size=8": (
         "cefb173c7ad9876d1ff3eac27ba115f24553eb0ceb8e7c1959658787b4d46de6",
         "d17b483de0828f54ba4b04e5fb1d6576279558c539bd94e7a0d3cae82f222f7e"),
     "use_cls=True multi_block=mean lam=0.0 channel_reduce=mean batch_size=1": (
-        "4af96c5716a8fd4a9a9933a6bf42f967a041a2d1bf402b542a7765c85bfbb215",
-        "d25a8f77068b1a2cb0ef5010e794b0a57ab029bb94e71bb10b88ce7baaaf811b"),
+        "49400209faf54faddc4443c4aabbbde80f0855cd7314bc2cf366923441b5ea69",
+        "8313e41a2c14143feb19b7ee09cdc939d56b8455ff463e34756f6efb667d0186"),
     "use_cls=True multi_block=mean lam=0.0 channel_reduce=mean batch_size=3": (
-        "f909a3e9f0cf8d62d17f61af285d8d99fcdb9cf7ccac3cbf630c0f573c03ee2c",
-        "7dc5e4b90ff49e9f5ff925fabfd55de40d6a1db3a9fd9a4aeaa3f0404865ef91"),
+        "3f3b84390c703b9f038fc5878ff877b64f39131f55ca822bd7e3d160dc3191ce",
+        "9833413c0759869b422365a4e3191f2f97c5384675d89e30685c6e5b7f154107"),
     "use_cls=True multi_block=mean lam=0.0 channel_reduce=mean batch_size=8": (
         "b5a94143f347c2f97a8a6a5c398acee19e7e32e805c69b23962c0bb9f819c33b",
         "1d34c711bf0574df44206ff100ab1c903eedb79c42a2c2f1b2da4ff46fd28e04"),
     "use_cls=True multi_block=mean lam=0.0 channel_reduce=sum batch_size=1": (
-        "c4b3487934af48f93aaa832ab56f3ddf7da7a68bd6b702a7a957243d920ab723",
-        "d304e524eae39a0262ee0ba35a4d86d97602ea05616990e149708a4085a0cac1"),
+        "a0e8bcc31f9ec764be6b9c3081a59dcacd0ec3fc2de3ea5dcfe2463c19bce76c",
+        "717a81952607bec3cac2ed3ac8e2e561875d3bb0cf18e1552ecfca116a1eb5e8"),
     "use_cls=True multi_block=mean lam=0.0 channel_reduce=sum batch_size=3": (
-        "f238dc2d760d26b957fad473b73efdffef04a2705fed6ec6997c787c01906be8",
-        "5f7b45652d0ecd9d177f9f139e30fab7f4ee31e59fb2e4ccb13d65c30c269418"),
+        "51e83135cdb8692d203d8c165aeae863d655bf096062bae26ee432b01ba4acd1",
+        "f8ef41b609a9bb1a8e05bd751dce5ac24f26d6749e94b2ae7334ee465f478135"),
     "use_cls=True multi_block=mean lam=0.0 channel_reduce=sum batch_size=8": (
         "802147493f7df5672eaccd55f8e5f6b4cc072bba71e85cbe7ced81d656c2ee7f",
         "73867afef92dabcf981e186c067ab08c7969d82fb8748cc57d7f2877064726f0"),
     "use_cls=True multi_block=mean lam=0.5 channel_reduce=mean batch_size=1": (
-        "b2270c5ff3f4f1938f62a6204109da51111c0bac479994dcb524b91ff1840bf9",
-        "ee7fd0bedc8e27f5890b7f8a93d92e5dc8ec9433b19a0698a80fd570f7b0cff2"),
+        "17ed80d0aabdcf979e1c6b6383d9bf125411524755b06ee8ea9514eb1bf100bb",
+        "a01efc1c0afa37ffcd06a4ed35841295329ca585e348f8cdc7a6d135330dd2b5"),
     "use_cls=True multi_block=mean lam=0.5 channel_reduce=mean batch_size=3": (
-        "cfcc476cc91bedf815d0060790bd022a19d193e4f0bf4eefb9714bd17e0f655e",
-        "5ce4d91fb19c4f018614324ce55d5f41df03043397c6f790f546bbd3407bd648"),
+        "4198bdb7d324d7e09637c51f91baba2bff002f8b9d7732e714cdf7c5fcb6ab84",
+        "695590c818b3bfff3b74692d783b9f21c560e086ca2d2b7ea18cba0ed4fffbe2"),
     "use_cls=True multi_block=mean lam=0.5 channel_reduce=mean batch_size=8": (
         "12c365a24cffac856200623ae3671ec50e1ed20af6da4c7086fbddd0fee65356",
         "b5988c384ce22c18dbaea3d7301a293b4f61494bced889e0f628462bd93ba2fc"),
     "use_cls=True multi_block=mean lam=0.5 channel_reduce=sum batch_size=1": (
-        "e80d041fec25a320c69b5ea56c7f175c0ca0e8aa20d11ecdf7b267b19ee0d3e8",
-        "8d43ac3f560b72560a466b434306a0064b0aedb24b600da031fc7a92fd52c648"),
+        "17db1679d7c4967a228aafa0e385eb9df2b368f1b5eed88285c3b07a00ac7916",
+        "ec49a524d785f9fffcb1cf6ed30ca215fd0dd249fdb50a413f8d9f9c645e8db0"),
     "use_cls=True multi_block=mean lam=0.5 channel_reduce=sum batch_size=3": (
-        "51114e8ab3d856db392d1fe5e7937a5e6cfd68400791ec8cfd69c8abab7c914b",
-        "74ce191fedcd221616b43feae2c281bd217447252752400d80ddb5235e0da3a1"),
+        "824027bf1ffa59abde35bd70b55bc95d6a35481a6e4660490571c12762d815c9",
+        "f53422811193682785186f034cef09a06081b2e9e97f2488261711eefe6dc0dc"),
     "use_cls=True multi_block=mean lam=0.5 channel_reduce=sum batch_size=8": (
         "e4428e351861bef316f06bd3170a1d1d9424d8d74d7df2f2bc138ba6928385c5",
         "d36d42f5f24dfa1c33337c9975656de5f3b6e25b7c7dfc09a7cee15a1ae3cb2f"),
     "use_cls=True multi_block=sum lam=0.0 channel_reduce=mean batch_size=1": (
-        "a4024ee4eb19dbbc8c1f037c501ce0fdc77a8236614334a7d07d3bc3788d24ce",
-        "4002f4e953ea4e937fef126236d6e538762501acd0cda7e743389796e466f8e1"),
+        "1a3f11d02baa040ceb768d9264922acad685515362437191c4e7f361f0711684",
+        "892f7426ace180601340fcdf97784d780a2bfd7ed5054c447668bbe9115f7a4d"),
     "use_cls=True multi_block=sum lam=0.0 channel_reduce=mean batch_size=3": (
-        "475a4f78cc3d95d9b0f50b3f671d5580364c6c9e4d61bb7e444b17655d83da36",
-        "1873f779d0e6cd28501fb3e9715c0a6c68731542ea09bdc7023562ae31fc9b60"),
+        "2b4779f80ea3c207df74d694cbf189cdb40de450cddb5a972fd54c121ef12f93",
+        "cbd3f7fafb47dc8cf9fb20aed818fa34f514725d56b09559bf6ded51bfbab7cd"),
     "use_cls=True multi_block=sum lam=0.0 channel_reduce=mean batch_size=8": (
         "d3f6a6286afebe061e31319f4d80fb6d2c9fb037fef35631574cd1172b3559b6",
         "81a08c5d26aada9345901913de6c5236fd4a51d8953cd8394d42381752f90ff4"),
     "use_cls=True multi_block=sum lam=0.0 channel_reduce=sum batch_size=1": (
-        "7bfc355ba6af4e9c0cb75564f59e8d261c0ffd4d82344cfca5ebca88e86f1c3c",
-        "d1a6c1cf698823f68e22e0b1e5e8a182d551d3fcf08ec5cf65601e4b1034f68b"),
+        "fb9cb01a64a77e255adf37f7b78c7f5455cf9aae572c0f80bcb2387c265ddac8",
+        "548855b3e98fb8ae7ed39d9088584cbe86dbf845f4cadbd99cdf378a2989cbdd"),
     "use_cls=True multi_block=sum lam=0.0 channel_reduce=sum batch_size=3": (
-        "52bf3e47d5fb03015d3a5c66509e2fbd7e7ed92f5f5be538f5b02b01d568b431",
-        "4aac739ea392700ad7455f95af2f43e75a9ea594ef926eb61eb566db80e86c1b"),
+        "6af5df7dad8d3b3b0b326cf87753f51a5907e1226b1609bc800d921ee64cd99f",
+        "d59b47d9ecbea03e9c2db7863aa3568c1ee66e7be7e43057bb38fb16a5cc26dc"),
     "use_cls=True multi_block=sum lam=0.0 channel_reduce=sum batch_size=8": (
         "42c2cdaa845aded2d59372d86d490fdbbbe9565098f09ffe27fd175c3d9767f7",
         "e346d2f94eaaaca7b2643c6a9effa4ca255ee2ce6fb55bad8f24784633c872ff"),
     "use_cls=True multi_block=sum lam=0.5 channel_reduce=mean batch_size=1": (
-        "980e9beb0d407fa5d9a2b8123d2a404f40fb86d79b7c1b14378bfa96c83c785d",
-        "864e5835c7cfd39383d70ae3c1edb1095a347803e6cc780dff44c549280bf506"),
+        "608e3f907d54a91089894e835bfa2b21ad4f2e25fc717a0ca44519ec315f15a4",
+        "ec484de82ac9dc4baf29d11661f12f25650786a84f4cc650064dbbc798d1afea"),
     "use_cls=True multi_block=sum lam=0.5 channel_reduce=mean batch_size=3": (
-        "4309d4dbdc8fd408079c8adbc9519a46b6b12a28f634e5322ec989d48af903e2",
-        "a79cba25e5a28c5c0cc18e0c0e67b5ad56668eeef7a3d77fcbab991d66c6000c"),
+        "216c994c1f955e3b6e3dc6ea62dc7fa893f961cb13cbd9ecfb5dc3a5fa248898",
+        "4a1610ba507a25510694587cb3080aeeb7705cf7b969aacd6e2313d4e52a726b"),
     "use_cls=True multi_block=sum lam=0.5 channel_reduce=mean batch_size=8": (
         "8f6b36df455967276d8a96bbb4c7a9b3e3a62f13ee46aef21681af2e206e1546",
         "313a86d23f68d68a64b98c4641c6a3add2fa3afe7ef06f2e911110e65801d831"),
     "use_cls=True multi_block=sum lam=0.5 channel_reduce=sum batch_size=1": (
-        "f62cf859ec6aeb6d5e902b691dfbf0836106b5327489aee0bbc67dbee0d26a06",
-        "f115f0a988a3d6b6979e8e5e005d7972b96266244f2cbb49531e63416e8007ba"),
+        "85d47ce8fa9c46842c60c695ba492873321263698a2e2c4a8f1f80b59c86b49f",
+        "a58f6f759aa14d3f7b6b088c2a9047cf17a964cc2a663ebbe3562bc291b94381"),
     "use_cls=True multi_block=sum lam=0.5 channel_reduce=sum batch_size=3": (
-        "651a55c0cebbd323585ecdd7ef33abdb85ea866a27722269167d55a876c46d89",
-        "52c13a5b59f605e2f711568a23de2cb0f696dbaad510ddf3c170b7873830410b"),
+        "bce7187cde40ec0baa7f6cd86679b5cc509617db33e69c71d6e7ce727ba8444d",
+        "a14c1ef848c4ff5aacdad99d87898b1073e5507bffe816a8a7b64898fda80616"),
     "use_cls=True multi_block=sum lam=0.5 channel_reduce=sum batch_size=8": (
         "0a6f2153045369d49b0f5ed93bfa6e35c79a41e4b35ed6da7c969aa365858d5f",
         "4a7ac48d3d8b7e76999ee3dbbd8a89659fbbd9410019ed9c2c7a1285e0408921"),
     "use_cls=False multi_block=off lam=0.0 channel_reduce=mean batch_size=1": (
-        "241f4ec6ff60284ebd994f10196b5fd847e49fa299a74156c91f94c199509d9f",
-        "bbcec22366970cb4fc0a0e397d4e0c1e2e1c609d6a41cb1e5d87771952ace23a"),
+        "c3acb757cd97f97aabde0a59a1610797dfe2720b53d1f169f5f7cc0fbcf16239",
+        "8fb00b70e6f0df6f806d3214b041d7d258c27542a2f50dec06027792367e5cd5"),
     "use_cls=False multi_block=off lam=0.0 channel_reduce=mean batch_size=3": (
-        "b8daae77f57d62ae2f90058706fc45717560186e0a6b5048ee6978939f2b61fe",
-        "c0a1c22b814af86ec791148127da8b4ccadd2bafb8bc2da6692d8b3a2bf06b42"),
+        "46935919ee739cea981563ff650c53dd6a1110fbb8dcd18f70daf7887d2333fd",
+        "6ab2d7011139b226faac847f16619ae548b91df239512fe76734acc66496d70d"),
     "use_cls=False multi_block=off lam=0.0 channel_reduce=mean batch_size=8": (
         "cd5f14a99fcf239a3c0c7accad7d7fb57424f23bc26f6447e1d740251ce49c50",
         "f19ebb7052924a4c817d1fb7e3351fdd8824a95312070735e276b027a77fe63d"),
     "use_cls=False multi_block=off lam=0.0 channel_reduce=sum batch_size=1": (
-        "3ed4d6162289d79202be9b1a33b456d4d7a93b626383704b8fe7d85c8edf8837",
-        "e26d7792ce989ca421bbdf8a1e35f5d7d7e3f5bf4714d9209cf9820ee8a085aa"),
+        "c3a04e3fc2a04433b359699b0bd9de2cbbf8aa456f209b329e5313a7ddedd94c",
+        "e4467c575a69b2732108bc84c0804e7dd501f26d2db08e1de26c92064b354b98"),
     "use_cls=False multi_block=off lam=0.0 channel_reduce=sum batch_size=3": (
-        "8c2dc99061a09f5b131f7554c4f1fa9f7b9e65f4510631ae5fac51f1b41bdf75",
-        "eee26d179183b06011e29aaa3b739cc5ef17a31f9da5950f4d576ac18b905140"),
+        "554ee22b46dd3af6d7e7c5e37cd1aabb54723378e2517d446a57850fb9f890d4",
+        "c71f7a47a17755c577f96c02ac4bde622d9f08c9eb4471ee66128369af2b1729"),
     "use_cls=False multi_block=off lam=0.0 channel_reduce=sum batch_size=8": (
         "25f8150ebb1c99df37d44631b3fb1a5481c1e0f14879b08130f6fca98e3b954d",
         "2a21f793f4ea0dd8ee7a032fa17c0ee7d95ae88b77b9f01829cd97d6be1b2c20"),
     "use_cls=False multi_block=off lam=0.5 channel_reduce=mean batch_size=1": (
-        "9b01fb75a9f4079ce2cac9b044f3b3feac1012481046c09ad39c3d687a1f2992",
-        "d63c5ff21f46ad3740cd3c29487ff9493f8025be18734b86eec24074292fc9c7"),
+        "e09fa5b0a4580f5449eb4cb131db6e6402c2de4391fc4dc5267b136bd41a2fd4",
+        "68ded53dfc9c5d652dc8470409eefedf4172a3d42c7bdfe34a756ccc154b5977"),
     "use_cls=False multi_block=off lam=0.5 channel_reduce=mean batch_size=3": (
-        "c8085ce7163bb9668ce83b8771823c508a9505865a0fe7a2fc3265bd219bdb9e",
-        "fc39595b1a3aa958fde566f014c0d767e437cf27f969c1352150b5afc800a97c"),
+        "c27362b1be284680934aa048330a883d6b24f59aef8a0743a4e5f16ca1008d49",
+        "a89b17e8503176640e7bcb819c4aac19508ec4e85867ec88dcb3e2d54a127c51"),
     "use_cls=False multi_block=off lam=0.5 channel_reduce=mean batch_size=8": (
         "4bed16eba622b1a69362454211f9b52f8c84465a55e1bbaba61eae902c1e774f",
         "863f477ff53690869b25a5f4b3fd025713a6d8f7ab266ef11af71d6c7f0682a6"),
     "use_cls=False multi_block=off lam=0.5 channel_reduce=sum batch_size=1": (
-        "a5baa5c974ca1a5fcbd7a129f3e5ab4ab764f1ebec8996a2f1d4d9c913b7d2eb",
-        "db10ab43d2173a72d36a837fff702a04a9a4c72948910db900cc4f4062c23c9e"),
+        "0dd6ac4e9b5be26f0e016d60180dcc68da325128e616ec7854d2eb407e55aa14",
+        "1dac8ab9d5dfe062e4a9ddfc1c0137490d1e703346951b39cc10cf9f7d7cd27a"),
     "use_cls=False multi_block=off lam=0.5 channel_reduce=sum batch_size=3": (
-        "2a9c8c4f43e1a8cfeb70a14fb4a5ed4bdabb00ae03bc3ad84923069a6c6e0a04",
-        "5d971cd050dba1e132c70cfb5b4c38cd41bdb48a5f71ac4e986e85956af309a9"),
+        "cb3ead01fabd052a8ceccceeadd30005f119a8065c12bcfd316d127426fac029",
+        "584c3ba06a05aa3264076f42f5ba51362472090e894decc39a901fc03df5a3a1"),
     "use_cls=False multi_block=off lam=0.5 channel_reduce=sum batch_size=8": (
         "00cbdd43e9f606fbb2f09d3dfabb38d271235da2872265bcff88708e45000f76",
         "87ca74de76d7d7ca25f54641d4e93301806e062ffd1b25bb953850c4257ec2fa"),
     "use_cls=False multi_block=mean lam=0.0 channel_reduce=mean batch_size=1": (
-        "0fd108b60262136cc5d2c663ca153b5769236b6c141121b895f11b3eff1d3c21",
-        "6dbeb5c41cfb8dc590050ae19a69496aee1ef32899c4c1006a38b040d5061747"),
+        "258d9396cc6f2b5d1dea17813a44a930cef6fd2d065af8e1ecd0f6b7d2283a65",
+        "2adc447c5e509ff080d410f2dbba22ea1d44b151f6b4131f39690b95cf9309d1"),
     "use_cls=False multi_block=mean lam=0.0 channel_reduce=mean batch_size=3": (
-        "ad4f4bbd5fb00d539fc3d48d57040dbdcff4fc2577507db006e1405ab72f8bcf",
-        "bb381e8497bd852b5fadfea28c97188ff9e10792f0bd6e94c8c410aaf60140d7"),
+        "533c0d9f118bd70535078f2361379ab69def885009b606d0f40213fac8d616f0",
+        "2d10141a1227dc1a8a3dc40ab7806d51ebefecf7da9b62d407daab5d8b1dfe3d"),
     "use_cls=False multi_block=mean lam=0.0 channel_reduce=mean batch_size=8": (
         "f84035b4b6ec61ed7ab3bee4e043713293fc1799c33e703f2359cc1b794b8ff7",
         "f88b16105ed43ec0e02ca85067ab7c853710b90031121bda6d13b871d64ee07a"),
     "use_cls=False multi_block=mean lam=0.0 channel_reduce=sum batch_size=1": (
-        "d26de0f0b56e79b21b5aa9af8c219a7d62012950224c72d0fb2af338efb53ea2",
-        "eff56e15a397cfde95d168562a46a8388229dec5ba54c4eb6230b84b3b0f69db"),
+        "acd217f57efcc31a66487e6ca0dfc310116cd6a6ebb51d5a81c684a2e1a60502",
+        "b907bcd4dd89eca66f45522fb16da21a7c7481ccc9c8e041525b7e70439031a3"),
     "use_cls=False multi_block=mean lam=0.0 channel_reduce=sum batch_size=3": (
-        "78e7d1edaaa49b21e9d1d86bf58ebe2e20325f8d82e0b89f2692e47b3e17e368",
-        "2e7684b8a4ee91a6fdf4b0cd00443b2645eca89d89760b329a7559eeebb5dfe2"),
+        "4d4d0379d82142a75771a210a46a0a45fbcc85bccadc3ef4aa07236a09732245",
+        "b606207f87161913951f991d173833aa06a8a474e2517c45c71fe9120fda47ed"),
     "use_cls=False multi_block=mean lam=0.0 channel_reduce=sum batch_size=8": (
         "b158b03c5905faec46d8249b82aea30cc5bac231c16509874ce5df33cfd67af6",
         "492140170e42941be353bee3ffeb87aca8ddf74b0731256a7fd717eb9888be00"),
     "use_cls=False multi_block=mean lam=0.5 channel_reduce=mean batch_size=1": (
-        "f1243a3e46e687f880981d4fe37a0283f9351451a9f8639d54434834cb27c7ef",
-        "ea5d68c5d24466e86a0a03a9b6e4800d85da6660bb4375fa702fd210c024aebd"),
+        "1dbaef095f0500f56ff3647be76abd88f8eedebc8b396219e4f49cbbf7f2ac48",
+        "b126239d02f9a92036accf493d8e2d57b147cc53b56fa744ee227de064272cc7"),
     "use_cls=False multi_block=mean lam=0.5 channel_reduce=mean batch_size=3": (
-        "c259bc41236c121f0bde855d6dfcf8c8e7176575cb170ed7c9e065e6100692d1",
-        "50b191ad44b1fe6b60b21532be232d8089a8c07bd648a4656b76205b54894224"),
+        "5f6d13d0707950813c91696838a3b59db602673723610e6231b3709d5359cad3",
+        "1154df66d7962a63ac50dfe0ded81a3e6954592bf5760fdbc6f5e357daadca70"),
     "use_cls=False multi_block=mean lam=0.5 channel_reduce=mean batch_size=8": (
         "8dc2b54e94575cb5a8826ae4474b69bb6ee61feb71f58d665da26e34c2b0d2f9",
         "ce63465ee577dea01a23402873ac4c5eb359957f7eeff6755cf2799b83e3c1ba"),
     "use_cls=False multi_block=mean lam=0.5 channel_reduce=sum batch_size=1": (
-        "f5c8c6d93c53c3db69eb213e48769d4043d541ebbadab16d499b830d341163f7",
-        "60dfaba722f99c15f778f55f645147b814fa8d673357c64da4e3959003fe8407"),
+        "40a34e836c9b2fae3317689243376e10f8d056d7ba036d70217c43fedb97123f",
+        "6fc384f76f5a697503d8a5f80f6c97cbd048f6b796a54ed26ba3bd6396508aa3"),
     "use_cls=False multi_block=mean lam=0.5 channel_reduce=sum batch_size=3": (
-        "c33b3f9faf4c99721a920d126dc95cdcc2dd5551b290bf82eb9c2be4e0afdf38",
-        "8e9b17ad2975bf1653276776d9c574a1445f64cf0348fb5880d07b0eb22bd1ea"),
+        "606bd406bd2c63943c17477ca3021c4b8efdbae9ccc52a7f51c48e14c8f01d7b",
+        "67758d8d697a12ed9592b085a2827007924d9f30909a33b76bfed1b385e862f6"),
     "use_cls=False multi_block=mean lam=0.5 channel_reduce=sum batch_size=8": (
         "ad9d232cf9dc1e64e51f60e6999fafc8ba28f890506f13e2f890b6f84d658a99",
         "0df84455d2c2bc2c55352d15028f11ce796b7c25190cc6743464d3eb19346e8b"),
     "use_cls=False multi_block=sum lam=0.0 channel_reduce=mean batch_size=1": (
-        "93a3d5b740175ce917cdc721acf5b78b60290900ac5cf8566026d496bfdfaff5",
-        "f8978b8a0b7a0b0f7594452a9a2138ad6b5179ca3caafbd361a3c4f8f7e7e925"),
+        "941c275a60a6233751df98062ff5864afaee83de96e2d99aac89d97c1e7de996",
+        "09ba4c1072b93f262986174b8c2df979455ee1e40e19768b59c42921fb82271d"),
     "use_cls=False multi_block=sum lam=0.0 channel_reduce=mean batch_size=3": (
-        "510c6f7f385871ff4107ed54f64bf44cb6a625e9a58ed8867a5d11e02910de5f",
-        "3ce72643a63c7b66174020fec84ae0fb3964dbde4d33ac9087e6bedc84029a29"),
+        "7b9fe0c6fcaec2f9b72ba80382321e019e5d7337f992bb5a247d3b5f36f32f5d",
+        "267bea5c1cdc157b5df5ae6e32c20c109d09990ea65f257704cc1549e8b83663"),
     "use_cls=False multi_block=sum lam=0.0 channel_reduce=mean batch_size=8": (
         "0d265bb312dee58e4845fe732eb3659ece56acab4294989fcb1b2fd50b2b7c24",
         "587cf5de34926ac85f6986ba3090deb67beba64359cecf15aaea8ae58be8b49d"),
     "use_cls=False multi_block=sum lam=0.0 channel_reduce=sum batch_size=1": (
-        "b491ecc52922f43d4523c273e5c8e89401419a8a5fe3a06d39369ddcb31d089e",
-        "52244155fbc238217e1eb2ed59819e66dc574c57d8b2dd2ad56aefdcca00ca23"),
+        "5efff372a5d3fef7de21352969bca85ece0ab6fbe9b12b8b3bd4c8fe2d3cf41e",
+        "46a9170b4e370358393e5cd0464e9e64009ac898efe5fd3ef2c35dd4fdfe9b36"),
     "use_cls=False multi_block=sum lam=0.0 channel_reduce=sum batch_size=3": (
-        "af5986050c7ac038896a18d4aadfa4758c1bcaed1021997f8b1420a2307e27f2",
-        "989f040c111e646111d0e613e5c9619f59856d03e4fd33adeb3b218df5a7f353"),
+        "5fb9889dee584accce2fd2d2b468b27d99fd9e31557b2aba906cd2e62d87459b",
+        "967dd9dc85d1d3a56417a1464aed6d81f635f535d840e58801a4d869e6543209"),
     "use_cls=False multi_block=sum lam=0.0 channel_reduce=sum batch_size=8": (
         "6779e2d30efe4d5613e257c1babc17a4f7679e793ab74568f77e678e4a0f7660",
         "a19f5340d9977b7445f35218aab4dbc3b9ee95b7f37c90b470a6362cb601db9f"),
     "use_cls=False multi_block=sum lam=0.5 channel_reduce=mean batch_size=1": (
-        "6b9d4f237c336017f333f2f138da52b42a5bd700aaef6bf1ec3413afd80b798e",
-        "e12ee59bf65c8dedf7a8efdb1a9865eb0cee83a9459b6f66f1cb579b52064b7b"),
+        "d564c9cd507f774e4c9cb8c7ba8cab35e9777b073a267bd70339d220ddec4d52",
+        "a68177027d9acb13d932695d108ef8c6e93b4efb8510dd32c14a4fa90a7237d7"),
     "use_cls=False multi_block=sum lam=0.5 channel_reduce=mean batch_size=3": (
-        "79acb7e669c9e371a2fd060c486b5783e1ef5f16fb37b7e83400e73de4de5fd4",
-        "13984fe47f982f56b739dcb9f3ba0058e01f792c947a13ebb043b0f48ec07d2b"),
+        "86a7950bfaf952055fb22f67816c1bb97afa4906814962de2f7ae647deaabdac",
+        "e4227c74ac0da6a7cc53fe05940519ff6cc826d263f04578be149334715cefbb"),
     "use_cls=False multi_block=sum lam=0.5 channel_reduce=mean batch_size=8": (
         "c94fa7fae83e85ffa9f873d28c3e5573877945cadbe67e55b0329137580a2b05",
         "9682537994366eff5cfd9bc87e3fb6a75ed87f25e7661337ecedaaf30702db6b"),
     "use_cls=False multi_block=sum lam=0.5 channel_reduce=sum batch_size=1": (
-        "7e8729644b3960d96b854e06f479269f114aa1f6c57a3bd43e5c0aab2b4adcdd",
-        "8b30313c8036076c2d6a3e867b870a92a6ce0048e79208dfd74f1647b49d8748"),
+        "bcad46fb58f9b307feecbc1aeb0c22a72abc9ea56042b2523ab9c7ba500ec6ce",
+        "bc0057d2e10ec0ad0c624ff68db9f5e0ea0ebe2d77b3ff6a47716e2882d55691"),
     "use_cls=False multi_block=sum lam=0.5 channel_reduce=sum batch_size=3": (
-        "d8b3d3e46f837cd0f26c307524b3156a7dd8096d6aa5e7d02cccd5d74bb1cb55",
-        "3b5876091c85b50d4bedb1d450d9f4f097641fb32a354b6f6c3b2338ba39e94a"),
+        "663e2950ad769053cbdd231c689fc6b5a60207ba57c207c7a6e69bfe71c37654",
+        "76a86f675e8b006eb716713887f688fed4ff8315fcce8c3ca5af18e060fd017c"),
     "use_cls=False multi_block=sum lam=0.5 channel_reduce=sum batch_size=8": (
         "c2d638529abc314582bd974e46fb87db75fee6afabbaf30c0906c14318267f61",
         "04ac02af9ab0ed53fe172be2802b8fc1f56e578c8d3d025ce75f46c77733ad32"),
     "enc_depth=3": (
-        "e45d4c3530827ffd3d333b3476c26e30e5ed8247746475b68cf4d41be202cf00",
-        "6433d953dd803aabbf3544cfbb074d261a66bd778c7815a983c3850f199fb533"),
+        "8051a64e5e96ba47d8a7e5bab63b8e9e8da0526e251dfe72165ba9e9798d486d",
+        "daff36af023f5bd9af5272898d057e102288f34e303fb0c71c6c6fd7b1368632"),
     "in_channels=1": (
-        "91ad21e2ea4a6fe776c085bee8bc67f456355ad83962e58103cee6fd6f14da49",
-        "6d94cdbb191ea59126d67559ae0eb3096a294a7cea9524a6b1c6665d475b1741"),
+        "9711dc77adefb2ae3fc321cd1d5f3606e23c51a28f5e11da81325aaa8a8e94f0",
+        "5bb5df72e649a1e0a010fbe5461819d101ea26f9b12d1968dfa389227e38103f"),
     "teacher=file": (
-        "1de64aea23c37d67f2b39873c3875b194a206ae947fdefcd60eac73ed470ecfd",
-        "95cbff40443390f1c57473dede24114c060de731958ffda7b25bc97ab93e3d4b"),
+        "3ed47a1ffbbcc89021dd1044082634fb4b159c5454db84fa2ffd17ed498a225a",
+        "1def4fbc84cc0d1cfbf3c4f21abf36d7c6200421477cab9f1702bdba4d747bd2"),
 }
 
 

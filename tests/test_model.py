@@ -7,7 +7,7 @@ import time
 
 import numpy as np
 import pytest
-from conftest import DEEP_JSON
+from conftest import DEEP_JSON, full_grid_decode
 
 from featmim.config import RunConfig
 from featmim.errors import ConfigError, DataError
@@ -41,7 +41,7 @@ def patches_of(*images):
 
 def aggregated(images, visible, params):
     """The aggregated visible tokens h that forward decodes."""
-    tokens = patch_embed(patches_of(*images), params)
+    tokens = patch_embed(patches_of(*images), visible, params)
     return aggregate_multi_block(encode_visible(tokens, visible, params), params.config)
 
 
@@ -65,22 +65,28 @@ def test_patchify_permutation_equivariance():
 
 
 def test_patch_embed_zero_image_gives_pos_embed():
+    # only the visible rows are embedded, each with its own grid position
     params = tiny_params()
-    tokens = patch_embed(patches_of(np.zeros((3, 32, 32), dtype=np.float32)), params)
+    zeros = np.zeros((3, 32, 32), dtype=np.float32)
+    tokens = patch_embed(patches_of(zeros), np.arange(16)[None], params)
     np.testing.assert_array_equal(tokens.data, params.enc_pos)
+    visible = tiny_masks(3, 4)[1]
+    tokens = patch_embed(patches_of(zeros, zeros), visible, params)
+    np.testing.assert_array_equal(tokens.data, params.enc_pos[visible.reshape(-1) % 16])
 
 
 def test_patch_embed_geometry_mismatch():
     params = tiny_params()
+    visible = np.arange(16)[None]
     with pytest.raises(ConfigError):
-        patch_embed(patches_of(np.zeros((3, 64, 64), dtype=np.float32)), params)
+        patch_embed(patches_of(np.zeros((3, 64, 64), dtype=np.float32)), visible, params)
     with pytest.raises(ConfigError):
-        patch_embed(patches_of(np.zeros((1, 32, 32), dtype=np.float32)), params)
+        patch_embed(patches_of(np.zeros((1, 32, 32), dtype=np.float32)), visible, params)
 
 
 def test_encode_single_visible_token():
     params = tiny_params()
-    tokens = patch_embed(patches_of(synthetic_image(32, 3, seed=1)), params)
+    tokens = patch_embed(patches_of(synthetic_image(32, 3, seed=1)), np.array([[0]]), params)
     layers = encode_visible(tokens, np.array([[0]]), params)
     assert all(layer.data.shape == (1, 8) for layer in layers)
 
@@ -88,7 +94,7 @@ def test_encode_single_visible_token():
 def test_encode_full_visible():
     params = tiny_params()
     n = params.n_patches
-    tokens = patch_embed(patches_of(synthetic_image(32, 3, seed=1)), params)
+    tokens = patch_embed(patches_of(synthetic_image(32, 3, seed=1)), np.arange(n)[None], params)
     layers = encode_visible(tokens, np.arange(n)[None], params)
     assert layers[-1].data.shape == (n, 8)
 
@@ -103,7 +109,7 @@ def test_encode_rejects_no_visible():
 def test_masked_content_never_reaches_the_model():
     # perturbing masked pixels leaves every output bitwise unchanged
     params = tiny_params()
-    masked, visible = tiny_masks(5)
+    masks = masked, visible = tiny_masks(5)
     img = synthetic_image(32, 3, seed=2)
     perturbed = img.copy()
     for idx in masked[0]:
@@ -111,7 +117,7 @@ def test_masked_content_never_reaches_the_model():
         perturbed[:, r * 8:(r + 1) * 8, c * 8:(c + 1) * 8] += 7.25
 
     def outputs(image):  # h, z and the global head's output
-        z, last_visible = forward(patches_of(image), visible, params)
+        z, last_visible = forward(patches_of(image), masks, params)
         return aggregated([image], visible, params), z, project_global(last_visible, params)
 
     for a, b in zip(outputs(img), outputs(perturbed)):
@@ -135,13 +141,32 @@ def test_aggregate_single_layer_identity():
 
 
 def test_decode_all_visible_shape_contract():
+    # predictions exist for the masked rows only: with every row visible
+    # there are none
     params = tiny_params()
     n = params.n_patches
     visible = np.arange(n)[None]
-    tokens = patch_embed(patches_of(synthetic_image(32, 3, seed=3)), params)
+    tokens = patch_embed(patches_of(synthetic_image(32, 3, seed=3)), visible, params)
     layers = encode_visible(tokens, visible, params)
-    z = decode(aggregate_multi_block(layers, TINY), visible, params)
-    assert z.data.shape == (n, TINY.target_dim)
+    masks = np.zeros((1, 0), dtype=np.int64), visible
+    z = decode(aggregate_multi_block(layers, TINY), masks, params)
+    assert z.data.shape == (0, TINY.target_dim)
+
+
+@pytest.mark.parametrize("dec_depth", [1, 2])
+def test_decode_predicts_the_masked_rows_of_the_full_grid(dec_depth):
+    # the last decoder block's queries, and all after them, read masked rows
+    # only; its keys and values still read the full grid, so the result is
+    # the masked rows of a full-grid decode, to float32 rounding
+    config = TINY._replace(dec_depth=dec_depth)
+    params = init_params(config, 32, 3, seed=2)
+    images = [synthetic_image(32, 3, seed=i) for i in range(3)]
+    masks = masked, visible = tiny_masks(11, 12, 13)
+    h = aggregated(images, visible, params)
+    z = decode(h, masks, params).data
+    want = full_grid_decode(h, visible, params).data[masked.reshape(-1)]
+    assert z.shape == want.shape == (masked.size, config.target_dim)
+    np.testing.assert_allclose(z, want, rtol=0, atol=1e-6)
 
 
 def test_decode_positional_swap_equivariance():
@@ -149,20 +174,19 @@ def test_decode_positional_swap_equivariance():
     # predictions; float64 because permuting attention inputs reorders the
     # float reductions, so equality is mathematical, not bitwise
     params = init_params(TINY, 32, 3, seed=0, dtype=np.float64)
-    masked, visible = tiny_masks(6)
-    i, j = int(masked[0, 0]), int(masked[0, 1])
+    masks = masked, _ = tiny_masks(6)
+    i, j = int(masked[0, 0]), int(masked[0, 1])  # predictions 0 and 1
     img = synthetic_image(32, 3, seed=4).astype(np.float64)
 
-    z_a = forward(patches_of(img), visible, params)[0].data
+    z_a = forward(patches_of(img), masks, params)[0].data
 
     swapped = init_params(TINY, 32, 3, seed=0, dtype=np.float64)
     swapped.dec_pos[[i, j]] = swapped.dec_pos[[j, i]]
-    z_b = forward(patches_of(img), visible, swapped)[0].data
+    z_b = forward(patches_of(img), masks, swapped)[0].data
 
-    np.testing.assert_allclose(z_b[i], z_a[j], rtol=1e-12, atol=1e-12)
-    np.testing.assert_allclose(z_b[j], z_a[i], rtol=1e-12, atol=1e-12)
-    keep = [k for k in range(params.n_patches) if k not in (i, j)]
-    np.testing.assert_allclose(z_b[keep], z_a[keep], rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(z_b[0], z_a[1], rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(z_b[1], z_a[0], rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(z_b[2:], z_a[2:], rtol=1e-12, atol=1e-12)
 
 
 def test_project_global_zero_weights_zero_output():
@@ -186,13 +210,13 @@ def test_project_global_per_token_and_dim():
 
 def test_forward_shapes():
     params = tiny_params()
-    _, visible = tiny_masks(7)
+    masks = masked, visible = tiny_masks(7)
     image = synthetic_image(32, 3, seed=6)
-    z, last_visible = forward(patches_of(image), visible, params)
-    layers = encode_visible(patch_embed(patches_of(image), params), visible, params)
+    z, last_visible = forward(patches_of(image), masks, params)
+    layers = encode_visible(patch_embed(patches_of(image), visible, params), visible, params)
     v = visible.shape[1]
     assert aggregated([image], visible, params).data.shape == (v, 8)
-    assert z.data.shape == (16, TINY.target_dim)
+    assert z.data.shape == (masked.shape[1], TINY.target_dim)
     assert project_global(last_visible, params).data.shape == (v, TINY.target_dim)
     assert len(layers) == TINY.enc_depth
     assert last_visible.data.tobytes() == layers[-1].data.tobytes()
@@ -231,9 +255,9 @@ def test_model_config_validation():
 
 def test_checkpoint_round_trip_bitwise(tmp_path):
     params = tiny_params(seed=9)
-    _, visible = tiny_masks(8)
+    masks = tiny_masks(8)
     img = synthetic_image(32, 3, seed=7)
-    z_before = forward(patches_of(img), visible, params)[0].data.tobytes()
+    z_before = forward(patches_of(img), masks, params)[0].data.tobytes()
 
     path = tmp_path / "ckpt.bin"
     save_checkpoint(path, params)
@@ -243,7 +267,7 @@ def test_checkpoint_round_trip_bitwise(tmp_path):
     assert set(loaded) == set(params)
     for name in params:
         assert loaded[name].data.tobytes() == params[name].data.tobytes()
-    z_after = forward(patches_of(img), visible, loaded)[0].data.tobytes()
+    z_after = forward(patches_of(img), masks, loaded)[0].data.tobytes()
     assert z_after == z_before
 
 
@@ -570,15 +594,15 @@ def test_batch_rows_match_one_image_passes():
     params = init_params(TINY, 32, 3, seed=0, dtype=np.float64)
     images = [synthetic_image(32, 3, seed=i, dtype=np.float64) for i in range(3)]
     seeds = [10 + i for i in range(3)]
-    visible = tiny_masks(*seeds)[1]
-    z = forward(patches_of(*images), visible, params)[0].data
+    masks = masked, visible = tiny_masks(*seeds)
+    z = forward(patches_of(*images), masks, params)[0].data
     h = aggregated(images, visible, params).data
-    n, v = params.n_patches, visible.shape[1]
+    m, v = masked.shape[1], visible.shape[1]
     for i, (image, seed) in enumerate(zip(images, seeds)):
-        one_visible = tiny_masks(seed)[1]
-        one_z = forward(patches_of(image), one_visible, params)[0].data
-        one_h = aggregated([image], one_visible, params).data
-        np.testing.assert_allclose(z[i * n:(i + 1) * n], one_z, rtol=0, atol=1e-12)
+        one_masks = tiny_masks(seed)
+        one_z = forward(patches_of(image), one_masks, params)[0].data
+        one_h = aggregated([image], one_masks[1], params).data
+        np.testing.assert_allclose(z[i * m:(i + 1) * m], one_z, rtol=0, atol=1e-12)
         np.testing.assert_allclose(h[i * v:(i + 1) * v], one_h, rtol=0, atol=1e-12)
 
 
@@ -587,7 +611,7 @@ def test_no_cls_config_runs():
                       dec_depth=1, dec_width=8, dec_heads=2, target_dim=4,
                       use_cls=False, multi_block=False)
     params = init_params(cfg, 32, 3, seed=0)
-    _, visible = tiny_masks(9)
-    z, last_visible = forward(patches_of(synthetic_image(32, 3, seed=8)), visible, params)
+    masks = masked, visible = tiny_masks(9)
+    z, last_visible = forward(patches_of(synthetic_image(32, 3, seed=8)), masks, params)
     assert last_visible.data.shape == (visible.shape[1], 8)  # no CLS row
-    assert z.data.shape == (16, 4)
+    assert z.data.shape == (masked.shape[1], 4)

@@ -1,6 +1,7 @@
 """The desk-scale scripts run end to end at their smallest sizes."""
 
 import hashlib
+import importlib.util
 import json
 import subprocess
 import sys
@@ -24,11 +25,11 @@ OVERFIT_100_SHA256 = {
 # The same contract for the plain path (lam=0, multi-block off, batch 1),
 # which the overfit recipe never runs: 40 steps, a checkpoint every 10.
 PLAIN_40_SHA256 = {
-    "metrics.csv": "031cb5a8f1435baf6e517b6b5baec7a1a11d3742b744ed558fb5990fe487b6b7",
-    "ckpt_10.bin": "cdc1697d98c514b794c6047b77dc51c5dd6c38de52a801bc9e17a42e0e097560",
-    "ckpt_20.bin": "ff40c4a1438e5caac243cbada2708fe63f82eb9ff9bac5eba7a4ab4530b5283f",
-    "ckpt_30.bin": "c6c4569c6f08062376912aa7f335e76416619afa9ab52b303fe5e8ba00df9173",
-    "ckpt_40.bin": "b3657155ddbe2d7e11d0b7f5eefed278d39e98684c17a8fcf60e43a8981e41a3",
+    "metrics.csv": "2aee61742b101825c9785fbba1ff51cac9395109e41e0222631f3d7aae080138",
+    "ckpt_10.bin": "f3c7380a21b903689f02583c2b8082e5b87405740baa27f8e3af8a161fa354be",
+    "ckpt_20.bin": "cf6dc08f7220bdb307a4376f180b987407cddd83e9787accf8b1c75c0f462305",
+    "ckpt_30.bin": "d26bccf9dc51cd5da5fef618431d576e79d3944a3212f8d31805715d4417a87d",
+    "ckpt_40.bin": "08cf033793ac638f01661f4061395db50462c12cc2c64ec0a4a4254fa45d022b",
 }
 
 
@@ -63,11 +64,11 @@ def test_compare_teachers(tmp_path):
 
 def test_calls_per_step_repeats_exactly(tmp_path):
     # two readings of one tree agree to the call, on both recipes; a step
-    # records 54 tape ops on the default recipe and 46 on the plain path
+    # records 56 tape ops on the default recipe and 48 on the plain path
     first, second = (run_script("calls_per_step.py", "--steps", "2", cwd=tmp_path)
                      for _ in range(2))
     rows = [r.split() for r in first.splitlines()[1:]]
-    assert [(r[0], r[2]) for r in rows] == [("overfit-b8", "54.0"), ("plain-b1", "46.0")]
+    assert [(r[0], r[2]) for r in rows] == [("overfit-b8", "56.0"), ("plain-b1", "48.0")]
     assert first == second
 
 
@@ -87,3 +88,43 @@ def test_plain_path_writes_the_pinned_bytes(tmp_path):
     assert train(cfg, images, str(tmp_path / "run")).total_steps == 40
     for name, want in PLAIN_40_SHA256.items():
         assert hashlib.sha256((tmp_path / "run" / name).read_bytes()).hexdigest() == want, name
+
+
+def _load_script(name):
+    spec = importlib.util.spec_from_file_location(name.removesuffix(".py"), SCRIPTS / name)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _result_line(img_per_s, setup_s, peak_rss_mb):
+    """The last stdout line of a passing bench run, with these metrics."""
+    metrics = {"img_per_s": (img_per_s, "img/s"), "setup_s": (setup_s, "s"),
+               "peak_rss_mb": (peak_rss_mb, "MB")}
+    return json.dumps({"correct": True, "attempted": 3, "failed": 0,
+                       "metrics": {k: {"value": v, "unit": u} for k, (v, u) in metrics.items()}})
+
+
+def test_ab_summary_of_canned_pairs():
+    # no bench run: eight canned pairs of result lines. The change is 10%
+    # faster in every pair, sets up faster in six, slower in one and equally
+    # fast in one, and holds memory equal in all
+    ab = _load_script("ab.py")
+    end_to_end = json.loads((SCRIPTS.parent / "BENCHMARK.json").read_text())["end_to_end"]
+    setup = [(0.5, 0.4)] * 6 + [(0.5, 0.6), (0.5, 0.5)]
+    pairs = [(json.loads(_result_line(100.0 + i, base_s, 40.0)),
+              json.loads(_result_line((100.0 + i) * 1.1, change_s, 40.0)))
+             for i, (base_s, change_s) in enumerate(setup)]
+    rows = {r["metric"]: r for r in ab.summarize(pairs, end_to_end)}
+    img = rows["img_per_s"]
+    assert (img["wins"], img["untied"]) == (8, 8) and round(img["p"], 4) == 0.0078
+    assert img["base_median"] == 103.5 and abs(img["change_median"] - 113.85) < 1e-9
+    assert abs(img["ratio_median"] - 1.1) < 1e-12 and abs(img["base_iqr"] - 3.5) < 1e-12
+    assert 1.1 - 1e-12 < img["ratio_q1"] <= img["ratio_q3"] < 1.1 + 1e-12
+    # lower is better for set-up: 6 wins of 7 untied pairs, p = 2 * 8 / 128
+    assert (rows["setup_s"]["wins"], rows["setup_s"]["untied"]) == (6, 7)
+    assert rows["setup_s"]["p"] == 0.125
+    assert (rows["peak_rss_mb"]["wins"], rows["peak_rss_mb"]["untied"]) == (0, 0)
+    assert rows["peak_rss_mb"]["p"] == 1.0 and rows["peak_rss_mb"]["ratio_median"] == 1.0
+    assert ab.sign_test_p(5, 10) == 1.0 and ab.sign_test_p(10, 10) == 2 / 1024
+    assert "img_per_s" in ab.format_rows(list(rows.values()), len(pairs))

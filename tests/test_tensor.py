@@ -1,5 +1,6 @@
 import inspect
 import struct
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -75,17 +76,18 @@ def test_elementwise_ops_reject_broadcasting_a_taped_operand():
 
 
 def attention_reference(q, k, v, heads):
-    """Per-head loops over plain numpy: softmax(q k^T / sqrt(dh)) v."""
-    t, d = q.shape
+    """Per-head loops over plain numpy: softmax(q k^T / sqrt(dh)) v, for
+    any number of query rows over any number of key rows."""
+    d = q.shape[1]
     dh = d // heads
     out = np.zeros_like(q)
     for h in range(heads):
         cols = slice(h * dh, (h + 1) * dh)
-        for i in range(t):
-            scores = np.array([q[i, cols] @ k[j, cols] for j in range(t)]) / np.sqrt(dh)
+        for i in range(len(q)):
+            scores = np.array([q[i, cols] @ k[j, cols] for j in range(len(k))]) / np.sqrt(dh)
             w = np.exp(scores - scores.max())
             w /= w.sum()
-            out[i, cols] = sum(w[j] * v[j, cols] for j in range(t))
+            out[i, cols] = sum(w[j] * v[j, cols] for j in range(len(k)))
     return out
 
 
@@ -100,6 +102,19 @@ def test_attention_matches_numpy_reference(heads):
     q, k, v = (rng.normal(size=(5, 4)) for _ in range(3))
     out = tn.attention(Tensor(q), Tensor(k), Tensor(v), heads).data
     np.testing.assert_allclose(out, attention_reference(q, k, v, heads), rtol=0, atol=1e-12)
+
+
+def test_attention_takes_fewer_queries_than_keys():
+    # float64: two sequences of two queries each over three keys each, as
+    # the last decoder block's masked rows attend over the full grid
+    rng = np.random.default_rng(8)
+    q = rng.normal(size=(4, 4))
+    k, v = rng.normal(size=(6, 4)), rng.normal(size=(6, 4))
+    out = tn.attention(Tensor(q), Tensor(k), Tensor(v), 2, batch=2).data
+    assert out.shape == (4, 4)
+    for qs, ks in ((slice(0, 2), slice(0, 3)), (slice(2, 4), slice(3, 6))):
+        np.testing.assert_allclose(out[qs], attention_reference(q[qs], k[ks], v[ks], 2),
+                                   rtol=0, atol=1e-12)
 
 
 def test_attention_keeps_batch_sequences_apart():
@@ -125,7 +140,7 @@ def test_smooth_l1_matches_numpy_reference():
     rng = np.random.default_rng(4)
     for beta in (0.5, 1.0, 2.0):
         x = rng.normal(size=(6, 3)) * 2
-        _, masked = tn.masked_smooth_l1(Tensor(np.zeros((6, 3))), np.arange(6), x, beta, 1.0)
+        _, masked = tn.smooth_l1(Tensor(np.zeros((6, 3))), x, beta, 1.0)
         _, pooled = tn.pooled_smooth_l1(Tensor(np.zeros((6, 3))), 6, x, beta, 1.0)
         for elem in (masked, pooled):
             np.testing.assert_allclose(elem, smooth_l1_reference(x, beta), rtol=0, atol=1e-12)
@@ -163,17 +178,23 @@ def test_attention_rejects_bad_shapes():
     x = Tensor(np.ones((3, 4)))
     with pytest.raises(ConfigError, match="attention width 4 does not split into 3 heads"):
         tn.attention(x, x, x, 3)
-    with pytest.raises(ConfigError, match="attention needs equal"):
-        tn.attention(x, Tensor(np.ones((2, 4))), x, 2)
-    with pytest.raises(ConfigError, match="attention rows 3 do not split into 2 sequences"):
+    with pytest.raises(ConfigError, match="attention needs"):
+        tn.attention(x, Tensor(np.ones((3, 2))), Tensor(np.ones((3, 2))), 2)  # k narrower than q
+    with pytest.raises(ConfigError, match="attention needs"):
+        tn.attention(x, x, Tensor(np.ones((2, 4))), 2)  # v rows differ from k rows
+    with pytest.raises(ConfigError, match="attention rows 3, 3 do not split into 2 sequences"):
         tn.attention(x, x, x, 2, batch=2)  # 3 rows do not split into 2 sequences
+    with pytest.raises(ConfigError, match="attention rows 2, 3 do not split into 2 sequences"):
+        tn.attention(Tensor(np.ones((2, 4))), x, x, 2, batch=2)  # nor do 3 keys
+    # fewer queries than keys is the masked-row decoder's case
+    assert tn.attention(Tensor(np.ones((2, 4))), x, x, 2).data.shape == (2, 4)
 
 
 def test_fused_ops_record_one_node():
     tape, params = bind(x=np.ones((3, 4)))
     x = params["x"]
     tn.attention(x, x, x, 2)
-    tn.masked_smooth_l1(x, [0, 2], np.zeros((2, 4)), 1.0, 0.5)
+    tn.smooth_l1(x, np.zeros((3, 4)), 1.0, 0.5)
     tn.pooled_smooth_l1(x, 3, np.zeros((3, 4)), 1.0, 0.5)
     assert len(tape._ops) == 3
 
@@ -357,23 +378,25 @@ def test_gather_backward_matches_the_scatter_oracle_bitwise(dtype, batch):
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("upstream", [1.0, -0.3])
 def test_masked_loss_backward_matches_the_scatter_oracle_bitwise(dtype, upstream):
-    # rows masked in three images; zero residuals in both branches give
-    # elementwise gradients of +0.0 and, under a negative upstream, -0.0,
-    # which np.subtract.at into zeros turns into +0.0
+    # the predictions at rows masked in three images; zero residuals in both
+    # branches give elementwise gradients of +0.0 and, under a negative
+    # upstream, -0.0. The node's gradient is the masked rows of
+    # np.subtract.at into zeros of the full grid, so both come out +0.0
     rng = np.random.default_rng(int(upstream < 0))
     n, d, beta = 8, 3, 2.0
     rows = np.concatenate([b * n + np.sort(rng.choice(n, 3, replace=False)) for b in range(3)])
-    z0 = (rng.normal(size=(3 * n, d)) * 3).astype(dtype)
+    grid = (rng.normal(size=(3 * n, d)) * 3).astype(dtype)
+    z0 = grid[rows]
     target = (rng.normal(size=(len(rows), d)) * 3).astype(dtype)
-    target[:2] = z0[rows[:2]]
+    target[:2] = z0[:2]
     params = tn.Parameters({"z": z0})
     tape = Tape(params)
-    tn.masked_smooth_l1(params["z"], rows, target, beta, 1.0 / target.size)
+    tn.smooth_l1(params["z"], target, beta, 1.0 / target.size)
     g = np.asarray(upstream, dtype=dtype)
     (got,) = _record_grad_fn(tape)(g)
-    grad_d = tn._smooth_l1(target - z0[rows], beta, 1.0 / target.size)[2](g)
+    grad_d = tn._smooth_l1(target - z0, beta, 1.0 / target.size)[2](g)
     assert (np.signbit(grad_d) & (grad_d == 0)).any() == (upstream < 0)
-    want = scatter_rows(z0.shape, rows, grad_d, np.subtract)
+    want = scatter_rows(grid.shape, rows, grad_d, np.subtract)[rows]
     assert got.dtype == dtype and got.tobytes() == want.tobytes()
 
 
@@ -514,6 +537,16 @@ def _op_factories():
                 lambda x: tape_sum(tn.mul(tn.attention(Tensor(cq), x, tn.mul(x, Tensor(cv)), 2),
                                           Tensor(c))))
 
+    def attention_fewer_queries(rng):
+        # two sequences of four rows, queries from two rows of each through a
+        # gather, as in the last decoder block; x feeds q, k and v
+        rows, ck, cv = [1, 2, 4, 7], _normal(rng, (8, 4)), _normal(rng, (8, 4))
+        c = _normal(rng, (4, 4))
+        return (_normal(rng, (8, 4)),
+                lambda x: tape_sum(tn.mul(tn.attention(tn.gather_rows(x, rows), tn.mul(x, Tensor(ck)),
+                                                       tn.add(x, Tensor(cv)), 2, batch=2),
+                                          Tensor(c))))
+
     def attention_batched(rng):
         # two sequences of three tokens each, x feeding q, k and v
         ck, cv, c = _normal(rng, (6, 4)), _normal(rng, (6, 4)), _normal(rng, (6, 4))
@@ -523,19 +556,17 @@ def _op_factories():
                                           Tensor(c))))
 
     def masked_smooth_l1_(rng):
-        # one image, channel mean: rows 0, 2 and 5 of six hold the residuals
-        beta, rows = float(rng.choice([0.5, 2.0])), [0, 2, 5]
-        x, target = _normal(rng, (6, 3)), _normal(rng, (3, 3))
-        x[rows] = target - _away_from_kink(rng, beta, (3, 3))
-        return x, lambda x: tn.masked_smooth_l1(x, rows, target, beta, 1.0 / 9)[0]
+        # one image, channel mean: the predictions at its three masked rows
+        beta, target = float(rng.choice([0.5, 2.0])), _normal(rng, (3, 3))
+        x = target - _away_from_kink(rng, beta, (3, 3))
+        return x, lambda x: tn.smooth_l1(x, target, beta, 1.0 / 9)[0]
 
     def masked_smooth_l1_batched(rng):
-        # three images of four rows, two masked each, channel sum, and an
-        # upstream gradient of 0.7 as the global loss gets lam
-        beta, rows = float(rng.choice([0.5, 2.0])), [1, 3, 4, 6, 9, 11]
-        x, target = _normal(rng, (12, 2)), _normal(rng, (6, 2))
-        x[rows] = target - _away_from_kink(rng, beta, (6, 2))
-        return x, lambda x: tn.mul(tn.masked_smooth_l1(x, rows, target, beta, 1.0 / 6)[0], 0.7)
+        # three images, two masked rows each, channel sum, and an upstream
+        # gradient of 0.7 as the global loss gets lam
+        beta, target = float(rng.choice([0.5, 2.0])), _normal(rng, (6, 2))
+        x = target - _away_from_kink(rng, beta, (6, 2))
+        return x, lambda x: tn.mul(tn.smooth_l1(x, target, beta, 1.0 / 6)[0], 0.7)
 
     def pooled_smooth_l1_(rng):
         # one image of four rows, channel mean
@@ -568,9 +599,9 @@ def _op_factories():
              (tn.gather_rows, gather_), (tn.gather_rows, scatter_),
              (tn.gather_rows, gather_row), (tn.gather_rows, gather_const_rows),
              (tn.attention, softmax_), (tn.attention, attention_1head),
-             (tn.attention, attention_2heads), (tn.attention, attention_batched),
-             (tn.masked_smooth_l1, masked_smooth_l1_),
-             (tn.masked_smooth_l1, masked_smooth_l1_batched),
+             (tn.attention, attention_2heads), (tn.attention, attention_fewer_queries),
+             (tn.attention, attention_batched), (tn.smooth_l1, masked_smooth_l1_),
+             (tn.smooth_l1, masked_smooth_l1_batched),
              (tn.pooled_smooth_l1, pooled_smooth_l1_),
              (tn.pooled_smooth_l1, pooled_smooth_l1_batched),
              (tn.layer_norm, layer_norm_x), (tn.layer_norm, layer_norm_gain)]
@@ -642,7 +673,11 @@ def test_loss_nodes_match_the_op_chain_bitwise(batch, channel_reduce, upstream):
     z = (rng.normal(size=(batch * n, dim)) * 3).astype(f32)
     target = (rng.normal(size=(len(rows), dim)) * 3).astype(f32)
     target[0, :2] = z[rows[0], :2]  # zero residuals
-    check(tn.masked_smooth_l1, masked_smooth_l1_chain, z, (rows, target), per(n_masked))
+    def masked_chain(zm, target, beta, scale):  # the chain over the grid z, read at rows
+        loss, elem, grads = masked_smooth_l1_chain(z, rows, target, beta, scale)
+        return loss, elem, lambda g: grads(g)[rows]
+
+    check(tn.smooth_l1, masked_chain, z[rows], (target,), per(n_masked))
 
     p = (rng.normal(size=(batch * n_vis, dim)) * 3).astype(f32)
     means = (rng.normal(size=(batch, dim)) * 3).astype(f32)
@@ -689,6 +724,22 @@ def test_tvec_write_is_deterministic(tmp_path):
     tn.write_tvec(pa, arr)
     tn.write_tvec(pb, arr)
     assert pa.read_bytes() == pb.read_bytes()
+
+
+def test_tvec_read_holds_the_file_at_most_twice(tmp_path):
+    # the file's bytes and the array's one copy of its payload, which it
+    # reads through a view of those bytes
+    arr = np.arange(256 * 1024, dtype=np.float32).reshape(1024, 256)  # 1 MiB
+    p = tmp_path / "a.tvec"
+    tn.write_tvec(p, arr)
+    tracemalloc.start()
+    try:
+        back = tn.read_tvec(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert back.tobytes() == arr.tobytes() and back.flags.writeable
+    assert peak < 2.2 * arr.nbytes, peak / arr.nbytes
 
 
 def test_tvec_rejects_bad_magic(tmp_path):

@@ -159,7 +159,7 @@ def test_loss_finite_at_init_across_seeds():
     cache = FeatureCache(cfg, [("img", image)])
     for seed in range(100):
         params = init_params(cfg.model, 32, 3, seed=seed)
-        z, _ = forward(cache.patches, visible, params)
+        z, _ = forward(cache.patches, (masked, visible), params)
         assert np.isfinite(float(patch_loss(z, masked, cache.tokens[0], 2.0)[0].data))
 
 
@@ -212,8 +212,8 @@ def test_final_checkpoint_matches_live_params(tmp_path):
     images = small_images()
     result = train(cfg, images, tmp_path)
     loaded = load_checkpoint(result.final_checkpoint)
-    _, visible = generate_mask(cfg.mask, [cfg.mask.seed])
-    z, _ = forward(patchify(images[0][1], 8)[None], visible, loaded)
+    masks = generate_mask(cfg.mask, [cfg.mask.seed])
+    z, _ = forward(patchify(images[0][1], 8)[None], masks, loaded)
     assert np.isfinite(z.data).all()
 
 
@@ -321,13 +321,14 @@ def test_full_step_at_lambda_zero_matches_baseline_losses(tmp_path, monkeypatch)
 
 
 def test_default_step_op_budget(tmp_path, monkeypatch):
-    # one default-recipe step records 54 tape ops at batch 1 and at batch 8:
+    # one default-recipe step records 56 tape ops at batch 1 and at batch 8:
     # the minibatch is one graph; each dense layer and attention is one op,
-    # each loss one op from prediction to weighted scalar, and one gather
-    # each places the CLS and the mask tokens, so a per-image loop or an
-    # unfused path coming back raises the count. The parameter tensors are
-    # bound once per run: from its first lr_at call to its backward, the
-    # step creates its 54 op tensors on the tape and no tensor over a weight
+    # each loss one op from prediction to weighted scalar, one gather each
+    # places the CLS and the mask tokens, and two pick the last decoder
+    # block's masked rows, so a per-image loop or an unfused path coming
+    # back raises the count. The parameter tensors are bound once per run:
+    # from its first lr_at call to its backward, the step creates its 56 op
+    # tensors on the tape and no tensor over a weight
     real_backward, real_lr_at = featmim.trainer.backward, featmim.trainer.lr_at
     real_init = Tensor.__init__
     created = []
@@ -353,13 +354,13 @@ def test_default_step_op_budget(tmp_path, monkeypatch):
             weights = {id(t.data) for t in tape.params.values()}
             on_tape = sorted(t.idx for t in created if t.tape is tape)
             n_params = len(weights)
-            tensors_per_step.append((on_tape == list(range(n_params, n_params + 54)),
+            tensors_per_step.append((on_tape == list(range(n_params, n_params + 56)),
                                      sum(id(t.data) in weights for t in created)))
             return real_backward(tape, loss)
 
         monkeypatch.setattr(featmim.trainer, "backward", counting_backward)
         train(cfg, small_images(batch_size), tmp_path / f"b{batch_size}")
-        assert ops_per_step == [54], batch_size
+        assert ops_per_step == [56], batch_size
         assert tensors_per_step == [(True, 0)], batch_size
 
 
@@ -407,9 +408,10 @@ def test_every_step_gather_reads_each_row_of_a_once(distinct_gathers):
         tape = Tape(params)
         backward(tape, step_losses(params, *_step_batch(cfg, batch, np.float32),
                                    cfg.loss._replace(lam=lam))[0])
-    # each step gathers its encoder input and restore index; with CLS also the
-    # patch rows after each of the two encoder blocks
-    assert len(distinct_gathers) == 24 * 2 + 12 * 2
+    # each step gathers its restore index and the last decoder block's query
+    # and residual rows; with CLS also its encoder input and the patch rows
+    # after each of the two encoder blocks
+    assert len(distinct_gathers) == 24 * 3 + 12 * 3
 
 
 @pytest.mark.parametrize("channel_reduce", ["mean", "sum"])
