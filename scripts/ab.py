@@ -2,9 +2,11 @@
 """ABBA pairs of two trees' own benchmark runs, and their summary.
 
 Runs `bench/run.py` of each tree, unchanged and from its own checkout,
-`--pairs` times on one workload with seeds counting up from --first-seed.
-Pair i runs the base first when i is even and the change first when it
-is odd; both runs of a pair use its seed. Every run must report
+`--pairs` times on one workload with seeds counting up from --first-seed,
+after one unrecorded warm-up run of each tree: a freshly unpacked tree's
+first `teacher-corpus` run reads `peak_rss_mb` about 3% low. Pair i runs
+the base first when i is even and the change first when it is odd; both
+runs of a pair use its seed. Every run must report
 `correct`. For each end-to-end metric of the change tree's BENCHMARK.json
 it prints both sides' medians and the base's quartile spread, the median and
 quartiles of the per-pair ratio change / base, the pairs the change wins
@@ -98,6 +100,8 @@ def main():
     args = ap.parse_args()
 
     end_to_end = json.loads((args.change / "BENCHMARK.json").read_text())["end_to_end"]
+    for tree in (args.base, args.change):
+        bench_run(tree, args.workload, args.first_seed, args.seconds)
     pairs = []
     for i in range(args.pairs):
         seed = args.first_seed + i

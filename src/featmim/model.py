@@ -31,6 +31,7 @@ from .errors import ConfigError, DataError, check_field_types
 from .tensor import Tensor, read_bytes, tvec_bytes, tvec_from_bytes, write_atomic
 
 CHECKPOINT_MAGIC = b"FMCK"
+CHECKPOINT_VERSION = 2
 MAX_INIT_ELEMENTS = 2**26  # 1,380x the default model's 48,544; 256 MiB of float32
 
 
@@ -109,7 +110,7 @@ def _weights(config: ModelConfig, in_channels):
     """The student's weights, (name, shape, init) in draw order: init is
     "xavier" (Xavier-uniform), "token" (N(0, 0.02)) or a constant fill. The
     one statement of the model's parameters: init_params draws it,
-    init_elements counts it and load_checkpoint checks a file against it."""
+    init_elements counts it and load_checkpoint cuts a file's weights by it."""
     d, w, t = config.embed_dim, config.dec_width, config.target_dim
     table = [("cls_token", (d,), "token")] if config.use_cls else []
     table += _linear("patch_proj", in_channels * config.patch_side**2, d)
@@ -288,28 +289,26 @@ def forward(patches, masks, params: ModelParams):
 # --- checkpoints ---
 #
 # magic "FMCK" | u32 LE header length | header JSON
-# {config, n_patches, in_channels} | per parameter, names sorted
-# lexicographically: u32 LE name length | name utf-8 | tvec record.
+# {version: 2, config, n_patches, in_channels} | one rank-1 tvec record
+# holding ModelParams.flat: every weight, names sorted lexicographically.
 
 
 def save_checkpoint(path, params: ModelParams):
     """Encoded in memory, then written atomically (tensor.write_atomic)."""
     header = json.dumps({
+        "version": CHECKPOINT_VERSION,
         "config": params.config._asdict(),
         "n_patches": params.n_patches,
         "in_channels": params.in_channels,
     }, sort_keys=True).encode()
-    parts = [CHECKPOINT_MAGIC, struct.pack("<I", len(header)), header]
-    for name in sorted(params):
-        raw = name.encode()
-        parts += [struct.pack("<I", len(raw)), raw, tvec_bytes(params[name].data)]
-    write_atomic(path, b"".join(parts))
+    write_atomic(path, b"".join([CHECKPOINT_MAGIC, struct.pack("<I", len(header)), header,
+                                 tvec_bytes(params.flat)]))
 
 
 def load_checkpoint(path):
-    """The checkpoint's weights in ModelParams, checked against the header
-    config's weight table by name and shape; no model is drawn. A DataError
-    names the file and what is wrong with it."""
+    """The checkpoint's weights in ModelParams, cut from its one record by
+    the header config's weight table; no model is drawn. A DataError names
+    the file and what is wrong with it."""
     blob = read_bytes(path, "checkpoint")
     if blob[:4] != CHECKPOINT_MAGIC:
         raise DataError(f"{path}: not a featmim checkpoint")
@@ -322,8 +321,12 @@ def load_checkpoint(path):
         header = json.loads(blob[8:8 + hlen])
         config = ModelConfig(**header["config"])
         n_patches, in_channels = header["n_patches"], header["in_channels"]
+        version = header.get("version", 1)  # version 1 wrote none
     except (ValueError, KeyError, TypeError, RecursionError) as e:
         raise DataError(f"{path}: malformed checkpoint header: {e}") from None
+    if version != CHECKPOINT_VERSION:
+        raise DataError(f"{path}: checkpoint version {version!r}, "
+                        f"this reader reads version {CHECKPOINT_VERSION}")
     for key, value in (("n_patches", n_patches), ("in_channels", in_channels)):
         if type(value) is not int or value < 1:
             raise DataError(f"{path}: header {key} {value!r} is not a positive integer")
@@ -338,32 +341,13 @@ def load_checkpoint(path):
                      - n_patches * (config.embed_dim + config.dec_width))
     except ConfigError as e:
         raise DataError(f"{path}: checkpoint config is invalid: {e}") from None
-    off = 8 + hlen
-    weights = {}
-    while off < len(blob):
-        if off + 4 > len(blob):
-            raise DataError(f"{path}: truncated parameter name length at byte {off}")
-        (nlen,) = struct.unpack_from("<I", blob, off)
-        end = off + 4 + nlen
-        if end > len(blob):
-            raise DataError(f"{path}: truncated parameter name at byte {off}")
-        try:
-            name = blob[off + 4:end].decode()
-        except UnicodeDecodeError:
-            raise DataError(f"{path}: parameter name at byte {off} is not UTF-8") from None
-        if name in weights:
-            raise DataError(f"{path}: parameter {name} appears twice, again at byte {off}")
-        arr, off = tvec_from_bytes(blob, label=f"{path}:{name}", offset=end)
-        weights[name] = arr
-    n_read = sum(arr.size for arr in weights.values())
-    if n_read != n_weights:
-        raise DataError(f"{path}: the payload holds {n_read:,} weight elements, "
-                        f"the header's config needs {n_weights:,}")
-    shapes = {name: shape for name, shape, _ in _weights(config, in_channels)}
-    if set(weights) != set(shapes):
-        raise DataError(f"{path}: checkpoint parameter names do not match the config")
-    for name, arr in weights.items():
-        if arr.shape != shapes[name]:
-            raise DataError(f"{path}: parameter {name} has shape {arr.shape}, "
-                            f"expected {shapes[name]}")
-    return ModelParams(weights, config, n_patches, in_channels)
+    flat, end = tvec_from_bytes(blob, label=f"{path}: weights", offset=8 + hlen)
+    if flat.shape != (n_weights,):
+        raise DataError(f"{path}: the weights record has shape {flat.shape}, "
+                        f"the header's config needs ({n_weights},)")
+    if end != len(blob):
+        raise DataError(f"{path}: {len(blob) - end} trailing bytes after the weights")
+    table = sorted((name, shape) for name, shape, _ in _weights(config, in_channels))
+    cuts = np.cumsum([math.prod(shape) for _, shape in table])[:-1]
+    arrays = {name: a.reshape(shape) for (name, shape), a in zip(table, np.split(flat, cuts))}
+    return ModelParams(arrays, config, n_patches, in_channels)

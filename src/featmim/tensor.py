@@ -349,7 +349,7 @@ def tvec_bytes(array):
     parts = [TVEC_MAGIC, struct.pack("<BBB", TVEC_VERSION, 0, arr.ndim)]
     for extent in arr.shape:
         parts.append(struct.pack("<Q", extent))
-    parts.append(arr.tobytes(order="C"))
+    parts.append(arr)  # a C-contiguous buffer: the join makes the payload's only copy
     return b"".join(parts)
 
 

@@ -967,7 +967,7 @@ def test_oversized_inputs_are_refused_under_a_2_gib_address_space(tmp_path, imag
     # each case runs in a child whose address space alone is capped: an
     # allocation before the size check would die of MemoryError, not exit 2
     cfg = write_config(tmp_path, model={"embed_dim": 2**20, "dec_width": 2**20})
-    header = json.dumps({"config": ModelConfig()._asdict(), "n_patches": 2**40,
+    header = json.dumps({"version": 2, "config": ModelConfig()._asdict(), "n_patches": 2**40,
                          "in_channels": 3}).encode()
     ckpt = tmp_path / "big.bin"
     ckpt.write_bytes(CHECKPOINT_MAGIC + struct.pack("<I", len(header)) + header)
@@ -1024,3 +1024,28 @@ def test_featmim_import_pins_one_blas_thread(inherited):
                           env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["1", "1", "1"]
+
+
+def test_pretrain_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # 58 images at batch 58 feed 522 encoder rows (8 visible and a CLS each)
+    # to every weight-gradient GEMM, [32 x 522] @ [522 x 128] for enc fc1:
+    # a shape that 2-thread OpenBLAS sums in another order than one thread.
+    # featmim's import pins one thread, so each child writes the same bytes.
+    images = tmp_path / "images"
+    images.mkdir()
+    for i in range(58):
+        write_ppm(images / f"img{i:02d}.ppm", synthetic_image(32, 3, seed=i))
+    cfg = write_config(tmp_path, train={"total_epochs": 2.0, "warmup_epochs": 1.0,
+                                        "base_lr": 0.02, "batch_size": 58, "seed": 0})
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_VARS}
+    env["PYTHONPATH"] = str(Path(featmim.__file__).resolve().parent.parent)
+    outputs = set()
+    for i, threads in enumerate(({}, {"OPENBLAS_NUM_THREADS": "1"}, {"OPENBLAS_NUM_THREADS": "2"})):
+        out = tmp_path / f"run{i}"
+        proc = subprocess.run([sys.executable, "-m", "featmim", "pretrain", "--config", str(cfg),
+                               "--images", str(images), "--out", str(out)], capture_output=True,
+                              text=True, timeout=60, env={**env, **threads})
+        assert proc.returncode == 0, proc.stderr
+        outputs.add(tuple(hashlib.sha256((out / name).read_bytes()).hexdigest()
+                          for name in ("metrics.csv", "ckpt_2.bin")))
+    assert len(outputs) == 1, outputs

@@ -18,8 +18,16 @@ from featmim.model import CHECKPOINT_MAGIC, ModelConfig, load_checkpoint
 from featmim.teacher import FileTeacher
 from featmim.tensor import TVEC_MAGIC, TVEC_VERSION, tvec_from_bytes
 
-_HEADER = json.dumps({"config": ModelConfig()._asdict(), "n_patches": 16,
+_HEADER = json.dumps({"version": 2, "config": ModelConfig()._asdict(), "n_patches": 16,
                       "in_channels": 3}, sort_keys=True).encode()
+_CHECKPOINT = CHECKPOINT_MAGIC + struct.pack("<I", len(_HEADER)) + _HEADER
+
+
+def _weights_record(*extents):
+    """A checkpoint through its weights record's extents, before the payload."""
+    return (_CHECKPOINT + TVEC_MAGIC + bytes([TVEC_VERSION, 0, len(extents)])
+            + struct.pack(f"<{len(extents)}Q", *extents))
+
 
 # kind -> (reader of a path, file name, prefixes the fuzzed bytes follow)
 READERS = {
@@ -29,8 +37,9 @@ READERS = {
              [b"", TVEC_MAGIC, TVEC_MAGIC + bytes([TVEC_VERSION, 0]),
               TVEC_MAGIC + bytes([TVEC_VERSION, 0, 2]) + struct.pack("<2Q", 2, 1)]),
     "checkpoint": (load_checkpoint, "fuzz.bin",
-                   [b"", CHECKPOINT_MAGIC,
-                    CHECKPOINT_MAGIC + struct.pack("<I", len(_HEADER)) + _HEADER]),
+                   [b"", CHECKPOINT_MAGIC, _CHECKPOINT, _CHECKPOINT + TVEC_MAGIC,
+                    # the default model's 47,520 weights, or a record short enough to fill
+                    _weights_record(47_520), _weights_record(2), _weights_record(2, 3)]),
     "manifest": (lambda path: FileTeacher(str(path.parent)), "manifest.json",
                  [b"", b"{", b'{"target_dim": 4, "entries": [{"id": ',
                   b'{"target_dim": 4, "entries": [{"id": "a", "grid_side": ']),

@@ -15,229 +15,229 @@ SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "golden.py"
 GOLDEN = {
     "use_cls=True multi_block=off lam=0.0 channel_reduce=mean batch_size=1": (
         "3fadd33636b0e93bba9e659a57fbaa6fdbb6a7e9005d19bd1cc4efb93df61592",
-        "111e55e1222772a1c1808cca4999989b4d2738eb90c12de99ffc0397b735997a"),
+        "d19ab3a5ba9dbfa24fa6951d4aefa6a8b29b049e30754c59568e00e294b3796b"),
     "use_cls=True multi_block=off lam=0.0 channel_reduce=mean batch_size=3": (
         "269b72912af26a6fc7706d2cd675e4d119339d4773f0f2e2e1f5aa1c7451de94",
-        "18d39bcc2a91477f3073272da9fa1a20d8677a72d19f20c1c05aadff07d483ca"),
+        "376dca1729dbd7d76ab36e3c6e3fde0299216c038ea4ac6f1c3e4330e2888b18"),
     "use_cls=True multi_block=off lam=0.0 channel_reduce=mean batch_size=8": (
         "48a973a1b26231563119191a8af2401f0d96624702c0679666e39b2954b32147",
-        "20c9ac26cfd4a93fa6518f7e55bc840f01ccfe394d436f6160d8822085c6ad9c"),
+        "d71e29f8af2a6c91d6b9cd88de94225667b9b441ffe8f44c24025494c631a688"),
     "use_cls=True multi_block=off lam=0.0 channel_reduce=sum batch_size=1": (
         "e9aa05654a5d344b1890f6a1d3225a4bdd34e67c6ade52ab0fc1f78d5d07dae1",
-        "31c13c938f9a3960060f515e0657a34eec179f004806606650036235373341e1"),
+        "6d254ce66dbff62f8d680ad24374bb18e51dca477e80ec070b3565e0c8c5fcd9"),
     "use_cls=True multi_block=off lam=0.0 channel_reduce=sum batch_size=3": (
         "59d28439965f3ec5a7d07bce085a38c23c2dbeea78d81bc35c7d1f38b9a9c97f",
-        "90b40946eee3af586c5635226fec4138c766b70b42b7a2e6d986dfdcfab67c07"),
+        "9ab14a9e4083d16a731a1baa409f890cbfe90fe77b99c678f130acb8124794cf"),
     "use_cls=True multi_block=off lam=0.0 channel_reduce=sum batch_size=8": (
         "6e1609ee23203390bae074868c2f86af6ca472c542aa31c2f520df12000cd98c",
-        "b1c7d38d35d660e7e2a668305cc81b5bb1ad739cdd38e8b6edab536361b15de8"),
+        "62a607aaf6f3e4f69459b92ba2e364ff5a40aafe9a5521ab0d08140c930a1cd6"),
     "use_cls=True multi_block=off lam=0.5 channel_reduce=mean batch_size=1": (
         "7ab4cf9a6138d4ea56e25a949f27bb5f7ce850ece0c2363f4963a914adf8ed05",
-        "6dd89de95a0c80f135fb4d1cc6e1f23e053b8d8c2b45dc9a92c95002c81914be"),
+        "966f8cba017b96550be656d751c4c363fcbd45e865391d7b0e7b2f57b1ff31a4"),
     "use_cls=True multi_block=off lam=0.5 channel_reduce=mean batch_size=3": (
         "b60279b02f03396b1a531d5b230fa782b6a2069d8cdd74775aab5676f0918912",
-        "8797f73f38fa2ee5a5824608a2922e998afb8e9ab2a0cac1bd1f357c303b7d1d"),
+        "c6df233e64822dd50a0daf938a9d196a083751c95b8f05813568899861754785"),
     "use_cls=True multi_block=off lam=0.5 channel_reduce=mean batch_size=8": (
         "87d23e1df1ea1cddf47142e7e51fd61ef9afe2ba18562815cf0bdb93b159d17b",
-        "f6b1cc112638dae343710151e3f966af50aad284dca6364b33020c651f6fb731"),
+        "5fbef0f6ff3470f5d6f187c4b3fb5aabfc0e104e971cb286bdfe49f182fffec5"),
     "use_cls=True multi_block=off lam=0.5 channel_reduce=sum batch_size=1": (
         "210772549b00c14ea49902d2e2b77c716ef210dd27367ed679ec6a881a9e9915",
-        "a261a430ec2bcd779beeb4b7591df02b30c8fd8748e1f452a5a5fcea237b84e0"),
+        "0be772a97fe12ccae33e4c9bf74b2be37ec8b7010c90ed479efed90cb25de731"),
     "use_cls=True multi_block=off lam=0.5 channel_reduce=sum batch_size=3": (
         "91bd8e14eb883e0351118d8684cb0dc385487a359a6326f047b5f8d93d19497f",
-        "117dbe9fc5d7cd5a0ef631593abd60b827f65bbb6a6d22112c254d8c26ff9211"),
+        "26f77dece520b0364f2980e1db83dc54497c9598e04f01f800c2627278cf277b"),
     "use_cls=True multi_block=off lam=0.5 channel_reduce=sum batch_size=8": (
         "cefb173c7ad9876d1ff3eac27ba115f24553eb0ceb8e7c1959658787b4d46de6",
-        "d17b483de0828f54ba4b04e5fb1d6576279558c539bd94e7a0d3cae82f222f7e"),
+        "c651da897dded2d06b131534dbabf54c5aead859c0696dc79451e5526b2887cf"),
     "use_cls=True multi_block=mean lam=0.0 channel_reduce=mean batch_size=1": (
         "49400209faf54faddc4443c4aabbbde80f0855cd7314bc2cf366923441b5ea69",
-        "8313e41a2c14143feb19b7ee09cdc939d56b8455ff463e34756f6efb667d0186"),
+        "67dff7753e498c21e644ff75bc3ee5c68ae2721dbde750ac953a4a95a6356b0f"),
     "use_cls=True multi_block=mean lam=0.0 channel_reduce=mean batch_size=3": (
         "3f3b84390c703b9f038fc5878ff877b64f39131f55ca822bd7e3d160dc3191ce",
-        "9833413c0759869b422365a4e3191f2f97c5384675d89e30685c6e5b7f154107"),
+        "656f9919a679f1386a13fbb5aad0b57c823eb08645556d94269dbbe83b8177f3"),
     "use_cls=True multi_block=mean lam=0.0 channel_reduce=mean batch_size=8": (
         "b5a94143f347c2f97a8a6a5c398acee19e7e32e805c69b23962c0bb9f819c33b",
-        "1d34c711bf0574df44206ff100ab1c903eedb79c42a2c2f1b2da4ff46fd28e04"),
+        "918d528484be7ce89e7f90c2145bb806f828d9650e02f8aded2f3868a96a184f"),
     "use_cls=True multi_block=mean lam=0.0 channel_reduce=sum batch_size=1": (
         "a0e8bcc31f9ec764be6b9c3081a59dcacd0ec3fc2de3ea5dcfe2463c19bce76c",
-        "717a81952607bec3cac2ed3ac8e2e561875d3bb0cf18e1552ecfca116a1eb5e8"),
+        "52bee594f006274a976f405780b343d04bb7f78b63f734fb564e4389aacc9649"),
     "use_cls=True multi_block=mean lam=0.0 channel_reduce=sum batch_size=3": (
         "51e83135cdb8692d203d8c165aeae863d655bf096062bae26ee432b01ba4acd1",
-        "f8ef41b609a9bb1a8e05bd751dce5ac24f26d6749e94b2ae7334ee465f478135"),
+        "382b4722a2310e9b38c50f82aebaf89869293bac16b343f4c1124a03c9cf4e3b"),
     "use_cls=True multi_block=mean lam=0.0 channel_reduce=sum batch_size=8": (
         "802147493f7df5672eaccd55f8e5f6b4cc072bba71e85cbe7ced81d656c2ee7f",
-        "73867afef92dabcf981e186c067ab08c7969d82fb8748cc57d7f2877064726f0"),
+        "cb0ca49980fe206bf5b817397be3d700c0afb13362529259fa6707528e71ee96"),
     "use_cls=True multi_block=mean lam=0.5 channel_reduce=mean batch_size=1": (
         "17ed80d0aabdcf979e1c6b6383d9bf125411524755b06ee8ea9514eb1bf100bb",
-        "a01efc1c0afa37ffcd06a4ed35841295329ca585e348f8cdc7a6d135330dd2b5"),
+        "cf3474af63647c52fdaeb92d88365a071378273c83a2eeac5e5e71e14dcd5128"),
     "use_cls=True multi_block=mean lam=0.5 channel_reduce=mean batch_size=3": (
         "4198bdb7d324d7e09637c51f91baba2bff002f8b9d7732e714cdf7c5fcb6ab84",
-        "695590c818b3bfff3b74692d783b9f21c560e086ca2d2b7ea18cba0ed4fffbe2"),
+        "fc7637b7a839db428ed6ee3c32fc7e8662d393c32a0f70a141fa384468a1f0a8"),
     "use_cls=True multi_block=mean lam=0.5 channel_reduce=mean batch_size=8": (
         "12c365a24cffac856200623ae3671ec50e1ed20af6da4c7086fbddd0fee65356",
-        "b5988c384ce22c18dbaea3d7301a293b4f61494bced889e0f628462bd93ba2fc"),
+        "158a4b603a2937d26c0d4de1ef79e66d584b7d1aed3505af22bba09e2b658665"),
     "use_cls=True multi_block=mean lam=0.5 channel_reduce=sum batch_size=1": (
         "17db1679d7c4967a228aafa0e385eb9df2b368f1b5eed88285c3b07a00ac7916",
-        "ec49a524d785f9fffcb1cf6ed30ca215fd0dd249fdb50a413f8d9f9c645e8db0"),
+        "9710e2a5a38a6e2a28fd058f92bfc7378bfc2b1ccb99f7762ab3710cf7fe4746"),
     "use_cls=True multi_block=mean lam=0.5 channel_reduce=sum batch_size=3": (
         "824027bf1ffa59abde35bd70b55bc95d6a35481a6e4660490571c12762d815c9",
-        "f53422811193682785186f034cef09a06081b2e9e97f2488261711eefe6dc0dc"),
+        "6beeefcdf90be4efa8f3c8b905439ae732f7d38677d5af008eb58bcc0dfa7ee9"),
     "use_cls=True multi_block=mean lam=0.5 channel_reduce=sum batch_size=8": (
         "e4428e351861bef316f06bd3170a1d1d9424d8d74d7df2f2bc138ba6928385c5",
-        "d36d42f5f24dfa1c33337c9975656de5f3b6e25b7c7dfc09a7cee15a1ae3cb2f"),
+        "0299ac6b8b5f2a390595bd62d952dc184bfb89aede9d6960d5f7ab33a42d3f1a"),
     "use_cls=True multi_block=sum lam=0.0 channel_reduce=mean batch_size=1": (
         "1a3f11d02baa040ceb768d9264922acad685515362437191c4e7f361f0711684",
-        "892f7426ace180601340fcdf97784d780a2bfd7ed5054c447668bbe9115f7a4d"),
+        "dd732d1919edabe872a186fe3851bb0f3e18a0b08b796fdecca718a3f65a6ebc"),
     "use_cls=True multi_block=sum lam=0.0 channel_reduce=mean batch_size=3": (
         "2b4779f80ea3c207df74d694cbf189cdb40de450cddb5a972fd54c121ef12f93",
-        "cbd3f7fafb47dc8cf9fb20aed818fa34f514725d56b09559bf6ded51bfbab7cd"),
+        "a25062999bd10ab91a99c3d87d9d2ef00490681ad66d0b5a6a08fee731dcd35e"),
     "use_cls=True multi_block=sum lam=0.0 channel_reduce=mean batch_size=8": (
         "d3f6a6286afebe061e31319f4d80fb6d2c9fb037fef35631574cd1172b3559b6",
-        "81a08c5d26aada9345901913de6c5236fd4a51d8953cd8394d42381752f90ff4"),
+        "f84836202379858e0cde51f9a4da57b774840a6b10790068cf9bf5e242093a62"),
     "use_cls=True multi_block=sum lam=0.0 channel_reduce=sum batch_size=1": (
         "fb9cb01a64a77e255adf37f7b78c7f5455cf9aae572c0f80bcb2387c265ddac8",
-        "548855b3e98fb8ae7ed39d9088584cbe86dbf845f4cadbd99cdf378a2989cbdd"),
+        "07256295201560989d1aab7d3cb46aee0ff74fc074e34c3ad7c3a7614941d9eb"),
     "use_cls=True multi_block=sum lam=0.0 channel_reduce=sum batch_size=3": (
         "6af5df7dad8d3b3b0b326cf87753f51a5907e1226b1609bc800d921ee64cd99f",
-        "d59b47d9ecbea03e9c2db7863aa3568c1ee66e7be7e43057bb38fb16a5cc26dc"),
+        "db6f757fc45703b24fc8c7489908fd6a0ee7b5053782305ae177c55822ddf10a"),
     "use_cls=True multi_block=sum lam=0.0 channel_reduce=sum batch_size=8": (
         "42c2cdaa845aded2d59372d86d490fdbbbe9565098f09ffe27fd175c3d9767f7",
-        "e346d2f94eaaaca7b2643c6a9effa4ca255ee2ce6fb55bad8f24784633c872ff"),
+        "476008793599c44d2f86e4881d5fd10c2ea4687fab05595b312fc5a230594ae7"),
     "use_cls=True multi_block=sum lam=0.5 channel_reduce=mean batch_size=1": (
         "608e3f907d54a91089894e835bfa2b21ad4f2e25fc717a0ca44519ec315f15a4",
-        "ec484de82ac9dc4baf29d11661f12f25650786a84f4cc650064dbbc798d1afea"),
+        "c9214fbf44edfadcb26fa154da80028996f227ed79c020f5c6347baec79f53c7"),
     "use_cls=True multi_block=sum lam=0.5 channel_reduce=mean batch_size=3": (
         "216c994c1f955e3b6e3dc6ea62dc7fa893f961cb13cbd9ecfb5dc3a5fa248898",
-        "4a1610ba507a25510694587cb3080aeeb7705cf7b969aacd6e2313d4e52a726b"),
+        "90f8e061b76d8ad333e906a9abd79596bd35478a39ff8c58029d014b7884d632"),
     "use_cls=True multi_block=sum lam=0.5 channel_reduce=mean batch_size=8": (
         "8f6b36df455967276d8a96bbb4c7a9b3e3a62f13ee46aef21681af2e206e1546",
-        "313a86d23f68d68a64b98c4641c6a3add2fa3afe7ef06f2e911110e65801d831"),
+        "521090536d9f93f8a347a98ebf69393876ef24b10d3496dee55de23a3a21851d"),
     "use_cls=True multi_block=sum lam=0.5 channel_reduce=sum batch_size=1": (
         "85d47ce8fa9c46842c60c695ba492873321263698a2e2c4a8f1f80b59c86b49f",
-        "a58f6f759aa14d3f7b6b088c2a9047cf17a964cc2a663ebbe3562bc291b94381"),
+        "699f0268e7e4c5057a11f94d5cf5f94739c72b7857a5742a46151ef2e5fe395a"),
     "use_cls=True multi_block=sum lam=0.5 channel_reduce=sum batch_size=3": (
         "bce7187cde40ec0baa7f6cd86679b5cc509617db33e69c71d6e7ce727ba8444d",
-        "a14c1ef848c4ff5aacdad99d87898b1073e5507bffe816a8a7b64898fda80616"),
+        "0b2b78651c5aa851cb9cad3e508b593b843b7db269fe758655b0ae59635631d0"),
     "use_cls=True multi_block=sum lam=0.5 channel_reduce=sum batch_size=8": (
         "0a6f2153045369d49b0f5ed93bfa6e35c79a41e4b35ed6da7c969aa365858d5f",
-        "4a7ac48d3d8b7e76999ee3dbbd8a89659fbbd9410019ed9c2c7a1285e0408921"),
+        "6776419098d0a0ba0a8b88a14289fa4d1185568a2ad2ed9f5ef2f0fa2cc26801"),
     "use_cls=False multi_block=off lam=0.0 channel_reduce=mean batch_size=1": (
         "c3acb757cd97f97aabde0a59a1610797dfe2720b53d1f169f5f7cc0fbcf16239",
-        "8fb00b70e6f0df6f806d3214b041d7d258c27542a2f50dec06027792367e5cd5"),
+        "aff668f35337e6d759d1a324b8354f7be9f33aac5bbaba77aa2a1663c36324d8"),
     "use_cls=False multi_block=off lam=0.0 channel_reduce=mean batch_size=3": (
         "46935919ee739cea981563ff650c53dd6a1110fbb8dcd18f70daf7887d2333fd",
-        "6ab2d7011139b226faac847f16619ae548b91df239512fe76734acc66496d70d"),
+        "b85d28cb696d232294235a7ab2626678e19f546b52868799dbb043103753cc03"),
     "use_cls=False multi_block=off lam=0.0 channel_reduce=mean batch_size=8": (
         "cd5f14a99fcf239a3c0c7accad7d7fb57424f23bc26f6447e1d740251ce49c50",
-        "f19ebb7052924a4c817d1fb7e3351fdd8824a95312070735e276b027a77fe63d"),
+        "d4cd5568775c79ff37637c2e28755d9f417ac2d8674fbf31ebe0e3a76be9729c"),
     "use_cls=False multi_block=off lam=0.0 channel_reduce=sum batch_size=1": (
         "c3a04e3fc2a04433b359699b0bd9de2cbbf8aa456f209b329e5313a7ddedd94c",
-        "e4467c575a69b2732108bc84c0804e7dd501f26d2db08e1de26c92064b354b98"),
+        "47b21993fba09ad8849e12d624193d8e6f01b9656d4b45a5ecaaff54c0ad9018"),
     "use_cls=False multi_block=off lam=0.0 channel_reduce=sum batch_size=3": (
         "554ee22b46dd3af6d7e7c5e37cd1aabb54723378e2517d446a57850fb9f890d4",
-        "c71f7a47a17755c577f96c02ac4bde622d9f08c9eb4471ee66128369af2b1729"),
+        "4b384e0a33a288305c902631e6606faef37695728e7f107f1bf9f4637edb7704"),
     "use_cls=False multi_block=off lam=0.0 channel_reduce=sum batch_size=8": (
         "25f8150ebb1c99df37d44631b3fb1a5481c1e0f14879b08130f6fca98e3b954d",
-        "2a21f793f4ea0dd8ee7a032fa17c0ee7d95ae88b77b9f01829cd97d6be1b2c20"),
+        "b34ebed1a85ec9f27a5f367179afe1a32699b011234add61a3b55897a2c46436"),
     "use_cls=False multi_block=off lam=0.5 channel_reduce=mean batch_size=1": (
         "e09fa5b0a4580f5449eb4cb131db6e6402c2de4391fc4dc5267b136bd41a2fd4",
-        "68ded53dfc9c5d652dc8470409eefedf4172a3d42c7bdfe34a756ccc154b5977"),
+        "0d504d78a95591172288db1e31c697f58fab7102e147214d26ebd7c43d611e06"),
     "use_cls=False multi_block=off lam=0.5 channel_reduce=mean batch_size=3": (
         "c27362b1be284680934aa048330a883d6b24f59aef8a0743a4e5f16ca1008d49",
-        "a89b17e8503176640e7bcb819c4aac19508ec4e85867ec88dcb3e2d54a127c51"),
+        "7510a9f3bf9cf3a45a820e56d19b9c333473e34233110d1e72434cd4f9245eab"),
     "use_cls=False multi_block=off lam=0.5 channel_reduce=mean batch_size=8": (
         "4bed16eba622b1a69362454211f9b52f8c84465a55e1bbaba61eae902c1e774f",
-        "863f477ff53690869b25a5f4b3fd025713a6d8f7ab266ef11af71d6c7f0682a6"),
+        "f806bf0f8edb7664d3ca3dbc72d0ae1f08d1846a725cf810c9bdd12a5d18eb91"),
     "use_cls=False multi_block=off lam=0.5 channel_reduce=sum batch_size=1": (
         "0dd6ac4e9b5be26f0e016d60180dcc68da325128e616ec7854d2eb407e55aa14",
-        "1dac8ab9d5dfe062e4a9ddfc1c0137490d1e703346951b39cc10cf9f7d7cd27a"),
+        "8e9562579018a9c4989790fe31b0a24e49d2c9a33eea6635205902469b27344c"),
     "use_cls=False multi_block=off lam=0.5 channel_reduce=sum batch_size=3": (
         "cb3ead01fabd052a8ceccceeadd30005f119a8065c12bcfd316d127426fac029",
-        "584c3ba06a05aa3264076f42f5ba51362472090e894decc39a901fc03df5a3a1"),
+        "a0c22d9b8005e2999ab03e7b447ff5023c5eef1d251f477d6ee0015a6f49880a"),
     "use_cls=False multi_block=off lam=0.5 channel_reduce=sum batch_size=8": (
         "00cbdd43e9f606fbb2f09d3dfabb38d271235da2872265bcff88708e45000f76",
-        "87ca74de76d7d7ca25f54641d4e93301806e062ffd1b25bb953850c4257ec2fa"),
+        "c86686b552fd59531da301b49938d6e31712074f096d315d261fcac96f565b21"),
     "use_cls=False multi_block=mean lam=0.0 channel_reduce=mean batch_size=1": (
         "258d9396cc6f2b5d1dea17813a44a930cef6fd2d065af8e1ecd0f6b7d2283a65",
-        "2adc447c5e509ff080d410f2dbba22ea1d44b151f6b4131f39690b95cf9309d1"),
+        "1ffb8eb88b27edf00d6cd0222c3454f3ebb0e9ad559a2a0f6198f0fcc12341cb"),
     "use_cls=False multi_block=mean lam=0.0 channel_reduce=mean batch_size=3": (
         "533c0d9f118bd70535078f2361379ab69def885009b606d0f40213fac8d616f0",
-        "2d10141a1227dc1a8a3dc40ab7806d51ebefecf7da9b62d407daab5d8b1dfe3d"),
+        "9d5d64a9555dd22840368a3e939ddc66a4cd5a9af62f4795bd76000282157e52"),
     "use_cls=False multi_block=mean lam=0.0 channel_reduce=mean batch_size=8": (
         "f84035b4b6ec61ed7ab3bee4e043713293fc1799c33e703f2359cc1b794b8ff7",
-        "f88b16105ed43ec0e02ca85067ab7c853710b90031121bda6d13b871d64ee07a"),
+        "5abd2cbfecbeb26c628f6eccc1e84606aeaa4da3761f156a34ee592194e6cfb4"),
     "use_cls=False multi_block=mean lam=0.0 channel_reduce=sum batch_size=1": (
         "acd217f57efcc31a66487e6ca0dfc310116cd6a6ebb51d5a81c684a2e1a60502",
-        "b907bcd4dd89eca66f45522fb16da21a7c7481ccc9c8e041525b7e70439031a3"),
+        "eb9aac31f9e82bacf72295c76a880c878935b8d90f75b0f4d183c81a9cca7366"),
     "use_cls=False multi_block=mean lam=0.0 channel_reduce=sum batch_size=3": (
         "4d4d0379d82142a75771a210a46a0a45fbcc85bccadc3ef4aa07236a09732245",
-        "b606207f87161913951f991d173833aa06a8a474e2517c45c71fe9120fda47ed"),
+        "5d71976a893ced8f3746d4fadb076b2b10bfc55bc15291a67a0e29cdae211ae6"),
     "use_cls=False multi_block=mean lam=0.0 channel_reduce=sum batch_size=8": (
         "b158b03c5905faec46d8249b82aea30cc5bac231c16509874ce5df33cfd67af6",
-        "492140170e42941be353bee3ffeb87aca8ddf74b0731256a7fd717eb9888be00"),
+        "bbba33941a69b8961ca0c7c9858ec40480eaaf9e80433fa297f2fa1748413e6b"),
     "use_cls=False multi_block=mean lam=0.5 channel_reduce=mean batch_size=1": (
         "1dbaef095f0500f56ff3647be76abd88f8eedebc8b396219e4f49cbbf7f2ac48",
-        "b126239d02f9a92036accf493d8e2d57b147cc53b56fa744ee227de064272cc7"),
+        "eca112a60584ee28a7a99c3066fe066fc3849775c36dae42c483c1d6f2a1e45e"),
     "use_cls=False multi_block=mean lam=0.5 channel_reduce=mean batch_size=3": (
         "5f6d13d0707950813c91696838a3b59db602673723610e6231b3709d5359cad3",
-        "1154df66d7962a63ac50dfe0ded81a3e6954592bf5760fdbc6f5e357daadca70"),
+        "5e06aa3a397946cc4a9c7aaa31ae21dc236adc1328a1753ea90fbdc89cdc4360"),
     "use_cls=False multi_block=mean lam=0.5 channel_reduce=mean batch_size=8": (
         "8dc2b54e94575cb5a8826ae4474b69bb6ee61feb71f58d665da26e34c2b0d2f9",
-        "ce63465ee577dea01a23402873ac4c5eb359957f7eeff6755cf2799b83e3c1ba"),
+        "d1fbf95b9be2370684c2cb8d39ced0bdbacf790f7c9d1bcbce6d05e5bfc43326"),
     "use_cls=False multi_block=mean lam=0.5 channel_reduce=sum batch_size=1": (
         "40a34e836c9b2fae3317689243376e10f8d056d7ba036d70217c43fedb97123f",
-        "6fc384f76f5a697503d8a5f80f6c97cbd048f6b796a54ed26ba3bd6396508aa3"),
+        "5513862936ab46785849576d3d973a43ced3e0943bbbc5d141c45180e53477a3"),
     "use_cls=False multi_block=mean lam=0.5 channel_reduce=sum batch_size=3": (
         "606bd406bd2c63943c17477ca3021c4b8efdbae9ccc52a7f51c48e14c8f01d7b",
-        "67758d8d697a12ed9592b085a2827007924d9f30909a33b76bfed1b385e862f6"),
+        "7231aba53352133e2cacdeae0484074d9d817ae2b262d820d34d7198c0f0c9c8"),
     "use_cls=False multi_block=mean lam=0.5 channel_reduce=sum batch_size=8": (
         "ad9d232cf9dc1e64e51f60e6999fafc8ba28f890506f13e2f890b6f84d658a99",
-        "0df84455d2c2bc2c55352d15028f11ce796b7c25190cc6743464d3eb19346e8b"),
+        "8fa490d751600f9874b45732a9ebd49134d549a73f490a3f4e38bcefae71fce1"),
     "use_cls=False multi_block=sum lam=0.0 channel_reduce=mean batch_size=1": (
         "941c275a60a6233751df98062ff5864afaee83de96e2d99aac89d97c1e7de996",
-        "09ba4c1072b93f262986174b8c2df979455ee1e40e19768b59c42921fb82271d"),
+        "c43f1b9236d78f1deadb598c16b2c3b2c8a1526a637cdf39cd9bfadae8191fca"),
     "use_cls=False multi_block=sum lam=0.0 channel_reduce=mean batch_size=3": (
         "7b9fe0c6fcaec2f9b72ba80382321e019e5d7337f992bb5a247d3b5f36f32f5d",
-        "267bea5c1cdc157b5df5ae6e32c20c109d09990ea65f257704cc1549e8b83663"),
+        "3c36b19dd2fb59e5699626c272d10c1f732d7047d6bae58da55a401fe8b46a26"),
     "use_cls=False multi_block=sum lam=0.0 channel_reduce=mean batch_size=8": (
         "0d265bb312dee58e4845fe732eb3659ece56acab4294989fcb1b2fd50b2b7c24",
-        "587cf5de34926ac85f6986ba3090deb67beba64359cecf15aaea8ae58be8b49d"),
+        "a99168345195dc3ea7ed130129f3c663d73f16f855a8923b9c8c7e75916be9a2"),
     "use_cls=False multi_block=sum lam=0.0 channel_reduce=sum batch_size=1": (
         "5efff372a5d3fef7de21352969bca85ece0ab6fbe9b12b8b3bd4c8fe2d3cf41e",
-        "46a9170b4e370358393e5cd0464e9e64009ac898efe5fd3ef2c35dd4fdfe9b36"),
+        "95a0301d49ab1feebf2a7accf4d0189c432ac97303132a738aa9ad6e7f04ff82"),
     "use_cls=False multi_block=sum lam=0.0 channel_reduce=sum batch_size=3": (
         "5fb9889dee584accce2fd2d2b468b27d99fd9e31557b2aba906cd2e62d87459b",
-        "967dd9dc85d1d3a56417a1464aed6d81f635f535d840e58801a4d869e6543209"),
+        "c9d9c3487b08ea2bb4ec386b17e72d7d0bedb37a9a22c3fccbe3e19d3a481f50"),
     "use_cls=False multi_block=sum lam=0.0 channel_reduce=sum batch_size=8": (
         "6779e2d30efe4d5613e257c1babc17a4f7679e793ab74568f77e678e4a0f7660",
-        "a19f5340d9977b7445f35218aab4dbc3b9ee95b7f37c90b470a6362cb601db9f"),
+        "a1d4e5561022f935d02cc22f636c0fd475f29427ef5576147a216eb1d3cb345a"),
     "use_cls=False multi_block=sum lam=0.5 channel_reduce=mean batch_size=1": (
         "d564c9cd507f774e4c9cb8c7ba8cab35e9777b073a267bd70339d220ddec4d52",
-        "a68177027d9acb13d932695d108ef8c6e93b4efb8510dd32c14a4fa90a7237d7"),
+        "bbd7ef24646e4dbf3249c6f68cae8ff78febcd2cb41e5fbade05e9d16f41364e"),
     "use_cls=False multi_block=sum lam=0.5 channel_reduce=mean batch_size=3": (
         "86a7950bfaf952055fb22f67816c1bb97afa4906814962de2f7ae647deaabdac",
-        "e4227c74ac0da6a7cc53fe05940519ff6cc826d263f04578be149334715cefbb"),
+        "dcacfe7314aa60aa8c15804f84d6eb24998140abaea8461d77b7e547b2b2d198"),
     "use_cls=False multi_block=sum lam=0.5 channel_reduce=mean batch_size=8": (
         "c94fa7fae83e85ffa9f873d28c3e5573877945cadbe67e55b0329137580a2b05",
-        "9682537994366eff5cfd9bc87e3fb6a75ed87f25e7661337ecedaaf30702db6b"),
+        "8f80974a474c99a64bbea21c93ebd584d36753fae0264d31985c037511dd5c1e"),
     "use_cls=False multi_block=sum lam=0.5 channel_reduce=sum batch_size=1": (
         "bcad46fb58f9b307feecbc1aeb0c22a72abc9ea56042b2523ab9c7ba500ec6ce",
-        "bc0057d2e10ec0ad0c624ff68db9f5e0ea0ebe2d77b3ff6a47716e2882d55691"),
+        "47cbe6d5148d623b255cfff06e8e8805584b459747badd6e7d79c9101af5ea61"),
     "use_cls=False multi_block=sum lam=0.5 channel_reduce=sum batch_size=3": (
         "663e2950ad769053cbdd231c689fc6b5a60207ba57c207c7a6e69bfe71c37654",
-        "76a86f675e8b006eb716713887f688fed4ff8315fcce8c3ca5af18e060fd017c"),
+        "4b116dfa4034329d17f7de95a35d4ba2b2c8f0cd60f3173b85ff97c4546530b1"),
     "use_cls=False multi_block=sum lam=0.5 channel_reduce=sum batch_size=8": (
         "c2d638529abc314582bd974e46fb87db75fee6afabbaf30c0906c14318267f61",
-        "04ac02af9ab0ed53fe172be2802b8fc1f56e578c8d3d025ce75f46c77733ad32"),
+        "38ec8b36a825ca591f502f1c001ab89665809a5c3a42d5a890fde740238e4a0d"),
     "enc_depth=3": (
         "8051a64e5e96ba47d8a7e5bab63b8e9e8da0526e251dfe72165ba9e9798d486d",
-        "daff36af023f5bd9af5272898d057e102288f34e303fb0c71c6c6fd7b1368632"),
+        "5b5cc112e85488eacef92e2e79788853e2ef8dd9988ba6334f69eefc9927cd4c"),
     "in_channels=1": (
         "9711dc77adefb2ae3fc321cd1d5f3606e23c51a28f5e11da81325aaa8a8e94f0",
-        "5bb5df72e649a1e0a010fbe5461819d101ea26f9b12d1968dfa389227e38103f"),
+        "e3ed7324eb4b9d833d4d8110c7f0f9e8485750ee0731e93332e3813e763e1290"),
     "teacher=file": (
         "3ed47a1ffbbcc89021dd1044082634fb4b159c5454db84fa2ffd17ed498a225a",
-        "1def4fbc84cc0d1cfbf3c4f21abf36d7c6200421477cab9f1702bdba4d747bd2"),
+        "5b570cfdd48a6efc12f0dd21cd4d6d1af4cfa903c2b810e61b668b0e9f73c8a2"),
 }
 
 

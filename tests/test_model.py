@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import json
 import os
+import re
 import struct
 import time
 
@@ -320,7 +321,7 @@ def test_fresh_checkpoint_bytes_are_pinned(tmp_path):
     path = tmp_path / "ckpt.bin"
     save_checkpoint(path, init_params(ModelConfig(), 32, 3, seed=0))
     assert (hashlib.sha256(path.read_bytes()).hexdigest()
-            == "bb33c01e044badb17add5d371a090ceb5c412c7b75984bf9407b0c86d0a23d23")
+            == "f368930d552769b92865aa6637a1eddf9b9402ab895ea88c8b579bf337d5ef6f")
 
 
 def _write_output(writer, path, seed):
@@ -341,14 +342,8 @@ def test_checkpoint_write_failing_partway_keeps_the_old_file(tmp_path, monkeypat
     _write_output(fail_in, path, seed=1)
     before = path.read_bytes()
     if fail_in == "encode":
-        calls = []
-        real = featmim.model.tvec_bytes
-
-        def failing_tvec_bytes(array):
-            calls.append(1)
-            if len(calls) == 3:
-                raise OSError("disk full")
-            return real(array)
+        def failing_tvec_bytes(array):  # the save's one record, the flat weights
+            raise OSError("disk full")
 
         monkeypatch.setattr(featmim.model, "tvec_bytes", failing_tvec_bytes)
     else:
@@ -372,37 +367,46 @@ def test_checkpoint_rejects_garbage(tmp_path):
 
 
 def test_checkpoint_rejects_overflowing_extents(tmp_path):
-    # a parameter whose tvec extents multiply past 2**64
+    # a weights record whose tvec extents multiply past 2**64
     good = tmp_path / "good.bin"
     save_checkpoint(good, tiny_params())
     valid = good.read_bytes()
     (hlen,) = struct.unpack_from("<I", valid, 4)
     huge = b"TVEC" + struct.pack("<BBBQQ", 1, 0, 2, 2**62, 4)
     bad = tmp_path / "bad.bin"
-    bad.write_bytes(valid[:8 + hlen] + struct.pack("<I", 3) + b"cls" + huge)
-    with pytest.raises(DataError, match="bad.bin:cls: payload holds 0 bytes"):
+    bad.write_bytes(valid[:8 + hlen] + huge)
+    with pytest.raises(DataError, match="bad.bin: weights: payload holds 0 bytes"):
         load_checkpoint(bad)
+
+
+def test_checkpoint_ends_in_the_flat_weights(tmp_path):
+    # the one record after the header is ModelParams.flat, byte for byte
+    params = tiny_params(seed=3)
+    path = tmp_path / "ckpt.bin"
+    save_checkpoint(path, params)
+    blob = path.read_bytes()
+    (hlen,) = struct.unpack_from("<I", blob, 4)
+    assert json.loads(blob[8:8 + hlen])["version"] == 2
+    assert blob[8 + hlen:] == tvec_bytes(params.flat)
+    assert blob.endswith(params.flat.tobytes())
 
 
 def _checkpoint_with(valid, case):
     """Checkpoint bytes corrupted in one way, built from valid bytes."""
     (hlen,) = struct.unpack_from("<I", valid, 4)
-    header = valid[:8 + hlen]
     return {
         "shorter_than_8_bytes": valid[:6],
         "header_past_end": valid[:4] + struct.pack("<I", hlen + 10) + valid[8:8 + hlen],
-        "truncated_name_length": header + b"\x05\x00",
-        "truncated_name": header + struct.pack("<I", 10) + b"enc",
-        "name_not_utf8": header + struct.pack("<I", 2) + b"\xff\xfe" + tvec_bytes(np.zeros(1)),
+        "trailing_byte": valid + b"\x00",
+        "trailing_record": valid + tvec_bytes(np.zeros(3)),
     }[case]
 
 
 @pytest.mark.parametrize("case,message", [
     ("shorter_than_8_bytes", "truncated before the header length"),
     ("header_past_end", "runs past the end"),
-    ("truncated_name_length", "truncated parameter name length"),
-    ("truncated_name", "truncated parameter name at"),
-    ("name_not_utf8", "not UTF-8"),
+    ("trailing_byte", "bad.bin: 1 trailing bytes after the weights$"),
+    ("trailing_record", "bad.bin: 27 trailing bytes after the weights$"),  # a 3-element record
 ])
 def test_checkpoint_rejects_malformed_layout(tmp_path, case, message):
     good = tmp_path / "good.bin"
@@ -413,15 +417,40 @@ def test_checkpoint_rejects_malformed_layout(tmp_path, case, message):
         load_checkpoint(bad)
 
 
-def test_checkpoint_rejects_a_repeated_parameter(tmp_path):
-    # a second cls_token record of 7.0s would replace the first one
+def _v1_checkpoint(params):
+    """A version 1 file: a header without a version, then per parameter in
+    sorted name order u32 LE name length | name | tvec record."""
+    header = json.dumps({"config": params.config._asdict(), "n_patches": params.n_patches,
+                         "in_channels": params.in_channels}, sort_keys=True).encode()
+    return b"".join([CHECKPOINT_MAGIC, struct.pack("<I", len(header)), header,
+                     *(struct.pack("<I", len(name)) + name.encode() + tvec_bytes(params[name].data)
+                       for name in sorted(params))])
+
+
+def test_checkpoint_names_an_old_version(tmp_path):
+    bad = tmp_path / "v1.bin"
+    bad.write_bytes(_v1_checkpoint(tiny_params()))
+    with pytest.raises(DataError, match="v1.bin: checkpoint version 1, this reader reads version 2$"):
+        load_checkpoint(bad)
+
+
+@pytest.mark.parametrize("weights", [
+    lambda flat: flat[:-1],
+    lambda flat: np.append(flat, 7.0),
+    lambda flat: flat.reshape(2, -1),  # the right count at rank 2
+    lambda flat: flat[:0],
+], ids=["short", "long", "rank2", "empty"])
+def test_checkpoint_weights_must_be_one_row_of_the_tables_count(tmp_path, weights):
+    params = tiny_params()
     good, bad = tmp_path / "good.bin", tmp_path / "bad.bin"
-    save_checkpoint(good, tiny_params())
-    record = (struct.pack("<I", len(b"cls_token")) + b"cls_token"
-              + tvec_bytes(np.full(TINY.embed_dim, 7.0, dtype=np.float32)))
-    bad.write_bytes(good.read_bytes() + record)
-    with pytest.raises(DataError, match=f"bad.bin: parameter cls_token appears twice, "
-                                        f"again at byte {len(good.read_bytes())}"):
+    save_checkpoint(good, params)
+    valid = good.read_bytes()
+    (hlen,) = struct.unpack_from("<I", valid, 4)
+    record = weights(params.flat)
+    bad.write_bytes(valid[:8 + hlen] + tvec_bytes(record))
+    with pytest.raises(DataError, match=re.escape(
+            f"bad.bin: the weights record has shape {record.shape}, "
+            f"the header's config needs ({params.flat.size},)")):
         load_checkpoint(bad)
 
 
@@ -491,7 +520,7 @@ def test_checkpoint_rejects_an_oversized_header_before_allocating(tmp_path, monk
 @pytest.mark.parametrize("payload", [False, True])
 def test_checkpoint_payload_must_hold_the_headers_weights(tmp_path, monkeypatch, payload):
     # a valid header for 52.7M elements over no payload, or over the tiny
-    # model's, fails on the count before init_params allocates the model
+    # model's, fails on the record before init_params allocates the model
     good = tmp_path / "good.bin"
     save_checkpoint(good, tiny_params())
     valid = good.read_bytes()
@@ -509,33 +538,10 @@ def test_checkpoint_payload_must_hold_the_headers_weights(tmp_path, monkeypatch,
         raise AssertionError("init_params called before the payload was counted")
 
     monkeypatch.setattr(featmim.model, "init_params", allocate)
-    with pytest.raises(DataError, match=f"bad.bin: the payload holds {n_tiny if payload else 0:,} "
-                                        "weight elements, the header's config needs 52,696,076$"):
-        load_checkpoint(bad)
-
-
-def _checkpoint_over(valid, weights):
-    """Checkpoint bytes with valid's header over the payload name -> array."""
-    (hlen,) = struct.unpack_from("<I", valid, 4)
-    return valid[:8 + hlen] + b"".join(struct.pack("<I", len(name)) + name.encode() + tvec_bytes(a)
-                                       for name, a in weights.items())
-
-
-@pytest.mark.parametrize("edit, message", [
-    (lambda w: w.update(extra_token=w.pop("mask_token")), "parameter names do not match"),
-    (lambda w: w.update(patch_proj_w=w["patch_proj_w"].T),
-     r"parameter patch_proj_w has shape \(8, 192\), expected \(192, 8\)$"),
-])
-def test_checkpoint_names_and_shapes_must_match_the_config(tmp_path, edit, message):
-    # the payload holds the right count, so only the weight table can tell
-    params = tiny_params()
-    good = tmp_path / "good.bin"
-    save_checkpoint(good, params)
-    weights = {name: params[name].data for name in params}
-    edit(weights)
-    bad = tmp_path / "bad.bin"
-    bad.write_bytes(_checkpoint_over(good.read_bytes(), weights))
-    with pytest.raises(DataError, match=message):
+    message = (re.escape(f"bad.bin: the weights record has shape ({n_tiny},), "
+                         "the header's config needs (52696076,)") if payload
+               else "bad.bin: weights: bad magic, not a tvec record")
+    with pytest.raises(DataError, match=message + "$"):
         load_checkpoint(bad)
 
 

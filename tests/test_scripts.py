@@ -19,17 +19,17 @@ SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 # projection) updates both hashes and says so in CHANGES.md.
 OVERFIT_100_SHA256 = {
     "metrics.csv": "50c525228542280796d47cf380dce987cefcf9351013e40d4b4a77120ed42b21",
-    "ckpt_100.bin": "8d8a90f7518cf99f17ac3ed51c79dd3c47f102930d3ea8cf389f2e5a49350099",
+    "ckpt_100.bin": "07f84f92341a2cf60369d37e801b5b011c6bf8e449a51b377cae8cc48b5ba305",
 }
 
 # The same contract for the plain path (lam=0, multi-block off, batch 1),
 # which the overfit recipe never runs: 40 steps, a checkpoint every 10.
 PLAIN_40_SHA256 = {
     "metrics.csv": "2aee61742b101825c9785fbba1ff51cac9395109e41e0222631f3d7aae080138",
-    "ckpt_10.bin": "f3c7380a21b903689f02583c2b8082e5b87405740baa27f8e3af8a161fa354be",
-    "ckpt_20.bin": "cf6dc08f7220bdb307a4376f180b987407cddd83e9787accf8b1c75c0f462305",
-    "ckpt_30.bin": "d26bccf9dc51cd5da5fef618431d576e79d3944a3212f8d31805715d4417a87d",
-    "ckpt_40.bin": "08cf033793ac638f01661f4061395db50462c12cc2c64ec0a4a4254fa45d022b",
+    "ckpt_10.bin": "77b1a2178f56314d0615e2450c6dc5eeef9c6bcee23e07c423ed586c97d1d7a9",
+    "ckpt_20.bin": "dd093a6d3f66fd4c2f1877c34364ace07f7a0b95f43f6e2f73f4c1e03d2f3c29",
+    "ckpt_30.bin": "4bc528c6cea824106e6737a48480a4ea870b9eec70bbb096376f75a7e6273fc1",
+    "ckpt_40.bin": "8205a46b39e419068df0c91f990a24e961ee31ef97ea6177e9185f7b106546fd",
 }
 
 
@@ -128,3 +128,32 @@ def test_ab_summary_of_canned_pairs():
     assert rows["peak_rss_mb"]["p"] == 1.0 and rows["peak_rss_mb"]["ratio_median"] == 1.0
     assert ab.sign_test_p(5, 10) == 1.0 and ab.sign_test_p(10, 10) == 2 / 1024
     assert "img_per_s" in ab.format_rows(list(rows.values()), len(pairs))
+
+
+def test_ab_warms_each_tree_up_before_the_first_pair(tmp_path, monkeypatch, capsys):
+    # one unrecorded run per tree first, then the pairs in ABBA order; the
+    # warm-up runs read 1.0 on every metric, so a summary holding one
+    # would not have the recorded runs' medians
+    ab = _load_script("ab.py")
+    base, change = tmp_path, SCRIPTS.parent
+    calls = []
+
+    def bench_run(tree, workload, seed, seconds):
+        calls.append((tree, seed))
+        if len(calls) <= 2:
+            return json.loads(_result_line(1.0, 1.0, 1.0))
+        return json.loads(_result_line(100.0 if tree == base else 110.0, 0.5, 40.0))
+
+    monkeypatch.setattr(ab, "bench_run", bench_run)
+    monkeypatch.setattr(sys, "argv", ["ab.py", "--base", str(base), "--change", str(change),
+                                      "--workload", "overfit-b8", "--pairs", "3",
+                                      "--seconds", "1", "--first-seed", "7"])
+    ab.main()
+    assert calls == [(base, 7), (change, 7), (base, 7), (change, 7), (change, 8), (base, 8),
+                     (base, 9), (change, 9)]
+    rows = capsys.readouterr().out.splitlines()
+    assert [r for r in rows if r.startswith("pair")][0] == (
+        "pair 0 seed 7 base   img_per_s=100 setup_s=0.5 peak_rss_mb=40")
+    summary = {r.split()[0]: r.split()[1:3] for r in rows if not r.startswith("pair")}
+    assert summary["img_per_s"] == ["100", "110"]
+    assert summary["setup_s"] == ["0.5", "0.5"] and summary["peak_rss_mb"] == ["40", "40"]
