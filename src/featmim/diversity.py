@@ -41,11 +41,10 @@ def _pair_offsets(k):  # flat offsets of a k x k matrix's pairs i < j, row-major
     return np.flatnonzero(np.triu(np.ones((k, k), dtype=bool), 1))
 
 
-def sample_similarity(y, pairs=None):
-    """Mean min-max-normalized off-diagonal cosine for one sample; a corpus
-    passes in its `pairs`, _pair_offsets of its token count."""
-    c = pairwise_cosine(y)
-    off = np.take(c, _pair_offsets(len(c)) if pairs is None else pairs)
+def sample_similarity(y, pairs):
+    """Mean min-max-normalized off-diagonal cosine for one sample; `pairs` is
+    _pair_offsets of its token count, which a corpus builds once."""
+    off = np.take(pairwise_cosine(y), pairs)
     lo, hi = off.min(), off.max()
     if hi == lo:
         return min(max(float(lo), 0.0), 1.0)

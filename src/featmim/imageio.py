@@ -75,14 +75,9 @@ def _quantize(arr):
 
 
 def write_pgm(path, array):
-    """Write [H, W] or [1, H, W] values in [0, 1] as a binary PGM, atomically."""
-    arr = np.asarray(array)
-    if arr.ndim == 3:
-        if arr.shape[0] != 1:
-            raise DataError("PGM needs a single channel")
-        arr = arr[0]
-    h, w = arr.shape
-    write_atomic(path, f"P5\n{w} {h}\n255\n".encode() + _quantize(arr).tobytes())
+    """Write [H, W] values in [0, 1] as a binary PGM, atomically."""
+    h, w = np.shape(array)
+    write_atomic(path, f"P5\n{w} {h}\n255\n".encode() + _quantize(array).tobytes())
 
 
 def write_ppm(path, array):

@@ -21,46 +21,34 @@ from .errors import ConfigError
 class LossConfig(NamedTuple):
     beta: float = 2.0  # smooth-L1 transition point
     lam: float = 0.5  # global loss weight
-    channel_reduce: str = "mean"  # "mean" | "sum" over feature channels
 
     def validate(self):
         if self.beta <= 0:
             raise ConfigError("smooth-L1 beta must be positive")
         if not (math.isfinite(self.lam) and self.lam >= 0):
             raise ConfigError(f"loss.lam must be finite and non-negative, got {self.lam!r}")
-        if self.channel_reduce not in ("mean", "sum"):
-            raise ConfigError(f"unknown channel_reduce {self.channel_reduce!r}")
 
 
-def _batch_mean(node, target, batch, channel_reduce):
-    # mean over each image's rows, channels reduced per config. Images have
-    # equal row counts, so the loss node takes the batch mean as one sum
-    # times 1 / (batch * count); per-image losses repeat a one-image batch.
-    rows, dim = target.shape
-    count = rows // batch * (dim if channel_reduce == "mean" else 1)
-    loss, elem = node(1.0 / (batch * count))
-    return loss, elem.reshape(batch, -1).sum(axis=1) * elem.dtype.type(1.0 / count)
+def _per_image(loss, elem, batch):
+    # images have equal element counts, so the node's mean is the mean of theirs
+    return loss, elem.reshape(batch, -1).sum(axis=1) * elem.dtype.type(batch / elem.size)
 
 
-def patch_loss(z, rows, tokens, beta, channel_reduce="mean"):
+def patch_loss(z, rows, tokens, beta):
     """Smooth-L1 between teacher tokens and predictions, masked slots only.
 
     rows is [B, M], the batch's masked rows; z is [B*M, D], the predictions
     at those rows, and tokens [B*N, D], the teacher tokens of the B images
     stacked image by image.
     """
-    y_m = tokens[rows.reshape(-1)]
-    return _batch_mean(lambda scale: tn.smooth_l1(z, y_m, beta, scale), y_m, len(rows),
-                       channel_reduce)
+    return _per_image(*tn.smooth_l1(z, tokens[rows.reshape(-1)], beta), len(rows))
 
 
-def global_loss(p_h, means, beta, channel_reduce="mean"):
+def global_loss(p_h, means, beta):
     """Smooth-L1 between each image's mean projected visible token and its
     mean teacher token.
 
     p_h is [B*V, D], the projected visible tokens of B images stacked
     image by image; means is [B, D], each image's mean over all its tokens.
     """
-    b = len(means)
-    return _batch_mean(lambda scale: tn.pooled_smooth_l1(p_h, b, means, beta, scale),
-                       means, b, channel_reduce)
+    return _per_image(*tn.pooled_smooth_l1(p_h, means, beta), len(means))

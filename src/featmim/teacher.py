@@ -25,6 +25,11 @@ def _stage_widths(downsample_rate, target_dim):
     return [8 * 2**i for i in range(downsample_rate.bit_length() - 2)] + [target_dim]
 
 
+# the fields each teacher kind reads; any other must keep its default
+KIND_FIELDS = {"procedural-conv": ("downsample_rate", "target_dim", "seed", "l2_normalize"),
+               "file": ("features_dir",)}
+
+
 class TeacherSpec(NamedTuple):
     kind: str = "procedural-conv"  # "procedural-conv" | "file"
     downsample_rate: int = 8
@@ -34,13 +39,17 @@ class TeacherSpec(NamedTuple):
     features_dir: Optional[str] = None
 
     def validate(self, rate_name="procedural teacher downsample_rate", dim_name="target_dim"):
-        if self.kind not in ("procedural-conv", "file"):
+        if self.kind not in KIND_FIELDS:
             raise ConfigError(f"unknown teacher kind {self.kind!r}")
         if self.kind == "file" and not self.features_dir:
             raise ConfigError("file teacher needs features_dir")
-        if self.seed < 0:
-            raise ConfigError(f"teacher.seed must be non-negative, got {self.seed}")
+        ignored = [f"teacher.{f}" for f in self._fields[1:] if f not in KIND_FIELDS[self.kind]
+                   and getattr(self, f) != self._field_defaults[f]]
+        if ignored:
+            raise ConfigError(f"a {self.kind} teacher reads no {', '.join(ignored)}")
         if self.kind == "procedural-conv":
+            if self.seed < 0:
+                raise ConfigError(f"teacher.seed must be non-negative, got {self.seed}")
             if self.downsample_rate < 2 or self.downsample_rate & (self.downsample_rate - 1):
                 raise ConfigError(f"{rate_name} must be a power of two >= 2")
             if self.target_dim < 1:

@@ -296,17 +296,17 @@ def layer_norm(x, gain, bias):
     return _emit(out, (x, gain, bias), grad_fn)
 
 
-# --- losses: one tape node each, from prediction to scaled scalar ---
+# --- losses: one tape node each, from prediction to mean scalar ---
 
 
-def _smooth_l1(d, beta, scale):
-    """scale * sum(smooth_l1(d)), smooth_l1(d) = 0.5*d^2/beta for |d| < beta and
-    |d| - 0.5*beta otherwise (C1 at |d| = beta), scale rounded to d's dtype.
+def _smooth_l1(d, beta):
+    """mean(smooth_l1(d)) as the sum times 1 / d.size in d's dtype, smooth_l1(d) =
+    0.5*d^2/beta for |d| < beta and |d| - 0.5*beta otherwise (C1 at |d| = beta).
     Returns (that scalar, smooth_l1(d), grad_d: the scalar's gradient to d's)."""
     inside = np.abs(d) < beta
     c = 0.5 / beta
     elem = np.where(inside, d * d * c, np.abs(d) - 0.5 * beta)
-    scale = d.dtype.type(scale)
+    scale = d.dtype.type(1.0 / d.size)
 
     def grad_d(g):
         ge = np.broadcast_to(g * scale, d.shape).astype(d.dtype, copy=True)
@@ -315,22 +315,23 @@ def _smooth_l1(d, beta, scale):
     return elem.sum() * scale, elem, grad_d
 
 
-def smooth_l1(z, target, beta, scale):
+def smooth_l1(z, target, beta):
     """_smooth_l1 of target - z as one tape node, target a constant array of
     z's shape. Returns (the taped scalar, the elementwise smooth-L1 array)."""
-    loss, elem, grad_d = _smooth_l1(target - z.data, beta, scale)
+    loss, elem, grad_d = _smooth_l1(target - z.data, beta)
     # 0.0 - grad, not -grad: a zero gradient stays +0.0, never -0.0
     return _emit(loss, (z,), lambda g: (0.0 - grad_d(g),)), elem
 
 
-def pooled_smooth_l1(p_h, batch, target_means, beta, scale):
+def pooled_smooth_l1(p_h, target_means, beta):
     """_smooth_l1 of target_means - m as one tape node, m [B, D] the mean of each
-    of the `batch` blocks of V rows of p_h [B*V, D], target_means a constant
+    of the B blocks of V rows of p_h [B*V, D], target_means a constant
     [B, D]. Returns (the taped scalar, the elementwise smooth-L1 array)."""
+    batch = len(target_means)
     v = len(p_h.data) // batch
     s = p_h.data.reshape(batch, v, -1).sum(axis=1)
     ratio = p_h.data.dtype.type(s.size / p_h.data.size)  # exactly 1 / V, so rounded as 1.0 / V
-    loss, elem, grad_d = _smooth_l1(target_means - s * ratio, beta, scale)
+    loss, elem, grad_d = _smooth_l1(target_means - s * ratio, beta)
     return _emit(loss, (p_h,), lambda g: (np.repeat(-grad_d(g) * ratio, v, axis=0),)), elem
 
 

@@ -130,11 +130,11 @@ def step_losses(params, cache, idx, masks, loss_cfg):
     """
     z, last_visible = forward(cache.patches[idx], masks, params)
     loss, lp = patch_loss(z, masks[0], cache.tokens[idx].reshape(-1, cache.tokens.shape[2]),
-                          loss_cfg.beta, loss_cfg.channel_reduce)
+                          loss_cfg.beta)
     lg = np.zeros_like(lp)
     if loss_cfg.lam != 0.0:
         l_global, lg = global_loss(project_global(last_visible, params), cache.means[idx],
-                                   loss_cfg.beta, loss_cfg.channel_reduce)
+                                   loss_cfg.beta)
         loss = add(loss, mul(l_global, loss_cfg.lam))
     lt = lp + lg * lp.dtype.type(loss_cfg.lam)
     n = len(idx)

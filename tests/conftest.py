@@ -157,11 +157,11 @@ def masked_smooth_l1_chain(z, rows, target, beta, scale):
     return loss, elem, grads
 
 
-def pooled_smooth_l1_chain(p, batch, target_means, beta, scale):
+def pooled_smooth_l1_chain(p, target_means, beta, scale):
     """reshape -> sum -> x ratio (the mean) -> sub -> smooth_l1 -> sum ->
-    x scale, op by op in numpy. Returns (loss, elem, grads), grads(g) the
-    gradient of p."""
-    x = p.reshape(batch, -1, p.shape[1])  # reshape
+    x scale, op by op in numpy, over len(target_means) images. Returns
+    (loss, elem, grads), grads(g) the gradient of p."""
+    x = p.reshape(len(target_means), -1, p.shape[1])  # reshape
     s = x.sum(axis=1)  # sum
     ratio = np.asarray(s.size / x.size, dtype=s.dtype)
     d = target_means - s * ratio  # mul, sub
@@ -268,7 +268,7 @@ def plain_regression_step(params, cache, idx, masks, loss_cfg):
     patches, visible, masked, tokens, _ = _stacked(cache, idx, masks)
     layers = encode_visible(patch_embed(patches, visible, params), visible, params)
     z = decode(layers[-1], masks, params)
-    lp, per_image = patch_loss(z, masked, tokens, loss_cfg.beta, loss_cfg.channel_reduce)
+    lp, per_image = patch_loss(z, masked, tokens, loss_cfg.beta)
     mean_lp = math.fsum(per_image) / len(idx)
     return lp, mean_lp, 0.0, mean_lp
 
@@ -278,9 +278,8 @@ def full_composition_step(params, cache, idx, masks, loss_cfg):
     lam, zero included; L_global logs the unweighted global loss."""
     patches, visible, masked, tokens, means = _stacked(cache, idx, masks)
     z, last_visible = forward(patches, masks, params)
-    lp, lp_vals = patch_loss(z, masked, tokens, loss_cfg.beta, loss_cfg.channel_reduce)
-    lg, lg_vals = global_loss(project_global(last_visible, params), means,
-                              loss_cfg.beta, loss_cfg.channel_reduce)
+    lp, lp_vals = patch_loss(z, masked, tokens, loss_cfg.beta)
+    lg, lg_vals = global_loss(project_global(last_visible, params), means, loss_cfg.beta)
     lt_vals = lp_vals + lg_vals * lp_vals.dtype.type(loss_cfg.lam)
     n = len(idx)
     return (tn.add(lp, tn.mul(lg, loss_cfg.lam)), math.fsum(lp_vals) / n,

@@ -137,7 +137,7 @@ def test_loss_contracts():
     for beta in (0.5, 1.0, 2.0):
         for sign in (1.0, -1.0):
             _, at_joint = tn.smooth_l1(Tensor(np.zeros((1, 1))), np.full((1, 1), sign * beta),
-                                       beta, 1.0)
+                                       beta)
             assert abs(float(at_joint[0, 0]) - 0.5 * beta) <= 1e-12
     _passed("loss contracts",
             "patch loss blind to visible slots, global loss shift-invariant, "

@@ -498,7 +498,7 @@ def test_mixed_channel_images_exit_3(tmp_path, capsys):
     images = tmp_path / "images"
     images.mkdir()
     write_ppm(images / "a.ppm", synthetic_image(32, 3, seed=0))
-    write_pgm(images / "b.pgm", synthetic_image(32, 1, seed=1))
+    write_pgm(images / "b.pgm", synthetic_image(32, 1, seed=1)[0])
     run, feats = tmp_path / "run", tmp_path / "feats"
     assert main(["pretrain", "--images", str(images), "--out", str(run)]) == 3
     assert "channel count" in capsys.readouterr().err
@@ -592,6 +592,21 @@ def test_zero_step_run_exits_2_before_reading_features(tmp_path, image_dir, caps
     assert main(["pretrain", "--config", str(cfg), "--images", str(image_dir),
                  "--out", str(out)]) == 2
     assert "yields zero optimizer steps" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("kind, field, value", [
+    ("file", "downsample_rate", 32), ("file", "target_dim", 99), ("file", "seed", 7),
+    ("file", "l2_normalize", True), ("procedural-conv", "features_dir", "feats"),
+])
+def test_teacher_field_its_kind_ignores_exits_2(tmp_path, image_dir, capsys, kind, field, value):
+    # a file teacher reads no procedural field and a procedural teacher no
+    # features_dir: setting one would change nothing, so it is refused
+    cfg = write_config(tmp_path, teacher={"kind": kind, "features_dir": "feats", field: value})
+    out = tmp_path / "run"
+    assert main(["pretrain", "--config", str(cfg), "--images", str(image_dir),
+                 "--out", str(out)]) == 2
+    assert f"a {kind} teacher reads no teacher.{field}" in capsys.readouterr().err
     assert not out.exists()
 
 

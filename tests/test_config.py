@@ -20,8 +20,10 @@ def test_unknown_section_rejected():
 
 
 def test_unknown_field_rejected():
-    with pytest.raises(ConfigError, match="unknown field"):
-        run_config_from_dict({"train": {"lr": 0.1}})
+    # loss.channel_reduce is a removed field: AdamW cancels a constant loss scale
+    for payload in ({"train": {"lr": 0.1}}, {"loss": {"channel_reduce": "mean"}}):
+        with pytest.raises(ConfigError, match="unknown field"):
+            run_config_from_dict(payload)
 
 
 def test_partial_section_merges_defaults():
@@ -108,11 +110,11 @@ def test_json_round_trip(tmp_path):
 # norm_mean, a file teacher and a changed train seed: config.json is an
 # output contract, whatever record type holds the sections
 @pytest.mark.parametrize("doc, want", [
-    ({}, "a08a520af7a2fe4d0992c7819d9032af7773dad051c63157a84949592ddb14ec"),
+    ({}, "7c28b5f47a141f44c396ab871940fa845c5d9cb6c7616e10e662442ce333a026"),
     ({"data": {"norm_mean": [0.4, 0.5, 0.6]},
       "teacher": {"kind": "file", "features_dir": "feats"},
       "train": {"seed": 7}},
-     "bc983f38b555c72235a0b1dc07ccfe963a97ef8643a890c9a618899622b1e53e"),
+     "1e076bfbd9f39d462303aeb853a165f6680490dd7e1b7d7ea5d52b6d9cfb0762"),
 ], ids=["defaults", "edited"])
 def test_saved_config_bytes_are_pinned(tmp_path, doc, want):
     p = tmp_path / "cfg.json"
@@ -127,7 +129,7 @@ def test_unknown_field_error_names_section_and_field():
 
 @pytest.mark.parametrize("section, field, value", [
     ("train", "seed", True), ("train", "base_lr", "0.1"), ("mask", "mask_ratio", None),
-    ("model", "use_cls", 1), ("teacher", "features_dir", 3), ("loss", "channel_reduce", 0),
+    ("model", "use_cls", 1), ("teacher", "features_dir", 3), ("loss", "lam", "0.5"),
 ])
 def test_wrong_typed_field_error_names_section_and_field(section, field, value):
     with pytest.raises(ConfigError, match=rf"^{section}\.{field} must be"):

@@ -7,12 +7,17 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from conftest import ordered_pair_similarity
-from featmim.diversity import corpus_diversity, pairwise_cosine, sample_similarity
+from featmim.diversity import _pair_offsets, corpus_diversity, pairwise_cosine
+from featmim.diversity import sample_similarity as _sample_similarity
 from featmim.errors import DataError, NumericError
 
 
 def feats(tokens):
     return np.asarray(tokens, dtype=np.float64)
+
+
+def sample_similarity(y):  # one sample with its own pair table
+    return _sample_similarity(y, _pair_offsets(len(y)))
 
 
 def oracle_similarity(y):

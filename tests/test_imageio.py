@@ -58,7 +58,7 @@ def test_round_trip_is_quantization(tmp_path):
 def test_pgm_round_trip(tmp_path):
     x = np.linspace(0, 1, 16, dtype=np.float32).reshape(1, 4, 4)
     p = tmp_path / "x.pgm"
-    write_pgm(p, x)
+    write_pgm(p, x[0])
     back = read_pnm(p)
     quantized = np.floor(x * 255.0 + 0.5) / 255.0
     np.testing.assert_allclose(back, quantized, atol=1e-7)
@@ -113,7 +113,7 @@ def test_normalize_length_error_names_the_lengths_it_takes(channels, needs):
 
 def test_load_images_sorted_ids(tmp_path):
     for name in ("b.pgm", "a.pgm"):
-        write_pgm(tmp_path / name, np.zeros((1, 2, 2)))
+        write_pgm(tmp_path / name, np.zeros((2, 2)))
     loaded = load_images(tmp_path, mean=0.0, std=1.0)
     assert [image_id for image_id, _ in loaded] == ["a", "b"]
     assert all(img.shape == (1, 2, 2) for _, img in loaded)

@@ -19,7 +19,7 @@ def smooth_l1(x, beta):
     """smooth-L1 of each residual in x, as the patch-loss node computes it
     with prediction 0 and target x."""
     x = np.asarray(x, dtype=np.float64).reshape(-1, 1)
-    return tn.smooth_l1(Tensor(np.zeros_like(x)), x, beta, 1.0)[1]
+    return tn.smooth_l1(Tensor(np.zeros_like(x)), x, beta)[1]
 
 
 def test_smooth_l1_hand_values():
@@ -58,11 +58,11 @@ def test_smooth_l1_gradient():
         target = np.zeros_like(x0)
 
         def f(x):
-            return float(tn.smooth_l1(Tensor(x), target, beta, 1.0)[0].data)
+            return float(tn.smooth_l1(Tensor(x), target, beta)[0].data)
 
         params = tn.Parameters({"x": x0.copy()})
         tape = Tape(params)
-        backward(tape, tn.smooth_l1(params["x"], target, beta, 1.0)[0])
+        backward(tape, tn.smooth_l1(params["x"], target, beta)[0])
         assert rel_err(params.grads["x"], fd_grad(f, x0)) < 1e-4
 
 
@@ -127,15 +127,6 @@ def test_patch_loss_monotone_in_residual_scale():
         z = (y - c * base)[rows[0]]  # residual y - z = c * base at the masked rows
         losses.append(float(patch_loss(Tensor(z), rows, y, 2.0)[0].data))
     assert all(b >= a for a, b in zip(losses, losses[1:]))
-
-
-def test_patch_loss_channel_sum_mode():
-    y = np.array([[1.0, 1.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]])
-    z = Tensor(np.zeros((1, 2)))
-    mean_mode = float(patch_loss(z, np.array([[0]]), y, 2.0, "mean")[0].data)
-    sum_mode = float(patch_loss(z, np.array([[0]]), y, 2.0, "sum")[0].data)
-    assert mean_mode == 0.25
-    assert sum_mode == 0.5
 
 
 def test_global_loss_zero_when_means_match():
@@ -222,5 +213,3 @@ def test_loss_config_validation():
         LossConfig(beta=0.0).validate()
     with pytest.raises(ConfigError):
         LossConfig(lam=-1.0).validate()
-    with pytest.raises(ConfigError):
-        LossConfig(channel_reduce="max").validate()

@@ -140,8 +140,8 @@ def test_smooth_l1_matches_numpy_reference():
     rng = np.random.default_rng(4)
     for beta in (0.5, 1.0, 2.0):
         x = rng.normal(size=(6, 3)) * 2
-        _, masked = tn.smooth_l1(Tensor(np.zeros((6, 3))), x, beta, 1.0)
-        _, pooled = tn.pooled_smooth_l1(Tensor(np.zeros((6, 3))), 6, x, beta, 1.0)
+        _, masked = tn.smooth_l1(Tensor(np.zeros((6, 3))), x, beta)
+        _, pooled = tn.pooled_smooth_l1(Tensor(np.zeros((6, 3))), x, beta)
         for elem in (masked, pooled):
             np.testing.assert_allclose(elem, smooth_l1_reference(x, beta), rtol=0, atol=1e-12)
 
@@ -194,8 +194,8 @@ def test_fused_ops_record_one_node():
     tape, params = bind(x=np.ones((3, 4)))
     x = params["x"]
     tn.attention(x, x, x, 2)
-    tn.smooth_l1(x, np.zeros((3, 4)), 1.0, 0.5)
-    tn.pooled_smooth_l1(x, 3, np.zeros((3, 4)), 1.0, 0.5)
+    tn.smooth_l1(x, np.zeros((3, 4)), 1.0)
+    tn.pooled_smooth_l1(x, np.zeros((3, 4)), 1.0)
     assert len(tape._ops) == 3
 
 
@@ -391,10 +391,10 @@ def test_masked_loss_backward_matches_the_scatter_oracle_bitwise(dtype, upstream
     target[:2] = z0[:2]
     params = tn.Parameters({"z": z0})
     tape = Tape(params)
-    tn.smooth_l1(params["z"], target, beta, 1.0 / target.size)
+    tn.smooth_l1(params["z"], target, beta)
     g = np.asarray(upstream, dtype=dtype)
     (got,) = _record_grad_fn(tape)(g)
-    grad_d = tn._smooth_l1(target - z0, beta, 1.0 / target.size)[2](g)
+    grad_d = tn._smooth_l1(target - z0, beta)[2](g)
     assert (np.signbit(grad_d) & (grad_d == 0)).any() == (upstream < 0)
     want = scatter_rows(grid.shape, rows, grad_d, np.subtract)[rows]
     assert got.dtype == dtype and got.tobytes() == want.tobytes()
@@ -556,29 +556,29 @@ def _op_factories():
                                           Tensor(c))))
 
     def masked_smooth_l1_(rng):
-        # one image, channel mean: the predictions at its three masked rows
+        # one image: the predictions at its three masked rows
         beta, target = float(rng.choice([0.5, 2.0])), _normal(rng, (3, 3))
         x = target - _away_from_kink(rng, beta, (3, 3))
-        return x, lambda x: tn.smooth_l1(x, target, beta, 1.0 / 9)[0]
+        return x, lambda x: tn.smooth_l1(x, target, beta)[0]
 
     def masked_smooth_l1_batched(rng):
-        # three images, two masked rows each, channel sum, and an upstream
-        # gradient of 0.7 as the global loss gets lam
+        # three images, two masked rows each, and an upstream gradient of
+        # 0.7 as the global loss gets lam
         beta, target = float(rng.choice([0.5, 2.0])), _normal(rng, (6, 2))
         x = target - _away_from_kink(rng, beta, (6, 2))
-        return x, lambda x: tn.mul(tn.smooth_l1(x, target, beta, 1.0 / 6)[0], 0.7)
+        return x, lambda x: tn.mul(tn.smooth_l1(x, target, beta)[0], 0.7)
 
     def pooled_smooth_l1_(rng):
-        # one image of four rows, channel mean
+        # one image of four rows
         beta, x = float(rng.choice([0.5, 2.0])), _normal(rng, (4, 3))
         target = x.mean(axis=0, keepdims=True) + _away_from_kink(rng, beta, (1, 3))
-        return x, lambda x: tn.pooled_smooth_l1(x, 1, target, beta, 1.0 / 3)[0]
+        return x, lambda x: tn.pooled_smooth_l1(x, target, beta)[0]
 
     def pooled_smooth_l1_batched(rng):
-        # three images of three rows, channel sum, upstream gradient 0.7
+        # three images of three rows, upstream gradient 0.7
         beta, x = float(rng.choice([0.5, 2.0])), _normal(rng, (9, 2))
         target = x.reshape(3, 3, 2).mean(axis=1) + _away_from_kink(rng, beta, (3, 2))
-        return x, lambda x: tn.mul(tn.pooled_smooth_l1(x, 3, target, beta, 1.0 / 3)[0], 0.7)
+        return x, lambda x: tn.mul(tn.pooled_smooth_l1(x, target, beta)[0], 0.7)
 
     def layer_norm_x(rng):
         c = _normal(rng)
@@ -640,9 +640,8 @@ def test_every_tape_op_has_a_finite_difference_case():
 
 
 @pytest.mark.parametrize("batch", [1, 3])
-@pytest.mark.parametrize("channel_reduce", ["mean", "sum"])
 @pytest.mark.parametrize("upstream", [1.0, 0.3])
-def test_loss_nodes_match_the_op_chain_bitwise(batch, channel_reduce, upstream):
+def test_loss_nodes_match_the_op_chain_bitwise(batch, upstream):
     # float32, residuals on both sides of beta and some exactly zero, whose
     # zero gradient must come out as +0.0 like the chain's scatter-add; the
     # upstream gradient 0.3 is what a lam-weighted global loss receives
@@ -650,12 +649,12 @@ def test_loss_nodes_match_the_op_chain_bitwise(batch, channel_reduce, upstream):
     beta, n, dim, n_masked, n_vis = 2.0, 6, 4, 3, 3
     f32 = np.float32
 
-    def check(node, oracle, x0, args, count):
-        scale = 1.0 / (batch * count)
+    def check(node, oracle, x0, target):
         params = tn.Parameters({"x": x0})
         tape = Tape(params)
-        loss, elem = node(params["x"], *args, beta, scale)
-        want_loss, want_elem, want_grads = oracle(x0, *args, beta, scale)
+        loss, elem = node(params["x"], target, beta)
+        # the node's mean is the chain's sum times 1 / (element count)
+        want_loss, want_elem, want_grads = oracle(x0, target, beta, 1.0 / target.size)
         inside = np.abs(want_elem) < 0.5 * beta  # |d| < beta
         assert inside.any() and not inside.all()
         assert loss.data.tobytes() == want_loss.tobytes()
@@ -664,9 +663,6 @@ def test_loss_nodes_match_the_op_chain_bitwise(batch, channel_reduce, upstream):
         grad = params.grads["x"]
         want = want_grads(np.ones((), f32) * np.asarray(upstream, dtype=f32))
         assert grad.dtype == f32 and grad.tobytes() == want.tobytes()
-
-    def per(k):  # the count one image's sum is divided by, for k rows
-        return k * (dim if channel_reduce == "mean" else 1)
 
     rows = np.concatenate([b * n + np.sort(rng.choice(n, n_masked, replace=False))
                            for b in range(batch)])
@@ -677,12 +673,12 @@ def test_loss_nodes_match_the_op_chain_bitwise(batch, channel_reduce, upstream):
         loss, elem, grads = masked_smooth_l1_chain(z, rows, target, beta, scale)
         return loss, elem, lambda g: grads(g)[rows]
 
-    check(tn.smooth_l1, masked_chain, z[rows], (target,), per(n_masked))
+    check(tn.smooth_l1, masked_chain, z[rows], target)
 
     p = (rng.normal(size=(batch * n_vis, dim)) * 3).astype(f32)
     means = (rng.normal(size=(batch, dim)) * 3).astype(f32)
     means[0, :2] = (p.reshape(batch, n_vis, dim).sum(axis=1) * f32(1 / n_vis))[0, :2]
-    check(tn.pooled_smooth_l1, pooled_smooth_l1_chain, p, (batch, means), per(1))
+    check(tn.pooled_smooth_l1, pooled_smooth_l1_chain, p, means)
 
 
 def test_layer_norm_gain_bias_gradients():

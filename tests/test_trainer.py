@@ -414,18 +414,16 @@ def test_every_step_gather_reads_each_row_of_a_once(distinct_gathers):
     assert len(distinct_gathers) == 24 * 3 + 12 * 3
 
 
-@pytest.mark.parametrize("channel_reduce", ["mean", "sum"])
-def test_batched_step_is_the_mean_of_one_image_steps(channel_reduce):
+def test_batched_step_is_the_mean_of_one_image_steps():
     # float64 oracle: one taped graph over four images gives the mean loss,
     # logged values and gradient of four one-image steps, to 1e-12
     cfg = RunConfig()
-    loss_cfg = cfg.loss._replace(channel_reduce=channel_reduce)
     params = init_params(cfg.model, 32, 3, seed=0, dtype=np.float64)
     cache, idx, masks = _step_batch(cfg, 4, np.float64)
 
     def step(idx, masks):  # the gradients copied: the next step overwrites params.grad
         tape = Tape(params)
-        loss, *logged = step_losses(params, cache, idx, masks, loss_cfg)
+        loss, *logged = step_losses(params, cache, idx, masks, cfg.loss)
         backward(tape, loss)
         return float(loss.data), logged, {k: g.copy() for k, g in params.grads.items()}
 
