@@ -47,9 +47,12 @@ def pca_reduce(x, n_components):
     explained_variance [n] non-increasing, clamped at 0). Each component is
     signed so that its largest-magnitude entry (the first, on a tie) is
     positive, so the output does not depend on the solver's sign choice.
-    x is left unchanged: its one float64 copy (the corpus's second) is centered in place.
+    A writeable C-contiguous float64 x is centered in place and so holds the
+    corpus once: the caller gets it back centered. Any other x is left
+    unchanged, and its float64 copy is centered instead; both give the same
+    bytes.
     """
-    xc = np.array(x, dtype=np.float64)
+    xc = np.require(x, np.float64, "CW")
     m, d = xc.shape
     if not 1 <= n_components <= min(m, d):
         raise ConfigError(

@@ -21,7 +21,7 @@ from .config import RunConfig, load_run_config
 from .diversity import corpus_diversity
 from .errors import ConfigError, DataError, NumericError
 from .gradcheck import grad_check, tiny_run_config
-from .imageio import load_images
+from .imageio import load_images, read_images, scan_images
 from .teacher import TeacherSpec, check_alignment, dump_features, load_feature_dir, make_teacher
 from .tensor import read_tvec, write_atomic, write_tvec
 from .trainer import train
@@ -44,16 +44,9 @@ def _resolved_config(args, default=RunConfig):
     return cfg
 
 
-def _load_image_dir(path, norm_mean, norm_std):
-    images = load_images(path, norm_mean, norm_std)
-    if not images:
-        raise DataError(f"no .pgm/.ppm images found in {path}")
-    return images
-
-
 def cmd_pretrain(args):
     cfg = _resolved_config(args)
-    images = _load_image_dir(args.images, cfg.data.norm_mean, cfg.data.norm_std)
+    images = load_images(args.images, cfg.data.norm_mean, cfg.data.norm_std)
     result = train(cfg, images, args.out)
     print(f"pretrain: {result.total_steps} steps, final L_total "
           f"{result.final_l_total:.6g} -> {result.final_checkpoint}")
@@ -85,9 +78,9 @@ def cmd_dump_features(args):
         spec.validate("--downsample", "--target-dim")
         check_alignment(spec.downsample_rate, f["patch_side"], "--downsample", "--patch-side")
         patch_side, norm = f["patch_side"], (0.5, 0.5)
-    images = _load_image_dir(args.images, *norm)
-    teacher = make_teacher(spec, in_channels=images[0][1].shape[0])
-    manifest = dump_features(teacher, images, args.out, patch_side)
+    channels, files = scan_images(args.images)  # every file's magic before any pixel
+    teacher = make_teacher(spec, in_channels=channels)
+    manifest = dump_features(teacher, read_images(files, *norm), args.out, patch_side)
     print(f"dump-features: wrote {len(manifest['entries'])} feature files to {args.out}")
     return 0
 
@@ -122,13 +115,15 @@ def cmd_heatmap(args):
 
 
 def cmd_pca(args):
-    x, _ = load_feature_dir(args.features)
+    x, _ = load_feature_dir(args.features, np.float64)
+    shape = x.shape
     projected, _, explained = pca_reduce(x, args.components)
+    del x  # centered in place by pca_reduce: the corpus is not held while writing
     write_tvec(args.out, projected)
     write_atomic(f"{args.out}.json", json.dumps(
         {"n_components": args.components,
          "explained_variance": explained.tolist()}, indent=1))
-    print(f"pca: {x.shape} -> {projected.shape} written to {args.out}")
+    print(f"pca: {shape} -> {projected.shape} written to {args.out}")
     return 0
 
 

@@ -10,7 +10,7 @@ import os
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .tensor import read_bytes, write_atomic
+from .tensor import open_input, read_bytes, write_atomic
 
 
 def _tokens(blob, count):
@@ -40,14 +40,14 @@ def _tokens(blob, count):
     return toks, i + 1
 
 
+MAGIC_CHANNELS = {b"P5": 1, b"P6": 3}
+
+
 def read_pnm(path):
     """Read a binary PGM/PPM file as float32 [C, H, W] in [0, 1]."""
     blob = read_bytes(path, "image")
-    if blob[:2] == b"P5":
-        channels = 1
-    elif blob[:2] == b"P6":
-        channels = 3
-    else:
+    channels = MAGIC_CHANNELS.get(blob[:2])
+    if channels is None:
         raise DataError(f"{path}: not a binary PGM (P5) or PPM (P6) file")
     toks, off = _tokens(blob, 4)
     try:
@@ -104,26 +104,44 @@ def normalize(image, mean=0.5, std=0.5):
     return (image - mean) / std
 
 
-def load_images(directory, mean=0.5, std=0.5):
-    """Load every .pgm/.ppm file in a directory, sorted by filename.
-
-    Returns [(image_id, float32 [C, H, W])], normalized; the id is the
-    file name without extension. Two files with one id (a.ppm and a.PPM)
-    and images with different channel counts are a DataError.
-    """
+def scan_images(directory):
+    """Every .pgm/.ppm file in a directory, sorted by filename, checked from
+    its first two bytes alone: returns (channels, [(image_id, path)]), the
+    id being the file name without extension. No image, two files with one
+    id (a.ppm and a.PPM), a file that is neither P5 nor P6, and images with
+    different channel counts are each a DataError, raised before any pixel
+    is read."""
     try:
         names = sorted(n for n in os.listdir(directory)
                        if n.lower().endswith((".pgm", ".ppm")))
     except OSError as e:
         raise DataError(f"cannot list image directory {directory}: {e}") from None
+    if not names:
+        raise DataError(f"no .pgm/.ppm images found in {directory}")
     paths = {}  # image id -> file, all checked before any is read
     for image_id, path in ((os.path.splitext(n)[0], os.path.join(directory, n)) for n in names):
         if paths.setdefault(image_id, path) != path:
             raise DataError(f"images {paths[image_id]} and {path} both map to image id {image_id!r}")
-    out = [(image_id, read_pnm(path)) for image_id, path in paths.items()]
-    channels = {img.shape[0] for _, img in out}
+    channels = set()
+    for path in paths.values():
+        with open_input(path, "image") as f:
+            magic = f.read(2)
+        if magic not in MAGIC_CHANNELS:
+            raise DataError(f"{path}: not a binary PGM (P5) or PPM (P6) file")
+        channels.add(MAGIC_CHANNELS[magic])
     if len(channels) > 1:  # before normalize, whose per-channel check would blame the config
         raise DataError(f"images in {directory} disagree on channel count: {sorted(channels)}")
-    for i, (image_id, img) in enumerate(out):  # replace as we go: one extra image at a time
-        out[i] = (image_id, normalize(img, mean, std))
-    return out
+    return channels.pop(), list(paths.items())
+
+
+def read_images(files, mean=0.5, std=0.5):
+    """Lazily, (image_id, float32 [C, H, W]) normalized, one file of
+    scan_images' list at a time."""
+    for image_id, path in files:
+        yield image_id, normalize(read_pnm(path), mean, std)
+
+
+def load_images(directory, mean=0.5, std=0.5):
+    """Every image of a directory, as scan_images finds and checks them,
+    read and normalized: [(image_id, float32 [C, H, W])]."""
+    return list(read_images(scan_images(directory)[1], mean, std))

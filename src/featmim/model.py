@@ -21,6 +21,7 @@ N(0, 0.02), biases and LayerNorm gains are constants.
 
 import json
 import math
+import os
 import struct
 from typing import NamedTuple
 
@@ -28,7 +29,7 @@ import numpy as np
 
 from . import tensor as tn
 from .errors import ConfigError, DataError, check_field_types
-from .tensor import Tensor, read_bytes, tvec_bytes, tvec_from_bytes, write_atomic
+from .tensor import Tensor, open_input, read_tvec_record, tvec_bytes, write_atomic
 
 CHECKPOINT_MAGIC = b"FMCK"
 CHECKPOINT_VERSION = 2
@@ -80,12 +81,14 @@ def sincos_pos_embed(dim, grid_side):
 
 
 class ModelParams(tn.Parameters):
-    """The student's weights: tensor.Parameters in sorted name order (the
-    checkpoint's), so AdamW updates them all through `flat`; plus the patch
-    geometry and the fixed position tables, constants in the weights' dtype."""
+    """The student's weights: tensor.Parameters over the flat buffer given,
+    in sorted name order (the checkpoint's), so AdamW updates them all
+    through `flat`; plus the patch geometry and the fixed position tables,
+    constants in the weights' dtype."""
 
-    def __init__(self, arrays, config: ModelConfig, n_patches, in_channels):
-        super().__init__({name: arrays[name] for name in sorted(arrays)})
+    def __init__(self, flat, config: ModelConfig, n_patches, in_channels):
+        super().__init__(flat, dict(sorted((name, shape)
+                                           for name, shape, _ in _weights(config, in_channels))))
         self.config, self.n_patches, self.in_channels = config, n_patches, in_channels
         grid, dtype = math.isqrt(n_patches), self.flat.dtype
         self.enc_pos = sincos_pos_embed(config.embed_dim, grid).astype(dtype)  # [N, embed_dim]
@@ -143,18 +146,21 @@ def init_elements(config: ModelConfig, n_patches, in_channels):
 
 
 def init_params(config: ModelConfig, image_side, in_channels, seed, dtype=np.float32):
-    """Fresh parameters, drawn from one generator in the table's order."""
+    """Fresh parameters, drawn from one generator in the table's order, each
+    into its view of the flat buffer."""
     rng = np.random.default_rng(seed)
-    arrays = {}
-    for name, shape, init in _weights(config, in_channels):
+    table = _weights(config, in_channels)
+    params = ModelParams(np.empty(_size(table), dtype=dtype), config,
+                         (image_side // config.patch_side)**2, in_channels)
+    for name, shape, init in table:
         if init == "xavier":
             limit = np.sqrt(6.0 / (shape[0] + shape[1]))
-            arrays[name] = rng.uniform(-limit, limit, size=shape).astype(dtype)
+            params[name].data[...] = rng.uniform(-limit, limit, size=shape)
         elif init == "token":
-            arrays[name] = rng.normal(0.0, 0.02, size=shape).astype(dtype)
+            params[name].data[...] = rng.normal(0.0, 0.02, size=shape)
         else:
-            arrays[name] = np.full(shape, init, dtype=dtype)
-    return ModelParams(arrays, config, (image_side // config.patch_side)**2, in_channels)
+            params[name].data[...] = init
+    return params
 
 
 def patchify(image, patch_side):
@@ -306,48 +312,48 @@ def save_checkpoint(path, params: ModelParams):
 
 
 def load_checkpoint(path):
-    """The checkpoint's weights in ModelParams, cut from its one record by
-    the header config's weight table; no model is drawn. A DataError names
-    the file and what is wrong with it."""
-    blob = read_bytes(path, "checkpoint")
-    if blob[:4] != CHECKPOINT_MAGIC:
-        raise DataError(f"{path}: not a featmim checkpoint")
-    if len(blob) < 8:
-        raise DataError(f"{path}: truncated before the header length")
-    (hlen,) = struct.unpack_from("<I", blob, 4)
-    if 8 + hlen > len(blob):
-        raise DataError(f"{path}: header length {hlen} runs past the end of the file")
-    try:
-        header = json.loads(blob[8:8 + hlen])
-        config = ModelConfig(**header["config"])
-        n_patches, in_channels = header["n_patches"], header["in_channels"]
-        version = header.get("version", 1)  # version 1 wrote none
-    except (ValueError, KeyError, TypeError, RecursionError) as e:
-        raise DataError(f"{path}: malformed checkpoint header: {e}") from None
-    if version != CHECKPOINT_VERSION:
-        raise DataError(f"{path}: checkpoint version {version!r}, "
-                        f"this reader reads version {CHECKPOINT_VERSION}")
-    for key, value in (("n_patches", n_patches), ("in_channels", in_channels)):
-        if type(value) is not int or value < 1:
-            raise DataError(f"{path}: header {key} {value!r} is not a positive integer")
-    grid = math.isqrt(n_patches)
-    if grid * grid != n_patches:
-        raise DataError(f"{path}: header n_patches {n_patches} is not a square grid")
-    try:
-        check_field_types(config, "config")
-        config.validate()
-        # the weights: all init_params allocates but the two position tables
-        n_weights = (init_elements(config, n_patches, in_channels)
-                     - n_patches * (config.embed_dim + config.dec_width))
-    except ConfigError as e:
-        raise DataError(f"{path}: checkpoint config is invalid: {e}") from None
-    flat, end = tvec_from_bytes(blob, label=f"{path}: weights", offset=8 + hlen)
-    if flat.shape != (n_weights,):
-        raise DataError(f"{path}: the weights record has shape {flat.shape}, "
-                        f"the header's config needs ({n_weights},)")
-    if end != len(blob):
-        raise DataError(f"{path}: {len(blob) - end} trailing bytes after the weights")
-    table = sorted((name, shape) for name, shape, _ in _weights(config, in_channels))
-    cuts = np.cumsum([math.prod(shape) for _, shape in table])[:-1]
-    arrays = {name: a.reshape(shape) for (name, shape), a in zip(table, np.split(flat, cuts))}
-    return ModelParams(arrays, config, n_patches, in_channels)
+    """The checkpoint's weights in ModelParams, read straight into the flat
+    buffer that ModelParams adopts and cut by the header config's weight
+    table; no model is drawn and no gradient buffer made, so the weights are
+    held once. A DataError names the file and what is wrong with it."""
+    with open_input(path, "checkpoint") as f:
+        size = os.fstat(f.fileno()).st_size
+        head = f.read(8)
+        if head[:4] != CHECKPOINT_MAGIC:
+            raise DataError(f"{path}: not a featmim checkpoint")
+        if len(head) < 8:
+            raise DataError(f"{path}: truncated before the header length")
+        (hlen,) = struct.unpack_from("<I", head, 4)
+        if 8 + hlen > size:
+            raise DataError(f"{path}: header length {hlen} runs past the end of the file")
+        try:
+            header = json.loads(f.read(hlen))
+            config = ModelConfig(**header["config"])
+            n_patches, in_channels = header["n_patches"], header["in_channels"]
+            version = header.get("version", 1)  # version 1 wrote none
+        except (ValueError, KeyError, TypeError, RecursionError) as e:
+            raise DataError(f"{path}: malformed checkpoint header: {e}") from None
+        if version != CHECKPOINT_VERSION:
+            raise DataError(f"{path}: checkpoint version {version!r}, "
+                            f"this reader reads version {CHECKPOINT_VERSION}")
+        for key, value in (("n_patches", n_patches), ("in_channels", in_channels)):
+            if type(value) is not int or value < 1:
+                raise DataError(f"{path}: header {key} {value!r} is not a positive integer")
+        grid = math.isqrt(n_patches)
+        if grid * grid != n_patches:
+            raise DataError(f"{path}: header n_patches {n_patches} is not a square grid")
+        try:
+            check_field_types(config, "config")
+            config.validate()
+            # the weights: all init_params allocates but the two position tables
+            n_weights = (init_elements(config, n_patches, in_channels)
+                         - n_patches * (config.embed_dim + config.dec_width))
+        except ConfigError as e:
+            raise DataError(f"{path}: checkpoint config is invalid: {e}") from None
+        flat = read_tvec_record(f, size, f"{path}: weights")
+        if flat.shape != (n_weights,):
+            raise DataError(f"{path}: the weights record has shape {flat.shape}, "
+                            f"the header's config needs ({n_weights},)")
+        if f.tell() != size:
+            raise DataError(f"{path}: {size - f.tell()} trailing bytes after the weights")
+    return ModelParams(flat, config, n_patches, in_channels)

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ConfigError, DataError, NumericError
 from .model import MAX_INIT_ELEMENTS
-from .tensor import read_bytes, read_tvec, write_atomic, write_tvec
+from .tensor import make_dirs, read_bytes, read_tvec, write_atomic, write_tvec
 
 
 def _stage_widths(downsample_rate, target_dim):
@@ -226,12 +226,13 @@ class FileTeacher:
             self._grid_by_id[image_id] = grid
         self.ids = list(self._grid_by_id)
 
-    def features(self, image, source_id):
-        """The tokens [grid_side**2, target_dim] dumped for source_id; image
-        is not read."""
+    def features(self, image, source_id, out=None):
+        """The tokens [grid_side**2, target_dim] dumped for source_id, read
+        into `out` when that is a float32 array of the file's shape (see
+        tensor.read_tvec); image is not read."""
         if source_id not in self._grid_by_id:
             raise DataError(f"no dumped features for image id {source_id!r}")
-        tokens = read_tvec(os.path.join(self.features_dir, f"{source_id}.tvec"))
+        tokens = read_tvec(os.path.join(self.features_dir, f"{source_id}.tvec"), out)
         grid = self._grid_by_id[source_id]
         if tokens.ndim != 2 or tokens.shape != (grid * grid, self.target_dim):
             raise DataError(
@@ -254,30 +255,34 @@ def make_teacher(spec: TeacherSpec, in_channels=3):
 def dump_features(teacher, images, out_dir, student_patch_side):
     """Extract and write one tvec per image plus a manifest.
 
-    images: [(id, [C, H, W] array)]. Returns the manifest dict. Inputs are
-    grid-aligned first (a no-op for file teachers, which replay as-is), and
-    all are extracted before out_dir is made: a rejected image writes nothing.
+    images: an iterable of (id, [C, H, W] array), consumed one image at a
+    time: each is grid-aligned (a no-op for file teachers, which replay
+    as-is) and extracted, and only its tokens are kept. Every image is
+    extracted before out_dir is made, so a rejected image writes nothing.
+    Returns the manifest dict.
     """
-    feats = [teacher.features(align_input(image, student_patch_side, teacher.downsample_rate),
-                              image_id) for image_id, image in images]
-    os.makedirs(out_dir, exist_ok=True)
-    for (image_id, _), tokens in zip(images, feats):
+    feats = [(image_id, teacher.features(
+        align_input(image, student_patch_side, teacher.downsample_rate), image_id))
+        for image_id, image in images]
+    make_dirs(out_dir)
+    for image_id, tokens in feats:
         write_tvec(os.path.join(out_dir, f"{image_id}.tvec"), tokens)
-    entries = [{"id": image_id, "grid_side": math.isqrt(len(tokens))}
-               for (image_id, _), tokens in zip(images, feats)]
     manifest = {"source_id": teacher.kind,
                 "target_dim": teacher.target_dim,
-                "entries": entries}
+                "entries": [{"id": image_id, "grid_side": math.isqrt(len(tokens))}
+                            for image_id, tokens in feats]}
     write_atomic(os.path.join(out_dir, "manifest.json"),
                  json.dumps(manifest, indent=1, sort_keys=True))
     return manifest
 
 
-def load_feature_dir(features_dir):
-    """A dump's tokens as one C-contiguous float32 [sum K, D] matrix, sized
-    from the manifest and filled one checked file at a time in its order, and
-    the row offsets [n + 1] of its samples. The corpus is thus held once as
-    float32 (pca_reduce adds one float64 copy). No entries is a DataError."""
+def load_feature_dir(features_dir, dtype=np.float32):
+    """A dump's tokens as one C-contiguous [sum K, D] matrix of `dtype`,
+    sized from the manifest and filled one checked file at a time in its
+    order, and the row offsets [n + 1] of its samples. The corpus is held
+    once: a float32 matrix is read straight into its slices, and any other
+    dtype is filled from one file's float32 tokens at a time, so `pca` can
+    hold its float64 matrix alone. No entries is a DataError."""
     teacher = FileTeacher(features_dir)
     if not teacher.ids:
         raise DataError(f"no feature samples in {features_dir}")
@@ -286,7 +291,10 @@ def load_feature_dir(features_dir):
     if 4 * offsets[-1] * teacher.target_dim > sum(map(os.path.getsize, filter(os.path.isfile, paths))):
         for image_id in teacher.ids:  # more tokens than the files hold: the first
             teacher.features(None, image_id)  # bad file raises, before any allocation
-    corpus = np.empty((offsets[-1], teacher.target_dim), dtype=np.float32)
+    corpus = np.empty((offsets[-1], teacher.target_dim), dtype=dtype)
     for image_id, lo, hi in zip(teacher.ids, offsets, offsets[1:]):
-        corpus[lo:hi] = teacher.features(None, image_id)
+        rows = corpus[lo:hi]
+        tokens = teacher.features(None, image_id, rows)
+        if tokens is not rows:  # another dtype: upcast from the file's float32
+            rows[...] = tokens
     return corpus, offsets

@@ -18,6 +18,7 @@ a constant may broadcast against a taped operand.
 Single-threaded: one tape must not be shared across threads during a step.
 """
 
+import io
 import math
 import os
 import struct
@@ -47,20 +48,19 @@ class Tensor:
 
 
 class Parameters(dict):
-    """name -> tensor over that name's view of `flat`, one C-contiguous copy
-    of the arrays given, in the order given; constant except while a Tape
-    holds it. `grad`, the buffer backward writes, has the same layout, viewed
-    shaped like each parameter as grads[name]. Write weights in place."""
+    """name -> tensor over that name's view of `flat`, a 1-d C-contiguous
+    buffer laid out as `shapes` ({name: shape}) lists them, adopted as given,
+    not copied; constant except while a Tape holds it. `grad`, the buffer
+    backward writes, has the same layout, viewed shaped like each parameter
+    as grads[name]; the first Tape allocates it, so weights that are never
+    trained are held once. Write weights in place."""
 
-    def __init__(self, arrays):
-        self.flat = np.concatenate([np.ravel(data) for data in arrays.values()])
-        self.grad = np.empty_like(self.flat)
-        self.ends = np.cumsum([data.size for data in arrays.values()])
-        self.grads = {}
-        for idx, ((name, data), end) in enumerate(zip(arrays.items(), self.ends)):
-            self[name] = Tensor(self.flat[end - data.size:end].reshape(data.shape))
+    def __init__(self, flat, shapes):
+        self.flat, self.grad, self.grads = flat, None, {}
+        self.ends = np.cumsum([math.prod(shape) for shape in shapes.values()])
+        for idx, ((name, shape), end) in enumerate(zip(shapes.items(), self.ends)):
+            self[name] = Tensor(flat[end - math.prod(shape):end].reshape(shape))
             self[name].idx = idx  # its position on every tape that holds it
-            self.grads[name] = self.grad[end - data.size:end].reshape(data.shape)
 
     def name_at(self, offset):  # the parameter at this offset of `flat` or `grad`
         return list(self)[np.searchsorted(self.ends, offset, side="right")]
@@ -76,6 +76,10 @@ class Tape:
     def __init__(self, params):
         self._ops = []  # (out_idx, in_idxs, grad_fn) in recording order
         self.params = params
+        if params.grad is None:
+            params.grad = np.empty_like(params.flat)
+            params.grads = {name: params.grad[end - t.data.size:end].reshape(t.data.shape)
+                            for (name, t), end in zip(params.items(), params.ends)}
         for t in params.values():
             t.tape = self
         self._n_nodes = len(params)
@@ -354,30 +358,46 @@ def tvec_bytes(array):
     return b"".join(parts)
 
 
-def tvec_from_bytes(blob, label="<bytes>", offset=0):
-    """Decode one tvec record starting at `offset`; returns (array, end offset)."""
-    if blob[offset:offset + 4] != TVEC_MAGIC:
+def read_tvec_record(f, size, label, out=None):
+    """Read one tvec record from the binary file f at its position, in a file
+    of `size` bytes. The header is parsed and its extents are checked against
+    the bytes left before anything is allocated; the payload is then read
+    with readinto, into `out` when it is a float32 array of the record's
+    shape, else into a new array. Returns the array: held once."""
+    head = f.read(7)
+    if head[:4] != TVEC_MAGIC:
         raise DataError(f"{label}: bad magic, not a tvec record")
-    if len(blob) < offset + 7:
+    if len(head) < 7:
         raise DataError(f"{label}: truncated header")
-    version, dtype, rank = struct.unpack("<BBB", blob[offset + 4:offset + 7])
+    version, dtype, rank = head[4:7]
     if version != TVEC_VERSION:
         raise DataError(f"{label}: unsupported tvec version {version}")
     if dtype != 0:
         raise DataError(f"{label}: unsupported dtype code {dtype}")
-    off = offset + 7
-    if len(blob) < off + 8 * rank:
+    extents = f.read(8 * rank)
+    if len(extents) < 8 * rank:
         raise DataError(f"{label}: truncated extents")
-    shape = struct.unpack(f"<{rank}Q", blob[off:off + 8 * rank]) if rank else ()
-    off += 8 * rank
+    shape = struct.unpack(f"<{rank}Q", extents)
     n = math.prod(shape)  # Python ints: huge extents cannot wrap the count
-    if len(blob) < off + 4 * n:
-        raise DataError(f"{label}: payload holds {len(blob) - off} bytes, expected {4 * n}")
-    try:  # an empty record can still name extents numpy cannot hold
-        arr = np.frombuffer(blob, dtype="<f4", count=n, offset=off).reshape(shape).copy()
-    except ValueError as e:
-        raise DataError(f"{label}: extents {shape} do not form an array: {e}") from None
-    return arr, off + 4 * n
+    left = size - f.tell()
+    if left < 4 * n:
+        raise DataError(f"{label}: payload holds {left} bytes, expected {4 * n}")
+    if (out is None or out.shape != shape or out.dtype != np.dtype("<f4")
+            or not out.flags.c_contiguous):
+        try:  # an empty record can still name extents numpy cannot hold
+            out = np.empty(shape, dtype="<f4")
+        except ValueError as e:
+            raise DataError(f"{label}: extents {shape} do not form an array: {e}") from None
+    if f.readinto(out) != 4 * n:  # the file shrank since its size was read
+        raise DataError(f"{label}: payload ends before {4 * n} bytes")
+    return out
+
+
+def tvec_from_bytes(blob, label="<bytes>", offset=0):
+    """Decode one tvec record starting at `offset`; returns (array, end offset)."""
+    f = io.BytesIO(blob)  # shares the bytes: the payload is copied once, into the array
+    f.seek(offset)
+    return read_tvec_record(f, len(blob), label), f.tell()
 
 
 def write_atomic(path, data):
@@ -396,13 +416,28 @@ def write_atomic(path, data):
             os.remove(tmp)
 
 
-def read_bytes(path, what):
-    """The bytes of the file at `path`, or a DataError "cannot read <what> <path>: ..."."""
+def make_dirs(path):
+    """os.makedirs(path, exist_ok=True); an OSError becomes a DataError
+    "cannot create output directory <path>: <reason>"."""
     try:
-        with open(path, "rb") as f:
-            return f.read()
+        os.makedirs(path, exist_ok=True)
+    except OSError as e:
+        raise DataError(f"cannot create output directory {path}: {e.strerror or e}") from None
+
+
+def open_input(path, what):
+    """The file at `path` opened for binary reading, or a DataError
+    "cannot read <what> <path>: ..."."""
+    try:
+        return open(path, "rb")
     except OSError as e:
         raise DataError(f"cannot read {what} {path}: {e}") from None
+
+
+def read_bytes(path, what):
+    """The bytes of the file at `path`; see open_input."""
+    with open_input(path, what) as f:
+        return f.read()
 
 
 def write_tvec(path, array):
@@ -410,10 +445,13 @@ def write_tvec(path, array):
     write_atomic(path, tvec_bytes(array))
 
 
-def read_tvec(path):
-    """Read a tvec file back as a float32 array."""
-    blob = read_bytes(path, "tensor file")
-    arr, end = tvec_from_bytes(blob, label=str(path))
-    if end != len(blob):
-        raise DataError(f"{path}: {len(blob) - end} trailing bytes after payload")
+def read_tvec(path, out=None):
+    """Read a tvec file back as a float32 array: into `out` when it is a
+    float32 array of the record's shape, else into a new one (see
+    read_tvec_record). The payload is held once."""
+    with open_input(path, "tensor file") as f:
+        size = os.fstat(f.fileno()).st_size
+        arr = read_tvec_record(f, size, str(path), out)
+        if f.tell() != size:
+            raise DataError(f"{path}: {size - f.tell()} trailing bytes after payload")
     return arr

@@ -25,7 +25,7 @@ from .losses import global_loss, patch_loss
 from .masking import SplitMix64, generate_mask
 from .model import forward, init_params, patchify, project_global, save_checkpoint
 from .teacher import align_input, make_teacher
-from .tensor import Tape, add, backward, mul
+from .tensor import Tape, add, backward, make_dirs, mul
 
 METRICS_COLUMNS = ("step", "epoch", "lr", "L_patch", "L_global", "L_total")
 
@@ -213,7 +213,7 @@ def train(cfg, images, out_dir):
 
     cache = FeatureCache(cfg, images)  # a misfit writes nothing
 
-    os.makedirs(out_dir, exist_ok=True)
+    make_dirs(out_dir)
     cfg.save(os.path.join(out_dir, "config.json"))
     params = init_params(cfg.model, mask_spec.image_side, in_channels, tc.seed)
     opt = OptimizerState()

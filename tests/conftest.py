@@ -18,7 +18,8 @@ rebuilds a mask's patch grid from its masked rows, and distinct_gathers
 checks gather_rows' precondition on every call a test makes. The scatter
 oracle is the np.add.at / np.subtract.at into zeros that the gather and
 masked-loss backward passes must match bitwise, and the per-name backward,
-packed in sorted name order, is what the flat gradient buffer must equal.
+packed in sorted name order, is what the flat gradient buffer must equal;
+params_of packs a dict of arrays into the flat buffer Parameters adopts.
 The per-image mask oracle is how masks were drawn one image at a time
 before one call drew a batch's rows, which must match it bitwise.
 """
@@ -200,6 +201,14 @@ def per_name_backward(tape, loss):
                 grads[in_idx] = contrib if grads[in_idx] is None else grads[in_idx] + contrib
     return {name: np.zeros_like(t.data) if grads[t.idx] is None else grads[t.idx]
             for name, t in tape.params.items()}
+
+
+def params_of(arrays):
+    """tensor.Parameters over one flat copy of a {name: array} dict, laid
+    out in the dict's order."""
+    arrays = {name: np.asarray(a) for name, a in arrays.items()}
+    return tn.Parameters(np.concatenate([a.reshape(-1) for a in arrays.values()]),
+                         {name: a.shape for name, a in arrays.items()})
 
 
 def pack_sorted(arrays):

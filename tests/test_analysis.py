@@ -169,7 +169,7 @@ def test_pca_negated_input():
     # exactly negated projections
     rng = np.random.default_rng(12)
     x = rng.normal(size=(40, 6)) * np.array([3.0, 2.0, 1.5, 1.0, 0.5, 0.1])
-    projected, comps, explained = pca_reduce(x, 4)
+    projected, comps, explained = pca_reduce(x.copy(), 4)  # a float64 argument is centered
     neg_projected, neg_comps, neg_explained = pca_reduce(-x, 4)
     assert neg_comps.tobytes() == comps.tobytes()
     assert neg_explained.tobytes() == explained.tobytes()
@@ -177,15 +177,25 @@ def test_pca_negated_input():
 
 
 def test_pca_leaves_its_input_unchanged_and_reads_float32_as_its_upcast():
-    # pca_reduce centers its own float64 copy: neither a float32 nor a
-    # float64 argument is touched, and a float32 matrix gives the bytes of
-    # its float64 upcast
+    # a writeable C-contiguous float64 argument is centered in place and
+    # comes back centered; a float32, read-only or strided argument is left
+    # unchanged and its float64 copy is centered instead. Every form gives
+    # the bytes of the float32 matrix's float64 upcast
     rng = np.random.default_rng(13)
     x32 = (rng.normal(size=(64, 6)) * np.arange(6, 0, -1) + 3.0).astype(np.float32)
     x64 = x32.astype(np.float64)
-    before32, before64 = x32.tobytes(), x64.tobytes()
-    out32, out64 = pca_reduce(x32, 3), pca_reduce(x64, 3)
-    assert x32.tobytes() == before32 and x64.tobytes() == before64
-    for a, b in zip(out32, out64):
-        assert a.dtype == b.dtype == np.float64
+    frozen = x32.astype(np.float64)
+    frozen.setflags(write=False)
+    strided = np.repeat(x64, 2, axis=1)[:, ::2]
+    before = [a.tobytes() for a in (x32, frozen, strided)]
+    want = pca_reduce(x64.copy(), 3)
+    for x in (x32, frozen, strided):
+        for a, b in zip(pca_reduce(x, 3), want):
+            assert a.dtype == b.dtype == np.float64
+            assert a.tobytes() == b.tobytes()
+    assert [a.tobytes() for a in (x32, frozen, strided)] == before
+    centered = x64 - x64.mean(axis=0)
+    got = pca_reduce(x64, 3)
+    assert x64.tobytes() == centered.tobytes()
+    for a, b in zip(got, want):
         assert a.tobytes() == b.tobytes()

@@ -526,6 +526,34 @@ def test_two_image_files_with_one_id_exit_3(tmp_path, image_dir, capsys):
         assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["dump-features", "pretrain"])
+def test_out_that_is_a_file_exits_3_naming_it(tmp_path, image_dir, capsys, command):
+    # worded like write_atomic's failures, not os.makedirs' "[Errno 17] ..."
+    out = tmp_path / "out"
+    out.write_text("a file")
+    assert main([command, "--images", str(image_dir), "--out", str(out)]) == 3
+    assert capsys.readouterr().err == (
+        f"data error: cannot create output directory {out}: File exists\n")
+    assert out.read_text() == "a file"
+
+
+@pytest.mark.parametrize("blob,want", [
+    (b"P3\n1 1\n255\n0", "{path}: not a binary PGM (P5) or PPM (P6) file"),
+    (b"P6\n2 2\n255\n" + bytes(5), "{path}: payload holds 5 bytes, expected 12"),
+], ids=["bad_magic", "short_payload"])
+def test_dump_features_bad_last_image_exits_3_and_writes_nothing(tmp_path, image_dir, capsys,
+                                                                 blob, want):
+    # the magic is checked for every file before any pixel is read; a short
+    # payload is found only when the stream reaches the last image, after
+    # the others were extracted, and still nothing is written
+    path = image_dir / "zz.ppm"
+    path.write_bytes(blob)
+    feats = tmp_path / "feats"
+    assert main(["dump-features", "--images", str(image_dir), "--out", str(feats)]) == 3
+    assert capsys.readouterr().err == f"data error: {want.format(path=path)}\n"
+    assert not feats.exists()
+
+
 def test_feature_manifest_listing_an_id_twice_exits_3(tmp_path, image_dir, capsys):
     # diversity would count the sample twice, and pretrain would map one
     # image id to either entry
@@ -772,6 +800,48 @@ def test_pca_holds_the_corpus_once_as_float32_and_once_as_float64(tmp_path):
         tracemalloc.stop()
     elements = 8 * 256 * 64
     assert peak < 14 * elements + 256 * 1024, f"{peak / elements:.2f} bytes per element"
+
+
+def _traced_peak(argv):
+    """tracemalloc's peak over a second main(argv); the first call's imports
+    and caches stay out of the trace."""
+    assert main(argv) == 0
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_pca_holds_one_float64_corpus(tmp_path):
+    # the float64 matrix is filled straight from the files and centered in
+    # place: 8 bytes per element plus the projection, one file's float32
+    # tokens and a 128 KiB allowance (the covariance, the finiteness masks);
+    # a float32 corpus beside it (12 bytes per element) overruns this
+    rng = np.random.default_rng(0)
+    feats = tmp_path / "feats"
+    _feature_dir(feats, [rng.normal(size=(256, 64)).astype(np.float32) for _ in range(8)])
+    peak = _traced_peak(["pca", "--features", str(feats), "--components", "4",
+                         "--out", str(tmp_path / "p.tvec")])
+    elements = 8 * 256 * 64
+    projection, one_file = 8 * 256 * 4 * 8, 256 * 64 * 4
+    assert peak < 8 * elements + projection + one_file + 128 * 1024, \
+        f"{peak / elements:.2f} bytes per element"
+
+
+def test_dump_features_holds_its_tokens_and_one_image(tmp_path):
+    # images are read, extracted and dropped one at a time: the peak is the
+    # tokens plus one image's working set (its file, float32 copies and the
+    # teacher's im2col buffers), within 12 image sizes; the 48 images held
+    # at once would be 48
+    images = tmp_path / "images"
+    images.mkdir()
+    for i in range(48):
+        write_ppm(images / f"img{i:02d}.ppm", synthetic_image(64, 3, seed=i))
+    peak = _traced_peak(["dump-features", "--images", str(images), "--out", str(tmp_path / "f")])
+    tokens, image = 48 * 8 * 8 * 16 * 4, 3 * 64 * 64 * 4
+    assert peak < tokens + 12 * image, f"{(peak - tokens) / image:.1f} images beyond the tokens"
 
 
 # sha256 of every file that dump-features, diversity, pca and heatmap write

@@ -1,5 +1,6 @@
-"""Arbitrary bytes into each reader of outside input: a PGM/PPM image, a
-tvec record, a checkpoint, a feature manifest and a run config. Each
+"""Arbitrary bytes into each reader of outside input: a PGM/PPM image, an
+image directory (its magic pre-pass, then the read), a tvec record as
+bytes and as a file, a checkpoint, a feature manifest and a run config. Each
 either parses or refuses with a FeatmimError, which the CLI turns into
 exit 2, 3 or 4; any other exception would be a traceback. Inputs start
 from each format's magic or a valid prefix so that they get past it."""
@@ -13,10 +14,10 @@ from hypothesis import strategies as st
 
 from featmim.config import load_run_config
 from featmim.errors import FeatmimError
-from featmim.imageio import read_pnm
+from featmim.imageio import load_images, read_pnm
 from featmim.model import CHECKPOINT_MAGIC, ModelConfig, load_checkpoint
 from featmim.teacher import FileTeacher
-from featmim.tensor import TVEC_MAGIC, TVEC_VERSION, tvec_from_bytes
+from featmim.tensor import TVEC_MAGIC, TVEC_VERSION, read_tvec, tvec_from_bytes
 
 _HEADER = json.dumps({"version": 2, "config": ModelConfig()._asdict(), "n_patches": 16,
                       "in_channels": 3}, sort_keys=True).encode()
@@ -46,7 +47,12 @@ READERS = {
     "config": (load_run_config, "fuzz.json",
                [b"", b"{", b'{"train": {"seed": ', b'{"model": {"embed_dim": 4, ',
                 b'{"teacher": {"kind": "file", "features_dir": ']),
+    # the only .pgm/.ppm file of its directory
+    "image_dir": (lambda path: load_images(path.parent), "fuzz.ppm",
+                  [b"", b"P5", b"P6", b"P6 1 1 255\n", b"P5 2 1 9\n"]),
 }
+# the file reader, bounded by the file's size before it allocates
+READERS["tvec_file"] = (read_tvec, "fuzz.tvec", READERS["tvec"][2])
 
 
 def cases(kind):
@@ -54,7 +60,7 @@ def cases(kind):
     return st.tuples(st.just(kind), prefixed.map(b"".join))
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=420, deadline=None)  # 60 per reader
 @given(st.sampled_from(sorted(READERS)).flatmap(cases))
 # a deeply nested checkpoint header is pinned, message and all, in test_model
 @example(("manifest", DEEP_JSON))

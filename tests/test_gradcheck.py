@@ -25,8 +25,15 @@ def micro_config(lam=0.5):
     )
 
 
-def test_micro_model_gradients_pass():
-    report = grad_check(micro_config(), in_channels=1)
+@pytest.fixture(scope="module")
+def micro_report():
+    """One grad_check(micro_config(), in_channels=1) report, shared by the
+    tests that read the unpatched check's result."""
+    return grad_check(micro_config(), in_channels=1)
+
+
+def test_micro_model_gradients_pass(micro_report):
+    report = micro_report
     assert report["max_rel_err"] < 1e-4
     assert report["n_parameters"] > 100
 
@@ -68,8 +75,8 @@ def test_rejects_non_tiny_model():
         grad_check(cfg)
 
 
-def test_report_structure():
-    report = grad_check(micro_config(), in_channels=1)
+def test_report_structure(micro_report):
+    report = micro_report
     assert report["worst_param"] in report["per_param"]
     assert report["per_param"][report["worst_param"]] == report["max_rel_err"]
     assert report["max_rel_err"] < 1e-4

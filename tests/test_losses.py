@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from conftest import fd_grad, rel_err
+from conftest import fd_grad, params_of, rel_err
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -60,7 +60,7 @@ def test_smooth_l1_gradient():
         def f(x):
             return float(tn.smooth_l1(Tensor(x), target, beta)[0].data)
 
-        params = tn.Parameters({"x": x0.copy()})
+        params = params_of({"x": x0.copy()})
         tape = Tape(params)
         backward(tape, tn.smooth_l1(params["x"], target, beta)[0])
         assert rel_err(params.grads["x"], fd_grad(f, x0)) < 1e-4
@@ -197,7 +197,7 @@ def test_loss_gradients_match_finite_differences():
     def f_global(p):
         return float(global_loss(Tensor(p), means, 2.0)[0].data)
 
-    params = tn.Parameters({"z": z0.copy(), "p": p0.copy()})
+    params = params_of({"z": z0.copy(), "p": p0.copy()})
     tape = Tape(params)
     loss = tn.add(patch_loss(params["z"], rows, y, 2.0)[0],
                   tn.mul(global_loss(params["p"], means, 2.0)[0], 0.5))

@@ -5,6 +5,7 @@ import os
 import re
 import struct
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from featmim.model import (CHECKPOINT_MAGIC, ModelConfig, aggregate_multi_block,
                            load_checkpoint, patch_embed, patchify,
                            project_global, save_checkpoint, sincos_pos_embed)
 from featmim.synth import synthetic_image
-from featmim.tensor import Tensor, tvec_bytes, write_tvec
+from featmim.tensor import Tape, Tensor, tvec_bytes, write_tvec
 
 TINY = ModelConfig(patch_side=8, embed_dim=8, enc_depth=2, enc_heads=2,
                    dec_depth=1, dec_width=8, dec_heads=2, target_dim=6,
@@ -280,6 +281,8 @@ def _offset(view, buf):
 def _assert_weights_view_flat(params):
     flat = params.flat
     assert flat.flags.c_contiguous and flat.ndim == 1
+    assert params.grad is None  # weights only, until a tape holds them
+    Tape(params)
     assert params.grad.shape == flat.shape and params.grad.dtype == flat.dtype
     names = sorted(params)
     assert list(params) == names
@@ -301,6 +304,27 @@ def test_weights_are_views_of_the_flat_buffer(tmp_path):
     loaded = load_checkpoint(path)
     _assert_weights_view_flat(loaded)
     np.testing.assert_array_equal(loaded.flat, params.flat)
+
+
+def test_load_checkpoint_holds_the_weights_once(tmp_path):
+    # the weights record is read straight into the flat buffer ModelParams
+    # adopts, and no gradient buffer is made before a tape needs one: the
+    # peak is at most 1.1x the file, and the result holds 1.0x plus the
+    # position tables and the tensors' bookkeeping
+    path = tmp_path / "ckpt.bin"
+    save_checkpoint(path, tiny_params(config=ModelConfig(embed_dim=128, dec_width=128)))
+    size = path.stat().st_size  # 2.6 MB
+    load_checkpoint(path)  # first-call caches stay out of the trace
+    tracemalloc.start()
+    try:
+        loaded = load_checkpoint(path)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert loaded.grad is None
+    assert peak <= 1.1 * size, peak / size
+    assert held < loaded.flat.nbytes + loaded.enc_pos.nbytes + loaded.dec_pos.nbytes + 32 * 1024, \
+        held / size
 
 
 def test_init_params_draws_do_not_depend_on_the_flat_layout():

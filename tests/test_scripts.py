@@ -157,3 +157,59 @@ def test_ab_warms_each_tree_up_before_the_first_pair(tmp_path, monkeypatch, caps
     summary = {r.split()[0]: r.split()[1:3] for r in rows if not r.startswith("pair")}
     assert summary["img_per_s"] == ["100", "110"]
     assert summary["setup_s"] == ["0.5", "0.5"] and summary["peak_rss_mb"] == ["40", "40"]
+
+
+def _bench_stdout(env, result_line):
+    """A bench run's stdout: a human-readable line, the env line, the result."""
+    return f"     overfit-b8  img_per_s  1 img/s\nenv {json.dumps(env)}\n{result_line}\n"
+
+
+def test_bench_record_of_canned_runs(tmp_path, monkeypatch):
+    # no bench run: canned stdout for every run the script makes. The stale
+    # per-op metrics read 0 in the traced run and are recorded as absent
+    rec = _load_script("bench_record.py")
+    base, change, out = tmp_path / "base", SCRIPTS.parent, tmp_path / "BENCH_1.json"
+    traced_metrics = {name: {"value": 0.0, "unit": "ms"} for name in rec.STALE_PER_LAYER}
+    traced_metrics.update({name: {"value": float(i + 1), "unit": "ms"}
+                           for i, name in enumerate(rec.LIVE_PER_LAYER)})
+    traced_metrics["analysis.pca_ms"] = {"value": 0.0, "unit": "ms"}
+    traced = json.dumps({"correct": True, "attempted": 3, "failed": 0,
+                         "metrics": traced_metrics})
+    calls = ("recipe       calls/step tape ops/step\n"
+             "overfit-b8       1219.0          56.0\nplain-b1          975.6          48.0\n")
+    argvs = []
+
+    def run(tree, argv):
+        argvs.append((tree, argv))
+        if argv[0] == "scripts/calls_per_step.py":
+            return calls
+        if argv[-1] == "1":
+            return _bench_stdout({"tree": "change"}, traced)
+        rss = 60.0 if tree == base else 54.0
+        return _bench_stdout({"tree": "base" if tree == base else "change"},
+                             _result_line(100.0, 0.5, rss))
+
+    monkeypatch.setattr(rec, "run", run)
+    monkeypatch.setattr(sys, "argv", ["bench_record.py", "--base", str(base), "--change",
+                                      str(change), "--out", str(out), "--seconds", "3",
+                                      "--seed", "5"])
+    rec.main()
+    doc = json.loads(out.read_text())
+    workloads = [w["name"] for w in json.loads((SCRIPTS.parent / "BENCHMARK.json").read_text())
+                 ["workloads"]]
+    assert [a[:2] for _, a in argvs] == [["bench/run.py", "--workload"]] * 7 + [
+        ["scripts/calls_per_step.py", "--steps"]]
+    assert [(t, a[2], a[-1]) for t, a in argvs[:7]] == [
+        (tree, w, "0") for w in workloads for tree in (base, change)] + [
+        (change, "overfit-b8", "1")]
+    assert doc["seed"] == 5 and doc["seconds"] == 3 and doc["env"] == {"tree": "change"}
+    assert list(doc["end_to_end"]) == workloads
+    for sides in doc["end_to_end"].values():
+        assert sides["base"]["peak_rss_mb"] == {"value": 60.0, "unit": "MB"}
+        assert sides["change"]["peak_rss_mb"] == {"value": 54.0, "unit": "MB"}
+    per_layer = doc["per_layer"]["overfit-b8"]
+    assert list(per_layer) == list(rec.LIVE_PER_LAYER)
+    assert per_layer["trainer.step_ms_p50"]["value"] > 0
+    assert set(doc["absent"]) == set(rec.STALE_PER_LAYER) and not set(per_layer) & set(doc["absent"])
+    assert doc["calls_per_step"] == {"overfit-b8": {"calls": 1219.0, "tape_ops": 56.0},
+                                     "plain-b1": {"calls": 975.6, "tape_ops": 48.0}}

@@ -5,7 +5,7 @@ import zlib
 
 import numpy as np
 import pytest
-from conftest import (concat_gather_rows, fd_grad, masked_smooth_l1_chain,
+from conftest import (concat_gather_rows, fd_grad, masked_smooth_l1_chain, params_of,
                       pooled_smooth_l1_chain, rel_err, scatter_rows, tape_sum)
 
 from featmim import tensor as tn
@@ -15,7 +15,7 @@ from featmim.tensor import Tape, Tensor, backward
 
 def bind(**arrays):
     """Float64 parameters from keyword arrays, and a new tape that holds them."""
-    params = tn.Parameters({k: np.asarray(v, dtype=np.float64) for k, v in arrays.items()})
+    params = params_of({k: np.asarray(v, dtype=np.float64) for k, v in arrays.items()})
     return Tape(params), params
 
 
@@ -310,7 +310,7 @@ def test_gather_rows_with_row_matches_concat_oracle_bitwise():
     row0 = rng.normal(size=8).astype(np.float32)
     idx = rng.permutation(np.r_[0:6, np.full(42, 6)])
     g = rng.normal(size=(len(idx), 8)).astype(np.float32)
-    params = tn.Parameters({"a": a0, "row": row0})
+    params = params_of({"a": a0, "row": row0})
     tape = Tape(params)
     out = tn.gather_rows(params["a"], idx, params["row"])
     assert len(tape._ops) == 1  # the row costs no extra op
@@ -363,7 +363,7 @@ def test_gather_backward_matches_the_scatter_oracle_bitwise(dtype, batch):
         arrays = {"a": rng.normal(size=(rows_a, d)).astype(dtype)}
         if with_row:
             arrays["row"] = rng.normal(size=d).astype(dtype)
-        params = tn.Parameters(arrays)
+        params = params_of(arrays)
         tape = Tape(params)
         tn.gather_rows(params["a"], idx, params["row"] if with_row else None)
         g = _signed_zeros(rng, rng.normal(size=(len(idx), d)).astype(dtype))
@@ -389,7 +389,7 @@ def test_masked_loss_backward_matches_the_scatter_oracle_bitwise(dtype, upstream
     z0 = grid[rows]
     target = (rng.normal(size=(len(rows), d)) * 3).astype(dtype)
     target[:2] = z0[:2]
-    params = tn.Parameters({"z": z0})
+    params = params_of({"z": z0})
     tape = Tape(params)
     tn.smooth_l1(params["z"], target, beta)
     g = np.asarray(upstream, dtype=dtype)
@@ -405,7 +405,7 @@ def test_parameter_registered_once():
     # whole run: every step's tape takes that tensor, at the same position,
     # and no tape makes a new one
     w0 = np.zeros(2)
-    params = tn.Parameters({"v": np.ones(3), "w": w0})
+    params = params_of({"v": np.ones(3), "w": w0})
     w = params["w"]
     assert np.shares_memory(w.data, params.flat) and not np.shares_memory(w.data, w0)
     for _ in range(2):
@@ -650,7 +650,7 @@ def test_loss_nodes_match_the_op_chain_bitwise(batch, upstream):
     f32 = np.float32
 
     def check(node, oracle, x0, target):
-        params = tn.Parameters({"x": x0})
+        params = params_of({"x": x0})
         tape = Tape(params)
         loss, elem = node(params["x"], target, beta)
         # the node's mean is the chain's sum times 1 / (element count)
@@ -736,6 +736,39 @@ def test_tvec_read_holds_the_file_at_most_twice(tmp_path):
         tracemalloc.stop()
     assert back.tobytes() == arr.tobytes() and back.flags.writeable
     assert peak < 2.2 * arr.nbytes, peak / arr.nbytes
+
+
+@pytest.mark.parametrize("into", [False, True], ids=["new_array", "slice_given"])
+def test_tvec_read_holds_the_payload_once(tmp_path, into):
+    # the header is parsed from the open file and the payload read into its
+    # array: the payload plus the header and the file's 8 KiB read buffer.
+    # Into a slice the caller hands it, nothing of the payload's size
+    arr = np.arange(256 * 1024, dtype=np.float32).reshape(1024, 256)  # 1 MiB
+    p = tmp_path / "a.tvec"
+    tn.write_tvec(p, arr)
+    corpus = np.zeros((2048, 256), dtype=np.float32)
+    out = corpus[512:1536] if into else None
+    tracemalloc.start()
+    try:
+        back = tn.read_tvec(p, out)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert back.tobytes() == arr.tobytes() and back.flags.writeable
+    assert (back is out) == into
+    assert peak < (0 if into else arr.nbytes) + len(tvec_header(arr.shape)) + 8 * 1024, peak
+
+
+def test_tvec_read_into_a_mismatched_slice_makes_a_new_array(tmp_path):
+    # a slice of another shape, dtype or layout is left alone
+    p = tmp_path / "a.tvec"
+    arr = np.arange(6, dtype=np.float32).reshape(2, 3)
+    tn.write_tvec(p, arr)
+    for out in (np.zeros((3, 2), np.float32), np.zeros((2, 3)), np.zeros((3, 2), np.float32).T):
+        before = out.tobytes()
+        back = tn.read_tvec(p, out)
+        assert back is not out and back.tobytes() == arr.tobytes()
+        assert out.tobytes() == before
 
 
 def test_tvec_rejects_bad_magic(tmp_path):
