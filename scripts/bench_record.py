@@ -4,18 +4,20 @@
 Runs, each from its own checkout and unchanged:
   - each tree's `bench/run.py --trace 0` once on every workload of the
     change tree's BENCHMARK.json, both with one seed;
-  - the change tree's `bench/run.py --workload overfit-b8 --trace 1` once;
+  - the change tree's `bench/run.py --trace 1` once on each traced workload
+    (overfit-b8 and teacher-corpus);
   - the change tree's `scripts/calls_per_step.py`.
 
 The file holds the seed and seconds given, and:
   - "env": the environment line of the change tree's last untraced run;
   - "end_to_end": per workload, the base's and the change's end-to-end
     metrics, each a value with its unit;
-  - "per_layer": the traced overfit-b8 run's live per-layer metrics
+  - "per_layer": per traced workload, its run's live per-layer metrics
     (LIVE_PER_LAYER);
   - "absent": each stale per-layer metric (STALE_PER_LAYER) with the reason
-    it is left out. They count tape ops or time functions that no longer
-    exist, so they read 0 or too little, and a 0 would read as free;
+    it is left out. They count tape ops, bytes or time functions that
+    featmim no longer runs, so they read 0 or too little, and a 0 would read
+    as free;
   - "calls_per_step": per recipe, interpreter calls and tape ops per step.
 
     python3 scripts/bench_record.py --base ../parent --change . --out BENCH_1.json \\
@@ -28,13 +30,16 @@ import subprocess
 import sys
 from pathlib import Path
 
-TRACED_WORKLOAD = "overfit-b8"
-
-# the per-layer metrics whose spans still time what their names say
-LIVE_PER_LAYER = ("model.forward_ms_per_img", "model.patch_embed_ms", "model.encode_ms",
-                  "model.decode_ms", "model.project_ms", "model.checkpoint_ms",
-                  "trainer.adamw_ms_per_step", "tensor.backward_ms_per_step",
-                  "trainer.step_ms_p50", "trainer.step_ms_p90")
+# per traced workload, the per-layer metrics whose spans still time what
+# their names say
+LIVE_PER_LAYER = {
+    "overfit-b8": ("model.forward_ms_per_img", "model.patch_embed_ms", "model.encode_ms",
+                   "model.decode_ms", "model.project_ms", "model.checkpoint_ms",
+                   "trainer.adamw_ms_per_step", "tensor.backward_ms_per_step",
+                   "trainer.step_ms_p50", "trainer.step_ms_p90"),
+    "teacher-corpus": ("teacher.features_ms_per_img", "teacher.align_ms_per_img",
+                       "diversity.sample_ms", "analysis.pca_ms", "analysis.heatmap_ms"),
+}
 
 _TAPE_OPS = ("bench/tracing.py's TAPE_OPS omits the fused ops linear, attention, smooth_l1 "
              "and pooled_smooth_l1, so it counts about half of the tape")
@@ -44,6 +49,12 @@ STALE_PER_LAYER = {
     "tensor.ops_per_forward": _TAPE_OPS,
     **{f"tensor.op.{op}.self_ms_per_step": _REMOVED_OP.format(op)
        for op in ("matmul", "softmax", "transpose", "reshape", "scatter_rows", "where")},
+    "imageio.load_ms_per_img": "divides imageio.load_images time, which only pretrain spends: "
+                               "dump-features streams through imageio.scan_images and "
+                               "read_images, so it reads 0 on teacher-corpus",
+    "tensor.io.bytes": "counts only writes: bench/tracing.py hooks tensor.tvec_from_bytes, "
+                       "which featmim no longer calls, and every read goes through "
+                       "tensor.read_tvec_record",
 }
 
 
@@ -66,14 +77,15 @@ def parse_calls(stdout):
 
 def record(untraced, traced, calls):
     """The BENCH JSON from parsed runs: untraced maps workload -> {"base":
-    (env, result), "change": (env, result)}; traced is the (env, result) of
-    the traced overfit-b8 run; calls is parse_calls' dict."""
-    per_layer = traced[1]["metrics"]
+    (env, result), "change": (env, result)}; traced maps each workload of
+    LIVE_PER_LAYER to its traced run's (env, result); calls is parse_calls'
+    dict."""
     return {
         "env": list(untraced.values())[-1]["change"][0],
         "end_to_end": {workload: {side: run[1]["metrics"] for side, run in sides.items()}
                        for workload, sides in untraced.items()},
-        "per_layer": {TRACED_WORKLOAD: {name: per_layer[name] for name in LIVE_PER_LAYER}},
+        "per_layer": {workload: {name: traced[workload][1]["metrics"][name] for name in names}
+                      for workload, names in LIVE_PER_LAYER.items()},
         "absent": STALE_PER_LAYER,
         "calls_per_step": calls,
     }
@@ -110,9 +122,10 @@ def main():
             side: parse_bench(run(tree, bench_argv(workload, args.seed, args.seconds, 0)),
                               f"{tree} {workload}")
             for side, tree in (("base", args.base), ("change", args.change))}
-    traced = parse_bench(run(args.change, bench_argv(TRACED_WORKLOAD, args.seed,
-                                                     args.seconds, 1)),
-                         f"{args.change} {TRACED_WORKLOAD} --trace 1")
+    traced = {workload: parse_bench(run(args.change, bench_argv(workload, args.seed,
+                                                                args.seconds, 1)),
+                                    f"{args.change} {workload} --trace 1")
+              for workload in LIVE_PER_LAYER}
     calls = parse_calls(run(args.change, ["scripts/calls_per_step.py",
                                           "--steps", str(args.steps)]))
     doc = {"seed": args.seed, "seconds": args.seconds, **record(untraced, traced, calls)}

@@ -3,10 +3,11 @@
 Per sample, a [K, D] token array: take the pairwise cosines between its K
 tokens, min-max normalize them into [0, 1] within the sample, and average.
 Each unordered pair is counted once; the cosine matrix is exactly symmetric
-and the sum is exact (correctly rounded), so the mean equals the mean over
-all K(K-1) ordered pairs bit for bit. The corpus diversity is one minus the
-mean of those per-sample similarities; higher means the teacher separates
-image regions more strongly.
+and the sum is exact (26-bit slices of the [0, 1] terms at fixed weights,
+each slice added exactly by np.sum and the slice sums rounded once by
+math.fsum), so the mean equals the mean over all K(K-1) ordered pairs bit
+for bit. The corpus diversity is one minus the mean of those per-sample
+similarities; higher means the teacher separates image regions more strongly.
 
 Degenerate rule: when every off-diagonal cosine is equal (min = max), the
 normalization is undefined and the shared raw cosine, clamped to [0, 1], is
@@ -48,9 +49,21 @@ def sample_similarity(y, pairs):
     lo, hi = off.min(), off.max()
     if hi == lo:
         return min(max(float(lo), 0.0), 1.0)
-    normed = (off - lo) / (hi - lo)
-    # exact, so inside [0, 1]; a memoryview iterates faster than the array
-    return math.fsum(memoryview(normed)) / len(normed)
+    return _exact_sum((off - lo) / (hi - lo)) / len(off)  # each term in [0, 1]
+
+
+def _exact_sum(x):
+    """math.fsum(x), bit for bit, for float64 x in [0, 1]. Pass k = 26, 52, ...
+    takes x's bits of weight 2**(26 - k) to 2**-k, integers <= 2**26 times 2**-k,
+    which np.sum adds exactly while len(x) < 2**27 (a DataError otherwise)."""
+    if len(x) >= 2**27:
+        raise DataError(f"cannot sum {len(x):,} cosines exactly: the bound is 2**27 - 1")
+    parts, k = [], 26
+    while x.any():
+        hi = np.ldexp(np.floor(np.ldexp(x, k)), -k)
+        parts.append(hi.sum())
+        x, k = x - hi, k + 26
+    return math.fsum(parts)
 
 
 def corpus_diversity(samples):

@@ -119,11 +119,11 @@ def _conv2d_stride2(x, weight, bias):
     """3x3 convolution, stride 2, padding 1. x: [C, H, W] with even H, W.
 
     im2col: nine strided slices of x fill a channel-major [C, 3, 3, H/2, W/2]
-    buffer (taps that fall on the padding keep its zeros), and one transpose
-    copy makes it the C-contiguous [H/2 * W/2, C * 9] GEMM operand, K in the
-    (c, i, j) order of the weights. The GEMM must not read the transposed
-    view: that goes to another BLAS kernel, whose sums round differently on
-    small grids.
+    buffer (taps that fall on the padding keep its zeros), which is already
+    the C-contiguous [C * 9, H/2 * W/2] GEMM operand, K in the (c, i, j)
+    order of the weights. The GEMM runs channel-major, [out_c, C * 9] times
+    that buffer, so its result is the C-contiguous [out_c, H/2, W/2]
+    activation and no operand or result is transposed.
     """
     c, h, w = x.shape
     out_c = weight.shape[0]
@@ -135,9 +135,9 @@ def _conv2d_stride2(x, weight, bias):
             r, s = int(i == 0), int(j == 0)  # the first row / column reads padding
             cols[:, i, j, r:, s:] = x[:, 2 * r + i - 1:2 * oh + i - 1:2,
                                       2 * s + j - 1:2 * ow + j - 1:2]
-    cols = np.ascontiguousarray(cols.reshape(c * 9, oh * ow).T)
-    out = cols @ weight.reshape(out_c, c * 9).T + bias
-    return out.T.reshape(out_c, oh, ow)
+    out = weight.reshape(out_c, c * 9) @ cols.reshape(c * 9, oh * ow)
+    out += bias[:, None]
+    return out.reshape(out_c, oh, ow)
 
 
 class ProceduralConvTeacher:
@@ -180,8 +180,7 @@ class ProceduralConvTeacher:
         x = np.asarray(image)
         for wgt, bias in self._stages:
             x = np.tanh(_conv2d_stride2(x, wgt.astype(x.dtype), bias.astype(x.dtype)))
-        grid = x.shape[1]
-        tokens = x.reshape(self.target_dim, grid * grid).T.copy()
+        tokens = x.reshape(self.target_dim, -1).T.copy()
         if self.l2_normalize:
             norms = np.linalg.norm(tokens, axis=1, keepdims=True)
             if np.any(norms == 0):

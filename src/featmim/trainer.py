@@ -150,11 +150,11 @@ class TrainResult(NamedTuple):
 
 
 class FeatureCache:
-    """The corpus as read-only arrays, one get per image, stacked once in the
-    order given: patch rows [I, N, C * patch**2], teacher tokens [I, N, D]
-    and mean tokens [I, D], the tokens from the config's teacher. A ConfigError
-    when the teacher's width is not model.target_dim; a DataError names an
-    image whose teacher tokens do not pair one to one with its student patches."""
+    """The corpus as read-only arrays sized by the first get, one get per image
+    filled in the order given: patch rows [I, N, C * patch**2], teacher tokens
+    [I, N, D] and mean tokens [I, D], the tokens from the config's teacher. A
+    ConfigError when the teacher's width is not model.target_dim; a DataError
+    names an image whose teacher tokens do not pair one to one with its patches."""
 
     def __init__(self, cfg, images):
         self.teacher = make_teacher(cfg.teacher, in_channels=images[0][1].shape[0])
@@ -162,8 +162,13 @@ class FeatureCache:
             raise ConfigError(f"teacher target_dim {self.teacher.target_dim} != model target_dim "
                               f"{cfg.model.target_dim}")
         self.patch_side = cfg.model.patch_side
-        rows = [self.get(image_id, image) for image_id, image in images]
-        self.patches, self.tokens, self.means = arrays = [np.stack(a) for a in zip(*rows)]
+        for i, (image_id, image) in enumerate(images):
+            row = self.get(image_id, image)
+            if i == 0:
+                arrays = [np.empty((len(images), *a.shape), a.dtype) for a in row]
+            for a, r in zip(arrays, row):
+                a[i] = r
+        self.patches, self.tokens, self.means = arrays
         for a in arrays:
             a.setflags(write=False)
 

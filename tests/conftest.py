@@ -344,16 +344,17 @@ def four_corner_resize(image, out_h, out_w):
 
 def window_conv2d_stride2(x, weight, bias):
     """3x3 stride-2 pad-1 convolution through sliding_window_view: the
-    windows reshaped to [H/2 * W/2, C * 9] in (c, i, j) order, one GEMM."""
+    windows copied to a C-contiguous [C * 9, H/2 * W/2] in (c, i, j) order,
+    one channel-major GEMM."""
     c, h, w = x.shape
     out_c = weight.shape[0]
     padded = np.pad(x, ((0, 0), (1, 1), (1, 1)))
     win = np.lib.stride_tricks.sliding_window_view(padded, (3, 3), axis=(1, 2))
     win = win[:, ::2, ::2]  # [C, H/2, W/2, 3, 3]
     oh, ow = win.shape[1], win.shape[2]
-    cols = win.transpose(1, 2, 0, 3, 4).reshape(oh * ow, c * 9)
-    out = cols @ weight.reshape(out_c, c * 9).T + bias
-    return out.T.reshape(out_c, oh, ow)
+    cols = np.ascontiguousarray(win.transpose(0, 3, 4, 1, 2)).reshape(c * 9, oh * ow)
+    out = weight.reshape(out_c, c * 9) @ cols + bias[:, None]
+    return out.reshape(out_c, oh, ow)
 
 
 def ordered_pair_similarity(y):

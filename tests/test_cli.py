@@ -900,7 +900,7 @@ def test_grad_check_command(default_grad_check):
     assert report["max_rel_err"] < 1e-4
     assert report["n_parameters"] > 0
     assert (hashlib.sha256(blob).hexdigest()
-            == "f70ed180a2175ddf6c1b25dd2411ce8ba9cc55e3ad15fd795eac2b654821bb5d")
+            == "d5c5434e473d89126308336195621aed07c448c55122161c30d138a7d7cf6a11")
 
 
 def test_grad_check_seed_flag(tmp_path):

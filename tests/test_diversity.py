@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from conftest import ordered_pair_similarity
-from featmim.diversity import _pair_offsets, corpus_diversity, pairwise_cosine
+from featmim.diversity import _exact_sum, _pair_offsets, corpus_diversity, pairwise_cosine
 from featmim.diversity import sample_similarity as _sample_similarity
 from featmim.errors import DataError, NumericError
 
@@ -208,7 +208,7 @@ def test_rotation_invariance(y, seed):
 @given(tokens_any, st.integers(0, 2**32 - 1))
 @settings(max_examples=50, deadline=None)
 def test_permutation_invariance(y, seed):
-    # exact: the off-diagonal multiset is unchanged and fsum is order-free
+    # exact: the off-diagonal multiset is unchanged and the exact sum is order-free
     rng = np.random.default_rng(seed)
     perm = rng.permutation(y.shape[0])
     assert sample_similarity(y[perm]) == sample_similarity(y)
@@ -218,6 +218,36 @@ def test_permutation_invariance(y, seed):
 @settings(max_examples=100, deadline=None)
 def test_unordered_mean_equals_ordered_mean_exactly(y):
     assert sample_similarity(y) == ordered_pair_similarity(y)
+
+
+# float64 arrays in [0, 1] that stress the sum's bit slicing, from (rng, n)
+UNIT_ARRAYS = {
+    "zeros": lambda rng, n: np.zeros(n),
+    "zeros and ones": lambda rng, n: rng.integers(0, 2, n).astype(np.float64),
+    "subnormals": lambda rng, n: rng.integers(0, 2**52, n) * 2.0**-1074,
+    "2**-1000 to 1": lambda rng, n: np.ldexp(1.0 + rng.random(n), -rng.integers(1, 1001, n)),
+    "uniform": lambda rng, n: rng.random(n),
+}
+
+
+@given(st.sampled_from(sorted(UNIT_ARRAYS)), st.integers(1, 40_000), st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_exact_sum_is_fsum_bit_for_bit(kind, n, seed):
+    x = UNIT_ARRAYS[kind](np.random.default_rng(seed), n)
+    assert _exact_sum(x).hex() == math.fsum(x).hex()
+
+
+@given(arrays(np.float64, st.integers(1, 60), elements=st.floats(0.0, 1.0)))
+@settings(max_examples=200, deadline=None)
+def test_exact_sum_is_fsum_on_any_unit_floats(x):
+    assert _exact_sum(x).hex() == math.fsum(x).hex()
+
+
+def test_exact_sum_refuses_the_count_bound():
+    # a broadcast view holds one float, so the bound is reached without 1 GB
+    assert _exact_sum(np.broadcast_to(1.0, 2**20)) == 2**20
+    with pytest.raises(DataError, match=r"134,217,728 cosines .* 2\*\*27 - 1"):
+        _exact_sum(np.broadcast_to(1.0, 2**27))
 
 
 @given(tokens_any)

@@ -14,122 +14,122 @@ SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "golden.py"
 
 GOLDEN = {
     "use_cls=True multi_block=off lam=0.0 batch_size=1": (
-        "3fadd33636b0e93bba9e659a57fbaa6fdbb6a7e9005d19bd1cc4efb93df61592",
-        "d19ab3a5ba9dbfa24fa6951d4aefa6a8b29b049e30754c59568e00e294b3796b"),
+        "e65bf2741dbb5e651b7a879d4019ee386121f39adde75f4ab647cbe4d8c3d763",
+        "6a337dafd1d81d2a83da0d169e1496f93580d6bd9fc8350bf13c3586f7d0b595"),
     "use_cls=True multi_block=off lam=0.0 batch_size=3": (
-        "269b72912af26a6fc7706d2cd675e4d119339d4773f0f2e2e1f5aa1c7451de94",
-        "376dca1729dbd7d76ab36e3c6e3fde0299216c038ea4ac6f1c3e4330e2888b18"),
+        "0801ca1c1da7b4c6f12b0452b760936976b6b9f43850a4aacf3cb8b1e7b8677b",
+        "bc3f8df2c325722ce5449dcd0b6258f9fdb1a132bb3dcf5d4494199b028e72bd"),
     "use_cls=True multi_block=off lam=0.0 batch_size=8": (
-        "48a973a1b26231563119191a8af2401f0d96624702c0679666e39b2954b32147",
-        "d71e29f8af2a6c91d6b9cd88de94225667b9b441ffe8f44c24025494c631a688"),
+        "004874adbee3e3eedf53c788628737975b8787f1bb1681656cb497efbd44f7a3",
+        "895746603840428b35091cf3b7a3bd389bb996dc04a5391749f225785a5d2865"),
     "use_cls=True multi_block=off lam=0.5 batch_size=1": (
-        "7ab4cf9a6138d4ea56e25a949f27bb5f7ce850ece0c2363f4963a914adf8ed05",
-        "966f8cba017b96550be656d751c4c363fcbd45e865391d7b0e7b2f57b1ff31a4"),
+        "a49fea6bb47500a00251a59917cd2f6662971037e9f3c2b7c3a4aeaae82da482",
+        "a49f353b9d7dff9791a6d6a9d78ba07c27ff7c6cd0591c8dd55d7259a3cbb98e"),
     "use_cls=True multi_block=off lam=0.5 batch_size=3": (
-        "b60279b02f03396b1a531d5b230fa782b6a2069d8cdd74775aab5676f0918912",
-        "c6df233e64822dd50a0daf938a9d196a083751c95b8f05813568899861754785"),
+        "5ca18e422407c746a8a1bac04539b7145451947410df508526da16688d587a8c",
+        "15439593408d8a7adb10d7342a6b2591a8858722c81a2f78edc58a8688468985"),
     "use_cls=True multi_block=off lam=0.5 batch_size=8": (
-        "87d23e1df1ea1cddf47142e7e51fd61ef9afe2ba18562815cf0bdb93b159d17b",
-        "5fbef0f6ff3470f5d6f187c4b3fb5aabfc0e104e971cb286bdfe49f182fffec5"),
+        "04ccdb794815a273d438f38735fbf81b5766fab7d8e791251032cc76d0b94f01",
+        "c5d25268f1910ec578c3bb998c338ecbffa1feb6d4ebeeb2e2299e21f46a640b"),
     "use_cls=True multi_block=mean lam=0.0 batch_size=1": (
-        "49400209faf54faddc4443c4aabbbde80f0855cd7314bc2cf366923441b5ea69",
-        "67dff7753e498c21e644ff75bc3ee5c68ae2721dbde750ac953a4a95a6356b0f"),
+        "54d8589188ee0e31b83e22c8896e42de193c99ff72866c2594ee14cf6e22c74c",
+        "552d575cb3e7189959c88b599f4b9cbd840525a940d421838769aeb328409d4c"),
     "use_cls=True multi_block=mean lam=0.0 batch_size=3": (
-        "3f3b84390c703b9f038fc5878ff877b64f39131f55ca822bd7e3d160dc3191ce",
-        "656f9919a679f1386a13fbb5aad0b57c823eb08645556d94269dbbe83b8177f3"),
+        "5688d57545611a83cb918fb79979f46923e997c5162db82e12464359cf03fc12",
+        "60c959c0dee5864139a6aa4063f0f0a0d4d054270fad953b38778d040d027ea0"),
     "use_cls=True multi_block=mean lam=0.0 batch_size=8": (
-        "b5a94143f347c2f97a8a6a5c398acee19e7e32e805c69b23962c0bb9f819c33b",
-        "918d528484be7ce89e7f90c2145bb806f828d9650e02f8aded2f3868a96a184f"),
+        "18aa3de5e0ab5bb34d366633ab8dd3885ec42bbf7f0a74b3f14a0d6c488f6ae6",
+        "7f61e1b63b454933720b2d9b1ee3d1e7f394009b92d3e840ca8346b74bca0152"),
     "use_cls=True multi_block=mean lam=0.5 batch_size=1": (
-        "17ed80d0aabdcf979e1c6b6383d9bf125411524755b06ee8ea9514eb1bf100bb",
-        "cf3474af63647c52fdaeb92d88365a071378273c83a2eeac5e5e71e14dcd5128"),
+        "04a9ca1c191716baa8f13b33b8af0145964acbe9f2464f6b03a56a81219e7e48",
+        "cb0a225a39fdc973618b3f3be23018eb755f60095ab40926fe9329b7cf7f17b7"),
     "use_cls=True multi_block=mean lam=0.5 batch_size=3": (
-        "4198bdb7d324d7e09637c51f91baba2bff002f8b9d7732e714cdf7c5fcb6ab84",
-        "fc7637b7a839db428ed6ee3c32fc7e8662d393c32a0f70a141fa384468a1f0a8"),
+        "e8b7e2132f5abade285090e48eaafff20fc42e7e8bd0ef70d22cf697361a887e",
+        "a58a2c427f9c2fac7de9d57fae79e197e846245c2064136b9de2273255a48ae5"),
     "use_cls=True multi_block=mean lam=0.5 batch_size=8": (
-        "12c365a24cffac856200623ae3671ec50e1ed20af6da4c7086fbddd0fee65356",
-        "158a4b603a2937d26c0d4de1ef79e66d584b7d1aed3505af22bba09e2b658665"),
+        "c7f5bf8336594172c599eda9eb2c27ecf4a702287904f1c912bd80daef815d24",
+        "51480c48894fdaf3ca9fd07b155217d4332692cef8b5846ceeab0d7c277e0a0b"),
     "use_cls=True multi_block=sum lam=0.0 batch_size=1": (
-        "1a3f11d02baa040ceb768d9264922acad685515362437191c4e7f361f0711684",
-        "dd732d1919edabe872a186fe3851bb0f3e18a0b08b796fdecca718a3f65a6ebc"),
+        "aae0474188c7a9c80d5daa9c56f2f76439a08fdb1048365fbcf72cf8038dd5ff",
+        "4d22deb2c32d4ae3afa6070df74778f0ec9e9fc49fef27e6b67e16766d49ddd4"),
     "use_cls=True multi_block=sum lam=0.0 batch_size=3": (
-        "2b4779f80ea3c207df74d694cbf189cdb40de450cddb5a972fd54c121ef12f93",
-        "a25062999bd10ab91a99c3d87d9d2ef00490681ad66d0b5a6a08fee731dcd35e"),
+        "5e474228351af4016aa02e320df5b03de6319cc11905b3f25b8b0738895ff92d",
+        "1a858de8fd68775dd2ae97300cb2263b83203823fb0be51d0a85bad52a3b0c12"),
     "use_cls=True multi_block=sum lam=0.0 batch_size=8": (
-        "d3f6a6286afebe061e31319f4d80fb6d2c9fb037fef35631574cd1172b3559b6",
-        "f84836202379858e0cde51f9a4da57b774840a6b10790068cf9bf5e242093a62"),
+        "2593f8c99e4d0dbd3538002e9ffa978a0b8ae2a4d34ad1f523495db5acaf6f92",
+        "e86824081ed1eb53b1730061d1e156fac9b67945ae8017f33b6d9e19501e104e"),
     "use_cls=True multi_block=sum lam=0.5 batch_size=1": (
-        "608e3f907d54a91089894e835bfa2b21ad4f2e25fc717a0ca44519ec315f15a4",
-        "c9214fbf44edfadcb26fa154da80028996f227ed79c020f5c6347baec79f53c7"),
+        "561f00dbb8c039e56d0efd724a6fcc5128ea2050c61b180a34cc63f5d6f02904",
+        "6ebb70be4a5368b99f5317097c70a872fd31443eee6920d328aaf1fb4351a3bf"),
     "use_cls=True multi_block=sum lam=0.5 batch_size=3": (
-        "216c994c1f955e3b6e3dc6ea62dc7fa893f961cb13cbd9ecfb5dc3a5fa248898",
-        "90f8e061b76d8ad333e906a9abd79596bd35478a39ff8c58029d014b7884d632"),
+        "6958953a9614c2b7c551f248e343485e6c1022d077915880079ef93accef2fd2",
+        "046e3457a05a861807e5a16ba7b83ed8a22db88a25cf4a240506c8e29484b678"),
     "use_cls=True multi_block=sum lam=0.5 batch_size=8": (
-        "8f6b36df455967276d8a96bbb4c7a9b3e3a62f13ee46aef21681af2e206e1546",
-        "521090536d9f93f8a347a98ebf69393876ef24b10d3496dee55de23a3a21851d"),
+        "a1212785a6975fd7dfa14d0468a54e64494db1c8d2890e93d18981076fd38a58",
+        "49cfcfca224e95872485782894f587e84ae5d56b1d0f9f3a2e1ae0bc82ed95b5"),
     "use_cls=False multi_block=off lam=0.0 batch_size=1": (
-        "c3acb757cd97f97aabde0a59a1610797dfe2720b53d1f169f5f7cc0fbcf16239",
-        "aff668f35337e6d759d1a324b8354f7be9f33aac5bbaba77aa2a1663c36324d8"),
+        "6391fae1ec95c1c47ce4696b32251aa2d2b53b9c7fbdf31ee9703f85ee58d8bb",
+        "0c9310f22517df84fcc690d6decd949462787483b271469eb36091efcfba186e"),
     "use_cls=False multi_block=off lam=0.0 batch_size=3": (
-        "46935919ee739cea981563ff650c53dd6a1110fbb8dcd18f70daf7887d2333fd",
-        "b85d28cb696d232294235a7ab2626678e19f546b52868799dbb043103753cc03"),
+        "840b098e04994103c4065f55a3dc564083cdf1f82c4544df9be1a52b0f14b60d",
+        "78ac7b5e54656999292e173596dec332d33989a76db0ddb47fa7495604d8f0dc"),
     "use_cls=False multi_block=off lam=0.0 batch_size=8": (
-        "cd5f14a99fcf239a3c0c7accad7d7fb57424f23bc26f6447e1d740251ce49c50",
-        "d4cd5568775c79ff37637c2e28755d9f417ac2d8674fbf31ebe0e3a76be9729c"),
+        "85c72a727eee5a0181e9c79d6ec261a24908b165545c7e71f48f037cea5c9fc2",
+        "e22f166f440e10a1b83b38f2460ac781692d2861c567817da532886aa19b2ddc"),
     "use_cls=False multi_block=off lam=0.5 batch_size=1": (
-        "e09fa5b0a4580f5449eb4cb131db6e6402c2de4391fc4dc5267b136bd41a2fd4",
-        "0d504d78a95591172288db1e31c697f58fab7102e147214d26ebd7c43d611e06"),
+        "8e30f34d4ade3ec95a71094cab9a3cc379a07fa05cf4283ac44caa9e7868ff1a",
+        "32c0104b953a75c3d13779f0dd6982d8a70c17145f0053228b274ceaab2ed1ba"),
     "use_cls=False multi_block=off lam=0.5 batch_size=3": (
-        "c27362b1be284680934aa048330a883d6b24f59aef8a0743a4e5f16ca1008d49",
-        "7510a9f3bf9cf3a45a820e56d19b9c333473e34233110d1e72434cd4f9245eab"),
+        "7c4b5fad5e2a99a5598f959ae44f46017e704741a9f47ca9d337ae3bb35132ac",
+        "51009315fd03700516c712db9d342e13545e5a453b0d16d9733c337399712f76"),
     "use_cls=False multi_block=off lam=0.5 batch_size=8": (
-        "4bed16eba622b1a69362454211f9b52f8c84465a55e1bbaba61eae902c1e774f",
-        "f806bf0f8edb7664d3ca3dbc72d0ae1f08d1846a725cf810c9bdd12a5d18eb91"),
+        "c538c11aee9ad16142e02a30642ac847aeb18d16689998fc661f94214b5c79e3",
+        "c0991d759560a4d4072759acca60d4041920d6f653eec4c2ab6762865ea47e5d"),
     "use_cls=False multi_block=mean lam=0.0 batch_size=1": (
-        "258d9396cc6f2b5d1dea17813a44a930cef6fd2d065af8e1ecd0f6b7d2283a65",
-        "1ffb8eb88b27edf00d6cd0222c3454f3ebb0e9ad559a2a0f6198f0fcc12341cb"),
+        "58e4b36c5de5938ff593f142dba38782ad27ff971d6796de335464e5eb2c7036",
+        "3110f6e9b65750327570817d5f3e3fa82b8c2eed0e643f16447659a6ae4af3c5"),
     "use_cls=False multi_block=mean lam=0.0 batch_size=3": (
-        "533c0d9f118bd70535078f2361379ab69def885009b606d0f40213fac8d616f0",
-        "9d5d64a9555dd22840368a3e939ddc66a4cd5a9af62f4795bd76000282157e52"),
+        "bcb8cf44df644d669563bbd32920b639d2a795111533ed358a2705c2a77786f1",
+        "03d90a2d9c7f3cf243d80bf3ac5f4c6fdfe44303e17860b8e7c5fcbd9397f549"),
     "use_cls=False multi_block=mean lam=0.0 batch_size=8": (
-        "f84035b4b6ec61ed7ab3bee4e043713293fc1799c33e703f2359cc1b794b8ff7",
-        "5abd2cbfecbeb26c628f6eccc1e84606aeaa4da3761f156a34ee592194e6cfb4"),
+        "4e0179d17f8c65e06d9122e09019018606e4291e0809f824c793d30eb4ade60c",
+        "1c974192d4113b880efb5a7c932a9b86ff4069830e251a6d157c96af3ee87cf4"),
     "use_cls=False multi_block=mean lam=0.5 batch_size=1": (
-        "1dbaef095f0500f56ff3647be76abd88f8eedebc8b396219e4f49cbbf7f2ac48",
-        "eca112a60584ee28a7a99c3066fe066fc3849775c36dae42c483c1d6f2a1e45e"),
+        "6d99b4846bf9f61045c0a6a081d5c84fed937cab0219974c19b81182c445a223",
+        "69ef3db453d31d2e788d102070fac07d4c78a6928eb05a86263b725197281abb"),
     "use_cls=False multi_block=mean lam=0.5 batch_size=3": (
-        "5f6d13d0707950813c91696838a3b59db602673723610e6231b3709d5359cad3",
-        "5e06aa3a397946cc4a9c7aaa31ae21dc236adc1328a1753ea90fbdc89cdc4360"),
+        "68467adf644071b6915fce82c1bca0d20d855d9ef49a9934f311ed92b7b4b017",
+        "de496f70e4826b82517ff8afc1e22bed9f7f31a0b0ab32256a435bb362b435e0"),
     "use_cls=False multi_block=mean lam=0.5 batch_size=8": (
-        "8dc2b54e94575cb5a8826ae4474b69bb6ee61feb71f58d665da26e34c2b0d2f9",
-        "d1fbf95b9be2370684c2cb8d39ced0bdbacf790f7c9d1bcbce6d05e5bfc43326"),
+        "4fab64aaa853044453419cad94c76c0518f1b468fca5ec2f09bd5c8b6073f96d",
+        "bd9a5c41314c63443d5b0a3bab8d043533ae5de6ea095ffe7047915f84027b9f"),
     "use_cls=False multi_block=sum lam=0.0 batch_size=1": (
-        "941c275a60a6233751df98062ff5864afaee83de96e2d99aac89d97c1e7de996",
-        "c43f1b9236d78f1deadb598c16b2c3b2c8a1526a637cdf39cd9bfadae8191fca"),
+        "8877b297926bd94a5c08578ff6f11e5bf141649b8b693ab48ed8eb0273fd34fc",
+        "99eca217fa6d334b5047bc09a6cb42c38fd3b09d17c7e9b483122d84dcf6f833"),
     "use_cls=False multi_block=sum lam=0.0 batch_size=3": (
-        "7b9fe0c6fcaec2f9b72ba80382321e019e5d7337f992bb5a247d3b5f36f32f5d",
-        "3c36b19dd2fb59e5699626c272d10c1f732d7047d6bae58da55a401fe8b46a26"),
+        "2d47265c7226ea8df38857e8278abe3b8cfca9bdc70ade903c3441344c61b56c",
+        "b6fa55b6b6ea0bf6c8e0e49eed4a69270fb6d6b2cc2d06a35828f3f977e51a38"),
     "use_cls=False multi_block=sum lam=0.0 batch_size=8": (
-        "0d265bb312dee58e4845fe732eb3659ece56acab4294989fcb1b2fd50b2b7c24",
-        "a99168345195dc3ea7ed130129f3c663d73f16f855a8923b9c8c7e75916be9a2"),
+        "79e3c8fc711457eec8953c629cfc56ec519ab721edcdf7bcb5620c6aef61254b",
+        "726e14f89534a0e4b45677484c07a2c1d38a713b8ee9a5aa810da53a9a8092f7"),
     "use_cls=False multi_block=sum lam=0.5 batch_size=1": (
-        "d564c9cd507f774e4c9cb8c7ba8cab35e9777b073a267bd70339d220ddec4d52",
-        "bbd7ef24646e4dbf3249c6f68cae8ff78febcd2cb41e5fbade05e9d16f41364e"),
+        "fcdd09cbc0e5870a5973116eb7641aa6f92f1c0f6d5b45925c52b31d855ebdd4",
+        "b65f14a161763fb36c9602773b5c298dc34d00472ba1eddd17d3cef180be9ead"),
     "use_cls=False multi_block=sum lam=0.5 batch_size=3": (
-        "86a7950bfaf952055fb22f67816c1bb97afa4906814962de2f7ae647deaabdac",
-        "dcacfe7314aa60aa8c15804f84d6eb24998140abaea8461d77b7e547b2b2d198"),
+        "fe1d450d83d8aedd634d521604455a025b7c9d6d507c9ad00156af611c48482e",
+        "e6e59e9954de76ac6dd9647b45d7ef7fd5405bab64a997c92516351f4094129b"),
     "use_cls=False multi_block=sum lam=0.5 batch_size=8": (
-        "c94fa7fae83e85ffa9f873d28c3e5573877945cadbe67e55b0329137580a2b05",
-        "8f80974a474c99a64bbea21c93ebd584d36753fae0264d31985c037511dd5c1e"),
+        "4929475eaec4069a524b5ac086a0c335af2b8509048c32fe0c59f7d09ae154c5",
+        "5e8aba76723e4942ef8890466e75372abcedeaad770528601358f158f5098943"),
     "enc_depth=3": (
-        "8051a64e5e96ba47d8a7e5bab63b8e9e8da0526e251dfe72165ba9e9798d486d",
-        "5b5cc112e85488eacef92e2e79788853e2ef8dd9988ba6334f69eefc9927cd4c"),
+        "cad442f252a3c18a534da2ffe65f8cca34db3926bb6aa81ae8fb62403a281e6a",
+        "31d853d535e83e46a701ba71fcf814620e8e6e6862e056b72c35dd0196b1ab5f"),
     "in_channels=1": (
-        "9711dc77adefb2ae3fc321cd1d5f3606e23c51a28f5e11da81325aaa8a8e94f0",
-        "e3ed7324eb4b9d833d4d8110c7f0f9e8485750ee0731e93332e3813e763e1290"),
+        "1ab37aaa955f6c3b8b7f244e37af19b4efa9cfab0ec2fd197b6e6317016578f9",
+        "c115d5897c7048be22e5519c33fe33b4314d9fe8027a56254443188b3a659a27"),
     "teacher=file": (
-        "3ed47a1ffbbcc89021dd1044082634fb4b159c5454db84fa2ffd17ed498a225a",
-        "5b570cfdd48a6efc12f0dd21cd4d6d1af4cfa903c2b810e61b668b0e9f73c8a2"),
+        "0970ef19f581806b49ce414b01e13fe652281b27dd05bfb490b60ba8a4d3bf74",
+        "b067d2592133ffc6ee0d0e9715b15f1cb4182de82cce1e5f60943335ff4b6e22"),
 }
 
 

@@ -18,18 +18,18 @@ SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 # float32 summation order (batching, fusing GEMMs such as one q/k/v
 # projection) updates both hashes and says so in CHANGES.md.
 OVERFIT_100_SHA256 = {
-    "metrics.csv": "50c525228542280796d47cf380dce987cefcf9351013e40d4b4a77120ed42b21",
-    "ckpt_100.bin": "07f84f92341a2cf60369d37e801b5b011c6bf8e449a51b377cae8cc48b5ba305",
+    "metrics.csv": "d00fd65347f770b00d84b59a8b457d3862558928fb17ea3a6a6ab058cbe7a2bd",
+    "ckpt_100.bin": "a1d5536099189b5537b146d3b8e770101b1c2b7d364ceb012ca569723bbac5c1",
 }
 
 # The same contract for the plain path (lam=0, multi-block off, batch 1),
 # which the overfit recipe never runs: 40 steps, a checkpoint every 10.
 PLAIN_40_SHA256 = {
-    "metrics.csv": "2aee61742b101825c9785fbba1ff51cac9395109e41e0222631f3d7aae080138",
-    "ckpt_10.bin": "77b1a2178f56314d0615e2450c6dc5eeef9c6bcee23e07c423ed586c97d1d7a9",
-    "ckpt_20.bin": "dd093a6d3f66fd4c2f1877c34364ace07f7a0b95f43f6e2f73f4c1e03d2f3c29",
-    "ckpt_30.bin": "4bc528c6cea824106e6737a48480a4ea870b9eec70bbb096376f75a7e6273fc1",
-    "ckpt_40.bin": "8205a46b39e419068df0c91f990a24e961ee31ef97ea6177e9185f7b106546fd",
+    "metrics.csv": "04187cc014e5cddaf1224fa7b98e2193cd37b03a7d6ac6f14d80c041bd573282",
+    "ckpt_10.bin": "c3b32bc68f5a301dcb52055dc20953802bb70640d1d82900607d1f4090b995c8",
+    "ckpt_20.bin": "7f410586f1b360ddfa0f68363f0e5f57e335e71c5f54a8964f5b9dc187f451fb",
+    "ckpt_30.bin": "272c4d624bf67b1d43d1841a3e4c81d583deaafaea553a9805166a8df6cbf8d6",
+    "ckpt_40.bin": "c7516bcddd84164b492917264a5071cd8bab4ef0e6b76dbdf60ec9e98efd6c92",
 }
 
 
@@ -166,13 +166,14 @@ def _bench_stdout(env, result_line):
 
 def test_bench_record_of_canned_runs(tmp_path, monkeypatch):
     # no bench run: canned stdout for every run the script makes. The stale
-    # per-op metrics read 0 in the traced run and are recorded as absent
+    # per-layer metrics read 0 in the traced runs and are recorded as absent
     rec = _load_script("bench_record.py")
     base, change, out = tmp_path / "base", SCRIPTS.parent, tmp_path / "BENCH_1.json"
+    live = [name for names in rec.LIVE_PER_LAYER.values() for name in names]
     traced_metrics = {name: {"value": 0.0, "unit": "ms"} for name in rec.STALE_PER_LAYER}
     traced_metrics.update({name: {"value": float(i + 1), "unit": "ms"}
-                           for i, name in enumerate(rec.LIVE_PER_LAYER)})
-    traced_metrics["analysis.pca_ms"] = {"value": 0.0, "unit": "ms"}
+                           for i, name in enumerate(live)})
+    traced_metrics["masking.mask_us"] = {"value": 0.0, "unit": "us"}
     traced = json.dumps({"correct": True, "attempted": 3, "failed": 0,
                          "metrics": traced_metrics})
     calls = ("recipe       calls/step tape ops/step\n"
@@ -197,19 +198,26 @@ def test_bench_record_of_canned_runs(tmp_path, monkeypatch):
     doc = json.loads(out.read_text())
     workloads = [w["name"] for w in json.loads((SCRIPTS.parent / "BENCHMARK.json").read_text())
                  ["workloads"]]
-    assert [a[:2] for _, a in argvs] == [["bench/run.py", "--workload"]] * 7 + [
+    assert [a[:2] for _, a in argvs] == [["bench/run.py", "--workload"]] * 8 + [
         ["scripts/calls_per_step.py", "--steps"]]
-    assert [(t, a[2], a[-1]) for t, a in argvs[:7]] == [
+    assert [(t, a[2], a[-1]) for t, a in argvs[:8]] == [
         (tree, w, "0") for w in workloads for tree in (base, change)] + [
-        (change, "overfit-b8", "1")]
+        (change, "overfit-b8", "1"), (change, "teacher-corpus", "1")]
     assert doc["seed"] == 5 and doc["seconds"] == 3 and doc["env"] == {"tree": "change"}
     assert list(doc["end_to_end"]) == workloads
     for sides in doc["end_to_end"].values():
         assert sides["base"]["peak_rss_mb"] == {"value": 60.0, "unit": "MB"}
         assert sides["change"]["peak_rss_mb"] == {"value": 54.0, "unit": "MB"}
-    per_layer = doc["per_layer"]["overfit-b8"]
-    assert list(per_layer) == list(rec.LIVE_PER_LAYER)
-    assert per_layer["trainer.step_ms_p50"]["value"] > 0
-    assert set(doc["absent"]) == set(rec.STALE_PER_LAYER) and not set(per_layer) & set(doc["absent"])
+    per_layer = doc["per_layer"]
+    assert list(per_layer) == ["overfit-b8", "teacher-corpus"]
+    assert list(per_layer["overfit-b8"]) == list(rec.LIVE_PER_LAYER["overfit-b8"])
+    assert list(per_layer["teacher-corpus"]) == [
+        "teacher.features_ms_per_img", "teacher.align_ms_per_img", "diversity.sample_ms",
+        "analysis.pca_ms", "analysis.heatmap_ms"]
+    assert per_layer["overfit-b8"]["trainer.step_ms_p50"]["value"] > 0
+    assert per_layer["teacher-corpus"]["teacher.features_ms_per_img"]["value"] > 0
+    assert set(doc["absent"]) == set(rec.STALE_PER_LAYER)
+    assert {"imageio.load_ms_per_img", "tensor.io.bytes"} <= set(doc["absent"])
+    assert not set(live) & set(doc["absent"])
     assert doc["calls_per_step"] == {"overfit-b8": {"calls": 1219.0, "tape_ops": 56.0},
                                      "plain-b1": {"calls": 975.6, "tape_ops": 48.0}}

@@ -4,6 +4,7 @@ import io
 import itertools
 import math
 import pathlib
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -232,6 +233,24 @@ def test_feature_cache_is_stable():
         for row, got in zip((cache.patches, cache.tokens, cache.means), (patches, tokens, mean)):
             assert row[k].dtype == got.dtype and row[k].tobytes() == got.tobytes()
         assert cache.get(image_id, img)[1].tobytes() == tokens.tobytes()
+
+
+def test_feature_cache_holds_the_corpus_once_while_it_builds():
+    # each image's rows go straight into arrays sized from the first get, so
+    # the build peaks near the arrays' own bytes (stacking a per-image list
+    # peaked at 2.10x on this corpus)
+    cfg = RunConfig()
+    images = [(f"x{i}", synthetic_image(32, 3, seed=i)) for i in range(64)]
+    FeatureCache(cfg, images[:1])  # first-call allocations stay out of the peak
+    tracemalloc.start()
+    try:
+        cache = FeatureCache(cfg, images)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    held = sum(a.nbytes for a in (cache.patches, cache.tokens, cache.means))
+    assert held == 64 * 4 * (16 * 192 + 16 * 16 + 16)
+    assert peak <= 1.2 * held
 
 
 def test_the_corpus_is_read_only(tmp_path, monkeypatch):
